@@ -343,6 +343,27 @@ def cp_uniform_closed_form(r: int, n: int) -> IntPoly:
 # exact division
 # ---------------------------------------------------------------------------
 
+def _poly_divmod(num, den) -> tuple[list, list[Fraction]]:
+    """Quotient and remainder of num by den over the rationals.  Both
+    are dense coefficient sequences, constant term first, and den is
+    nonzero.  The remainder comes back with trailing zeros stripped, so
+    an exact division leaves an empty remainder."""
+    rem = [Fraction(c) for c in num]
+    dlen = len(den)
+    dlead = Fraction(den[-1])
+    quot = [0] * max(0, len(rem) - dlen + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        lead = rem[i + dlen - 1]
+        if lead:
+            c = quot[i] = lead / dlead
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    del rem[dlen - 1:]  # cancelled by the quotient
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     """Quotient num / den when the division is exact over the integers;
     raises InexactDivisionError otherwise."""
@@ -352,18 +373,8 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
         return ZERO
     if num.degree < den.degree:
         raise InexactDivisionError("quotient would have negative degree")
-    rem = [Fraction(c) for c in num.coeffs]
-    dcs = den.coeffs
-    dlead = Fraction(dcs[-1])
-    qlen = len(rem) - len(dcs) + 1
-    quot = [Fraction(0)] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + len(dcs) - 1] / dlead
-        quot[i] = c
-        if c:
-            for j, dcj in enumerate(dcs):
-                rem[i + j] -= c * dcj
-    if any(rem):
+    quot, rem = _poly_divmod(num.coeffs, den.coeffs)
+    if rem:
         raise InexactDivisionError("nonzero remainder")
     if any(c.denominator != 1 for c in quot):
         raise InexactDivisionError("quotient has fractional coefficients")
@@ -394,29 +405,13 @@ def _frac_to_primitive_int(fracs) -> tuple[int, ...]:
     return _primitive(ints)
 
 
-def _poly_rem_frac(a: tuple[int, ...], b: tuple[int, ...]) -> list[Fraction]:
-    """Remainder of a modulo b over the rationals (dense int inputs)."""
-    rem = [Fraction(c) for c in a]
-    blead = Fraction(b[-1])
-    while len(rem) >= len(b):
-        c = rem[-1] / blead
-        shift = len(rem) - len(b)
-        for j, bj in enumerate(b):
-            rem[shift + j] -= c * bj
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-    return rem
-
-
 def _poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd over the integers, normalized to positive lead."""
     x, y = a.coeffs, b.coeffs
     if not x:
         x, y = y, x
     while y:
-        rem = _poly_rem_frac(x, y)
+        _, rem = _poly_divmod(x, y)
         x, y = y, _frac_to_primitive_int(rem) if rem else ()
     if not x:
         return ZERO
@@ -434,20 +429,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if p.degree == 0:
         return ONE
     g = _poly_gcd_int(p, p.derivative())
-    if g.degree == 0:
-        sf = _primitive(p.coeffs)
-    else:
-        rem = [Fraction(c) for c in p.coeffs]
-        gcs = g.coeffs
-        glead = Fraction(gcs[-1])
-        qlen = len(rem) - len(gcs) + 1
-        quot = [Fraction(0)] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(gcs) - 1] / glead
-            quot[i] = c
-            for j, gj in enumerate(gcs):
-                rem[i + j] -= c * gj
-        sf = _frac_to_primitive_int(quot)
+    if g.degree > 0:
+        # g is primitive, so by Gauss's lemma the quotient is integral
+        p = poly_exact_div(p, g)
+    sf = _primitive(p.coeffs)
     if sf[-1] < 0:
         sf = tuple(-c for c in sf)
     return IntPoly(sf)
@@ -459,7 +444,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     positive, so sign variation counts are unaffected."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = _poly_rem_frac(chain[-2].coeffs, chain[-1].coeffs)
+        _, rem = _poly_divmod(chain[-2].coeffs, chain[-1].coeffs)
         if not rem:
             break
         nxt = _frac_to_primitive_int([-c for c in rem])

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .charpoly import (
+    ZERO,
     cp_boolean_expansion,
     cp_cocircuit_expansion,
     cp_delete_contract,
@@ -29,10 +30,11 @@ from .charpoly import (
 )
 from .gfq import factor_prime_power, gf
 from .harness import (
+    _random_linear,
     all_verdicts_true,
     charpoly_auto,
+    effective_seed,
     gen_glued,
-    gen_random_linear,
     reports_to_jsonl,
     resolve_instances,
     save_instances,
@@ -62,8 +64,6 @@ def _engine_charpoly(m, engine: str):
         return cp_delete_contract(m)
     if engine == "cocircuit":
         if m.loops_mask():
-            from .charpoly import ZERO
-
             return ZERO
         simple, _ = m.simplify()
         return cp_cocircuit_expansion(simple)
@@ -168,9 +168,8 @@ def _cmd_generate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.kind == "random":
-        recs = []
-        for i in range(args.count):
-            recs.append(gen_random_linear(args.q, args.rank, args.n, args.seed + i))
+        seed = effective_seed(args.seed)
+        recs = [_random_linear(args.q, args.rank, args.n, seed + i) for i in range(args.count)]
         save_instances(outdir, recs)
         for rec in recs:
             print(outdir / f"{rec.id}.matrix")

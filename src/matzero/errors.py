@@ -5,6 +5,15 @@ class MatZeroError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ParseError(MatZeroError, ValueError):
+    """A matroid or decomposition file is malformed.  ``line`` is the
+    1-based number of the offending line, or None for the whole file."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
 # -- finite fields ----------------------------------------------------------
 
 class NotPrimeError(MatZeroError):

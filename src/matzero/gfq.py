@@ -250,6 +250,37 @@ class GF:
             k >>= 1
         return out
 
+    # -- elimination -----------------------------------------------------------
+
+    def reduce(self, basis, v):
+        """Reduce a vector against an echelon basis from :meth:`echelon`.
+        The result is zero exactly when v lies in the span of the basis."""
+        add, mul, neg = self.add, self.mul, self.neg
+        for pivot, bv in basis:
+            c = v[pivot]
+            if c:
+                minus_c = mul[neg[c]]
+                v = [add[x][minus_c[y]] for x, y in zip(v, bv)]
+        return v
+
+    def echelon(self, vectors) -> list[tuple[int, tuple[int, ...]]]:
+        """Gaussian elimination over this field, one vector at a time.
+
+        Returns one (pivot, vector) pair per vector that is independent
+        of those before it, in input order: the vector reduced against
+        the earlier pairs and scaled to 1 at its pivot, the index of its
+        first nonzero coordinate.  The length is the rank of the input.
+        """
+        reduce, mul, inv = self.reduce, self.mul, self.inv
+        basis: list[tuple[int, tuple[int, ...]]] = []
+        for v in vectors:
+            v = reduce(basis, v)
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is not None:
+                scale = mul[inv[v[pivot]]]
+                basis.append((pivot, tuple(scale[x] for x in v)))
+        return basis
+
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):

@@ -21,6 +21,7 @@ from .errors import (
     HasLoopError,
     NotLinearError,
     NotSimpleError,
+    ParseError,
     RankZeroError,
     TooLargeError,
 )
@@ -355,22 +356,7 @@ class LinearMatroid(Matroid):
         return [[self.columns[j][i] for j in range(self.n)] for i in range(self.nrows)]
 
     def _rank_mask(self, mask: int) -> int:
-        F = self.field
-        mul = F.mul
-        sub = F.sub
-        basis: list[tuple[int, tuple[int, ...]]] = []  # (pivot row, normalized vector)
-        for e in mask_bits(mask):
-            v = list(self.columns[e])
-            for pr, bv in basis:
-                c = v[pr]
-                if c:
-                    mc = mul[c]
-                    v = [sub(x, mc[y]) for x, y in zip(v, bv)]
-            pivot = next((i for i, x in enumerate(v) if x), None)
-            if pivot is not None:
-                scale = mul[F.invert(v[pivot])]
-                basis.append((pivot, tuple(scale[x] for x in v)))
-        return len(basis)
+        return len(self.field.echelon(self.columns[e] for e in mask_bits(mask)))
 
     def contract_by_elimination(self, subset) -> "LinearMatroid":
         """Contract by explicit matrix surgery: pivot on the contracted
@@ -378,20 +364,7 @@ class LinearMatroid(Matroid):
         cross-check of the rank-offset contraction."""
         cmask = as_mask(self.n, subset)
         F = self.field
-        mul = F.mul
-        sub = F.sub
-        basis: list[tuple[int, tuple[int, ...]]] = []
-        for e in mask_bits(cmask):
-            v = list(self.columns[e])
-            for pr, bv in basis:
-                c = v[pr]
-                if c:
-                    mc = mul[c]
-                    v = [sub(x, mc[y]) for x, y in zip(v, bv)]
-            pivot = next((i for i, x in enumerate(v) if x), None)
-            if pivot is not None:
-                scale = mul[F.invert(v[pivot])]
-                basis.append((pivot, tuple(scale[x] for x in v)))
+        basis = F.echelon(self.columns[e] for e in mask_bits(cmask))
         pivot_rows = {pr for pr, _ in basis}
         keep_rows = [i for i in range(self.nrows) if i not in pivot_rows]
         new_cols = []
@@ -399,12 +372,7 @@ class LinearMatroid(Matroid):
         for e in range(self.n):
             if (1 << e) & cmask:
                 continue
-            v = list(self.columns[e])
-            for pr, bv in basis:
-                c = v[pr]
-                if c:
-                    mc = mul[c]
-                    v = [sub(x, mc[y]) for x, y in zip(v, bv)]
+            v = F.reduce(basis, self.columns[e])
             new_cols.append([v[i] for i in keep_rows])
             labels.append(self.labels[e])
         return LinearMatroid(F, new_cols, tuple(labels), nrows=len(keep_rows))
@@ -512,34 +480,69 @@ def ranks_agree(a: Matroid, b: Matroid) -> bool:
 #                    whitespace separated (the matrix, row by row).
 # Graphic matroids:  line 1 is "graph V E", then E lines "u v" with
 #                    0-based vertex indices.
+#
+# In every file format blank lines are skipped and "#" starts a comment
+# that runs to the end of its line.
+
+
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of a file that carry content, with comments removed,
+    as (1-based line number, stripped text) pairs."""
+    out = []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            out.append((number, line))
+    return out
+
+
+def parse_ints(line: int, tokens: list[str], count: int) -> list[int]:
+    """Exactly ``count`` integers from the tokens of one line."""
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"expected integers, got {' '.join(tokens)!r}", line) from None
+    if len(values) != count:
+        raise ParseError(f"expected {count} integers, got {len(values)}", line)
+    return values
 
 
 def parse_matroid_text(text: str) -> Matroid:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
-        raise ValueError("empty matroid file")
-    head = lines[0].split()
-    if head[0] == "graph":
-        nv, ne = int(head[1]), int(head[2])
-        if len(lines) != 1 + ne:
-            raise ValueError(f"expected {ne} edge lines, found {len(lines) - 1}")
+        raise ParseError("empty matroid file")
+    (head_line, head), body = lines[0], lines[1:]
+    tokens = head.split()
+    if tokens[0] == "graph":
+        nv, ne = parse_ints(head_line, tokens[1:], 2)
+        if nv < 0 or ne < 0:
+            raise ParseError("vertex and edge counts must be nonnegative", head_line)
+        if len(body) != ne:
+            raise ParseError(f"expected {ne} edge lines, found {len(body)}", head_line)
         edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+        for number, line in body:
+            u, v = parse_ints(number, line.split(), 2)
+            if not (0 <= u < nv and 0 <= v < nv):
+                raise ParseError(f"edge ({u}, {v}) has an endpoint outside 0..{nv - 1}", number)
+            edges.append((u, v))
         return GraphicMatroid(nv, edges)
-    q, r, n = (int(x) for x in head)
-    field = gf(q)
-    if len(lines) != 1 + r:
-        raise ValueError(f"expected {r} matrix rows, found {len(lines) - 1}")
+    q, r, n = parse_ints(head_line, tokens, 3)
+    if r < 0 or n < 0:
+        raise ParseError("matrix dimensions must be nonnegative", head_line)
+    try:
+        field = gf(q)
+    except ValueError as exc:
+        raise ParseError(str(exc), head_line) from None
+    if len(body) != r:
+        raise ParseError(f"expected {r} matrix rows, found {len(body)}", head_line)
     if r == 0:
         # n loops; from_rows cannot express a 0 x n matrix
         return LinearMatroid(field, [()] * n, nrows=0)
     rows = []
-    for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
-        if len(row) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(row)}")
+    for number, line in body:
+        row = parse_ints(number, line.split(), n)
+        if not all(0 <= x < q for x in row):
+            raise ParseError(f"matrix entries must lie in 0..{q - 1}", number)
         rows.append(row)
     return LinearMatroid.from_rows(field, rows)
 

@@ -25,12 +25,11 @@ from .errors import (
     NotInTreeError,
     NotLinearError,
     NotModularError,
-    NotSimpleError,
     PointCollisionError,
     TooLargeError,
 )
 from .gfq import GF, gf
-from .matroid import LinearMatroid, Matroid, mask_bits, mask_of
+from .matroid import LinearMatroid, Matroid, mask_bits, mask_of, require_simple
 from .treedecomp import Tree, TreeDecomposition
 
 MAX_POINTS = 4096
@@ -85,31 +84,10 @@ class PGModel:
 
     def span_closure(self, point_ids) -> tuple[int, ...]:
         """All point indices inside the linear span of the given points."""
-        F = self.field
-        mul, sub = F.mul, F.sub
-        basis: list[tuple[int, tuple[int, ...]]] = []
-        for i in point_ids:
-            v = list(self.points[i])
-            for pr, bv in basis:
-                c = v[pr]
-                if c:
-                    mc = mul[c]
-                    v = [sub(x, mc[y]) for x, y in zip(v, bv)]
-            pivot = next((k for k, x in enumerate(v) if x), None)
-            if pivot is not None:
-                scale = mul[F.invert(v[pivot])]
-                basis.append((pivot, tuple(scale[x] for x in v)))
-        out = []
-        for idx, pt in enumerate(self.points):
-            v = list(pt)
-            for pr, bv in basis:
-                c = v[pr]
-                if c:
-                    mc = mul[c]
-                    v = [sub(x, mc[y]) for x, y in zip(v, bv)]
-            if not any(v):
-                out.append(idx)
-        return tuple(out)
+        basis = self.field.echelon(self.points[i] for i in point_ids)
+        return tuple(
+            idx for idx, pt in enumerate(self.points) if not any(self.field.reduce(basis, pt))
+        )
 
     def matroid(self, labels=None) -> LinearMatroid:
         """The geometry itself as a matroid (only for small models)."""
@@ -127,30 +105,9 @@ def pg_build(r: int, q) -> PGModel:
 def _row_reduce(field: GF, columns):
     """Rewrite columns in coordinates of their own span, dropping
     dependent rows, so the matrix height equals the matroid rank."""
-    mul, sub = field.mul, field.sub
     nrows = len(columns[0]) if columns else 0
-    rows = [[col[i] for col in columns] for i in range(nrows)]
-    pivots = []
-    reduced = [list(r) for r in rows]
-    pivot_cols = set()
-    for i in range(len(reduced)):
-        row = reduced[i]
-        for pr, pc in pivots:
-            c = row[pc]
-            if c:
-                mc = mul[c]
-                reduced[i] = row = [sub(x, mc[y]) for x, y in zip(row, reduced[pr])]
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        scale = mul[field.invert(row[pivot])]
-        reduced[i] = row = [scale[x] for x in row]
-        pivots.append((i, pivot))
-        pivot_cols.add(pivot)
-    keep = [i for i, _ in pivots]
-    # back-substitute so kept rows are independent and span the row space
-    new_rows = [reduced[i] for i in keep]
-    return [[new_rows[i][j] for i in range(len(new_rows))] for j in range(len(columns))]
+    basis = field.echelon([col[i] for col in columns] for i in range(nrows))
+    return [[bv[j] for _, bv in basis] for j in range(len(columns))]
 
 
 @dataclass
@@ -175,10 +132,7 @@ def embed(m: Matroid) -> PGEmbedding:
     """Embed a simple matrix-backed matroid into PG(r(M)-1, q)."""
     if not isinstance(m, LinearMatroid):
         raise NotLinearError("embedding requires an explicit matrix over GF(q)")
-    if m.loops_mask():
-        raise NotSimpleError("matroid has a loop")
-    if any(len(c) > 1 for c in m.parallel_classes()):
-        raise NotSimpleError("matroid has a parallel pair")
+    require_simple(m)
     r = m.full_rank
     cols = [list(c) for c in m.columns]
     if m.nrows != r:

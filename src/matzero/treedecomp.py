@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInTreeError, TooLargeError
-from .matroid import Matroid, UniformMatroid, mask_bits, mask_of
+from .errors import NotInTreeError, ParseError, TooLargeError
+from .matroid import Matroid, UniformMatroid, content_lines, mask_bits, mask_of, parse_ints
 
 EXACT_SEARCH_MAX = 10
 
@@ -559,26 +559,42 @@ def format_decomposition(dec: TreeDecomposition) -> str:
 
 
 def parse_decomposition_text(text: str, matroid: Matroid) -> TreeDecomposition:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].split()[0] != "tree":
-        raise ValueError("decomposition files start with a 'tree L' line")
-    l = int(lines[0].split()[1])
+    lines = content_lines(text)
+    head_line, head = lines[0] if lines else (None, "")
+    tokens = head.split()
+    if not tokens or tokens[0] != "tree":
+        raise ParseError("decomposition files start with a 'tree L' line", head_line)
+    (l,) = parse_ints(head_line, tokens[1:], 1)
+    if l < 1:
+        raise ParseError("a tree needs at least one vertex", head_line)
     edges = []
-    idx = 1
-    for _ in range(l - 1):
-        u, v = lines[idx].split()
-        edges.append((int(u), int(v)))
-        idx += 1
-    if idx >= len(lines) or lines[idx] != "tau":
-        raise ValueError("expected a 'tau' separator line")
-    idx += 1
+    for number, line in lines[1:l]:
+        u, v = parse_ints(number, line.split(), 2)
+        if not (0 <= u < l and 0 <= v < l):
+            raise ParseError(f"edge ({u}, {v}) has an endpoint outside 0..{l - 1}", number)
+        edges.append((u, v))
+    if len(lines) <= l or lines[l][1] != "tau":
+        raise ParseError(
+            f"expected {l - 1} edge lines and then a 'tau' line",
+            lines[l][0] if len(lines) > l else None,
+        )
+    try:
+        tree = Tree(l, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc), head_line) from None
     assignment = [None] * matroid.n
-    for ln in lines[idx:]:
-        e, v = ln.split()
-        assignment[int(e)] = int(v)
-    if any(a is None for a in assignment):
-        raise ValueError("every element needs an assignment line")
-    return TreeDecomposition(matroid, Tree(l, edges), assignment)
+    for number, line in lines[l + 1:]:
+        e, v = parse_ints(number, line.split(), 2)
+        if not 0 <= e < matroid.n:
+            raise ParseError(f"element {e} is outside 0..{matroid.n - 1}", number)
+        if not 0 <= v < l:
+            raise ParseError(f"vertex {v} is outside 0..{l - 1}", number)
+        if assignment[e] is not None:
+            raise ParseError(f"element {e} is assigned twice", number)
+        assignment[e] = v
+    if None in assignment:
+        raise ParseError(f"element {assignment.index(None)} has no assignment line")
+    return TreeDecomposition(matroid, tree, assignment)
 
 
 def load_decomposition(path, matroid: Matroid) -> TreeDecomposition:

@@ -202,3 +202,15 @@ def test_mz_seed_env_overrides_cli_seed(capsys, tmp_path, monkeypatch):
     )
     assert rc == 0
     assert "-s123.matrix" in out
+
+
+def test_mz_seed_applies_once_to_generate_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MZ_SEED", "123")
+    rc, out = run(
+        capsys, "generate", "random", "--q", "2", "--rank", "2", "--n", "4",
+        "--count", "3", "--seed", "7", "--out", str(tmp_path),
+    )
+    assert rc == 0
+    assert [p.rsplit("-", 1)[1] for p in out.split()] == [
+        "s123.matrix", "s124.matrix", "s125.matrix",
+    ]

@@ -105,6 +105,15 @@ def test_sub():
             assert F.add[F.sub(a, b)][b] == a
 
 
+def test_echelon_and_reduce():
+    F = gf(3)
+    basis = F.echelon([(1, 2, 0), (2, 1, 0), (0, 1, 1), (1, 0, 1)])
+    assert basis == [(0, (1, 2, 0)), (1, (0, 1, 1))]
+    assert not any(F.reduce(basis, (2, 2, 1)))
+    assert list(F.reduce(basis, (1, 1, 1))) == [0, 0, 2]
+    assert F.echelon([]) == []
+
+
 def test_order_32_needs_explicit_modulus():
     with pytest.raises(ValueError):
         gf(32)

@@ -54,7 +54,7 @@ def test_charpoly_auto_on_loops():
     assert charpoly_auto(UniformMatroid(0, 0)) == ONE
 
 
-def test_charpoly_auto_large_instance_uses_cocircuits():
+def test_charpoly_auto_matches_mobius_above_eleven_elements():
     rec = gen_glued(2, 3, 2, 1, seed=0)  # two planes sharing a point
     assert rec.matroid.n == 13
     assert charpoly_auto(rec.matroid) == cp_mobius(rec.matroid)
@@ -68,6 +68,26 @@ def test_effective_seed_env_override(monkeypatch):
     rec = gen_random_linear(2, 2, 4, seed=5)
     assert rec.seed == 99
     assert rec.id.endswith("-s99")
+
+
+def test_mz_seed_applies_once_per_suite(monkeypatch):
+    def matrices(recs):
+        return [rec.matroid.columns for rec in recs]
+
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    plain = {
+        "suite": matrices(main_theorem_suite(2, 2, 40, 0)),
+        "random": matrices(resolve_instances("random:12:0", 2, 2)),
+        "glued": matrices(resolve_instances("glued:8:0", 2, 3)),
+    }
+    monkeypatch.setenv("MZ_SEED", "0")
+    overridden = {
+        "suite": matrices(main_theorem_suite(2, 2, 40, 5)),
+        "random": matrices(resolve_instances("random:12:5", 2, 2)),
+        "glued": matrices(resolve_instances("glued:8:5", 2, 3)),
+    }
+    assert overridden == plain
+    assert len(set(overridden["suite"])) == len(set(plain["suite"])) == 26
 
 
 # -- generators ------------------------------------------------------------------

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from matzero.errors import HasLoopError, NotSimpleError, RankZeroError, TooLargeError
+from matzero.errors import (
+    HasLoopError,
+    NotSimpleError,
+    ParseError,
+    RankZeroError,
+    TooLargeError,
+)
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, non_fano
 from matzero.matroid import (
@@ -351,3 +357,36 @@ def test_file_comments_ignored():
     m = parse_matroid_text(text)
     assert m.n == 3
     assert ranks_agree(m, UniformMatroid(2, 3))
+
+
+def test_file_comments_anywhere_on_a_line():
+    text = "2 2 3        # GF(q), r rows, n columns\n  # indented\n1 0 1  # row 1\n0 1 1\n"
+    assert ranks_agree(parse_matroid_text(text), UniformMatroid(2, 3))
+    graph = parse_matroid_text("graph 3 2  # a path\n    # indented\n0 1  # edge\n 1 2\n")
+    assert graph.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", None),
+        ("# only a comment\n", None),
+        ("2 1\n1 0\n", 1),  # header arity
+        ("2 1 x\n1 0\n", 1),
+        ("6 1 2\n1 1\n", 1),  # not a prime power
+        ("2 0 -3\n", 1),
+        ("2 2 3\n1 0 1\n", 1),  # missing a row
+        ("2 1 3\n1 0\n", 2),  # short row
+        ("2 1 2\n1 x\n", 2),
+        ("2 1 2\n1 2\n", 2),  # entry outside GF(2)
+        ("graph 2\n", 1),
+        ("graph -1 0\n", 1),
+        ("graph 2 2\n0 1\n", 1),  # missing an edge
+        ("graph 2 1\n0\n", 2),  # short edge line
+        ("graph 2 1\n0 2\n", 2),  # endpoint out of range
+    ],
+)
+def test_file_format_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_matroid_text(text)
+    assert info.value.line == line

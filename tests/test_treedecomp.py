@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from matzero.errors import NotInTreeError, TooLargeError
+from matzero.errors import NotInTreeError, ParseError, TooLargeError
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
 from matzero.matroid import LinearMatroid, UniformMatroid
@@ -380,3 +380,34 @@ def test_decomposition_parse_ignores_comments():
     m = UniformMatroid(1, 2)
     text = "# witness\ntree 1\ntau\n0 0\n1 0\n"
     assert parse_decomposition_text(text, m).width() == 1
+
+
+def test_decomposition_parse_comments_anywhere_on_a_line():
+    m = UniformMatroid(1, 3)
+    text = "tree 2  # two bags\n   # indented\n0 1  # the edge\ntau\n0 0\n  1 1  # trailing\n2 1\n"
+    assert parse_decomposition_text(text, m).assignment == (0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", None),
+        ("tree\n", 1),
+        ("tree x\n", 1),
+        ("tree 0\n", 1),
+        ("tree 2\n0 1\n", None),  # no tau
+        ("tree 3\n0 1\ntau\n0 0\n1 0\n", 3),  # short edge list
+        ("tree 2\n0 5\ntau\n0 0\n1 1\n", 2),  # edge endpoint out of range
+        ("tree 3\n0 1\n0 1\ntau\n0 0\n1 0\n", 1),  # not a tree
+        ("tree 1\ntau\n0\n", 3),  # short assignment line
+        ("tree 1\ntau\n0 0\n2 0\n", 4),  # element out of range
+        ("tree 1\ntau\n0 0\n-1 0\n", 4),
+        ("tree 1\ntau\n0 0\n1 3\n", 4),  # vertex out of range
+        ("tree 1\ntau\n0 0\n0 0\n1 0\n", 4),  # element assigned twice
+        ("tree 1\ntau\n0 0\n", None),  # element 1 missing
+    ],
+)
+def test_decomposition_parse_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_decomposition_text(text, UniformMatroid(1, 2))
+    assert info.value.line == line
