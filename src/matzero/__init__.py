@@ -14,7 +14,8 @@ The package is organized around five layers:
 
 with :mod:`matzero.harness` generating seeded instances and verifying
 every bound, and :mod:`matzero.cli` exposing the lot on the command
-line.  All arithmetic is exact (integers and rationals); no claim rests
+line.  All arithmetic is exact (integers and rationals), every sign a
+Sturm chain needs is settled in integer arithmetic, and no claim rests
 on floating point.
 """
 

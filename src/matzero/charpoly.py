@@ -11,7 +11,7 @@ must agree coefficient for coefficient, which the test suite exploits.
 
 All arithmetic is exact: coefficients are Python integers, bounds and
 root brackets are ``fractions.Fraction`` values, and sign questions are
-settled by Sturm chains rather than floating point.
+settled by Sturm chains in integer arithmetic, not floating point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class IntPoly:
     coefficients at all and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sturm")  # _sturm: see _sturm_of
 
     def __init__(self, coeffs=()):
         cs = list(int(c) for c in coeffs)
@@ -343,25 +343,32 @@ def cp_uniform_closed_form(r: int, n: int) -> IntPoly:
 # exact division
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(num, den) -> tuple[list, list[Fraction]]:
-    """Quotient and remainder of num by den over the rationals.  Both
-    are dense coefficient sequences, constant term first, and den is
-    nonzero.  The remainder comes back with trailing zeros stripped, so
-    an exact division leaves an empty remainder."""
-    rem = [Fraction(c) for c in num]
+def _pseudo_divmod(num, den) -> tuple[int, list[int], list[int]]:
+    """(c, quot, rem) with c*num == quot*den + rem, c > 0, rem shorter
+    than den and stripped of trailing zeros, all over the integers.  The
+    remainder is scaled by the least factor that keeps each quotient term
+    integral, so c is 1 for monic den.  Dense coefficient sequences,
+    constant term first; den is nonzero."""
+    rem = list(num)
     dlen = len(den)
-    dlead = Fraction(den[-1])
+    dlead = den[-1]
+    c = 1
     quot = [0] * max(0, len(rem) - dlen + 1)
     for i in range(len(quot) - 1, -1, -1):
         lead = rem[i + dlen - 1]
         if lead:
-            c = quot[i] = lead / dlead
+            s = abs(dlead) // gcd(lead, dlead)
+            if s != 1:
+                c *= s
+                rem = [x * s for x in rem]
+                quot = [x * s for x in quot]
+            t = quot[i] = lead * s // dlead
             for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
+                rem[i + j] -= t * dj
     del rem[dlen - 1:]  # cancelled by the quotient
     while rem and not rem[-1]:
         rem.pop()
-    return quot, rem
+    return c, quot, rem
 
 
 def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -373,12 +380,12 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
         return ZERO
     if num.degree < den.degree:
         raise InexactDivisionError("quotient would have negative degree")
-    quot, rem = _poly_divmod(num.coeffs, den.coeffs)
+    c, quot, rem = _pseudo_divmod(num.coeffs, den.coeffs)
     if rem:
         raise InexactDivisionError("nonzero remainder")
-    if any(c.denominator != 1 for c in quot):
+    if any(x % c for x in quot):
         raise InexactDivisionError("quotient has fractional coefficients")
-    return IntPoly(int(c) for c in quot)
+    return IntPoly(x // c for x in quot)
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +402,6 @@ def _primitive(coeffs) -> tuple[int, ...]:
     return tuple(c // g for c in coeffs)
 
 
-def _frac_to_primitive_int(fracs) -> tuple[int, ...]:
-    """Scale a Fraction coefficient list by a positive rational to a
-    primitive integer list."""
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    return _primitive(ints)
-
-
-def _poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers, normalized to positive lead."""
-    x, y = a.coeffs, b.coeffs
-    if not x:
-        x, y = y, x
-    while y:
-        _, rem = _poly_divmod(x, y)
-        x, y = y, _frac_to_primitive_int(rem) if rem else ()
-    if not x:
-        return ZERO
-    x = _primitive(x)
-    if x[-1] < 0:
-        x = tuple(-c for c in x)
-    return IntPoly(x)
-
-
 def squarefree_part(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'), scaled primitive with positive lead.
     Same real roots as p, all simple."""
@@ -428,10 +409,13 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         raise ValueError("the zero polynomial has no squarefree part")
     if p.degree == 0:
         return ONE
-    g = _poly_gcd_int(p, p.derivative())
-    if g.degree > 0:
-        # g is primitive, so by Gauss's lemma the quotient is integral
-        p = poly_exact_div(p, g)
+    # Euclid on primitive remainders: g ends as a gcd of p and p'
+    g, y = p.coeffs, p.derivative().coeffs
+    while y:
+        g, y = y, _primitive(_pseudo_divmod(g, y)[2])
+    if len(g) > 1:
+        # by Gauss's lemma p is divisible by the primitive part of g
+        p = poly_exact_div(p, IntPoly(_primitive(g)))
     sf = _primitive(p.coeffs)
     if sf[-1] < 0:
         sf = tuple(-c for c in sf)
@@ -443,43 +427,54 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     every step to keep the integers small.  Scaling factors are always
     positive, so sign variation counts are unaffected."""
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, rem = _poly_divmod(chain[-2].coeffs, chain[-1].coeffs)
+    while chain[-1].degree > 0:
+        rem = _pseudo_divmod(chain[-2].coeffs, chain[-1].coeffs)[2]
         if not rem:
             break
-        nxt = _frac_to_primitive_int([-c for c in rem])
-        chain.append(IntPoly(nxt))
+        chain.append(IntPoly(_primitive([-c for c in rem])))
     return [c for c in chain if not c.is_zero]
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def _sturm_of(p: IntPoly) -> list[IntPoly]:
+    """The Sturm chain of p's squarefree part, its first entry.  It is
+    built on first use and kept on p, so the verdict and the root
+    bracket of one polynomial share it."""
+    try:
+        return p._sturm
+    except AttributeError:
+        p._sturm = sturm_chain(squarefree_part(p))
+        return p._sturm
 
 
-def _variations(signs) -> int:
+def _homogeneous(p: IntPoly, num: int, den: int) -> int:
+    """den**deg(p) * p(num/den) by Horner's rule over the integers; for
+    den > 0 it has the sign of p at num/den."""
+    acc = 0
+    power = 1
+    for c in reversed(p.coeffs):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _variations(values) -> int:
+    """Sign changes along a sequence of integers, zeros skipped."""
     out = 0
     prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                out += 1
+            prev = v
     return out
 
 
-def _variations_at(chain, x) -> int:
-    return _variations(_sign(c.evaluate(x)) for c in chain)
+def _variations_at(chain, num: int, den: int) -> int:
+    return _variations(_homogeneous(c, num, den) for c in chain)
 
 
 def _variations_at_pos_inf(chain) -> int:
-    return _variations(_sign(c.leading) for c in chain)
-
-
-def _variations_at_neg_inf(chain) -> int:
-    return _variations(
-        _sign(c.leading) * (-1 if c.degree & 1 else 1) for c in chain
-    )
+    return _variations(c.leading for c in chain)
 
 
 def count_roots_above(p: IntPoly, bound) -> int:
@@ -487,11 +482,10 @@ def count_roots_above(p: IntPoly, bound) -> int:
     (bound, +infinity)."""
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return 0
-    chain = sturm_chain(sf)
-    return _variations_at(chain, Fraction(bound)) - _variations_at_pos_inf(chain)
+    chain = _sturm_of(p)
+    bound = Fraction(bound)
+    return (_variations_at(chain, bound.numerator, bound.denominator)
+            - _variations_at_pos_inf(chain))
 
 
 def sturm_positive_beyond(p: IntPoly, bound) -> bool:
@@ -544,29 +538,28 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no largest root")
-    sf = squarefree_part(p)
-    if sf.degree < 1:
-        return None
-    chain = sturm_chain(sf)
+    chain = _sturm_of(p)
+    sf = chain[0]
     v_hi = _variations_at_pos_inf(chain)
-    total = _variations_at_neg_inf(chain) - v_hi
-    if total == 0:
+    bound = cauchy_root_bound(sf)
+    if _variations_at(chain, -bound, 1) == v_hi:
         return None
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    bound = cauchy_root_bound(sf)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    # invariant: the largest root lies in (lo, hi]
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _variations_at(chain, mid) - v_hi >= 1:
+    # invariant: the largest root lies in (lo / 2**k, hi / 2**k]
+    lo, hi, k = -bound, bound, 0
+    while (hi - lo) * tol.denominator > tol.numerator << k:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        if _variations_at(chain, mid, 1 << k) > v_hi:
             lo = mid
         else:
             hi = mid
-    if sf.evaluate(hi) == 0:
-        return hi, hi
-    cand = _simplest_in(lo, hi)
-    if cand > lo and sf.evaluate(cand) == 0 and _variations_at(chain, cand) == v_hi:
-        return cand, cand
+    lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    # a root in (lo, hi] with no root above it is the largest root
+    for x in (hi, _simplest_in(lo, hi)):
+        num, den = x.numerator, x.denominator
+        if x > lo and _homogeneous(sf, num, den) == 0 and _variations_at(chain, num, den) == v_hi:
+            return x, x
     return lo, hi

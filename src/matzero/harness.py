@@ -25,9 +25,10 @@ from .charpoly import (
     largest_real_root,
     sturm_positive_beyond,
 )
-from .errors import LineMinorPresentError, TooLargeError, WidthWitnessExceededError
+from .errors import LineMinorPresentError, ParseError, TooLargeError, WidthWitnessExceededError
 from .gfq import gf
 from .matroid import (
+    MAX_GROUND,
     GraphicMatroid,
     LinearMatroid,
     Matroid,
@@ -181,9 +182,9 @@ def _glued(
         rng.shuffle(private)
         victims = set(private[: min(delete_count, max(0, len(private) - 1))])
         keep = [e for e in keep if e not in victims]
-    if len(keep) > 24:
+    if len(keep) > MAX_GROUND:
         raise TooLargeError(
-            f"glued construction would have {len(keep)} elements; the cap is 24"
+            f"glued construction would have {len(keep)} elements; the cap is {MAX_GROUND}"
         )
     relabel = {old: i for i, old in enumerate(keep)}
     fieldq = gf(q)
@@ -554,39 +555,39 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
 # graphic cross-check
 # ---------------------------------------------------------------------------
 
-_chromatic_memo: dict[tuple, IntPoly] = {}
-
-
 def chromatic_polynomial(num_vertices: int, edges) -> IntPoly:
     """Chromatic polynomial of a multigraph by deletion-contraction,
     written directly on graphs so it is independent of the matroid
-    engines."""
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-    key = (num_vertices, edges)
-    hit = _chromatic_memo.get(key)
-    if hit is not None:
-        return hit
-    if any(u == v for u, v in edges):
-        out = ZERO
-    else:
-        dedup = tuple(sorted(set(edges)))
-        if not dedup:
-            out = IntPoly([0] * num_vertices + [1])  # lam ** num_vertices
+    engines.  Subgraphs are memoized for the length of one call."""
+    memo: dict[tuple, IntPoly] = {}
+
+    def rec(num_vertices: int, edges) -> IntPoly:
+        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+        key = (num_vertices, edges)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if any(u == v for u, v in edges):
+            out = ZERO
         else:
-            u, v = dedup[0]
-            rest = dedup[1:]
-            merged = []
-            for a, b in rest:
-                a2 = u if a == v else a
-                b2 = u if b == v else b
-                a2 = a2 - 1 if a2 > v else a2
-                b2 = b2 - 1 if b2 > v else b2
-                merged.append((a2, b2))
-            out = chromatic_polynomial(num_vertices, rest) - chromatic_polynomial(
-                num_vertices - 1, merged
-            )
-    _chromatic_memo[key] = out
-    return out
+            dedup = tuple(sorted(set(edges)))
+            if not dedup:
+                out = IntPoly([0] * num_vertices + [1])  # lam ** num_vertices
+            else:
+                u, v = dedup[0]
+                rest = dedup[1:]
+                merged = []
+                for a, b in rest:
+                    a2 = u if a == v else a
+                    b2 = u if b == v else b
+                    a2 = a2 - 1 if a2 > v else a2
+                    b2 = b2 - 1 if b2 > v else b2
+                    merged.append((a2, b2))
+                out = rec(num_vertices, rest) - rec(num_vertices - 1, merged)
+        memo[key] = out
+        return out
+
+    return rec(num_vertices, edges)
 
 
 @dataclass
@@ -660,10 +661,15 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
         return load_instances(spec)
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(
+        raise ParseError(
             f"{spec!r} is neither a directory nor a seed spec 'kind:count:seed'"
         )
-    kind, count, seed = parts[0], int(parts[1]), effective_seed(int(parts[2]))
+    kind, count, seed = parts
+    try:
+        count, seed = int(count), int(seed)
+    except ValueError:
+        raise ParseError(f"{spec!r}: the count and the seed must be integers") from None
+    seed = effective_seed(seed)
     if kind == "mixed":
         return main_theorem_suite(q, k, count, seed)
     if kind == "random":
@@ -694,4 +700,4 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
             rec.id = f"glued-q{q}k{k}-{len(out):04d}"
             out.append(rec)
         return out
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise ParseError(f"{spec!r}: unknown instance kind {kind!r}; use mixed, random or glued")

@@ -131,6 +131,7 @@ class TreeDecomposition:
         self.matroid = matroid
         self.tree = tree
         self.assignment = assignment
+        self._width = None
 
     def bags(self) -> list[int]:
         out = [0] * self.tree.num_vertices
@@ -201,8 +202,10 @@ class TreeDecomposition:
         return WidthReport(max(widths), widths, displayed, defects, full_side)
 
     def width(self) -> int:
-        r = self.matroid.full_rank
-        return max(self.node_width(v) for v in range(self.tree.num_vertices))
+        """The largest node width, computed on the first call and kept."""
+        if self._width is None:
+            self._width = max(self.node_width(v) for v in range(self.tree.num_vertices))
+        return self._width
 
     def __repr__(self):
         return (

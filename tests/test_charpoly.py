@@ -2,10 +2,10 @@
 engines, closed forms, and the Sturm root machinery."""
 
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matzero.charpoly import (
@@ -26,6 +26,7 @@ from matzero.charpoly import (
     squarefree_part,
     sturm_positive_beyond,
     x_minus,
+    _simplest_in,
 )
 from matzero.errors import InexactDivisionError, NotSimpleError, TooLargeError
 from matzero.gfq import gf
@@ -295,3 +296,127 @@ def test_sturm_against_constructed_roots(pairs, bound):
     assert count_roots_above(poly, bound) == sum(1 for r in roots if r > bound)
     lo, hi = largest_real_root(poly, Fraction(1, 2**40))
     assert lo == hi == roots[-1]
+
+
+# -- integer root layer against the Fraction bisection it replaced -----------
+
+
+def _ref_divmod(num, den):
+    """Quotient and remainder over the rationals, trailing zeros of the
+    remainder stripped."""
+    rem = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + len(den) - 1] / den[-1]
+        for j, dj in enumerate(den):
+            rem[i + j] -= c * dj
+    del rem[len(den) - 1:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _ref_eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_variations(values):
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _ref_largest_real_root(p, tol):
+    """Rational Sturm chain of the monic squarefree part and bisection on
+    Fraction midpoints, as the root layer did before it moved to
+    integers.  Positive scaling changes no sign and no Cauchy bound, so
+    the brackets must agree exactly."""
+    g, y = p.coeffs, p.derivative().coeffs
+    while y:
+        g, y = y, _ref_divmod(g, y)[1]
+    sf = _ref_divmod(p.coeffs, g)[0]
+    sf = [c / sf[-1] for c in sf]
+    chain = [sf, [i * c for i, c in enumerate(sf)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    chain = [c for c in chain if c]
+    v_hi = _ref_variations(c[-1] for c in chain)
+    if _ref_variations(c[-1] * (-1) ** (len(c) - 1) for c in chain) == v_hi:
+        return None
+    worst = max((abs(c) for c in sf[:-1]), default=0)
+    bound = 1 + ceil(worst) if worst else 1
+    lo, hi = Fraction(-bound), Fraction(bound)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if _ref_variations(_ref_eval(c, mid) for c in chain) - v_hi >= 1:
+            lo = mid
+        else:
+            hi = mid
+    if _ref_eval(sf, hi) == 0:
+        return hi, hi
+    cand = _simplest_in(lo, hi)
+    if (
+        cand > lo
+        and _ref_eval(sf, cand) == 0
+        and _ref_variations(_ref_eval(c, cand) for c in chain) == v_hi
+    ):
+        return cand, cand
+    return lo, hi
+
+
+tiny_polys = st.lists(st.integers(-6, 6), max_size=4).map(IntPoly)
+tolerances = st.builds(Fraction, st.integers(1, 40), st.integers(1, 10**7))
+
+
+@given(tiny_polys, tiny_polys, tiny_polys, tolerances)
+@settings(max_examples=200, deadline=None)
+def test_largest_real_root_matches_fraction_bisection(a, b, c, tol):
+    """a * b**2 * c has repeated roots whenever b has a root; the
+    tolerances are mostly not powers of two."""
+    p = a * b * b * c
+    assume(not p.is_zero)
+    assert largest_real_root(p, tol) == _ref_largest_real_root(p, tol)
+
+
+@given(
+    rational_roots,
+    st.integers(1, 2),
+    st.integers(-25, 25),
+    st.sampled_from([3, 5, 7, 9, 1001]),
+)
+@settings(max_examples=150, deadline=None)
+def test_count_roots_above_non_dyadic_bounds(pairs, mult, whole, den):
+    """Roots of multiplicity mult times a factor with no real root,
+    counted above whole + 1/den, whose denominator is odd."""
+    roots = sorted(set(Fraction(p, q) for p, q in pairs))
+    poly = IntPoly([1, 0, 1])
+    for root in roots:
+        for _ in range(mult):
+            poly = poly * IntPoly([-root.numerator, root.denominator])
+    bound = Fraction(whole * den + 1, den)
+    assert count_roots_above(poly, bound) == sum(1 for r in roots if r > bound)
+    assert sturm_positive_beyond(poly, bound) == (roots[-1] <= bound)
+
+
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+
+
+@given(small_polys, nonzero_polys)
+def test_poly_exact_div_inverts_multiplication(a, b):
+    assert poly_exact_div(a * b, b) == a
+
+
+@given(small_polys, nonzero_polys, st.lists(st.integers(-9, 9), max_size=5), st.integers(2, 5))
+def test_poly_exact_div_rejects_non_divisors(a, b, rest, k):
+    r = IntPoly(rest[: b.degree])  # shorter than b, so a nonzero remainder
+    if not r.is_zero:
+        with pytest.raises(InexactDivisionError):
+            poly_exact_div(a * b + r, b)
+    if any(c % k for c in a.coeffs):  # a / k is not integral
+        with pytest.raises(InexactDivisionError):
+            poly_exact_div(a * b, k * b)

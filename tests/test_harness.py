@@ -5,9 +5,12 @@ import json
 
 import pytest
 
+from matzero import charpoly
 from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_mobius
 from matzero.errors import (
     LineMinorPresentError,
+    MatZeroError,
+    ParseError,
     TooLargeError,
     WidthWitnessExceededError,
 )
@@ -36,7 +39,7 @@ from matzero.harness import (
 )
 from matzero.instances import fano, k4_graphic
 from matzero.matroid import LinearMatroid, UniformMatroid
-from matzero.treedecomp import single_vertex_decomposition
+from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
 
 
 # -- engine choice and seeds ---------------------------------------------------
@@ -175,6 +178,33 @@ def test_verify_main_theorem_battery():
         if not payload["identically_zero"]:
             lo, hi = payload["largest_root"]
             assert int(lo[0]) >= 0 or int(hi[0]) >= 0
+
+
+def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch):
+    """The verdict and the root bracket share one squarefree part and one
+    Sturm chain per polynomial, and the witness width computed while the
+    suite was generated is not computed again."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = main_theorem_suite(2, 3, 100, seed=1)
+    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(charpoly, "squarefree_part")
+    counted(charpoly, "sturm_chain")
+    counted(TreeDecomposition, "node_width")
+    reports = verify_main_theorem(recs, 2, 3)
+    assert all_verdicts_true(reports)
+    assert calls["squarefree_part"] <= 100
+    assert calls["sturm_chain"] <= 100
+    assert calls["node_width"] == 0
 
 
 def test_verify_main_theorem_requires_witness():
@@ -362,7 +392,9 @@ def test_resolve_instances_forms(tmp_path):
 
 
 def test_resolve_instances_errors():
-    with pytest.raises(ValueError):
-        resolve_instances("bogus", 2, 2)
-    with pytest.raises(ValueError):
-        resolve_instances("weird:2:3", 2, 2)
+    for spec in ("bogus", "mixed:2", "mixed:2:3:4", "weird:2:3", "mixed:abc:0", "random:2:x"):
+        with pytest.raises(ParseError) as info:
+            resolve_instances(spec, 2, 2)
+        assert isinstance(info.value, MatZeroError)
+        assert isinstance(info.value, ValueError)
+        assert repr(spec) in str(info.value)
