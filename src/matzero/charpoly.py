@@ -19,10 +19,22 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import InexactDivisionError, NotSimpleError, TooLargeError
+from .errors import InexactDivisionError, NonIntegralError, NotSimpleError, TooLargeError
 from .matroid import Matroid, MinorMatroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
+
+
+def _integral(c) -> int:
+    """``c`` as an ``int``; a value that is not an integer is an error,
+    never truncated."""
+    try:
+        i = int(c)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != c:
+        raise NonIntegralError(f"{c!r} is not an integer")
+    return i
 
 
 class IntPoly:
@@ -30,13 +42,14 @@ class IntPoly:
 
     ``coeffs[i]`` is the coefficient of ``lam**i`` (constant term first).
     Trailing zeros are stripped, so the zero polynomial has no
-    coefficients at all and degree -1.
+    coefficients at all and degree -1.  A coefficient or scalar factor
+    that is not an integer raises :class:`NonIntegralError`.
     """
 
     __slots__ = ("coeffs", "_sturm")  # _sturm: see _sturm_of
 
     def __init__(self, coeffs=()):
-        cs = list(int(c) for c in coeffs)
+        cs = [c if type(c) is int else _integral(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -77,7 +90,8 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
+            other = _integral(other)
             return IntPoly(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:

@@ -28,6 +28,7 @@ from .charpoly import (
     cp_mobius,
     cp_uniform_closed_form,
 )
+from .errors import MatZeroError
 from .gfq import factor_prime_power, gf
 from .harness import (
     _random_linear,
@@ -300,8 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A :class:`MatZeroError` (bad input, a size
+    cap, a failed precondition) ends the run with a one-line message on
+    stderr and exit status 2; a verify run whose verdicts fail exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MatZeroError as exc:
+        print(f"matzero: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ class InexactDivisionError(MatZeroError):
     """Polynomial division left a nonzero remainder or fractional quotient."""
 
 
+class NonIntegralError(MatZeroError, ValueError):
+    """A polynomial coefficient or scalar factor is not an integer."""
+
+
 # -- projective geometry ----------------------------------------------------
 
 class PointCollisionError(MatZeroError):

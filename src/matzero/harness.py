@@ -669,6 +669,8 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
         count, seed = int(count), int(seed)
     except ValueError:
         raise ParseError(f"{spec!r}: the count and the seed must be integers") from None
+    if count < 0:
+        raise ParseError(f"{spec!r}: the count must be nonnegative")
     seed = effective_seed(seed)
     if kind == "mixed":
         return main_theorem_suite(q, k, count, seed)

@@ -203,33 +203,59 @@ class Matroid:
 
     # -- flats and the Mobius function ------------------------------------------
 
-    def _flat_lattice(self) -> list[list[int]]:
-        """All flats grouped by rank, as masks.  Level 0 is cl(empty)."""
-        bottom = self.closure_mask(0)
-        levels = [[bottom]]
+    def _covers(self, fmask: int, rank: int) -> list[int]:
+        """The flats covering the flat ``fmask`` of rank ``rank``.
+
+        The covers partition the elements outside F, so each one is
+        found once, as the closure of the lowest element not yet placed
+        in an earlier cover, and that closure only tests the elements
+        still unplaced."""
+        covers = []
+        rest = self.full_mask & ~fmask
+        while rest:
+            low = rest & -rest
+            base = fmask | low
+            cover = base
+            for e in mask_bits(rest ^ low):
+                bit = 1 << e
+                if self.rank_mask(base | bit) == rank + 1:
+                    cover |= bit
+            covers.append(cover)
+            rest &= ~cover
+        return covers
+
+    def _flat_lattice(self) -> tuple[list[list[int]], dict[int, list[int]]]:
+        """All flats grouped by rank, as masks, with the cover relation.
+
+        Level 0 is cl(empty), the loops, and every level is sorted.
+        ``up[F]`` lists the flats covering F.  The walk visits each flat
+        once, one level at a time, and asks :meth:`_covers` for the
+        flats one rank above it; the next level is the union of those
+        lists.  A matrix-backed matroid reads its covers off quotient
+        vectors (:meth:`LinearMatroid._covers`) with no rank query."""
+        levels = [[self.loops_mask()]]
+        up: dict[int, list[int]] = {}
         count = 1
-        current = {bottom}
         while True:
+            rank = len(levels) - 1
             nxt = set()
-            for fmask in current:
-                rest = self.full_mask & ~fmask
-                for e in mask_bits(rest):
-                    nxt.add(self.closure_mask(fmask | (1 << e)))
+            for fmask in levels[-1]:
+                up[fmask] = self._covers(fmask, rank)
+                nxt.update(up[fmask])
             if not nxt:
                 break
             count += len(nxt)
             if count > MAX_FLATS:
                 raise TooLargeError(f"flat count exceeds the cap of {MAX_FLATS}")
             levels.append(sorted(nxt))
-            current = nxt
-        return levels
+        return levels, up
 
     def all_flats_with_mobius(self) -> list[FlatRecord]:
         """Every flat with its Mobius value mu(cl(empty), F), ordered by
         rank then mask.  Requires a loopless matroid."""
         if self.loops_mask():
             raise HasLoopError("the Mobius expansion requires a loopless matroid")
-        levels = self._flat_lattice()
+        levels, _ = self._flat_lattice()
         mobius: dict[int, int] = {}
         out: list[FlatRecord] = []
         for rk, level in enumerate(levels):
@@ -286,29 +312,27 @@ class Matroid:
 
     def has_line_minor(self, length: int) -> bool:
         """Whether some minor is a rank-2 uniform matroid on ``length``
-        elements.  Scans rank-two intervals of the lattice of flats: the
-        interval [F, F'] with r(F') = r(F) + 2 contains one intermediate
-        flat per point of the corresponding line."""
+        elements.
+
+        Such a minor exists exactly when some interval [F, T] of the
+        lattice of flats with r(T) = r(F) + 2 has at least ``length``
+        atoms: contract F and keep one element of each atom.  The atoms
+        of [F, T] are the covers of F that T covers, so the scan walks
+        the cover relation from :meth:`_flat_lattice` (read off quotient
+        vectors for a matrix-backed matroid) and, for each F, counts how
+        many covers of F each T covers, stopping as soon as a count
+        reaches ``length``."""
         if length < 2:
             raise ValueError("line length must be at least 2")
-        if self.full_rank < 2:
-            return False
-        levels = self._flat_lattice()
-        for low in range(len(levels) - 2):
-            mids = levels[low + 1]
-            for top in levels[low + 2]:
-                inside = [z for z in mids if z & ~top == 0]
-                if len(inside) < length:
-                    continue
-                for fmask in levels[low]:
-                    if fmask & ~top:
-                        continue
-                    points = 0
-                    for z in inside:
-                        if fmask & ~z == 0:
-                            points += 1
-                            if points >= length:
-                                return True
+        _, up = self._flat_lattice()
+        for covers in up.values():
+            atoms: dict[int, int] = {}
+            for z in covers:
+                for top in up[z]:
+                    count = atoms.get(top, 0) + 1
+                    if count >= length:
+                        return True
+                    atoms[top] = count
         return False
 
     # -- misc -------------------------------------------------------------------------
@@ -357,6 +381,26 @@ class LinearMatroid(Matroid):
 
     def _rank_mask(self, mask: int) -> int:
         return len(self.field.echelon(self.columns[e] for e in mask_bits(mask)))
+
+    def loops_mask(self) -> int:
+        return mask_of(e for e, c in enumerate(self.columns) if not any(c))
+
+    def _covers(self, fmask: int, rank: int) -> list[int]:
+        """The covers of a flat F, read from quotient vectors with no
+        rank query.  Each column outside F, reduced against an echelon
+        basis of F's columns and scaled to 1 at its first nonzero entry,
+        is a point of M/F; F together with the columns that give the
+        same point is a cover."""
+        field = self.field
+        reduce, mul, inv = field.reduce, field.mul, field.inv
+        basis = field.echelon(self.columns[e] for e in mask_bits(fmask))
+        points: dict[tuple[int, ...], int] = {}
+        for e in mask_bits(self.full_mask & ~fmask):
+            v = reduce(basis, self.columns[e])
+            scale = mul[inv[next(filter(None, v))]]
+            point = tuple(map(scale.__getitem__, v))
+            points[point] = points.get(point, fmask) | (1 << e)
+        return list(points.values())
 
     def contract_by_elimination(self, subset) -> "LinearMatroid":
         """Contract by explicit matrix surgery: pivot on the contracted

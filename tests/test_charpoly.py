@@ -28,7 +28,13 @@ from matzero.charpoly import (
     x_minus,
     _simplest_in,
 )
-from matzero.errors import InexactDivisionError, NotSimpleError, TooLargeError
+from matzero.errors import (
+    InexactDivisionError,
+    MatZeroError,
+    NonIntegralError,
+    NotSimpleError,
+    TooLargeError,
+)
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, non_fano
 from matzero.matroid import LinearMatroid, UniformMatroid
@@ -64,6 +70,29 @@ def test_intpoly_arithmetic():
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 2)
     assert q.derivative().coeffs == (1,)
     assert ZERO.derivative().is_zero
+
+
+def test_intpoly_rejects_non_integers():
+    """Integral values of other numeric types are accepted; anything else is a
+    typed error, never a silent truncation."""
+    assert IntPoly([True, 2.0, Fraction(6, 3)]).coeffs == (1, 2, 2)
+    p = IntPoly([1, 1])
+    assert (p * Fraction(4, 2)).coeffs == (2, 2)
+    bad = [
+        lambda: IntPoly([1.5, Fraction(7, 2)]),
+        lambda: IntPoly([Fraction(1, 3)]),
+        lambda: IntPoly([float("nan")]),
+        lambda: IntPoly([float("inf")]),
+        lambda: IntPoly(["3"]),
+        lambda: p * Fraction(1, 2),
+        lambda: Fraction(1, 2) * p,
+        lambda: p * 1.5,
+    ]
+    for make in bad:
+        with pytest.raises(NonIntegralError) as info:
+            make()
+        assert isinstance(info.value, MatZeroError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_intpoly_repr_readable():

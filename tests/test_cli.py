@@ -214,3 +214,21 @@ def test_mz_seed_applies_once_to_generate_count(capsys, tmp_path, monkeypatch):
     assert [p.rsplit("-", 1)[1] for p in out.split()] == [
         "s123.matrix", "s124.matrix", "s125.matrix",
     ]
+
+
+def test_errors_print_one_line(capsys, tmp_path):
+    bad = tmp_path / "bad.matrix"
+    bad.write_text("2 2 3\n1 0 1\n0 1\n")
+    cases = (
+        (["verify", "main", "--q", "2", "--instances", "mixed:abc:0"], "'mixed:abc:0'"),
+        (["verify", "main", "--q", "2", "--instances", "mixed:-3:0"], "'mixed:-3:0'"),
+        (["charpoly", str(bad)], "line 3"),
+    )
+    for argv, fragment in cases:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("matzero: ")
+        assert captured.err.count("\n") == 1
+        assert fragment in captured.err

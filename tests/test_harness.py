@@ -392,7 +392,10 @@ def test_resolve_instances_forms(tmp_path):
 
 
 def test_resolve_instances_errors():
-    for spec in ("bogus", "mixed:2", "mixed:2:3:4", "weird:2:3", "mixed:abc:0", "random:2:x"):
+    for spec in (
+        "bogus", "mixed:2", "mixed:2:3:4", "weird:2:3", "mixed:abc:0", "random:2:x",
+        "mixed:-3:0", "glued:-1:0",
+    ):
         with pytest.raises(ParseError) as info:
             resolve_instances(spec, 2, 2)
         assert isinstance(info.value, MatZeroError)

@@ -13,10 +13,12 @@ from matzero.errors import (
     TooLargeError,
 )
 from matzero.gfq import gf
+from matzero.harness import gen_glued
 from matzero.instances import fano, k4_graphic, non_fano
 from matzero.matroid import (
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     UniformMatroid,
     as_mask,
     format_matroid,
@@ -194,6 +196,77 @@ def test_mobius_requires_loopless():
         m.all_flats_with_mobius()
 
 
+def _closure_lattice(m):
+    """Reference: the lattice of flats level by level, each flat above F
+    found as cl(F + e) for every element e outside F.  Returns the sorted
+    levels and the set of covers of every flat."""
+    bottom = m.closure_mask(0)
+    levels, up = [[bottom]], {}
+    while True:
+        nxt = set()
+        for fmask in levels[-1]:
+            up[fmask] = {
+                m.closure_mask(fmask | (1 << e)) for e in mask_bits(m.full_mask & ~fmask)
+            }
+            nxt |= up[fmask]
+        if not nxt:
+            return levels, up
+        levels.append(sorted(nxt))
+
+
+def _random_linear_matroid(rng, q, rows, n):
+    """Random columns, with a zero column (a loop) and a repeated
+    column (a parallel pair) mixed in now and then."""
+    cols = [tuple(rng.randrange(q) for _ in range(rows)) for _ in range(n)]
+    if rng.random() < 0.3:
+        cols[rng.randrange(n)] = (0,) * rows
+    if rng.random() < 0.3:
+        cols[rng.randrange(n)] = cols[rng.randrange(n)]
+    return LinearMatroid(gf(q), cols)
+
+
+def lattice_battery():
+    rng = random.Random(31)
+    for q in (2, 3, 4):
+        for _ in range(6):
+            yield _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9))
+    yield k4_graphic()
+    yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)])
+    yield UniformMatroid(3, 6)
+    yield UniformMatroid(2, 5)
+    yield UniformMatroid(0, 2)
+    yield fano().contract([0])
+    yield non_fano().delete([1, 4])
+    yield k4_graphic().contract([2]).delete([4])
+    yield _random_linear_matroid(rng, 3, 4, 9).minor(delete=[0, 5], contract=[3])
+    yield gen_glued(2, 2, 3, 1, seed=4).matroid
+
+
+def test_flat_lattice_matches_closure_oracle():
+    for m in lattice_battery():
+        levels, up = m._flat_lattice()
+        ref_levels, ref_up = _closure_lattice(m)
+        assert levels == ref_levels, m
+        assert up.keys() == ref_up.keys(), m
+        for fmask, covers in up.items():
+            assert len(covers) == len(ref_up[fmask]), m
+            assert set(covers) == ref_up[fmask], m
+
+
+def test_linear_covers_agree_with_generic_and_query_no_ranks():
+    rng = random.Random(37)
+    for q in (2, 3, 4, 5):
+        for _ in range(5):
+            m = _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9))
+            levels, _ = _closure_lattice(m)
+            for rank, level in enumerate(levels):
+                for fmask in level:
+                    cached = len(m._rank_cache)
+                    fast = m._covers(fmask, rank)
+                    assert len(m._rank_cache) == cached
+                    assert sorted(fast) == sorted(Matroid._covers(m, fmask, rank))
+
+
 def test_hyperplanes_and_cocircuits_u23():
     m = UniformMatroid(2, 3)
     assert m.hyperplanes() == [0b001, 0b010, 0b100]
@@ -263,16 +336,39 @@ def test_line_minor_known_cases():
         fano().has_line_minor(1)
 
 
-def test_line_minor_against_brute_force():
+def line_minor_battery():
     rng = random.Random(23)
     for q in (2, 3):
-        F = gf(q)
-        for trial in range(8):
-            n = rng.randint(3, 6)
-            cols = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
-            m = LinearMatroid(F, cols)
-            for length in (3, 4, 5):
-                assert m.has_line_minor(length) == _line_minor_brute(m, length)
+        for rows in (3, 4):
+            for _ in range(8):
+                n = rng.randint(3, 6) if rows == 3 else rng.randint(4, 7)
+                cols = [tuple(rng.randrange(q) for _ in range(rows)) for _ in range(n)]
+                yield LinearMatroid(gf(q), cols)
+    yield k4_graphic()
+    yield GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 2)])
+    yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (1, 3)])
+    yield UniformMatroid(3, 6).contract([0])
+    yield UniformMatroid(3, 7).delete([1, 2])
+    yield non_fano().contract([6])
+    yield fano().minor(delete=[0], contract=[1])
+    yield k4_graphic().contract([0])
+
+
+def test_line_minor_against_brute_force():
+    for m in line_minor_battery():
+        for length in (2, 3, 4, 5):
+            assert m.has_line_minor(length) == _line_minor_brute(m, length), (m, length)
+
+
+def test_line_minor_scan_on_a_matrix_queries_no_ranks():
+    """On a matrix-backed matroid the scan reads every cover off the
+    matrix, so it leaves the rank cache (almost) as it found it."""
+    m = gen_glued(2, 3, 3, 1, seed=0, delete_count=3).matroid
+    assert m.n >= 14
+    before = len(m._rank_cache)
+    assert m.has_line_minor(3)
+    assert not m.has_line_minor(4)  # binary matroids have no U_{2,4}
+    assert len(m._rank_cache) - before <= 2
 
 
 def test_graphic_matroid():
