@@ -302,6 +302,10 @@ def ff_build(p: int, d: int = 1, irreducible=None) -> GF:
 
 
 def gf(q: int) -> GF:
-    """Build GF(q) from the order alone, using shipped default moduli."""
+    """Build GF(q) from the order alone, using shipped default moduli.
+    The order is checked against ``MAX_ORDER`` before it is factored,
+    because factoring trial-divides up to q."""
+    if q > MAX_ORDER:
+        raise OrderTooLargeError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
     p, d = factor_prime_power(q)
     return GF(p, d)

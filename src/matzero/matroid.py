@@ -21,6 +21,7 @@ from .errors import (
     HasLoopError,
     NotLinearError,
     NotSimpleError,
+    OrderTooLargeError,
     ParseError,
     RankZeroError,
     TooLargeError,
@@ -145,23 +146,14 @@ class Matroid:
         return self.loops_mask() == 0
 
     def parallel_classes(self) -> list[tuple[int, ...]]:
-        """Partition of a loopless ground set into parallel classes."""
+        """Partition of a loopless ground set into parallel classes: the
+        rank-1 flats, in order of their lowest element."""
         if self.loops_mask():
             raise HasLoopError("parallel classes are only defined for loopless matroids")
-        classes: list[list[int]] = []
-        for e in range(self.n):
-            for cls in classes:
-                if self.rank_mask((1 << cls[0]) | (1 << e)) == 1:
-                    cls.append(e)
-                    break
-            else:
-                classes.append([e])
-        return [tuple(c) for c in classes]
+        return [tuple(mask_bits(c)) for c in self._covers(0, 0)]
 
     def is_simple(self) -> bool:
-        if self.loops_mask():
-            return False
-        return all(len(c) == 1 for c in self.parallel_classes())
+        return not self.loops_mask() and len(self._covers(0, 0)) == self.n
 
     def simplify(self) -> tuple["Matroid", list[tuple[int, ...]]]:
         """Restrict to the lowest-index representative of each parallel
@@ -275,25 +267,11 @@ class Matroid:
     # -- cocircuits ---------------------------------------------------------------
 
     def hyperplanes(self) -> list[int]:
-        """Masks of all rank (r-1) flats, found as closures of
-        independent sets of that rank."""
-        r = self.full_rank
-        if r == 0:
+        """Masks of all rank (r-1) flats, read off :meth:`_flat_lattice`."""
+        if self.full_rank == 0:
             raise RankZeroError("a rank-0 matroid has no hyperplanes")
-        seen: set[int] = set()
-        target = r - 1
-
-        def grow(start: int, mask: int, size: int):
-            if size == target:
-                seen.add(self.closure_mask(mask))
-                return
-            for e in range(start, self.n):
-                bit = 1 << e
-                if self.rank_mask(mask | bit) == size + 1:
-                    grow(e + 1, mask | bit, size + 1)
-
-        grow(0, 0, 0)
-        return sorted(seen)
+        levels, _ = self._flat_lattice()
+        return levels[-2]
 
     def cocircuits(self) -> list[int]:
         """Masks of all cocircuits (complements of hyperplanes)."""
@@ -301,12 +279,7 @@ class Matroid:
 
     def find_small_cocircuit(self) -> int:
         """A cocircuit of minimum size; ties broken by smallest mask."""
-        best = None
-        for c in self.cocircuits():
-            key = (bin(c).count("1"), c)
-            if best is None or key < best[0]:
-                best = (key, c)
-        return best[1]
+        return min(self.cocircuits(), key=lambda c: bin(c).count("1"))
 
     # -- long-line minors ----------------------------------------------------------
 
@@ -448,11 +421,13 @@ class GraphicMatroid(Matroid):
         self._init_common(len(self.edges), labels)
 
     def _rank_mask(self, mask: int) -> int:
-        parent = list(range(self.num_vertices))
+        """Union-find over the endpoints the edges in ``mask`` touch;
+        ``parent`` holds only vertices that are not their own root, so
+        the cost does not grow with the number of vertices."""
+        parent: dict[int, int] = {}
 
         def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
+            while a in parent:
                 a = parent[a]
             return a
 
@@ -573,15 +548,18 @@ def parse_matroid_text(text: str) -> Matroid:
     q, r, n = parse_ints(head_line, tokens, 3)
     if r < 0 or n < 0:
         raise ParseError("matrix dimensions must be nonnegative", head_line)
+    if n > MAX_GROUND:  # checked before [()] * n below allocates n columns
+        raise TooLargeError(f"ground sets are capped at {MAX_GROUND} elements, got {n}")
     try:
         field = gf(q)
-    except ValueError as exc:
+    except (ValueError, OrderTooLargeError) as exc:
         raise ParseError(str(exc), head_line) from None
-    if len(body) != r:
-        raise ParseError(f"expected {r} matrix rows, found {len(body)}", head_line)
-    if r == 0:
-        # n loops; from_rows cannot express a 0 x n matrix
-        return LinearMatroid(field, [()] * n, nrows=0)
+    rows_expected = r if n else 0  # the r rows of an r x 0 matrix are blank
+    if len(body) != rows_expected:
+        raise ParseError(f"expected {rows_expected} matrix rows, found {len(body)}", head_line)
+    if r == 0 or n == 0:
+        # from_rows cannot express a 0 x n or an r x 0 matrix
+        return LinearMatroid(field, [()] * n, nrows=r)
     rows = []
     for number, line in body:
         row = parse_ints(number, line.split(), n)

@@ -39,20 +39,25 @@ class Tree:
                 raise ValueError(f"bad edge ({u}, {v})")
             adj[u].append(v)
             adj[v].append(u)
-        # connectivity check; acyclicity follows from the edge count
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != num_vertices:
-            raise ValueError("edge list does not form a connected tree")
         self.num_vertices = num_vertices
         self.edges = edges
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        # connectivity check; acyclicity follows from the edge count
+        if len(self._reach(0, -1)) != num_vertices:
+            raise ValueError("edge list does not form a connected tree")
+
+    def _reach(self, u: int, w: int) -> set[int]:
+        """The vertices reachable from u without entering w; a w that is
+        not a vertex, such as -1, blocks nothing."""
+        seen = {w, u}
+        stack = [u]
+        while stack:
+            for y in self.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        seen.discard(w)
+        return seen
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -61,47 +66,23 @@ class Tree:
         return [v for v in range(self.num_vertices) if len(self.adj[v]) == 1]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
+        return 0 <= u < self.num_vertices and v in self.adj[u]
 
     def components_without_vertex(self, v: int) -> list[tuple[int, ...]]:
         """Vertex sets of the components of T - v, ordered by their
         smallest member."""
         if not 0 <= v < self.num_vertices:
             raise NotInTreeError(f"vertex {v} is not in the tree")
-        comps = []
-        for start in self.adj[v]:
-            seen = {v, start}
-            stack = [start]
-            comp = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        comps.sort()
-        return comps
+        return sorted(tuple(sorted(self._reach(start, v))) for start in self.adj[v])
 
     def edge_sides(self, u: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Vertex sets of the two components of T minus the edge uw,
         the side containing u first."""
         if not self.has_edge(u, w):
             raise NotInTreeError(f"edge ({u}, {w}) is not in the tree")
-        seen = {w, u}
-        stack = [u]
-        side_u = [u]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    side_u.append(y)
-                    stack.append(y)
-        side_u_set = set(side_u)
-        side_w = [x for x in range(self.num_vertices) if x not in side_u_set]
-        return tuple(sorted(side_u)), tuple(sorted(side_w))
+        side_u = self._reach(u, w)
+        side_w = [x for x in range(self.num_vertices) if x not in side_u]
+        return tuple(sorted(side_u)), tuple(side_w)
 
 
 @dataclass

@@ -140,6 +140,15 @@ def test_construction_errors():
         ff_build(2, 3, (1, 1))  # degree mismatch
 
 
+def test_order_is_capped_before_it_is_factored():
+    """Factoring trial-divides up to q, so a large prime order must be
+    turned away by the cap first: this returns at once."""
+    with pytest.raises(OrderTooLargeError):
+        gf(2**61 - 1)
+    with pytest.raises(OrderTooLargeError):
+        gf(64)
+
+
 def test_zero_has_no_inverse():
     F = gf(3)
     with pytest.raises(DivisionByZeroError):

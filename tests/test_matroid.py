@@ -4,9 +4,12 @@ and the matroid file format."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matzero.errors import (
     HasLoopError,
+    MatZeroError,
     NotSimpleError,
     ParseError,
     RankZeroError,
@@ -267,6 +270,110 @@ def test_linear_covers_agree_with_generic_and_query_no_ranks():
                     assert sorted(fast) == sorted(Matroid._covers(m, fmask, rank))
 
 
+def _independent_set_hyperplanes(m):
+    """Reference: the closure of every independent set of size r - 1,
+    found by growing independent sets one element at a time."""
+    target = m.full_rank - 1
+    seen = set()
+
+    def grow(start, mask, size):
+        if size == target:
+            seen.add(m.closure_mask(mask))
+            return
+        for e in range(start, m.n):
+            bit = 1 << e
+            if m.rank_mask(mask | bit) == size + 1:
+                grow(e + 1, mask | bit, size + 1)
+
+    grow(0, 0, 0)
+    return sorted(seen)
+
+
+def _pairwise_parallel_classes(m):
+    """Reference: each element joins the first class whose first member
+    spans a rank-1 set with it."""
+    classes = []
+    for e in range(m.n):
+        for cls in classes:
+            if m.rank_mask((1 << cls[0]) | (1 << e)) == 1:
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    return [tuple(c) for c in classes]
+
+
+def flat_oracle_battery():
+    """Seeded matrices over GF(2..5) with loops and parallel pairs mixed
+    in, their loopless parts and random minors, and graphic, uniform
+    and glued matroids."""
+    rng = random.Random(41)
+    for q in (2, 3, 4, 5):
+        for _ in range(8):
+            m = _random_linear_matroid(rng, q, rng.randint(1, 4), rng.randint(2, 9))
+            yield m
+            if m.loops_mask():
+                yield m.delete(m.loops_mask())
+            fate = [rng.randrange(4) for _ in range(m.n)]
+            yield m.minor(
+                delete=[e for e in range(m.n) if fate[e] == 0],
+                contract=[e for e in range(m.n) if fate[e] == 1],
+            )
+    yield k4_graphic()
+    yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)])
+    yield GraphicMatroid(5, [(0, 1), (0, 1), (1, 2), (3, 4), (3, 4), (3, 4)])
+    yield UniformMatroid(3, 6)
+    yield UniformMatroid(1, 4)
+    yield UniformMatroid(0, 2)
+    yield fano().contract([0])
+    yield non_fano().minor(delete=[1], contract=[4])
+    yield gen_glued(2, 2, 3, 1, seed=4).matroid
+    yield gen_glued(3, 3, 2, 1, seed=1, delete_count=2).matroid
+
+
+def test_hyperplanes_match_independent_set_oracle():
+    for m in flat_oracle_battery():
+        if m.full_rank == 0:
+            with pytest.raises(RankZeroError):
+                m.hyperplanes()
+            continue
+        ref = _independent_set_hyperplanes(m)
+        assert m.hyperplanes() == ref, m
+        cocircuits = sorted(m.full_mask & ~h for h in ref)
+        assert m.cocircuits() == cocircuits, m
+        smallest = min(cocircuits, key=lambda c: (bin(c).count("1"), c))
+        assert m.find_small_cocircuit() == smallest, m
+
+
+def test_parallel_classes_match_pairwise_oracle():
+    for m in flat_oracle_battery():
+        if m.loops_mask():
+            with pytest.raises(HasLoopError):
+                m.parallel_classes()
+            assert not m.is_simple()
+            continue
+        ref = _pairwise_parallel_classes(m)
+        assert m.parallel_classes() == ref, m
+        assert m.is_simple() == all(len(c) == 1 for c in ref), m
+
+
+def test_matrix_flats_query_no_ranks():
+    """A matrix-backed matroid reads its parallel classes, hyperplanes
+    and cocircuits off quotient vectors: the only rank it asks for is
+    the full rank."""
+    rng = random.Random(43)
+    for q in (2, 3, 4, 5):
+        for _ in range(5):
+            cols = _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9)).columns
+            m = LinearMatroid(gf(q), [c for c in cols if any(c)] or [(1, 0)])
+            m.parallel_classes()
+            m.is_simple()
+            assert m._rank_cache == {}
+            m.hyperplanes()
+            m.find_small_cocircuit()
+            assert set(m._rank_cache) == {m.full_mask}
+
+
 def test_hyperplanes_and_cocircuits_u23():
     m = UniformMatroid(2, 3)
     assert m.hyperplanes() == [0b001, 0b010, 0b100]
@@ -371,6 +478,13 @@ def test_line_minor_scan_on_a_matrix_queries_no_ranks():
     assert len(m._rank_cache) - before <= 2
 
 
+def test_graphic_rank_ignores_untouched_vertices():
+    """A rank query costs the edges it names, not the vertex count."""
+    m = parse_matroid_text("graph 1000000000000 2\n0 1\n1 2\n")
+    assert m.full_rank == 2
+    assert GraphicMatroid(10**18, [(5, 10**17), (10**17, 5), (7, 7)]).full_rank == 1
+
+
 def test_graphic_matroid():
     m = k4_graphic()
     assert m.full_rank == 3
@@ -470,6 +584,8 @@ def test_file_comments_anywhere_on_a_line():
         ("2 1\n1 0\n", 1),  # header arity
         ("2 1 x\n1 0\n", 1),
         ("6 1 2\n1 1\n", 1),  # not a prime power
+        ("64 1 1\n0\n", 1),  # a prime power above the order cap
+        ("2305843009213693951 1 1\n0\n", 1),  # 2**61 - 1, prime
         ("2 0 -3\n", 1),
         ("2 2 3\n1 0 1\n", 1),  # missing a row
         ("2 1 3\n1 0\n", 2),  # short row
@@ -486,3 +602,75 @@ def test_file_format_errors_name_the_line(text, line):
     with pytest.raises(ParseError) as info:
         parse_matroid_text(text)
     assert info.value.line == line
+
+
+# -- fuzzing the file format ---------------------------------------------------------
+
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31)
+
+
+@st.composite
+def linear_matroids(draw):
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    rows = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 8))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * rows), min_size=n, max_size=n))
+    return LinearMatroid(gf(q), cols, nrows=rows)
+
+
+@st.composite
+def graphic_matroids(draw):
+    nv = draw(st.one_of(st.integers(1, 6), st.integers(1, 2**64)))
+    vertex = st.one_of(st.integers(0, min(nv, 6) - 1), st.integers(0, nv - 1))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return GraphicMatroid(nv, edges)
+
+
+@given(linear_matroids())
+@settings(max_examples=150, deadline=None)
+def test_linear_file_round_trip_fuzz(m):
+    back = parse_matroid_text(format_matroid(m))
+    assert isinstance(back, LinearMatroid)
+    assert (back.field.q, back.nrows, back.columns) == (m.field.q, m.nrows, m.columns)
+
+
+@given(graphic_matroids())
+@settings(max_examples=150, deadline=None)
+def test_graphic_file_round_trip_fuzz(m):
+    back = parse_matroid_text(format_matroid(m))
+    assert isinstance(back, GraphicMatroid)
+    assert (back.num_vertices, back.edges) == (m.num_vertices, m.edges)
+    assert back.full_rank == m.full_rank
+
+
+_NATS = st.one_of(st.integers(0, 40), st.integers(0, 2**64))
+_INTS = st.one_of(_NATS, st.integers(-(2**64), -1)).map(str)
+_TOKENS = st.one_of(_INTS, st.sampled_from(["graph", "tree", "tau", "#", "x", "-", "1.5"]))
+_LINES = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8).map("\n".join)
+_HEADS = st.one_of(  # "q r n", "graph V E", "tree L" and the like
+    st.lists(_NATS.map(str), min_size=3, max_size=3).map(" ".join),
+    st.tuples(st.sampled_from(["graph", "tree"]), _NATS, _NATS).map(lambda h: "%s %d %d" % h),
+    st.lists(_TOKENS, max_size=4).map(" ".join),
+)
+ARBITRARY_TEXT = st.one_of(
+    st.text(max_size=80),
+    _LINES,
+    _HEADS,
+    st.tuples(_HEADS, _LINES).map("\n".join),
+)
+
+
+@given(ARBITRARY_TEXT)
+@example("100000007 1 1\n0\n")  # a prime order far above the cap
+@example("2 0 18446744073709551616\n")  # 2**64 loops
+@example("graph 1000000000000 2\n0 1\n1 2\n")
+@settings(max_examples=300, deadline=1000)
+def test_matroid_parser_raises_only_package_errors(text):
+    """Any text either parses to a matroid that answers a rank query or
+    raises a MatZeroError, and either happens at once: the deadline
+    catches a field order that is factored before it is capped."""
+    try:
+        m = parse_matroid_text(text)
+    except MatZeroError:
+        return
+    assert m.full_rank <= m.n

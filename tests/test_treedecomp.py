@@ -5,8 +5,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matzero.errors import NotInTreeError, ParseError, TooLargeError
+from matzero.errors import MatZeroError, NotInTreeError, ParseError, TooLargeError
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
 from matzero.matroid import LinearMatroid, UniformMatroid
@@ -411,3 +413,47 @@ def test_decomposition_parse_errors_name_the_line(text, line):
     with pytest.raises(ParseError) as info:
         parse_decomposition_text(text, UniformMatroid(1, 2))
     assert info.value.line == line
+
+
+@st.composite
+def decompositions(draw):
+    """A random tree (each vertex after the first hangs off an earlier
+    one, then the labels are shuffled) and a random assignment."""
+    size = draw(st.integers(1, 8))
+    labels = draw(st.permutations(range(size)))
+    edges = [(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, size)]
+    n = draw(st.integers(0, 6))
+    assignment = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    return TreeDecomposition(UniformMatroid(min(n, 2), n), Tree(size, edges), assignment)
+
+
+@given(decompositions())
+@settings(max_examples=150, deadline=None)
+def test_decomposition_file_round_trip_fuzz(dec):
+    back = parse_decomposition_text(format_decomposition(dec), dec.matroid)
+    assert back.tree.num_vertices == dec.tree.num_vertices
+    assert back.tree.edges == dec.tree.edges
+    assert back.assignment == dec.assignment
+
+
+_NATS = st.one_of(st.integers(0, 9), st.integers(0, 2**64))
+_TOKENS = st.one_of(
+    _NATS.map(str), st.integers(-(2**64), -1).map(str), st.sampled_from(["tree", "tau", "#", "x"])
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=8).map("\n".join)
+ARBITRARY_TEXT = st.one_of(
+    st.text(max_size=80),
+    _LINES,
+    st.tuples(_NATS.map("tree {}".format), _LINES).map("\n".join),
+)
+
+
+@given(ARBITRARY_TEXT)
+@settings(max_examples=300, deadline=1000)
+def test_decomposition_parser_raises_only_package_errors(text):
+    m = UniformMatroid(1, 3)
+    try:
+        dec = parse_decomposition_text(text, m)
+    except MatZeroError:
+        return
+    assert len(dec.assignment) == m.n
