@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import InexactDivisionError, NonIntegralError, NotSimpleError, TooLargeError
-from .matroid import Matroid, MinorMatroid, mask_bits
+from .matroid import LinearMatroid, Matroid, MinorMatroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 
@@ -190,9 +190,9 @@ def cp_boolean_expansion(m: Matroid) -> IntPoly:
 
 
 class _MinorContext:
-    """Shared state for the recursive engines: a fixed root matroid plus
-    rank queries for its minors, addressed by (kept-mask, contracted-mask)
-    pairs at root level."""
+    """Shared state for the rank-oracle recursions: a fixed root matroid
+    plus rank queries for its minors, addressed by (kept-mask,
+    contracted-mask) pairs at root level."""
 
     def __init__(self, m: Matroid):
         root, kept, cmask = m._root_triple()
@@ -233,7 +233,69 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     element is a coloop the minor contributes (lam - 1)**rank.  Minors
     are memoized by their (remaining, contracted) mask pair relative to
     the root matroid, with no cross-instance canonicalization.
+
+    When the root is a matrix the recursion carries each minor as a
+    reduced matrix and asks no rank query: the kept columns are reduced
+    once modulo the contracted span and scaled to 1 at their first
+    nonzero entry (:meth:`LinearMatroid.reduced_columns`).  A zero
+    column is a loop, equal columns are parallel, the first column that
+    one elimination pass finds dependent is the pivot, and contracting
+    it reduces every other column by the pivot's.  Graphic and uniform
+    roots recurse on rank queries against the root instead.
     """
+    root, kept, cmask = m._root_triple()
+    if not isinstance(root, LinearMatroid):
+        return _delete_contract_by_rank(m)
+    reduce, normalize = root.field.reduce, root.field.normalize
+    memo: dict[tuple[int, int], IntPoly] = {}
+
+    def rec(rest: int, cmask: int, rows: list) -> IntPoly:
+        # rows: (root element, echelon row or None) for each element of
+        # rest, ascending, reduced modulo the span of cmask's columns
+        key = (rest, cmask)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        reps: dict = {}
+        for e, row in rows:
+            reps.setdefault(row, e)
+        if None in reps:
+            out = ZERO
+        elif len(reps) < len(rows):
+            rows = [(e, row) for e, row in rows if reps[row] == e]
+            out = rec(sum(1 << e for e, _ in rows), cmask, rows)
+        else:
+            # one elimination pass; the first dependent column lies on a
+            # circuit, so it is not a coloop
+            basis: list = []
+            pivot = None
+            for i, (_, row) in enumerate(rows):
+                reduced = normalize(reduce(basis, row[1]))
+                if reduced is None:
+                    pivot = i
+                    break
+                basis.append(reduced)
+            if pivot is None:
+                out = lam_minus_one_power(len(rows))
+            else:
+                e, prow = rows[pivot]
+                others = rows[:pivot] + rows[pivot + 1:]
+                contracted = [(f, normalize(reduce((prow,), v))) for f, (_, v) in others]
+                rest &= ~(1 << e)
+                out = rec(rest, cmask, others) - rec(rest, cmask | 1 << e, contracted)
+        memo[key] = out
+        return out
+
+    start = root.reduced_columns(kept, root.span_basis(cmask))
+    return rec(sum(1 << k for k in kept), cmask, list(zip(kept, start)))
+
+
+def _delete_contract_by_rank(m: Matroid) -> IntPoly:
+    """:func:`cp_delete_contract` on rank queries alone: loops and
+    parallel copies are found by asking the root for the rank of each
+    element and each pair, and the pivot is the first element whose
+    deletion keeps the rank.  The only path for graphic and uniform
+    roots, and an oracle for the matrix path in the tests."""
     ctx = _MinorContext(m)
     full = ctx.start_key[0]
 

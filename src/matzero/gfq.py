@@ -263,22 +263,31 @@ class GF:
                 v = [add[x][minus_c[y]] for x, y in zip(v, bv)]
         return v
 
+    def normalize(self, v) -> tuple[int, tuple[int, ...]] | None:
+        """The echelon row of a vector: (pivot, v scaled to 1 at its
+        pivot), the pivot being the index of the first nonzero
+        coordinate; None for the zero vector.  Two nonzero vectors span
+        the same line exactly when their rows are equal."""
+        lead = next(filter(None, v), 0)
+        if not lead:
+            return None
+        scale = self.mul[self.inv[lead]]
+        return v.index(lead), tuple(map(scale.__getitem__, v))
+
     def echelon(self, vectors) -> list[tuple[int, tuple[int, ...]]]:
         """Gaussian elimination over this field, one vector at a time.
 
         Returns one (pivot, vector) pair per vector that is independent
         of those before it, in input order: the vector reduced against
-        the earlier pairs and scaled to 1 at its pivot, the index of its
-        first nonzero coordinate.  The length is the rank of the input.
+        the earlier pairs and scaled to 1 at its pivot (:meth:`normalize`).
+        The length is the rank of the input.
         """
-        reduce, mul, inv = self.reduce, self.mul, self.inv
+        reduce, normalize = self.reduce, self.normalize
         basis: list[tuple[int, tuple[int, ...]]] = []
         for v in vectors:
-            v = reduce(basis, v)
-            pivot = next((i for i, x in enumerate(v) if x), None)
-            if pivot is not None:
-                scale = mul[inv[v[pivot]]]
-                basis.append((pivot, tuple(scale[x] for x in v)))
+            row = normalize(reduce(basis, v))
+            if row is not None:
+                basis.append(row)
         return basis
 
     # -- misc ----------------------------------------------------------------

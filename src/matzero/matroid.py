@@ -8,8 +8,13 @@ of its minors so repeated queries against a fixed root stay cheap.
 
 Three backends are provided: explicit matrices over a small finite
 field (:class:`LinearMatroid`), uniform matroids, and graphic matroids
-of multigraphs.  Minors of any of them are rank-offset views onto the
-root matroid, so deletion and contraction never copy matrices.
+of multigraphs.  A minor of any of them is a view onto its root
+(:class:`MinorMatroid`) whose rank function is a rank offset.  A minor
+of a matrix is also read as a matrix: its loops, parallel classes and
+flats come from the kept columns reduced modulo the span of the
+contracted ones (:meth:`LinearMatroid.reduced_columns`), and so does
+deletion-contraction in :mod:`matzero.charpoly`.  Graphic and uniform
+roots have only the rank-offset view.
 """
 
 from __future__ import annotations
@@ -195,14 +200,17 @@ class Matroid:
 
     # -- flats and the Mobius function ------------------------------------------
 
-    def _covers(self, fmask: int, rank: int) -> list[int]:
-        """The flats covering the flat ``fmask`` of rank ``rank``.
+    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
+        """The flats covering the flat ``fmask`` of rank ``rank``, as a
+        dict from each cover to what the lattice walk hands down with
+        it: None here, an echelon basis of its span for a matrix, whose
+        ``basis`` argument is F's (None: compute it).
 
         The covers partition the elements outside F, so each one is
         found once, as the closure of the lowest element not yet placed
         in an earlier cover, and that closure only tests the elements
         still unplaced."""
-        covers = []
+        covers = {}
         rest = self.full_mask & ~fmask
         while rest:
             low = rest & -rest
@@ -212,7 +220,7 @@ class Matroid:
                 bit = 1 << e
                 if self.rank_mask(base | bit) == rank + 1:
                     cover |= bit
-            covers.append(cover)
+            covers[cover] = None
             rest &= ~cover
         return covers
 
@@ -222,24 +230,34 @@ class Matroid:
         Level 0 is cl(empty), the loops, and every level is sorted.
         ``up[F]`` lists the flats covering F.  The walk visits each flat
         once, one level at a time, and asks :meth:`_covers` for the
-        flats one rank above it; the next level is the union of those
-        lists.  A matrix-backed matroid reads its covers off quotient
-        vectors (:meth:`LinearMatroid._covers`) with no rank query."""
-        levels = [[self.loops_mask()]]
+        flats one rank above it, handing it what the call that found F
+        returned with F; the next level is the union of those covers.
+        A matrix or a minor of one reads its covers off quotient
+        vectors with no rank query, and hands each cover its parent's
+        echelon basis plus one row.  The one cover of a hyperplane is
+        the ground set, so it is not computed."""
+        bottom = self.loops_mask()
+        top = self.full_rank
+        levels = [[bottom]]
         up: dict[int, list[int]] = {}
+        carried = {bottom: None}
         count = 1
-        while True:
-            rank = len(levels) - 1
-            nxt = set()
+        for rank in range(top):
+            nxt: dict = {}
             for fmask in levels[-1]:
-                up[fmask] = self._covers(fmask, rank)
-                nxt.update(up[fmask])
-            if not nxt:
-                break
+                if rank == top - 1:
+                    covers = {self.full_mask: None}
+                else:
+                    covers = self._covers(fmask, rank, carried[fmask])
+                up[fmask] = list(covers)
+                for cover, basis in covers.items():
+                    nxt.setdefault(cover, basis)
             count += len(nxt)
             if count > MAX_FLATS:
                 raise TooLargeError(f"flat count exceeds the cap of {MAX_FLATS}")
             levels.append(sorted(nxt))
+            carried = nxt
+        up[self.full_mask] = []
         return levels, up
 
     def all_flats_with_mobius(self) -> list[FlatRecord]:
@@ -358,41 +376,43 @@ class LinearMatroid(Matroid):
     def loops_mask(self) -> int:
         return mask_of(e for e, c in enumerate(self.columns) if not any(c))
 
-    def _covers(self, fmask: int, rank: int) -> list[int]:
-        """The covers of a flat F, read from quotient vectors with no
-        rank query.  Each column outside F, reduced against an echelon
-        basis of F's columns and scaled to 1 at its first nonzero entry,
-        is a point of M/F; F together with the columns that give the
-        same point is a cover."""
-        field = self.field
-        reduce, mul, inv = field.reduce, field.mul, field.inv
-        basis = field.echelon(self.columns[e] for e in mask_bits(fmask))
-        points: dict[tuple[int, ...], int] = {}
-        for e in mask_bits(self.full_mask & ~fmask):
-            v = reduce(basis, self.columns[e])
-            scale = mul[inv[next(filter(None, v))]]
-            point = tuple(map(scale.__getitem__, v))
-            points[point] = points.get(point, fmask) | (1 << e)
-        return list(points.values())
+    def span_basis(self, mask: int) -> list[tuple[int, tuple[int, ...]]]:
+        """An echelon basis (:meth:`GF.echelon`) of the span of the
+        columns in ``mask``."""
+        return self.field.echelon(self.columns[e] for e in mask_bits(mask))
+
+    def reduced_columns(self, elements, basis) -> list:
+        """The columns of ``elements`` reduced modulo the span of the
+        echelon basis ``basis`` and scaled to 1 at their first nonzero
+        entry, as echelon rows (:meth:`GF.normalize`).  When ``basis``
+        spans the columns of a set C, these rows represent the minor
+        M/C on ``elements``: a loop of it gives None, and two elements
+        are parallel in it exactly when their rows are equal.  (Oxley,
+        *Matroid Theory*: contracting a represented element projects
+        every other column away from its vector.)"""
+        reduce, normalize = self.field.reduce, self.field.normalize
+        columns = self.columns
+        return [normalize(reduce(basis, columns[e])) for e in elements]
+
+    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
+        return _quotient_covers(self, fmask, basis)
 
     def contract_by_elimination(self, subset) -> "LinearMatroid":
-        """Contract by explicit matrix surgery: pivot on the contracted
-        columns and drop their pivot rows.  Useful as an independent
-        cross-check of the rank-offset contraction."""
+        """Contract by explicit matrix surgery: reduce the other columns
+        modulo the span of the contracted ones and drop that span's
+        pivot rows.  Useful as an independent cross-check of the
+        rank-offset contraction."""
         cmask = as_mask(self.n, subset)
-        F = self.field
-        basis = F.echelon(self.columns[e] for e in mask_bits(cmask))
+        basis = self.span_basis(cmask)
         pivot_rows = {pr for pr, _ in basis}
         keep_rows = [i for i in range(self.nrows) if i not in pivot_rows]
-        new_cols = []
-        labels = []
-        for e in range(self.n):
-            if (1 << e) & cmask:
-                continue
-            v = F.reduce(basis, self.columns[e])
-            new_cols.append([v[i] for i in keep_rows])
-            labels.append(self.labels[e])
-        return LinearMatroid(F, new_cols, tuple(labels), nrows=len(keep_rows))
+        kept = [e for e in range(self.n) if not (1 << e) & cmask]
+        new_cols = [
+            [row[1][i] if row else 0 for i in keep_rows]
+            for row in self.reduced_columns(kept, basis)
+        ]
+        labels = tuple(self.labels[e] for e in kept)
+        return LinearMatroid(self.field, new_cols, labels, nrows=len(keep_rows))
 
 
 class UniformMatroid(Matroid):
@@ -441,9 +461,28 @@ class GraphicMatroid(Matroid):
         return rank
 
 
+def _quotient_covers(m: Matroid, fmask: int, basis) -> dict:
+    """The covers of a flat F of a matrix-backed matroid or of a minor
+    of one, read from quotient vectors with no rank query.  ``basis``
+    is an echelon basis of the span of F and the contracted columns, or
+    None to compute it.  Each root column outside F, reduced modulo that
+    span, is a point of M/F; F together with the columns that give the
+    same point is a cover, and the cover's basis is F's plus that point."""
+    root, kept, cmask = m._root_triple()
+    if basis is None:
+        basis = root.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
+    outside = list(mask_bits(m.full_mask & ~fmask))
+    points: dict[tuple, int] = {}
+    for e, point in zip(outside, root.reduced_columns([kept[e] for e in outside], basis)):
+        points[point] = points.get(point, fmask) | (1 << e)
+    return {cover: basis + [point] for point, cover in points.items()}
+
+
 class MinorMatroid(Matroid):
     """A minor of a root matroid, evaluated by rank offset:
-    r_{M/C\\D}(A) = r_M(A | C) - r_M(C)."""
+    r_{M/C\\D}(A) = r_M(A | C) - r_M(C).  A minor of a matrix reads its
+    loops and covers from the root's kept columns reduced modulo the
+    span of the contracted ones, with no rank query."""
 
     def __init__(self, root: Matroid, kept: tuple[int, ...], contracted_mask: int, labels=None):
         self._root = root
@@ -474,6 +513,18 @@ class MinorMatroid(Matroid):
     def _rank_mask(self, mask: int) -> int:
         root_mask = self.to_root_mask(mask)
         return self._root.rank_mask(root_mask | self.contracted_mask) - self._contract_rank
+
+    def loops_mask(self) -> int:
+        root = self._root
+        if not isinstance(root, LinearMatroid):
+            return super().loops_mask()
+        rows = root.reduced_columns(self.kept, root.span_basis(self.contracted_mask))
+        return mask_of(e for e, row in enumerate(rows) if row is None)
+
+    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
+        if not isinstance(self._root, LinearMatroid):
+            return super()._covers(fmask, rank, basis)
+        return _quotient_covers(self, fmask, basis)
 
 
 def uniform(r: int, n: int) -> UniformMatroid:

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, the four characteristic polynomial
 engines, closed forms, and the Sturm root machinery."""
 
+import random
 from fractions import Fraction
 from math import ceil, comb
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from matzero.charpoly import (
     ONE,
+    _delete_contract_by_rank,
     ZERO,
     IntPoly,
     cauchy_root_bound,
@@ -37,7 +39,7 @@ from matzero.errors import (
 )
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, non_fano
-from matzero.matroid import LinearMatroid, UniformMatroid
+from matzero.matroid import GraphicMatroid, LinearMatroid, UniformMatroid
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -195,6 +197,80 @@ def test_engines_agree_on_uniform_sweep():
             expected = cp_uniform_closed_form(r, n)
             for engine in ENGINES:
                 assert engine(m) == expected, (r, n, engine.__name__)
+
+
+def _vector_engine_battery():
+    """Seeded matrices over GF(2..5) with zero columns (loops), repeated
+    and rescaled columns (parallel pairs) and zero rows mixed in, each
+    followed by minor views with deletions and contractions."""
+    rng = random.Random(53)
+    for q in (2, 3, 4, 5):
+        for _ in range(10):
+            rows, n = rng.randint(1, 4), rng.randint(2, 9)
+            cols = [[rng.randrange(q) for _ in range(rows)] for _ in range(n)]
+            if rng.random() < 0.3:
+                cols[rng.randrange(n)] = [0] * rows
+            if rng.random() < 0.5:
+                scale = rng.randrange(1, q)
+                cols[rng.randrange(n)] = [gf(q).mul[scale][x] for x in cols[rng.randrange(n)]]
+            if rng.random() < 0.3:
+                zero_row = rng.randrange(rows + 1)
+                cols = [c[:zero_row] + [0] + c[zero_row:] for c in cols]
+            m = LinearMatroid(gf(q), cols)
+            yield m
+            for _ in range(3):
+                fate = [rng.randrange(3) for _ in range(n)]
+                minor = m.minor(
+                    delete=[e for e in range(n) if fate[e] == 1],
+                    contract=[e for e in range(n) if fate[e] == 2],
+                )
+                yield minor
+                if minor.n:
+                    yield minor.contract([rng.randrange(minor.n)])
+
+
+def test_vector_engine_matches_rank_oracles():
+    """Deletion-contraction on reduced columns agrees with the Mobius
+    and subset expansions and with the rank-oracle recursion."""
+    for m in _vector_engine_battery():
+        p = cp_delete_contract(m)
+        assert p == _delete_contract_by_rank(m) == cp_boolean_expansion(m), m
+        assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
+
+
+def test_graphic_and_uniform_roots_take_the_rank_path():
+    for m in (
+        k4_graphic(),
+        k4_graphic().minor(delete=[1], contract=[4]),
+        GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)]),
+        GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (0, 3)]),
+        UniformMatroid(3, 7).minor(delete=[0], contract=[5]),
+        UniformMatroid(2, 4).contract([1, 2]),
+    ):
+        before = len(m.root._rank_cache)
+        p = cp_delete_contract(m)
+        assert len(m.root._rank_cache) > before  # the rank oracle answered
+        assert p == _delete_contract_by_rank(m) == cp_boolean_expansion(m), m
+        assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
+
+
+def test_matrix_deletion_contraction_queries_no_ranks():
+    """On a matrix, and on a minor of one, deletion-contraction adds no
+    rank-cache entry beyond the contracted rank the minor reads when it
+    is built."""
+    rng = random.Random(59)
+    for q in (2, 3, 4, 5):
+        for _ in range(4):
+            n = rng.randint(4, 10)
+            m = LinearMatroid(gf(q), [[rng.randrange(q) for _ in range(4)] for _ in range(n)])
+            minor = m.minor(delete=[0], contract=[1, 2])
+            cached = dict(m._rank_cache)
+            assert set(cached) <= {0b110}
+            cp_delete_contract(m)
+            cp_delete_contract(minor)
+            cp_delete_contract(minor.delete([0]))  # built from the cached contracted rank
+            assert m._rank_cache == cached
+            assert minor._rank_cache == {}
 
 
 def test_loops_give_zero():
