@@ -240,13 +240,15 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     nonzero entry (:meth:`LinearMatroid.reduced_columns`).  A zero
     column is a loop, equal columns are parallel, the first column that
     one elimination pass finds dependent is the pivot, and contracting
-    it reduces every other column by the pivot's.  Graphic and uniform
-    roots recurse on rank queries against the root instead.
+    it projects every other column along the pivot's
+    (:meth:`GF.project`).  Graphic and uniform roots recurse on rank
+    queries against the root instead.
     """
     root, kept, cmask = m._root_triple()
     if not isinstance(root, LinearMatroid):
         return _delete_contract_by_rank(m)
-    reduce, normalize = root.field.reduce, root.field.normalize
+    field = root.field
+    reduce, normalize, project = field.reduce, field.normalize, field.project
     memo: dict[tuple[int, int], IntPoly] = {}
 
     def rec(rest: int, cmask: int, rows: list) -> IntPoly:
@@ -280,7 +282,7 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
             else:
                 e, prow = rows[pivot]
                 others = rows[:pivot] + rows[pivot + 1:]
-                contracted = [(f, normalize(reduce((prow,), v))) for f, (_, v) in others]
+                contracted = [(f, project(row, prow)) for f, row in others]
                 rest &= ~(1 << e)
                 out = rec(rest, cmask, others) - rec(rest, cmask | 1 << e, contracted)
         memo[key] = out

@@ -274,6 +274,22 @@ class GF:
         scale = self.mul[self.inv[lead]]
         return v.index(lead), tuple(map(scale.__getitem__, v))
 
+    def project(self, row, prow) -> tuple[int, tuple[int, ...]] | None:
+        """The echelon row of ``row``'s vector reduced by the one echelon
+        row ``prow``: ``normalize(reduce((prow,), row[1]))``, with one
+        elimination step.  ``prow`` is zero before its pivot k and 1 at
+        k, so a row that is zero at k comes back unchanged, and any
+        other keeps its pivot and scale unless the two pivots are equal;
+        only then is the result normalized (None for a parallel row)."""
+        pivot, v = row
+        k = prow[0]
+        if not v[k]:
+            return row
+        v = self.reduce((prow,), v)
+        if pivot == k:
+            return self.normalize(v)
+        return pivot, tuple(v)
+
     def echelon(self, vectors) -> list[tuple[int, tuple[int, ...]]]:
         """Gaussian elimination over this field, one vector at a time.
 

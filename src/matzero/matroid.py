@@ -35,6 +35,10 @@ from .gfq import GF, gf
 
 MAX_GROUND = 24
 MAX_FLATS = 2_000_000
+# exhaustive checks that ask the rank of every subset (README, "Size caps")
+MAX_RANKS_TABLE = 20
+MAX_RANKS_AGREE = 16
+MAX_BRYLAWSKI_SHARED = 16  # of the shared elements in brylawski_charpoly
 
 
 def as_mask(n: int, subset) -> int:
@@ -200,11 +204,12 @@ class Matroid:
 
     # -- flats and the Mobius function ------------------------------------------
 
-    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
+    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
         """The flats covering the flat ``fmask`` of rank ``rank``, as a
         dict from each cover to what the lattice walk hands down with
-        it: None here, an echelon basis of its span for a matrix, whose
-        ``basis`` argument is F's (None: compute it).
+        it: None here.  A matrix hands each cover G = F + class(p) the
+        pair (points of M/F, p) and reads its own covers from the
+        ``carried`` pair the walk gave F (:func:`_quotient_covers`).
 
         The covers partition the elements outside F, so each one is
         found once, as the closure of the lowest element not yet placed
@@ -233,9 +238,10 @@ class Matroid:
         flats one rank above it, handing it what the call that found F
         returned with F; the next level is the union of those covers.
         A matrix or a minor of one reads its covers off quotient
-        vectors with no rank query, and hands each cover its parent's
-        echelon basis plus one row.  The one cover of a hyperplane is
-        the ground set, so it is not computed."""
+        vectors with no rank query: F carries the points of M/F, and
+        each cover G = F + class(p) is handed that dict and p, from
+        which it projects the points of M/G along p alone.  The one
+        cover of a hyperplane is the ground set, so it is not computed."""
         bottom = self.loops_mask()
         top = self.full_rank
         levels = [[bottom]]
@@ -250,8 +256,8 @@ class Matroid:
                 else:
                     covers = self._covers(fmask, rank, carried[fmask])
                 up[fmask] = list(covers)
-                for cover, basis in covers.items():
-                    nxt.setdefault(cover, basis)
+                for cover, handed in covers.items():
+                    nxt.setdefault(cover, handed)
             count += len(nxt)
             if count > MAX_FLATS:
                 raise TooLargeError(f"flat count exceeds the cap of {MAX_FLATS}")
@@ -310,13 +316,16 @@ class Matroid:
         atoms: contract F and keep one element of each atom.  The atoms
         of [F, T] are the covers of F that T covers, so the scan walks
         the cover relation from :meth:`_flat_lattice` (read off quotient
-        vectors for a matrix-backed matroid) and, for each F, counts how
-        many covers of F each T covers, stopping as soon as a count
-        reaches ``length``."""
+        points carried down the walk for a matrix-backed matroid) and,
+        for each F with at least ``length`` covers, counts how many
+        covers of F each T covers, stopping as soon as a count reaches
+        ``length``."""
         if length < 2:
             raise ValueError("line length must be at least 2")
         _, up = self._flat_lattice()
         for covers in up.values():
+            if len(covers) < length:
+                continue
             atoms: dict[int, int] = {}
             for z in covers:
                 for top in up[z]:
@@ -330,8 +339,8 @@ class Matroid:
 
     def ranks_table(self) -> list[int]:
         """Rank of every subset, indexed by mask.  Only for small n."""
-        if self.n > 20:
-            raise TooLargeError("full rank tables are limited to 20 elements")
+        if self.n > MAX_RANKS_TABLE:
+            raise TooLargeError(f"full rank tables are limited to {MAX_RANKS_TABLE} elements")
         return [self.rank_mask(m) for m in range(1 << self.n)]
 
     def __repr__(self):
@@ -394,8 +403,8 @@ class LinearMatroid(Matroid):
         columns = self.columns
         return [normalize(reduce(basis, columns[e])) for e in elements]
 
-    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
-        return _quotient_covers(self, fmask, basis)
+    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
+        return _quotient_covers(self, fmask, carried)
 
     def contract_by_elimination(self, subset) -> "LinearMatroid":
         """Contract by explicit matrix surgery: reduce the other columns
@@ -461,21 +470,35 @@ class GraphicMatroid(Matroid):
         return rank
 
 
-def _quotient_covers(m: Matroid, fmask: int, basis) -> dict:
+def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     """The covers of a flat F of a matrix-backed matroid or of a minor
-    of one, read from quotient vectors with no rank query.  ``basis``
-    is an echelon basis of the span of F and the contracted columns, or
-    None to compute it.  Each root column outside F, reduced modulo that
-    span, is a point of M/F; F together with the columns that give the
-    same point is a cover, and the cover's basis is F's plus that point."""
+    of one, read from the points of M/F with no rank query.  The points
+    are a dict from echelon row (:meth:`GF.normalize`) to the mask of
+    the elements outside F whose columns, reduced modulo the span of F
+    and the contracted columns, give that row.  Each point's class
+    joined to F is a cover, handed the pair (points of M/F, point).
+
+    ``carried`` is the pair (points of M/E, p) that F = E + class(p)
+    was handed, or None.  The points of M/F are then those of M/E other
+    than p projected along p (:meth:`GF.project`), one step per cover of
+    E, with classes merged where points meet.  (Oxley, *Matroid Theory*:
+    contracting a represented element projects every other column away
+    from its vector.)  With None the columns are reduced from scratch."""
     root, kept, cmask = m._root_triple()
-    if basis is None:
-        basis = root.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
-    outside = list(mask_bits(m.full_mask & ~fmask))
     points: dict[tuple, int] = {}
-    for e, point in zip(outside, root.reduced_columns([kept[e] for e in outside], basis)):
-        points[point] = points.get(point, fmask) | (1 << e)
-    return {cover: basis + [point] for point, cover in points.items()}
+    if carried is None:
+        basis = root.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
+        outside = list(mask_bits(m.full_mask & ~fmask))
+        for e, point in zip(outside, root.reduced_columns([kept[e] for e in outside], basis)):
+            points[point] = points.get(point, 0) | (1 << e)
+    else:
+        parent, p = carried
+        project = root.field.project
+        for point, cls in parent.items():
+            if point != p:
+                point = project(point, p)
+                points[point] = points.get(point, 0) | cls
+    return {fmask | cls: (points, point) for point, cls in points.items()}
 
 
 class MinorMatroid(Matroid):
@@ -521,10 +544,10 @@ class MinorMatroid(Matroid):
         rows = root.reduced_columns(self.kept, root.span_basis(self.contracted_mask))
         return mask_of(e for e, row in enumerate(rows) if row is None)
 
-    def _covers(self, fmask: int, rank: int, basis=None) -> dict:
+    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
         if not isinstance(self._root, LinearMatroid):
-            return super()._covers(fmask, rank, basis)
-        return _quotient_covers(self, fmask, basis)
+            return super()._covers(fmask, rank, carried)
+        return _quotient_covers(self, fmask, carried)
 
 
 def uniform(r: int, n: int) -> UniformMatroid:
@@ -539,8 +562,8 @@ def ranks_agree(a: Matroid, b: Matroid) -> bool:
     """Exhaustive rank-function equality; both matroids must be small."""
     if a.n != b.n:
         return False
-    if a.n > 16:
-        raise TooLargeError("exhaustive rank comparison is limited to 16 elements")
+    if a.n > MAX_RANKS_AGREE:
+        raise TooLargeError(f"exhaustive rank comparison is limited to {MAX_RANKS_AGREE} elements")
     return all(a.rank_mask(m) == b.rank_mask(m) for m in range(1 << a.n))
 
 

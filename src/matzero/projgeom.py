@@ -29,7 +29,14 @@ from .errors import (
     TooLargeError,
 )
 from .gfq import GF, gf
-from .matroid import LinearMatroid, Matroid, mask_bits, mask_of, require_simple
+from .matroid import (
+    MAX_BRYLAWSKI_SHARED,
+    LinearMatroid,
+    Matroid,
+    mask_bits,
+    mask_of,
+    require_simple,
+)
 from .treedecomp import Tree, TreeDecomposition
 
 MAX_POINTS = 4096
@@ -302,8 +309,10 @@ def brylawski_charpoly(m1: Matroid, m2: Matroid, common: Matroid) -> IntPoly:
     order = sorted(common.labels, key=lambda lab: pos1[lab])
     posc = {lab: i for i, lab in enumerate(common.labels)}
     t = len(order)
-    if t > 16:
-        raise TooLargeError("restriction agreement check is capped at 16 shared elements")
+    if t > MAX_BRYLAWSKI_SHARED:
+        raise TooLargeError(
+            f"restriction agreement check is capped at {MAX_BRYLAWSKI_SHARED} shared elements"
+        )
     for sub in range(1 << t):
         chosen = [order[i] for i in mask_bits(sub)]
         r1 = m1.rank_mask(mask_of(pos1[lab] for lab in chosen))

@@ -1,5 +1,7 @@
 """Finite field tables: axioms, known values, and error handling."""
 
+import random
+
 import pytest
 
 from matzero.errors import (
@@ -112,6 +114,47 @@ def test_echelon_and_reduce():
     assert not any(F.reduce(basis, (2, 2, 1)))
     assert list(F.reduce(basis, (1, 1, 1))) == [0, 0, 2]
     assert F.echelon([]) == []
+
+
+def _echelon_row(F, rng, width, pivot):
+    """A random echelon row: zero before ``pivot``, 1 at it."""
+    tail = [rng.randrange(F.q) for _ in range(width - pivot - 1)]
+    return pivot, (0,) * pivot + (1, *tail)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_project_matches_reduce_then_normalize(q):
+    """project(row, prow) is normalize(reduce((prow,), row's vector)) in
+    every case: a pivot below, at (parallel or not) or above prow's, and
+    a row that is zero at prow's pivot, which comes back as it is."""
+    F = gf(q)
+    rng = random.Random(1000 + q)
+    width = 5
+    seen = set()
+    for _ in range(300):
+        k = rng.randrange(width)
+        prow = _echelon_row(F, rng, width, k)
+        case = rng.choice(["below", "same", "parallel", "above", "zero at k"])
+        if case == "parallel":
+            row = prow
+        elif case == "same":
+            row = _echelon_row(F, rng, width, k)
+        elif case == "above" and k < width - 1:
+            row = _echelon_row(F, rng, width, rng.randrange(k + 1, width))
+        elif case in ("below", "zero at k") and k > 0:
+            pivot, v = _echelon_row(F, rng, width, rng.randrange(k))
+            v = list(v)
+            v[k] = 0 if case == "zero at k" else rng.randrange(1, q)
+            row = pivot, tuple(v)
+        else:
+            continue
+        expected = F.normalize(F.reduce((prow,), row[1]))
+        got = F.project(row, prow)
+        assert got == expected, (row, prow)
+        if not row[1][k]:
+            assert got is row
+        seen.add(case)
+    assert seen >= {"below", "same", "parallel", "above", "zero at k"}
 
 
 def test_order_32_needs_explicit_modulus():

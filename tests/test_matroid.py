@@ -228,11 +228,45 @@ def _random_linear_matroid(rng, q, rows, n):
     return LinearMatroid(gf(q), cols)
 
 
+def _matrix_with_line(rng, q, rank, extra, lift):
+    """A matrix over GF(q) of the given rank, on q + rank - 1 + ``extra``
+    columns, holding all q + 1 points of a projective line, a U_{2,q+1}
+    minor.  With ``lift`` each point gets a random multiple of the unit
+    column e2, so the line is a rank-2 flat of M/e2 only.  One column
+    with its last nonzero entry at each further coordinate makes up the
+    rank (e2 itself with ``lift``), and ``extra`` random columns follow."""
+    pad = (0,) * (rank - 2)
+    cols = [(1, 0) + pad] + [(a, 1) + pad for a in range(q)]
+    if lift:
+        cols = [p[:2] + (rng.randrange(q),) + p[3:] for p in cols]
+    for top in range(2, rank):
+        low = (0,) * top if lift and top == 2 else tuple(rng.randrange(q) for _ in range(top))
+        cols.append(low + (1,) + (0,) * (rank - top - 1))
+    cols += [tuple(rng.randrange(q) for _ in range(rank)) for _ in range(extra)]
+    rng.shuffle(cols)
+    return LinearMatroid(gf(q), cols)
+
+
+def _random_minor(rng, m):
+    """A minor of m with at least one deletion and one contraction."""
+    order = rng.sample(range(m.n), m.n)
+    cut = rng.randint(1, max(1, m.n // 4))
+    return m.minor(delete=order[:cut], contract=order[cut:2 * cut])
+
+
 def lattice_battery():
     rng = random.Random(31)
     for q in (2, 3, 4):
         for _ in range(6):
             yield _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9))
+    for q in (4, 5, 9):
+        for rank in (3, 4, 5):
+            m = _random_linear_matroid(rng, q, rank, rng.randint(rank + 1, 9))
+            yield m
+            yield _random_minor(rng, m)
+            m = _matrix_with_line(rng, q, rank, 2, lift=rank > 3)
+            yield m
+            yield _random_minor(rng, m)
     yield k4_graphic()
     yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)])
     yield UniformMatroid(3, 6)
@@ -245,7 +279,30 @@ def lattice_battery():
     yield gen_glued(2, 2, 3, 1, seed=4).matroid
 
 
+def _field_order(m):
+    """q for a matrix or a minor of one; 3 otherwise (lengths up to 5)."""
+    root = m.root
+    return root.field.q if isinstance(root, LinearMatroid) else 3
+
+
+def _longest_line(up):
+    """The most atoms of any interval [F, T] of rank 2 in a cover
+    relation, the longest U_{2,k} minor."""
+    longest = 0
+    for covers in up.values():
+        atoms = {}
+        for z in covers:
+            for top in up[z]:
+                atoms[top] = atoms.get(top, 0) + 1
+        longest = max(longest, *atoms.values(), 0)
+    return longest
+
+
 def test_flat_lattice_matches_closure_oracle():
+    """The walk (points of each M/F carried down from its parent for a
+    matrix) gives the closure oracle's lattice, and the line scan over
+    it agrees with the oracle's longest line for lengths up to q + 2."""
+    full_lines = set()
     for m in lattice_battery():
         levels, up = m._flat_lattice()
         ref_levels, ref_up = _closure_lattice(m)
@@ -254,6 +311,13 @@ def test_flat_lattice_matches_closure_oracle():
         for fmask, covers in up.items():
             assert len(covers) == len(ref_up[fmask]), m
             assert set(covers) == ref_up[fmask], m
+        longest = _longest_line(ref_up)
+        q = _field_order(m)
+        for length in range(2, q + 3):
+            assert m.has_line_minor(length) == (length <= longest), (m, length)
+        if longest == q + 1:
+            full_lines.add(q)
+    assert full_lines >= {4, 5, 9}  # true answers from U_{2,q+1} minors
 
 
 def test_linear_covers_agree_with_generic_and_query_no_ranks():
@@ -457,6 +521,7 @@ def test_line_minor_known_cases():
 
 
 def line_minor_battery():
+    """Matroids of at most 8 elements, small enough for the brute force."""
     rng = random.Random(23)
     for q in (2, 3):
         for rows in (3, 4):
@@ -464,6 +529,16 @@ def line_minor_battery():
                 n = rng.randint(3, 6) if rows == 3 else rng.randint(4, 7)
                 cols = [tuple(rng.randrange(q) for _ in range(rows)) for _ in range(n)]
                 yield LinearMatroid(gf(q), cols)
+    for q in (4, 5, 9):
+        for rank in (3, 4, 5):
+            m = _random_linear_matroid(rng, q, rank, rng.randint(rank, 8))
+            yield m
+            yield _random_minor(rng, m)
+    for q in (4, 5):
+        for rank, lift in ((3, False), (3, True), (4, True)):
+            m = _matrix_with_line(rng, q, rank, 9 - q - rank, lift)
+            yield m
+            yield _random_minor(rng, m)
     yield k4_graphic()
     yield GraphicMatroid(3, [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 2)])
     yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (1, 3)])
@@ -475,9 +550,15 @@ def line_minor_battery():
 
 
 def test_line_minor_against_brute_force():
+    full_lines = set()
     for m in line_minor_battery():
-        for length in (2, 3, 4, 5):
-            assert m.has_line_minor(length) == _line_minor_brute(m, length), (m, length)
+        q = _field_order(m)
+        for length in range(2, max(5, q + 2) + 1):
+            answer = _line_minor_brute(m, length)
+            assert m.has_line_minor(length) == answer, (m, length)
+            if answer and length == q + 1:
+                full_lines.add(q)
+    assert full_lines >= {4, 5}  # true answers from U_{2,q+1} minors
 
 
 def test_line_minor_scan_on_a_matrix_queries_no_ranks():
