@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import InexactDivisionError, NonIntegralError, NotSimpleError, TooLargeError
-from .matroid import LinearMatroid, Matroid, MinorMatroid, mask_bits
+from .matroid import MAX_GROUND, LinearMatroid, Matroid, MinorMatroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 
@@ -146,16 +146,23 @@ def x_minus(c: int) -> IntPoly:
     return IntPoly((-c, 1))
 
 
-_lin_powers: dict[int, IntPoly] = {0: ONE}
+def _binomial_power(r: int) -> IntPoly:
+    """(lam - 1) ** r from its binomial coefficients."""
+    return IntPoly(comb(r, i) * (-1) ** (r - i) for i in range(r + 1))
+
+
+# every rank a deletion-contraction minor can reach
+_LIN_POWERS = tuple(_binomial_power(r) for r in range(MAX_GROUND + 1))
 
 
 def lam_minus_one_power(r: int) -> IntPoly:
-    """(lam - 1) ** r, cached."""
-    p = _lin_powers.get(r)
-    if p is None:
-        p = lam_minus_one_power(r - 1) * x_minus(1)
-        _lin_powers[r] = p
-    return p
+    """(lam - 1) ** r; precomputed for r <= MAX_GROUND, computed
+    afresh and not kept above it."""
+    if r < 0:
+        raise ValueError("the exponent must be nonnegative")
+    if r < len(_LIN_POWERS):
+        return _LIN_POWERS[r]
+    return _binomial_power(r)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +620,23 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     the final bracket (an integer root, in particular), the bracket
     collapses to the degenerate pair (root, root).  Returns None when p
     has no real root.
+
+    The bracket starts at the Cauchy bound and is halved on dyadic
+    midpoints, in three phases of one loop:
+
+    - Isolate: while more than one distinct root lies above lo, each
+      midpoint costs a Sturm count of the whole chain, and lo keeps its
+      count.
+    - Refine: once the largest root rho is the only root of the
+      squarefree part sf above lo, sf (positive lead, simple roots) is
+      negative exactly on (lo, rho), so the sign of sf alone at the
+      midpoint makes the same choice as the chain count.
+    - Stop at the integer: at the first level where the bracket is
+      narrower than 1 it holds at most one integer c.  If c is a root
+      with no root above it, c is the largest root, every later bracket
+      holds it as its only integer, and so the final check would return
+      (c, c) from the simplest rational in the last bracket; it is
+      returned at once.  Other roots run to tol as before.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no largest root")
@@ -620,20 +644,34 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     sf = chain[0]
     v_hi = _variations_at_pos_inf(chain)
     bound = cauchy_root_bound(sf)
-    if _variations_at(chain, -bound, 1) == v_hi:
+    v_lo = _variations_at(chain, -bound, 1)
+    if v_lo == v_hi:
         return None
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    # invariant: the largest root lies in (lo / 2**k, hi / 2**k]
+    # invariant: the largest root lies in (lo / 2**k, hi / 2**k], and
+    # v_lo - v_hi distinct roots lie above lo / 2**k
     lo, hi, k = -bound, bound, 0
+    unit = (2 * bound).bit_length()  # first k with a bracket narrower than 1
     while (hi - lo) * tol.denominator > tol.numerator << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        if _variations_at(chain, mid, 1 << k) > v_hi:
+        if v_lo > v_hi + 1:
+            v_mid = _variations_at(chain, mid, 1 << k)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi = mid
+        elif _homogeneous(sf, mid, 1 << k) < 0:
             lo = mid
         else:
             hi = mid
+        if k == unit:
+            c = hi >> k
+            if (c << k > lo and _homogeneous(sf, c, 1) == 0
+                    and (v_lo == v_hi + 1 or _variations_at(chain, c, 1) == v_hi)):
+                return Fraction(c), Fraction(c)
     lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
     # a root in (lo, hi] with no root above it is the largest root
     for x in (hi, _simplest_in(lo, hi)):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matzero import charpoly
 from matzero.charpoly import (
     ONE,
     _delete_contract_by_rank,
@@ -39,7 +40,8 @@ from matzero.errors import (
 )
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, non_fano
-from matzero.matroid import GraphicMatroid, LinearMatroid, UniformMatroid
+from matzero.harness import ROOT_TOL, charpoly_auto, gen_glued, main_theorem_suite
+from matzero.matroid import MAX_GROUND, GraphicMatroid, LinearMatroid, UniformMatroid
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -149,6 +151,24 @@ def test_uniform_closed_form_values():
         cp_uniform_closed_form(4, 3)
     with pytest.raises(ValueError):
         cp_uniform_closed_form(-1, 1)
+
+
+@pytest.mark.parametrize("r", [0, 1, MAX_GROUND, MAX_GROUND + 1, 1500])
+def test_lam_minus_one_power_binomials(r):
+    expect = IntPoly(comb(r, i) * (-1) ** (r - i) for i in range(r + 1))
+    assert lam_minus_one_power(r) == expect
+    if r:
+        assert lam_minus_one_power(r) == lam_minus_one_power(r - 1) * x_minus(1)
+
+
+def test_lam_minus_one_power_keeps_no_state():
+    before = dict(vars(charpoly))
+    assert lam_minus_one_power(1500).degree == 1500
+    assert lam_minus_one_power(MAX_GROUND + 7).degree == MAX_GROUND + 7
+    assert dict(vars(charpoly)) == before
+    assert len(charpoly._LIN_POWERS) == MAX_GROUND + 1
+    with pytest.raises(ValueError):
+        lam_minus_one_power(-1)
 
 
 def test_uniform_closed_form_alternating_sum():
@@ -486,6 +506,90 @@ def test_largest_real_root_matches_fraction_bisection(a, b, c, tol):
     p = a * b * b * c
     assume(not p.is_zero)
     assert largest_real_root(p, tol) == _ref_largest_real_root(p, tol)
+
+
+def _from_roots(roots, extra=ONE):
+    """extra times the product of (den*x - num) over the rational roots."""
+    p = extra
+    for r in map(Fraction, roots):
+        p = p * IntPoly([-r.numerator, r.denominator])
+    return p
+
+
+# Largest roots that are integers, non-integer rationals (non-monic) and
+# negative, with and without repeated factors.  0 is always the first
+# midpoint; 1/2 and -3/4 land on later ones, and so does 4 in (1, 2, 4)
+# times x^2 + 1.  In
+# (3, 13/4) and (4, 41/10) an integer root that is not the largest
+# shares the first bracket narrower than 1 with the largest one.
+BRACKET_CASES = [
+    [1, 2, 4],
+    [1, 3, 9, 27],
+    [-5, -1, 2, 3, 7],
+    [1, 1, 2, 2, 5],
+    [1, Fraction(3, 2), Fraction(3, 2), 4],
+    [0],
+    [0, 1],
+    [Fraction(1, 2)],
+    [Fraction(1, 2), -3],
+    [Fraction(7, 3), 2],
+    [Fraction(7, 3), Fraction(7, 3), 1],
+    [Fraction(5, 2), 2],
+    [Fraction(-3, 4)],
+    [-2, -7],
+    [-2, -2, -7],
+    [3, Fraction(13, 4)],
+    [4, Fraction(41, 10)],
+]
+BRACKET_TOLS = [ROOT_TOL, Fraction(1), Fraction(3, 2), Fraction(5), Fraction(40)]
+
+
+@pytest.mark.parametrize("roots", BRACKET_CASES, ids=str)
+@pytest.mark.parametrize("extra", [ONE, IntPoly([1, 0, 1]), IntPoly([2])], ids=["1", "x2+1", "2"])
+def test_largest_real_root_phases_match_oracle(roots, extra):
+    """Each case isolates, refines and, for an integer root, stops at the
+    integer; tolerances of 1 and more end the loop before the bracket is
+    narrower than 1, where the final check alone must agree."""
+    p = _from_roots(roots, extra)
+    top = max(map(Fraction, roots))
+    for tol in BRACKET_TOLS:
+        got = largest_real_root(p, tol)
+        assert got == _ref_largest_real_root(p, tol), tol
+        lo, hi = got
+        assert lo == hi == top or lo < top <= hi
+    assert largest_real_root(p, ROOT_TOL) == (top, top)
+
+
+def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch):
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = [gen_glued(q, 2, 3, 1, seed=s, delete_count=s) for q in (2, 3) for s in range(3)]
+    recs.append(gen_glued(2, 3, 2, 2, seed=4, delete_count=1))
+    for q in (2, 3):
+        for k in (2, 3):
+            recs += main_theorem_suite(q, k, 50, seed=100 + 10 * q + k)
+    assert len(recs) == 207
+    for rec in recs:
+        chi = charpoly_auto(rec.matroid)
+        for tol in (ROOT_TOL, 1):
+            assert largest_real_root(chi, tol) == _ref_largest_real_root(chi, tol), rec.id
+
+
+@pytest.mark.parametrize("r, q", [(3, 2), (4, 3)])
+def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, r, q):
+    """Full Sturm counts stop once the largest root is alone in the
+    bracket; a count at every bisection step would exceed the limit."""
+    calls = []
+    count = charpoly._variations_at
+
+    def counted(chain, num, den):
+        calls.append(num)
+        return count(chain, num, den)
+
+    p = cp_pg_closed_form(r, q)
+    bound = cauchy_root_bound(squarefree_part(p))
+    monkeypatch.setattr(charpoly, "_variations_at", counted)
+    assert largest_real_root(p, ROOT_TOL) == (q ** (r - 1), q ** (r - 1))
+    assert len(calls) <= (2 * bound).bit_length() + 2
 
 
 @given(
