@@ -11,18 +11,33 @@ must agree coefficient for coefficient, which the test suite exploits.
 
 All arithmetic is exact: coefficients are Python integers, bounds and
 root brackets are ``fractions.Fraction`` values, and sign questions are
-settled by Sturm chains in integer arithmetic, not floating point.
+settled by Sturm chains in integer arithmetic, not floating point.  The
+root analysis is shared per distinct polynomial: its Sturm chain, root
+counts and brackets are kept in one bounded table (``MAX_ROOT_MEMO``)
+that every caller in the process reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
+from threading import Lock
 
-from .errors import InexactDivisionError, NonIntegralError, NotSimpleError, TooLargeError
+from .errors import (
+    InexactDivisionError,
+    NonIntegralError,
+    NotSimpleError,
+    RootCertificateError,
+    TooLargeError,
+)
 from .matroid import MAX_GROUND, LinearMatroid, Matroid, MinorMatroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
+# distinct polynomials whose root analysis is kept, and answers kept per
+# polynomial for each kind (counts by bound, brackets by tolerance); the
+# oldest is dropped when full
+MAX_ROOT_MEMO = 1024
+MAX_ROOT_ANSWERS = 8
 
 
 def _integral(c) -> int:
@@ -46,7 +61,7 @@ class IntPoly:
     that is not an integer raises :class:`NonIntegralError`.
     """
 
-    __slots__ = ("coeffs", "_sturm")  # _sturm: see _sturm_of
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [c if type(c) is int else _integral(c) for c in coeffs]
@@ -520,15 +535,46 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     return [c for c in chain if not c.is_zero]
 
 
-def _sturm_of(p: IntPoly) -> list[IntPoly]:
-    """The Sturm chain of p's squarefree part, its first entry.  It is
-    built on first use and kept on p, so the verdict and the root
-    bracket of one polynomial share it."""
-    try:
-        return p._sturm
-    except AttributeError:
-        p._sturm = sturm_chain(squarefree_part(p))
-        return p._sturm
+# coefficient tuple -> (Sturm chain of the squarefree part, root counts
+# by bound, brackets by tolerance); insertion order is age.  Lookups are
+# single dict reads; _remember's check-then-drop holds the lock, so
+# threads that share the table never drop one entry twice.
+_ROOT_MEMO: dict[tuple[int, ...], tuple[list[IntPoly], dict, dict]] = {}
+_ROOT_MEMO_LOCK = Lock()
+
+
+def _remember(table: dict, key, value, cap: int):
+    """Store value under key, first dropping the oldest entry when the
+    table already holds cap entries; returns value."""
+    with _ROOT_MEMO_LOCK:
+        if len(table) >= cap:
+            del table[next(iter(table))]
+        table[key] = value
+    return value
+
+
+def _exact(x) -> tuple[int, int]:
+    """x as an exact ratio (numerator, denominator) in lowest terms with
+    a positive denominator; it keys the counts and brackets of the memo.
+    Raises for anything ``Fraction`` does not accept."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sturm_of(p: IntPoly) -> tuple[list[IntPoly], dict, dict]:
+    """The root analysis of nonzero p: the Sturm chain of its squarefree
+    part (the chain's first entry), and the dicts of its root counts by
+    bound and its brackets by tolerance.  The analysis is shared per
+    distinct polynomial: it is built on the first use of p's
+    coefficients and kept in a table of at most ``MAX_ROOT_MEMO``
+    entries, so every verdict and bracket on an equal polynomial reads
+    the same chain."""
+    entry = _ROOT_MEMO.get(p.coeffs)
+    if entry is None:
+        entry = _remember(_ROOT_MEMO, p.coeffs,
+                          (sturm_chain(squarefree_part(p)), {}, {}), MAX_ROOT_MEMO)
+    return entry
 
 
 def _homogeneous(p: IntPoly, num: int, den: int) -> int:
@@ -562,15 +608,46 @@ def _variations_at_pos_inf(chain) -> int:
     return _variations(c.leading for c in chain)
 
 
+def _taylor_shift(p: IntPoly, num: int, den: int) -> list[int]:
+    """Coefficients of den**deg(p) * p((num + y)/den) in y, constant
+    term first: :func:`_homogeneous` with y left symbolic."""
+    acc: list[int] = []
+    power = 1
+    for c in reversed(p.coeffs):
+        out = [a * num for a in acc] + [0]
+        for i, a in enumerate(acc):
+            out[i + 1] += a
+        out[0] += c * power
+        acc = out
+        power *= den
+    return acc
+
+
 def count_roots_above(p: IntPoly, bound) -> int:
     """Number of distinct real roots of p in the open interval
-    (bound, +infinity)."""
+    (bound, +infinity).
+
+    A count not yet in p's memo entry is certified a second way before
+    it is kept: the roots of the squarefree part sf above b = num/den
+    are the positive roots of den**d * sf((num + y)/den), so by
+    Budan-Fourier (Descartes' rule after the Taylor shift) the count is
+    at most that polynomial's sign variations V and has V's parity.
+    Otherwise :class:`RootCertificateError` is raised."""
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
-    chain = _sturm_of(p)
-    bound = Fraction(bound)
-    return (_variations_at(chain, bound.numerator, bound.denominator)
-            - _variations_at_pos_inf(chain))
+    num, den = key = _exact(bound)
+    chain, counts, _ = _sturm_of(p)
+    count = counts.get(key)
+    if count is None:
+        count = _variations_at(chain, num, den) - _variations_at_pos_inf(chain)
+        v = _variations(_taylor_shift(chain[0], num, den))
+        if count > v or (v - count) % 2:
+            raise RootCertificateError(
+                f"Sturm counts {count} roots of {p!r} above {Fraction(num, den)}, "
+                f"but the shifted polynomial has {v} sign variations"
+            )
+        _remember(counts, key, count, MAX_ROOT_ANSWERS)
+    return count
 
 
 def sturm_positive_beyond(p: IntPoly, bound) -> bool:
@@ -579,6 +656,7 @@ def sturm_positive_beyond(p: IntPoly, bound) -> bool:
     region is open on the left."""
     if p.is_zero:
         raise ValueError("the zero polynomial is nowhere positive")
+    _exact(bound)  # a bad bound raises even where no count is needed
     if p.degree == 0:
         return p.leading > 0
     if p.leading < 0:
@@ -619,7 +697,8 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     hi - lo <= tol.  When the root itself is the simplest rational in
     the final bracket (an integer root, in particular), the bracket
     collapses to the degenerate pair (root, root).  Returns None when p
-    has no real root.
+    has no real root.  The result is kept in p's memo entry
+    (:func:`_sturm_of`) under the exact tolerance.
 
     The bracket starts at the Cauchy bound and is halved on dyadic
     midpoints, in three phases of one loop:
@@ -640,21 +719,30 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no largest root")
-    chain = _sturm_of(p)
+    tol_num, tol_den = key = _exact(tol)
+    if tol_num <= 0:
+        raise ValueError("tolerance must be positive")
+    chain, _, brackets = _sturm_of(p)
+    try:
+        return brackets[key]
+    except KeyError:  # None is a kept answer: p has no real root
+        return _remember(brackets, key, _bracket(chain, tol_num, tol_den), MAX_ROOT_ANSWERS)
+
+
+def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction, Fraction] | None:
+    """:func:`largest_real_root` from the Sturm chain of the squarefree
+    part to within tol_num / tol_den, with no memo."""
     sf = chain[0]
     v_hi = _variations_at_pos_inf(chain)
     bound = cauchy_root_bound(sf)
     v_lo = _variations_at(chain, -bound, 1)
     if v_lo == v_hi:
         return None
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     # invariant: the largest root lies in (lo / 2**k, hi / 2**k], and
     # v_lo - v_hi distinct roots lie above lo / 2**k
     lo, hi, k = -bound, bound, 0
     unit = (2 * bound).bit_length()  # first k with a bracket narrower than 1
-    while (hi - lo) * tol.denominator > tol.numerator << k:
+    while (hi - lo) * tol_den > tol_num << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         if v_lo > v_hi + 1:

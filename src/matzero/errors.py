@@ -64,6 +64,11 @@ class NonIntegralError(MatZeroError, ValueError):
     """A polynomial coefficient or scalar factor is not an integer."""
 
 
+class RootCertificateError(MatZeroError):
+    """A Sturm root count disagrees with the Budan-Fourier bound from
+    the sign variations of the shifted polynomial."""
+
+
 # -- projective geometry ----------------------------------------------------
 
 class PointCollisionError(MatZeroError):

@@ -1,5 +1,18 @@
 import re
 
+import pytest
+
+from matzero import charpoly
+
+
+@pytest.fixture
+def fresh_root_memo():
+    """An empty root-analysis memo, so a test that counts the work of
+    the root layer sees it done rather than read back from the memo."""
+    charpoly._ROOT_MEMO.clear()
+    yield charpoly._ROOT_MEMO
+    charpoly._ROOT_MEMO.clear()
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion at the end."""

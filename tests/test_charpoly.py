@@ -2,6 +2,8 @@
 engines, closed forms, and the Sturm root machinery."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import ceil, comb
 
@@ -36,6 +38,7 @@ from matzero.errors import (
     MatZeroError,
     NonIntegralError,
     NotSimpleError,
+    RootCertificateError,
     TooLargeError,
 )
 from matzero.gfq import gf
@@ -560,7 +563,8 @@ def test_largest_real_root_phases_match_oracle(roots, extra):
     assert largest_real_root(p, ROOT_TOL) == (top, top)
 
 
-def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch):
+def _charpoly_battery(monkeypatch):
+    """(id, chi, q, witnessed width) for 207 glued and random instances."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = [gen_glued(q, 2, 3, 1, seed=s, delete_count=s) for q in (2, 3) for s in range(3)]
     recs.append(gen_glued(2, 3, 2, 2, seed=4, delete_count=1))
@@ -568,14 +572,124 @@ def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch):
         for k in (2, 3):
             recs += main_theorem_suite(q, k, 50, seed=100 + 10 * q + k)
     assert len(recs) == 207
-    for rec in recs:
-        chi = charpoly_auto(rec.matroid)
-        for tol in (ROOT_TOL, 1):
-            assert largest_real_root(chi, tol) == _ref_largest_real_root(chi, tol), rec.id
+    return [(rec.id, charpoly_auto(rec.matroid), rec.q, rec.witnessed_width) for rec in recs]
+
+
+def _root_answers(chi, q, k):
+    """Everything the bound suites ask of the root layer, at both
+    theorems' bounds and both tolerances the tests use."""
+    bounds = (Fraction(q ** (k - 1)), Fraction(q ** k - 1, q - 1))
+    return (
+        [sturm_positive_beyond(chi, b) for b in bounds],
+        [count_roots_above(chi, b) for b in bounds],
+        [largest_real_root(chi, tol) for tol in (ROOT_TOL, 1)],
+    )
+
+
+def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch, fresh_root_memo):
+    """Cold answers (memo cleared before each polynomial) match the
+    Fraction oracle and pass the Budan-Fourier certificate; warm answers,
+    read back from the memo, equal the cold ones."""
+    battery = [item for item in _charpoly_battery(monkeypatch) if not item[1].is_zero]
+    cold = []
+    for rid, chi, q, k in battery:
+        fresh_root_memo.clear()
+        cold.append(_root_answers(chi, q, k))
+        verdicts, _, brackets = cold[-1]
+        ref = [_ref_largest_real_root(chi, tol) for tol in (ROOT_TOL, 1)]
+        assert brackets == ref, rid
+        lo, hi = ref[0]
+        for b, verdict in zip((q ** (k - 1), Fraction(q ** k - 1, q - 1)), verdicts):
+            assert hi <= b or lo >= b, rid  # the oracle decides the verdict
+            assert verdict == (hi <= b), rid
+    assert len(fresh_root_memo) == 1
+    warm = [_root_answers(chi, q, k) for _, chi, q, k in battery]
+    assert len(fresh_root_memo) == len({chi.coeffs for _, chi, _, _ in battery})
+    assert warm == cold
+
+
+def test_root_memo_keys(fresh_root_memo):
+    """A bound or tolerance is keyed by its exact value, a polynomial by
+    its coefficients: p, -p and 2p have the same roots but their own
+    entries."""
+    p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4
+    assert [count_roots_above(p, b) for b in (2, Fraction(2), 2.0)] == [1, 1, 1]
+    _, counts, brackets = fresh_root_memo[p.coeffs]
+    assert len(counts) == 1
+    assert largest_real_root(p, 1) == largest_real_root(p, ROOT_TOL) == (4, 4)
+    assert largest_real_root(p, Fraction(1)) == (4, 4)
+    assert len(brackets) == 2
+    assert sturm_positive_beyond(p, 4) and not sturm_positive_beyond(-p, 4)
+    assert sturm_positive_beyond(2 * p, 4)
+    for other in (-p, 2 * p):
+        assert count_roots_above(other, 2) == 1
+    assert set(fresh_root_memo) == {p.coeffs, (-p).coeffs, (2 * p).coeffs}
+
+
+def test_root_memo_is_bounded(fresh_root_memo):
+    """Past MAX_ROOT_MEMO polynomials, or MAX_ROOT_ANSWERS bounds or
+    tolerances on one polynomial, the oldest entry goes and every answer
+    stays right."""
+    cap = charpoly.MAX_ROOT_MEMO
+    for i in range(cap + 10):
+        p = x_minus(i) * IntPoly([1, 0, 1])
+        assert count_roots_above(p, Fraction(1, 2)) == (i > 0)
+        assert largest_real_root(p, ROOT_TOL) == (i, i)
+        assert len(fresh_root_memo) <= cap
+    assert len(fresh_root_memo) == cap
+    first = x_minus(0) * IntPoly([1, 0, 1])
+    assert first.coeffs not in fresh_root_memo  # the oldest went first
+    assert count_roots_above(first, Fraction(1, 2)) == 0
+    assert largest_real_root(first, ROOT_TOL) == (0, 0)
+
+    p = cp_pg_closed_form(4, 2)  # roots 1, 2, 4, 8
+    for b in range(-3, 12):
+        assert count_roots_above(p, b) == sum(r > b for r in (1, 2, 4, 8))
+        lo, hi = largest_real_root(p, Fraction(100, b + 4))
+        assert lo == hi == 8 or lo < 8 <= hi
+    _, counts, brackets = fresh_root_memo[p.coeffs]
+    assert len(counts) == len(brackets) == charpoly.MAX_ROOT_ANSWERS
+
+
+def test_root_layer_validates_arguments_first(fresh_root_memo):
+    """A bad bound or tolerance raises whether or not p has a real root
+    or positive degree, and leaves nothing in the memo."""
+    for p in (IntPoly([1, 0, 1]), IntPoly([5]), x_minus(1), cp_pg_closed_form(3, 2)):
+        for tol in (0, -1, Fraction(-1, 3), "abc", None):
+            with pytest.raises((ValueError, TypeError)):
+                largest_real_root(p, tol)
+        for bound in ("abc", None, float("nan")):
+            with pytest.raises((ValueError, TypeError)):
+                sturm_positive_beyond(p, bound)
+            with pytest.raises((ValueError, TypeError)):
+                count_roots_above(p, bound)
+    assert not fresh_root_memo
+
+
+@given(small_polys, st.integers(-30, 30), st.integers(1, 12), st.integers(-5, 5))
+def test_taylor_shift_is_the_homogeneous_shift(p, num, den, y):
+    """_taylor_shift(p, num, den) at y is den**deg * p((num + y)/den)."""
+    shifted = charpoly._taylor_shift(p, num, den)
+    assert _ref_eval(shifted, y) == den ** p.degree * _ref_eval(p.coeffs, Fraction(num + y, den))
+
+
+@pytest.mark.parametrize("bound, offset", [(0, 1), (0, -1), (3, 1), (3, -1), (3, 2), (5, 1)])
+def test_count_roots_above_rejects_a_wrong_sturm_count(monkeypatch, fresh_root_memo, bound, offset):
+    """A Sturm count off by an odd number, or above the sign variations
+    of the shifted polynomial, fails the Budan-Fourier certificate and
+    is not kept."""
+    p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4: counts 3, 1, 0 above 0, 3, 5
+    count = charpoly._variations_at
+    monkeypatch.setattr(charpoly, "_variations_at", lambda *a: count(*a) + offset)
+    with pytest.raises(RootCertificateError):
+        count_roots_above(p, bound)
+    assert not fresh_root_memo[p.coeffs][1]
+    monkeypatch.undo()
+    assert count_roots_above(p, bound) == {0: 3, 3: 1, 5: 0}[bound]
 
 
 @pytest.mark.parametrize("r, q", [(3, 2), (4, 3)])
-def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, r, q):
+def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, fresh_root_memo, r, q):
     """Full Sturm counts stop once the largest root is alone in the
     bracket; a count at every bisection step would exceed the limit."""
     calls = []
@@ -589,7 +703,7 @@ def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, r, q):
     bound = cauchy_root_bound(squarefree_part(p))
     monkeypatch.setattr(charpoly, "_variations_at", counted)
     assert largest_real_root(p, ROOT_TOL) == (q ** (r - 1), q ** (r - 1))
-    assert len(calls) <= (2 * bound).bit_length() + 2
+    assert 0 < len(calls) <= (2 * bound).bit_length() + 2
 
 
 @given(
@@ -629,3 +743,36 @@ def test_poly_exact_div_rejects_non_divisors(a, b, rest, k):
     if any(c % k for c in a.coeffs):  # a / k is not integral
         with pytest.raises(InexactDivisionError):
             poly_exact_div(a * b, k * b)
+
+
+def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
+    """Threads that fill and evict a tiny shared memo at a short switch
+    interval all get right answers, and the cap holds."""
+    monkeypatch.setattr(charpoly, "MAX_ROOT_MEMO", 4)
+    monkeypatch.setattr(charpoly, "MAX_ROOT_ANSWERS", 2)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                root = (i + offset) % 23
+                p = x_minus(root) * IntPoly([1, 0, 1])
+                assert count_roots_above(p, i % 5) == (root > i % 5)
+                assert largest_real_root(p, Fraction(1, 1 + i % 3)) == (root, root)
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(fresh_root_memo) <= 4
+    assert all(len(c) <= 2 and len(b) <= 2 for _, c, b in fresh_root_memo.values())

@@ -180,12 +180,16 @@ def test_verify_main_theorem_battery():
             assert int(lo[0]) >= 0 or int(hi[0]) >= 0
 
 
-def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch):
-    """The verdict and the root bracket share one squarefree part and one
-    Sturm chain per polynomial, and the witness width computed while the
-    suite was generated is not computed again."""
+def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh_root_memo):
+    """Every verdict and root bracket on one polynomial shares one
+    squarefree part and one Sturm chain, across instances too, and the
+    witness width computed while the suite was generated is not
+    computed again."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = main_theorem_suite(2, 3, 100, seed=1)
+    charpolys = [charpoly_auto(rec.matroid) for rec in recs]
+    distinct = {chi.coeffs for chi in charpolys if not chi.is_zero}
+    assert 1 < len(distinct) < 100
     calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0}
 
     def counted(owner, name):
@@ -202,8 +206,8 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch):
     counted(TreeDecomposition, "node_width")
     reports = verify_main_theorem(recs, 2, 3)
     assert all_verdicts_true(reports)
-    assert calls["squarefree_part"] <= 100
-    assert calls["sturm_chain"] <= 100
+    assert calls["squarefree_part"] == len(distinct)
+    assert calls["sturm_chain"] == len(distinct)
     assert calls["node_width"] == 0
 
 
