@@ -27,6 +27,7 @@ from .errors import (
     InexactDivisionError,
     NonIntegralError,
     NotSimpleError,
+    RootArgumentError,
     RootCertificateError,
     TooLargeError,
 )
@@ -102,7 +103,16 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return IntPoly(out)
 
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
@@ -538,28 +548,42 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 # coefficient tuple -> (Sturm chain of the squarefree part, root counts
 # by bound, brackets by tolerance); insertion order is age.  Lookups are
 # single dict reads; _remember's check-then-drop holds the lock, so
-# threads that share the table never drop one entry twice.
+# threads that share a table never drop one entry twice.
 _ROOT_MEMO: dict[tuple[int, ...], tuple[list[IntPoly], dict, dict]] = {}
-_ROOT_MEMO_LOCK = Lock()
+_MEMO_LOCK = Lock()
 
 
 def _remember(table: dict, key, value, cap: int):
     """Store value under key, first dropping the oldest entry when the
-    table already holds cap entries; returns value."""
-    with _ROOT_MEMO_LOCK:
+    table already holds cap entries; returns value.  Every bounded
+    process-wide table (this module's root memo, the harness's charpoly
+    memo) stores through it."""
+    with _MEMO_LOCK:
         if len(table) >= cap:
             del table[next(iter(table))]
         table[key] = value
     return value
 
 
-def _exact(x) -> tuple[int, int]:
+def _exact(x, name: str) -> tuple[int, int]:
     """x as an exact ratio (numerator, denominator) in lowest terms with
     a positive denominator; it keys the counts and brackets of the memo.
-    Raises for anything ``Fraction`` does not accept."""
+    Anything ``Fraction`` does not accept (a malformed string, None, an
+    infinity or a NaN) raises :class:`RootArgumentError` naming the
+    argument ``name``."""
     if type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            raise RootArgumentError(
+                f"{name} must be a finite rational number, got {x!r}"
+            ) from None
     return x.numerator, x.denominator
+
+
+def _nonzero(p: IntPoly, why: str) -> None:
+    if p.is_zero:
+        raise RootArgumentError(f"p is the zero polynomial, which {why}")
 
 
 def _sturm_of(p: IntPoly) -> tuple[list[IntPoly], dict, dict]:
@@ -632,10 +656,11 @@ def count_roots_above(p: IntPoly, bound) -> int:
     are the positive roots of den**d * sf((num + y)/den), so by
     Budan-Fourier (Descartes' rule after the Taylor shift) the count is
     at most that polynomial's sign variations V and has V's parity.
-    Otherwise :class:`RootCertificateError` is raised."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every point as a root")
-    num, den = key = _exact(bound)
+    Otherwise :class:`RootCertificateError` is raised.  A zero p, or a
+    bound that is not a finite rational number, raises
+    :class:`RootArgumentError`."""
+    _nonzero(p, "has every point as a root")
+    num, den = key = _exact(bound, "bound")
     chain, counts, _ = _sturm_of(p)
     count = counts.get(key)
     if count is None:
@@ -653,10 +678,10 @@ def count_roots_above(p: IntPoly, bound) -> int:
 def sturm_positive_beyond(p: IntPoly, bound) -> bool:
     """Whether p(lam) > 0 for every rational lam strictly above bound.
     A root exactly at the bound does not spoil the verdict because the
-    region is open on the left."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial is nowhere positive")
-    _exact(bound)  # a bad bound raises even where no count is needed
+    region is open on the left.  A zero p, or a bound that is not a
+    finite rational number, raises :class:`RootArgumentError`."""
+    _nonzero(p, "is nowhere positive")
+    _exact(bound, "bound")  # a bad bound raises even where no count is needed
     if p.degree == 0:
         return p.leading > 0
     if p.leading < 0:
@@ -698,7 +723,9 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     the final bracket (an integer root, in particular), the bracket
     collapses to the degenerate pair (root, root).  Returns None when p
     has no real root.  The result is kept in p's memo entry
-    (:func:`_sturm_of`) under the exact tolerance.
+    (:func:`_sturm_of`) under the exact tolerance.  A zero p, or a tol
+    that is not a positive finite rational, raises
+    :class:`RootArgumentError`.
 
     The bracket starts at the Cauchy bound and is halved on dyadic
     midpoints, in three phases of one loop:
@@ -717,11 +744,10 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
       (c, c) from the simplest rational in the last bracket; it is
       returned at once.  Other roots run to tol as before.
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no largest root")
-    tol_num, tol_den = key = _exact(tol)
+    _nonzero(p, "has no largest root")
+    tol_num, tol_den = key = _exact(tol, "tol")
     if tol_num <= 0:
-        raise ValueError("tolerance must be positive")
+        raise RootArgumentError(f"tol must be positive, got {tol!r}")
     chain, _, brackets = _sturm_of(p)
     try:
         return brackets[key]

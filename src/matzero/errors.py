@@ -64,6 +64,12 @@ class NonIntegralError(MatZeroError, ValueError):
     """A polynomial coefficient or scalar factor is not an integer."""
 
 
+class RootArgumentError(MatZeroError, ValueError):
+    """A root-layer function got an argument it cannot answer for: the
+    zero polynomial, a bound that is not a finite rational number, or a
+    tolerance that is not a positive one."""
+
+
 class RootCertificateError(MatZeroError):
     """A Sturm root count disagrees with the Budan-Fourier bound from
     the sign variations of the shifted polynomial."""

@@ -326,11 +326,23 @@ def ff_build(p: int, d: int = 1, irreducible=None) -> GF:
     return GF(p, d, irreducible)
 
 
+# order -> the field gf(order) returns; at most one per prime power up
+# to MAX_ORDER
+_FIELDS: dict[int, GF] = {}
+
+
 def gf(q: int) -> GF:
-    """Build GF(q) from the order alone, using shipped default moduli.
-    The order is checked against ``MAX_ORDER`` before it is factored,
-    because factoring trial-divides up to q."""
-    if q > MAX_ORDER:
-        raise OrderTooLargeError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
-    p, d = factor_prime_power(q)
-    return GF(p, d)
+    """GF(q) from the order alone, using shipped default moduli.  One
+    field is built per order and shared by every later call, since a
+    field is immutable; a failed build is not kept.  The order is
+    checked against ``MAX_ORDER`` before it is factored, because
+    factoring trial-divides up to q."""
+    # only an int order is looked up: a float equal to a kept order
+    # must still fail in factor_prime_power
+    field = _FIELDS.get(q) if type(q) is int else None
+    if field is None:
+        if q > MAX_ORDER:
+            raise OrderTooLargeError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
+        p, d = factor_prime_power(q)
+        field = _FIELDS.setdefault(q, GF(p, d))
+    return field

@@ -20,6 +20,7 @@ from pathlib import Path
 from .charpoly import (
     IntPoly,
     ZERO,
+    _remember,
     cp_cocircuit_expansion,
     cp_delete_contract,
     largest_real_root,
@@ -54,6 +55,9 @@ from .treedecomp import (
 )
 
 ROOT_TOL = Fraction(1, 2 ** 30)
+# whole instances whose characteristic polynomial is kept for the
+# process by the bound suites; the oldest is dropped when full
+MAX_CHARPOLY_MEMO = 1024
 
 
 def effective_seed(seed):
@@ -69,6 +73,43 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     expansion on the suite instances; the other engines are kept as
     test oracles."""
     return cp_delete_contract(m)
+
+
+# (field, frozenset of echelon rows) -> chi; insertion order is age
+_CHARPOLY_MEMO: dict[tuple, IntPoly] = {}
+
+
+def _shared_charpoly(m: Matroid) -> IntPoly:
+    """:func:`charpoly_auto` computed once per distinct simple matroid.
+
+    A loopless matroid's chi is that of its simplification, which the
+    set of its columns' projective points fixes: relabelling, rescaling
+    or repeating a column leaves it alone.  So a loopless matroid whose
+    root is a matrix is keyed by its field and the set of its
+    normalized columns (:meth:`LinearMatroid.reduced_columns`, modulo
+    the contracted span for a minor), and its chi is kept in a table of
+    at most ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares
+    p, d and the modulus, so fields that encode elements differently
+    never share an entry.  A matroid with a loop, or whose root is
+    graphic or uniform, is computed afresh every time, as are the
+    minors inside one computation.
+
+    Only the bound suites read this table.  :func:`verify_identities`
+    and the CLI's closed-form check call the engine directly: their
+    job is to compute chi again and compare, and a shared table would
+    turn those checks into reads of an earlier answer.
+    """
+    root, kept, cmask = m._root_triple()
+    if not isinstance(root, LinearMatroid):
+        return charpoly_auto(m)
+    rows = root.reduced_columns(kept, root.span_basis(cmask))
+    if None in rows:
+        return charpoly_auto(m)
+    key = (root.field, frozenset(rows))
+    chi = _CHARPOLY_MEMO.get(key)
+    if chi is None:
+        chi = _remember(_CHARPOLY_MEMO, key, charpoly_auto(m), MAX_CHARPOLY_MEMO)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +405,7 @@ def _verify_bound(
             raise LineMinorPresentError(
                 f"{rec.id}: contains a {line_length}-point line minor"
             )
-        chi = charpoly_auto(rec.matroid)
+        chi = _shared_charpoly(rec.matroid)
         if chi.is_zero:
             verdict, root = True, None
         else:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from matzero import charpoly
+from matzero import charpoly, harness
 
 
 @pytest.fixture
@@ -12,6 +12,16 @@ def fresh_root_memo():
     charpoly._ROOT_MEMO.clear()
     yield charpoly._ROOT_MEMO
     charpoly._ROOT_MEMO.clear()
+
+
+@pytest.fixture
+def fresh_charpoly_memo():
+    """An empty whole-instance charpoly memo of the bound suites, so a
+    test that counts engine calls sees them made rather than read back
+    from the memo."""
+    harness._CHARPOLY_MEMO.clear()
+    yield harness._CHARPOLY_MEMO
+    harness._CHARPOLY_MEMO.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

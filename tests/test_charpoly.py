@@ -38,6 +38,7 @@ from matzero.errors import (
     MatZeroError,
     NonIntegralError,
     NotSimpleError,
+    RootArgumentError,
     RootCertificateError,
     TooLargeError,
 )
@@ -124,6 +125,17 @@ small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
 def test_evaluation_is_a_homomorphism(p, q, v):
     assert (p + q).evaluate(v) == p.evaluate(v) + q.evaluate(v)
     assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
+
+
+@given(small_polys, small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+def test_subtraction_is_adding_the_negation(p, q, top):
+    """One-pass p - q against p + (-q), with unequal lengths, and with
+    a shared top part s whose leading terms cancel in (p + s) - (q + s)."""
+    assert p - q == p + (-q)
+    assert q - p == -(p - q)
+    s = IntPoly([0] * 6 + top)
+    assert (p + s) - (q + s) == p - q
+    assert (p + s) - (q + s) == (p + s) + (-(q + s))
 
 
 @given(small_polys)
@@ -664,6 +676,42 @@ def test_root_layer_validates_arguments_first(fresh_root_memo):
             with pytest.raises((ValueError, TypeError)):
                 count_roots_above(p, bound)
     assert not fresh_root_memo
+
+
+BAD_BOUNDS = ["abc", None, float("inf"), float("-inf"), float("nan"), 1j]
+BAD_TOLS = BAD_BOUNDS + [0, -1, Fraction(-1, 3), 0.0]
+
+
+ROOT_CALLS = {
+    "count_roots_above": (count_roots_above, "bound"),
+    "sturm_positive_beyond": (sturm_positive_beyond, "bound"),
+    "largest_real_root": (largest_real_root, "tol"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [(name, b) for name in ("count_roots_above", "sturm_positive_beyond") for b in BAD_BOUNDS]
+    + [("largest_real_root", t) for t in BAD_TOLS],
+)
+def test_root_layer_rejects_bad_arguments_with_a_typed_error(fresh_root_memo, name, arg):
+    """A bad bound or tolerance raises RootArgumentError, which is a
+    MatZeroError and still a ValueError, naming the argument."""
+    fn, kind = ROOT_CALLS[name]
+    for p in (IntPoly([1, 0, 1]), IntPoly([5]), x_minus(1), cp_pg_closed_form(3, 2)):
+        with pytest.raises(RootArgumentError, match=kind) as info:
+            fn(p, arg)
+        assert isinstance(info.value, MatZeroError)
+        assert isinstance(info.value, ValueError)
+    assert not fresh_root_memo
+
+
+@pytest.mark.parametrize("name", ROOT_CALLS)
+def test_root_layer_rejects_the_zero_polynomial(name):
+    fn, _ = ROOT_CALLS[name]
+    with pytest.raises(RootArgumentError, match="zero polynomial") as info:
+        fn(ZERO, 1)
+    assert isinstance(info.value, ValueError)
 
 
 @given(small_polys, st.integers(-30, 30), st.integers(1, 12), st.integers(-5, 5))

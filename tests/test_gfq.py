@@ -1,6 +1,8 @@
 """Finite field tables: axioms, known values, and error handling."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,7 +12,8 @@ from matzero.errors import (
     OrderTooLargeError,
     ReduciblePolynomialError,
 )
-from matzero.gfq import GF, factor_prime_power, ff_build, gf, is_prime
+from matzero import gfq
+from matzero.gfq import GF, MAX_ORDER, factor_prime_power, ff_build, gf, is_prime
 
 
 def test_is_prime_small_values():
@@ -207,3 +210,68 @@ def test_equality_and_hash():
     assert hash(gf(9)) == hash(gf(9))
     custom = ff_build(3, 2, (2, 2, 1))
     assert custom != gf(9)  # different modulus, different field object
+
+
+def test_gf_shares_one_field_per_order(monkeypatch):
+    """gf builds each order once; ff_build always builds afresh."""
+    monkeypatch.setattr(gfq, "_FIELDS", {})
+    orders = [q for q in range(2, MAX_ORDER + 1) if q != 32]
+    for q in orders:
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        assert gf(q) is gf(q)
+        assert gf(q).q == q
+    assert gf(4) is not ff_build(2, 2)
+    assert ff_build(2, 2) is not ff_build(2, 2)
+    assert ff_build(2, 2) == gf(4)
+    assert set(gfq._FIELDS) == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31}
+
+
+@pytest.mark.parametrize(
+    "q, error",
+    [
+        (1, ValueError),
+        (6, ValueError),
+        (12, ValueError),
+        (32, ValueError),  # no shipped modulus
+        (37, OrderTooLargeError),
+        (2**61 - 1, OrderTooLargeError),
+        (2.0, TypeError),
+        (4.0, TypeError),
+    ],
+)
+def test_gf_keeps_no_failure(monkeypatch, q, error):
+    """A failing order raises on every call and is never kept; a float
+    is not an order even when an equal int is already kept."""
+    monkeypatch.setattr(gfq, "_FIELDS", {})
+    gf(2), gf(4)
+    for _ in range(2):
+        with pytest.raises(error):
+            gf(q)
+    assert set(gfq._FIELDS) == {2, 4}
+
+
+def test_gf_shares_one_field_between_threads(monkeypatch):
+    """Threads racing to build the same orders all get one field each."""
+    monkeypatch.setattr(gfq, "_FIELDS", {})
+    seen = []
+
+    def work():
+        seen.append([gf(q) for q in (27, 4, 2, 25, 3, 16)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 6
+    for fields in zip(*seen):
+        assert len({id(f) for f in fields}) == 1

@@ -2,11 +2,14 @@
 serialization, the chromatic cross-check, and instance files."""
 
 import json
+import sys
+import threading
 
 import pytest
 
-from matzero import charpoly
-from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_mobius
+from matzero import charpoly, harness
+from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_delete_contract, cp_mobius
+from matzero.cli import main as cli_main
 from matzero.errors import (
     LineMinorPresentError,
     MatZeroError,
@@ -14,7 +17,7 @@ from matzero.errors import (
     TooLargeError,
     WidthWitnessExceededError,
 )
-from matzero.gfq import gf
+from matzero.gfq import ff_build, gf
 from matzero.harness import (
     BoundReport,
     IdentityCheck,
@@ -38,7 +41,7 @@ from matzero.harness import (
     verify_size_and_cocircuit_bounds,
 )
 from matzero.instances import fano, k4_graphic
-from matzero.matroid import LinearMatroid, UniformMatroid
+from matzero.matroid import GraphicMatroid, LinearMatroid, MinorMatroid, UniformMatroid
 from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
 
 
@@ -405,3 +408,197 @@ def test_resolve_instances_errors():
         assert isinstance(info.value, MatZeroError)
         assert isinstance(info.value, ValueError)
         assert repr(spec) in str(info.value)
+
+
+# -- the whole-instance charpoly memo of the bound suites ----------------------
+
+
+def _counting_engine(monkeypatch):
+    """Count the deletion-contraction runs that start from the harness."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return cp_delete_contract(m)
+
+    monkeypatch.setattr(harness, "cp_delete_contract", counted)
+    return calls
+
+
+def _point_set(m):
+    """The projective points of m's columns, each scaled to 1 at its
+    first nonzero entry; written here apart from the harness's key."""
+    field = m.field
+    points = set()
+    for col in m.columns:
+        lead = next(x for x in col if x)
+        points.add(tuple(field.mul[field.inv[lead]][x] for x in col))
+    return frozenset(points)
+
+
+@pytest.mark.parametrize(
+    "suite, verify, q, k, count, seed",
+    [
+        (main_theorem_suite, verify_main_theorem, 2, 3, 80, 4),
+        (main_theorem_suite, verify_main_theorem, 3, 2, 80, 6),
+        (no_lines_suite, verify_no_lines_theorem, 2, 2, 60, 3),
+    ],
+)
+def test_charpoly_memo_keeps_report_bytes(
+    monkeypatch, fresh_charpoly_memo, suite, verify, q, k, count, seed
+):
+    """A cold run, a warm run and a run that calls the engine on every
+    instance write the same bytes."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = suite(q, k, count, seed=seed)
+    cold = reports_to_jsonl(verify(recs, q, k))
+    assert fresh_charpoly_memo
+    warm = reports_to_jsonl(verify(recs, q, k))
+    monkeypatch.setattr(harness, "_shared_charpoly", charpoly_auto)
+    direct = reports_to_jsonl(verify(recs, q, k))
+    assert cold == warm == direct
+
+
+def test_charpoly_memo_runs_the_engine_once_per_point_set(monkeypatch, fresh_charpoly_memo):
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = main_theorem_suite(2, 3, 100, seed=1)
+    distinct = {_point_set(rec.matroid) for rec in recs}
+    assert 1 < len(distinct) < 100
+    calls = _counting_engine(monkeypatch)
+    assert all_verdicts_true(verify_main_theorem(recs, 2, 3))
+    assert len(calls) == len(distinct) == len(fresh_charpoly_memo)
+    assert len({_point_set(m) for m in calls}) == len(distinct)
+
+
+def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
+    """Permuted, rescaled and repeated columns share one entry."""
+    F = gf(3)
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (0, 1, 1)]
+    variants = [
+        cols,
+        cols[::-1],
+        [tuple(F.mul[2][x] for x in c) for c in cols],
+        cols + [cols[2], tuple(F.mul[2][x] for x in cols[3])],
+        [cols[i] for i in (3, 0, 4, 1, 2, 0)],
+    ]
+    expected = charpoly_auto(LinearMatroid(F, cols))
+    calls = _counting_engine(monkeypatch)
+    for v in variants:
+        assert harness._shared_charpoly(LinearMatroid(F, v)) == expected
+    assert len(calls) == 1
+    assert len(fresh_charpoly_memo) == 1
+
+
+def test_charpoly_memo_never_aliases_fields(fresh_charpoly_memo):
+    """Equal integer columns over different fields, or over GF(8) under
+    two moduli, are different matroids and keep their own entries."""
+    fano_cols = fano().columns
+    gf8_cols = [(2, 1, 4), (1, 7, 7), (7, 6, 3), (1, 7, 0), (6, 6, 0), (7, 4, 3)]
+    other8 = ff_build(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1
+    assert other8 != gf(8)
+    pairs = [
+        (LinearMatroid(gf(2), fano_cols), LinearMatroid(gf(4), fano_cols)),
+        (LinearMatroid(gf(2), fano_cols), LinearMatroid(gf(3), fano_cols)),
+        (LinearMatroid(gf(8), gf8_cols), LinearMatroid(other8, gf8_cols)),
+    ]
+    for a, b in pairs:
+        fresh_charpoly_memo.clear()
+        for m in (a, b, a, b):
+            assert harness._shared_charpoly(m) == charpoly_auto(m)
+        assert len(fresh_charpoly_memo) == 2
+    # the last two pairs are different matroids, not just different keys
+    assert charpoly_auto(pairs[1][0]) != charpoly_auto(pairs[1][1])
+    assert charpoly_auto(pairs[2][0]) != charpoly_auto(pairs[2][1])
+
+
+def test_charpoly_memo_bypasses_loops_and_other_roots(monkeypatch, fresh_charpoly_memo):
+    looped = LinearMatroid(gf(2), [(1, 0), (0, 0), (1, 1)])
+    graphic = k4_graphic()
+    matroids = [
+        looped,
+        MinorMatroid(looped, (0, 1, 2), 0),
+        graphic,
+        MinorMatroid(graphic, (0, 1, 2, 3), 1 << 5),
+        GraphicMatroid(3, [(0, 1), (1, 1)]),
+        UniformMatroid(2, 4),
+    ]
+    expected = [charpoly_auto(m) for m in matroids]
+    assert expected[0] == expected[1] == expected[4] == ZERO
+    calls = _counting_engine(monkeypatch)
+    for _ in range(2):
+        assert [harness._shared_charpoly(m) for m in matroids] == expected
+    assert not fresh_charpoly_memo
+    assert len(calls) == 2 * len(matroids)
+
+
+def test_charpoly_memo_keeps_a_loopless_minor_of_a_matrix(fresh_charpoly_memo):
+    m = fano()
+    minor = m.contract([0])
+    assert isinstance(minor, MinorMatroid)
+    chi = harness._shared_charpoly(minor)
+    assert chi == charpoly_auto(minor) == charpoly_auto(m.contract_by_elimination([0]))
+    assert len(fresh_charpoly_memo) == 1
+
+
+def test_charpoly_memo_is_bounded(monkeypatch, fresh_charpoly_memo):
+    """The table holds at most the cap, dropping its oldest entry."""
+    monkeypatch.setattr(harness, "MAX_CHARPOLY_MEMO", 3)
+    F = gf(5)
+    points = [(1, a, b) for a in range(5) for b in range(5)]
+    keys = []
+    for n in range(1, 11):
+        m = LinearMatroid(F, points[:n])
+        harness._shared_charpoly(m)
+        keys.append((F, _point_set(m)))
+        assert len(fresh_charpoly_memo) <= 3
+    assert len(set(keys)) == 10
+    assert [(f, frozenset(p for _, p in rows)) for f, rows in fresh_charpoly_memo] == keys[-3:]
+
+
+def test_charpoly_memo_shared_by_threads(monkeypatch, fresh_charpoly_memo):
+    """Threads that fill and evict a tiny shared table at a short switch
+    interval all get right answers, and the cap holds."""
+    monkeypatch.setattr(harness, "MAX_CHARPOLY_MEMO", 4)
+    F = gf(3)
+    points = [(1, a, b) for a in range(3) for b in range(3)]
+    matroids = [LinearMatroid(F, points[: n + 1]) for n in range(9)]
+    expected = [charpoly_auto(m) for m in matroids]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(200):
+                j = (i + offset) % len(matroids)
+                assert harness._shared_charpoly(matroids[j]) == expected[j]
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(fresh_charpoly_memo) <= 4
+
+
+def test_identity_checks_never_touch_the_charpoly_memo(monkeypatch, fresh_charpoly_memo, tmp_path, capsys):
+    """verify_identities and the CLI's closed-form check recompute chi:
+    they neither read nor fill the bound suites' table."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = main_theorem_suite(2, 2, 6, seed=2) + [gen_glued(2, 2, 2, 1, seed=0)]
+    assert all_verdicts_true(verify_main_theorem(recs[:6], 2, 2))
+    before = dict(fresh_charpoly_memo)
+    for key in before:  # a read of the table would return this
+        fresh_charpoly_memo[key] = IntPoly([7])
+    assert all_verdicts_true(verify_identities(recs))
+    assert cli_main(["generate", "uniform", "--rank", "2", "--n", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert list(fresh_charpoly_memo) == list(before)
+    assert all(chi == IntPoly([7]) for chi in fresh_charpoly_memo.values())
