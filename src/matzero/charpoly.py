@@ -24,6 +24,7 @@ from math import comb, gcd
 from threading import Lock
 
 from .errors import (
+    ArgumentError,
     InexactDivisionError,
     NonIntegralError,
     NotSimpleError,
@@ -31,7 +32,7 @@ from .errors import (
     RootCertificateError,
     TooLargeError,
 )
-from .matroid import MAX_GROUND, LinearMatroid, Matroid, MinorMatroid, mask_bits
+from .matroid import MAX_GROUND, Matroid, MinorMatroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 # distinct polynomials whose root analysis is kept, and answers kept per
@@ -81,7 +82,7 @@ class IntPoly:
     @property
     def leading(self) -> int:
         if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
+            raise ArgumentError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -184,7 +185,7 @@ def lam_minus_one_power(r: int) -> IntPoly:
     """(lam - 1) ** r; precomputed for r <= MAX_GROUND, computed
     afresh and not kept above it."""
     if r < 0:
-        raise ValueError("the exponent must be nonnegative")
+        raise ArgumentError(f"the exponent must be nonnegative, got {r}")
     if r < len(_LIN_POWERS):
         return _LIN_POWERS[r]
     return _binomial_power(r)
@@ -221,42 +222,6 @@ def cp_boolean_expansion(m: Matroid) -> IntPoly:
     return IntPoly(coeffs)
 
 
-class _MinorContext:
-    """Shared state for the rank-oracle recursions: a fixed root matroid
-    plus rank queries for its minors, addressed by (kept-mask,
-    contracted-mask) pairs at root level."""
-
-    def __init__(self, m: Matroid):
-        root, kept, cmask = m._root_triple()
-        self.root = root
-        self.start_key = (sum(1 << k for k in kept), cmask)
-        self.memo: dict[tuple[int, int], IntPoly] = {}
-
-    def rank_in(self, cmask: int, mask: int) -> int:
-        return self.root.rank_mask(mask | cmask) - self.root.rank_mask(cmask)
-
-
-def _loops_and_duplicates(ctx: _MinorContext, rest: int, cmask: int):
-    """Locate loops and redundant parallel copies inside a minor.
-    Returns (loop mask, duplicate mask): duplicates are every element of
-    a parallel class except its lowest-index member."""
-    loops = 0
-    reps: list[int] = []
-    dupes = 0
-    for e in mask_bits(rest):
-        ebit = 1 << e
-        if ctx.rank_in(cmask, ebit) == 0:
-            loops |= ebit
-            continue
-        for rep in reps:
-            if ctx.rank_in(cmask, rep | ebit) == 1:
-                dupes |= ebit
-                break
-        else:
-            reps.append(ebit)
-    return loops, dupes
-
-
 def cp_delete_contract(m: Matroid) -> IntPoly:
     """Deletion-contraction with simplification before every split.
 
@@ -266,20 +231,17 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     are memoized by their (remaining, contracted) mask pair relative to
     the root matroid, with no cross-instance canonicalization.
 
-    When the root is a matrix the recursion carries each minor as a
-    reduced matrix and asks no rank query: the kept columns are reduced
-    once modulo the contracted span and scaled to 1 at their first
-    nonzero entry (:meth:`LinearMatroid.reduced_columns`).  A zero
+    The recursion carries each minor as a reduced matrix of the root's
+    :meth:`~Matroid.matrix` and asks no rank query: the kept columns are
+    reduced once modulo the contracted span and scaled to 1 at their
+    first nonzero entry (:meth:`LinearMatroid.reduced_columns`).  A zero
     column is a loop, equal columns are parallel, the first column that
     one elimination pass finds dependent is the pivot, and contracting
     it projects every other column along the pivot's
-    (:meth:`GF.project`).  Graphic and uniform roots recurse on rank
-    queries against the root instead.
+    (:meth:`GF.project`).
     """
-    root, kept, cmask = m._root_triple()
-    if not isinstance(root, LinearMatroid):
-        return _delete_contract_by_rank(m)
-    field = root.field
+    mat, kept, cmask = m._matrix_triple()
+    field = mat.field
     reduce, normalize, project = field.reduce, field.normalize, field.project
     memo: dict[tuple[int, int], IntPoly] = {}
 
@@ -320,45 +282,8 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         memo[key] = out
         return out
 
-    start = root.reduced_columns(kept, root.span_basis(cmask))
+    start = mat.reduced_columns(kept, mat.span_basis(cmask))
     return rec(sum(1 << k for k in kept), cmask, list(zip(kept, start)))
-
-
-def _delete_contract_by_rank(m: Matroid) -> IntPoly:
-    """:func:`cp_delete_contract` on rank queries alone: loops and
-    parallel copies are found by asking the root for the rank of each
-    element and each pair, and the pivot is the first element whose
-    deletion keeps the rank.  The only path for graphic and uniform
-    roots, and an oracle for the matrix path in the tests."""
-    ctx = _MinorContext(m)
-    full = ctx.start_key[0]
-
-    def rec(rest: int, cmask: int) -> IntPoly:
-        key = (rest, cmask)
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            return hit
-        loops, dupes = _loops_and_duplicates(ctx, rest, cmask)
-        if loops:
-            out = ZERO
-        elif dupes:
-            out = rec(rest & ~dupes, cmask)
-        else:
-            r = ctx.rank_in(cmask, rest)
-            count = bin(rest).count("1")
-            if r == count:
-                out = lam_minus_one_power(r)
-            else:
-                pivot = next(
-                    e for e in mask_bits(rest)
-                    if ctx.rank_in(cmask, rest & ~(1 << e)) == r
-                )
-                pbit = 1 << pivot
-                out = rec(rest & ~pbit, cmask) - rec(rest & ~pbit, cmask | pbit)
-        ctx.memo[key] = out
-        return out
-
-    return rec(full, ctx.start_key[1])
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
@@ -369,62 +294,58 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
 
     where X_{i,j} = {x_1, ..., x_{j-1}} minus {x_i}.  The input must be
     simple; intermediate minors are normalized (loops kill a term,
-    parallel copies are deleted) before recursing.
+    parallel copies are deleted) before recursing.  Like
+    :func:`cp_delete_contract` it reads each minor's loops and parallel
+    copies off the root matrix's columns reduced modulo the contracted
+    span: a zero column is a loop and equal columns are parallel.
     """
     if not m.is_simple():
         raise NotSimpleError("the cocircuit expansion needs a simple matroid")
-    ctx = _MinorContext(m)
-    root = ctx.root
+    mat, kept, cmask = m._matrix_triple()
+    memo: dict[tuple[int, int], IntPoly] = {}
 
     def norm(rest: int, cmask: int) -> IntPoly:
         key = (rest, cmask)
-        hit = ctx.memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        loops, dupes = _loops_and_duplicates(ctx, rest, cmask)
-        if loops:
+        elements = list(mask_bits(rest))
+        reps: dict = {}
+        for e, row in zip(elements, mat.reduced_columns(elements, mat.span_basis(cmask))):
+            reps.setdefault(row, e)
+        if None in reps:
             out = ZERO
-        elif dupes:
-            out = norm(rest & ~dupes, cmask)
+        elif len(reps) < len(elements):
+            out = norm(sum(1 << e for e in reps.values()), cmask)
         else:
-            out = expand(rest, cmask)
-        ctx.memo[key] = out
+            out = expand(rest, elements, cmask)
+        memo[key] = out
         return out
 
-    def expand(rest: int, cmask: int) -> IntPoly:
-        r = ctx.rank_in(cmask, rest)
-        count = bin(rest).count("1")
-        if r == count:
-            return lam_minus_one_power(r)
-        kept = tuple(mask_bits(rest))
-        minor = MinorMatroid(root, kept, cmask)
-        local = minor.find_small_cocircuit()
-        xs = [kept[i] for i in mask_bits(local)]
-        mlen = len(xs)
-        cstar = 0
-        for x in xs:
-            cstar |= 1 << x
-        total = x_minus(mlen) * norm(rest & ~cstar, cmask)
-        for j in range(1, mlen):
+    def expand(rest: int, elements: list, cmask: int) -> IntPoly:
+        minor = MinorMatroid(mat, tuple(elements), cmask)
+        if minor.full_rank == minor.n:
+            return lam_minus_one_power(minor.n)
+        xs = [elements[i] for i in mask_bits(minor.find_small_cocircuit())]
+        cstar = sum(1 << x for x in xs)
+        total = x_minus(len(xs)) * norm(rest & ~cstar, cmask)
+        for j in range(1, len(xs)):
             for i in range(j):
-                drop = 0
-                for t in range(j):
-                    if t != i:
-                        drop |= 1 << xs[t]
+                drop = sum(1 << xs[t] for t in range(j) if t != i)
                 pair = (1 << xs[i]) | (1 << xs[j])
                 total = total + norm(rest & ~drop & ~pair, cmask | pair)
         return total
 
-    return norm(*ctx.start_key)
+    return norm(sum(1 << k for k in kept), cmask)
 
 
 def cp_pg_closed_form(r: int, q: int) -> IntPoly:
     """Characteristic polynomial of the rank-r projective geometry over
     GF(q): the product (lam - 1)(lam - q)...(lam - q**(r-1))."""
     if r < 0:
-        raise ValueError("rank must be nonnegative")
+        raise ArgumentError(f"rank must be nonnegative, got {r}")
     if q < 2:
-        raise ValueError("the field order must be at least 2")
+        raise ArgumentError(f"the field order must be at least 2, got {q}")
     out = ONE
     power = 1
     for _ in range(r):
@@ -437,7 +358,7 @@ def cp_uniform_closed_form(r: int, n: int) -> IntPoly:
     """Characteristic polynomial of U_{r,n}:
     sum_{k=0}^{r-1} (-1)**k (n choose k) (lam**(r-k) - 1)."""
     if not 0 <= r <= n:
-        raise ValueError("a uniform matroid needs 0 <= r <= n")
+        raise ArgumentError(f"a uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     if r == 0:
         # empty matroid if n == 0, otherwise every element is a loop
         return ONE if n == 0 else ZERO
@@ -516,7 +437,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     """p divided by gcd(p, p'), scaled primitive with positive lead.
     Same real roots as p, all simple."""
     if p.is_zero:
-        raise ValueError("the zero polynomial has no squarefree part")
+        raise ArgumentError("the zero polynomial has no squarefree part")
     if p.degree == 0:
         return ONE
     # Euclid on primitive remainders: g ends as a gcd of p and p'

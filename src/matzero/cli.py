@@ -29,7 +29,6 @@ from .charpoly import (
     cp_uniform_closed_form,
 )
 from .errors import MatZeroError
-from .gfq import factor_prime_power, gf
 from .harness import (
     _random_linear,
     all_verdicts_true,
@@ -44,7 +43,7 @@ from .harness import (
     verify_no_lines_theorem,
     verify_size_and_cocircuit_bounds,
 )
-from .matroid import GraphicMatroid, LinearMatroid, load_matroid, save_matroid
+from .matroid import GraphicMatroid, UniformMatroid, load_matroid, save_matroid
 from .treedecomp import (
     best_heuristic,
     exact_treewidth_small,
@@ -127,44 +126,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_verdicts_true(reports) else 1
 
 
-def _smallest_prime_power_at_least(x: int) -> int:
-    q = max(2, x)
-    while True:
-        try:
-            factor_prime_power(q)
-            return q
-        except ValueError:
-            q += 1
-
-
-def _uniform_linear(r: int, n: int) -> LinearMatroid:
-    """A linear representation of the rank-r uniform matroid on n
-    elements: moment-curve columns (1, t, ..., t**(r-1)) at distinct t,
-    plus the point at infinity when n == q + 1, over the smallest prime
-    power q >= n - 1."""
-    if r <= 0 or n < r:
-        raise ValueError("need 0 < r <= n")
-    if r == 1:
-        return LinearMatroid(gf(2), [[1]] * n)
-    if r >= n:
-        cols = []
-        for j in range(n):
-            col = [0] * r
-            col[j] = 1
-            cols.append(col)
-        return LinearMatroid(gf(2), cols)
-    q = _smallest_prime_power_at_least(n - 1)
-    F = gf(q)
-    cols = []
-    for t in range(n - 1 if n == q + 1 else n):
-        cols.append([F.pow(t, i) for i in range(r)])
-    if n == q + 1:
-        inf = [0] * r
-        inf[r - 1] = 1
-        cols.append(inf)
-    return LinearMatroid(F, cols)
-
-
 def _cmd_generate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +143,7 @@ def _cmd_generate(args) -> int:
         save_instances(outdir, [rec])
         print(outdir / f"{rec.id}.matrix")
     elif args.kind == "uniform":
-        m = _uniform_linear(args.rank, args.n)
+        m = UniformMatroid(args.rank, args.n).matrix()
         stem = f"uniform-r{args.rank}n{args.n}"
         path = outdir / f"{stem}.matrix"
         save_matroid(m, path)

@@ -5,6 +5,12 @@ class MatZeroError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ArgumentError(MatZeroError, ValueError):
+    """A function got an argument outside its domain: a negative
+    exponent or rank, a field order below 2, the zero polynomial where
+    a nonzero one is needed, or a uniform matroid with r > n."""
+
+
 class ParseError(MatZeroError, ValueError):
     """A matroid or decomposition file is malformed.  ``line`` is the
     1-based number of the offending line, or None for the whole file."""
@@ -64,7 +70,7 @@ class NonIntegralError(MatZeroError, ValueError):
     """A polynomial coefficient or scalar factor is not an integer."""
 
 
-class RootArgumentError(MatZeroError, ValueError):
+class RootArgumentError(ArgumentError):
     """A root-layer function got an argument it cannot answer for: the
     zero polynomial, a bound that is not a finite rational number, or a
     tolerance that is not a positive one."""

@@ -84,28 +84,26 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
 
     A loopless matroid's chi is that of its simplification, which the
     set of its columns' projective points fixes: relabelling, rescaling
-    or repeating a column leaves it alone.  So a loopless matroid whose
-    root is a matrix is keyed by its field and the set of its
-    normalized columns (:meth:`LinearMatroid.reduced_columns`, modulo
-    the contracted span for a minor), and its chi is kept in a table of
-    at most ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares
-    p, d and the modulus, so fields that encode elements differently
-    never share an entry.  A matroid with a loop, or whose root is
-    graphic or uniform, is computed afresh every time, as are the
-    minors inside one computation.
+    or repeating a column leaves it alone.  So a loopless matroid is
+    keyed by the field of its root's matrix (:meth:`Matroid.matrix`)
+    and the set of its normalized columns
+    (:meth:`LinearMatroid.reduced_columns`, modulo the contracted span
+    for a minor), and its chi is kept in a table of at most
+    ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares p, d and
+    the modulus, so fields that encode elements differently never share
+    an entry.  A matroid with a loop is computed afresh every time, as
+    are the minors inside one computation.
 
     Only the bound suites read this table.  :func:`verify_identities`
     and the CLI's closed-form check call the engine directly: their
     job is to compute chi again and compare, and a shared table would
     turn those checks into reads of an earlier answer.
     """
-    root, kept, cmask = m._root_triple()
-    if not isinstance(root, LinearMatroid):
-        return charpoly_auto(m)
-    rows = root.reduced_columns(kept, root.span_basis(cmask))
+    mat, kept, cmask = m._matrix_triple()
+    rows = mat.reduced_columns(kept, mat.span_basis(cmask))
     if None in rows:
         return charpoly_auto(m)
-    key = (root.field, frozenset(rows))
+    key = (mat.field, frozenset(rows))
     chi = _CHARPOLY_MEMO.get(key)
     if chi is None:
         chi = _remember(_CHARPOLY_MEMO, key, charpoly_auto(m), MAX_CHARPOLY_MEMO)

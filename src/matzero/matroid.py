@@ -9,12 +9,14 @@ of its minors so repeated queries against a fixed root stay cheap.
 Three backends are provided: explicit matrices over a small finite
 field (:class:`LinearMatroid`), uniform matroids, and graphic matroids
 of multigraphs.  A minor of any of them is a view onto its root
-(:class:`MinorMatroid`) whose rank function is a rank offset.  A minor
-of a matrix is also read as a matrix: its loops, parallel classes and
-flats come from the kept columns reduced modulo the span of the
-contracted ones (:meth:`LinearMatroid.reduced_columns`), and so does
-deletion-contraction in :mod:`matzero.charpoly`.  Graphic and uniform
-roots have only the rank-offset view.
+(:class:`MinorMatroid`) whose rank function is a rank offset.  Every
+root also has a matrix (:meth:`Matroid.matrix`): a graphic matroid its
+GF(2) incidence matrix, U_{r,n} a normal rational curve.  So every
+minor is read as a matrix too: its loops, parallel classes and flats
+come from the kept columns reduced modulo the span of the contracted
+ones (:meth:`LinearMatroid.reduced_columns`), and so does
+deletion-contraction in :mod:`matzero.charpoly`.  Rank queries still
+go to each backend's own rank function.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
+    ArgumentError,
     HasLoopError,
     NotLinearError,
     NotSimpleError,
@@ -31,7 +34,7 @@ from .errors import (
     RankZeroError,
     TooLargeError,
 )
-from .gfq import GF, gf
+from .gfq import GF, factor_prime_power, gf
 
 MAX_GROUND = 24
 MAX_FLATS = 2_000_000
@@ -98,6 +101,7 @@ class Matroid:
         if len(self.labels) != n:
             raise ValueError("labels must match the ground set size")
         self._rank_cache: dict[int, int] = {}
+        self._matrix: LinearMatroid | None = None
 
     # -- identity of this matroid as a minor of some root --------------------
     # Base matroids are their own root; MinorMatroid overrides these.
@@ -109,6 +113,12 @@ class Matroid:
     def _root_triple(self):
         """(root, kept root indices, contracted root mask)."""
         return self, tuple(range(self.n)), 0
+
+    def _matrix_triple(self):
+        """:meth:`_root_triple` with the root's :meth:`matrix` in place
+        of the root: what every vector path reads."""
+        root, kept, cmask = self._root_triple()
+        return root.matrix(), kept, cmask
 
     # -- rank and closure -----------------------------------------------------
 
@@ -125,6 +135,16 @@ class Matroid:
 
     def rank(self, subset) -> int:
         return self.rank_mask(as_mask(self.n, subset))
+
+    def matrix(self) -> "LinearMatroid":
+        """A matrix whose column matroid is this one, element for
+        element; built on the first call and kept."""
+        if self._matrix is None:
+            self._matrix = self._build_matrix()
+        return self._matrix
+
+    def _build_matrix(self) -> "LinearMatroid":
+        raise NotImplementedError
 
     @property
     def full_rank(self) -> int:
@@ -145,11 +165,11 @@ class Matroid:
     # -- loops, parallelism, simplification ------------------------------------
 
     def loops_mask(self) -> int:
-        m = 0
-        for e in range(self.n):
-            if self.rank_mask(1 << e) == 0:
-                m |= 1 << e
-        return m
+        """The elements whose columns, reduced modulo the span of the
+        contracted ones, are zero."""
+        mat, kept, cmask = self._matrix_triple()
+        rows = mat.reduced_columns(kept, mat.span_basis(cmask))
+        return mask_of(e for e, row in enumerate(rows) if row is None)
 
     def is_loopless(self) -> bool:
         return self.loops_mask() == 0
@@ -159,10 +179,10 @@ class Matroid:
         rank-1 flats, in order of their lowest element."""
         if self.loops_mask():
             raise HasLoopError("parallel classes are only defined for loopless matroids")
-        return [tuple(mask_bits(c)) for c in self._covers(0, 0)]
+        return [tuple(mask_bits(c)) for c in _quotient_covers(self, 0, None)]
 
     def is_simple(self) -> bool:
-        return not self.loops_mask() and len(self._covers(0, 0)) == self.n
+        return not self.loops_mask() and len(_quotient_covers(self, 0, None)) == self.n
 
     def simplify(self) -> tuple["Matroid", list[tuple[int, ...]]]:
         """Restrict to the lowest-index representative of each parallel
@@ -204,44 +224,18 @@ class Matroid:
 
     # -- flats and the Mobius function ------------------------------------------
 
-    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
-        """The flats covering the flat ``fmask`` of rank ``rank``, as a
-        dict from each cover to what the lattice walk hands down with
-        it: None here.  A matrix hands each cover G = F + class(p) the
-        pair (points of M/F, p) and reads its own covers from the
-        ``carried`` pair the walk gave F (:func:`_quotient_covers`).
-
-        The covers partition the elements outside F, so each one is
-        found once, as the closure of the lowest element not yet placed
-        in an earlier cover, and that closure only tests the elements
-        still unplaced."""
-        covers = {}
-        rest = self.full_mask & ~fmask
-        while rest:
-            low = rest & -rest
-            base = fmask | low
-            cover = base
-            for e in mask_bits(rest ^ low):
-                bit = 1 << e
-                if self.rank_mask(base | bit) == rank + 1:
-                    cover |= bit
-            covers[cover] = None
-            rest &= ~cover
-        return covers
-
     def _flat_lattice(self) -> tuple[list[list[int]], dict[int, list[int]]]:
         """All flats grouped by rank, as masks, with the cover relation.
 
         Level 0 is cl(empty), the loops, and every level is sorted.
         ``up[F]`` lists the flats covering F.  The walk visits each flat
-        once, one level at a time, and asks :meth:`_covers` for the
-        flats one rank above it, handing it what the call that found F
-        returned with F; the next level is the union of those covers.
-        A matrix or a minor of one reads its covers off quotient
-        vectors with no rank query: F carries the points of M/F, and
+        once, one level at a time, and reads the flats one rank above
+        it off quotient vectors with no rank query
+        (:func:`_quotient_covers`): F carries the points of M/F, and
         each cover G = F + class(p) is handed that dict and p, from
-        which it projects the points of M/G along p alone.  The one
-        cover of a hyperplane is the ground set, so it is not computed."""
+        which it projects the points of M/G along p alone; the next
+        level is the union of those covers.  The one cover of a
+        hyperplane is the ground set, so it is not computed."""
         bottom = self.loops_mask()
         top = self.full_rank
         levels = [[bottom]]
@@ -254,7 +248,7 @@ class Matroid:
                 if rank == top - 1:
                     covers = {self.full_mask: None}
                 else:
-                    covers = self._covers(fmask, rank, carried[fmask])
+                    covers = _quotient_covers(self, fmask, carried[fmask])
                 up[fmask] = list(covers)
                 for cover, handed in covers.items():
                     nxt.setdefault(cover, handed)
@@ -316,7 +310,7 @@ class Matroid:
         atoms: contract F and keep one element of each atom.  The atoms
         of [F, T] are the covers of F that T covers, so the scan walks
         the cover relation from :meth:`_flat_lattice` (read off quotient
-        points carried down the walk for a matrix-backed matroid) and,
+        points carried down the walk) and,
         for each F with at least ``length`` covers, counts how many
         covers of F each T covers, stopping as soon as a count reaches
         ``length``."""
@@ -382,8 +376,8 @@ class LinearMatroid(Matroid):
     def _rank_mask(self, mask: int) -> int:
         return len(self.field.echelon(self.columns[e] for e in mask_bits(mask)))
 
-    def loops_mask(self) -> int:
-        return mask_of(e for e, c in enumerate(self.columns) if not any(c))
+    def matrix(self) -> "LinearMatroid":
+        return self
 
     def span_basis(self, mask: int) -> list[tuple[int, tuple[int, ...]]]:
         """An echelon basis (:meth:`GF.echelon`) of the span of the
@@ -403,9 +397,6 @@ class LinearMatroid(Matroid):
         columns = self.columns
         return [normalize(reduce(basis, columns[e])) for e in elements]
 
-    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
-        return _quotient_covers(self, fmask, carried)
-
     def contract_by_elimination(self, subset) -> "LinearMatroid":
         """Contract by explicit matrix surgery: reduce the other columns
         modulo the span of the contracted ones and drop that span's
@@ -424,18 +415,50 @@ class LinearMatroid(Matroid):
         return LinearMatroid(self.field, new_cols, labels, nrows=len(keep_rows))
 
 
+def _smallest_prime_power_at_least(x: int) -> int:
+    q = max(2, x)
+    while True:
+        try:
+            factor_prime_power(q)
+            return q
+        except ValueError:
+            q += 1
+
+
 class UniformMatroid(Matroid):
     """U_{r,n}: every subset of at most r elements is independent."""
 
     def __init__(self, r: int, n: int, labels=None):
         if r < 0 or r > n:
-            raise ValueError("a uniform matroid needs 0 <= r <= n")
+            raise ArgumentError(f"a uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
         self.r = r
         self._init_common(n, labels)
 
     def _rank_mask(self, mask: int) -> int:
         c = bin(mask).count("1")
         return c if c < self.r else self.r
+
+    def _build_matrix(self) -> LinearMatroid:
+        """The normal rational curve: columns (1, t, ..., t**(r-1)) at
+        distinct t, plus the point at infinity when n == q + 1, over
+        the smallest prime power q >= n - 1; n <= MAX_GROUND keeps q
+        within the field cap.  (Oxley, *Matroid Theory*, ch. 6.)  U_{r,r}
+        is the identity and U_{1,n} a row of ones over GF(2), and U_{0,n}
+        is n zero columns of height 0."""
+        r, n = self.r, self.n
+        if r == 0:
+            return LinearMatroid(gf(2), [()] * n, self.labels, nrows=0)
+        if r == 1:
+            return LinearMatroid(gf(2), [[1]] * n, self.labels)
+        if r == n:
+            identity = [[int(i == j) for i in range(r)] for j in range(n)]
+            return LinearMatroid(gf(2), identity, self.labels)
+        q = _smallest_prime_power_at_least(n - 1)
+        F = gf(q)
+        cols = [[F.pow(t, i) for i in range(r)] for t in range(min(n, q))]
+        if n == q + 1:
+            cols.append([0] * (r - 1) + [1])
+        return LinearMatroid(F, cols, self.labels)
 
 
 class GraphicMatroid(Matroid):
@@ -469,10 +492,24 @@ class GraphicMatroid(Matroid):
                 rank += 1
         return rank
 
+    def _build_matrix(self) -> LinearMatroid:
+        """The GF(2) incidence matrix, one row per vertex that some edge
+        touches, so the height does not grow with ``num_vertices``; a
+        loop edge is a zero column."""
+        rows = {v: i for i, v in enumerate(sorted({v for edge in self.edges for v in edge}))}
+        cols = []
+        for u, v in self.edges:
+            col = [0] * len(rows)
+            col[rows[u]] ^= 1
+            col[rows[v]] ^= 1
+            cols.append(col)
+        return LinearMatroid(gf(2), cols, self.labels, nrows=len(rows))
+
 
 def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
-    """The covers of a flat F of a matrix-backed matroid or of a minor
-    of one, read from the points of M/F with no rank query.  The points
+    """The flats covering the flat F = ``fmask`` of m, as a dict from
+    each cover to what the lattice walk hands down with it, read from
+    the points of M/F in the root's matrix with no rank query.  The points
     are a dict from echelon row (:meth:`GF.normalize`) to the mask of
     the elements outside F whose columns, reduced modulo the span of F
     and the contracted columns, give that row.  Each point's class
@@ -484,16 +521,16 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     E, with classes merged where points meet.  (Oxley, *Matroid Theory*:
     contracting a represented element projects every other column away
     from its vector.)  With None the columns are reduced from scratch."""
-    root, kept, cmask = m._root_triple()
+    mat, kept, cmask = m._matrix_triple()
     points: dict[tuple, int] = {}
     if carried is None:
-        basis = root.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
+        basis = mat.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
         outside = list(mask_bits(m.full_mask & ~fmask))
-        for e, point in zip(outside, root.reduced_columns([kept[e] for e in outside], basis)):
+        for e, point in zip(outside, mat.reduced_columns([kept[e] for e in outside], basis)):
             points[point] = points.get(point, 0) | (1 << e)
     else:
         parent, p = carried
-        project = root.field.project
+        project = mat.field.project
         for point, cls in parent.items():
             if point != p:
                 point = project(point, p)
@@ -503,9 +540,9 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
 
 class MinorMatroid(Matroid):
     """A minor of a root matroid, evaluated by rank offset:
-    r_{M/C\\D}(A) = r_M(A | C) - r_M(C).  A minor of a matrix reads its
-    loops and covers from the root's kept columns reduced modulo the
-    span of the contracted ones, with no rank query."""
+    r_{M/C\\D}(A) = r_M(A | C) - r_M(C).  Its loops and covers come from
+    the root's matrix, kept columns reduced modulo the span of the
+    contracted ones, with no rank query."""
 
     def __init__(self, root: Matroid, kept: tuple[int, ...], contracted_mask: int, labels=None):
         self._root = root
@@ -536,18 +573,6 @@ class MinorMatroid(Matroid):
     def _rank_mask(self, mask: int) -> int:
         root_mask = self.to_root_mask(mask)
         return self._root.rank_mask(root_mask | self.contracted_mask) - self._contract_rank
-
-    def loops_mask(self) -> int:
-        root = self._root
-        if not isinstance(root, LinearMatroid):
-            return super().loops_mask()
-        rows = root.reduced_columns(self.kept, root.span_basis(self.contracted_mask))
-        return mask_of(e for e, row in enumerate(rows) if row is None)
-
-    def _covers(self, fmask: int, rank: int, carried=None) -> dict:
-        if not isinstance(self._root, LinearMatroid):
-            return super()._covers(fmask, rank, carried)
-        return _quotient_covers(self, fmask, carried)
 
 
 def uniform(r: int, n: int) -> UniformMatroid:

@@ -37,7 +37,7 @@ from .matroid import (
     mask_of,
     require_simple,
 )
-from .treedecomp import Tree, TreeDecomposition
+from .treedecomp import TreeDecomposition
 
 MAX_POINTS = 4096
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInTreeError, ParseError, TooLargeError
-from .matroid import Matroid, UniformMatroid, content_lines, mask_bits, mask_of, parse_ints
+from .matroid import Matroid, content_lines, mask_bits, parse_ints
 
 EXACT_SEARCH_MAX = 10
 

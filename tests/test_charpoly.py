@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from matzero import charpoly
 from matzero.charpoly import (
     ONE,
-    _delete_contract_by_rank,
     ZERO,
     IntPoly,
     cauchy_root_bound,
@@ -34,6 +33,7 @@ from matzero.charpoly import (
     _simplest_in,
 )
 from matzero.errors import (
+    ArgumentError,
     InexactDivisionError,
     MatZeroError,
     NonIntegralError,
@@ -45,7 +45,14 @@ from matzero.errors import (
 from matzero.gfq import gf
 from matzero.instances import fano, k4_graphic, non_fano
 from matzero.harness import ROOT_TOL, charpoly_auto, gen_glued, main_theorem_suite
-from matzero.matroid import MAX_GROUND, GraphicMatroid, LinearMatroid, UniformMatroid
+from matzero.matroid import (
+    MAX_GROUND,
+    GraphicMatroid,
+    LinearMatroid,
+    Matroid,
+    UniformMatroid,
+    mask_bits,
+)
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -234,6 +241,80 @@ def test_engines_agree_on_uniform_sweep():
                 assert engine(m) == expected, (r, n, engine.__name__)
 
 
+# -- the rank-oracle reference for deletion-contraction ----------------------
+
+
+class _MinorContext:
+    """Shared state for the rank-oracle recursions: a fixed root matroid
+    plus rank queries for its minors, addressed by (kept-mask,
+    contracted-mask) pairs at root level."""
+
+    def __init__(self, m: Matroid):
+        root, kept, cmask = m._root_triple()
+        self.root = root
+        self.start_key = (sum(1 << k for k in kept), cmask)
+        self.memo: dict[tuple[int, int], IntPoly] = {}
+
+    def rank_in(self, cmask: int, mask: int) -> int:
+        return self.root.rank_mask(mask | cmask) - self.root.rank_mask(cmask)
+
+
+def _loops_and_duplicates(ctx: _MinorContext, rest: int, cmask: int):
+    """Locate loops and redundant parallel copies inside a minor.
+    Returns (loop mask, duplicate mask): duplicates are every element of
+    a parallel class except its lowest-index member."""
+    loops = 0
+    reps: list[int] = []
+    dupes = 0
+    for e in mask_bits(rest):
+        ebit = 1 << e
+        if ctx.rank_in(cmask, ebit) == 0:
+            loops |= ebit
+            continue
+        for rep in reps:
+            if ctx.rank_in(cmask, rep | ebit) == 1:
+                dupes |= ebit
+                break
+        else:
+            reps.append(ebit)
+    return loops, dupes
+
+
+def _delete_contract_by_rank(m: Matroid) -> IntPoly:
+    """cp_delete_contract on rank queries alone: loops and parallel
+    copies are found by asking the root for the rank of each element
+    and each pair, and the pivot is the first element whose deletion
+    keeps the rank.  It reads no matrix, so it checks the vector
+    engines independently."""
+    ctx = _MinorContext(m)
+
+    def rec(rest: int, cmask: int) -> IntPoly:
+        key = (rest, cmask)
+        hit = ctx.memo.get(key)
+        if hit is not None:
+            return hit
+        loops, dupes = _loops_and_duplicates(ctx, rest, cmask)
+        if loops:
+            out = ZERO
+        elif dupes:
+            out = rec(rest & ~dupes, cmask)
+        else:
+            r = ctx.rank_in(cmask, rest)
+            if r == bin(rest).count("1"):
+                out = lam_minus_one_power(r)
+            else:
+                pivot = next(
+                    e for e in mask_bits(rest)
+                    if ctx.rank_in(cmask, rest & ~(1 << e)) == r
+                )
+                pbit = 1 << pivot
+                out = rec(rest & ~pbit, cmask) - rec(rest & ~pbit, cmask | pbit)
+        ctx.memo[key] = out
+        return out
+
+    return rec(*ctx.start_key)
+
+
 def _vector_engine_battery():
     """Seeded matrices over GF(2..5) with zero columns (loops), repeated
     and rescaled columns (parallel pairs) and zero rows mixed in, each
@@ -273,20 +354,46 @@ def test_vector_engine_matches_rank_oracles():
         assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
 
 
-def test_graphic_and_uniform_roots_take_the_rank_path():
-    for m in (
-        k4_graphic(),
-        k4_graphic().minor(delete=[1], contract=[4]),
-        GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)]),
-        GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (0, 3)]),
-        UniformMatroid(3, 7).minor(delete=[0], contract=[5]),
-        UniformMatroid(2, 4).contract([1, 2]),
-    ):
-        before = len(m.root._rank_cache)
+def _graphic_and_uniform_battery():
+    """Graphic and uniform roots, with loops, parallel edges and vertex
+    labels far beyond the edge count, and minors of them."""
+    yield k4_graphic()
+    yield k4_graphic().minor(delete=[1], contract=[4])
+    yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)])
+    yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (0, 3)])
+    big = 10 ** 18
+    yield GraphicMatroid(big, [(0, big - 1), (big - 1, 7), (7, 0), (7, big - 1), (5, 5)])
+    yield UniformMatroid(3, 7).minor(delete=[0], contract=[5])
+    yield UniformMatroid(2, 4).contract([1, 2])
+    yield UniformMatroid(4, 9).minor(delete=[2, 3], contract=[0])
+
+
+def test_graphic_and_uniform_roots_take_the_matrix_path():
+    """Deletion-contraction reads a graphic or uniform root's matrix
+    and adds no entry to the root's rank cache, and still agrees with
+    the rank oracle and the subset and Mobius expansions."""
+    for m in _graphic_and_uniform_battery():
+        before = dict(m.root._rank_cache)
         p = cp_delete_contract(m)
-        assert len(m.root._rank_cache) > before  # the rank oracle answered
+        assert m.root._rank_cache == before
         assert p == _delete_contract_by_rank(m) == cp_boolean_expansion(m), m
         assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
+
+
+def test_cocircuit_expansion_matches_the_rank_oracle_on_vector_minors():
+    """The cocircuit expansion finds loops and parallel copies of its
+    minors from reduced columns; on simplifications of matrices, of
+    graphic and uniform roots and of minors of them it agrees with the
+    rank-oracle deletion-contraction."""
+    matroids = list(_vector_engine_battery()) + list(_graphic_and_uniform_battery())
+    checked = 0
+    for m in matroids:
+        if m.loops_mask() or not m.n:
+            continue
+        simple, _ = m.simplify()
+        assert cp_cocircuit_expansion(simple) == _delete_contract_by_rank(m), m
+        checked += 1
+    assert checked >= 50
 
 
 def test_matrix_deletion_contraction_queries_no_ranks():
@@ -320,6 +427,30 @@ def test_cocircuit_engine_requires_simple():
         cp_cocircuit_expansion(UniformMatroid(1, 2))
     with pytest.raises(NotSimpleError):
         cp_cocircuit_expansion(UniformMatroid(0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: squarefree_part(ZERO),
+        lambda: ZERO.leading,
+        lambda: cp_pg_closed_form(2, 1),
+        lambda: cp_pg_closed_form(-1, 2),
+        lambda: lam_minus_one_power(-1),
+        lambda: cp_uniform_closed_form(3, 2),
+        lambda: UniformMatroid(3, 2),
+    ],
+    ids=["squarefree_part", "leading", "pg_order", "pg_rank", "lam_power",
+         "uniform_closed_form", "uniform_matroid"],
+)
+def test_bad_polynomial_arguments_raise_a_typed_error(call):
+    """Bad input to the polynomial layer, and a uniform matroid with
+    r > n, raise ArgumentError: a MatZeroError that callers catching
+    ValueError still see."""
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert isinstance(info.value, MatZeroError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_boolean_expansion_size_cap():

@@ -1,6 +1,9 @@
 """The command line front end, executed in process through main()."""
 
+import hashlib
 import json
+
+import pytest
 
 from matzero.cli import main
 from matzero.gfq import gf
@@ -30,6 +33,64 @@ def test_generate_uniform_writes_matrix_and_decomposition(capsys, tmp_path):
     assert (m.full_rank, m.n) == (2, 5)
     dec = load_decomposition(decomp, m)
     assert dec.width() == 2
+
+
+# sha256 of the matrix and decomposition files `generate uniform` writes:
+# the normal rational curve over the smallest prime power q >= n - 1,
+# with the point at infinity when n == q + 1 (r=2 n=4, r=4 n=9, r=3 n=10
+# over GF(9), r=5 n=12), U_{r,r} as the identity and U_{1,n} as ones
+UNIFORM_FILES = {
+    (1, 1): ("936046336be194ad768324b0fa1638a21e1dcf174384e9949e285b57d21923a8",
+             "fa850cc740288e9c547a7a2f6b9800e74a10898b1ec396de40ca9b04a176a19f"),
+    (1, 3): ("cfefe280b8ac30bf83951432fb6b84ddb8e4aa59e612084a2a5e2484893874e0",
+             "a325fe42e124ab466187d011a199c2874e4fe9c956589b66d7d200e5910f458c"),
+    (2, 2): ("0a41db16d88069271371c9e9da7b4228b7f376ac01303af67bb253cff9324dc3",
+             "c58a6ab7b420a33e78a0b3ae8017a953e9bf4118544835ad247e2adb8b4b31ec"),
+    (2, 4): ("fafb803a8ae5a466cc402e0876b722eae7e5414bdce4ecebfc20f03da25e8dbd",
+             "a81d89541eff7d773bdca66ab9b6bc0a2267c81b1686315342f2569811ee2b9d"),
+    (2, 9): ("cefcdd9718bd0fdf519915ca7f40e8db9be513e095726308cf64ea6f875c8d18",
+             "d57e9ce2a4bc56fb54b7746353e4c74a4a2117e1fe595a232e47494dd5f7c858"),
+    (3, 7): ("176af9740fd109ee12d73bacbb17b80c3670def81d9c5d8eca7edac3f928e49f",
+             "250b17970e1fb5e1275959225ad5e6e460463703c97e9f83a8215142327fd943"),
+    (3, 10): ("c9374310bbc14d811f40bff0f89eb5aba58649d4e9583cdd1e5376a57ed19080",
+              "a2ce2385d363bf65c7695258438e58a070c3de7e49a7adbc4e67473556aed328"),
+    (4, 9): ("fb5ec8f2b0eca69ca01e98f4e8b15899dfba28ebacc96335c1a1251956351bf1",
+             "d57e9ce2a4bc56fb54b7746353e4c74a4a2117e1fe595a232e47494dd5f7c858"),
+    (5, 12): ("12515971cf2e034dc53f614b3a0e03a8621008d40d3ef9c8891c0986a459275a",
+              "137b34976c3c626347c2a0a88acd8318867e530b56b97dfe4714ae5bc7ce31ad"),
+}
+
+
+@pytest.mark.parametrize("r,n", sorted(UNIFORM_FILES))
+def test_generate_uniform_writes_the_same_bytes(capsys, tmp_path, r, n):
+    rc, _ = run(capsys, "generate", "uniform", "--rank", str(r), "--n", str(n),
+                "--out", str(tmp_path))
+    assert rc == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"uniform-r{r}n{n}.{ext}").read_bytes()).hexdigest()
+        for ext in ("matrix", "decomp")
+    )
+    assert digests == UNIFORM_FILES[r, n]
+
+
+def test_generate_uniform_rank_zero(capsys, tmp_path):
+    rc, out = run(capsys, "generate", "uniform", "--rank", "0", "--n", "3",
+                  "--out", str(tmp_path))
+    assert rc == 0
+    matrix = tmp_path / "uniform-r0n3.matrix"
+    assert out.split() == [str(matrix)]
+    assert matrix.read_text() == "2 0 3\n"
+    m = load_matroid(matrix)
+    assert (m.full_rank, m.n, m.loops_mask()) == (0, 3, 0b111)
+
+
+def test_generate_uniform_rejects_rank_above_n(capsys, tmp_path):
+    rc = main(["generate", "uniform", "--rank", "4", "--n", "3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "matzero: a uniform matroid needs 0 <= r <= n, got r=4, n=3\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_charpoly_engines_agree_via_cli(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Rank oracles, minors, flats, Mobius values, cocircuits, line minors,
 and the matroid file format."""
 
+import copy
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from matzero.errors import (
     HasLoopError,
     MatZeroError,
+    NotLinearError,
     NotSimpleError,
     ParseError,
     RankZeroError,
@@ -21,8 +23,8 @@ from matzero.instances import fano, k4_graphic, non_fano
 from matzero.matroid import (
     GraphicMatroid,
     LinearMatroid,
-    Matroid,
     UniformMatroid,
+    _quotient_covers,
     as_mask,
     format_matroid,
     mask_bits,
@@ -320,31 +322,54 @@ def test_flat_lattice_matches_closure_oracle():
     assert full_lines >= {4, 5, 9}  # true answers from U_{2,q+1} minors
 
 
+def _rank_covers(m, fmask, rank):
+    """Reference: the covers of the flat ``fmask`` of rank ``rank``, each
+    the closure of the lowest element not yet placed in an earlier
+    cover, found by rank queries alone."""
+    covers = []
+    rest = m.full_mask & ~fmask
+    while rest:
+        low = rest & -rest
+        cover = fmask | low
+        for e in mask_bits(rest ^ low):
+            if m.rank_mask(fmask | low | 1 << e) == rank + 1:
+                cover |= 1 << e
+        covers.append(cover)
+        rest &= ~cover
+    return covers
+
+
 def test_linear_covers_agree_with_generic_and_query_no_ranks():
-    """A matrix and a minor of one (kept columns reduced modulo the
-    contracted span) read their covers with no rank query."""
+    """A matroid and a minor of one read their covers from the root's
+    matrix (kept columns reduced modulo the contracted span) with no
+    rank query, and agree with covers found by rank queries."""
     rng = random.Random(37)
+    roots = []
     for q in (2, 3, 4, 5):
         for _ in range(5):
-            m = _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9))
-            fate = [rng.randrange(3) for _ in range(m.n)]
-            deleted = [e for e in range(m.n) if fate[e] == 1]
-            contracted = [e for e in range(m.n) if fate[e] == 2]
-            # the references ask ranks of a twin, so m's cache stays cold
-            twin = LinearMatroid(m.field, m.columns)
-            pairs = [
-                (m, twin),
-                (m.minor(deleted, contracted), twin.minor(deleted, contracted)),
-            ]
-            for mm, ref in pairs:
-                cached = len(m._rank_cache), len(mm._rank_cache)
-                assert mm.loops_mask() == ref.loops_mask()
-                levels, _ = _closure_lattice(ref)
-                for rank, level in enumerate(levels):
-                    for fmask in level:
-                        fast = mm._covers(fmask, rank)
-                        assert sorted(fast) == sorted(Matroid._covers(ref, fmask, rank))
-                assert (len(m._rank_cache), len(mm._rank_cache)) == cached
+            roots.append(_random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9)))
+    roots += [k4_graphic(), GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 0), (3, 3), (3, 4)]),
+              UniformMatroid(3, 7), UniformMatroid(2, 5), UniformMatroid(1, 3)]
+    for m in roots:
+        fate = [rng.randrange(3) for _ in range(m.n)]
+        deleted = [e for e in range(m.n) if fate[e] == 1]
+        contracted = [e for e in range(m.n) if fate[e] == 2]
+        # the references ask ranks of a twin, so m's cache stays cold
+        twin = copy.copy(m)
+        twin._rank_cache = {}
+        pairs = [
+            (m, twin),
+            (m.minor(deleted, contracted), twin.minor(deleted, contracted)),
+        ]
+        for mm, ref in pairs:
+            cached = len(m._rank_cache), len(mm._rank_cache)
+            assert mm.loops_mask() == ref.closure_mask(0)
+            levels, _ = _closure_lattice(ref)
+            for rank, level in enumerate(levels):
+                for fmask in level:
+                    fast = _quotient_covers(mm, fmask, None)
+                    assert sorted(fast) == sorted(_rank_covers(ref, fmask, rank))
+            assert (len(m._rank_cache), len(mm._rank_cache)) == cached
 
 
 def _independent_set_hyperplanes(m):
@@ -735,6 +760,45 @@ def test_graphic_file_round_trip_fuzz(m):
     assert isinstance(back, GraphicMatroid)
     assert (back.num_vertices, back.edges) == (m.num_vertices, m.edges)
     assert back.full_rank == m.full_rank
+
+
+@given(graphic_matroids())
+@settings(max_examples=150, deadline=None)
+@example(GraphicMatroid(10**18, [(5, 10**17), (10**17, 5), (7, 7), (10**18 - 1, 0), (0, 5)]))
+@example(GraphicMatroid(3, []))
+def test_graphic_matrix_has_the_graphic_ranks(m):
+    """The GF(2) incidence matrix of a multigraph, loops and parallel
+    edges included, has the graphic rank function element for element,
+    one row per touched vertex whatever the vertex labels."""
+    mat = m.matrix()
+    assert mat is m.matrix()
+    assert isinstance(mat, LinearMatroid) and mat.field.q == 2
+    assert mat.nrows == len({v for edge in m.edges for v in edge})
+    assert mat.labels == m.labels
+    assert ranks_agree(m, mat)
+
+
+def test_uniform_matrix_has_the_uniform_ranks():
+    for n in range(13):
+        for r in range(n + 1):
+            m = UniformMatroid(r, n)
+            mat = m.matrix()
+            assert mat is m.matrix()
+            assert mat.nrows == r
+            assert ranks_agree(m, mat), (r, n)
+
+
+def test_graphic_and_uniform_roots_stay_off_the_matrix_file_form():
+    """Having a matrix does not make a uniform matroid matrix-backed:
+    it still has no file form, and a graphic one keeps its own."""
+    u = UniformMatroid(2, 3)
+    u.matrix()
+    with pytest.raises(NotLinearError):
+        format_matroid(u)
+    m = GraphicMatroid(10**18, [(0, 10**18 - 1), (3, 3)])
+    m.matrix()
+    assert format_matroid(m) == f"graph {10**18} 2\n0 {10**18 - 1}\n3 3\n"
+    assert format_matroid(parse_matroid_text(format_matroid(m))) == format_matroid(m)
 
 
 _NATS = st.one_of(st.integers(0, 40), st.integers(0, 2**64))

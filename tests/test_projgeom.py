@@ -117,6 +117,10 @@ def test_embed_row_reduces_tall_matrices():
 def test_embed_rejects_bad_inputs():
     with pytest.raises(NotLinearError):
         embed(UniformMatroid(2, 3))
+    with pytest.raises(NotLinearError):  # having a matrix changes nothing
+        u = UniformMatroid(2, 4)
+        u.matrix()
+        embed(u)
     with pytest.raises(NotSimpleError):
         embed(LinearMatroid(gf(2), [(1, 0), (1, 0), (0, 1)]))
     with pytest.raises(NotSimpleError):
