@@ -16,6 +16,7 @@ share between threads.
 from __future__ import annotations
 
 from .errors import (
+    ArgumentError,
     DivisionByZeroError,
     NotPrimeError,
     OrderTooLargeError,
@@ -50,9 +51,10 @@ def is_prime(m: int) -> bool:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, d) with q == p**d, or raise ValueError."""
+    """Return (p, d) with q == p**d, or raise :class:`ArgumentError`
+    (a ``ValueError``)."""
     if q < 2:
-        raise ValueError(f"field order must be at least 2, got {q}")
+        raise ArgumentError(f"field order must be at least 2, got {q}")
     for p in range(2, q + 1):
         if q % p == 0:
             d = 0
@@ -60,12 +62,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             while m % p == 0:
                 m //= p
                 d += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            if not is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
+            if m != 1 or not is_prime(p):
+                raise ArgumentError(f"{q} is not a prime power")
             return p, d
-    raise ValueError(f"{q} is not a prime power")
+    raise ArgumentError(f"{q} is not a prime power")
 
 
 # -- polynomial helpers over Z_p (coefficient tuples, constant first) -------
@@ -267,10 +267,14 @@ class GF:
         """The echelon row of a vector: (pivot, v scaled to 1 at its
         pivot), the pivot being the index of the first nonzero
         coordinate; None for the zero vector.  Two nonzero vectors span
-        the same line exactly when their rows are equal."""
+        the same line exactly when their rows are equal.  A vector
+        that already leads with 1, as every nonzero one over GF(2)
+        does, is only made a tuple."""
         lead = next(filter(None, v), 0)
         if not lead:
             return None
+        if lead == 1:
+            return v.index(1), tuple(v)
         scale = self.mul[self.inv[lead]]
         return v.index(lead), tuple(map(scale.__getitem__, v))
 

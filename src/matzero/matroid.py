@@ -465,11 +465,15 @@ class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph given as an edge list."""
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]], labels=None):
+        if num_vertices < 0:
+            raise ArgumentError(f"a graph needs a nonnegative vertex count, got {num_vertices}")
         self.num_vertices = num_vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in self.edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError("edge endpoint out of range")
+                raise ArgumentError(
+                    f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}"
+                )
         self._init_common(len(self.edges), labels)
 
     def _rank_mask(self, mask: int) -> int:

@@ -9,14 +9,26 @@ displayed sets (just r(M) at a single-vertex tree), the width of the
 decomposition is the largest node width, and the tree-width of M is the
 minimum width over all decompositions.
 
+For the component of T - v across the edge vu, E - B is the side of vu
+that holds v, so nw(v) = sum over the edges vu of r(side holding v)
+minus (deg(v) - 1) r(M).  Evaluating a width therefore costs one rank
+per oriented tree edge: the tree is rooted once and the bags are ORed
+up into subtree masks, which give both sides of every edge.
+
 ``exact_treewidth_small`` settles the minimum exactly for small ground
 sets; ``heuristic_decomposition`` builds quick path witnesses for
-anything larger.
+anything larger.  On a path of singleton bags e_1..e_n the node width
+at e_i is r(e_1..e_i) + r(e_i..e_n) - r(M), so a path heuristic costs
+one elimination pass over the columns of the root's matrix each way:
+the greedy order is found by the forward pass that gives its prefix
+ranks, a backward pass gives the suffix ranks, and ``best_heuristic``
+asks the rank oracle for r(M) alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import NotInTreeError, ParseError, TooLargeError
 from .matroid import Matroid, content_lines, mask_bits, parse_ints
@@ -121,25 +133,58 @@ class TreeDecomposition:
         return out
 
     def bag(self, v: int) -> int:
-        if not 0 <= v < self.tree.num_vertices:
-            raise NotInTreeError(f"vertex {v} is not in the tree")
+        self._check_vertex(v)
         m = 0
         for e, w in enumerate(self.assignment):
             if w == v:
                 m |= 1 << e
         return m
 
+    def _displays(self) -> list[list[tuple[int, int]]]:
+        """Per vertex v, one (displayed set, rank defect) pair for each
+        component of T - v, in the order of ``components_without_vertex``.
+
+        T is rooted at vertex 0 once and each subtree's bags are ORed
+        together, so the edge from v to its parent has v's subtree on
+        one side and the rest on the other.  Each side is the set
+        displayed by one end of the edge, and its rank defect is r(M)
+        minus the rank of the other side, so each side's rank is asked
+        once.  The component holding v's parent holds vertex 0, so it
+        comes first, and the child components follow by their smallest
+        vertex."""
+        adj = self.tree.adj
+        m = self.matroid
+        r, full, rank = m.full_rank, m.full_mask, m.rank_mask
+        parent = [-1] * self.tree.num_vertices
+        order = [0]
+        for v in order:
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        below = self.bags()
+        low = list(range(self.tree.num_vertices))
+        for v in reversed(order[1:]):
+            p = parent[v]
+            below[p] |= below[v]
+            low[p] = min(low[p], low[v])
+        shown: list[list[tuple[int, int, int]]] = [[] for _ in order]
+        for v in order[1:]:
+            inner = below[v]
+            outer = full & ~inner
+            shown[v].append((0, outer, r - rank(inner)))
+            shown[parent[v]].append((low[v], inner, r - rank(outer)))
+        return [[(mask, defect) for _, mask, defect in sorted(s)] for s in shown]
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.tree.num_vertices:
+            raise NotInTreeError(f"vertex {v} is not in the tree")
+
     def displayed_sets_vertex(self, v: int) -> list[int]:
         """Element masks displayed by v: one per component of T - v,
         in the component order of ``components_without_vertex``."""
-        bags = self.bags()
-        out = []
-        for comp in self.tree.components_without_vertex(v):
-            m = 0
-            for x in comp:
-                m |= bags[x]
-            out.append(m)
-        return out
+        self._check_vertex(v)
+        return [mask for mask, _ in self._displays()[v]]
 
     def displayed_sets_edge(self, edge) -> tuple[int, int]:
         """Element masks displayed by an edge (u, w): the side holding
@@ -159,33 +204,33 @@ class TreeDecomposition:
         m = self.matroid
         return m.full_rank - m.rank_mask(m.full_mask & ~displayed_mask)
 
-    def node_width(self, v: int) -> int:
+    def _node_widths(self, displays) -> list[int]:
         r = self.matroid.full_rank
-        return r - sum(self.rank_defect(b) for b in self.displayed_sets_vertex(v))
+        return [r - sum(defect for _, defect in shown) for shown in displays]
+
+    def node_width(self, v: int) -> int:
+        self._check_vertex(v)
+        return self._node_widths(self._displays())[v]
 
     def width_report(self) -> WidthReport:
-        r = self.matroid.full_rank
-        displayed = []
-        defects = []
-        widths = []
-        for v in range(self.tree.num_vertices):
-            ds = self.displayed_sets_vertex(v)
-            rds = [self.rank_defect(b) for b in ds]
-            displayed.append(ds)
-            defects.append(rds)
-            widths.append(r - sum(rds))
-        full_side = False
-        for u, w in self.tree.edges:
-            mu, mw = self.displayed_sets_edge((u, w))
-            if self.matroid.rank_mask(mu) == r or self.matroid.rank_mask(mw) == r:
-                full_side = True
-                break
-        return WidthReport(max(widths), widths, displayed, defects, full_side)
+        """Every node width, displayed set and rank defect, from one
+        rank per oriented edge.  Each displayed set is one side of an
+        edge, so some edge side has rank r(M) exactly when some
+        displayed set has rank defect 0."""
+        displays = self._displays()
+        widths = self._node_widths(displays)
+        return WidthReport(
+            max(widths),
+            widths,
+            [[mask for mask, _ in shown] for shown in displays],
+            [[defect for _, defect in shown] for shown in displays],
+            any(defect == 0 for shown in displays for _, defect in shown),
+        )
 
     def width(self) -> int:
         """The largest node width, computed on the first call and kept."""
         if self._width is None:
-            self._width = max(self.node_width(v) for v in range(self.tree.num_vertices))
+            self._width = max(self._node_widths(self._displays()))
         return self._width
 
     def __repr__(self):
@@ -473,22 +518,59 @@ def exact_treewidth_small(m: Matroid) -> TreewidthResult:
 # heuristics
 # ---------------------------------------------------------------------------
 
-def _greedy_order(m: Matroid) -> list[int]:
-    """Element order that grows rank as slowly as possible."""
-    order = []
-    mask = 0
-    remaining = set(range(m.n))
-    while remaining:
-        best = None
-        for e in sorted(remaining):
-            key = (m.rank_mask(mask | (1 << e)), e)
-            if best is None or key < best:
-                best = key
-                pick = e
-        order.append(pick)
-        mask |= 1 << pick
-        remaining.discard(pick)
-    return order
+def _prefix_ranks(m: Matroid, order) -> list[int]:
+    """r(e_1..e_i) for every prefix of ``order``, by one incremental
+    elimination over the columns of the root's matrix, started from the
+    span of the contracted set so minors of any root are read the same
+    way."""
+    mat, kept, cmask = m._matrix_triple()
+    reduce, normalize = mat.field.reduce, mat.field.normalize
+    basis = mat.span_basis(cmask)
+    base = len(basis)
+    out = []
+    for e in order:
+        row = normalize(reduce(basis, mat.columns[kept[e]]))
+        if row is not None:
+            basis.append(row)
+        out.append(len(basis) - base)
+    return out
+
+
+def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
+    """Element order that grows rank as slowly as possible: the lowest
+    remaining element in the closure of the prefix, or else the lowest
+    remaining element.  Returned with the prefix ranks.  Each remaining
+    column is kept reduced modulo the prefix's span, one elimination
+    step per new basis row, so an element lies in the closure exactly
+    when its column has come down to zero; no rank is queried."""
+    mat, kept, cmask = m._matrix_triple()
+    reduce, normalize = mat.field.reduce, mat.field.normalize
+    basis = mat.span_basis(cmask)
+    left = {e: reduce(basis, mat.columns[kept[e]]) for e in range(m.n)}
+    order: list[int] = []
+    ranks: list[int] = []
+    rank = 0
+    while left:
+        for e in [e for e, v in left.items() if not any(v)]:
+            del left[e]
+            order.append(e)
+            ranks.append(rank)
+        if left:
+            e = next(iter(left))
+            row = (normalize(left.pop(e)),)
+            for f, v in left.items():
+                left[f] = reduce(row, v)
+            rank += 1
+            order.append(e)
+            ranks.append(rank)
+    return order, ranks
+
+
+def _path_width(m: Matroid, order, prefix_ranks) -> int:
+    """Width of the path of singleton bags along a nonempty ``order``,
+    given its prefix ranks: r(e_1..e_i) + r(e_i..e_n) - r(M) at e_i."""
+    suffix_ranks = _prefix_ranks(m, order[::-1])[::-1]
+    return max(map(add, prefix_ranks, suffix_ranks)) - prefix_ranks[-1]
 
 
 def _path_decomposition(m: Matroid, order) -> TreeDecomposition:
@@ -515,13 +597,34 @@ def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecompo
     if strategy == "path":
         return _path_decomposition(m, list(range(m.n)))
     if strategy == "greedy":
-        return _path_decomposition(m, _greedy_order(m))
+        return _path_decomposition(m, _greedy_order(m)[0])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def best_heuristic(m: Matroid) -> TreeDecomposition:
-    cands = [heuristic_decomposition(m, s) for s in ("greedy", "path", "single")]
-    return min(cands, key=lambda d: (d.width(), d.tree.num_vertices))
+    """The greedy path if it is narrower than r(M), else the single
+    bag, with its width kept.
+
+    This equals the minimum over (width, tree vertices) of the greedy
+    path, the ground-order path and the single bag, ties going to the
+    first, because the ground-order path is never narrower than the
+    greedy one.  The greedy order moves each element forward to where
+    the prefix first spans it: at an element left in place the prefix
+    rank is unchanged and the suffix shrinks, and a moved element's
+    node width is at most that of the node before it.  A one-element
+    path is the single bag.  Only r(M) is asked of the rank oracle,
+    which leaves it cached for the verification that reads it."""
+    width = m.full_rank
+    if m.n > 1:
+        order, prefix_ranks = _greedy_order(m)
+        path_width = _path_width(m, order, prefix_ranks)
+        if path_width < width:
+            dec = _path_decomposition(m, order)
+            dec._width = path_width
+            return dec
+    dec = single_vertex_decomposition(m)
+    dec._width = width
+    return dec
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,151 @@ def test_generate_uniform_writes_the_same_bytes(capsys, tmp_path, r, n):
     assert digests == UNIFORM_FILES[r, n]
 
 
+# sha256 of the .decomp width witness that `generate random`, `generate
+# glued` and `generate graphic` wrote while every candidate width was
+# a walk over the tree per vertex: greedy paths (q=2 r=2 n=6, q=2 r=3
+# n=12, graphic path and cycle), single bags, and glued block paths
+RANDOM_DECOMPS = {  # (q, rank, n, seed)
+    (2, 2, 6, 1): "24edf9a4b314e1d9e5c1605dc456c9d1efb96171fdecf3df9af96a46e5165c09",
+    (2, 3, 12, 1): "aee5f4bfcd0c0f965a5c67306a99298b712be17a8f7addfd42a8c8da80d74afe",
+    (2, 4, 6, 0): "3917b2827b7f45ad59453c0d1955dc84f290bd09bc9f7a7ffead9ec835e7d592",
+    (2, 3, 8, 0): "92a65d1ad642862bae73d03cb8b5739dd1d68fe1879e8108faab3a8fd0c2c87e",
+    (3, 3, 9, 1): "d57e9ce2a4bc56fb54b7746353e4c74a4a2117e1fe595a232e47494dd5f7c858",
+    (4, 3, 10, 2): "a2ce2385d363bf65c7695258438e58a070c3de7e49a7adbc4e67473556aed328",
+    (5, 4, 12, 0): "137b34976c3c626347c2a0a88acd8318867e530b56b97dfe4714ae5bc7ce31ad",
+    (2, 1, 4, 0): "a81d89541eff7d773bdca66ab9b6bc0a2267c81b1686315342f2569811ee2b9d",
+    (7, 2, 6, 3): "dadcdec2734217288021e5e3a1eabb4e44bf3dfc57aaaefa6559980552cdd755",
+    (2, 5, 16, 4): "3c3799d34a988495d98e36db7158fd6550febe7d62fbd70c0b2d0fc1ebce5aa3",
+}
+GLUED_DECOMPS = {  # (q, block rank, blocks, overlap, deleted, seed)
+    (2, 3, 2, 1, 0, 0): "b882672ffb02e909d9d67cf816086a4ceb0ad53a7eda87a58aac68fb83200fc0",
+    (2, 2, 5, 0, 2, 3): "747a31866f4ba486ec69cecb8eaea9ac2abda99bea040c8baad1ac89fd33f6ac",
+    (3, 2, 4, 1, 3, 1): "93c93bac8c834375064416e621603035b9bfe2b4b1da1a77828549085758d853",
+    (2, 3, 3, 1, 3, 2): "0f61899d958065b698b30ba5a3a2dc9ef58719e5af0627c1dbb69b2cfab1ac5c",
+    (4, 2, 2, 1, 1, 0): "b02f314860d979935dbd64d69ed999b0ac304e45eed3b582de8d34ead0253ed2",
+}
+GRAPHIC_DECOMPS = {
+    ("complete", 5): "a2ce2385d363bf65c7695258438e58a070c3de7e49a7adbc4e67473556aed328",
+    ("cycle", 6): "3917b2827b7f45ad59453c0d1955dc84f290bd09bc9f7a7ffead9ec835e7d592",
+    ("path", 4): "245fb18359074e9961337d0d16296011291cb96819f1d10add75eb18f19eccd1",
+    ("complete", 1): "addcc9e29f254de0c9086b7134c283e4d4311dde146e6ed8215588aae1a77b0e",
+}
+
+
+def _only_decomp(directory):
+    (path,) = directory.glob("*.decomp")
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("q, r, n, seed", sorted(RANDOM_DECOMPS))
+def test_generate_random_writes_the_same_witness(capsys, tmp_path, q, r, n, seed):
+    rc, _ = run(capsys, "generate", "random", "--q", str(q), "--rank", str(r), "--n", str(n),
+                "--seed", str(seed), "--out", str(tmp_path))
+    assert rc == 0
+    assert _only_decomp(tmp_path) == RANDOM_DECOMPS[q, r, n, seed]
+
+
+@pytest.mark.parametrize("shape", sorted(GLUED_DECOMPS))
+def test_generate_glued_writes_the_same_witness(capsys, tmp_path, shape):
+    q, block_rank, blocks, overlap, deleted, seed = shape
+    rc, _ = run(capsys, "generate", "glued", "--q", str(q), "--block-rank", str(block_rank),
+                "--blocks", str(blocks), "--overlap", str(overlap), "--delete", str(deleted),
+                "--seed", str(seed), "--out", str(tmp_path))
+    assert rc == 0
+    assert _only_decomp(tmp_path) == GLUED_DECOMPS[shape]
+
+
+@pytest.mark.parametrize("shape, vertices", sorted(GRAPHIC_DECOMPS))
+def test_generate_graphic_writes_the_same_witness(capsys, tmp_path, shape, vertices):
+    rc, _ = run(capsys, "generate", "graphic", "--shape", shape, "--vertices", str(vertices),
+                "--out", str(tmp_path))
+    assert rc == 0
+    assert _only_decomp(tmp_path) == GRAPHIC_DECOMPS[shape, vertices]
+
+
+# `treewidth --heuristic H --decomp OUT` on fixed files: the JSON line
+# and the sha256 of the decomposition, as written by the per-vertex walk
+TREEWIDTH_FILES = {
+    "fano": "2 3 7\n0 0 0 1 1 1 1\n0 1 1 0 0 1 1\n1 0 1 0 1 0 1\n",
+    "gf3": "3 3 8\n1 0 2 1 0 1 2 1\n0 1 2 1 0 2 0 0\n2 1 0 1 1 0 1 2\n",
+    "gf2": "2 3 12\n0 1 1 1 0 1 0 1 0 1 1 1\n0 1 1 1 0 0 0 0 1 1 1 0\n1 1 0 0 1 0 1 0 1 0 0 0\n",
+    "cycle": "graph 5 6\n0 1\n1 2\n2 3\n3 4\n4 0\n1 3\n",
+}
+_SINGLE = "250b17970e1fb5e1275959225ad5e6e460463703c97e9f83a8215142327fd943"
+_PATH7 = "3f928e79e8ccf4bc46dbb4b63f3edd3d6dabf5ad45072b2407acc2520e28c037"
+TREEWIDTH_OUTPUTS = {
+    ("fano", "best"): (3, 1, _SINGLE),
+    ("fano", "path"): (3, 7, _PATH7),
+    ("fano", "greedy"): (3, 7, _PATH7),
+    ("fano", "single"): (3, 1, _SINGLE),
+    ("gf3", "best"): (3, 1, "92a65d1ad642862bae73d03cb8b5739dd1d68fe1879e8108faab3a8fd0c2c87e"),
+    ("gf3", "path"): (3, 8, "673e24ae6798d1ac34e46dd0a0eddc14701deeb4e1b08bdd2e81d490d1432f81"),
+    ("gf3", "greedy"): (3, 8, "6c1705658bd84ebcb06957048bef6e87b67109c3fbce206d4dd8d3a744eb17f0"),
+    ("gf3", "single"): (3, 1, "92a65d1ad642862bae73d03cb8b5739dd1d68fe1879e8108faab3a8fd0c2c87e"),
+    ("gf2", "best"): (2, 12, "aee5f4bfcd0c0f965a5c67306a99298b712be17a8f7addfd42a8c8da80d74afe"),
+    ("gf2", "path"): (3, 12, "1e1433a106ce1b860f1605076cadc9bf7f154919fe4ba5165a7dbbec0e339729"),
+    ("gf2", "greedy"): (2, 12, "aee5f4bfcd0c0f965a5c67306a99298b712be17a8f7addfd42a8c8da80d74afe"),
+    ("gf2", "single"): (3, 1, "137b34976c3c626347c2a0a88acd8318867e530b56b97dfe4714ae5bc7ce31ad"),
+    ("cycle", "best"): (3, 6, "adc0c3ef5f528d083ed43c2cd5ad80b99598884bed4ec9dc2ca03393e52aeab3"),
+    ("cycle", "path"): (3, 6, "3917b2827b7f45ad59453c0d1955dc84f290bd09bc9f7a7ffead9ec835e7d592"),
+    ("cycle", "greedy"): (3, 6, "adc0c3ef5f528d083ed43c2cd5ad80b99598884bed4ec9dc2ca03393e52aeab3"),
+    ("cycle", "single"): (4, 1, "dadcdec2734217288021e5e3a1eabb4e44bf3dfc57aaaefa6559980552cdd755"),
+}
+
+
+@pytest.mark.parametrize("name, heuristic", sorted(TREEWIDTH_OUTPUTS))
+def test_treewidth_heuristics_print_and_write_the_same(capsys, tmp_path, name, heuristic):
+    matrix = tmp_path / f"{name}.matrix"
+    matrix.write_text(TREEWIDTH_FILES[name])
+    decomp = tmp_path / "out.decomp"
+    rc, out = run(capsys, "treewidth", str(matrix), "--heuristic", heuristic,
+                  "--decomp", str(decomp))
+    assert rc == 0
+    width, vertices, digest = TREEWIDTH_OUTPUTS[name, heuristic]
+    assert out == json.dumps({"width": width, "exact": False, "tree_vertices": vertices}) + "\n"
+    assert hashlib.sha256(decomp.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, decomp, expected",
+    [
+        ("gf2", "tree 4\n0 1\n1 2\n1 3\ntau\n0 0\n1 0\n2 1\n3 2\n4 2\n5 3\n6 3\n7 3\n"
+                "8 1\n9 0\n10 2\n11 3\n", {"width": 3, "node_widths": [2, 3, 2, 2]}),
+        ("cycle", "tree 3\n0 1\n1 2\ntau\n0 0\n1 2\n2 1\n3 1\n4 2\n5 0\n",
+         {"width": 4, "node_widths": [2, 4, 2]}),
+    ],
+)
+def test_treewidth_evaluate_prints_the_same(capsys, tmp_path, name, decomp, expected):
+    matrix = tmp_path / f"{name}.matrix"
+    matrix.write_text(TREEWIDTH_FILES[name])
+    path = tmp_path / "in.decomp"
+    path.write_text(decomp)
+    rc, out = run(capsys, "treewidth", str(matrix), "--evaluate", str(path))
+    assert rc == 0
+    assert json.loads(out) == expected
+
+
+def test_generate_random_rejects_an_order_that_is_not_a_prime_power(capsys, tmp_path):
+    rc = main(["generate", "random", "--q", "6", "--rank", "2", "--n", "3",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "matzero: 6 is not a prime power\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle", "complete"])
+def test_generate_graphic_rejects_a_negative_vertex_count(capsys, tmp_path, shape):
+    rc = main(["generate", "graphic", "--shape", shape, "--vertices", "-1",
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "matzero: a graph needs a nonnegative vertex count, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_uniform_rank_zero(capsys, tmp_path):
     rc, out = run(capsys, "generate", "uniform", "--rank", "0", "--n", "3",
                   "--out", str(tmp_path))

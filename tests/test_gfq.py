@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from matzero.errors import (
+    ArgumentError,
     DivisionByZeroError,
     NotPrimeError,
     OrderTooLargeError,
@@ -26,8 +27,9 @@ def test_factor_prime_power():
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(32) == (2, 5)
     for bad in (1, 6, 12, 15, 100):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             factor_prime_power(bad)
+    assert issubclass(ArgumentError, ValueError)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -123,6 +125,30 @@ def _echelon_row(F, rng, width, pivot):
     """A random echelon row: zero before ``pivot``, 1 at it."""
     tail = [rng.randrange(F.q) for _ in range(width - pivot - 1)]
     return pivot, (0,) * pivot + (1, *tail)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_normalize_matches_the_rescaling_formula(q):
+    """normalize gives (index of the first nonzero entry, the vector
+    times that entry's inverse) as a tuple, for lists and tuples alike,
+    whether or not the lead is already 1; None for a zero vector."""
+    F = gf(q)
+    rng = random.Random(2000 + q)
+    leads = set()
+    for _ in range(400):
+        v = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 6))]
+        for given in (v, tuple(v)):
+            got = F.normalize(given)
+            nonzero = [i for i, x in enumerate(v) if x]
+            if not nonzero:
+                assert got is None
+                continue
+            pivot = nonzero[0]
+            scale = F.inv[v[pivot]]
+            assert got == (pivot, tuple(F.mul[scale][x] for x in v))
+            assert type(got[1]) is tuple
+            leads.add(v[pivot])
+    assert leads == set(range(1, q))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -186,14 +186,15 @@ def test_verify_main_theorem_battery():
 def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh_root_memo):
     """Every verdict and root bracket on one polynomial shares one
     squarefree part and one Sturm chain, across instances too, and the
-    witness width computed while the suite was generated is not
-    computed again."""
+    witness width and r(M) computed while the suite was generated are
+    not computed again: verification asks the matrix for no rank."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = main_theorem_suite(2, 3, 100, seed=1)
     charpolys = [charpoly_auto(rec.matroid) for rec in recs]
     distinct = {chi.coeffs for chi in charpolys if not chi.is_zero}
     assert 1 < len(distinct) < 100
-    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0}
+    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0, "_displays": 0,
+             "_rank_mask": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -207,11 +208,13 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh
     counted(charpoly, "squarefree_part")
     counted(charpoly, "sturm_chain")
     counted(TreeDecomposition, "node_width")
+    counted(TreeDecomposition, "_displays")
+    counted(LinearMatroid, "_rank_mask")
     reports = verify_main_theorem(recs, 2, 3)
     assert all_verdicts_true(reports)
     assert calls["squarefree_part"] == len(distinct)
     assert calls["sturm_chain"] == len(distinct)
-    assert calls["node_width"] == 0
+    assert calls["node_width"] == calls["_displays"] == calls["_rank_mask"] == 0
 
 
 def test_verify_main_theorem_requires_witness():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matzero.errors import (
+    ArgumentError,
     HasLoopError,
     MatZeroError,
     NotLinearError,
@@ -614,6 +615,13 @@ def test_graphic_matroid():
     assert loop.loops_mask() == 0b01
     with pytest.raises(ValueError):
         GraphicMatroid(2, [(0, 2)])
+
+
+def test_graphic_matroid_rejects_bad_vertices_with_a_typed_error():
+    for bad in ((-1, []), (-1, [(0, 0)]), (2, [(0, 2)]), (2, [(-1, 0)]), (0, [(0, 0)])):
+        with pytest.raises(ArgumentError):
+            GraphicMatroid(*bad)
+    assert GraphicMatroid(0, []).n == 0
 
 
 def test_uniform_validation():

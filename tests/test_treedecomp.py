@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from matzero.errors import MatZeroError, NotInTreeError, ParseError, TooLargeError
 from matzero.gfq import gf
+from matzero.harness import main_theorem_suite
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
-from matzero.matroid import LinearMatroid, UniformMatroid
+from matzero.matroid import GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from matzero.treedecomp import (
     Tree,
     TreeDecomposition,
@@ -25,6 +26,7 @@ from matzero.treedecomp import (
     save_decomposition,
     single_vertex_decomposition,
 )
+from matzero.treedecomp import _greedy_order
 
 # -- trees -------------------------------------------------------------------
 
@@ -343,6 +345,236 @@ def test_heuristics_on_empty_matroid():
     m = UniformMatroid(0, 0)
     assert heuristic_decomposition(m, "path").tree.num_vertices == 1
     assert best_heuristic(m).width() == 0
+
+
+# -- reference oracles ------------------------------------------------------------
+#
+# Width evaluation walks the tree once from a root and asks one rank per
+# oriented edge, and the path heuristics read prefix and suffix ranks off
+# eliminations.  The oracles below are the definitions those replaced:
+# the displayed sets of each vertex found by walking every component of
+# T - v, and the greedy order found by asking the rank of the prefix
+# plus each remaining element.  They read no matrix.
+
+
+def _walk_displayed_sets(dec, v):
+    bags = dec.bags()
+    out = []
+    for comp in dec.tree.components_without_vertex(v):
+        mask = 0
+        for x in comp:
+            mask |= bags[x]
+        out.append(mask)
+    return out
+
+
+def _walk_width_report(dec):
+    """(node widths, displayed sets, rank defects, some edge side
+    spans) by the per-vertex walk."""
+    m = dec.matroid
+    r = m.full_rank
+    displayed = [_walk_displayed_sets(dec, v) for v in range(dec.tree.num_vertices)]
+    defects = [[r - m.rank_mask(m.full_mask & ~b) for b in ds] for ds in displayed]
+    widths = [r - sum(rds) for rds in defects]
+    spans = any(
+        m.rank_mask(side) == r for edge in dec.tree.edges for side in dec.displayed_sets_edge(edge)
+    )
+    return widths, displayed, defects, spans
+
+
+def _rank_greedy_order(m: Matroid) -> list[int]:
+    order = []
+    mask = 0
+    remaining = set(range(m.n))
+    while remaining:
+        best = None
+        for e in sorted(remaining):
+            key = (m.rank_mask(mask | (1 << e)), e)
+            if best is None or key < best:
+                best = key
+                pick = e
+        order.append(pick)
+        mask |= 1 << pick
+        remaining.discard(pick)
+    return order
+
+
+def _walk_path(m, order):
+    n = m.n
+    tree = Tree(n, [(i, i + 1) for i in range(n - 1)]) if n > 1 else Tree(1, ())
+    assignment = [0] * n
+    for pos, e in enumerate(order):
+        assignment[e] = pos
+    return TreeDecomposition(m, tree, assignment)
+
+
+def _three_candidate_best(m):
+    """best_heuristic as the minimum over the three built candidates,
+    each scored by the walk: (tree edges, assignment, width)."""
+    cands = [
+        _walk_path(m, _rank_greedy_order(m)),
+        _walk_path(m, list(range(m.n))),
+        single_vertex_decomposition(m),
+    ]
+    scored = [(max(_walk_width_report(d)[0]), d.tree.num_vertices, d) for d in cands]
+    width, _, dec = min(scored, key=lambda c: c[:2])
+    return dec.tree.edges, dec.assignment, width
+
+
+def _random_root(rng):
+    kind = rng.choice(["linear", "graphic", "uniform"])
+    if kind == "linear":
+        q = rng.choice([2, 3, 4, 5])
+        rows = rng.randint(0, 4)
+        n = rng.randint(0, 9)
+        cols = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(rows)]
+                for _ in range(n)]
+        return LinearMatroid(gf(q), cols, nrows=rows)
+    if kind == "graphic":
+        v = rng.randint(1, 5)
+        return GraphicMatroid(v, [(rng.randrange(v), rng.randrange(v))
+                                  for _ in range(rng.randint(0, 9))])
+    n = rng.randint(0, 9)
+    return UniformMatroid(rng.randint(0, n), n)
+
+
+def _random_matroid(rng):
+    """A random linear (GF(2)-GF(5), loops included), graphic (loops and
+    parallel edges included) or uniform root, or a random minor of one."""
+    m = _random_root(rng)
+    if m.n and rng.random() < 0.4:
+        roles = [rng.choice("kdc") for _ in range(m.n)]
+        m = m.minor(delete=[e for e, x in enumerate(roles) if x == "d"],
+                    contract=[e for e, x in enumerate(roles) if x == "c"])
+    return m
+
+
+def _random_decomposition(rng, m):
+    size = rng.randint(1, 7)
+    labels = list(range(size))
+    rng.shuffle(labels)
+    edges = [(labels[rng.randrange(v)], labels[v]) for v in range(1, size)]
+    assignment = [rng.randrange(size) for _ in range(m.n)]
+    return TreeDecomposition(m, Tree(size, edges), assignment)
+
+
+def test_width_matches_the_walk_on_random_trees():
+    """width(), node_width(v), width_report() and the displayed sets
+    equal the per-vertex walk on random matroids (minors included),
+    trees and assignments (empty bags included)."""
+    rng = random.Random(1212)
+    kinds = set()
+    for _ in range(400):
+        m = _random_matroid(rng)
+        kinds.add(type(m).__name__)
+        dec = _random_decomposition(rng, m)
+        widths, displayed, defects, spans = _walk_width_report(dec)
+        fresh = TreeDecomposition(m, dec.tree, dec.assignment)
+        assert fresh.width() == max(widths)
+        assert [dec.node_width(v) for v in range(dec.tree.num_vertices)] == widths
+        assert [dec.displayed_sets_vertex(v) for v in range(dec.tree.num_vertices)] == displayed
+        report = dec.width_report()
+        assert (report.width, report.node_widths) == (max(widths), widths)
+        assert (report.displayed, report.rank_defects) == (displayed, defects)
+        assert report.full_rank_side == spans
+        with pytest.raises(NotInTreeError):
+            dec.node_width(dec.tree.num_vertices)
+        with pytest.raises(NotInTreeError):
+            dec.node_width(-1)
+    assert kinds == {"LinearMatroid", "GraphicMatroid", "UniformMatroid", "MinorMatroid"}
+
+
+def test_width_asks_one_rank_per_oriented_edge(monkeypatch):
+    asked = []
+    original = Matroid.rank_mask
+
+    def counted(self, mask):
+        asked.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(Matroid, "rank_mask", counted)
+    m, dec = wide_uniform_decomposition()
+    dec = TreeDecomposition(m, dec.tree, dec.assignment)
+    edges = len(dec.tree.edges)
+    assert dec.width() == 10
+    assert len([mask for mask in asked if mask != m.full_mask]) == 2 * edges
+    assert len(asked) <= 2 * edges + 2
+    asked.clear()
+    assert dec.width() == 10 and asked == []  # kept
+
+
+def test_greedy_order_matches_the_rank_queries():
+    rng = random.Random(77)
+    for _ in range(300):
+        m = _random_matroid(rng)
+        order, ranks = _greedy_order(m)
+        assert order == _rank_greedy_order(m)
+        assert ranks == [m.rank(order[: i + 1]) for i in range(m.n)]
+
+
+def test_greedy_path_is_never_wider_than_the_ground_path():
+    """Why best_heuristic does not score the ground-order path: moving
+    each element forward to where the prefix first spans it never
+    widens the path.  Checked with the walk on random matroids."""
+    rng = random.Random(31)
+    differ = 0
+    for _ in range(400):
+        m = _random_matroid(rng)
+        greedy = _rank_greedy_order(m)
+        differ += greedy != list(range(m.n))
+        if m.n:
+            assert max(_walk_width_report(_walk_path(m, greedy))[0]) <= max(
+                _walk_width_report(_walk_path(m, list(range(m.n))))[0]
+            )
+    assert differ > 50
+
+
+def test_best_heuristic_matches_the_three_candidate_minimum_on_random_matroids(monkeypatch):
+    """Same tree, assignment and width as the minimum over the three
+    built and walked candidates, with only r(M) asked of the rank
+    oracle, and the kept width is what a fresh walk finds."""
+    rng = random.Random(4242)
+    asked = []
+    original = Matroid.rank_mask
+
+    def counted(self, mask):
+        asked.append((self, mask))
+        return original(self, mask)
+
+    monkeypatch.setattr(Matroid, "rank_mask", counted)
+    for _ in range(300):
+        m = _random_matroid(rng)
+        asked.clear()
+        dec = best_heuristic(m)
+        # r(M), and for a minor the root rank it is read from
+        assert [mask for owner, mask in asked if owner is m] == [m.full_mask]
+        assert len(asked) <= 2
+        asked.clear()
+        width = dec.width()
+        assert asked == []  # the scored width was kept
+        assert (dec.tree.edges, dec.assignment, width) == _three_candidate_best(m)
+        assert TreeDecomposition(m, dec.tree, dec.assignment).width() == dec.width()
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_best_heuristic_matches_the_three_candidate_minimum_on_the_main_suite(
+    monkeypatch, seed
+):
+    """On main_theorem_suite(q, k, 100, seed) for q, k in {2, 3}: seed 0
+    and a held-out seed.  A random instance carries best_heuristic's
+    witness; a glued one its block path, whose kept width the walk
+    also checks."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    for q in (2, 3):
+        for k in (2, 3):
+            for rec in main_theorem_suite(q, k, 100, seed=seed):
+                m, dec = rec.matroid, rec.decomposition
+                expected = _three_candidate_best(m)
+                best = best_heuristic(m)
+                assert (best.tree.edges, best.assignment, best.width()) == expected, rec.id
+                if rec.construction["kind"] == "random":
+                    assert (dec.tree.edges, dec.assignment, dec.width()) == expected, rec.id
+                assert dec.width() == max(_walk_width_report(dec)[0]) <= k
 
 
 # -- file format -------------------------------------------------------------------
