@@ -224,13 +224,12 @@ class Matroid:
 
     # -- flats and the Mobius function ------------------------------------------
 
-    def _flat_lattice(self) -> tuple[list[list[int]], dict[int, list[int]]]:
-        """All flats grouped by rank, as masks, with the cover relation.
+    def _flat_lattice(self) -> list[list[int]]:
+        """All flats grouped by rank, as masks.
 
-        Level 0 is cl(empty), the loops, and every level is sorted.
-        ``up[F]`` lists the flats covering F.  The walk visits each flat
-        once, one level at a time, and reads the flats one rank above
-        it off quotient vectors with no rank query
+        Level 0 is cl(empty), the loops, and every level is sorted.  The
+        walk visits each flat once, one level at a time, and reads the
+        flats one rank above it off quotient vectors with no rank query
         (:func:`_quotient_covers`): F carries the points of M/F, and
         each cover G = F + class(p) is handed that dict and p, from
         which it projects the points of M/G along p alone; the next
@@ -239,33 +238,29 @@ class Matroid:
         bottom = self.loops_mask()
         top = self.full_rank
         levels = [[bottom]]
-        up: dict[int, list[int]] = {}
         carried = {bottom: None}
         count = 1
         for rank in range(top):
-            nxt: dict = {}
-            for fmask in levels[-1]:
-                if rank == top - 1:
-                    covers = {self.full_mask: None}
-                else:
-                    covers = _quotient_covers(self, fmask, carried[fmask])
-                up[fmask] = list(covers)
-                for cover, handed in covers.items():
-                    nxt.setdefault(cover, handed)
+            if rank == top - 1:
+                nxt = {self.full_mask: None}
+            else:
+                nxt = {}
+                for fmask in levels[-1]:
+                    for cover, handed in _quotient_covers(self, fmask, carried[fmask]).items():
+                        nxt.setdefault(cover, handed)
             count += len(nxt)
             if count > MAX_FLATS:
                 raise TooLargeError(f"flat count exceeds the cap of {MAX_FLATS}")
             levels.append(sorted(nxt))
             carried = nxt
-        up[self.full_mask] = []
-        return levels, up
+        return levels
 
     def all_flats_with_mobius(self) -> list[FlatRecord]:
         """Every flat with its Mobius value mu(cl(empty), F), ordered by
         rank then mask.  Requires a loopless matroid."""
         if self.loops_mask():
             raise HasLoopError("the Mobius expansion requires a loopless matroid")
-        levels, _ = self._flat_lattice()
+        levels = self._flat_lattice()
         mobius: dict[int, int] = {}
         out: list[FlatRecord] = []
         for rk, level in enumerate(levels):
@@ -288,7 +283,7 @@ class Matroid:
         """Masks of all rank (r-1) flats, read off :meth:`_flat_lattice`."""
         if self.full_rank == 0:
             raise RankZeroError("a rank-0 matroid has no hyperplanes")
-        levels, _ = self._flat_lattice()
+        levels = self._flat_lattice()
         return levels[-2]
 
     def cocircuits(self) -> list[int]:
@@ -305,28 +300,37 @@ class Matroid:
         """Whether some minor is a rank-2 uniform matroid on ``length``
         elements.
 
-        Such a minor exists exactly when some interval [F, T] of the
-        lattice of flats with r(T) = r(F) + 2 has at least ``length``
-        atoms: contract F and keep one element of each atom.  The atoms
-        of [F, T] are the covers of F that T covers, so the scan walks
-        the cover relation from :meth:`_flat_lattice` (read off quotient
-        points carried down the walk) and,
-        for each F with at least ``length`` covers, counts how many
-        covers of F each T covers, stopping as soon as a count reaches
-        ``length``."""
+        Every minor is M/C\\D with C independent and D coindependent
+        (Oxley, *Matroid Theory*, Lemma 3.3.2), so such a minor exists
+        exactly when some flat F of rank r - 2 has at least ``length``
+        covers, the points of M/F: contract a basis of F and keep one
+        element of each point.  A cover F + class(p) of a flat F loses
+        p, so it has at least one point fewer than F, and a flat of rank
+        j with fewer than ``length + (r - 2) - j`` covers has no such
+        flat above it.  The scan walks up from the loops one level
+        at a time, reading covers off quotient points carried down the
+        walk (:func:`_quotient_covers`), keeps only the flats that meet
+        that bound, and stops at rank r - 2; the flats it visits count
+        against ``MAX_FLATS``."""
         if length < 2:
-            raise ValueError("line length must be at least 2")
-        _, up = self._flat_lattice()
-        for covers in up.values():
-            if len(covers) < length:
-                continue
-            atoms: dict[int, int] = {}
-            for z in covers:
-                for top in up[z]:
-                    count = atoms.get(top, 0) + 1
-                    if count >= length:
-                        return True
-                    atoms[top] = count
+            raise ArgumentError(f"line length must be at least 2, got {length}")
+        top = self.full_rank - 2
+        level = {self.loops_mask(): None}
+        count = 1
+        for rank in range(top + 1):
+            nxt: dict = {}
+            for fmask, carried in level.items():
+                covers = _quotient_covers(self, fmask, carried)
+                if len(covers) < length + top - rank:
+                    continue
+                if rank == top:
+                    return True
+                for cover, handed in covers.items():
+                    nxt.setdefault(cover, handed)
+            count += len(nxt)
+            if count > MAX_FLATS:
+                raise TooLargeError(f"flat count exceeds the cap of {MAX_FLATS}")
+            level = nxt
         return False
 
     # -- misc -------------------------------------------------------------------------

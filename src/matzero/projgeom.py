@@ -227,7 +227,7 @@ def induced_decomposition(
 def is_modular_flat(m: Matroid, flat_mask: int) -> bool:
     """Whether a flat F satisfies r(F) + r(X) = r(F v X) + r(F ^ X) for
     every flat X; verified against the full lattice of flats."""
-    levels, _ = m._flat_lattice()
+    levels = m._flat_lattice()
     rf = m.rank_mask(flat_mask)
     for level in levels:
         for x in level:

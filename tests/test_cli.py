@@ -366,6 +366,19 @@ def test_minors_line_flag_spellings(capsys, tmp_path):
     assert json.loads(out) == {"line_length": 5, "present": False}
 
 
+@pytest.mark.parametrize("length", ["1", "0", "-3"])
+def test_minors_line_rejects_a_length_below_two(capsys, tmp_path, length):
+    path = tmp_path / "line.matrix"
+    save_matroid(LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1), (1, 2)]), path)
+    rc = main(["minors", "line", str(path), "--l", length])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("matzero: ")
+    assert captured.err.count("\n") == 1
+    assert "at least 2" in captured.err
+
+
 def test_generate_graphic_complete(capsys, tmp_path):
     rc, out = run(
         capsys, "generate", "graphic", "--shape", "complete", "--vertices", "4",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matzero import matroid
 from matzero.errors import (
     ArgumentError,
     HasLoopError,
@@ -303,17 +304,16 @@ def _longest_line(up):
 
 def test_flat_lattice_matches_closure_oracle():
     """The walk (points of each M/F carried down from its parent for a
-    matrix) gives the closure oracle's lattice, and the line scan over
-    it agrees with the oracle's longest line for lengths up to q + 2."""
+    matrix) gives the closure oracle's lattice, every flat's covers read
+    from scratch are the oracle's, and the line scan agrees with the
+    oracle's longest line for lengths up to q + 2."""
     full_lines = set()
     for m in lattice_battery():
-        levels, up = m._flat_lattice()
+        levels = m._flat_lattice()
         ref_levels, ref_up = _closure_lattice(m)
         assert levels == ref_levels, m
-        assert up.keys() == ref_up.keys(), m
-        for fmask, covers in up.items():
-            assert len(covers) == len(ref_up[fmask]), m
-            assert set(covers) == ref_up[fmask], m
+        for fmask, ref_covers in ref_up.items():
+            assert set(_quotient_covers(m, fmask, None)) == ref_covers, m
         longest = _longest_line(ref_up)
         q = _field_order(m)
         for length in range(2, q + 3):
@@ -544,6 +544,8 @@ def test_line_minor_known_cases():
     assert not UniformMatroid(1, 4).has_line_minor(2)
     with pytest.raises(ValueError):
         fano().has_line_minor(1)
+    with pytest.raises(ArgumentError):
+        UniformMatroid(2, 5).has_line_minor(0)
 
 
 def line_minor_battery():
@@ -596,6 +598,85 @@ def test_line_minor_scan_on_a_matrix_queries_no_ranks():
     assert m.has_line_minor(3)
     assert not m.has_line_minor(4)  # binary matroids have no U_{2,4}
     assert len(m._rank_cache) - before <= 2
+
+
+def _line_with_coloops(length, coloops, view):
+    """U_{2,length} plus ``coloops`` coloops over the smallest GF(q)
+    with q >= length - 1: ``length`` points of the line spanned by the
+    first two coordinates, then one unit column per further coordinate.
+    Its loops have exactly ``length + coloops`` points, the fewest that
+    the scan keeps at rank 0 when asked for ``length``.  With ``view``
+    the same matroid is a minor of a larger matrix: every column gets a
+    multiple of one more coordinate, whose unit column is contracted,
+    and a column on no line of the first two coordinates is deleted."""
+    q = next(q for q in (2, 3, 4, 5, 7, 8, 9) if q >= length - 1)
+    rank = 2 + coloops
+    line = [(1, 0)] + [(a, 1) for a in range(q)]
+    cols = [p + (0,) * coloops for p in line[:length]]
+    cols += [tuple(int(i == j) for i in range(rank)) for j in range(2, rank)]
+    if not view:
+        return LinearMatroid(gf(q), cols)
+    rng = random.Random(length * 8 + coloops)
+    cols = [c + (rng.randrange(q),) for c in cols]
+    extra = [(1, 1) + (1,) * coloops + (0,), (0,) * rank + (1,)]
+    m = LinearMatroid(gf(q), extra + cols)
+    return m.minor(delete=[0], contract=[1])
+
+
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_line_scan_pruning_threshold_at_its_edge(rank, view):
+    """A flat of rank j is kept with ``length + (r - 2) - j`` covers, not
+    one more: U_{2,l} with r - 2 coloops sits exactly on that bound."""
+    for length in range(3, 8):
+        m = _line_with_coloops(length, rank - 2, view)
+        assert (m.full_rank, m.n) == (rank, length + rank - 2)
+        assert len(m.parallel_classes()) == length + rank - 2
+        assert m.has_line_minor(length), (length, rank)
+        assert not m.has_line_minor(length + 1), (length, rank)
+
+
+def test_line_scan_matches_closure_oracle_on_larger_matrices():
+    """9-12 element matrices of rank 3-5 over GF(4), GF(5) and GF(7),
+    some holding a full projective line, against the longest line of the
+    closure lattice."""
+    rng = random.Random(41)
+    answers = set()
+    for q in (4, 5, 7):
+        for rank in (3, 4, 5):
+            battery = [_random_linear_matroid(rng, q, rank, rng.randint(9, 12))]
+            extra = max(0, 9 - (q + rank - 1))
+            if q + rank - 1 + extra <= 12:
+                battery.append(_matrix_with_line(rng, q, rank, extra, lift=rank > 3))
+            for m in battery:
+                assert 9 <= m.n <= 12
+                longest = _longest_line(_closure_lattice(m)[1])
+                for length in range(2, q + 3):
+                    answer = m.has_line_minor(length)
+                    assert answer == (length <= longest), (m, length)
+                    answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_line_scan_covers_only_flats_below_rank_r_minus_1(monkeypatch):
+    """On a glued instance the scan asks for the covers of flats of rank
+    at most r - 2 only, and of fewer flats than the full lattice walk."""
+    m = gen_glued(3, 2, 5, 0, seed=0, delete_count=5).matroid
+    r = m.full_rank
+    seen = []
+    real = matroid._quotient_covers
+
+    def counting(mm, fmask, carried):
+        seen.append(fmask)
+        return real(mm, fmask, carried)
+
+    monkeypatch.setattr(matroid, "_quotient_covers", counting)
+    assert not m.has_line_minor(5)
+    scan = list(seen)
+    seen.clear()
+    m._flat_lattice()
+    assert scan and all(m.rank_mask(f) <= r - 2 for f in scan)
+    assert len(scan) < len(seen)
 
 
 def test_graphic_rank_ignores_untouched_vertices():
