@@ -226,64 +226,76 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     """Deletion-contraction with simplification before every split.
 
     chi_M = chi_{M minus e} - chi_{M contract e}  whenever e is neither
-    a loop nor a coloop; a loop kills the polynomial, and once every
-    element is a coloop the minor contributes (lam - 1)**rank.  Minors
-    are memoized by their (remaining, contracted) mask pair relative to
-    the root matroid, with no cross-instance canonicalization.
+    a loop nor a coloop; a loop kills the polynomial.  Minors are
+    memoized by their (remaining, contracted) mask pair relative to the
+    root matroid, with no cross-instance canonicalization.
 
-    The recursion carries each minor as a reduced matrix of the root's
-    :meth:`~Matroid.matrix` and asks no rank query: the kept columns are
-    reduced once modulo the contracted span and scaled to 1 at their
-    first nonzero entry (:meth:`LinearMatroid.reduced_columns`).  A zero
-    column is a loop, equal columns are parallel, the first column that
-    one elimination pass finds dependent is the pivot, and contracting
-    it projects every other column along the pivot's
-    (:meth:`GF.project`).
+    The recursion reads each minor in the coordinates of a standard
+    representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
+    query.  The kept columns of the root's :meth:`~Matroid.matrix` are
+    reduced once modulo the contracted span (a zero column is a loop)
+    and row-reduced to reduced echelon form; each element carries its
+    column there scaled to 1 at its first nonzero entry.  The first
+    basis in element order shows up as unit rows, one per coordinate.
+    Contracting the pivot projects every other column along it
+    (:meth:`GF.project`), which kills the pivot's coordinate and leaves
+    every other unit row as it is, so each minor keeps a unit row per
+    live coordinate, and its rank is r minus the contractions made.  In
+    a simple minor any other row lies on a circuit: the first one is
+    the pivot, found with no elimination pass, and with none left chi
+    is (lam - 1)**rank.  Equal rows are parallel; only a contraction
+    makes them, so a simple minor's deletion child is not checked again.
+    A simple minor of rank 2 with n points has chi (lam - 1)(lam - n + 1).
     """
     mat, kept, cmask = m._matrix_triple()
     field = mat.field
     reduce, normalize, project = field.reduce, field.normalize, field.project
+    start = mat.reduced_columns(kept, mat.span_basis(cmask))
+    if None in start:
+        return ZERO
+    # back-substitute the echelon rows of the start: each has 0 at every
+    # other row's pivot and 1 at its own
+    echelon = field.echelon([[row[1][i] for row in start] for i in range(mat.nrows)])
+    coords = [reduce(echelon[i + 1:], v) for i, (_, v) in enumerate(echelon)]
+    rank = len(coords)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     memo: dict[tuple[int, int], IntPoly] = {}
 
-    def rec(rest: int, cmask: int, rows: list) -> IntPoly:
+    def rec(rest: int, cmask: int, rank: int, rows: list, simple: bool) -> IntPoly:
         # rows: (root element, echelon row or None) for each element of
-        # rest, ascending, reduced modulo the span of cmask's columns
+        # rest, ascending, with a unit row for each of rank coordinates
         key = (rest, cmask)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        n = len(rows)
         reps: dict = {}
-        for e, row in rows:
-            reps.setdefault(row, e)
+        if not simple:
+            for e, row in rows:
+                reps.setdefault(row, e)
+            simple = len(reps) == n
         if None in reps:
             out = ZERO
-        elif len(reps) < len(rows):
+        elif not simple:
             rows = [(e, row) for e, row in rows if reps[row] == e]
-            out = rec(sum(1 << e for e, _ in rows), cmask, rows)
+            out = rec(sum(1 << e for e, _ in rows), cmask, rank, rows, True)
+        elif n == rank:
+            out = lam_minus_one_power(rank)
+        elif rank == 2:
+            out = IntPoly((n - 1, -n, 1))
         else:
-            # one elimination pass; the first dependent column lies on a
-            # circuit, so it is not a coloop
-            basis: list = []
-            pivot = None
-            for i, (_, row) in enumerate(rows):
-                reduced = normalize(reduce(basis, row[1]))
-                if reduced is None:
-                    pivot = i
-                    break
-                basis.append(reduced)
-            if pivot is None:
-                out = lam_minus_one_power(len(rows))
-            else:
-                e, prow = rows[pivot]
-                others = rows[:pivot] + rows[pivot + 1:]
-                contracted = [(f, project(row, prow)) for f, row in others]
-                rest &= ~(1 << e)
-                out = rec(rest, cmask, others) - rec(rest, cmask | 1 << e, contracted)
+            pivot = next(i for i, (_, (k, v)) in enumerate(rows) if v != unit[k])
+            e, prow = rows[pivot]
+            others = rows[:pivot] + rows[pivot + 1:]
+            contracted = [(f, project(row, prow)) for f, row in others]
+            rest &= ~(1 << e)
+            out = (rec(rest, cmask, rank, others, True)
+                   - rec(rest, cmask | 1 << e, rank - 1, contracted, False))
         memo[key] = out
         return out
 
-    start = mat.reduced_columns(kept, mat.span_basis(cmask))
-    return rec(sum(1 << k for k in kept), cmask, list(zip(kept, start)))
+    rows = list(zip(kept, map(normalize, zip(*coords))))
+    return rec(sum(1 << k for k in kept), cmask, rank, rows, False)
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:

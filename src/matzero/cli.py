@@ -263,12 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  A :class:`MatZeroError` (bad input, a size
-    cap, a failed precondition) ends the run with a one-line message on
-    stderr and exit status 2; a verify run whose verdicts fail exits 1."""
+    cap, a failed precondition) or an ``OSError`` (a file that is
+    missing, unreadable or a directory) ends the run with a one-line
+    message on stderr and exit status 2; a verify run whose verdicts
+    fail exits 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatZeroError as exc:
+    except (MatZeroError, OSError) as exc:
         print(f"matzero: {exc}", file=sys.stderr)
         return 2
 

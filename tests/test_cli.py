@@ -451,3 +451,36 @@ def test_errors_print_one_line(capsys, tmp_path):
         assert captured.err.startswith("matzero: ")
         assert captured.err.count("\n") == 1
         assert fragment in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charpoly", "{missing}"],
+        ["charpoly", "{dir}"],
+        ["treewidth", "{missing}"],
+        ["treewidth", "{dir}"],
+        ["treewidth", "{file}", "--evaluate", "{missing}"],
+        ["treewidth", "{file}", "--evaluate", "{dir}"],
+        ["minors", "line", "--l", "4", "{missing}"],
+        ["minors", "line", "--l", "4", "{dir}"],
+    ],
+    ids=["charpoly-missing", "charpoly-dir", "treewidth-missing", "treewidth-dir",
+         "evaluate-missing", "evaluate-dir", "minors-missing", "minors-dir"],
+)
+def test_unreadable_input_file_prints_one_line(capsys, tmp_path, argv):
+    """A missing input file, or a directory in its place, ends the run
+    with one `matzero: ...` line naming the path and exit status 2, the
+    status of bad input; exit 1 is kept for failed verdicts."""
+    matrix = tmp_path / "fano.matrix"
+    save_matroid(fano(), matrix)
+    paths = {"missing": tmp_path / "nofile.mat", "dir": tmp_path, "file": matrix}
+    argv = [a.format(**paths) for a in argv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("matzero: ")
+    assert captured.err.count("\n") == 1
+    bad = argv[-1]
+    assert bad in captured.err
