@@ -232,11 +232,15 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
 
     The recursion reads each minor in the coordinates of a standard
     representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
-    query.  The kept columns of the root's :meth:`~Matroid.matrix` are
-    reduced once modulo the contracted span (a zero column is a loop)
-    and row-reduced to reduced echelon form; each element carries its
-    column there scaled to 1 at its first nonzero entry.  The first
-    basis in element order shows up as unit rows, one per coordinate.
+    query.  One elimination pass over the packed columns of the root's
+    :meth:`~Matroid.matrix`, the contracted ones and then the kept ones,
+    gives them: the i-th kept column independent of C and the kept
+    columns before it is basis column i, and its echelon row carries
+    1 in digit h + i, above the matrix's h rows, so a kept column that
+    reduces to zero in its first h digits holds minus its coordinates in
+    that basis in the digits above (a column zero in all of them lies in
+    the span of C: a loop).  Each element carries its coordinates scaled
+    to 1 at the first nonzero one, so the basis shows up as unit rows.
     Contracting the pivot projects every other column along it
     (:meth:`GF.project`), which kills the pivot's coordinate and leaves
     every other unit row as it is, so each minor keeps a unit row per
@@ -250,20 +254,28 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     mat, kept, cmask = m._matrix_triple()
     field = mat.field
     reduce, normalize, project = field.reduce, field.normalize, field.project
-    start = mat.reduced_columns(kept, mat.span_basis(cmask))
-    if None in start:
-        return ZERO
-    # back-substitute the echelon rows of the start: each has 0 at every
-    # other row's pivot and 1 at its own
-    echelon = field.echelon([[row[1][i] for row in start] for i in range(mat.nrows)])
-    coords = [reduce(echelon[i + 1:], v) for i, (_, v) in enumerate(echelon)]
-    rank = len(coords)
-    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    basis = mat.span_basis(cmask)
+    base = len(basis)
+    top = mat.nrows * field.width
+    below = (1 << top) - 1
+    rows = []
+    for e in kept:
+        v = reduce(basis, mat.packed[e])
+        if v & below:
+            unit = 1 << (len(basis) - base) * field.width
+            basis.append(normalize(v | unit << top))
+            rows.append((e, unit))
+        elif v:
+            rows.append((e, normalize(v >> top)))
+        else:
+            return ZERO
+    rank = len(basis) - base
     memo: dict[tuple[int, int], IntPoly] = {}
 
     def rec(rest: int, cmask: int, rank: int, rows: list, simple: bool) -> IntPoly:
-        # rows: (root element, echelon row or None) for each element of
-        # rest, ascending, with a unit row for each of rank coordinates
+        # rows: (root element, echelon row) for each element of rest,
+        # ascending, the row 0 for a loop, with a unit row for each of
+        # rank coordinates
         key = (rest, cmask)
         hit = memo.get(key)
         if hit is not None:
@@ -274,7 +286,7 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
             for e, row in rows:
                 reps.setdefault(row, e)
             simple = len(reps) == n
-        if None in reps:
+        if 0 in reps:
             out = ZERO
         elif not simple:
             rows = [(e, row) for e, row in rows if reps[row] == e]
@@ -284,7 +296,7 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         elif rank == 2:
             out = IntPoly((n - 1, -n, 1))
         else:
-            pivot = next(i for i, (_, (k, v)) in enumerate(rows) if v != unit[k])
+            pivot = next(i for i, (_, v) in enumerate(rows) if v & v - 1)  # unit rows are one bit
             e, prow = rows[pivot]
             others = rows[:pivot] + rows[pivot + 1:]
             contracted = [(f, project(row, prow)) for f, row in others]
@@ -294,7 +306,6 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         memo[key] = out
         return out
 
-    rows = list(zip(kept, map(normalize, zip(*coords))))
     return rec(sum(1 << k for k in kept), cmask, rank, rows, False)
 
 
@@ -325,7 +336,7 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
         reps: dict = {}
         for e, row in zip(elements, mat.reduced_columns(elements, mat.span_basis(cmask))):
             reps.setdefault(row, e)
-        if None in reps:
+        if 0 in reps:
             out = ZERO
         elif len(reps) < len(elements):
             out = norm(sum(1 << e for e in reps.values()), cmask)

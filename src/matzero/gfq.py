@@ -1,4 +1,5 @@
-"""Dense arithmetic tables for small finite fields GF(q), q <= 32.
+"""Dense arithmetic tables for small finite fields GF(q), q <= 32, and
+Gaussian elimination on vectors packed into ints.
 
 Field elements are plain integers in ``[0, q)``.  For prime ``q`` the
 integer is the residue itself.  For a prime power ``q = p**d`` with
@@ -8,9 +9,38 @@ base ``p``: the element ``sum(c_i * x**i)`` is stored as the index
 default modulus for GF(4) the element ``x`` is index 2 and ``x + 1``
 is index 3.
 
-Tables are built eagerly, so every operation afterwards is a pair of
-list lookups.  Instances are immutable once constructed and safe to
-share between threads.
+A vector over GF(q) is one ``int`` (:meth:`GF.pack`): coordinate i is
+the digit at bits ``[i*b, (i+1)*b)``, where the width b depends only on
+the field.  An element's digit holds its d base-p coefficients in d
+sub-digits of s bits each, constant term lowest, so b = d*s.
+
+* Characteristic 2: s = 1, so b = d and the digit is the element index
+  itself.  Adding vectors is XOR.  Multiplying v by c XORs
+  ``((v >> j) & ONES) * (c * x**j)`` over j < d, where ONES has bit 0
+  of every digit set; over GF(2) every elimination step is one XOR.
+* Odd characteristic: every sub-digit gets guard bits.  ``v - c*w`` is
+  computed as ``v + (p - c)*w``, whose sub-digits stay below
+  ``(p - 1) + d*(p - 1)**2``; s is one bit more than that bound needs,
+  and the top bit of each sub-digit is its guard.  Each sub-digit is
+  then reduced mod p by conditional subtraction of ``p * 2**t``, t
+  descending, all sub-digits at once: where ``(x | guard) - p * 2**t``
+  keeps a sub-digit's guard bit, that sub-digit was at least
+  ``p * 2**t``.  This is SIMD within a register; bit-slicing (Boothby
+  and Bradshaw, arXiv:0901.1413) would instead spread each coefficient's
+  bits over separate words.  GF(3) has b = 4, GF(5) b = 6, GF(7) b = 7,
+  GF(9) b = 10, GF(25) b = 14 and GF(27) b = 15.
+
+The masks these steps use depend only on the field and the height of
+the vectors; they are built on first use.  The pivot of a vector is
+its lowest nonzero digit, and an echelon row is a vector scaled to 1
+there (:meth:`GF.normalize`), so equal rows span equal lines and a row
+can be a dict key.  :meth:`GF.reduce`, :meth:`GF.normalize`,
+:meth:`GF.project` and :meth:`GF.echelon` are the only elimination
+routines in the package.
+
+Tables are built eagerly, so every scalar operation afterwards is a
+pair of list lookups.  Instances are safe to share between threads:
+after construction only the mask table grows, one entry at a time.
 """
 
 from __future__ import annotations
@@ -142,37 +172,70 @@ def _is_irreducible_zp(poly, p) -> bool:
     return True
 
 
+class _Masks(dict):
+    """Bit length -> (low, guard, steps) for packed vectors of that
+    length, built on first use; the masks cover ceil(length / width)
+    digits, so they depend only on the field and the height.
+
+    ``low`` holds ``2**s - 1`` at the bottom of every digit (s being the
+    sub-digit width) and ``guard`` the top bit of every sub-digit;
+    ``steps`` lists the pairs (p * 2**t in every sub-digit, p * 2**t)
+    for the conditional subtractions, t descending."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, length):
+        field = self.field
+        p, width, sub = field.p, field.width, field._sub_width
+        digits = -(-length // width) * field.d  # sub-digits covered
+        every = sum(1 << (i * sub) for i in range(digits))
+        low = sum(((1 << sub) - 1) << (i * width) for i in range(digits // field.d))
+        steps = tuple((every * (p << t), p << t) for t in range(field._top, -1, -1))
+        masks = self[length] = (low, every << (sub - 1), steps)
+        return masks
+
+
 class GF:
-    """A finite field of order ``p**d`` with full lookup tables.
+    """A finite field of order ``p**d`` with full lookup tables, and
+    elimination on vectors packed into ints (see the module docstring).
 
     Use :func:`ff_build` or :func:`gf` instead of constructing directly
     unless a custom modulus polynomial is wanted.
     """
 
-    __slots__ = ("p", "d", "q", "irreducible", "add", "mul", "neg", "inv")
+    __slots__ = (
+        "p", "d", "q", "irreducible", "add", "mul", "neg", "inv",
+        "width", "_sub_width", "_top", "_digit", "_spread", "_code", "_terms", "_masks", "_submul",
+    )
 
     def __init__(self, p: int, d: int = 1, irreducible=None):
         if not is_prime(p):
             raise NotPrimeError(f"characteristic {p} is not prime")
         if d < 1:
-            raise ValueError(f"extension degree must be positive, got {d}")
+            raise ArgumentError(f"extension degree must be positive, got {d}")
         q = p ** d
         if q > MAX_ORDER:
             raise OrderTooLargeError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
         if d == 1:
             if irreducible is not None:
-                raise ValueError("a modulus polynomial only applies to extension fields")
+                raise ArgumentError("a modulus polynomial only applies to extension fields")
             irreducible = (0, 1)  # formally x; unused for prime fields
         else:
             if irreducible is None:
                 irreducible = DEFAULT_IRREDUCIBLE.get(q)
                 if irreducible is None:
-                    raise ValueError(
+                    raise ArgumentError(
                         f"no default modulus is shipped for order {q}; pass one explicitly"
                     )
             irreducible = tuple(int(c) % p for c in irreducible)
             if len(irreducible) != d + 1 or irreducible[-1] != 1:
-                raise ValueError("modulus must be monic of degree equal to the extension degree")
+                raise ArgumentError(
+                    "modulus must be monic of degree equal to the extension degree"
+                )
             if not _is_irreducible_zp(list(irreducible), p):
                 raise ReduciblePolynomialError(
                     f"modulus {irreducible} is reducible over GF({p})"
@@ -182,6 +245,7 @@ class GF:
         self.q = q
         self.irreducible = tuple(irreducible)
         self._build_tables()
+        self._build_packing()
 
     def _build_tables(self):
         p, d, q = self.p, self.d, self.q
@@ -229,6 +293,45 @@ class GF:
                     break
         self.inv = inv
 
+    def _build_packing(self):
+        """Digit layout of packed vectors (module docstring): the digit
+        width, the digit of each element and back, and for each c the
+        terms that multiply a vector by c."""
+        p, d, q = self.p, self.d, self.q
+        if p == 2:
+            sub = 1
+            self._top = -1  # nothing to fold
+        else:
+            # the largest sub-digit before folding: v + (p - c)·w, with
+            # d products per sub-digit in an extension field
+            bound = (p - 1) + d * (p - 1) ** 2
+            sub = bound.bit_length() + 1  # plus a guard bit
+            # the first conditional subtraction is p * 2**top, the
+            # largest such multiple up to ``bound``
+            top = 0
+            while p << (top + 1) <= bound:
+                top += 1
+            self._top = top
+        self._sub_width = sub
+        self.width = width = d * sub
+        self._digit = (1 << width) - 1
+        # coefficient j of an element's polynomial in sub-digit j
+        self._spread = spread = {
+            a: sum((a // p ** j % p) << (j * sub) for j in range(d)) for a in range(q)
+        }
+        self._code = {digit: a for a, digit in spread.items()}
+        # c·v = sum over j of (sub-digit j of v) · (c·x**j), x**j being p**j
+        self._terms = [
+            tuple((j * sub, spread[self.mul[c][p ** j]]) for j in range(d)) for c in range(q)
+        ]
+        self._masks = _Masks(self)
+        if q == 2:
+            self._submul = self._submul_binary
+        elif p == 2:
+            self._submul = self._submul_char2
+        else:
+            self._submul = self._submul_prime if d == 1 else self._submul_odd
+
     # -- scalar operations --------------------------------------------------
 
     def sub(self, a: int, b: int) -> int:
@@ -250,64 +353,130 @@ class GF:
             k >>= 1
         return out
 
-    # -- elimination -----------------------------------------------------------
+    # -- packed vectors ----------------------------------------------------------
 
-    def reduce(self, basis, v):
-        """Reduce a vector against an echelon basis from :meth:`echelon`.
-        The result is zero exactly when v lies in the span of the basis."""
-        add, mul, neg = self.add, self.mul, self.neg
-        for pivot, bv in basis:
-            c = v[pivot]
-            if c:
-                minus_c = mul[neg[c]]
-                v = [add[x][minus_c[y]] for x, y in zip(v, bv)]
+    def pack(self, vec) -> int:
+        """The packed form of a sequence of elements, coordinate i in
+        digit i; an entry that is not an element raises
+        :class:`ArgumentError`."""
+        spread, width = self._spread, self.width
+        v = 0
+        try:
+            for x in reversed(vec):
+                v = v << width | spread[x]
+        except KeyError:
+            raise ArgumentError(f"entry {x} is not an element of {self!r}") from None
         return v
 
-    def normalize(self, v) -> tuple[int, tuple[int, ...]] | None:
-        """The echelon row of a vector: (pivot, v scaled to 1 at its
-        pivot), the pivot being the index of the first nonzero
-        coordinate; None for the zero vector.  Two nonzero vectors span
-        the same line exactly when their rows are equal.  A vector
-        that already leads with 1, as every nonzero one over GF(2)
-        does, is only made a tuple."""
-        lead = next(filter(None, v), 0)
-        if not lead:
-            return None
-        if lead == 1:
-            return v.index(1), tuple(v)
-        scale = self.mul[self.inv[lead]]
-        return v.index(lead), tuple(map(scale.__getitem__, v))
+    def unpack(self, v: int, height: int) -> tuple[int, ...]:
+        """The first ``height`` coordinates of a packed vector."""
+        code, digit, width = self._code, self._digit, self.width
+        return tuple(code[v >> i * width & digit] for i in range(height))
 
-    def project(self, row, prow) -> tuple[int, tuple[int, ...]] | None:
-        """The echelon row of ``row``'s vector reduced by the one echelon
-        row ``prow``: ``normalize(reduce((prow,), row[1]))``, with one
+    def pivot(self, v: int) -> int:
+        """The index of the first nonzero coordinate of v; -1 for zero."""
+        return ((v & -v).bit_length() - 1) // self.width
+
+    def _times(self, c: int, v: int) -> int:
+        """c·v over an extension field, its sub-digits not yet reduced
+        mod p: one product per sub-digit of an element, XORed in
+        characteristic 2."""
+        low = self._masks[v.bit_length()][0]
+        out = 0
+        if self.p == 2:
+            for shift, term in self._terms[c]:
+                out ^= (v >> shift & low) * term
+        else:
+            for shift, term in self._terms[c]:
+                out += (v >> shift & low) * term
+        return out
+
+    def _fold(self, x: int) -> int:
+        """x with every sub-digit reduced mod p (odd p), each one below
+        its guard bit on entry: where a sub-digit is at least p * 2**t,
+        which its guard bit survives, subtract p * 2**t, t descending."""
+        _, guard, steps = self._masks[x.bit_length()]
+        g = self._sub_width - 1
+        for big, small in steps:
+            x -= (((x | guard) - big & guard) >> g) * small
+        return x
+
+    # v - c·w for a nonzero element c, one kernel per kind of field:
+    # XOR in characteristic 2, v + (p - c)·w folded in odd characteristic
+
+    def _submul_binary(self, v: int, c: int, w: int) -> int:
+        return v ^ w
+
+    def _submul_char2(self, v: int, c: int, w: int) -> int:
+        return v ^ self._times(c, w)
+
+    def _submul_prime(self, v: int, c: int, w: int) -> int:
+        return self._fold(v + (self.p - c) * w)
+
+    def _submul_odd(self, v: int, c: int, w: int) -> int:
+        return self._fold(v + self._times(self.neg[c], w))
+
+    # -- elimination -------------------------------------------------------------
+
+    def reduce(self, basis, v: int) -> int:
+        """Reduce a packed vector against an echelon basis from
+        :meth:`echelon`: for each row, subtract the multiple that clears
+        v at the row's pivot.  The result is zero exactly when v lies in
+        the span of the basis."""
+        code, digit, submul = self._code, self._digit, self._submul
+        for w in basis:
+            low = w & -w  # bit 0 of w's pivot digit
+            c = v & low * digit
+            if c:
+                v = submul(v, code[c // low], w)
+        return v
+
+    def normalize(self, v: int) -> int:
+        """The echelon row of a packed vector: v scaled to 1 at its
+        pivot, the first nonzero coordinate; 0 for the zero vector.  Two
+        nonzero vectors span the same line exactly when their rows are
+        equal.  A vector that already leads with 1, as every nonzero one
+        over GF(2) does, comes back as it is."""
+        if not v or self.q == 2:
+            return v
+        width = self.width
+        c = self._code[v >> ((v & -v).bit_length() - 1) // width * width & self._digit]
+        if c == 1:
+            return v
+        c = self.inv[c]
+        if self.d == 1:
+            return self._fold(c * v)
+        v = self._times(c, v)
+        return v if self.p == 2 else self._fold(v)
+
+    def project(self, row: int, prow: int) -> int:
+        """The echelon row ``row`` reduced by the one echelon row
+        ``prow``: ``normalize(reduce((prow,), row))``, with one
         elimination step.  ``prow`` is zero before its pivot k and 1 at
-        k, so a row that is zero at k comes back unchanged, and any
-        other keeps its pivot and scale unless the two pivots are equal;
-        only then is the result normalized (None for a parallel row)."""
-        pivot, v = row
-        k = prow[0]
-        if not v[k]:
+        k, so a row that is zero at k comes back unchanged, and any other
+        keeps its pivot and scale unless the two pivots are equal; only
+        then is the result normalized (0 for a parallel row)."""
+        low = prow & -prow  # bit 0 of digit k
+        c = row & low * self._digit
+        if not c:
             return row
-        v = self.reduce((prow,), v)
-        if pivot == k:
-            return self.normalize(v)
-        return pivot, tuple(v)
+        v = self._submul(row, self._code[c // low], prow)
+        return v if row & low - 1 else self.normalize(v)
 
-    def echelon(self, vectors) -> list[tuple[int, tuple[int, ...]]]:
-        """Gaussian elimination over this field, one vector at a time.
+    def echelon(self, vectors) -> list[int]:
+        """Gaussian elimination over this field, one packed vector at a
+        time.
 
-        Returns one (pivot, vector) pair per vector that is independent
-        of those before it, in input order: the vector reduced against
-        the earlier pairs and scaled to 1 at its pivot (:meth:`normalize`).
-        The length is the rank of the input.
+        Returns the echelon row (:meth:`normalize`) of each vector that is
+        independent of those before it, reduced against the earlier rows,
+        in input order.  The length is the rank of the input.
         """
         reduce, normalize = self.reduce, self.normalize
-        basis: list[tuple[int, tuple[int, ...]]] = []
+        basis: list[int] = []
         for v in vectors:
-            row = normalize(reduce(basis, v))
-            if row is not None:
-                basis.append(row)
+            v = normalize(reduce(basis, v))
+            if v:
+                basis.append(v)
         return basis
 
     # -- misc ----------------------------------------------------------------

@@ -26,7 +26,13 @@ from .charpoly import (
     largest_real_root,
     sturm_positive_beyond,
 )
-from .errors import LineMinorPresentError, ParseError, TooLargeError, WidthWitnessExceededError
+from .errors import (
+    ArgumentError,
+    LineMinorPresentError,
+    ParseError,
+    TooLargeError,
+    WidthWitnessExceededError,
+)
 from .gfq import gf
 from .matroid import (
     MAX_GROUND,
@@ -75,7 +81,7 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     return cp_delete_contract(m)
 
 
-# (field, frozenset of echelon rows) -> chi; insertion order is age
+# (field, frozenset of packed echelon rows) -> chi; insertion order is age
 _CHARPOLY_MEMO: dict[tuple, IntPoly] = {}
 
 
@@ -88,7 +94,8 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
     keyed by the field of its root's matrix (:meth:`Matroid.matrix`)
     and the set of its normalized columns
     (:meth:`LinearMatroid.reduced_columns`, modulo the contracted span
-    for a minor), and its chi is kept in a table of at most
+    for a minor), packed into ints, so matrices that differ only by zero
+    rows at the bottom share a key; its chi is kept in a table of at most
     ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares p, d and
     the modulus, so fields that encode elements differently never share
     an entry.  A matroid with a loop is computed afresh every time, as
@@ -101,7 +108,7 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
     """
     mat, kept, cmask = m._matrix_triple()
     rows = mat.reduced_columns(kept, mat.span_basis(cmask))
-    if None in rows:
+    if 0 in rows:
         return charpoly_auto(m)
     key = (mat.field, frozenset(rows))
     chi = _CHARPOLY_MEMO.get(key)
@@ -164,9 +171,12 @@ def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
     blocks sharing an overlap coordinate window.  Returns (vectors,
     block membership lists, overlap lists, total rank)."""
     if not 0 <= overlap_rank < block_rank:
-        raise ValueError("need 0 <= overlap_rank < block_rank")
+        raise ArgumentError(
+            f"a glued path needs 0 <= overlap_rank < block_rank, "
+            f"got overlap_rank={overlap_rank}, block_rank={block_rank}"
+        )
     if blocks < 1:
-        raise ValueError("need at least one block")
+        raise ArgumentError(f"a glued path needs at least one block, got {blocks}")
     step = block_rank - overlap_rank
     total_rank = block_rank + (blocks - 1) * step
     model = pg_build(block_rank, q)
@@ -208,6 +218,8 @@ def gen_glued(
 def _glued(
     q: int, block_rank: int, blocks: int, overlap_rank: int, seed, delete_count: int
 ) -> InstanceRecord:
+    if delete_count < 0:
+        raise ArgumentError(f"the delete count must be nonnegative, got {delete_count}")
     vectors, block_elements, overlap_elements, total_rank = _glued_points(
         q, block_rank, blocks, overlap_rank
     )

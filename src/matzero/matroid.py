@@ -169,7 +169,7 @@ class Matroid:
         contracted ones, are zero."""
         mat, kept, cmask = self._matrix_triple()
         rows = mat.reduced_columns(kept, mat.span_basis(cmask))
-        return mask_of(e for e, row in enumerate(rows) if row is None)
+        return mask_of(e for e, row in enumerate(rows) if not row)
 
     def is_loopless(self) -> bool:
         return self.loops_mask() == 0
@@ -346,7 +346,10 @@ class Matroid:
 
 
 class LinearMatroid(Matroid):
-    """Column matroid of a matrix over a small finite field."""
+    """Column matroid of a matrix over a small finite field.  ``columns``
+    holds the entries as tuples, for the file format; ``packed`` holds
+    the same columns as packed vectors (:mod:`matzero.gfq`), which every
+    elimination reads."""
 
     def __init__(self, field: GF, columns: Sequence[Sequence[int]], labels=None, nrows=None):
         self.field = field
@@ -357,11 +360,8 @@ class LinearMatroid(Matroid):
                 raise ValueError("all columns must have the same height")
         elif nrows is None:
             nrows = 0
-        for c in cols:
-            for x in c:
-                if not 0 <= x < field.q:
-                    raise ValueError(f"entry {x} is not an element of {field!r}")
         self.columns = cols
+        self.packed = tuple(map(field.pack, cols))
         self.nrows = nrows
         self._init_common(len(cols), labels)
 
@@ -378,28 +378,28 @@ class LinearMatroid(Matroid):
         return [[self.columns[j][i] for j in range(self.n)] for i in range(self.nrows)]
 
     def _rank_mask(self, mask: int) -> int:
-        return len(self.field.echelon(self.columns[e] for e in mask_bits(mask)))
+        return len(self.field.echelon(self.packed[e] for e in mask_bits(mask)))
 
     def matrix(self) -> "LinearMatroid":
         return self
 
-    def span_basis(self, mask: int) -> list[tuple[int, tuple[int, ...]]]:
+    def span_basis(self, mask: int) -> list[int]:
         """An echelon basis (:meth:`GF.echelon`) of the span of the
         columns in ``mask``."""
-        return self.field.echelon(self.columns[e] for e in mask_bits(mask))
+        return self.field.echelon(self.packed[e] for e in mask_bits(mask))
 
-    def reduced_columns(self, elements, basis) -> list:
+    def reduced_columns(self, elements, basis) -> list[int]:
         """The columns of ``elements`` reduced modulo the span of the
         echelon basis ``basis`` and scaled to 1 at their first nonzero
         entry, as echelon rows (:meth:`GF.normalize`).  When ``basis``
         spans the columns of a set C, these rows represent the minor
-        M/C on ``elements``: a loop of it gives None, and two elements
+        M/C on ``elements``: a loop of it gives 0, and two elements
         are parallel in it exactly when their rows are equal.  (Oxley,
         *Matroid Theory*: contracting a represented element projects
         every other column away from its vector.)"""
         reduce, normalize = self.field.reduce, self.field.normalize
-        columns = self.columns
-        return [normalize(reduce(basis, columns[e])) for e in elements]
+        packed = self.packed
+        return [normalize(reduce(basis, packed[e])) for e in elements]
 
     def contract_by_elimination(self, subset) -> "LinearMatroid":
         """Contract by explicit matrix surgery: reduce the other columns
@@ -407,13 +407,14 @@ class LinearMatroid(Matroid):
         pivot rows.  Useful as an independent cross-check of the
         rank-offset contraction."""
         cmask = as_mask(self.n, subset)
+        field = self.field
         basis = self.span_basis(cmask)
-        pivot_rows = {pr for pr, _ in basis}
+        pivot_rows = set(map(field.pivot, basis))
         keep_rows = [i for i in range(self.nrows) if i not in pivot_rows]
         kept = [e for e in range(self.n) if not (1 << e) & cmask]
         new_cols = [
-            [row[1][i] if row else 0 for i in keep_rows]
-            for row in self.reduced_columns(kept, basis)
+            [column[i] for i in keep_rows]
+            for column in (field.unpack(row, self.nrows) for row in self.reduced_columns(kept, basis))
         ]
         labels = tuple(self.labels[e] for e in kept)
         return LinearMatroid(self.field, new_cols, labels, nrows=len(keep_rows))
@@ -530,7 +531,7 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     contracting a represented element projects every other column away
     from its vector.)  With None the columns are reduced from scratch."""
     mat, kept, cmask = m._matrix_triple()
-    points: dict[tuple, int] = {}
+    points: dict[int, int] = {}
     if carried is None:
         basis = mat.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
         outside = list(mask_bits(m.full_mask & ~fmask))

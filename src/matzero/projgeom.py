@@ -52,6 +52,9 @@ class PGModel:
     Points are the nonzero vectors of GF(q)**r normalized so the first
     nonzero coordinate is 1, listed in lexicographic order.  The list
     index is the canonical name of a point throughout this module.
+    ``vectors`` holds the points packed (:mod:`matzero.gfq`), and
+    ``index`` maps each packed point, an echelon row of
+    :meth:`GF.normalize`, to its name.
     """
 
     def __init__(self, r: int, field: GF):
@@ -70,31 +73,19 @@ class PGModel:
         self.r = r
         self.field = field
         self.points = tuple(pts)
-        self.index = {v: i for i, v in enumerate(pts)}
+        self.vectors = tuple(map(field.pack, pts))
+        self.index = {v: i for i, v in enumerate(self.vectors)}
         assert len(pts) == pg_point_count(r, q)
 
     @property
     def q(self) -> int:
         return self.field.q
 
-    def normalize(self, vec) -> tuple[int, ...]:
-        """Scale a nonzero vector so its first nonzero coordinate is 1."""
-        vec = tuple(int(x) for x in vec)
-        first = next((c for c in vec if c), None)
-        if first is None:
-            raise ValueError("the zero vector is not a projective point")
-        if first == 1:
-            return vec
-        s = self.field.invert(first)
-        mul = self.field.mul[s]
-        return tuple(mul[x] for x in vec)
-
     def span_closure(self, point_ids) -> tuple[int, ...]:
         """All point indices inside the linear span of the given points."""
-        basis = self.field.echelon(self.points[i] for i in point_ids)
-        return tuple(
-            idx for idx, pt in enumerate(self.points) if not any(self.field.reduce(basis, pt))
-        )
+        reduce, vectors = self.field.reduce, self.vectors
+        basis = self.field.echelon(vectors[i] for i in point_ids)
+        return tuple(idx for idx, v in enumerate(vectors) if not reduce(basis, v))
 
     def matroid(self, labels=None) -> LinearMatroid:
         """The geometry itself as a matroid (only for small models)."""
@@ -109,12 +100,14 @@ def pg_build(r: int, q) -> PGModel:
     return PGModel(r, field)
 
 
-def _row_reduce(field: GF, columns):
-    """Rewrite columns in coordinates of their own span, dropping
-    dependent rows, so the matrix height equals the matroid rank."""
-    nrows = len(columns[0]) if columns else 0
-    basis = field.echelon([col[i] for col in columns] for i in range(nrows))
-    return [[bv[j] for _, bv in basis] for j in range(len(columns))]
+def _row_reduce(m: LinearMatroid) -> list[int]:
+    """The packed columns of m in coordinates of their own span: the
+    echelon basis of the rows, dropping dependent ones, so the height
+    equals the rank."""
+    field, n = m.field, m.n
+    basis = field.echelon(field.pack([col[i] for col in m.columns]) for i in range(m.nrows))
+    rows = [field.unpack(row, n) for row in basis]
+    return [field.pack([row[j] for row in rows]) for j in range(n)]
 
 
 @dataclass
@@ -141,11 +134,9 @@ def embed(m: Matroid) -> PGEmbedding:
         raise NotLinearError("embedding requires an explicit matrix over GF(q)")
     require_simple(m)
     r = m.full_rank
-    cols = [list(c) for c in m.columns]
-    if m.nrows != r:
-        cols = _row_reduce(m.field, cols)
+    vectors = m.packed if m.nrows == r else _row_reduce(m)
     model = PGModel(r, m.field)
-    elem_to_point = tuple(model.index[model.normalize(c)] for c in cols)
+    elem_to_point = tuple(map(model.index.__getitem__, map(m.field.normalize, vectors)))
     base = LinearMatroid(m.field, [model.points[i] for i in elem_to_point], m.labels)
     return PGEmbedding(base, model, elem_to_point)
 

@@ -529,8 +529,8 @@ def _prefix_ranks(m: Matroid, order) -> list[int]:
     base = len(basis)
     out = []
     for e in order:
-        row = normalize(reduce(basis, mat.columns[kept[e]]))
-        if row is not None:
+        row = normalize(reduce(basis, mat.packed[kept[e]]))
+        if row:
             basis.append(row)
         out.append(len(basis) - base)
     return out
@@ -546,12 +546,12 @@ def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
     mat, kept, cmask = m._matrix_triple()
     reduce, normalize = mat.field.reduce, mat.field.normalize
     basis = mat.span_basis(cmask)
-    left = {e: reduce(basis, mat.columns[kept[e]]) for e in range(m.n)}
+    left = {e: reduce(basis, mat.packed[kept[e]]) for e in range(m.n)}
     order: list[int] = []
     ranks: list[int] = []
     rank = 0
     while left:
-        for e in [e for e, v in left.items() if not any(v)]:
+        for e in [e for e, v in left.items() if not v]:
             del left[e]
             order.append(e)
             ranks.append(rank)

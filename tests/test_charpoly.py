@@ -383,7 +383,7 @@ def test_vector_engine_matches_rank_oracles(monkeypatch):
     real_project = GF.project
 
     def project(self, row, prow):
-        pivots.add(prow[0])
+        pivots.add(self.pivot(prow))
         return real_project(self, row, prow)
 
     monkeypatch.setattr(GF, "project", project)
@@ -524,9 +524,10 @@ def test_rank_at_most_two_minors_take_the_closed_form(monkeypatch):
     "shape", [(2, 3, 3, 1, 0, 3), (3, 2, 4, 0, 1, 2)], ids=["gf2-3x3", "gf3-2x4"]
 )
 def test_deletion_contraction_runs_no_elimination_pass_per_minor(monkeypatch, shape):
-    """Once the start has reduced the columns and brought them to
-    reduced echelon form (n + h + r reductions here, with nothing
-    contracted), every ``GF.reduce`` call comes from ``GF.project``:
+    """Once the start has read every column's coordinates off one
+    elimination pass (n reductions here, with nothing contracted; the
+    start that row-reduced the reduced columns a second time made
+    n + h + r), every ``GF.reduce`` call comes from ``GF.project``:
     no minor runs an elimination pass.  The per-minor pivot search
     this replaced made 1851 and 413 reductions outside ``GF.project``
     on these two instances."""
@@ -553,7 +554,7 @@ def test_deletion_contraction_runs_no_elimination_pass_per_minor(monkeypatch, sh
     p = cp_delete_contract(m)
     monkeypatch.undo()
     assert state["projections"] > 0
-    assert sum(1 for _, seen in calls if not seen) == m.n + m.nrows + m.full_rank
+    assert sum(1 for _, seen in calls if not seen) == m.n
     assert all(inside for inside, seen in calls if seen)
     assert p == _delete_contract_by_rank(m)
 

@@ -218,6 +218,32 @@ def test_generate_graphic_rejects_a_negative_vertex_count(capsys, tmp_path, shap
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--overlap", "5"],
+         "a glued path needs 0 <= overlap_rank < block_rank, got overlap_rank=5, block_rank=3"),
+        (["--overlap", "-1"],
+         "a glued path needs 0 <= overlap_rank < block_rank, got overlap_rank=-1, block_rank=3"),
+        (["--blocks", "0"], "a glued path needs at least one block, got 0"),
+        (["--delete", "-2"], "the delete count must be nonnegative, got -2"),
+    ],
+    ids=["overlap-5", "overlap-negative", "blocks-0", "delete-negative"],
+)
+def test_generate_glued_rejects_bad_arguments(capsys, tmp_path, options, message):
+    """A glued shape that cannot be built, or a negative delete count,
+    ends in one message line, exit status 2 and no file."""
+    argv = {"--q": "2", "--block-rank": "3", "--blocks": "2", "--overlap": "1", "--delete": "0"}
+    argv.update(zip(options[::2], options[1::2]))
+    rc = main(["generate", "glued", *(x for kv in argv.items() for x in kv),
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"matzero: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_uniform_rank_zero(capsys, tmp_path):
     rc, out = run(capsys, "generate", "uniform", "--rank", "0", "--n", "3",
                   "--out", str(tmp_path))

@@ -114,39 +114,43 @@ def test_sub():
 
 def test_echelon_and_reduce():
     F = gf(3)
-    basis = F.echelon([(1, 2, 0), (2, 1, 0), (0, 1, 1), (1, 0, 1)])
-    assert basis == [(0, (1, 2, 0)), (1, (0, 1, 1))]
-    assert not any(F.reduce(basis, (2, 2, 1)))
-    assert list(F.reduce(basis, (1, 1, 1))) == [0, 0, 2]
+    pack = F.pack
+    basis = F.echelon(map(pack, [(1, 2, 0), (2, 1, 0), (0, 1, 1), (1, 0, 1)]))
+    assert basis == [pack((1, 2, 0)), pack((0, 1, 1))]
+    assert [F.pivot(row) for row in basis] == [0, 1]
+    assert F.reduce(basis, pack((2, 2, 1))) == 0
+    assert F.unpack(F.reduce(basis, pack((1, 1, 1))), 3) == (0, 0, 2)
     assert F.echelon([]) == []
 
 
 def _echelon_row(F, rng, width, pivot):
-    """A random echelon row: zero before ``pivot``, 1 at it."""
+    """A random echelon row, packed: zero before ``pivot``, 1 at it."""
     tail = [rng.randrange(F.q) for _ in range(width - pivot - 1)]
-    return pivot, (0,) * pivot + (1, *tail)
+    return F.pack((0,) * pivot + (1, *tail))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_normalize_matches_the_rescaling_formula(q):
-    """normalize gives (index of the first nonzero entry, the vector
-    times that entry's inverse) as a tuple, for lists and tuples alike,
-    whether or not the lead is already 1; None for a zero vector."""
+    """normalize gives the vector times the inverse of its first
+    nonzero entry, whose index is the pivot, packed from lists and
+    tuples alike, whether or not the lead is already 1, with nothing
+    above the height; 0 for a zero vector."""
     F = gf(q)
     rng = random.Random(2000 + q)
     leads = set()
     for _ in range(400):
         v = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randint(0, 6))]
         for given in (v, tuple(v)):
-            got = F.normalize(given)
+            got = F.normalize(F.pack(given))
             nonzero = [i for i, x in enumerate(v) if x]
             if not nonzero:
-                assert got is None
+                assert got == 0
                 continue
             pivot = nonzero[0]
             scale = F.inv[v[pivot]]
-            assert got == (pivot, tuple(F.mul[scale][x] for x in v))
-            assert type(got[1]) is tuple
+            assert F.pivot(got) == pivot
+            assert F.unpack(got, len(v)) == tuple(F.mul[scale][x] for x in v)
+            assert got >> len(v) * F.width == 0
             leads.add(v[pivot])
     assert leads == set(range(1, q))
 
@@ -171,17 +175,18 @@ def test_project_matches_reduce_then_normalize(q):
         elif case == "above" and k < width - 1:
             row = _echelon_row(F, rng, width, rng.randrange(k + 1, width))
         elif case in ("below", "zero at k") and k > 0:
-            pivot, v = _echelon_row(F, rng, width, rng.randrange(k))
-            v = list(v)
+            v = list(F.unpack(_echelon_row(F, rng, width, rng.randrange(k)), width))
             v[k] = 0 if case == "zero at k" else rng.randrange(1, q)
-            row = pivot, tuple(v)
+            row = F.pack(v)
         else:
             continue
-        expected = F.normalize(F.reduce((prow,), row[1]))
+        expected = F.normalize(F.reduce((prow,), row))
         got = F.project(row, prow)
         assert got == expected, (row, prow)
-        if not row[1][k]:
-            assert got is row
+        if not F.unpack(row, width)[k]:
+            assert got == row
+        if case == "parallel":
+            assert got == 0
         seen.add(case)
     assert seen >= {"below", "same", "parallel", "above", "zero at k"}
 
@@ -210,6 +215,24 @@ def test_construction_errors():
         GF(5, 1, irreducible=(1, 1))
     with pytest.raises(ValueError):
         ff_build(2, 3, (1, 1))  # degree mismatch
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 0),  # extension degree below 1
+        (3, -1),
+        (5, 1, (1, 1)),  # a modulus for a prime field
+        (2, 5),  # no shipped modulus for order 32
+        (2, 3, (1, 1)),  # wrong degree
+        (3, 2, (1, 0, 2)),  # not monic
+    ],
+)
+def test_construction_argument_errors_are_typed(args):
+    """Bad arguments to GF raise ArgumentError, a MatZeroError that is
+    still a ValueError."""
+    with pytest.raises(ArgumentError):
+        GF(*args)
 
 
 def test_order_is_capped_before_it_is_factored():
@@ -301,3 +324,148 @@ def test_gf_shares_one_field_between_threads(monkeypatch):
     assert len(seen) == 6
     for fields in zip(*seen):
         assert len({id(f) for f in fields}) == 1
+
+
+# -- the packed kernels against the tuple elimination they replaced ----------
+#
+# The reference below is the tuple-level elimination the library ran
+# before vectors were packed into ints: rows are (pivot, tuple) pairs and
+# None stands for the zero vector.
+
+
+def _ref_reduce(F, basis, v):
+    add, mul, neg = F.add, F.mul, F.neg
+    for pivot, bv in basis:
+        c = v[pivot]
+        if c:
+            minus_c = mul[neg[c]]
+            v = [add[x][minus_c[y]] for x, y in zip(v, bv)]
+    return v
+
+
+def _ref_normalize(F, v):
+    lead = next(filter(None, v), 0)
+    if not lead:
+        return None
+    if lead == 1:
+        return v.index(1), tuple(v)
+    scale = F.mul[F.inv[lead]]
+    return v.index(lead), tuple(map(scale.__getitem__, v))
+
+
+def _ref_project(F, row, prow):
+    pivot, v = row
+    k = prow[0]
+    if not v[k]:
+        return row
+    v = _ref_reduce(F, (prow,), v)
+    if pivot == k:
+        return _ref_normalize(F, v)
+    return pivot, tuple(v)
+
+
+def _ref_echelon(F, vectors):
+    basis = []
+    for v in vectors:
+        row = _ref_normalize(F, _ref_reduce(F, basis, list(v)))
+        if row is not None:
+            basis.append(row)
+    return basis
+
+
+def _all_fields():
+    fields = [gf(q) for q in range(2, MAX_ORDER) if _is_prime_power(q)]
+    return fields + [ff_build(2, 5, (1, 0, 1, 0, 0, 1))]  # x^5 + x^2 + 1
+
+
+def _is_prime_power(q):
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+# digit width per field: d bits in characteristic 2; in odd
+# characteristic d sub-digits, each wide enough for (p - 1) + d(p - 1)**2
+# plus a guard bit
+WIDTHS = {2: 1, 4: 2, 8: 3, 16: 4, 32: 5, 3: 4, 5: 6, 7: 7, 11: 8, 13: 9, 17: 10,
+          19: 10, 23: 10, 29: 11, 31: 11, 9: 10, 25: 14, 27: 15}
+
+
+@pytest.mark.parametrize("F", _all_fields(), ids=repr)
+def test_packed_kernels_match_the_tuple_reference(F):
+    """echelon, reduce, normalize and project on packed vectors give the
+    reference's rows after unpacking, for every prime power up to 32,
+    heights 0-24, zero vectors, parallel rows and every scalar."""
+    q = F.q
+    assert F.width == WIDTHS[q]
+    rng = random.Random(q)
+    for h in range(25):
+        for _ in range(3):
+            vs = [
+                tuple(rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(h))
+                for _ in range(rng.randint(0, h + 2))
+            ]
+            if vs:  # a zero vector and a rescaled copy
+                vs.insert(rng.randrange(len(vs) + 1), (0,) * h)
+                c = rng.randrange(1, q)
+                vs.insert(rng.randrange(len(vs) + 1), tuple(F.mul[c][x] for x in vs[0]))
+            packed = [F.pack(v) for v in vs]
+            assert [F.unpack(v, h) for v in packed] == vs
+            ref = _ref_echelon(F, vs)
+            basis = F.echelon(packed)
+            assert [(F.pivot(row), F.unpack(row, h)) for row in basis] == ref
+            v = tuple(rng.randrange(q) for _ in range(h))
+            assert F.unpack(F.reduce(basis, F.pack(v)), h) == tuple(_ref_reduce(F, ref, list(v)))
+            assert all(F.project(row, row) == 0 for row in basis)  # parallel
+            for c in range(q):
+                w = [F.mul[c][x] for x in v]
+                row, expected = F.normalize(F.pack(w)), _ref_normalize(F, w)
+                if expected is None:
+                    assert row == 0
+                    continue
+                assert (F.pivot(row), F.unpack(row, h)) == expected
+                for prow in ref:  # every scalar against every echelon row
+                    got = F.project(row, F.pack(prow[1]))
+                    want = _ref_project(F, expected, prow)
+                    assert (F.pivot(got), F.unpack(got, h)) == (want or (-1, (0,) * h))
+
+
+def test_packed_elimination_shared_between_threads():
+    """Threads eliminating vectors of many heights over one fresh field,
+    whose mask table fills while they run, all get the answers of a
+    single thread."""
+    rng = random.Random(7)
+    batches = [
+        [tuple(rng.randrange(9) for _ in range(h)) for _ in range(h + 1)] for h in range(1, 25)
+    ]
+
+    def solve(F, order):
+        return {i: [F.unpack(row, len(batches[i][0])) for row in F.echelon(map(F.pack, batches[i]))]
+                for i in order}
+
+    expected = solve(ff_build(3, 2), range(len(batches)))
+    shared = ff_build(3, 2)
+    seen, errors = [], []
+
+    def work(offset):
+        try:
+            order = [(i + offset) % len(batches) for i in range(len(batches))][::-1 if offset % 2 else 1]
+            seen.append(solve(shared, order))
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert seen == [expected] * 6

@@ -430,13 +430,22 @@ def _counting_engine(monkeypatch):
 
 def _point_set(m):
     """The projective points of m's columns, each scaled to 1 at its
-    first nonzero entry; written here apart from the harness's key."""
+    first nonzero entry and with its trailing zeros dropped, so that
+    matrices that differ only by zero rows at the bottom share their
+    points; written here apart from the harness's key."""
     field = m.field
     points = set()
     for col in m.columns:
         lead = next(x for x in col if x)
-        points.add(tuple(field.mul[field.inv[lead]][x] for x in col))
+        points.add(_trimmed([field.mul[field.inv[lead]][x] for x in col]))
     return frozenset(points)
+
+
+def _trimmed(point):
+    point = list(point)
+    while not point[-1]:
+        point.pop()
+    return tuple(point)
 
 
 @pytest.mark.parametrize(
@@ -474,7 +483,8 @@ def test_charpoly_memo_runs_the_engine_once_per_point_set(monkeypatch, fresh_cha
 
 
 def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
-    """Permuted, rescaled and repeated columns share one entry."""
+    """Permuted, rescaled and repeated columns share one entry, and so
+    do columns with zero rows appended."""
     F = gf(3)
     cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (0, 1, 1)]
     variants = [
@@ -483,6 +493,7 @@ def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
         [tuple(F.mul[2][x] for x in c) for c in cols],
         cols + [cols[2], tuple(F.mul[2][x] for x in cols[3])],
         [cols[i] for i in (3, 0, 4, 1, 2, 0)],
+        [c + (0, 0) for c in cols],
     ]
     expected = charpoly_auto(LinearMatroid(F, cols))
     calls = _counting_engine(monkeypatch)
@@ -559,7 +570,9 @@ def test_charpoly_memo_is_bounded(monkeypatch, fresh_charpoly_memo):
         keys.append((F, _point_set(m)))
         assert len(fresh_charpoly_memo) <= 3
     assert len(set(keys)) == 10
-    assert [(f, frozenset(p for _, p in rows)) for f, rows in fresh_charpoly_memo] == keys[-3:]
+    assert [
+        (f, frozenset(_trimmed(f.unpack(p, 3)) for p in rows)) for f, rows in fresh_charpoly_memo
+    ] == keys[-3:]
 
 
 def test_charpoly_memo_shared_by_threads(monkeypatch, fresh_charpoly_memo):

@@ -715,8 +715,12 @@ def test_uniform_validation():
 def test_linear_validation():
     with pytest.raises(ValueError):
         LinearMatroid(gf(2), [(1, 0), (1,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match=r"entry 2 is not an element of GF\(2\)"):
         LinearMatroid(gf(2), [(2, 0)])
+    with pytest.raises(ArgumentError, match=r"entry -1 is not an element of GF\(3\)"):
+        LinearMatroid(gf(3), [(0, -1)])  # not read as q - 1
+    with pytest.raises(ArgumentError):
+        gf(9).pack((0, 9))
 
 
 def test_ranks_table_cap():

@@ -44,12 +44,14 @@ def test_pg_point_count():
 
 def test_model_points_normalized_and_ordered():
     model = pg_build(2, 3)
+    F = model.field
     assert model.points == ((0, 1), (1, 0), (1, 1), (1, 2))
-    assert model.index[(1, 1)] == 2
-    assert model.normalize((0, 2)) == (0, 1)
-    assert model.normalize((2, 1)) == (1, 2)  # scale by inverse of 2
-    with pytest.raises(ValueError):
-        model.normalize((0, 0))
+    assert model.vectors == tuple(map(F.pack, model.points))
+    assert model.index[F.pack((1, 1))] == 2
+    # the model's points are GF.normalize's echelon rows
+    assert F.normalize(F.pack((0, 2))) == F.pack((0, 1))
+    assert F.normalize(F.pack((2, 1))) == F.pack((1, 2))  # scale by inverse of 2
+    assert F.normalize(F.pack((0, 0))) == 0  # the zero vector is no point
     with pytest.raises(ValueError):
         pg_build(0, 2)
 
@@ -61,10 +63,11 @@ def test_model_size_cap():
 
 def test_span_closure():
     model = pg_build(3, 2)
-    a = model.index[(1, 0, 0)]
-    b = model.index[(0, 1, 0)]
+    pack = model.field.pack
+    a = model.index[pack((1, 0, 0))]
+    b = model.index[pack((0, 1, 0))]
     line = model.span_closure([a, b])
-    assert set(line) == {a, b, model.index[(1, 1, 0)]}
+    assert set(line) == {a, b, model.index[pack((1, 1, 0))]}
     assert model.span_closure([]) == ()
     assert len(model.span_closure([a])) == 1
     assert len(model.span_closure(range(3))) <= 7
