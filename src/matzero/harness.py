@@ -64,6 +64,9 @@ ROOT_TOL = Fraction(1, 2 ** 30)
 # whole instances whose characteristic polynomial is kept for the
 # process by the bound suites; the oldest is dropped when full
 MAX_CHARPOLY_MEMO = 1024
+# glued shapes (q, block_rank, blocks, overlap_rank) whose points are
+# kept for the process; the oldest is dropped when full
+MAX_GLUED_MEMO = 64
 
 
 def effective_seed(seed):
@@ -166,10 +169,25 @@ def _random_linear(q: int, r: int, n: int, seed) -> InstanceRecord:
     )
 
 
+# (q, block_rank, blocks, overlap_rank) -> _glued_points; insertion order is age
+_GLUED_MEMO: dict[tuple[int, int, int, int], tuple] = {}
+
+
 def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
     """Vectors of a path of full projective-geometry blocks, consecutive
     blocks sharing an overlap coordinate window.  Returns (vectors,
-    block membership lists, overlap lists, total rank)."""
+    block memberships, overlaps, total rank), the first three as tuples
+    of tuples: the result is a pure function of the four arguments,
+    kept for the process in a table of at most ``MAX_GLUED_MEMO``
+    shapes and shared by every draw of that shape."""
+    key = (q, block_rank, blocks, overlap_rank)
+    points = _GLUED_MEMO.get(key)
+    if points is None:
+        points = _remember(_GLUED_MEMO, key, _build_glued_points(*key), MAX_GLUED_MEMO)
+    return points
+
+
+def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
     if not 0 <= overlap_rank < block_rank:
         raise ArgumentError(
             f"a glued path needs 0 <= overlap_rank < block_rank, "
@@ -193,11 +211,11 @@ def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
                 vectors.append(vec)
                 where[vec] = idx
             block_elements[b].append(idx)
-    overlap_elements: list[list[int]] = []
-    for j in range(blocks - 1):
-        shared = sorted(set(block_elements[j]) & set(block_elements[j + 1]))
-        overlap_elements.append(shared)
-    return vectors, block_elements, overlap_elements, total_rank
+    overlap_elements = tuple(
+        tuple(sorted(set(block_elements[j]) & set(block_elements[j + 1])))
+        for j in range(blocks - 1)
+    )
+    return tuple(vectors), tuple(map(tuple, block_elements)), overlap_elements, total_rank
 
 
 def gen_glued(

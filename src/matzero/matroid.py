@@ -48,12 +48,12 @@ def as_mask(n: int, subset) -> int:
     """Normalize a subset argument (bitmask or iterable of indices)."""
     if isinstance(subset, int):
         if subset < 0 or subset >= (1 << n):
-            raise ValueError(f"mask {subset} out of range for a {n}-element ground set")
+            raise ArgumentError(f"mask {subset} out of range for a {n}-element ground set")
         return subset
     mask = 0
     for e in subset:
         if not 0 <= e < n:
-            raise ValueError(f"element {e} out of range for a {n}-element ground set")
+            raise ArgumentError(f"element {e} out of range for a {n}-element ground set")
         mask |= 1 << e
     return mask
 
@@ -99,7 +99,7 @@ class Matroid:
         self.full_mask = (1 << n) - 1
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
-            raise ValueError("labels must match the ground set size")
+            raise ArgumentError("labels must match the ground set size")
         self._rank_cache: dict[int, int] = {}
         self._matrix: LinearMatroid | None = None
 
@@ -197,7 +197,7 @@ class Matroid:
         dmask = as_mask(self.n, delete)
         cmask = as_mask(self.n, contract)
         if dmask & cmask:
-            raise ValueError("deleted and contracted sets must be disjoint")
+            raise ArgumentError("deleted and contracted sets must be disjoint")
         if dmask == 0 and cmask == 0:
             return self
         root, kept, root_cmask = self._root_triple()
@@ -300,6 +300,24 @@ class Matroid:
         """Whether some minor is a rank-2 uniform matroid on ``length``
         elements.
 
+        A minor of a GF(q)-represented matroid is GF(q)-represented, and
+        a rank-2 GF(q) matroid has at most q + 1 points, the points of
+        PG(1, q) (Oxley, *Matroid Theory*, ch. 6; at q = 2 this is
+        Tutte's "no U_{2,4}-minor" characterization of binary
+        matroids).  Every root has a matrix (:meth:`matrix`), so when
+        ``length`` exceeds q + 1 for the field of the root's matrix the
+        answer is False exactly, not by heuristic, and nothing is
+        scanned.  Every other length is answered by :meth:`_line_scan`."""
+        if length < 2:
+            raise ArgumentError(f"line length must be at least 2, got {length}")
+        if length > self._matrix_triple()[0].field.q + 1:
+            return False
+        return self._line_scan(length)
+
+    def _line_scan(self, length: int) -> bool:
+        """:meth:`has_line_minor` by walking the lattice of flats, for
+        any ``length`` of at least 2.
+
         Every minor is M/C\\D with C independent and D coindependent
         (Oxley, *Matroid Theory*, Lemma 3.3.2), so such a minor exists
         exactly when some flat F of rank r - 2 has at least ``length``
@@ -312,8 +330,6 @@ class Matroid:
         walk (:func:`_quotient_covers`), keeps only the flats that meet
         that bound, and stops at rank r - 2; the flats it visits count
         against ``MAX_FLATS``."""
-        if length < 2:
-            raise ArgumentError(f"line length must be at least 2, got {length}")
         top = self.full_rank - 2
         level = {self.loops_mask(): None}
         count = 1
@@ -357,7 +373,7 @@ class LinearMatroid(Matroid):
         if cols:
             nrows = len(cols[0])
             if any(len(c) != nrows for c in cols):
-                raise ValueError("all columns must have the same height")
+                raise ArgumentError("all columns must have the same height")
         elif nrows is None:
             nrows = 0
         self.columns = cols

@@ -11,6 +11,7 @@ from matzero import charpoly, harness
 from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_delete_contract, cp_mobius
 from matzero.cli import main as cli_main
 from matzero.errors import (
+    ArgumentError,
     LineMinorPresentError,
     MatZeroError,
     ParseError,
@@ -139,6 +140,39 @@ def test_gen_glued_single_block():
     rec = gen_glued(2, 2, 1, 0, seed=1)
     assert rec.decomposition.tree.num_vertices == 1
     assert rec.decomposition.width() == 2
+
+
+def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
+    """Every draw of a shape shares one build of its points, held in
+    tuples so no caller can change the shared entry, and the table
+    keeps at most the cap, dropping its oldest shape."""
+    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
+    monkeypatch.setattr(harness, "MAX_GLUED_MEMO", 3)
+    builds = []
+    real = harness.pg_build
+
+    def counting(rank, q):
+        builds.append((rank, q))
+        return real(rank, q)
+
+    monkeypatch.setattr(harness, "pg_build", counting)
+    a = gen_glued(2, 3, 2, 1, seed=1, delete_count=2)
+    b = gen_glued(2, 3, 2, 1, seed=2, delete_count=2)
+    assert builds == [(3, 2)]
+    assert a.matroid.columns != b.matroid.columns  # the seeds still choose
+    points = harness._glued_points(2, 3, 2, 1)
+    assert points is harness._glued_points(2, 3, 2, 1)
+    vectors, block_elements, overlap_elements, total_rank = points
+    assert total_rank == 5
+    assert all(type(part) is tuple for part in (vectors, block_elements, overlap_elements))
+    assert all(type(inner) is tuple for inner in (*vectors, *block_elements, *overlap_elements))
+    for shape in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)):
+        harness._glued_points(*shape)
+        assert len(harness._GLUED_MEMO) <= 3
+    assert list(harness._GLUED_MEMO) == [(3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)]
+    with pytest.raises(ArgumentError):
+        harness._glued_points(2, 2, 2, 2)
+    assert len(harness._GLUED_MEMO) == 3
 
 
 # -- suites -----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Rank oracles, minors, flats, Mobius values, cocircuits, line minors,
 and the matroid file format."""
 
+import ast
 import copy
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +79,27 @@ def test_mask_helpers():
         as_mask(3, [5])
     with pytest.raises(ValueError):
         as_mask(3, 1 << 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_mask(3, 1 << 4), r"^mask 16 out of range for a 3-element ground set$"),
+        (lambda: as_mask(3, [0, 5]), r"^element 5 out of range for a 3-element ground set$"),
+        (lambda: UniformMatroid(2, 3, labels="ab"), r"^labels must match the ground set size$"),
+        (lambda: fano().minor(delete=[0, 1], contract=[1]),
+         r"^deleted and contracted sets must be disjoint$"),
+        (lambda: LinearMatroid(gf(2), [(1, 0), (1,)]),
+         r"^all columns must have the same height$"),
+    ],
+    ids=["mask", "element", "labels", "minor", "heights"],
+)
+def test_bad_arguments_raise_a_typed_error(call, message):
+    """Each bad-input path raises ArgumentError, a MatZeroError that is
+    still a ValueError, with its message unchanged."""
+    with pytest.raises(ArgumentError, match=message) as info:
+        call()
+    assert isinstance(info.value, MatZeroError) and isinstance(info.value, ValueError)
 
 
 def test_closure():
@@ -318,6 +341,7 @@ def test_flat_lattice_matches_closure_oracle():
         q = _field_order(m)
         for length in range(2, q + 3):
             assert m.has_line_minor(length) == (length <= longest), (m, length)
+            assert m._line_scan(length) == (length <= longest), (m, length)
         if longest == q + 1:
             full_lines.add(q)
     assert full_lines >= {4, 5, 9}  # true answers from U_{2,q+1} minors
@@ -584,6 +608,7 @@ def test_line_minor_against_brute_force():
         for length in range(2, max(5, q + 2) + 1):
             answer = _line_minor_brute(m, length)
             assert m.has_line_minor(length) == answer, (m, length)
+            assert m._line_scan(length) == answer, (m, length)
             if answer and length == q + 1:
                 full_lines.add(q)
     assert full_lines >= {4, 5}  # true answers from U_{2,q+1} minors
@@ -597,6 +622,7 @@ def test_line_minor_scan_on_a_matrix_queries_no_ranks():
     before = len(m._rank_cache)
     assert m.has_line_minor(3)
     assert not m.has_line_minor(4)  # binary matroids have no U_{2,4}
+    assert not m._line_scan(4)
     assert len(m._rank_cache) - before <= 2
 
 
@@ -634,6 +660,8 @@ def test_line_scan_pruning_threshold_at_its_edge(rank, view):
         assert len(m.parallel_classes()) == length + rank - 2
         assert m.has_line_minor(length), (length, rank)
         assert not m.has_line_minor(length + 1), (length, rank)
+        assert m._line_scan(length), (length, rank)
+        assert not m._line_scan(length + 1), (length, rank)
 
 
 def test_line_scan_matches_closure_oracle_on_larger_matrices():
@@ -654,13 +682,16 @@ def test_line_scan_matches_closure_oracle_on_larger_matrices():
                 for length in range(2, q + 3):
                     answer = m.has_line_minor(length)
                     assert answer == (length <= longest), (m, length)
+                    assert m._line_scan(length) == answer, (m, length)
                     answers.add(answer)
     assert answers == {True, False}
 
 
 def test_line_scan_covers_only_flats_below_rank_r_minus_1(monkeypatch):
     """On a glued instance the scan asks for the covers of flats of rank
-    at most r - 2 only, and of fewer flats than the full lattice walk."""
+    at most r - 2 only, and of fewer flats than the full lattice walk.
+    It is asked directly: over GF(3) has_line_minor(5) is answered by
+    the field with no scan."""
     m = gen_glued(3, 2, 5, 0, seed=0, delete_count=5).matroid
     r = m.full_rank
     seen = []
@@ -671,12 +702,75 @@ def test_line_scan_covers_only_flats_below_rank_r_minus_1(monkeypatch):
         return real(mm, fmask, carried)
 
     monkeypatch.setattr(matroid, "_quotient_covers", counting)
-    assert not m.has_line_minor(5)
+    assert not m._line_scan(5)
     scan = list(seen)
     seen.clear()
     m._flat_lattice()
     assert scan and all(m.rank_mask(f) <= r - 2 for f in scan)
     assert len(scan) < len(seen)
+
+
+def _glued_slots():
+    """The benchmark's glued shapes, ``GLUED_SLOTS`` read from the source
+    of its workload module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GLUED_SLOTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py has no GLUED_SLOTS")
+
+
+def _scan_work(monkeypatch, m, length):
+    """has_line_minor(length) on m, with the number of _quotient_covers
+    calls it made and the number of rank-cache entries it added."""
+    calls = []
+    real = matroid._quotient_covers
+
+    def counting(mm, fmask, carried):
+        calls.append(fmask)
+        return real(mm, fmask, carried)
+
+    monkeypatch.setattr(matroid, "_quotient_covers", counting)
+    before = len(m._rank_cache)
+    answer = m.has_line_minor(length)
+    monkeypatch.setattr(matroid, "_quotient_covers", real)
+    return answer, len(calls), len(m._rank_cache) - before
+
+
+@pytest.mark.parametrize("slot", sorted(set(_glued_slots())), ids=str)
+def test_line_minor_past_the_field_does_no_work(slot, monkeypatch):
+    """A GF(q) matrix has no (q + 2)-point line minor: has_line_minor
+    says so with no cover read and no rank asked, the scan agrees, and
+    at q + 1 the answer is the scan's."""
+    q, block_rank, blocks, overlap, deleted = slot
+    m = gen_glued(q, block_rank, blocks, overlap, seed=0, delete_count=deleted).matroid
+    assert _scan_work(monkeypatch, m, q + 2) == (False, 0, 0)
+    assert not m._line_scan(q + 2)
+    assert m.has_line_minor(q + 1) == m._line_scan(q + 1)
+
+
+def test_line_minor_field_reads_every_root_type(monkeypatch):
+    """The field comes from the root's matrix: GF(2) for a graph, the
+    normal rational curve's GF(4) for U_{2,5}, and the root's field for
+    a minor view of a matrix.  At most q' + 1 the scan answers."""
+    k4 = k4_graphic()
+    assert _scan_work(monkeypatch, k4, 4) == (False, 0, 0)
+    assert k4.has_line_minor(3) and k4._line_scan(3)
+    u25 = UniformMatroid(2, 5)
+    assert u25.matrix().field.q == 4
+    answer, calls, _ = _scan_work(monkeypatch, u25, 5)
+    assert answer and calls > 0
+    assert _scan_work(monkeypatch, u25, 6) == (False, 0, 0)
+    assert u25._line_scan(5) and not u25._line_scan(6)
+    # the 5 points of PG(1, 4) plus a coloop, viewed with one column
+    # contracted and one deleted
+    line = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (0, 0, 1), (1, 1, 1)]
+    view = LinearMatroid(gf(4), line).minor(delete=[6], contract=[5])
+    assert isinstance(view, matroid.MinorMatroid)
+    answer, calls, _ = _scan_work(monkeypatch, view, 5)
+    assert answer and calls > 0
+    assert _scan_work(monkeypatch, view, 6) == (False, 0, 0)
+    assert view._line_scan(5) and not view._line_scan(6)
 
 
 def test_graphic_rank_ignores_untouched_vertices():
