@@ -223,12 +223,14 @@ def cp_boolean_expansion(m: Matroid) -> IntPoly:
 
 
 def cp_delete_contract(m: Matroid) -> IntPoly:
-    """Deletion-contraction with simplification before every split.
+    """Deletion-contraction on simple minors.
 
     chi_M = chi_{M minus e} - chi_{M contract e}  whenever e is neither
-    a loop nor a coloop; a loop kills the polynomial.  Minors are
-    memoized by their (remaining, contracted) mask pair relative to the
-    root matroid, with no cross-instance canonicalization.
+    a loop nor a coloop; a loop kills the polynomial.  No minor is kept
+    for reuse, because no minor comes up twice in one computation: every
+    minor below the deletion of e lacks e, every minor below its
+    contraction has e contracted, and along one path the remaining set
+    only shrinks while the contracted one only grows.
 
     The recursion reads each minor in the coordinates of a standard
     representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
@@ -240,16 +242,17 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     reduces to zero in its first h digits holds minus its coordinates in
     that basis in the digits above (a column zero in all of them lies in
     the span of C: a loop).  Each element carries its coordinates scaled
-    to 1 at the first nonzero one, so the basis shows up as unit rows.
-    Contracting the pivot projects every other column along it
-    (:meth:`GF.project`), which kills the pivot's coordinate and leaves
-    every other unit row as it is, so each minor keeps a unit row per
-    live coordinate, and its rank is r minus the contractions made.  In
-    a simple minor any other row lies on a circuit: the first one is
-    the pivot, found with no elimination pass, and with none left chi
-    is (lam - 1)**rank.  Equal rows are parallel; only a contraction
-    makes them, so a simple minor's deletion child is not checked again.
-    A simple minor of rank 2 with n points has chi (lam - 1)(lam - n + 1).
+    to 1 at the first nonzero one, so the basis shows up as unit rows
+    and parallel elements as equal rows, of which the first, in element
+    order, is kept.  Contracting the pivot projects every other column
+    along it (:meth:`GF.project`), which kills the pivot's coordinate and
+    leaves every other unit row as it is, so each minor keeps a unit row
+    per live coordinate, and its rank is r minus the contractions made.
+    Only a contraction makes parallel rows, so only the contraction
+    child is simplified.  In a simple minor any other row lies on a
+    circuit: the first one is the pivot, found with no elimination pass,
+    and with none left chi is (lam - 1)**rank.  A simple minor of rank 2
+    with n points has chi (lam - 1)(lam - n + 1).
     """
     mat, kept, cmask = m._matrix_triple()
     field = mat.field
@@ -264,49 +267,28 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         if v & below:
             unit = 1 << (len(basis) - base) * field.width
             basis.append(normalize(v | unit << top))
-            rows.append((e, unit))
+            rows.append(unit)
         elif v:
-            rows.append((e, normalize(v >> top)))
+            rows.append(normalize(v >> top))
         else:
             return ZERO
-    rank = len(basis) - base
-    memo: dict[tuple[int, int], IntPoly] = {}
 
-    def rec(rest: int, cmask: int, rank: int, rows: list, simple: bool) -> IntPoly:
-        # rows: (root element, echelon row) for each element of rest,
-        # ascending, the row 0 for a loop, with a unit row for each of
-        # rank coordinates
-        key = (rest, cmask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def rec(rows: list, rank: int) -> IntPoly:
+        # rows: the distinct echelon rows of a simple minor, in element
+        # order, with a unit row for each of rank coordinates
         n = len(rows)
-        reps: dict = {}
-        if not simple:
-            for e, row in rows:
-                reps.setdefault(row, e)
-            simple = len(reps) == n
-        if 0 in reps:
-            out = ZERO
-        elif not simple:
-            rows = [(e, row) for e, row in rows if reps[row] == e]
-            out = rec(sum(1 << e for e, _ in rows), cmask, rank, rows, True)
-        elif n == rank:
-            out = lam_minus_one_power(rank)
-        elif rank == 2:
-            out = IntPoly((n - 1, -n, 1))
-        else:
-            pivot = next(i for i, (_, v) in enumerate(rows) if v & v - 1)  # unit rows are one bit
-            e, prow = rows[pivot]
-            others = rows[:pivot] + rows[pivot + 1:]
-            contracted = [(f, project(row, prow)) for f, row in others]
-            rest &= ~(1 << e)
-            out = (rec(rest, cmask, rank, others, True)
-                   - rec(rest, cmask | 1 << e, rank - 1, contracted, False))
-        memo[key] = out
-        return out
+        if n == rank:
+            return lam_minus_one_power(rank)
+        if rank == 2:
+            return IntPoly((n - 1, -n, 1))
+        pivot = next(i for i, v in enumerate(rows) if v & v - 1)  # unit rows are one bit
+        prow = rows[pivot]
+        others = rows[:pivot] + rows[pivot + 1:]
+        # no other row is parallel to prow, so none projects to 0: no loop
+        contracted = list(dict.fromkeys(project(row, prow) for row in others))
+        return rec(others, rank) - rec(contracted, rank - 1)
 
-    return rec(sum(1 << k for k in kept), cmask, rank, rows, False)
+    return rec(list(dict.fromkeys(rows)), len(basis) - base)
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
@@ -321,31 +303,27 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
     :func:`cp_delete_contract` it reads each minor's loops and parallel
     copies off the root matrix's columns reduced modulo the contracted
     span: a zero column is a loop and equal columns are parallel.
+
+    No minor is kept for reuse, because no two terms share one: the
+    first term deletes the x_i that every other term contracts, and of
+    two terms (i, j) != (i', j') one deletes an element that the other
+    contracts.
     """
     if not m.is_simple():
         raise NotSimpleError("the cocircuit expansion needs a simple matroid")
     mat, kept, cmask = m._matrix_triple()
-    memo: dict[tuple[int, int], IntPoly] = {}
 
     def norm(rest: int, cmask: int) -> IntPoly:
-        key = (rest, cmask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         elements = list(mask_bits(rest))
         reps: dict = {}
         for e, row in zip(elements, mat.reduced_columns(elements, mat.span_basis(cmask))):
             reps.setdefault(row, e)
         if 0 in reps:
-            out = ZERO
-        elif len(reps) < len(elements):
-            out = norm(sum(1 << e for e in reps.values()), cmask)
-        else:
-            out = expand(rest, elements, cmask)
-        memo[key] = out
-        return out
+            return ZERO
+        return expand(list(reps.values()), cmask)
 
-    def expand(rest: int, elements: list, cmask: int) -> IntPoly:
+    def expand(elements: list, cmask: int) -> IntPoly:
+        rest = sum(1 << e for e in elements)
         minor = MinorMatroid(mat, tuple(elements), cmask)
         if minor.full_rank == minor.n:
             return lam_minus_one_power(minor.n)

@@ -21,6 +21,7 @@ from itertools import product
 
 from .charpoly import IntPoly, cp_delete_contract, poly_exact_div
 from .errors import (
+    ArgumentError,
     NeckNotFilledError,
     NotInTreeError,
     NotLinearError,
@@ -59,7 +60,7 @@ class PGModel:
 
     def __init__(self, r: int, field: GF):
         if r < 1:
-            raise ValueError("a projective geometry needs rank at least 1")
+            raise ArgumentError("a projective geometry needs rank at least 1")
         q = field.q
         if pg_point_count(r, q) > MAX_POINTS:
             raise TooLargeError(
@@ -187,7 +188,7 @@ def neck_of_edge(emb: PGEmbedding, dec: TreeDecomposition, edge) -> tuple[tuple[
     (q**d - 1)/(q - 1) for some d.
     """
     if dec.matroid is not emb.base:
-        raise ValueError("the decomposition must decompose the embedded base matroid")
+        raise ArgumentError("the decomposition must decompose the embedded base matroid")
     du, dw = dec.displayed_sets_edge(edge)
     span_u = set(emb.model.span_closure(emb.points_of(du)))
     span_w = set(emb.model.span_closure(emb.points_of(dw)))
@@ -206,7 +207,7 @@ def induced_decomposition(
     every node width unchanged when the points lie in that edge's
     neck)."""
     if dec.matroid is not ext.embedding.base:
-        raise ValueError("the decomposition must decompose the embedded base matroid")
+        raise ArgumentError("the decomposition must decompose the embedded base matroid")
     u, w = edge
     if not dec.tree.has_edge(u, w):
         raise NotInTreeError(f"edge ({u}, {w}) is not in the tree")
@@ -245,13 +246,13 @@ def split_along_neck(
     """
     emb = ext.embedding
     if dec.matroid is not emb.base:
-        raise ValueError("the decomposition must decompose the embedded base matroid")
+        raise ArgumentError("the decomposition must decompose the embedded base matroid")
     u, w = edge
     if dec.tree.degree(w) != 1:
         if dec.tree.degree(u) == 1:
             u, w = w, u
         else:
-            raise ValueError("the split edge must touch a leaf")
+            raise ArgumentError("the split edge must touch a leaf")
     neck, _external = neck_of_edge(emb, dec, (u, w))
     point_to_elem = {p: e for e, p in enumerate(emb.elem_to_point)}
     n = ext.base_count
@@ -291,10 +292,10 @@ def brylawski_charpoly(m1: Matroid, m2: Matroid, common: Matroid) -> IntPoly:
     """
     for m in (m1, m2, common):
         if len(set(m.labels)) != m.n:
-            raise ValueError("label-based gluing needs distinct labels")
+            raise ArgumentError("label-based gluing needs distinct labels")
     shared = set(m1.labels) & set(m2.labels)
     if shared != set(common.labels):
-        raise ValueError("the common matroid must carry exactly the shared labels")
+        raise ArgumentError("the common matroid must carry exactly the shared labels")
     pos1 = {lab: i for i, lab in enumerate(m1.labels)}
     pos2 = {lab: i for i, lab in enumerate(m2.labels)}
     order = sorted(common.labels, key=lambda lab: pos1[lab])
@@ -310,7 +311,7 @@ def brylawski_charpoly(m1: Matroid, m2: Matroid, common: Matroid) -> IntPoly:
         r2 = m2.rank_mask(mask_of(pos2[lab] for lab in chosen))
         rc = common.rank_mask(mask_of(posc[lab] for lab in chosen))
         if not r1 == r2 == rc:
-            raise ValueError("the pieces disagree on their common ground set")
+            raise ArgumentError("the pieces disagree on their common ground set")
     flat1 = m1.closure_mask(mask_of(pos1[lab] for lab in order))
     if not is_modular_flat(m1, flat1):
         raise NotModularError("the common flat is not modular in the first piece")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import NotInTreeError, ParseError, TooLargeError
+from .errors import ArgumentError, NotInTreeError, ParseError, TooLargeError
 from .matroid import Matroid, content_lines, mask_bits, parse_ints
 
 EXACT_SEARCH_MAX = 10
@@ -42,13 +42,13 @@ class Tree:
     def __init__(self, num_vertices: int, edges):
         edges = tuple((min(u, v), max(u, v)) for u, v in edges)
         if num_vertices < 1:
-            raise ValueError("a tree needs at least one vertex")
+            raise ArgumentError("a tree needs at least one vertex")
         if len(edges) != num_vertices - 1:
-            raise ValueError("a tree on l vertices has exactly l - 1 edges")
+            raise ArgumentError("a tree on l vertices has exactly l - 1 edges")
         adj: list[list[int]] = [[] for _ in range(num_vertices)]
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
+                raise ArgumentError(f"bad edge ({u}, {v})")
             adj[u].append(v)
             adj[v].append(u)
         self.num_vertices = num_vertices
@@ -56,7 +56,7 @@ class Tree:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         # connectivity check; acyclicity follows from the edge count
         if len(self._reach(0, -1)) != num_vertices:
-            raise ValueError("edge list does not form a connected tree")
+            raise ArgumentError("edge list does not form a connected tree")
 
     def _reach(self, u: int, w: int) -> set[int]:
         """The vertices reachable from u without entering w; a w that is
@@ -117,7 +117,7 @@ class TreeDecomposition:
     def __init__(self, matroid: Matroid, tree: Tree, assignment):
         assignment = tuple(int(v) for v in assignment)
         if len(assignment) != matroid.n:
-            raise ValueError("assignment length must equal the ground set size")
+            raise ArgumentError("assignment length must equal the ground set size")
         for v in assignment:
             if not 0 <= v < tree.num_vertices:
                 raise NotInTreeError(f"assignment targets vertex {v} outside the tree")
@@ -598,7 +598,7 @@ def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecompo
         return _path_decomposition(m, list(range(m.n)))
     if strategy == "greedy":
         return _path_decomposition(m, _greedy_order(m)[0])
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise ArgumentError(f"unknown strategy {strategy!r}")
 
 
 def best_heuristic(m: Matroid) -> TreeDecomposition:

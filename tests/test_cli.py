@@ -207,6 +207,35 @@ def test_generate_random_rejects_an_order_that_is_not_a_prime_power(capsys, tmp_
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "rank, n, message",
+    [
+        ("0", "3", "a random matrix needs rank r >= 1, got r=0"),
+        ("2", "-1", "a random matrix needs n >= 0 columns, got n=-1"),
+    ],
+    ids=["rank-0", "n-negative"],
+)
+def test_generate_random_rejects_bad_sizes(capsys, tmp_path, rank, n, message):
+    """A size that admits no random matrix ends in one message line,
+    exit status 2 and no file, not a traceback or a matrix of n = -1."""
+    rc = main(["generate", "random", "--q", "2", "--rank", rank, "--n", n,
+               "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"matzero: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["mixed", "random", "glued"])
+def test_verify_rejects_a_width_below_one(capsys, kind):
+    rc = main(["verify", "main", "--q", "2", "--k", "0", "--instances", f"{kind}:5:0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "matzero: the width bound needs k >= 1, got k=0\n"
+
+
 @pytest.mark.parametrize("shape", ["path", "cycle", "complete"])
 def test_generate_graphic_rejects_a_negative_vertex_count(capsys, tmp_path, shape):
     rc = main(["generate", "graphic", "--shape", shape, "--vertices", "-1",

@@ -447,6 +447,25 @@ def test_resolve_instances_errors():
         assert repr(spec) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: resolve_instances("mixed:5:0", 2, 0), r"^the width bound needs k >= 1, got k=0$"),
+        (lambda: resolve_instances("random:5:0", 2, 0), r"^the width bound needs k >= 1, got k=0$"),
+        (lambda: resolve_instances("glued:5:0", 2, 0), r"^the width bound needs k >= 1, got k=0$"),
+        (lambda: main_theorem_suite(2, 0, 5), r"^the width bound needs k >= 1, got k=0$"),
+        (lambda: gen_random_linear(2, 0, 3, 0), r"^a random matrix needs rank r >= 1, got r=0$"),
+        (lambda: gen_random_linear(2, 2, -1, 0), r"^a random matrix needs n >= 0 columns, got n=-1$"),
+    ],
+    ids=["mixed-k0", "random-k0", "glued-k0", "suite-k0", "random-r0", "random-n-negative"],
+)
+def test_bad_sizes_raise_a_typed_error(call, message):
+    """A size that admits no instance raises ArgumentError naming the
+    argument, not a ValueError from randrange or a matrix of n < 0."""
+    with pytest.raises(ArgumentError, match=message):
+        call()
+
+
 # -- the whole-instance charpoly memo of the bound suites ----------------------
 
 

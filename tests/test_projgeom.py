@@ -5,6 +5,8 @@ import pytest
 
 from matzero.charpoly import IntPoly, cp_delete_contract
 from matzero.errors import (
+    ArgumentError,
+    MatZeroError,
     NeckNotFilledError,
     NotLinearError,
     NotModularError,
@@ -16,6 +18,7 @@ from matzero.gfq import gf
 from matzero.instances import fano
 from matzero.matroid import LinearMatroid, UniformMatroid, mask_of, ranks_agree
 from matzero.projgeom import (
+    PGModel,
     brylawski_charpoly,
     embed,
     extend,
@@ -294,6 +297,58 @@ def test_brylawski_rejects_rank_disagreement():
     common = m1.restrict([0, 1])
     with pytest.raises(ValueError):
         brylawski_charpoly(m1, m2, common)
+
+
+def _foreign_decomposition():
+    # a decomposition of a matroid other than the embedded base
+    return TreeDecomposition(embed(fano()).base, Tree(2, [(0, 1)]), (0,) * 4 + (1,) * 3)
+
+
+def _path_of_four():
+    # the glued planes on a path decomposition whose middle edge touches no leaf
+    emb, _ = glued_two_planes()
+    dec = TreeDecomposition(emb.base, Tree(4, [(0, 1), (1, 2), (2, 3)]), [0] * 7 + [1, 1, 2, 3])
+    return extend(emb, []), dec
+
+
+def _glued_extension():
+    return extend(glued_two_planes()[0], [])
+
+
+_AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PGModel(0, gf(2)), r"^a projective geometry needs rank at least 1$"),
+        (lambda: neck_of_edge(glued_two_planes()[0], _foreign_decomposition(), (0, 1)),
+         r"^the decomposition must decompose the embedded base matroid$"),
+        (lambda: induced_decomposition(_glued_extension(), _foreign_decomposition(), (0, 1)),
+         r"^the decomposition must decompose the embedded base matroid$"),
+        (lambda: split_along_neck(_glued_extension(), _foreign_decomposition(), (0, 1)),
+         r"^the decomposition must decompose the embedded base matroid$"),
+        (lambda: split_along_neck(*_path_of_four(), (1, 2)),
+         r"^the split edge must touch a leaf$"),
+        (lambda: brylawski_charpoly(LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "a")), _AB, _AB),
+         r"^label-based gluing needs distinct labels$"),
+        (lambda: brylawski_charpoly(LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "c")), _AB, _AB),
+         r"^the common matroid must carry exactly the shared labels$"),
+        (lambda: brylawski_charpoly(
+            LinearMatroid(gf(2), [(1, 0), (0, 1), (1, 1)], ("a", "b", "c")),
+            LinearMatroid(gf(2), [(1, 1), (1, 1), (0, 1)], ("a", "b", "z")),
+            LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))),
+         r"^the pieces disagree on their common ground set$"),
+    ],
+    ids=["pg-rank", "neck-base", "induced-base", "split-base", "split-leaf",
+         "labels", "shared-labels", "agreement"],
+)
+def test_bad_arguments_raise_a_typed_error(call, message):
+    """Each bad-input path raises ArgumentError, a MatZeroError that is
+    still a ValueError, with its message unchanged."""
+    with pytest.raises(ArgumentError, match=message) as info:
+        call()
+    assert isinstance(info.value, MatZeroError) and isinstance(info.value, ValueError)
 
 
 # -- telescoping -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matzero.errors import MatZeroError, NotInTreeError, ParseError, TooLargeError
+from matzero.errors import ArgumentError, MatZeroError, NotInTreeError, ParseError, TooLargeError
 from matzero.gfq import gf
 from matzero.harness import main_theorem_suite
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
@@ -42,6 +42,27 @@ def test_tree_validation():
         Tree(2, [(0, 5)])             # out of range
     with pytest.raises(ValueError):
         Tree(4, [(0, 1), (1, 0), (2, 3)])  # right count, disconnected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Tree(0, ()), r"^a tree needs at least one vertex$"),
+        (lambda: Tree(3, [(0, 1)]), r"^a tree on l vertices has exactly l - 1 edges$"),
+        (lambda: Tree(2, [(0, 5)]), r"^bad edge \(0, 5\)$"),
+        (lambda: Tree(4, [(0, 1), (1, 0), (2, 3)]), r"^edge list does not form a connected tree$"),
+        (lambda: TreeDecomposition(fano(), Tree(1, ()), [0] * 6),
+         r"^assignment length must equal the ground set size$"),
+        (lambda: heuristic_decomposition(fano(), "spiral"), r"^unknown strategy 'spiral'$"),
+    ],
+    ids=["vertices", "edge-count", "edge", "connected", "assignment", "strategy"],
+)
+def test_bad_arguments_raise_a_typed_error(call, message):
+    """Each bad-input path raises ArgumentError, a MatZeroError that is
+    still a ValueError, with its message unchanged."""
+    with pytest.raises(ArgumentError, match=message) as info:
+        call()
+    assert isinstance(info.value, MatZeroError) and isinstance(info.value, ValueError)
 
 
 def test_tree_queries():
