@@ -253,6 +253,20 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     circuit: the first one is the pivot, found with no elimination pass,
     and with none left chi is (lam - 1)**rank.  A simple minor of rank 2
     with n points has chi (lam - 1)(lam - n + 1).
+
+    Deleting the pivot leaves a simple minor of the same rank whose
+    pivot is the next non-unit row, so the deletions along one minor are
+    a loop, not a recursion.  With p_1 < ... < p_m the non-unit rows of a
+    simple minor M of rank r and M_i = M minus p_1, ..., p_{i-1}:
+
+        chi_M = (lam - 1)**r - sum_i chi_{M_i / p_i}
+
+    where the rows of M_i / p_i are the unit rows before p_i and every
+    row after it, projected along p_i in one :meth:`GF.project` call.
+    Every leaf is then (lam - 1)**s or a simple rank-2 minor, so the
+    recursion carries a sign and counts its leaves in integers: one
+    count per rank s, and for the rank-2 leaves the sums of the signs
+    and of sign * n.  The polynomial is built once, from those counts.
     """
     mat, kept, cmask = m._matrix_triple()
     field = mat.field
@@ -272,23 +286,42 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
             rows.append(normalize(v >> top))
         else:
             return ZERO
+    rows = list(dict.fromkeys(rows))
+    n, rank = len(rows), len(basis) - base
+    if n == rank:
+        return lam_minus_one_power(rank)
+    if rank == 2:
+        return IntPoly((n - 1, -n, 1))
+    powers = [0] * (rank + 1)  # signed count of the leaves (lam - 1)**s
+    pairs = points = 0  # sums of sign and of sign * n over rank-2 leaves
 
-    def rec(rows: list, rank: int) -> IntPoly:
-        # rows: the distinct echelon rows of a simple minor, in element
-        # order, with a unit row for each of rank coordinates
-        n = len(rows)
-        if n == rank:
-            return lam_minus_one_power(rank)
-        if rank == 2:
-            return IntPoly((n - 1, -n, 1))
-        pivot = next(i for i, v in enumerate(rows) if v & v - 1)  # unit rows are one bit
-        prow = rows[pivot]
-        others = rows[:pivot] + rows[pivot + 1:]
-        # no other row is parallel to prow, so none projects to 0: no loop
-        contracted = list(dict.fromkeys(project(row, prow) for row in others))
-        return rec(others, rank) - rec(contracted, rank - 1)
+    def rec(rows: list, rank: int, sign: int) -> None:
+        # rows: the distinct echelon rows of a simple minor of rank at
+        # least 3, in element order, with a unit row for each of rank
+        # coordinates; its chi times sign goes into the counts
+        nonlocal pairs, points
+        powers[rank] += sign
+        units = []
+        for i, prow in enumerate(rows):
+            if not prow & prow - 1:  # unit rows are one bit
+                units.append(prow)
+                continue
+            # no other row is parallel to prow, so none projects to 0: no loop
+            contracted = project(units + rows[i + 1:], prow)
+            if rank == 3:
+                pairs -= sign
+                points -= sign * len(set(contracted))
+            else:
+                rec(list(dict.fromkeys(contracted)), rank - 1, -sign)
 
-    return rec(list(dict.fromkeys(rows)), len(basis) - base)
+    rec(rows, rank, 1)
+    # sum of sign * (lam - 1)(lam - n + 1) = pairs lam^2 - points lam + points - pairs
+    coeffs = [points - pairs, -points, pairs] + [0] * (rank - 2)
+    for s, count in enumerate(powers):
+        if count:
+            for i, c in enumerate(lam_minus_one_power(s).coeffs):
+                coeffs[i] += count * c
+    return IntPoly(coeffs)
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:

@@ -127,32 +127,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # build everything before the output directory exists, so that
+    # rejected arguments leave nothing behind
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.kind == "random":
-        seed = effective_seed(args.seed)
-        recs = [_random_linear(args.q, args.rank, args.n, seed + i) for i in range(args.count)]
+    if args.kind in ("random", "glued"):
+        if args.kind == "random":
+            seed = effective_seed(args.seed)
+            recs = [_random_linear(args.q, args.rank, args.n, seed + i) for i in range(args.count)]
+        else:
+            recs = [gen_glued(
+                args.q, args.block_rank, args.blocks, args.overlap, args.seed,
+                delete_count=args.delete,
+            )]
+        outdir.mkdir(parents=True, exist_ok=True)
         save_instances(outdir, recs)
         for rec in recs:
             print(outdir / f"{rec.id}.matrix")
-    elif args.kind == "glued":
-        rec = gen_glued(
-            args.q, args.block_rank, args.blocks, args.overlap, args.seed,
-            delete_count=args.delete,
-        )
-        save_instances(outdir, [rec])
-        print(outdir / f"{rec.id}.matrix")
-    elif args.kind == "uniform":
+        return 0
+    if args.kind == "uniform":
         m = UniformMatroid(args.rank, args.n).matrix()
         stem = f"uniform-r{args.rank}n{args.n}"
-        path = outdir / f"{stem}.matrix"
-        save_matroid(m, path)
-        save_decomposition(best_heuristic(m), outdir / f"{stem}.decomp")
-        print(path)
-        check = cp_uniform_closed_form(args.rank, args.n)
-        if charpoly_auto(m) != check:
-            print("warning: representation does not match the closed form", file=sys.stderr)
-            return 1
     elif args.kind == "graphic":
         v = args.vertices
         if args.shape == "complete":
@@ -165,12 +159,17 @@ def _cmd_generate(args) -> int:
             raise ValueError(f"unknown shape {args.shape!r}")
         m = GraphicMatroid(v, edges)
         stem = f"graphic-{args.shape}{v}"
-        path = outdir / f"{stem}.matrix"
-        save_matroid(m, path)
-        save_decomposition(best_heuristic(m), outdir / f"{stem}.decomp")
-        print(path)
     else:
         raise ValueError(f"unknown instance kind {args.kind!r}")
+    decomposition = best_heuristic(m)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{stem}.matrix"
+    save_matroid(m, path)
+    save_decomposition(decomposition, outdir / f"{stem}.decomp")
+    print(path)
+    if args.kind == "uniform" and charpoly_auto(m) != cp_uniform_closed_form(args.rank, args.n):
+        print("warning: representation does not match the closed form", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -35,8 +35,9 @@ the vectors; they are built on first use.  The pivot of a vector is
 its lowest nonzero digit, and an echelon row is a vector scaled to 1
 there (:meth:`GF.normalize`), so equal rows span equal lines and a row
 can be a dict key.  :meth:`GF.reduce`, :meth:`GF.normalize`,
-:meth:`GF.project` and :meth:`GF.echelon` are the only elimination
-routines in the package.
+:meth:`GF.project` (a list of rows along one echelon row, one call per
+list) and :meth:`GF.echelon` are the only elimination routines in the
+package.
 
 Tables are built eagerly, so every scalar operation afterwards is a
 pair of list lookups.  Instances are safe to share between threads:
@@ -449,19 +450,27 @@ class GF:
         v = self._times(c, v)
         return v if self.p == 2 else self._fold(v)
 
-    def project(self, row: int, prow: int) -> int:
-        """The echelon row ``row`` reduced by the one echelon row
-        ``prow``: ``normalize(reduce((prow,), row))``, with one
-        elimination step.  ``prow`` is zero before its pivot k and 1 at
-        k, so a row that is zero at k comes back unchanged, and any other
-        keeps its pivot and scale unless the two pivots are equal; only
-        then is the result normalized (0 for a parallel row)."""
+    def project(self, rows, prow: int) -> list[int]:
+        """Each echelon row of ``rows`` reduced by the one echelon row
+        ``prow``, in input order: ``normalize(reduce((prow,), row))``,
+        with one elimination step per row.  ``prow`` is zero before its
+        pivot k and 1 at k, so a row that is zero at k comes back
+        unchanged, and any other keeps its pivot and scale unless the
+        two pivots are equal; only then is the result normalized (0 for
+        a parallel row).  Over GF(2) each step is one conditional XOR."""
         low = prow & -prow  # bit 0 of digit k
-        c = row & low * self._digit
-        if not c:
-            return row
-        v = self._submul(row, self._code[c // low], prow)
-        return v if row & low - 1 else self.normalize(v)
+        if self.q == 2:
+            return [row ^ prow if row & low else row for row in rows]
+        at_k, below = low * self._digit, low - 1
+        code, submul, normalize = self._code, self._submul, self.normalize
+        out = []
+        for row in rows:
+            c = row & at_k
+            if c:
+                v = submul(row, code[c // low], prow)
+                row = v if row & below else normalize(v)
+            out.append(row)
+        return out
 
     def echelon(self, vectors) -> list[int]:
         """Gaussian elimination over this field, one packed vector at a

@@ -555,11 +555,9 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
             points[point] = points.get(point, 0) | (1 << e)
     else:
         parent, p = carried
-        project = mat.field.project
-        for point, cls in parent.items():
-            if point != p:
-                point = project(point, p)
-                points[point] = points.get(point, 0) | cls
+        rest = [point for point in parent if point != p]
+        for old, point in zip(rest, mat.field.project(rest, p)):
+            points[point] = points.get(point, 0) | parent[old]
     return {fmask | cls: (points, point) for point, cls in points.items()}
 
 

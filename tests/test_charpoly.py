@@ -383,9 +383,9 @@ def test_vector_engine_matches_rank_oracles(monkeypatch):
     pivots = set()
     real_project = GF.project
 
-    def project(self, row, prow):
+    def project(self, rows, prow):
         pivots.add(self.pivot(prow))
-        return real_project(self, row, prow)
+        return real_project(self, rows, prow)
 
     monkeypatch.setattr(GF, "project", project)
     fields = set()
@@ -500,9 +500,9 @@ def test_rank_at_most_two_minors_take_the_closed_form(monkeypatch):
     projected = []
     real_project = GF.project
 
-    def project(self, row, prow):
+    def project(self, rows, prow):
         projected.append(prow)
-        return real_project(self, row, prow)
+        return real_project(self, rows, prow)
 
     monkeypatch.setattr(GF, "project", project)
     checked = 0
@@ -542,11 +542,11 @@ def test_deletion_contraction_runs_no_elimination_pass_per_minor(monkeypatch, sh
         calls.append((state["depth"] > 0, state["projections"]))
         return real_reduce(self, basis, v)
 
-    def project(self, row, prow):
+    def project(self, rows, prow):
         state["projections"] += 1
         state["depth"] += 1
         try:
-            return real_project(self, row, prow)
+            return real_project(self, rows, prow)
         finally:
             state["depth"] -= 1
 
@@ -575,6 +575,48 @@ def test_deletion_contraction_keeps_no_minor():
         tracemalloc.stop()
     assert p == expected
     assert peak < 100_000, peak
+
+
+def test_deletion_contraction_builds_one_polynomial(monkeypatch):
+    """The recursion counts its leaves in integers and builds chi once:
+    at most 2 ``IntPoly`` objects for a 23-element glued chain, where a
+    polynomial per minor made hundreds."""
+    m = gen_glued(2, 3, 5, 2).matroid
+    expected = cp_delete_contract(m)  # warm the field and matrix caches
+    built = []
+    real_init = IntPoly.__init__
+
+    def init(self, coeffs=()):
+        built.append(self)
+        real_init(self, coeffs)
+
+    monkeypatch.setattr(IntPoly, "__init__", init)
+    p = cp_delete_contract(m)
+    monkeypatch.undo()
+    assert p == expected
+    assert 1 <= len(built) <= 2, len(built)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 3, 5, 2), (3, 2, 7, 1), (2, 2, 11, 1), (2, 4, 2, 3), (2, 3, 3, 0), (5, 2, 3, 1),
+     (4, 2, 4, 1)],
+    ids=str,
+)
+def test_deletion_contraction_matches_the_glued_closed_form(shape):
+    """A full glued chain of 16-23 elements, past the reach of the
+    Mobius and subset oracles, has chi = prod chi(PG block) / prod
+    chi(PG overlap): its blocks meet in modular flats (Brylawski)."""
+    q, block_rank, blocks, overlap = shape
+    m = gen_glued(q, block_rank, blocks, overlap).matroid
+    assert 16 <= m.n <= 23
+    num = ONE
+    for _ in range(blocks):
+        num = num * cp_pg_closed_form(block_rank, q)
+    den = ONE
+    for _ in range(blocks - 1):
+        den = den * cp_pg_closed_form(overlap, q)
+    assert cp_delete_contract(m) == poly_exact_div(num, den)
 
 
 def _cocircuit_expansion_keeping_parallels(m: Matroid) -> tuple[IntPoly, int]:

@@ -273,6 +273,30 @@ def test_generate_glued_rejects_bad_arguments(capsys, tmp_path, options, message
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--q", "2", "--rank", "0", "--n", "3"],
+        ["uniform", "--rank", "5", "--n", "3"],
+        ["uniform", "--rank", "-1", "--n", "3"],
+        ["graphic", "--shape", "path", "--vertices", "-2"],
+        ["glued", "--q", "6", "--block-rank", "2"],
+    ],
+    ids=["random-rank-0", "uniform-rank-above-n", "uniform-rank-negative",
+         "graphic-negative", "glued-q-6"],
+)
+def test_generate_rejects_arguments_before_making_the_out_directory(capsys, tmp_path, argv):
+    """Rejected arguments end in one message line and exit status 2,
+    and the --out directory they named is never made."""
+    outdir = tmp_path / "new" / "out"
+    rc = main(["generate", *argv, "--out", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("matzero: ") and captured.err.count("\n") == 1
+    assert not outdir.exists() and not outdir.parent.exists()
+
+
 def test_generate_uniform_rank_zero(capsys, tmp_path):
     rc, out = run(capsys, "generate", "uniform", "--rank", "0", "--n", "3",
                   "--out", str(tmp_path))

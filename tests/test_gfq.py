@@ -157,8 +157,8 @@ def test_normalize_matches_the_rescaling_formula(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_project_matches_reduce_then_normalize(q):
-    """project(row, prow) is normalize(reduce((prow,), row's vector)) in
-    every case: a pivot below, at (parallel or not) or above prow's, and
+    """project([row], prow) is [normalize(reduce((prow,), row's vector))]
+    in every case: a pivot below, at (parallel or not) or above prow's, and
     a row that is zero at prow's pivot, which comes back as it is."""
     F = gf(q)
     rng = random.Random(1000 + q)
@@ -181,7 +181,7 @@ def test_project_matches_reduce_then_normalize(q):
         else:
             continue
         expected = F.normalize(F.reduce((prow,), row))
-        got = F.project(row, prow)
+        [got] = F.project([row], prow)
         assert got == expected, (row, prow)
         if not F.unpack(row, width)[k]:
             assert got == row
@@ -418,7 +418,7 @@ def test_packed_kernels_match_the_tuple_reference(F):
             assert [(F.pivot(row), F.unpack(row, h)) for row in basis] == ref
             v = tuple(rng.randrange(q) for _ in range(h))
             assert F.unpack(F.reduce(basis, F.pack(v)), h) == tuple(_ref_reduce(F, ref, list(v)))
-            assert all(F.project(row, row) == 0 for row in basis)  # parallel
+            assert all(F.project([row], row) == [0] for row in basis)  # parallel
             for c in range(q):
                 w = [F.mul[c][x] for x in v]
                 row, expected = F.normalize(F.pack(w)), _ref_normalize(F, w)
@@ -427,9 +427,45 @@ def test_packed_kernels_match_the_tuple_reference(F):
                     continue
                 assert (F.pivot(row), F.unpack(row, h)) == expected
                 for prow in ref:  # every scalar against every echelon row
-                    got = F.project(row, F.pack(prow[1]))
+                    [got] = F.project([row], F.pack(prow[1]))
                     want = _ref_project(F, expected, prow)
                     assert (F.pivot(got), F.unpack(got, h)) == (want or (-1, (0,) * h))
+
+
+@pytest.mark.parametrize("F", _all_fields(), ids=repr)
+def test_batched_project_matches_the_tuple_reference(F):
+    """project(rows, prow) gives, row by row and in input order, the
+    reference's projection of each row, for every prime power up to 32:
+    rows whose pivot is before, at or after prow's, parallel rows (0)
+    and the empty list ([])."""
+    q = F.q
+    rng = random.Random(3000 + q)
+
+    def echelon(h, pivot):
+        return pivot, (0,) * pivot + (1,) + tuple(rng.randrange(q) for _ in range(h - pivot - 1))
+
+    seen = set()
+    for h in range(1, 9):
+        for _ in range(6):
+            prow = echelon(h, rng.randrange(h))
+            k = prow[0]
+            assert F.project([], F.pack(prow[1])) == []
+            rows = [echelon(h, rng.randrange(h)) for _ in range(rng.randint(1, 8))]
+            rows.insert(rng.randrange(len(rows) + 1), prow)  # parallel
+            rows.insert(rng.randrange(len(rows) + 1), echelon(h, k))
+            packed = [F.pack(v) for _, v in rows]
+            got = F.project(packed, F.pack(prow[1]))
+            assert len(got) == len(rows)
+            for row, v, out in zip(rows, packed, got):
+                want = _ref_project(F, row, prow)
+                assert (F.pivot(out), F.unpack(out, h)) == (want or (-1, (0,) * h))
+                if row == prow:
+                    assert out == 0
+                elif not row[1][k]:
+                    assert out == v
+                seen.add("before" if row[0] < k else "at" if row[0] == k else "after")
+            assert F.project(packed[::-1], F.pack(prow[1])) == got[::-1]
+    assert seen == {"before", "at", "after"}
 
 
 def test_packed_elimination_shared_between_threads():
