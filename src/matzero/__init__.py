@@ -9,8 +9,8 @@ The package is organized around five layers:
   Sturm root counting and isolation;
 * :mod:`matzero.treedecomp` tree-decompositions, width, reduction,
   exact small-instance tree-width;
-* :mod:`matzero.projgeom` ambient projective geometries, extensions,
-  necks, splitting along a modular flat;
+* :mod:`matzero.projgeom` points of projective geometries as packed
+  rows, extensions, necks, splitting along a modular flat;
 
 with :mod:`matzero.harness` generating seeded instances and verifying
 every bound, and :mod:`matzero.cli` exposing the lot on the command
@@ -76,8 +76,6 @@ from .matroid import (
     uniform,
 )
 from .projgeom import (
-    PGEmbedding,
-    PGModel,
     brylawski_charpoly,
     embed,
     extend,
@@ -139,8 +137,6 @@ __all__ = [
     "best_heuristic",
     "reduce",
     "exact_treewidth_small",
-    "PGModel",
-    "PGEmbedding",
     "pg_build",
     "pg_point_count",
     "embed",

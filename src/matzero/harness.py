@@ -200,13 +200,13 @@ def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int)
         raise ArgumentError(f"a glued path needs at least one block, got {blocks}")
     step = block_rank - overlap_rank
     total_rank = block_rank + (blocks - 1) * step
-    model = pg_build(block_rank, q)
+    points = pg_build(block_rank, q)
     vectors: list[tuple[int, ...]] = []
     where: dict[tuple[int, ...], int] = {}
     block_elements: list[list[int]] = [[] for _ in range(blocks)]
     for b in range(blocks):
         off = b * step
-        for pt in model.points:
+        for pt in points:
             vec = (0,) * off + pt + (0,) * (total_rank - off - block_rank)
             idx = where.get(vec)
             if idx is None:
@@ -548,19 +548,19 @@ def verify_identities(instances) -> list[IdentityCheck]:
 
             dec = heuristic_decomposition(ls, "path")
             if dec.tree.num_vertices >= 2:
-                emb = embed(ls)
-                dec = TreeDecomposition(emb.base, dec.tree, dec.assignment)
+                base = embed(ls)
+                dec = TreeDecomposition(base, dec.tree, dec.assignment)
                 # the fattest external neck that still fits makes the
                 # most demanding check; the leaf edge always fits
                 chosen = None
                 for edge in dec.tree.edges:
-                    _, external = neck_of_edge(emb, dec, edge)
+                    _, external = neck_of_edge(base, dec, edge)
                     if ls.n + len(external) <= 20 and (
                         chosen is None or len(external) > len(chosen)
                     ):
                         chosen = external
                 if chosen is not None:
-                    ext = extend(emb, chosen)
+                    ext = extend(base, chosen)
                     total = ZERO
                     for term, _role in telescoping_expansion(ext):
                         total = total + charpoly_auto(term)

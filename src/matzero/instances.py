@@ -18,7 +18,7 @@ def fano() -> LinearMatroid:
 def pg_matroid(r: int, q: int) -> LinearMatroid:
     """The rank-r projective geometry over GF(q) as a matroid (small
     models only; the ground-set cap applies)."""
-    return pg_build(r, q).matroid()
+    return LinearMatroid(gf(q), pg_build(r, q))
 
 
 def non_fano() -> LinearMatroid:

@@ -1,10 +1,12 @@
 """Projective geometries over GF(q) and structure-aware factorizations.
 
-A simple matroid represented over GF(q) sits inside the projective
-geometry PG(r-1, q) of the same rank as a spanning restriction.  This
-module builds explicit point models of those geometries, embeds
-matrix-backed matroids into them, and uses the ambient points to do two
-things the bare matroid cannot:
+A simple matroid represented over GF(q) is a set of points of the
+projective geometry PG(r-1, q) of the same rank.  A point is named by
+its packed echelon row (:meth:`GF.normalize`): a nonzero vector of
+GF(q)**r scaled to 1 at its first nonzero coordinate and packed into
+one int (:mod:`matzero.gfq`).  Once a matroid is embedded, its packed
+columns are its points, and the module uses linear algebra on those
+rows to do two things the bare matroid cannot:
 
 * locate the *neck* of a tree-decomposition edge, the points common to
   the spans of the two displayed sides, and fill its missing points in
@@ -47,58 +49,22 @@ def pg_point_count(r: int, q: int) -> int:
     return (q ** r - 1) // (q - 1)
 
 
-class PGModel:
-    """The rank-r projective geometry over a field, as explicit points.
-
-    Points are the nonzero vectors of GF(q)**r normalized so the first
-    nonzero coordinate is 1, listed in lexicographic order.  The list
-    index is the canonical name of a point throughout this module.
-    ``vectors`` holds the points packed (:mod:`matzero.gfq`), and
-    ``index`` maps each packed point, an echelon row of
-    :meth:`GF.normalize`, to its name.
-    """
-
-    def __init__(self, r: int, field: GF):
-        if r < 1:
-            raise ArgumentError("a projective geometry needs rank at least 1")
-        q = field.q
-        if pg_point_count(r, q) > MAX_POINTS:
-            raise TooLargeError(
-                f"PG({r - 1}, {q}) has {pg_point_count(r, q)} points, over the cap {MAX_POINTS}"
-            )
-        pts = []
-        for vec in product(range(q), repeat=r):
-            first = next((c for c in vec if c), None)
-            if first == 1:
-                pts.append(vec)
-        self.r = r
-        self.field = field
-        self.points = tuple(pts)
-        self.vectors = tuple(map(field.pack, pts))
-        self.index = {v: i for i, v in enumerate(self.vectors)}
-        assert len(pts) == pg_point_count(r, q)
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    def span_closure(self, point_ids) -> tuple[int, ...]:
-        """All point indices inside the linear span of the given points."""
-        reduce, vectors = self.field.reduce, self.vectors
-        basis = self.field.echelon(vectors[i] for i in point_ids)
-        return tuple(idx for idx, v in enumerate(vectors) if not reduce(basis, v))
-
-    def matroid(self, labels=None) -> LinearMatroid:
-        """The geometry itself as a matroid (only for small models)."""
-        return LinearMatroid(self.field, self.points, labels)
-
-    def __repr__(self):
-        return f"PGModel(PG({self.r - 1}, {self.q}), {len(self.points)} points)"
-
-
-def pg_build(r: int, q) -> PGModel:
-    field = q if isinstance(q, GF) else gf(q)
-    return PGModel(r, field)
+def pg_build(r: int, q) -> tuple[tuple[int, ...], ...]:
+    """The points of PG(r-1, q) as coordinate tuples: the nonzero
+    vectors of GF(q)**r whose first nonzero coordinate is 1, in
+    lexicographic order.  ``q`` is an order or a field."""
+    q = (q if isinstance(q, GF) else gf(q)).q
+    if r < 1:
+        raise ArgumentError("a projective geometry needs rank at least 1")
+    if pg_point_count(r, q) > MAX_POINTS:
+        raise TooLargeError(
+            f"PG({r - 1}, {q}) has {pg_point_count(r, q)} points, over the cap {MAX_POINTS}"
+        )
+    return tuple(
+        (0,) * lead + (1,) + rest
+        for lead in reversed(range(r))
+        for rest in product(range(q), repeat=r - 1 - lead)
+    )
 
 
 def _row_reduce(m: LinearMatroid) -> list[int]:
@@ -111,108 +77,135 @@ def _row_reduce(m: LinearMatroid) -> list[int]:
     return [field.pack([row[j] for row in rows]) for j in range(n)]
 
 
-@dataclass
-class PGEmbedding:
-    """A simple matrix-backed matroid seen inside its ambient projective
-    geometry: element i of the base sits at model point
-    ``elem_to_point[i]``."""
-
-    base: LinearMatroid
-    model: PGModel
-    elem_to_point: tuple[int, ...]
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.elem_to_point)
-
-    def points_of(self, element_mask: int) -> list[int]:
-        return [self.elem_to_point[e] for e in mask_bits(element_mask)]
-
-
-def embed(m: Matroid) -> PGEmbedding:
-    """Embed a simple matrix-backed matroid into PG(r(M)-1, q)."""
+def embed(m: Matroid) -> LinearMatroid:
+    """A simple matrix-backed matroid as a set of points of PG(r-1, q),
+    r = r(M): the base matroid, of height r and with every column scaled
+    to 1 at its first nonzero entry, so that its packed columns are its
+    points' echelon rows.  Element order and labels are kept."""
     if not isinstance(m, LinearMatroid):
         raise NotLinearError("embedding requires an explicit matrix over GF(q)")
     require_simple(m)
-    r = m.full_rank
+    field, r = m.field, m.full_rank
     vectors = m.packed if m.nrows == r else _row_reduce(m)
-    model = PGModel(r, m.field)
-    elem_to_point = tuple(map(model.index.__getitem__, map(m.field.normalize, vectors)))
-    base = LinearMatroid(m.field, [model.points[i] for i in elem_to_point], m.labels)
-    return PGEmbedding(base, model, elem_to_point)
+    columns = [field.unpack(field.normalize(v), r) for v in vectors]
+    return LinearMatroid(field, columns, m.labels, nrows=r)
 
 
 @dataclass
 class ExtensionMatroid:
-    """The embedded base matroid together with extra geometry points.
+    """An embedded base matroid together with extra geometry points.
 
     The new elements keep their order and carry labels "s1", "s2", ...
-    Element indices 0..n-1 are the base; n..n+len(added)-1 the points.
+    Element indices 0..n-1 are the base; n..n+len(added)-1 the points,
+    whose packed rows ``added`` lists.
     """
 
-    embedding: PGEmbedding
+    base: LinearMatroid
     added: tuple[int, ...]
     matroid: LinearMatroid
 
     @property
     def base_count(self) -> int:
-        return self.embedding.base.n
+        return self.base.n
 
     def added_element_ids(self) -> list[int]:
         n = self.base_count
         return list(range(n, n + len(self.added)))
 
 
-def extend(emb: PGEmbedding, point_ids) -> ExtensionMatroid:
-    """Adjoin the given model points as new matroid elements."""
-    point_ids = [int(p) for p in point_ids]
-    image = emb.image
-    for p in point_ids:
+def _points_of(base: LinearMatroid) -> set[int]:
+    """The points of an embedded base: its packed columns, which must be
+    distinct nonzero echelon rows, as :func:`embed` makes them."""
+    packed, normalize = base.packed, base.field.normalize
+    points = set(packed)
+    if len(points) != base.n or 0 in points or any(normalize(v) != v for v in packed):
+        raise ArgumentError("the base must be embedded: distinct nonzero columns leading with 1")
+    return points
+
+
+def _point_coordinates(field: GF, height: int, p) -> tuple[int, ...]:
+    """The coordinates of a point given as its packed echelon row."""
+    if type(p) is int and p > 0:
+        try:
+            coords = field.unpack(p, height)
+        except KeyError:  # a digit that encodes no field element
+            pass
+        else:
+            if field.pack(coords) == p and field.normalize(p) == p:
+                return coords
+    raise ArgumentError(
+        f"{p!r} is not a point of PG({height - 1}, {field.q}): "
+        f"not a nonzero packed echelon row of height {height}"
+    )
+
+
+def extend(base: LinearMatroid, points) -> ExtensionMatroid:
+    """Adjoin points of the base's geometry, given as packed echelon
+    rows of its height, as new elements of an embedded base.  Anything
+    else raises :class:`ArgumentError`; a point that is already an
+    element, or is given twice, raises :class:`PointCollisionError`."""
+    image = _points_of(base)
+    points = tuple(points)
+    field, height = base.field, base.nrows
+    columns = [_point_coordinates(field, height, p) for p in points]
+    for p in points:
         if p in image:
-            raise PointCollisionError(f"model point {p} is already an element")
-    if len(set(point_ids)) != len(point_ids):
+            raise PointCollisionError(f"point {p} is already an element")
+    if len(set(points)) != len(points):
         raise PointCollisionError("duplicate extension points")
-    model = emb.model
-    base = emb.base
-    cols = [model.points[i] for i in emb.elem_to_point] + [model.points[p] for p in point_ids]
-    labels = tuple(base.labels) + tuple(f"s{i + 1}" for i in range(len(point_ids)))
-    return ExtensionMatroid(emb, tuple(point_ids), LinearMatroid(model.field, cols, labels))
+    labels = tuple(base.labels) + tuple(f"s{i + 1}" for i in range(len(points)))
+    matroid = LinearMatroid(field, base.columns + tuple(columns), labels, nrows=height)
+    return ExtensionMatroid(base, points, matroid)
 
 
-def neck_of_edge(emb: PGEmbedding, dec: TreeDecomposition, edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def neck_of_edge(
+    base: LinearMatroid, dec: TreeDecomposition, edge
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Points shared by the spans of the two sides displayed by an edge.
 
-    Returns (neck, external): both sorted tuples of model point indices,
-    ``external`` being the neck points that are not element images.  The
-    neck is itself a full projective subgeometry, so its size is always
-    (q**d - 1)/(q - 1) for some d.
+    Returns (neck, external): both sorted tuples of packed echelon rows,
+    ``external`` being the neck points that are not elements of the
+    embedded base.  The neck is itself a full projective subgeometry, so
+    its size is always (q**d - 1)/(q - 1), d the dimension of the
+    intersection of the spans.
+
+    Zassenhaus' algorithm finds that intersection in one echelon call:
+    stack (u | u) for every u on one side and (w | 0) for every w on the
+    other, the low half eliminated first; the rows left with a zero low
+    half span the intersection in their high halves.  Its points are the
+    points of PG(d-1, q) read as coefficients of those d rows.
     """
-    if dec.matroid is not emb.base:
+    if dec.matroid is not base:
         raise ArgumentError("the decomposition must decompose the embedded base matroid")
+    image = _points_of(base)
+    field, packed = base.field, base.packed
     du, dw = dec.displayed_sets_edge(edge)
-    span_u = set(emb.model.span_closure(emb.points_of(du)))
-    span_w = set(emb.model.span_closure(emb.points_of(dw)))
-    neck = tuple(sorted(span_u & span_w))
-    image = emb.image
-    external = tuple(p for p in neck if p not in image)
-    return neck, external
+    shift = base.nrows * field.width
+    stacked = [packed[e] | packed[e] << shift for e in mask_bits(du)]
+    stacked += [packed[e] for e in mask_bits(dw)]
+    low = (1 << shift) - 1
+    common = [row >> shift for row in field.echelon(stacked) if not row & low]
+    if not common:
+        return (), ()
+    # reducing (c | 0) against the rows (e_i | z_i) leaves (0 | -sum c_i z_i),
+    # the point with coefficients c up to sign
+    top = len(common) * field.width
+    rows = [1 << i * field.width | z << top for i, z in enumerate(common)]
+    reduce, normalize, pack = field.reduce, field.normalize, field.pack
+    neck = sorted(normalize(reduce(rows, pack(c)) >> top) for c in pg_build(len(common), field))
+    return tuple(neck), tuple(p for p in neck if p not in image)
 
 
-def induced_decomposition(
-    ext: ExtensionMatroid, dec: TreeDecomposition, edge, attach: str = "u"
-) -> TreeDecomposition:
+def induced_decomposition(ext: ExtensionMatroid, dec: TreeDecomposition, edge) -> TreeDecomposition:
     """Carry a decomposition of the base over to the extension: the new
-    elements all join the bag of one endpoint of the edge whose neck
-    they fill (``attach`` picks which endpoint; either choice leaves
-    every node width unchanged when the points lie in that edge's
-    neck)."""
-    if dec.matroid is not ext.embedding.base:
+    elements all join the bag of u, for the edge (u, w) whose neck they
+    fill, which leaves every node width unchanged."""
+    if dec.matroid is not ext.base:
         raise ArgumentError("the decomposition must decompose the embedded base matroid")
     u, w = edge
     if not dec.tree.has_edge(u, w):
         raise NotInTreeError(f"edge ({u}, {w}) is not in the tree")
-    target = {"u": u, "w": w}[attach]
-    assignment = list(dec.assignment) + [target] * len(ext.added)
+    assignment = list(dec.assignment) + [u] * len(ext.added)
     return TreeDecomposition(ext.matroid, dec.tree, assignment)
 
 
@@ -244,8 +237,8 @@ def split_along_neck(
     M1 and M2 agree on S', N is their common part, and the span of S'
     is a modular flat of M1 (verified, not assumed).
     """
-    emb = ext.embedding
-    if dec.matroid is not emb.base:
+    base = ext.base
+    if dec.matroid is not base:
         raise ArgumentError("the decomposition must decompose the embedded base matroid")
     u, w = edge
     if dec.tree.degree(w) != 1:
@@ -253,14 +246,11 @@ def split_along_neck(
             u, w = w, u
         else:
             raise ArgumentError("the split edge must touch a leaf")
-    neck, _external = neck_of_edge(emb, dec, (u, w))
-    point_to_elem = {p: e for e, p in enumerate(emb.elem_to_point)}
-    n = ext.base_count
-    for pos, p in enumerate(ext.added):
-        point_to_elem[p] = n + pos
+    neck, _external = neck_of_edge(base, dec, (u, w))
+    element_of = {p: e for e, p in enumerate(ext.matroid.packed)}
     neck_ids = []
     for p in neck:
-        e = point_to_elem.get(p)
+        e = element_of.get(p)
         if e is None:
             raise NeckNotFilledError(
                 f"neck point {p} is not an element; extend by the external neck first"
@@ -330,11 +320,10 @@ def telescoping_expansion(ext: ExtensionMatroid) -> list[tuple[Matroid, str]]:
     characteristic polynomial of the embedded base exactly, whatever
     order the points were adjoined in.
     """
-    emb = ext.embedding
     terms: list[tuple[Matroid, str]] = [(ext.matroid, "extension")]
     n = ext.base_count
     for i in range(len(ext.added)):
-        partial = extend(emb, ext.added[: i + 1])
+        partial = extend(ext.base, ext.added[: i + 1])
         contracted = partial.matroid.contract([n + i])
         terms.append((contracted, f"contract:s{i + 1}"))
     return terms

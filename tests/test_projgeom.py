@@ -1,5 +1,8 @@
-"""Projective models, embeddings, extensions, necks, modular-flat
+"""Projective points, embeddings, extensions, necks, modular-flat
 factorization, and the telescoping expansion."""
+
+import random
+from itertools import product
 
 import pytest
 
@@ -15,10 +18,10 @@ from matzero.errors import (
     TooLargeError,
 )
 from matzero.gfq import gf
+from matzero.harness import gen_glued, gen_random_linear
 from matzero.instances import fano
-from matzero.matroid import LinearMatroid, UniformMatroid, mask_of, ranks_agree
+from matzero.matroid import LinearMatroid, UniformMatroid, mask_bits, mask_of, ranks_agree
 from matzero.projgeom import (
-    PGModel,
     brylawski_charpoly,
     embed,
     extend,
@@ -30,12 +33,34 @@ from matzero.projgeom import (
     split_along_neck,
     telescoping_expansion,
 )
-from matzero.treedecomp import Tree, TreeDecomposition
+from matzero.treedecomp import Tree, TreeDecomposition, heuristic_decomposition
 
 GLUED_TWO_PLANES_CP = (32, -64, 42, -11, 1)  # (x-1)(x-2)(x-4)^2
 
 
-# -- the point model -----------------------------------------------------------
+# -- the ambient scan, kept as the reference for neck_of_edge -----------------
+
+
+def span_closure(field, r, points) -> tuple[int, ...]:
+    """Every point of PG(r-1, q), as a packed row, inside the span of
+    the given packed vectors, found by testing each point in turn."""
+    basis = field.echelon(points)
+    geometry = map(field.pack, pg_build(r, field.q))
+    return tuple(sorted(p for p in geometry if not field.reduce(basis, p)))
+
+
+def ambient_neck(base, dec, edge):
+    """The neck of an edge as the points of the whole geometry that lie
+    in the spans of both sides, and the part of it that is no element."""
+    du, dw = dec.displayed_sets_edge(edge)
+    field, packed = base.field, base.packed
+    span_u = span_closure(field, base.nrows, [packed[e] for e in mask_bits(du)])
+    span_w = span_closure(field, base.nrows, [packed[e] for e in mask_bits(dw)])
+    neck = tuple(sorted(set(span_u) & set(span_w)))
+    return neck, tuple(p for p in neck if p not in packed)
+
+
+# -- the points -----------------------------------------------------------------
 
 
 def test_pg_point_count():
@@ -46,17 +71,25 @@ def test_pg_point_count():
 
 
 def test_model_points_normalized_and_ordered():
-    model = pg_build(2, 3)
-    F = model.field
-    assert model.points == ((0, 1), (1, 0), (1, 1), (1, 2))
-    assert model.vectors == tuple(map(F.pack, model.points))
-    assert model.index[F.pack((1, 1))] == 2
-    # the model's points are GF.normalize's echelon rows
+    assert pg_build(2, 3) == ((0, 1), (1, 0), (1, 1), (1, 2))
+    for r, q in ((1, 5), (3, 2), (3, 3), (2, 4), (4, 2), (2, 7)):
+        led_by_one = tuple(
+            vec for vec in product(range(q), repeat=r) if next((c for c in vec if c), None) == 1
+        )
+        assert pg_build(r, q) == led_by_one
+        assert len(led_by_one) == pg_point_count(r, q)
+        # every point, packed, is its own echelon row
+        F = gf(q)
+        assert all(F.normalize(F.pack(pt)) == F.pack(pt) for pt in led_by_one)
+    F = gf(3)
     assert F.normalize(F.pack((0, 2))) == F.pack((0, 1))
     assert F.normalize(F.pack((2, 1))) == F.pack((1, 2))  # scale by inverse of 2
     assert F.normalize(F.pack((0, 0))) == 0  # the zero vector is no point
     with pytest.raises(ValueError):
         pg_build(0, 2)
+    assert pg_build(3, gf(4)) == pg_build(3, 4)  # a field names its order
+    with pytest.raises(ValueError):
+        pg_build(2, 6)  # no field of order 6
 
 
 def test_model_size_cap():
@@ -65,19 +98,16 @@ def test_model_size_cap():
 
 
 def test_span_closure():
-    model = pg_build(3, 2)
-    pack = model.field.pack
-    a = model.index[pack((1, 0, 0))]
-    b = model.index[pack((0, 1, 0))]
-    line = model.span_closure([a, b])
-    assert set(line) == {a, b, model.index[pack((1, 1, 0))]}
-    assert model.span_closure([]) == ()
-    assert len(model.span_closure([a])) == 1
-    assert len(model.span_closure(range(3))) <= 7
+    F = gf(2)
+    a, b = F.pack((1, 0, 0)), F.pack((0, 1, 0))
+    assert span_closure(F, 3, [a, b]) == tuple(sorted((a, b, F.pack((1, 1, 0)))))
+    assert span_closure(F, 3, []) == ()
+    assert span_closure(F, 3, [a]) == (a,)
+    assert len(span_closure(F, 3, [a, b, F.pack((0, 0, 1))])) == 7
 
 
 def test_model_matroid_is_projective_geometry():
-    m = pg_build(3, 2).matroid()
+    m = LinearMatroid(gf(2), pg_build(3, 2))
     assert m.n == 7
     assert m.full_rank == 3
     assert ranks_agree(m, fano())
@@ -95,29 +125,30 @@ def test_pg_bipartition_property():
 
 
 def test_embed_fano_is_onto():
-    emb = embed(fano())
-    assert sorted(emb.elem_to_point) == list(range(7))
-    assert emb.image == frozenset(range(7))
-    assert emb.base.n == 7
-    assert ranks_agree(emb.base, fano())
+    F = gf(2)
+    base = embed(fano())
+    assert sorted(base.packed) == sorted(map(F.pack, pg_build(3, 2)))
+    assert base.n == 7
+    assert ranks_agree(base, fano())
 
 
 def test_embed_line_with_missing_point():
-    m = LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1)])
-    emb = embed(m)
-    assert emb.model.r == 2
-    assert emb.elem_to_point == (1, 0, 2)
-    missing = [p for p in range(4) if p not in emb.image]
-    assert missing == [3]
-    assert emb.points_of(0b101) == [1, 2]
+    F = gf(3)
+    base = embed(LinearMatroid(F, [(2, 0), (0, 1), (1, 1)], ("a", "b", "c")))
+    assert base.nrows == 2
+    assert base.columns == ((1, 0), (0, 1), (1, 1))  # each scaled to lead with 1
+    assert base.labels == ("a", "b", "c")
+    missing = [p for p in map(F.pack, pg_build(2, 3)) if p not in base.packed]
+    assert missing == [F.pack((1, 2))]
 
 
 def test_embed_row_reduces_tall_matrices():
-    m = LinearMatroid(gf(2), [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    emb = embed(m)
-    assert emb.model.r == 2
-    assert sorted(emb.elem_to_point) == [0, 1, 2]
-    assert ranks_agree(emb.base, m)
+    F = gf(2)
+    m = LinearMatroid(F, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    base = embed(m)
+    assert base.nrows == 2
+    assert sorted(base.packed) == sorted(map(F.pack, pg_build(2, 2)))
+    assert ranks_agree(base, m)
 
 
 def test_embed_rejects_bad_inputs():
@@ -137,8 +168,10 @@ def test_embed_rejects_bad_inputs():
 
 
 def test_extend_line_to_u24():
-    emb = embed(LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1)]))
-    ext = extend(emb, [3])
+    F = gf(3)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
+    ext = extend(base, [F.pack((1, 2))])
+    assert ext.base is base
     assert ext.base_count == 3
     assert ext.added_element_ids() == [3]
     assert ext.matroid.labels == (0, 1, 2, "s1")
@@ -147,11 +180,47 @@ def test_extend_line_to_u24():
 
 
 def test_extend_collisions():
-    emb = embed(LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1)]))
+    F = gf(3)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
     with pytest.raises(PointCollisionError):
-        extend(emb, [0])        # occupied by element 1
+        extend(base, [F.pack((0, 1))])  # element 1
     with pytest.raises(PointCollisionError):
-        extend(emb, [3, 3])     # duplicate
+        extend(base, [F.pack((1, 2))] * 2)  # duplicate
+
+
+_F3 = gf(3)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [99, -1, -3, 0, _F3.pack((2, 2)), _F3.pack((0, 0, 1)), "a", 1.0, True, None],
+    ids=["bad-digit", "minus-one", "minus-three", "zero", "unscaled", "too-tall",
+         "str", "float", "bool", "none"],
+)
+def test_extend_rejects_what_is_not_a_point(point):
+    """A point is a nonzero echelon row of the base's height, packed in
+    an int.  Over GF(3) a digit is 4 bits wide, so 99 holds the digit 3,
+    which encodes no element."""
+    base = embed(LinearMatroid(_F3, [(1, 0), (0, 1), (1, 1)]))
+    with pytest.raises(ArgumentError, match="is not a point of PG"):
+        extend(base, [point])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[(2, 0), (0, 1)], [(1, 0), (1, 0), (0, 1)], [(0, 0), (0, 1)]],
+    ids=["unscaled", "parallel", "loop"],
+)
+def test_extend_and_neck_need_an_embedded_base(columns):
+    """Collisions and external points are found by comparing rows, so a
+    base whose columns are not distinct echelon rows is refused rather
+    than given a parallel copy of an element."""
+    base = LinearMatroid(_F3, columns)
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), [0] + [1] * (base.n - 1))
+    with pytest.raises(ArgumentError, match="the base must be embedded"):
+        extend(base, [_F3.pack((1, 0))])
+    with pytest.raises(ArgumentError, match="the base must be embedded"):
+        neck_of_edge(base, dec, (0, 1))
 
 
 # -- necks along decomposition edges -----------------------------------------------
@@ -160,55 +229,157 @@ def test_extend_collisions():
 def glued_two_planes():
     """Two projective planes over GF(2) sharing a line: eleven points of
     rank four, block one on coordinates 0-2, block two on 1-3."""
-    plane = pg_build(3, 2).points
+    plane = pg_build(3, 2)
     cols = [p + (0,) for p in plane]
     cols += [(0,) + p for p in plane if p[2] == 1]
-    m = LinearMatroid(gf(2), cols)
-    emb = embed(m)
+    base = embed(LinearMatroid(gf(2), cols))
     tree = Tree(2, [(0, 1)])
-    dec = TreeDecomposition(emb.base, tree, [0] * 7 + [1] * 4)
-    return emb, dec
+    dec = TreeDecomposition(base, tree, [0] * 7 + [1] * 4)
+    return base, dec
 
 
 def test_neck_of_glued_planes():
-    emb, dec = glued_two_planes()
+    base, dec = glued_two_planes()
     assert dec.width() == 3
-    neck, external = neck_of_edge(emb, dec, (0, 1))
+    neck, external = neck_of_edge(base, dec, (0, 1))
     assert len(neck) == 3
     assert external == ()
+    assert set(neck) <= set(base.packed)
     # the neck is span closed and of projective size
-    assert tuple(sorted(emb.model.span_closure(neck))) == neck
+    assert span_closure(base.field, 4, neck) == neck
     assert len(neck) == pg_point_count(2, 2)
 
 
 def test_neck_of_spread_line():
-    emb = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
-    dec = TreeDecomposition(emb.base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
-    neck, external = neck_of_edge(emb, dec, (0, 1))
+    F = gf(5)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1), (1, 2)]))
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
+    neck, external = neck_of_edge(base, dec, (0, 1))
     assert len(neck) == 6 == pg_point_count(2, 5)
-    assert external == (4, 5)
+    assert neck == tuple(sorted(map(F.pack, pg_build(2, 5))))
+    assert external == tuple(sorted((F.pack((1, 3)), F.pack((1, 4)))))
     with pytest.raises(ValueError):
-        neck_of_edge(emb, TreeDecomposition(embed(fano()).base, Tree(1, ()), (0,) * 7), (0, 1))
+        neck_of_edge(base, TreeDecomposition(embed(fano()), Tree(1, ()), (0,) * 7), (0, 1))
+
+
+def test_empty_neck():
+    """Blocks glued with overlap 0 share no point: the neck is empty."""
+    rec = gen_glued(3, 2, 2, 0, seed=1)
+    base = embed(rec.matroid)
+    dec = TreeDecomposition(base, rec.decomposition.tree, rec.decomposition.assignment)
+    assert neck_of_edge(base, dec, (0, 1)) == ((), ()) == ambient_neck(base, dec, (0, 1))
+
+
+def _criterion_07_decompositions():
+    """Every decomposition the identity battery of criterion 07 cuts
+    along: the path decomposition of each simplified instance, and the
+    block path of each glued one."""
+    recs = []
+    for seed in range(3):
+        for dels in range(3):
+            for q, br, blocks, ov in ((2, 2, 2, 1), (2, 3, 2, 2), (2, 3, 2, 1),
+                                      (3, 2, 2, 1), (4, 2, 2, 1), (5, 2, 2, 1)):
+                recs.append(gen_glued(q, br, blocks, ov, seed=seed, delete_count=dels))
+    rng = random.Random("identities")
+    for i in range(50):
+        q = (2, 3, 4, 5)[i % 4]
+        r = rng.randint(2, 3)
+        n = rng.randint(6, 9)
+        recs.append(gen_random_linear(q, r, n, rng.randrange(1 << 30)))
+    for rec in recs:
+        m = rec.matroid
+        if m.loops_mask():
+            continue
+        ls = LinearMatroid(m.field, [m.columns[cls[0]] for cls in m.parallel_classes()])
+        base = embed(ls)
+        path = heuristic_decomposition(ls, "path")
+        yield TreeDecomposition(base, path.tree, path.assignment)
+        if rec.decomposition is not None and m.is_simple():
+            base = embed(m)
+            yield TreeDecomposition(base, rec.decomposition.tree, rec.decomposition.assignment)
+
+
+def _random_decompositions(rng, q, count):
+    """Random simple matrices over GF(q) on random trees."""
+    F = gf(q)
+    for _ in range(count):
+        r = rng.randint(2, 4 if q == 7 else 5)
+        pool = list(map(F.pack, pg_build(r, q)))
+        n = rng.randint(r, min(len(pool), 14))
+        cols = [F.unpack(p, r) for p in rng.sample(pool, n)]
+        # scale each column at random: embed must normalize them back
+        scales = [F.mul[rng.randrange(1, q)] for _ in cols]
+        cols = [tuple(times[x] for x in col) for times, col in zip(scales, cols)]
+        m = LinearMatroid(F, cols)
+        if m.full_rank < r:
+            continue
+        base = embed(m)
+        size = rng.randint(2, 6)
+        tree = Tree(size, [(rng.randrange(v), v) for v in range(1, size)])
+        yield TreeDecomposition(base, tree, [rng.randrange(size) for _ in range(base.n)])
+
+
+def _assert_necks_agree(decompositions) -> int:
+    edges = 0
+    for dec in decompositions:
+        base = dec.matroid
+        for edge in dec.tree.edges:
+            neck, external = neck_of_edge(base, dec, edge)
+            assert (neck, external) == ambient_neck(base, dec, edge)
+            du, dw = dec.displayed_sets_edge(edge)
+            d = base.rank_mask(du) + base.rank_mask(dw) - base.rank_mask(du | dw)
+            assert len(neck) == pg_point_count(d, base.field.q)
+            edges += 1
+    return edges
+
+
+def test_neck_agrees_with_the_ambient_scan_on_the_identity_battery():
+    assert _assert_necks_agree(_criterion_07_decompositions()) >= 500
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_neck_agrees_with_the_ambient_scan_on_random_matrices(q):
+    rng = random.Random(f"necks:{q}")
+    assert _assert_necks_agree(_random_decompositions(rng, q, 40)) >= 100
+
+
+def test_embed_and_neck_past_the_ambient_geometry():
+    """Rank 13 over GF(2): PG(12, 2) has 8191 points, over MAX_POINTS,
+    yet the embedding and the neck never list it.  Side one spans the
+    first twelve coordinates; side two holds the last unit vector and
+    e_j + e_(j+1) for j < 11, so the neck is the PG(10, 2) those sums
+    span."""
+    F = gf(2)
+    units = [tuple(int(i == j) for i in range(13)) for j in range(13)]
+    sums = [tuple(int(i in (j, j + 1)) for i in range(13)) for j in range(11)]
+    base = embed(LinearMatroid(F, units + sums))
+    assert base.n == 24 and base.nrows == 13
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), [0] * 12 + [1] * 12)
+    neck, external = neck_of_edge(base, dec, (0, 1))
+    assert len(neck) == pg_point_count(11, 2) == 2047
+    assert len(external) == 2047 - 11
+    du, dw = dec.displayed_sets_edge((0, 1))
+    span_u, span_w = base.span_basis(du), base.span_basis(dw)
+    assert not any(F.reduce(span_u, p) or F.reduce(span_w, p) for p in neck)
+    assert all(p >> 12 == 0 for p in neck)  # inside the first twelve coordinates
 
 
 def test_induced_decomposition_keeps_node_widths():
-    emb = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
-    dec = TreeDecomposition(emb.base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
-    _, external = neck_of_edge(emb, dec, (0, 1))
-    ext = extend(emb, external)
-    base_widths = dec.width_report().node_widths
-    for attach in ("u", "w"):
-        ind = induced_decomposition(ext, dec, (0, 1), attach=attach)
-        assert ind.matroid is ext.matroid
-        assert ind.width_report().node_widths == base_widths
-    bag_u = induced_decomposition(ext, dec, (0, 1), attach="u").bag(0)
-    assert bag_u == mask_of([0, 1, 4, 5])
+    base = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
+    _, external = neck_of_edge(base, dec, (0, 1))
+    ext = extend(base, external)
+    ind = induced_decomposition(ext, dec, (0, 1))
+    assert ind.matroid is ext.matroid
+    assert ind.width_report().node_widths == dec.width_report().node_widths
+    assert ind.bag(0) == mask_of([0, 1, 4, 5])  # the new points join u's bag
 
 
 def test_induced_decomposition_needs_real_edge():
-    emb = embed(LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1)]))
-    dec = TreeDecomposition(emb.base, Tree(1, ()), (0, 0, 0))
-    ext = extend(emb, [3])
+    F = gf(3)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
+    dec = TreeDecomposition(base, Tree(1, ()), (0, 0, 0))
+    ext = extend(base, [F.pack((1, 2))])
     with pytest.raises(Exception):
         induced_decomposition(ext, dec, (0, 1))
 
@@ -226,8 +397,8 @@ def test_is_modular_flat():
 
 
 def test_split_glued_planes_and_factor():
-    emb, dec = glued_two_planes()
-    ext = extend(emb, [])
+    base, dec = glued_two_planes()
+    ext = extend(base, [])
     m1, m2, npart = split_along_neck(ext, dec, (0, 1))
     assert m1.n == 7 and m2.n == 7 and npart.n == 3
     assert cp_delete_contract(m1).coeffs == (-8, 14, -7, 1)
@@ -239,25 +410,25 @@ def test_split_glued_planes_and_factor():
 
 
 def test_split_requires_filled_neck():
-    emb = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
-    dec = TreeDecomposition(emb.base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
+    base = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
     with pytest.raises(NeckNotFilledError):
-        split_along_neck(extend(emb, []), dec, (0, 1))
+        split_along_neck(extend(base, []), dec, (0, 1))
     # once the external points are adjoined the split degenerates but works
-    _, external = neck_of_edge(emb, dec, (0, 1))
-    ext = extend(emb, external)
+    _, external = neck_of_edge(base, dec, (0, 1))
+    ext = extend(base, external)
     m1, m2, npart = split_along_neck(ext, dec, (0, 1))
     assert brylawski_charpoly(m1, m2, npart) == cp_delete_contract(ext.matroid)
 
 
 def test_split_requires_leaf_edge():
-    plane = pg_build(3, 2).points
+    plane = pg_build(3, 2)
     cols = [p + (0,) for p in plane]
     cols += [(0,) + p for p in plane if p[2] == 1]
-    emb = embed(LinearMatroid(gf(2), cols))
+    base = embed(LinearMatroid(gf(2), cols))
     tree = Tree(4, [(0, 1), (1, 2), (2, 3)])
-    dec = TreeDecomposition(emb.base, tree, [0] * 7 + [1] * 2 + [2] * 1 + [3] * 1)
-    ext = extend(emb, [])
+    dec = TreeDecomposition(base, tree, [0] * 7 + [1] * 2 + [2] * 1 + [3] * 1)
+    ext = extend(base, [])
     with pytest.raises(ValueError):
         split_along_neck(ext, dec, (1, 2))  # neither endpoint is a leaf
 
@@ -301,14 +472,14 @@ def test_brylawski_rejects_rank_disagreement():
 
 def _foreign_decomposition():
     # a decomposition of a matroid other than the embedded base
-    return TreeDecomposition(embed(fano()).base, Tree(2, [(0, 1)]), (0,) * 4 + (1,) * 3)
+    return TreeDecomposition(embed(fano()), Tree(2, [(0, 1)]), (0,) * 4 + (1,) * 3)
 
 
 def _path_of_four():
     # the glued planes on a path decomposition whose middle edge touches no leaf
-    emb, _ = glued_two_planes()
-    dec = TreeDecomposition(emb.base, Tree(4, [(0, 1), (1, 2), (2, 3)]), [0] * 7 + [1, 1, 2, 3])
-    return extend(emb, []), dec
+    base, _ = glued_two_planes()
+    dec = TreeDecomposition(base, Tree(4, [(0, 1), (1, 2), (2, 3)]), [0] * 7 + [1, 1, 2, 3])
+    return extend(base, []), dec
 
 
 def _glued_extension():
@@ -321,7 +492,7 @@ _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: PGModel(0, gf(2)), r"^a projective geometry needs rank at least 1$"),
+        (lambda: pg_build(0, 2), r"^a projective geometry needs rank at least 1$"),
         (lambda: neck_of_edge(glued_two_planes()[0], _foreign_decomposition(), (0, 1)),
          r"^the decomposition must decompose the embedded base matroid$"),
         (lambda: induced_decomposition(_glued_extension(), _foreign_decomposition(), (0, 1)),
@@ -355,8 +526,9 @@ def test_bad_arguments_raise_a_typed_error(call, message):
 
 
 def test_telescoping_single_point():
-    emb = embed(LinearMatroid(gf(3), [(1, 0), (0, 1), (1, 1)]))
-    ext = extend(emb, [3])
+    F = gf(3)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
+    ext = extend(base, [F.pack((1, 2))])
     terms = telescoping_expansion(ext)
     assert [role for _, role in terms] == ["extension", "contract:s1"]
     polys = [cp_delete_contract(t) for t, _ in terms]
@@ -365,14 +537,16 @@ def test_telescoping_single_point():
     total = IntPoly([])
     for p in polys:
         total = total + p
-    assert total == cp_delete_contract(emb.base)
+    assert total == cp_delete_contract(base)
 
 
 def test_telescoping_order_invariance():
-    emb = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1)]))
-    base_cp = cp_delete_contract(emb.base)
-    for order in ([3, 4], [4, 3]):
-        terms = telescoping_expansion(extend(emb, order))
+    F = gf(5)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
+    base_cp = cp_delete_contract(base)
+    a, b = F.pack((1, 3)), F.pack((1, 4))
+    for order in ([a, b], [b, a]):
+        terms = telescoping_expansion(extend(base, order))
         assert [role for _, role in terms] == [
             "extension", "contract:s1", "contract:s2",
         ]
