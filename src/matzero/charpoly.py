@@ -32,7 +32,7 @@ from .errors import (
     RootCertificateError,
     TooLargeError,
 )
-from .matroid import MAX_GROUND, Matroid, MinorMatroid, mask_bits
+from .matroid import MAX_GROUND, Matroid, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 # distinct polynomials whose root analysis is kept, and answers kept per
@@ -234,17 +234,17 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
 
     The recursion reads each minor in the coordinates of a standard
     representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
-    query.  One elimination pass over the packed columns of the root's
-    :meth:`~Matroid.matrix`, the contracted ones and then the kept ones,
-    gives them: the i-th kept column independent of C and the kept
-    columns before it is basis column i, and its echelon row carries
-    1 in digit h + i, above the matrix's h rows, so a kept column that
-    reduces to zero in its first h digits holds minus its coordinates in
-    that basis in the digits above (a column zero in all of them lies in
-    the span of C: a loop).  Each element carries its coordinates scaled
-    to 1 at the first nonzero one, so the basis shows up as unit rows
-    and parallel elements as equal rows, of which the first, in element
-    order, is kept.  Contracting the pivot projects every other column
+    query.  One elimination pass over m's points
+    (:meth:`Matroid._points`: the kept columns of the root's matrix,
+    reduced modulo the span of the contracted ones) gives them: the i-th
+    point independent of the points before it is basis column i, and its
+    echelon row carries 1 in digit h + i, above the matrix's h rows, so
+    a point that reduces to zero in its first h digits holds minus its
+    coordinates in that basis in the digits above (a point that is zero
+    is a loop).  Each element carries its coordinates scaled to 1 at the
+    first nonzero one, so the basis shows up as unit rows and parallel
+    elements as equal rows, of which the first, in element order, is
+    kept.  Contracting the pivot projects every other column
     along it (:meth:`GF.project`), which kills the pivot's coordinate and
     leaves every other unit row as it is, so each minor keeps a unit row
     per live coordinate, and its rank is r minus the contractions made.
@@ -268,18 +268,16 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     count per rank s, and for the rank-2 leaves the sums of the signs
     and of sign * n.  The polynomial is built once, from those counts.
     """
-    mat, kept, cmask = m._matrix_triple()
-    field = mat.field
+    field, height, points = m._points()
     reduce, normalize, project = field.reduce, field.normalize, field.project
-    basis = mat.span_basis(cmask)
-    base = len(basis)
-    top = mat.nrows * field.width
+    top = height * field.width
     below = (1 << top) - 1
+    basis: list[int] = []
     rows = []
-    for e in kept:
-        v = reduce(basis, mat.packed[e])
+    for v in points:
+        v = reduce(basis, v)
         if v & below:
-            unit = 1 << (len(basis) - base) * field.width
+            unit = 1 << len(basis) * field.width
             basis.append(normalize(v | unit << top))
             rows.append(unit)
         elif v:
@@ -287,7 +285,7 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         else:
             return ZERO
     rows = list(dict.fromkeys(rows))
-    n, rank = len(rows), len(basis) - base
+    n, rank = len(rows), len(basis)
     if n == rank:
         return lam_minus_one_power(rank)
     if rank == 2:
@@ -332,10 +330,10 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
 
     where X_{i,j} = {x_1, ..., x_{j-1}} minus {x_i}.  The input must be
     simple; intermediate minors are normalized (loops kill a term,
-    parallel copies are deleted) before recursing.  Like
-    :func:`cp_delete_contract` it reads each minor's loops and parallel
-    copies off the root matrix's columns reduced modulo the contracted
-    span: a zero column is a loop and equal columns are parallel.
+    parallel copies are deleted) before recursing.  Each term is a minor
+    of m, and like :func:`cp_delete_contract` it reads its loops and
+    parallel copies off its points (:meth:`Matroid._points`): a zero row
+    is a loop and equal rows are parallel.
 
     No minor is kept for reuse, because no two terms share one: the
     first term deletes the x_i that every other term contracts, and of
@@ -344,33 +342,31 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
     """
     if not m.is_simple():
         raise NotSimpleError("the cocircuit expansion needs a simple matroid")
-    mat, kept, cmask = m._matrix_triple()
 
-    def norm(rest: int, cmask: int) -> IntPoly:
-        elements = list(mask_bits(rest))
+    def norm(minor: Matroid) -> IntPoly:
         reps: dict = {}
-        for e, row in zip(elements, mat.reduced_columns(elements, mat.span_basis(cmask))):
+        for e, row in enumerate(minor._points()[2]):
             reps.setdefault(row, e)
         if 0 in reps:
             return ZERO
-        return expand(list(reps.values()), cmask)
+        if len(reps) < minor.n:
+            minor = minor.restrict(sum(1 << e for e in reps.values()))
+        return expand(minor)
 
-    def expand(elements: list, cmask: int) -> IntPoly:
-        rest = sum(1 << e for e in elements)
-        minor = MinorMatroid(mat, tuple(elements), cmask)
+    def expand(minor: Matroid) -> IntPoly:
         if minor.full_rank == minor.n:
             return lam_minus_one_power(minor.n)
-        xs = [elements[i] for i in mask_bits(minor.find_small_cocircuit())]
-        cstar = sum(1 << x for x in xs)
-        total = x_minus(len(xs)) * norm(rest & ~cstar, cmask)
+        cstar = minor.find_small_cocircuit()
+        xs = list(mask_bits(cstar))
+        total = x_minus(len(xs)) * norm(minor.delete(cstar))
         for j in range(1, len(xs)):
             for i in range(j):
                 drop = sum(1 << xs[t] for t in range(j) if t != i)
                 pair = (1 << xs[i]) | (1 << xs[j])
-                total = total + norm(rest & ~drop & ~pair, cmask | pair)
+                total = total + norm(minor.minor(delete=drop, contract=pair))
         return total
 
-    return norm(sum(1 << k for k in kept), cmask)
+    return expand(m)
 
 
 def cp_pg_closed_form(r: int, q: int) -> IntPoly:

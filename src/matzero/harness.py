@@ -94,12 +94,11 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
     A loopless matroid's chi is that of its simplification, which the
     set of its columns' projective points fixes: relabelling, rescaling
     or repeating a column leaves it alone.  So a loopless matroid is
-    keyed by the field of its root's matrix (:meth:`Matroid.matrix`)
-    and the set of its normalized columns
-    (:meth:`LinearMatroid.reduced_columns`, modulo the contracted span
-    for a minor), packed into ints, so matrices that differ only by zero
-    rows at the bottom share a key; its chi is kept in a table of at most
-    ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares p, d and
+    keyed by the field of its root's matrix and the set of its points
+    (:meth:`Matroid._points`: its normalized columns, reduced modulo the
+    contracted span for a minor), packed into ints, so matrices that
+    differ only by zero rows at the bottom share a key; its chi is kept
+    in a table of at most ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares p, d and
     the modulus, so fields that encode elements differently never share
     an entry.  A matroid with a loop is computed afresh every time.
 
@@ -108,11 +107,10 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
     job is to compute chi again and compare, and a shared table would
     turn those checks into reads of an earlier answer.
     """
-    mat, kept, cmask = m._matrix_triple()
-    rows = mat.reduced_columns(kept, mat.span_basis(cmask))
+    field, _, rows = m._points()
     if 0 in rows:
         return charpoly_auto(m)
-    key = (mat.field, frozenset(rows))
+    key = (field, frozenset(rows))
     chi = _CHARPOLY_MEMO.get(key)
     if chi is None:
         chi = _remember(_CHARPOLY_MEMO, key, charpoly_auto(m), MAX_CHARPOLY_MEMO)

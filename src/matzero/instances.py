@@ -3,6 +3,7 @@ and demos."""
 
 from __future__ import annotations
 
+from .errors import ArgumentError
 from .gfq import gf
 from .matroid import GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from .projgeom import pg_build
@@ -83,4 +84,4 @@ def named(name: str) -> Matroid:
     }
     if name in table:
         return table[name]()
-    raise KeyError(f"unknown instance name {name!r}")
+    raise ArgumentError(f"unknown instance name {name!r}; known: {', '.join(table)}")

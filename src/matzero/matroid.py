@@ -3,20 +3,18 @@
 Subsets of the ground set are machine-word bitmasks: bit ``i`` stands
 for element ``i``.  Public methods also accept iterables of element
 indices and convert them.  Matroids are immutable; every instance
-carries an internal rank cache keyed by mask, which is shared with all
-of its minors so repeated queries against a fixed root stay cheap.
+carries its own rank cache keyed by mask.
 
 Three backends are provided: explicit matrices over a small finite
 field (:class:`LinearMatroid`), uniform matroids, and graphic matroids
 of multigraphs.  A minor of any of them is a view onto its root
-(:class:`MinorMatroid`) whose rank function is a rank offset.  Every
-root also has a matrix (:meth:`Matroid.matrix`): a graphic matroid its
-GF(2) incidence matrix, U_{r,n} a normal rational curve.  So every
-minor is read as a matrix too: its loops, parallel classes and flats
-come from the kept columns reduced modulo the span of the contracted
-ones (:meth:`LinearMatroid.reduced_columns`), and so does
-deletion-contraction in :mod:`matzero.charpoly`.  Rank queries still
-go to each backend's own rank function.
+(:class:`MinorMatroid`).  Every root has a matrix
+(:meth:`Matroid.matrix`): a graphic matroid its GF(2) incidence matrix,
+U_{r,n} a normal rational curve.  So every matroid, root or minor, is a
+set of points (:meth:`Matroid._points`): the columns of the root's
+matrix reduced modulo the span of the contracted ones.  Its ranks,
+loops, parallel classes and flats are read from those points, and so
+is deletion-contraction in :mod:`matzero.charpoly`.
 """
 
 from __future__ import annotations
@@ -87,7 +85,8 @@ class FlatRecord:
 
 
 class Matroid:
-    """Abstract base.  Subclasses implement ``_rank_mask``."""
+    """Abstract base.  A root subclass gives its matrix (:meth:`matrix`);
+    every query reads the points (:meth:`_points`) taken from it."""
 
     n: int
     labels: tuple
@@ -102,6 +101,7 @@ class Matroid:
             raise ArgumentError("labels must match the ground set size")
         self._rank_cache: dict[int, int] = {}
         self._matrix: LinearMatroid | None = None
+        self._point_rows: tuple | None = None
 
     # -- identity of this matroid as a minor of some root --------------------
     # Base matroids are their own root; MinorMatroid overrides these.
@@ -114,11 +114,25 @@ class Matroid:
         """(root, kept root indices, contracted root mask)."""
         return self, tuple(range(self.n)), 0
 
-    def _matrix_triple(self):
-        """:meth:`_root_triple` with the root's :meth:`matrix` in place
-        of the root: what every vector path reads."""
-        root, kept, cmask = self._root_triple()
-        return root.matrix(), kept, cmask
+    def _points(self) -> tuple:
+        """(field, height, rows) of the root's matrix, ``rows[e]`` the
+        column of element e reduced modulo the span of the contracted
+        columns and scaled to 1 at its first nonzero entry, an echelon
+        row (:meth:`GF.normalize`).  These rows represent this matroid:
+        a loop gives 0, two elements are parallel exactly when their rows
+        are equal, and a set has the rank of its rows.  (Oxley, *Matroid
+        Theory*, ch. 6: contracting a represented element projects every
+        other column away from its vector.)  Built on the first call and
+        kept."""
+        if self._point_rows is None:
+            root, kept, cmask = self._root_triple()
+            mat = root.matrix()
+            field, packed = mat.field, mat.packed
+            reduce, normalize = field.reduce, field.normalize
+            basis = field.echelon(packed[e] for e in mask_bits(cmask))
+            rows = tuple(normalize(reduce(basis, packed[e])) for e in kept)
+            self._point_rows = field, mat.nrows, rows
+        return self._point_rows
 
     # -- rank and closure -----------------------------------------------------
 
@@ -131,7 +145,8 @@ class Matroid:
         return r
 
     def _rank_mask(self, mask: int) -> int:
-        raise NotImplementedError
+        field, _, rows = self._points()
+        return len(field.echelon(rows[e] for e in mask_bits(mask)))
 
     def rank(self, subset) -> int:
         return self.rank_mask(as_mask(self.n, subset))
@@ -142,9 +157,6 @@ class Matroid:
         if self._matrix is None:
             self._matrix = self._build_matrix()
         return self._matrix
-
-    def _build_matrix(self) -> "LinearMatroid":
-        raise NotImplementedError
 
     @property
     def full_rank(self) -> int:
@@ -165,11 +177,8 @@ class Matroid:
     # -- loops, parallelism, simplification ------------------------------------
 
     def loops_mask(self) -> int:
-        """The elements whose columns, reduced modulo the span of the
-        contracted ones, are zero."""
-        mat, kept, cmask = self._matrix_triple()
-        rows = mat.reduced_columns(kept, mat.span_basis(cmask))
-        return mask_of(e for e, row in enumerate(rows) if not row)
+        """The elements whose points (:meth:`_points`) are zero."""
+        return mask_of(e for e, row in enumerate(self._points()[2]) if not row)
 
     def is_loopless(self) -> bool:
         return self.loops_mask() == 0
@@ -304,13 +313,14 @@ class Matroid:
         a rank-2 GF(q) matroid has at most q + 1 points, the points of
         PG(1, q) (Oxley, *Matroid Theory*, ch. 6; at q = 2 this is
         Tutte's "no U_{2,4}-minor" characterization of binary
-        matroids).  Every root has a matrix (:meth:`matrix`), so when
-        ``length`` exceeds q + 1 for the field of the root's matrix the
-        answer is False exactly, not by heuristic, and nothing is
-        scanned.  Every other length is answered by :meth:`_line_scan`."""
+        matroids).  Every matroid's points (:meth:`_points`) lie over the
+        field of its root's matrix, so when ``length`` exceeds q + 1 for
+        that field the answer is False exactly, not by heuristic, and
+        nothing is scanned.  Every other length is answered by
+        :meth:`_line_scan`."""
         if length < 2:
             raise ArgumentError(f"line length must be at least 2, got {length}")
-        if length > self._matrix_triple()[0].field.q + 1:
+        if length > self._points()[0].q + 1:
             return False
         return self._line_scan(length)
 
@@ -393,47 +403,8 @@ class LinearMatroid(Matroid):
     def rows(self) -> list[list[int]]:
         return [[self.columns[j][i] for j in range(self.n)] for i in range(self.nrows)]
 
-    def _rank_mask(self, mask: int) -> int:
-        return len(self.field.echelon(self.packed[e] for e in mask_bits(mask)))
-
     def matrix(self) -> "LinearMatroid":
         return self
-
-    def span_basis(self, mask: int) -> list[int]:
-        """An echelon basis (:meth:`GF.echelon`) of the span of the
-        columns in ``mask``."""
-        return self.field.echelon(self.packed[e] for e in mask_bits(mask))
-
-    def reduced_columns(self, elements, basis) -> list[int]:
-        """The columns of ``elements`` reduced modulo the span of the
-        echelon basis ``basis`` and scaled to 1 at their first nonzero
-        entry, as echelon rows (:meth:`GF.normalize`).  When ``basis``
-        spans the columns of a set C, these rows represent the minor
-        M/C on ``elements``: a loop of it gives 0, and two elements
-        are parallel in it exactly when their rows are equal.  (Oxley,
-        *Matroid Theory*: contracting a represented element projects
-        every other column away from its vector.)"""
-        reduce, normalize = self.field.reduce, self.field.normalize
-        packed = self.packed
-        return [normalize(reduce(basis, packed[e])) for e in elements]
-
-    def contract_by_elimination(self, subset) -> "LinearMatroid":
-        """Contract by explicit matrix surgery: reduce the other columns
-        modulo the span of the contracted ones and drop that span's
-        pivot rows.  Useful as an independent cross-check of the
-        rank-offset contraction."""
-        cmask = as_mask(self.n, subset)
-        field = self.field
-        basis = self.span_basis(cmask)
-        pivot_rows = set(map(field.pivot, basis))
-        keep_rows = [i for i in range(self.nrows) if i not in pivot_rows]
-        kept = [e for e in range(self.n) if not (1 << e) & cmask]
-        new_cols = [
-            [column[i] for i in keep_rows]
-            for column in (field.unpack(row, self.nrows) for row in self.reduced_columns(kept, basis))
-        ]
-        labels = tuple(self.labels[e] for e in kept)
-        return LinearMatroid(self.field, new_cols, labels, nrows=len(keep_rows))
 
 
 def _smallest_prime_power_at_least(x: int) -> int:
@@ -454,10 +425,6 @@ class UniformMatroid(Matroid):
             raise ArgumentError(f"a uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
         self.r = r
         self._init_common(n, labels)
-
-    def _rank_mask(self, mask: int) -> int:
-        c = bin(mask).count("1")
-        return c if c < self.r else self.r
 
     def _build_matrix(self) -> LinearMatroid:
         """The normal rational curve: columns (1, t, ..., t**(r-1)) at
@@ -497,26 +464,6 @@ class GraphicMatroid(Matroid):
                 )
         self._init_common(len(self.edges), labels)
 
-    def _rank_mask(self, mask: int) -> int:
-        """Union-find over the endpoints the edges in ``mask`` touch;
-        ``parent`` holds only vertices that are not their own root, so
-        the cost does not grow with the number of vertices."""
-        parent: dict[int, int] = {}
-
-        def find(a):
-            while a in parent:
-                a = parent[a]
-            return a
-
-        rank = 0
-        for e in mask_bits(mask):
-            u, v = self.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
-        return rank
-
     def _build_matrix(self) -> LinearMatroid:
         """The GF(2) incidence matrix, one row per vertex that some edge
         touches, so the height does not grow with ``num_vertices``; a
@@ -534,10 +481,10 @@ class GraphicMatroid(Matroid):
 def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     """The flats covering the flat F = ``fmask`` of m, as a dict from
     each cover to what the lattice walk hands down with it, read from
-    the points of M/F in the root's matrix with no rank query.  The points
-    are a dict from echelon row (:meth:`GF.normalize`) to the mask of
-    the elements outside F whose columns, reduced modulo the span of F
-    and the contracted columns, give that row.  Each point's class
+    the points of M/F with no rank query.  The points are a dict from
+    echelon row (:meth:`GF.normalize`) to the mask of the elements
+    outside F whose points (:meth:`Matroid._points`), reduced modulo the
+    span of those of F, give that row.  Each point's class
     joined to F is a cover, handed the pair (points of M/F, point).
 
     ``carried`` is the pair (points of M/E, p) that F = E + class(p)
@@ -545,34 +492,33 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     than p projected along p (:meth:`GF.project`), one step per cover of
     E, with classes merged where points meet.  (Oxley, *Matroid Theory*:
     contracting a represented element projects every other column away
-    from its vector.)  With None the columns are reduced from scratch."""
-    mat, kept, cmask = m._matrix_triple()
+    from its vector.)  With None the points are reduced from scratch."""
+    field, _, rows = m._points()
     points: dict[int, int] = {}
     if carried is None:
-        basis = mat.span_basis(cmask | mask_of(kept[e] for e in mask_bits(fmask)))
-        outside = list(mask_bits(m.full_mask & ~fmask))
-        for e, point in zip(outside, mat.reduced_columns([kept[e] for e in outside], basis)):
+        reduce, normalize = field.reduce, field.normalize
+        basis = field.echelon(rows[e] for e in mask_bits(fmask))
+        for e in mask_bits(m.full_mask & ~fmask):
+            point = normalize(reduce(basis, rows[e]))
             points[point] = points.get(point, 0) | (1 << e)
     else:
         parent, p = carried
         rest = [point for point in parent if point != p]
-        for old, point in zip(rest, mat.field.project(rest, p)):
+        for old, point in zip(rest, field.project(rest, p)):
             points[point] = points.get(point, 0) | parent[old]
     return {fmask | cls: (points, point) for point, cls in points.items()}
 
 
 class MinorMatroid(Matroid):
-    """A minor of a root matroid, evaluated by rank offset:
-    r_{M/C\\D}(A) = r_M(A | C) - r_M(C).  Its loops and covers come from
-    the root's matrix, kept columns reduced modulo the span of the
-    contracted ones, with no rank query."""
+    """M/C\\D for a root M: the root elements ``kept`` with the mask
+    ``contracted_mask`` of C.  Building one asks no rank; its points
+    (:meth:`Matroid._points`) are the kept columns of the root's matrix
+    reduced modulo the span of C, and every query reads them."""
 
     def __init__(self, root: Matroid, kept: tuple[int, ...], contracted_mask: int, labels=None):
         self._root = root
         self.kept = kept
         self.contracted_mask = contracted_mask
-        self._kept_bits = tuple(1 << k for k in kept)
-        self._contract_rank = root.rank_mask(contracted_mask)
         if labels is None:
             labels = tuple(root.labels[k] for k in kept)
         self._init_common(len(kept), labels)
@@ -584,18 +530,10 @@ class MinorMatroid(Matroid):
     def _root_triple(self):
         return self._root, self.kept, self.contracted_mask
 
-    def to_root_mask(self, mask: int) -> int:
-        out = 0
-        bits = self._kept_bits
-        while mask:
-            low = mask & -mask
-            out |= bits[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def _rank_mask(self, mask: int) -> int:
-        root_mask = self.to_root_mask(mask)
-        return self._root.rank_mask(root_mask | self.contracted_mask) - self._contract_rank
+    def matrix(self) -> "LinearMatroid":
+        raise NotLinearError(
+            "a minor has no matrix of its own; its points are read from its root's matrix"
+        )
 
 
 def uniform(r: int, n: int) -> UniformMatroid:

@@ -318,12 +318,13 @@ def telescoping_expansion(ext: ExtensionMatroid) -> list[tuple[Matroid, str]]:
     and then one contraction per added point, in order.  Summing the
     characteristic polynomials of the listed matroids gives back the
     characteristic polynomial of the embedded base exactly, whatever
-    order the points were adjoined in.
+    order the points were adjoined in.  M + s1..si is the extension
+    with the later points deleted, so every term is a minor of
+    ``ext.matroid``.
     """
-    terms: list[tuple[Matroid, str]] = [(ext.matroid, "extension")]
-    n = ext.base_count
-    for i in range(len(ext.added)):
-        partial = extend(ext.base, ext.added[: i + 1])
-        contracted = partial.matroid.contract([n + i])
-        terms.append((contracted, f"contract:s{i + 1}"))
+    big, n, k = ext.matroid, ext.base_count, len(ext.added)
+    terms: list[tuple[Matroid, str]] = [(big, "extension")]
+    for i in range(k):
+        later = range(n + i + 1, n + k)
+        terms.append((big.minor(delete=later, contract=[n + i]), f"contract:s{i + 1}"))
     return terms

@@ -520,19 +520,16 @@ def exact_treewidth_small(m: Matroid) -> TreewidthResult:
 
 def _prefix_ranks(m: Matroid, order) -> list[int]:
     """r(e_1..e_i) for every prefix of ``order``, by one incremental
-    elimination over the columns of the root's matrix, started from the
-    span of the contracted set so minors of any root are read the same
-    way."""
-    mat, kept, cmask = m._matrix_triple()
-    reduce, normalize = mat.field.reduce, mat.field.normalize
-    basis = mat.span_basis(cmask)
-    base = len(basis)
+    elimination over the points of m (:meth:`Matroid._points`)."""
+    field, _, rows = m._points()
+    reduce, normalize = field.reduce, field.normalize
+    basis: list[int] = []
     out = []
     for e in order:
-        row = normalize(reduce(basis, mat.packed[kept[e]]))
+        row = normalize(reduce(basis, rows[e]))
         if row:
             basis.append(row)
-        out.append(len(basis) - base)
+        out.append(len(basis))
     return out
 
 
@@ -542,11 +539,11 @@ def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
     remaining element.  Returned with the prefix ranks.  Each remaining
     column is kept reduced modulo the prefix's span, one elimination
     step per new basis row, so an element lies in the closure exactly
-    when its column has come down to zero; no rank is queried."""
-    mat, kept, cmask = m._matrix_triple()
-    reduce, normalize = mat.field.reduce, mat.field.normalize
-    basis = mat.span_basis(cmask)
-    left = {e: reduce(basis, mat.packed[kept[e]]) for e in range(m.n)}
+    when its column has come down to zero; no rank is queried.  The
+    columns start as the points of m (:meth:`Matroid._points`)."""
+    field, _, rows = m._points()
+    reduce, normalize = field.reduce, field.normalize
+    left = dict(enumerate(rows))
     order: list[int] = []
     ranks: list[int] = []
     rank = 0

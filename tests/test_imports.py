@@ -1,8 +1,10 @@
 """Every module-level import in src/matzero is used somewhere in its
 module.  The package ``__init__.py`` is skipped, since its imports are
-the public re-exports, and so is ``from __future__``."""
+the public re-exports, and so is ``from __future__``.  Every private
+name that src/matzero defines is used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,96 @@ def test_detector_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, node) for the private functions, classes and constants at
+    module level, the private methods of its classes and the private
+    attributes that their methods assign on ``self``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    yield target.id, node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(item.name):
+                yield item.name, item
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                for target in targets:
+                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                            and target.value.id == "self" and _private(target.attr)):
+                        yield target.attr, sub
+
+
+def _reads(node):
+    """The names that ``node`` reads: loaded names and attributes, and
+    string constants such as ``getattr`` arguments."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def dead_private_names(sources: dict) -> list[str]:
+    """The private names defined in ``sources`` (module name -> text)
+    that no code of any of them reads outside the definition itself, as
+    "module.name"."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if reads[name] == sum(1 for read in _reads(node) if read == name):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_detector_finds_dead_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED = 2\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._kept = 1\n"
+            "        self._kept_bits = ()\n"
+            "    def _matrix_triple(self):\n"
+            "        return self._kept\n"
+            "    def _named(self):\n"
+            "        return 0\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "b": (
+            "from .a import _helper\n"
+            "def f(box):\n"
+            "    return _helper(), getattr(box, '_named')()\n"
+        ),
+    }
+    assert dead_private_names(sources) == [
+        "a._UNUSED", "a._recursive", "a._matrix_triple", "a._kept_bits",
+    ]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -23,7 +23,7 @@ from matzero.errors import (
 )
 from matzero.gfq import gf
 from matzero.harness import gen_glued
-from matzero.instances import fano, k4_graphic, non_fano
+from matzero.instances import fano, k4_graphic, named, non_fano
 from matzero.matroid import (
     GraphicMatroid,
     LinearMatroid,
@@ -179,7 +179,59 @@ def test_restrict():
     assert ranks_agree(r, UniformMatroid(3, 4))
 
 
+# -- rank oracles that read no points ---------------------------------------------
+
+
+def _offset_rank(m, mask):
+    """r(A | C) - r(C) on the root's matrix, for A the root elements of
+    ``mask`` and C the contracted set of m, by elimination over the
+    root's packed columns."""
+    root, kept, cmask = m._root_triple()
+    mat = root.matrix()
+
+    def rank(rmask):
+        return len(mat.field.echelon(mat.packed[e] for e in mask_bits(rmask)))
+
+    return rank(mask_of(kept[e] for e in mask_bits(mask)) | cmask) - rank(cmask)
+
+
+def _union_find_rank(edges, mask):
+    """The graphic rank of the edges in ``mask``: those that join two
+    components of the edges before them."""
+    parent = {}
+
+    def find(a):
+        while a in parent:
+            a = parent[a]
+        return a
+
+    rank = 0
+    for e in mask_bits(mask):
+        u, v = (find(x) for x in edges[e])
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
+
+
+def contract_by_elimination(m, cmask):
+    """M/C by explicit matrix surgery: reduce the other columns modulo
+    the span of the contracted ones and drop that span's pivot rows."""
+    field = m.field
+    basis = field.echelon(m.packed[e] for e in mask_bits(cmask))
+    pivot_rows = set(map(field.pivot, basis))
+    keep_rows = [i for i in range(m.nrows) if i not in pivot_rows]
+    kept = [e for e in range(m.n) if not (1 << e) & cmask]
+    cols = []
+    for e in kept:
+        column = field.unpack(field.reduce(basis, m.packed[e]), m.nrows)
+        cols.append([column[i] for i in keep_rows])
+    return LinearMatroid(field, cols, [m.labels[e] for e in kept], nrows=len(keep_rows))
+
+
 def test_contract_by_elimination_matches_minor():
+    """A contraction read from its points has the ranks of the matrix
+    that surgery builds and of the offset r(A | C) - r(C)."""
     rng = random.Random(5)
     F = gf(4)
     for _ in range(20):
@@ -187,10 +239,69 @@ def test_contract_by_elimination_matches_minor():
         cols = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(n)]
         m = LinearMatroid(F, cols)
         cmask = rng.randrange(1 << n)
-        via_offset = m.contract(cmask)
-        via_matrix = m.contract_by_elimination(cmask)
-        assert ranks_agree(via_offset, via_matrix)
-        assert via_offset.labels == via_matrix.labels
+        via_points = m.contract(cmask)
+        via_matrix = contract_by_elimination(m, cmask)
+        assert ranks_agree(via_points, via_matrix)
+        assert all(via_points.rank_mask(a) == _offset_rank(via_points, a)
+                   for a in range(1 << via_points.n))
+        assert via_points.labels == via_matrix.labels
+
+
+@st.composite
+def minor_chains(draw):
+    """A random GF(q) matrix and a chain of up to three minors, each a
+    minor of the one before, with random disjoint deleted and
+    contracted sets."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    height = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 9))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * height), min_size=n, max_size=n))
+    chain = [LinearMatroid(gf(q), cols, nrows=height)]
+    for _ in range(draw(st.integers(1, 3))):
+        last = chain[-1]
+        fate = draw(st.lists(st.integers(0, 2), min_size=last.n, max_size=last.n))
+        chain.append(last.minor(delete=[e for e, f in enumerate(fate) if f == 1],
+                                contract=[e for e, f in enumerate(fate) if f == 2]))
+    return chain
+
+
+@given(minor_chains())
+@settings(max_examples=150, deadline=None)
+def test_minor_ranks_are_the_offset_on_the_root(chain):
+    for m in chain:
+        assert [m.rank_mask(a) for a in range(1 << m.n)] == [
+            _offset_rank(m, a) for a in range(1 << m.n)
+        ]
+
+
+def test_building_a_minor_asks_no_rank(monkeypatch):
+    """delete, contract and minor, of roots and of minors, only record
+    what is kept and what is contracted."""
+    calls = []
+    real = matroid.Matroid.rank_mask
+
+    def counting(m, mask):
+        calls.append(mask)
+        return real(m, mask)
+
+    monkeypatch.setattr(matroid.Matroid, "rank_mask", counting)
+    for m in (fano(), non_fano(), k4_graphic(), UniformMatroid(3, 6)):
+        views = [m.delete([0]), m.contract([1]), m.minor(delete=[0], contract=[1, 2])]
+        views += [v.minor(delete=[0], contract=[1]) for v in views]
+        views.append(views[3].contract([0]).delete([0]))
+        assert all(isinstance(v, matroid.MinorMatroid) for v in views)
+    assert calls == []
+
+
+def test_a_minor_has_no_matrix_of_its_own():
+    with pytest.raises(NotLinearError, match="a minor has no matrix of its own"):
+        fano().delete([0]).matrix()
+
+
+def test_unknown_instance_name_is_a_typed_error():
+    with pytest.raises(ArgumentError, match="'x'; known: fano, non-fano, k4"):
+        named("x")
+    assert named("k4").n == 6
 
 
 def test_labels_follow_minors():
@@ -962,7 +1073,8 @@ def test_graphic_matrix_has_the_graphic_ranks(m):
     assert isinstance(mat, LinearMatroid) and mat.field.q == 2
     assert mat.nrows == len({v for edge in m.edges for v in edge})
     assert mat.labels == m.labels
-    assert ranks_agree(m, mat)
+    for a in range(1 << m.n):
+        assert m.rank_mask(a) == mat.rank_mask(a) == _union_find_rank(m.edges, a)
 
 
 def test_uniform_matrix_has_the_uniform_ranks():
@@ -972,7 +1084,8 @@ def test_uniform_matrix_has_the_uniform_ranks():
             mat = m.matrix()
             assert mat is m.matrix()
             assert mat.nrows == r
-            assert ranks_agree(m, mat), (r, n)
+            for a in range(1 << n):
+                assert mat.rank_mask(a) == min(bin(a).count("1"), r), (r, n, a)
 
 
 def test_graphic_and_uniform_roots_stay_off_the_matrix_file_form():

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from matzero import projgeom
 from matzero.charpoly import IntPoly, cp_delete_contract
 from matzero.errors import (
     ArgumentError,
@@ -359,7 +360,7 @@ def test_embed_and_neck_past_the_ambient_geometry():
     assert len(neck) == pg_point_count(11, 2) == 2047
     assert len(external) == 2047 - 11
     du, dw = dec.displayed_sets_edge((0, 1))
-    span_u, span_w = base.span_basis(du), base.span_basis(dw)
+    span_u, span_w = (F.echelon(base.packed[e] for e in mask_bits(d)) for d in (du, dw))
     assert not any(F.reduce(span_u, p) or F.reduce(span_w, p) for p in neck)
     assert all(p >> 12 == 0 for p in neck)  # inside the first twelve coordinates
 
@@ -538,6 +539,45 @@ def test_telescoping_single_point():
     for p in polys:
         total = total + p
     assert total == cp_delete_contract(base)
+
+
+def test_telescoping_reads_every_term_off_the_extension(monkeypatch):
+    """On the criterion-07 battery, with the fattest external neck that
+    fits on each decomposition (as verify_identities picks it), the
+    terms are minors of the one extension, built with no further
+    extend call, and their polynomials sum to chi of the base."""
+    calls = []
+    real_extend = projgeom.extend
+
+    def counting(base, points):
+        calls.append(points)
+        return real_extend(base, points)
+
+    monkeypatch.setattr(projgeom, "extend", counting)
+    checked = 0
+    for dec in _criterion_07_decompositions():
+        base = dec.matroid
+        if dec.tree.num_vertices < 2:
+            continue
+        necks = [neck_of_edge(base, dec, edge)[1] for edge in dec.tree.edges]
+        external = max((x for x in necks if base.n + len(x) <= 20), key=len)
+        if not external:
+            continue
+        ext = real_extend(base, external)
+        calls.clear()
+        terms = telescoping_expansion(ext)
+        assert calls == []
+        k = len(external)
+        assert [role for _, role in terms] == ["extension"] + [f"contract:s{i + 1}" for i in range(k)]
+        for i, (term, _) in enumerate(terms[1:]):
+            assert term.root is ext.matroid
+            assert term.labels == base.labels + tuple(f"s{j + 1}" for j in range(i))
+        total = IntPoly([])
+        for term, _ in terms:
+            total = total + cp_delete_contract(term)
+        assert total == cp_delete_contract(base)
+        checked += 1
+    assert checked >= 50
 
 
 def test_telescoping_order_invariance():
