@@ -82,6 +82,7 @@ from .projgeom import (
     induced_decomposition,
     is_modular_flat,
     neck_of_edge,
+    path_necks,
     pg_build,
     pg_point_count,
     split_along_neck,
@@ -142,6 +143,7 @@ __all__ = [
     "embed",
     "extend",
     "neck_of_edge",
+    "path_necks",
     "induced_decomposition",
     "is_modular_flat",
     "split_along_neck",

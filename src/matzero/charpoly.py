@@ -234,20 +234,16 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
 
     The recursion reads each minor in the coordinates of a standard
     representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
-    query.  One elimination pass over m's points
-    (:meth:`Matroid._points`: the kept columns of the root's matrix,
-    reduced modulo the span of the contracted ones) gives them: the i-th
-    point independent of the points before it is basis column i, and its
-    echelon row carries 1 in digit h + i, above the matrix's h rows, so
-    a point that reduces to zero in its first h digits holds minus its
-    coordinates in that basis in the digits above (a point that is zero
-    is a loop).  Each element carries its coordinates scaled to 1 at the
-    first nonzero one, so the basis shows up as unit rows and parallel
+    query.  One elimination pass over m's points gives them
+    (:meth:`Matroid._standard_form`): the i-th point independent of the
+    points before it is basis column i, and every element carries its
+    coordinates in that basis scaled to 1 at the first nonzero one (zero
+    for a loop), so the basis shows up as unit rows and parallel
     elements as equal rows, of which the first, in element order, is
-    kept.  Contracting the pivot projects every other column
-    along it (:meth:`GF.project`), which kills the pivot's coordinate and
-    leaves every other unit row as it is, so each minor keeps a unit row
-    per live coordinate, and its rank is r minus the contractions made.
+    kept.  Contracting the pivot projects every other column along it
+    (:meth:`GF.project`), which kills the pivot's coordinate and leaves
+    every other unit row as it is, so each minor keeps a unit row per
+    live coordinate, and its rank is r minus the contractions made.
     Only a contraction makes parallel rows, so only the contraction
     child is simplified.  In a simple minor any other row lies on a
     circuit: the first one is the pivot, found with no elimination pass,
@@ -268,24 +264,12 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     count per rank s, and for the rank-2 leaves the sums of the signs
     and of sign * n.  The polynomial is built once, from those counts.
     """
-    field, height, points = m._points()
-    reduce, normalize, project = field.reduce, field.normalize, field.project
-    top = height * field.width
-    below = (1 << top) - 1
-    basis: list[int] = []
-    rows = []
-    for v in points:
-        v = reduce(basis, v)
-        if v & below:
-            unit = 1 << len(basis) * field.width
-            basis.append(normalize(v | unit << top))
-            rows.append(unit)
-        elif v:
-            rows.append(normalize(v >> top))
-        else:
-            return ZERO
-    rows = list(dict.fromkeys(rows))
-    n, rank = len(rows), len(basis)
+    project = m._points()[0].project
+    basis, coordinates = m._standard_form()
+    if 0 in coordinates:
+        return ZERO
+    rows = list(dict.fromkeys(coordinates))
+    n, rank = len(rows), bin(basis).count("1")
     if n == rank:
         return lam_minus_one_power(rank)
     if rank == 2:

@@ -374,10 +374,6 @@ class GF:
         code, digit, width = self._code, self._digit, self.width
         return tuple(code[v >> i * width & digit] for i in range(height))
 
-    def pivot(self, v: int) -> int:
-        """The index of the first nonzero coordinate of v; -1 for zero."""
-        return ((v & -v).bit_length() - 1) // self.width
-
     def _times(self, c: int, v: int) -> int:
         """c·v over an extension field, its sub-digits not yet reduced
         mod p: one product per sub-digit of an element, XORed in

@@ -7,14 +7,16 @@ carries its own rank cache keyed by mask.
 
 Three backends are provided: explicit matrices over a small finite
 field (:class:`LinearMatroid`), uniform matroids, and graphic matroids
-of multigraphs.  A minor of any of them is a view onto its root
-(:class:`MinorMatroid`).  Every root has a matrix
-(:meth:`Matroid.matrix`): a graphic matroid its GF(2) incidence matrix,
-U_{r,n} a normal rational curve.  So every matroid, root or minor, is a
-set of points (:meth:`Matroid._points`): the columns of the root's
-matrix reduced modulo the span of the contracted ones.  Its ranks,
-loops, parallel classes and flats are read from those points, and so
-is deletion-contraction in :mod:`matzero.charpoly`.
+of multigraphs.  A minor of any of them, or of a minor, is a
+:class:`MinorMatroid`.  Every root has a matrix (:meth:`Matroid.matrix`):
+a graphic matroid its GF(2) incidence matrix, U_{r,n} a normal rational
+curve.  So every matroid, root or minor, is a set of points
+(:meth:`Matroid._points`): a root's are the columns of its matrix, and
+a minor's are its parent's points reduced modulo the span of the ones
+it contracts, so that contracting a set costs the size of that set, not
+the depth of the chain of minors above it.  Its ranks, loops, coloops,
+parallel classes and flats are read from those points, and so is
+deletion-contraction in :mod:`matzero.charpoly`.
 """
 
 from __future__ import annotations
@@ -103,36 +105,56 @@ class Matroid:
         self._matrix: LinearMatroid | None = None
         self._point_rows: tuple | None = None
 
-    # -- identity of this matroid as a minor of some root --------------------
-    # Base matroids are their own root; MinorMatroid overrides these.
-
     @property
     def root(self) -> "Matroid":
+        """The matroid whose matrix this one's points come from: itself
+        for a root, the root of its parent for a minor."""
         return self
-
-    def _root_triple(self):
-        """(root, kept root indices, contracted root mask)."""
-        return self, tuple(range(self.n)), 0
 
     def _points(self) -> tuple:
         """(field, height, rows) of the root's matrix, ``rows[e]`` the
-        column of element e reduced modulo the span of the contracted
-        columns and scaled to 1 at its first nonzero entry, an echelon
-        row (:meth:`GF.normalize`).  These rows represent this matroid:
-        a loop gives 0, two elements are parallel exactly when their rows
-        are equal, and a set has the rank of its rows.  (Oxley, *Matroid
-        Theory*, ch. 6: contracting a represented element projects every
-        other column away from its vector.)  Built on the first call and
-        kept."""
+        point of element e: a root's column scaled to 1 at its first
+        nonzero entry, an echelon row (:meth:`GF.normalize`), and for a
+        minor the same for the root's column reduced modulo the span of
+        the contracted columns (:class:`MinorMatroid`).  These rows
+        represent this matroid: a loop gives 0, two elements are
+        parallel exactly when their rows are equal, and a set has the
+        rank of its rows.  (Oxley, *Matroid Theory*, ch. 6: contracting
+        a represented element projects every other column away from its
+        vector.)  A root builds them on the first call and keeps them."""
         if self._point_rows is None:
-            root, kept, cmask = self._root_triple()
-            mat = root.matrix()
-            field, packed = mat.field, mat.packed
-            reduce, normalize = field.reduce, field.normalize
-            basis = field.echelon(packed[e] for e in mask_bits(cmask))
-            rows = tuple(normalize(reduce(basis, packed[e])) for e in kept)
-            self._point_rows = field, mat.nrows, rows
+            mat = self.matrix()
+            field = mat.field
+            self._point_rows = field, mat.nrows, tuple(map(field.normalize, mat.packed))
         return self._point_rows
+
+    def _standard_form(self) -> tuple[int, list[int]]:
+        """A standard representation [I_r | D] (Oxley, *Matroid Theory*)
+        from one elimination pass over the points: (B, coordinates), B
+        the mask of the first basis in element order and each element's
+        coordinates in B, digit i for the i-th element of B, normalized
+        (:meth:`GF.normalize`): a unit row for an element of B, zero for
+        a loop.  Each basis row carries a unit in digit h + i, above the
+        matrix's h rows, so a point that reduces to zero in its first h
+        digits holds minus its coordinates in the digits above."""
+        field, height, points = self._points()
+        reduce, normalize = field.reduce, field.normalize
+        width = field.width
+        top = height * width
+        below = (1 << top) - 1
+        basis: list[int] = []
+        bmask = 0
+        coordinates = []
+        for e, v in enumerate(points):
+            v = reduce(basis, v)
+            if v & below:
+                unit = 1 << len(basis) * width
+                basis.append(normalize(v | unit << top))
+                bmask |= 1 << e
+                coordinates.append(unit)
+            else:
+                coordinates.append(normalize(v >> top))
+        return bmask, coordinates
 
     # -- rank and closure -----------------------------------------------------
 
@@ -180,6 +202,21 @@ class Matroid:
         """The elements whose points (:meth:`_points`) are zero."""
         return mask_of(e for e, row in enumerate(self._points()[2]) if not row)
 
+    def coloops_mask(self) -> int:
+        """The elements e with r(E - e) < r(M), from one elimination pass
+        (:meth:`_standard_form`) and no rank query.  A coloop is an
+        element of every basis, so it is in the first basis B, and an
+        element b of B is a coloop exactly when it lies in no
+        fundamental circuit of B: when no element outside B has a
+        nonzero coordinate at b."""
+        field = self._points()[0]
+        bmask, coordinates = self._standard_form()
+        used = 0
+        for e in mask_bits(self.full_mask & ~bmask):
+            used |= coordinates[e]
+        digit = (1 << field.width) - 1
+        return mask_of(e for e in mask_bits(bmask) if not coordinates[e] * digit & used)
+
     def is_loopless(self) -> bool:
         return self.loops_mask() == 0
 
@@ -209,17 +246,8 @@ class Matroid:
             raise ArgumentError("deleted and contracted sets must be disjoint")
         if dmask == 0 and cmask == 0:
             return self
-        root, kept, root_cmask = self._root_triple()
-        new_kept = []
-        extra_contract = 0
-        for i, k in enumerate(kept):
-            bit = 1 << i
-            if bit & cmask:
-                extra_contract |= 1 << k
-            elif not bit & dmask:
-                new_kept.append(k)
-        labels = tuple(self.labels[i] for i in range(self.n) if not (1 << i) & (dmask | cmask))
-        return MinorMatroid(root, tuple(new_kept), root_cmask | extra_contract, labels)
+        kept = [e for e in range(self.n) if not (1 << e) & (dmask | cmask)]
+        return MinorMatroid(self, kept, cmask)
 
     def delete(self, subset) -> "Matroid":
         return self.minor(delete=subset)
@@ -510,29 +538,44 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
 
 
 class MinorMatroid(Matroid):
-    """M/C\\D for a root M: the root elements ``kept`` with the mask
-    ``contracted_mask`` of C.  Building one asks no rank; its points
-    (:meth:`Matroid._points`) are the kept columns of the root's matrix
-    reduced modulo the span of C, and every query reads them."""
+    """M/C\\D for a parent matroid M, itself a root or a minor: the
+    parent's elements ``kept``, in that order, with C the parent's
+    elements in ``contracted_mask``.  Its points (:meth:`Matroid._points`)
+    are built at once from the parent's: the parent's rows of ``kept``,
+    projected along each echelon row of the parent's rows of C in turn
+    (:meth:`GF.project`, which reduces and normalizes), or a slice of
+    them when nothing is contracted.  A reduced row is zero at every
+    pivot of the contracted span, which makes it the one representative
+    of its coset there, so these are the rows that reducing the root's
+    columns modulo the span of every contraction down the chain would
+    give.  Building a minor asks no rank, and it keeps no reference to
+    its parent, only to the root."""
 
-    def __init__(self, root: Matroid, kept: tuple[int, ...], contracted_mask: int, labels=None):
-        self._root = root
-        self.kept = kept
-        self.contracted_mask = contracted_mask
+    def __init__(self, parent: Matroid, kept: Sequence[int], contracted_mask: int, labels=None):
+        # tuples are built from lists, not generators: with thousands of
+        # short-lived minors the generators' extra allocations raised the
+        # identity battery's peak memory
         if labels is None:
-            labels = tuple(root.labels[k] for k in kept)
+            labels = tuple([parent.labels[k] for k in kept])
         self._init_common(len(kept), labels)
+        self._root = parent.root
+        field, height, rows = parent._points()
+        if contracted_mask:
+            points = [rows[e] for e in kept]
+            for prow in field.echelon(rows[e] for e in mask_bits(contracted_mask)):
+                points = field.project(points, prow)
+            rows = tuple(points)
+        else:
+            rows = tuple([rows[e] for e in kept])
+        self._point_rows = field, height, rows
 
     @property
     def root(self) -> Matroid:
         return self._root
 
-    def _root_triple(self):
-        return self._root, self.kept, self.contracted_mask
-
     def matrix(self) -> "LinearMatroid":
         raise NotLinearError(
-            "a minor has no matrix of its own; its points are read from its root's matrix"
+            "a minor has no matrix of its own; its points are read from its parent's"
         )
 
 

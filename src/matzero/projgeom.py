@@ -9,8 +9,8 @@ columns are its points, and the module uses linear algebra on those
 rows to do two things the bare matroid cannot:
 
 * locate the *neck* of a tree-decomposition edge, the points common to
-  the spans of the two displayed sides, and fill its missing points in
-  by extending the matroid;
+  the spans of the two displayed sides, or of every edge of a path in
+  one sweep, and fill its missing points in by extending the matroid;
 * once a neck is fully present, split the matroid across it and factor
   the characteristic polynomial through the common part, or expand the
   extension as a telescoping sum of contractions.
@@ -167,22 +167,84 @@ def neck_of_edge(
     ``external`` being the neck points that are not elements of the
     embedded base.  The neck is itself a full projective subgeometry, so
     its size is always (q**d - 1)/(q - 1), d the dimension of the
-    intersection of the spans.
-
-    Zassenhaus' algorithm finds that intersection in one echelon call:
-    stack (u | u) for every u on one side and (w | 0) for every w on the
-    other, the low half eliminated first; the rows left with a zero low
-    half span the intersection in their high halves.  Its points are the
-    points of PG(d-1, q) read as coefficients of those d rows.
+    intersection of the spans.  :func:`path_necks` gives the same for
+    every edge of a path at once.
     """
     if dec.matroid is not base:
         raise ArgumentError("the decomposition must decompose the embedded base matroid")
     image = _points_of(base)
-    field, packed = base.field, base.packed
+    packed = base.packed
     du, dw = dec.displayed_sets_edge(edge)
+    return _neck(
+        base, image, [packed[e] for e in mask_bits(du)], [packed[e] for e in mask_bits(dw)]
+    )
+
+
+def path_necks(
+    base: LinearMatroid, dec: TreeDecomposition
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """:func:`neck_of_edge` for every edge of a decomposition whose tree
+    is a path, in the order of ``dec.tree.edges``; any other tree raises
+    :class:`ArgumentError`.
+
+    Along the path v_0, ..., v_l the sides of the edge v_i v_(i+1) are
+    the bags of v_0..v_i and of v_(i+1)..v_l.  One elimination forward
+    and one backward over the bags give an echelon basis of every
+    prefix and every suffix span, at most r rows each, and the
+    intersection is taken of those two bases; an edge whose two spans
+    have ranks summing to r(M) has an empty neck and is not intersected.
+    The base is checked once for all edges."""
+    if dec.matroid is not base:
+        raise ArgumentError("the decomposition must decompose the embedded base matroid")
+    image = _points_of(base)
+    tree = dec.tree
+    if any(tree.degree(v) > 2 for v in range(tree.num_vertices)):
+        raise ArgumentError("the neck sweep needs a decomposition whose tree is a path")
+    if tree.num_vertices == 1:
+        return []
+    order = [tree.leaves()[0]]
+    while len(order) < tree.num_vertices:
+        order.append(next(y for y in tree.adj[order[-1]] if y not in order[-2:]))
+    field, packed, bags = base.field, base.packed, dec.bags()
+    reduce, normalize = field.reduce, field.normalize
+
+    def spans(vertices) -> tuple[list[int], list[int]]:
+        # the echelon rows of the bags in turn, and how many of them
+        # the bags up to each vertex give
+        basis: list[int] = []
+        counts = []
+        for v in vertices:
+            for e in mask_bits(bags[v]):
+                row = normalize(reduce(basis, packed[e]))
+                if row:
+                    basis.append(row)
+            counts.append(len(basis))
+        return basis, counts
+
+    forward, ahead = spans(order)
+    backward, behind = spans(order[:0:-1])
+    necks = {}
+    for u, w, k, j in zip(order, order[1:], ahead, reversed(behind)):
+        necks[min(u, w), max(u, w)] = (
+            _neck(base, image, forward[:k], backward[:j]) if k + j > len(forward) else ((), ())
+        )
+    return [necks[edge] for edge in tree.edges]
+
+
+def _neck(base: LinearMatroid, image: set[int], us, ws) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(neck, external) for the spans of the packed rows ``us`` and
+    ``ws`` of the base's height.
+
+    Zassenhaus' algorithm finds the intersection in one echelon call:
+    stack (u | u) for every u of one side and (w | 0) for every w of the
+    other, the low half eliminated first; the rows left with a zero low
+    half span the intersection in their high halves.  Its points are the
+    points of PG(d-1, q) read as coefficients of those d rows.
+    """
+    field = base.field
     shift = base.nrows * field.width
-    stacked = [packed[e] | packed[e] << shift for e in mask_bits(du)]
-    stacked += [packed[e] for e in mask_bits(dw)]
+    stacked = [u | u << shift for u in us]
+    stacked += ws
     low = (1 << shift) - 1
     common = [row >> shift for row in field.echelon(stacked) if not row & low]
     if not common:

@@ -55,7 +55,9 @@ from matzero.matroid import (
     MinorMatroid,
     UniformMatroid,
     mask_bits,
+    mask_of,
 )
+from support import minor, pivot, rooted
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -250,10 +252,11 @@ def test_engines_agree_on_uniform_sweep():
 class _MinorContext:
     """Shared state for the rank-oracle recursions: a fixed root matroid
     plus rank queries for its minors, addressed by (kept-mask,
-    contracted-mask) pairs at root level."""
+    contracted-mask) pairs at root level.  A minor passed in must come
+    from :func:`support.minor`, which records those masks."""
 
     def __init__(self, m: Matroid):
-        root, kept, cmask = m._root_triple()
+        root, kept, cmask = rooted(m)
         self.root = root
         self.start_key = (sum(1 << k for k in kept), cmask)
         self.memo: dict[tuple[int, int], IntPoly] = {}
@@ -339,13 +342,14 @@ def _vector_engine_battery():
             yield m
             for _ in range(3):
                 fate = [rng.randrange(3) for _ in range(n)]
-                minor = m.minor(
+                view = minor(
+                    m,
                     delete=[e for e in range(n) if fate[e] == 1],
                     contract=[e for e in range(n) if fate[e] == 2],
                 )
-                yield minor
-                if minor.n:
-                    yield minor.contract([rng.randrange(minor.n)])
+                yield view
+                if view.n:
+                    yield minor(view, contract=[rng.randrange(view.n)])
 
 
 def _coordinate_battery():
@@ -372,7 +376,7 @@ def _coordinate_battery():
             for _ in range(2):
                 contract = rng.sample(range(n), rng.randint(1, 3))
                 rest = [e for e in range(n) if e not in contract]
-                yield m.minor(delete=rng.sample(rest, rng.randint(0, 2)), contract=contract)
+                yield minor(m, delete=rng.sample(rest, rng.randint(0, 2)), contract=contract)
 
 
 def test_vector_engine_matches_rank_oracles(monkeypatch):
@@ -384,7 +388,7 @@ def test_vector_engine_matches_rank_oracles(monkeypatch):
     real_project = GF.project
 
     def project(self, rows, prow):
-        pivots.add(self.pivot(prow))
+        pivots.add(pivot(self, prow))
         return real_project(self, rows, prow)
 
     monkeypatch.setattr(GF, "project", project)
@@ -403,14 +407,14 @@ def _graphic_and_uniform_battery():
     """Graphic and uniform roots, with loops, parallel edges and vertex
     labels far beyond the edge count, and minors of them."""
     yield k4_graphic()
-    yield k4_graphic().minor(delete=[1], contract=[4])
+    yield minor(k4_graphic(), delete=[1], contract=[4])
     yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 3), (0, 3)])
     yield GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (0, 3)])
     big = 10 ** 18
     yield GraphicMatroid(big, [(0, big - 1), (big - 1, 7), (7, 0), (7, big - 1), (5, 5)])
-    yield UniformMatroid(3, 7).minor(delete=[0], contract=[5])
-    yield UniformMatroid(2, 4).contract([1, 2])
-    yield UniformMatroid(4, 9).minor(delete=[2, 3], contract=[0])
+    yield minor(UniformMatroid(3, 7), delete=[0], contract=[5])
+    yield minor(UniformMatroid(2, 4), contract=[1, 2])
+    yield minor(UniformMatroid(4, 9), delete=[2, 3], contract=[0])
 
 
 def test_graphic_and_uniform_roots_take_the_matrix_path():
@@ -477,17 +481,17 @@ def _rank_at_most_two_battery():
                 line = LinearMatroid(gf(q), cols)
                 yield line, k
                 coloop = LinearMatroid(gf(q), [c + (0,) for c in cols] + [(0, 0, 1)])
-                yield coloop.contract([len(cols)]), k
-                yield coloop.contract([0]), 2
+                yield minor(coloop, contract=[len(cols)]), k
+                yield minor(coloop, contract=[0]), 2
                 # a plane: the line through (0,0,1) and each point; the
                 # contracted apex makes each line a point of the minor
                 plane = LinearMatroid(gf(q), [(0, 0, 1)] + [c + (1,) for c in cols])
-                yield plane.contract([0]), k
-                yield plane.minor(delete=[1], contract=[0]), k - 1 + (parallel > 0)
-        yield LinearMatroid(gf(q), [(1, 0), (q - 1, 0)]).contract([1]), 0
+                yield minor(plane, contract=[0]), k
+                yield minor(plane, delete=[1], contract=[0]), k - 1 + (parallel > 0)
+        yield minor(LinearMatroid(gf(q), [(1, 0), (q - 1, 0)]), contract=[1]), 0
         yield LinearMatroid(gf(q), [(1,), (1,), (0,)]), None
-        yield LinearMatroid(gf(q), [(1, 0), (0, 1), (1, 1)]).contract([2]), 1
-        yield LinearMatroid(gf(q), [(1, 0), (0, 1)]).contract([0, 1]), 0
+        yield minor(LinearMatroid(gf(q), [(1, 0), (0, 1), (1, 1)]), contract=[2]), 1
+        yield minor(LinearMatroid(gf(q), [(1, 0), (0, 1)]), contract=[0, 1]), 0
         yield LinearMatroid(gf(q), []), 0
 
 
@@ -676,16 +680,16 @@ def test_cocircuit_expansion_deletes_parallel_copies_only_to_save_work(monkeypat
     for m in list(_vector_engine_battery()) + [fano(), non_fano()]:
         if m.loops_mask() or m.n < 2 or m.full_rank == m.n:
             continue
-        simple, _ = m.simplify()
+        simple = minor(m, delete=m.full_mask & ~mask_of(c[0] for c in m.parallel_classes()))
         assert _cocircuit_expansion_keeping_parallels(m)[0] == _delete_contract_by_rank(m), m
         monkeypatch.setattr(Matroid, "find_small_cocircuit", spy)
         expansions.clear()
         chi, expanded = _cocircuit_expansion_keeping_parallels(simple)
-        kept_parallels = not all(minor.is_simple() for minor in expansions)
+        kept_parallels = not all(view.is_simple() for view in expansions)
         expansions.clear()
         assert cp_cocircuit_expansion(simple) == chi, m
         monkeypatch.undo()
-        assert all(minor.is_simple() for minor in expansions), m
+        assert all(view.is_simple() for view in expansions), m
         assert len(expansions) <= expanded, m
         saved += kept_parallels and len(expansions) < expanded
     assert saved >= 2

@@ -3,7 +3,9 @@ and the matroid file format."""
 
 import ast
 import copy
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from matzero.errors import (
     RankZeroError,
     TooLargeError,
 )
-from matzero.gfq import gf
+from matzero.gfq import GF, gf
 from matzero.harness import gen_glued
 from matzero.instances import fano, k4_graphic, named, non_fano
 from matzero.matroid import (
@@ -37,6 +39,7 @@ from matzero.matroid import (
     ranks_agree,
     require_simple,
 )
+from support import minor, pivot, rooted
 
 
 def axiom_battery():
@@ -185,8 +188,9 @@ def test_restrict():
 def _offset_rank(m, mask):
     """r(A | C) - r(C) on the root's matrix, for A the root elements of
     ``mask`` and C the contracted set of m, by elimination over the
-    root's packed columns."""
-    root, kept, cmask = m._root_triple()
+    root's packed columns; m is a root or comes from
+    :func:`support.minor`."""
+    root, kept, cmask = rooted(m)
     mat = root.matrix()
 
     def rank(rmask):
@@ -219,7 +223,7 @@ def contract_by_elimination(m, cmask):
     the span of the contracted ones and drop that span's pivot rows."""
     field = m.field
     basis = field.echelon(m.packed[e] for e in mask_bits(cmask))
-    pivot_rows = set(map(field.pivot, basis))
+    pivot_rows = {pivot(field, row) for row in basis}
     keep_rows = [i for i in range(m.nrows) if i not in pivot_rows]
     kept = [e for e in range(m.n) if not (1 << e) & cmask]
     cols = []
@@ -239,7 +243,7 @@ def test_contract_by_elimination_matches_minor():
         cols = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(n)]
         m = LinearMatroid(F, cols)
         cmask = rng.randrange(1 << n)
-        via_points = m.contract(cmask)
+        via_points = minor(m, contract=cmask)
         via_matrix = contract_by_elimination(m, cmask)
         assert ranks_agree(via_points, via_matrix)
         assert all(via_points.rank_mask(a) == _offset_rank(via_points, a)
@@ -260,8 +264,8 @@ def minor_chains(draw):
     for _ in range(draw(st.integers(1, 3))):
         last = chain[-1]
         fate = draw(st.lists(st.integers(0, 2), min_size=last.n, max_size=last.n))
-        chain.append(last.minor(delete=[e for e, f in enumerate(fate) if f == 1],
-                                contract=[e for e, f in enumerate(fate) if f == 2]))
+        chain.append(minor(last, delete=[e for e, f in enumerate(fate) if f == 1],
+                           contract=[e for e, f in enumerate(fate) if f == 2]))
     return chain
 
 
@@ -275,8 +279,8 @@ def test_minor_ranks_are_the_offset_on_the_root(chain):
 
 
 def test_building_a_minor_asks_no_rank(monkeypatch):
-    """delete, contract and minor, of roots and of minors, only record
-    what is kept and what is contracted."""
+    """delete, contract and minor, of roots and of minors, read their
+    parent's points and ask no rank."""
     calls = []
     real = matroid.Matroid.rank_mask
 
@@ -291,6 +295,115 @@ def test_building_a_minor_asks_no_rank(monkeypatch):
         views.append(views[3].contract([0]).delete([0]))
         assert all(isinstance(v, matroid.MinorMatroid) for v in views)
     assert calls == []
+
+
+def test_a_minor_builds_its_points_from_its_parents(monkeypatch):
+    """Along a chain of three contractions, building the last minor runs
+    one elimination over its own contracted element (one reduction) and
+    projects its kept rows along the one echelon row it gives: the
+    root's contracted set is not eliminated again.  A deletion is a
+    slice of its parent's rows, with no elimination at all.  The ranks
+    are still the offset r(A | C) - r(C) on the root."""
+    rng = random.Random(41)
+    F = gf(3)
+    m = LinearMatroid(F, [[rng.randrange(3) for _ in range(5)] for _ in range(10)])
+    first = minor(m, contract=[0, 1])
+    second = minor(first, contract=[0, 1])
+    sizes, reductions, projected = [], [], []
+    real_echelon, real_reduce, real_project = GF.echelon, GF.reduce, GF.project
+
+    def echelon(self, vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return real_echelon(self, vectors)
+
+    def reduce(self, basis, v):
+        reductions.append(v)
+        return real_reduce(self, basis, v)
+
+    def project(self, rows, prow):
+        projected.append(len(rows))
+        return real_project(self, rows, prow)
+
+    monkeypatch.setattr(GF, "echelon", echelon)
+    monkeypatch.setattr(GF, "reduce", reduce)
+    monkeypatch.setattr(GF, "project", project)
+    third = minor(second, contract=[0])
+    third._points()
+    assert sizes == [1] and len(reductions) == 1
+    assert projected == [third.n] == [5]
+    sizes.clear()
+    reductions.clear()
+    projected.clear()
+    deleted = minor(third, delete=[0, 2])
+    assert deleted._points()[2] == third._points()[2][1:2] + third._points()[2][3:]
+    assert sizes == reductions == projected == []
+    monkeypatch.undo()
+    assert third.root is m and rooted(third)[2] == 0b11111
+    for view in (third, deleted):
+        assert [view.rank_mask(a) for a in range(1 << view.n)] == [
+            _offset_rank(view, a) for a in range(1 << view.n)
+        ]
+
+
+def test_a_minor_keeps_no_reference_to_its_parent():
+    """Once built, a minor holds its own points and the root, so a chain
+    of minors keeps no intermediate minor alive."""
+    root = fano()
+    parent = root.contract([0])
+    alive = weakref.ref(parent)
+    child = parent.delete([0])
+    del parent
+    gc.collect()
+    assert alive() is None
+    assert child.root is root
+    assert child.full_rank == 2 and child.n == 5
+
+
+def _coloops_by_rank(m):
+    r = m.full_rank
+    return mask_of(e for e in range(m.n) if m.rank_mask(m.full_mask & ~(1 << e)) < r)
+
+
+@given(minor_chains())
+@settings(max_examples=150, deadline=None)
+def test_coloops_are_the_elements_whose_deletion_drops_the_rank(chain):
+    """coloops_mask() read off one elimination pass equals its rank
+    definition r(E - e) < r(M) on matrices over GF(2, 3, 4, 5, 7, 9)
+    with zero columns and repeated points, and on their deletions and
+    contractions."""
+    for m in chain:
+        assert m.coloops_mask() == _coloops_by_rank(m)
+        assert m.coloops_mask() & m.loops_mask() == 0
+
+
+def test_coloops_of_graphic_and_uniform_matroids():
+    """A bridge is a coloop and a loop edge is not; U_{r,n} has coloops
+    only when r = n.  The same holds for minors of both."""
+    rng = random.Random(43)
+    checked = bridges = 0
+    for _ in range(60):
+        vertices = rng.randint(1, 6)
+        edges = [(rng.randrange(vertices), rng.randrange(vertices))
+                 for _ in range(rng.randint(0, 9))]
+        g = GraphicMatroid(vertices, edges)
+        views = [g]
+        if g.n:
+            fate = [rng.randrange(3) for _ in range(g.n)]
+            views.append(g.minor(delete=[e for e, f in enumerate(fate) if f == 1],
+                                 contract=[e for e, f in enumerate(fate) if f == 2]))
+        for view in views:
+            assert view.coloops_mask() == _coloops_by_rank(view)
+            bridges += bin(view.coloops_mask()).count("1")
+            checked += 1
+    assert checked > 100 and bridges > 50
+    for n in range(6):
+        for r in range(n + 1):
+            u = UniformMatroid(r, n)
+            assert u.coloops_mask() == (u.full_mask if r == n else 0)
+            for view in (u.delete([0]), u.contract([0])) if n else ():
+                assert view.coloops_mask() == _coloops_by_rank(view)
+    assert GraphicMatroid(2, [(0, 1), (1, 1)]).coloops_mask() == 0b01
 
 
 def test_a_minor_has_no_matrix_of_its_own():

@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matzero import projgeom
 from matzero.charpoly import IntPoly, cp_delete_contract
@@ -29,6 +31,7 @@ from matzero.projgeom import (
     induced_decomposition,
     is_modular_flat,
     neck_of_edge,
+    path_necks,
     pg_build,
     pg_point_count,
     split_along_neck,
@@ -365,6 +368,65 @@ def test_embed_and_neck_past_the_ambient_geometry():
     assert all(p >> 12 == 0 for p in neck)  # inside the first twelve coordinates
 
 
+# -- every neck of a path in one sweep ----------------------------------------------
+
+
+def _necks_one_by_one(dec):
+    return [neck_of_edge(dec.matroid, dec, edge) for edge in dec.tree.edges]
+
+
+def test_path_necks_agree_with_neck_of_edge_on_the_identity_battery():
+    """On every path decomposition of criterion 07's battery, the sweep
+    gives each edge the neck and external points of neck_of_edge, in
+    the order of the tree's edges."""
+    edges = 0
+    for dec in _criterion_07_decompositions():
+        assert path_necks(dec.matroid, dec) == _necks_one_by_one(dec)
+        edges += len(dec.tree.edges)
+    assert edges >= 500
+
+
+@st.composite
+def path_decompositions(draw):
+    """Distinct points of PG(r-1, q), q in {2, 3, 4, 5}, embedded, on a
+    path whose vertices come in a random order, with random and
+    possibly empty bags."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    r = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.sampled_from(pg_build(r, q)), min_size=1, max_size=12, unique=True))
+    base = embed(LinearMatroid(gf(q), cols))
+    order = draw(st.permutations(range(draw(st.integers(1, 7)))))
+    tree = Tree(len(order), list(zip(order, order[1:])))
+    bags = draw(st.lists(st.sampled_from(order), min_size=base.n, max_size=base.n))
+    return TreeDecomposition(base, tree, bags)
+
+
+@given(path_decompositions())
+@settings(max_examples=200, deadline=None)
+def test_path_necks_agree_with_neck_of_edge_on_drawn_points(dec):
+    assert path_necks(dec.matroid, dec) == _necks_one_by_one(dec)
+
+
+def test_path_necks_past_the_ambient_geometry():
+    """The rank-13 GF(2) matroid of the test above on a path of three
+    bags: the first edge's neck is the same PG(10, 2) of 2047 points,
+    and the sweep agrees with neck_of_edge on both edges."""
+    F = gf(2)
+    units = [tuple(int(i == j) for i in range(13)) for j in range(13)]
+    sums = [tuple(int(i in (j, j + 1)) for i in range(13)) for j in range(11)]
+    base = embed(LinearMatroid(F, units + sums))
+    dec = TreeDecomposition(base, Tree(3, [(0, 2), (2, 1)]), [0] * 12 + [2] * 6 + [1] * 6)
+    necks = path_necks(base, dec)
+    assert necks == _necks_one_by_one(dec)
+    neck, external = necks[dec.tree.edges.index((0, 2))]
+    assert len(neck) == 2047 and len(external) == 2047 - 11
+
+
+def test_path_necks_of_a_single_bag():
+    base = embed(fano())
+    assert path_necks(base, TreeDecomposition(base, Tree(1, ()), [0] * 7)) == []
+
+
 def test_induced_decomposition_keeps_node_widths():
     base = embed(LinearMatroid(gf(5), [(1, 0), (0, 1), (1, 1), (1, 2)]))
     dec = TreeDecomposition(base, Tree(2, [(0, 1)]), (0, 0, 1, 1))
@@ -487,6 +549,12 @@ def _glued_extension():
     return extend(glued_two_planes()[0], [])
 
 
+def _star():
+    # the glued planes on a tree with a vertex of degree 3
+    base, _ = glued_two_planes()
+    return base, TreeDecomposition(base, Tree(4, [(0, 1), (0, 2), (0, 3)]), [0] * 7 + [1, 2, 3, 3])
+
+
 _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
 
 
@@ -496,6 +564,10 @@ _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
         (lambda: pg_build(0, 2), r"^a projective geometry needs rank at least 1$"),
         (lambda: neck_of_edge(glued_two_planes()[0], _foreign_decomposition(), (0, 1)),
          r"^the decomposition must decompose the embedded base matroid$"),
+        (lambda: path_necks(glued_two_planes()[0], _foreign_decomposition()),
+         r"^the decomposition must decompose the embedded base matroid$"),
+        (lambda: path_necks(*_star()),
+         r"^the neck sweep needs a decomposition whose tree is a path$"),
         (lambda: induced_decomposition(_glued_extension(), _foreign_decomposition(), (0, 1)),
          r"^the decomposition must decompose the embedded base matroid$"),
         (lambda: split_along_neck(_glued_extension(), _foreign_decomposition(), (0, 1)),
@@ -512,7 +584,7 @@ _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
             LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))),
          r"^the pieces disagree on their common ground set$"),
     ],
-    ids=["pg-rank", "neck-base", "induced-base", "split-base", "split-leaf",
+    ids=["pg-rank", "neck-base", "sweep-base", "sweep-tree", "induced-base", "split-base", "split-leaf",
          "labels", "shared-labels", "agreement"],
 )
 def test_bad_arguments_raise_a_typed_error(call, message):

@@ -9,6 +9,7 @@ import hashlib
 
 from matzero.harness import (
     gen_glued,
+    gen_random_linear,
     main_theorem_suite,
     no_lines_suite,
     reports_to_jsonl,
@@ -41,3 +42,22 @@ def test_report_bytes_are_pinned(monkeypatch):
         "identities": "1548d071f175a1611c4d2a1d011c6db65d50153517dcce2715edcd86ebc07258",
         "bounds": "36b09e3f2cffec6174e0a4b0a2c56edc07cd2e4d1c946a6872fb246e977975ff",
     }
+
+
+def test_identity_report_bytes_over_larger_fields_are_pinned(monkeypatch):
+    """verify_identities over GF(3), GF(4) and GF(5): two glued lines
+    per field, one of them with a coloop left by its deletions, and
+    random matrices over GF(4) and GF(5), so the loop and coloop skip,
+    the necks and the telescoping terms are pinned over odd and
+    extension fields too."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    recs = [gen_glued(q, 2, 2, 1, seed=seed, delete_count=deleted)
+            for q, seed, deleted in ((3, 0, 0), (3, 1, 3), (4, 0, 1), (4, 3, 3), (5, 1, 1), (5, 2, 4))]
+    recs += [gen_random_linear(q, r, n, seed)
+             for q, r, n, seed in ((4, 3, 8, 1), (4, 2, 7, 3), (5, 3, 9, 2), (5, 3, 6, 4))]
+    assert sum(1 for rec in recs if rec.matroid.coloops_mask()) == 3
+    reports = verify_identities(recs)
+    assert {check.check for check in reports} == {
+        "delete-contract", "glued-factorization", "cocircuit-expansion", "telescoping-extension"
+    }
+    assert _digest(reports) == "6225edce6eee6ceae56468e4a39efbe5ae5483b09c78b7a30c1dd331e2e0e149"
