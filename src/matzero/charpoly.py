@@ -226,29 +226,40 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     """Deletion-contraction on simple minors.
 
     chi_M = chi_{M minus e} - chi_{M contract e}  whenever e is neither
-    a loop nor a coloop; a loop kills the polynomial.  No minor is kept
-    for reuse, because no minor comes up twice in one computation: every
-    minor below the deletion of e lacks e, every minor below its
-    contraction has e contracted, and along one path the remaining set
-    only shrinks while the contracted one only grows.
-
-    The recursion reads each minor in the coordinates of a standard
-    representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
-    query.  One elimination pass over m's points gives them
+    a loop nor a coloop; a loop kills the polynomial.  The recursion
+    (:func:`_chi_from_rows`) reads each minor in the coordinates of a
+    standard representation [I_r | D] (Oxley, *Matroid Theory*) and asks
+    no rank query.  One elimination pass over m's points gives them
     (:meth:`Matroid._standard_form`): the i-th point independent of the
     points before it is basis column i, and every element carries its
     coordinates in that basis scaled to 1 at the first nonzero one (zero
     for a loop), so the basis shows up as unit rows and parallel
-    elements as equal rows, of which the first, in element order, is
-    kept.  Contracting the pivot projects every other column along it
-    (:meth:`GF.project`), which kills the pivot's coordinate and leaves
-    every other unit row as it is, so each minor keeps a unit row per
-    live coordinate, and its rank is r minus the contractions made.
-    Only a contraction makes parallel rows, so only the contraction
-    child is simplified.  In a simple minor any other row lies on a
-    circuit: the first one is the pivot, found with no elimination pass,
-    and with none left chi is (lam - 1)**rank.  A simple minor of rank 2
-    with n points has chi (lam - 1)(lam - n + 1).
+    elements as equal rows.
+    """
+    basis, coordinates = m._standard_form()
+    return _chi_from_rows(m._points()[0].project, coordinates, bin(basis).count("1"))
+
+
+def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
+    """chi of the matroid of ``rows`` by deletion-contraction: coordinate
+    rows in element order of a matroid of rank ``rank``, with a unit row
+    for each live digit, as :meth:`Matroid._standard_form` gives them
+    (zero for a loop, equal rows for parallel elements, of which the
+    first is kept).  ``project`` is the field's :meth:`GF.project`.  No
+    minor is kept for reuse, because no minor comes up twice in one
+    computation: every minor below the deletion of e lacks e, every
+    minor below its contraction has e contracted, and along one path the
+    remaining set only shrinks while the contracted one only grows.
+
+    Contracting the pivot projects every other row along it, which kills
+    the pivot's coordinate and leaves every other unit row as it is, so
+    each minor keeps a unit row per live coordinate, and its rank is
+    ``rank`` minus the contractions made.  Only a contraction makes
+    parallel rows, so only the contraction child is simplified.  In a
+    simple minor any other row lies on a circuit: the first one is the
+    pivot, found with no elimination pass, and with none left chi is
+    (lam - 1)**rank.  A simple minor of rank 2 with n points has chi
+    (lam - 1)(lam - n + 1).
 
     Deleting the pivot leaves a simple minor of the same rank whose
     pivot is the next non-unit row, so the deletions along one minor are
@@ -258,18 +269,16 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
         chi_M = (lam - 1)**r - sum_i chi_{M_i / p_i}
 
     where the rows of M_i / p_i are the unit rows before p_i and every
-    row after it, projected along p_i in one :meth:`GF.project` call.
-    Every leaf is then (lam - 1)**s or a simple rank-2 minor, so the
-    recursion carries a sign and counts its leaves in integers: one
-    count per rank s, and for the rank-2 leaves the sums of the signs
-    and of sign * n.  The polynomial is built once, from those counts.
+    row after it, projected along p_i in one ``project`` call.  Every
+    leaf is then (lam - 1)**s or a simple rank-2 minor, so the recursion
+    carries a sign and counts its leaves in integers: one count per rank
+    s, and for the rank-2 leaves the sums of the signs and of sign * n.
+    The polynomial is built once, from those counts.
     """
-    project = m._points()[0].project
-    basis, coordinates = m._standard_form()
-    if 0 in coordinates:
+    if 0 in rows:
         return ZERO
-    rows = list(dict.fromkeys(coordinates))
-    n, rank = len(rows), bin(basis).count("1")
+    rows = list(dict.fromkeys(rows))
+    n = len(rows)
     if n == rank:
         return lam_minus_one_power(rank)
     if rank == 2:
@@ -635,7 +644,7 @@ def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
     """Simplest rational in the closed interval [a, b]: smallest
     denominator, ties broken towards zero."""
     if a > b:
-        raise ValueError("empty interval")
+        raise ArgumentError("empty interval")
     if a == b:
         return a
     ceil_a = -((-a.numerator) // a.denominator)

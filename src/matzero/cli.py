@@ -28,7 +28,7 @@ from .charpoly import (
     cp_mobius,
     cp_uniform_closed_form,
 )
-from .errors import MatZeroError
+from .errors import ArgumentError, MatZeroError
 from .harness import (
     _random_linear,
     all_verdicts_true,
@@ -67,7 +67,7 @@ def _engine_charpoly(m, engine: str):
             return ZERO
         simple, _ = m.simplify()
         return cp_cocircuit_expansion(simple)
-    raise ValueError(f"unknown engine {engine!r}")
+    raise ArgumentError(f"unknown engine {engine!r}")
 
 
 def _cmd_charpoly(args) -> int:
@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "bounds":
         reports = verify_size_and_cocircuit_bounds(instances, args.q, args.k)
     else:
-        raise ValueError(f"unknown suite {args.suite!r}")
+        raise ArgumentError(f"unknown suite {args.suite!r}")
     text = reports_to_jsonl(reports)
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
@@ -156,11 +156,11 @@ def _cmd_generate(args) -> int:
         elif args.shape == "path":
             edges = [(i, i + 1) for i in range(v - 1)]
         else:
-            raise ValueError(f"unknown shape {args.shape!r}")
+            raise ArgumentError(f"unknown shape {args.shape!r}")
         m = GraphicMatroid(v, edges)
         stem = f"graphic-{args.shape}{v}"
     else:
-        raise ValueError(f"unknown instance kind {args.kind!r}")
+        raise ArgumentError(f"unknown instance kind {args.kind!r}")
     decomposition = best_heuristic(m)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{stem}.matrix"

@@ -130,31 +130,8 @@ class Matroid:
 
     def _standard_form(self) -> tuple[int, list[int]]:
         """A standard representation [I_r | D] (Oxley, *Matroid Theory*)
-        from one elimination pass over the points: (B, coordinates), B
-        the mask of the first basis in element order and each element's
-        coordinates in B, digit i for the i-th element of B, normalized
-        (:meth:`GF.normalize`): a unit row for an element of B, zero for
-        a loop.  Each basis row carries a unit in digit h + i, above the
-        matrix's h rows, so a point that reduces to zero in its first h
-        digits holds minus its coordinates in the digits above."""
-        field, height, points = self._points()
-        reduce, normalize = field.reduce, field.normalize
-        width = field.width
-        top = height * width
-        below = (1 << top) - 1
-        basis: list[int] = []
-        bmask = 0
-        coordinates = []
-        for e, v in enumerate(points):
-            v = reduce(basis, v)
-            if v & below:
-                unit = 1 << len(basis) * width
-                basis.append(normalize(v | unit << top))
-                bmask |= 1 << e
-                coordinates.append(unit)
-            else:
-                coordinates.append(normalize(v >> top))
-        return bmask, coordinates
+        of this matroid: :func:`_standard_rows` of its points."""
+        return _standard_rows(*self._points())
 
     # -- rank and closure -----------------------------------------------------
 
@@ -204,18 +181,8 @@ class Matroid:
 
     def coloops_mask(self) -> int:
         """The elements e with r(E - e) < r(M), from one elimination pass
-        (:meth:`_standard_form`) and no rank query.  A coloop is an
-        element of every basis, so it is in the first basis B, and an
-        element b of B is a coloop exactly when it lies in no
-        fundamental circuit of B: when no element outside B has a
-        nonzero coordinate at b."""
-        field = self._points()[0]
-        bmask, coordinates = self._standard_form()
-        used = 0
-        for e in mask_bits(self.full_mask & ~bmask):
-            used |= coordinates[e]
-        digit = (1 << field.width) - 1
-        return mask_of(e for e in mask_bits(bmask) if not coordinates[e] * digit & used)
+        (:meth:`_standard_form`) and no rank query (:func:`_coloops`)."""
+        return _coloops(self._points()[0], *self._standard_form())
 
     def is_loopless(self) -> bool:
         return self.loops_mask() == 0
@@ -504,6 +471,70 @@ class GraphicMatroid(Matroid):
             col[rows[v]] ^= 1
             cols.append(col)
         return LinearMatroid(gf(2), cols, self.labels, nrows=len(rows))
+
+
+def _standard_rows(field: GF, height: int, points) -> tuple[int, list[int]]:
+    """A standard representation [I_r | D] (Oxley, *Matroid Theory*)
+    of the matroid of ``points``, echelon rows of ``height`` digits, from
+    one elimination pass over them: (B, coordinates), B the mask of the
+    first basis in element order and each element's coordinates in B,
+    digit i for the i-th element of B, normalized (:meth:`GF.normalize`):
+    a unit row for an element of B, zero for a loop.  Each basis row
+    carries a unit in digit h + i, above the h digits of the points, so
+    a point that reduces to zero in its first h digits holds minus its
+    coordinates in the digits above."""
+    reduce, normalize = field.reduce, field.normalize
+    width = field.width
+    top = height * width
+    below = (1 << top) - 1
+    basis: list[int] = []
+    bmask = 0
+    coordinates = []
+    for e, v in enumerate(points):
+        v = reduce(basis, v)
+        if v & below:
+            unit = 1 << len(basis) * width
+            basis.append(normalize(v | unit << top))
+            bmask |= 1 << e
+            coordinates.append(unit)
+        else:
+            coordinates.append(normalize(v >> top))
+    return bmask, coordinates
+
+
+def _coloops(field: GF, bmask: int, coordinates: list[int]) -> int:
+    """The coloops of a matroid from its standard form (bmask,
+    coordinates) (:func:`_standard_rows`).  A coloop is an element of
+    every basis, so it is in the first basis B, and an element b of B is
+    a coloop exactly when it lies in no fundamental circuit of B: when
+    no element outside B has a nonzero coordinate at b."""
+    used = 0
+    for e, row in enumerate(coordinates):
+        if not bmask >> e & 1:
+            used |= row
+    digit = (1 << field.width) - 1
+    return mask_of(e for e in mask_bits(bmask) if not coordinates[e] * digit & used)
+
+
+def _delete_contract_rows(field: GF, bmask: int, coordinates: list[int], e: int):
+    """The standard forms of M\\e and M/e, each a list of coordinate rows
+    in element order with a unit row for each live digit, derived from
+    M's standard form (bmask, coordinates) (:func:`_standard_rows`) with
+    no minor built; e is neither a loop nor a coloop, so M\\e keeps M's
+    rank r and M/e has rank r - 1.
+
+    Contracting e projects every other row along e's (:meth:`GF.project`),
+    which kills e's pivot digit and leaves every other unit row as it is
+    (Oxley, *Matroid Theory*, ch. 6).  Deleting e outside B drops its
+    row and keeps B as the first basis.  Deleting e in B leaves its
+    digit with no unit row, so one elimination pass over the other rows
+    (:func:`_standard_rows`, of r digits) puts them in a standard form
+    again."""
+    rest = coordinates[:e] + coordinates[e + 1:]
+    contracted = field.project(rest, coordinates[e])
+    if bmask >> e & 1:
+        rest = _standard_rows(field, bin(bmask).count("1"), rest)[1]
+    return rest, contracted
 
 
 def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:

@@ -6,11 +6,28 @@
   that ask the root for r(A | C) - r(C).  A minor reads its parent's
   points and records nothing of the root, so a test takes these masks
   from the minors it builds itself.
+* :func:`minor_chains`: a hypothesis strategy for chains of minors.
+* :func:`criterion_07_instances`: the instances of acceptance
+  criterion 07, the identity battery.
 """
 
+import random
 import weakref
 
-from matzero.matroid import as_mask, mask_bits, mask_of
+from hypothesis import strategies as st
+
+from matzero.gfq import gf
+from matzero.harness import gen_glued, gen_random_linear
+from matzero.matroid import LinearMatroid, as_mask, mask_bits, mask_of
+
+CRITERION_07_SHAPES = (
+    (2, 2, 2, 1),
+    (2, 3, 2, 2),
+    (2, 3, 2, 1),
+    (3, 2, 2, 1),
+    (4, 2, 2, 1),
+    (5, 2, 2, 1),
+)
 
 # minor -> (root, kept root elements, contracted root mask)
 _ROOTED = weakref.WeakKeyDictionary()
@@ -43,3 +60,41 @@ def minor(m, delete=(), contract=()):
             cmask | mask_of(kept[i] for i in mask_bits(as_mask(m.n, contract))),
         )
     return out
+
+
+@st.composite
+def minor_chains(draw):
+    """A random GF(q) matrix and a chain of up to three minors, each a
+    minor of the one before, with random disjoint deleted and
+    contracted sets."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    height = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 9))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * height), min_size=n, max_size=n))
+    chain = [LinearMatroid(gf(q), cols, nrows=height)]
+    for _ in range(draw(st.integers(1, 3))):
+        last = chain[-1]
+        fate = draw(st.lists(st.integers(0, 2), min_size=last.n, max_size=last.n))
+        chain.append(minor(last, delete=[e for e, f in enumerate(fate) if f == 1],
+                           contract=[e for e, f in enumerate(fate) if f == 2]))
+    return chain
+
+
+def criterion_07_instances() -> tuple[list, list]:
+    """(glued, random) instances of acceptance criterion 07: every shape
+    of ``CRITERION_07_SHAPES`` at glued seeds 0-2 with 0-2 deletions,
+    then 50 random matrices over q in {2, 3, 4, 5}."""
+    glued = [
+        gen_glued(q, br, blocks, ov, seed=seed, delete_count=dels)
+        for seed in range(3)
+        for dels in range(3)
+        for q, br, blocks, ov in CRITERION_07_SHAPES
+    ]
+    rng = random.Random("identities")
+    rand = []
+    for i in range(50):
+        q = (2, 3, 4, 5)[i % 4]
+        r = rng.randint(2, 3)
+        n = rng.randint(6, 9)
+        rand.append(gen_random_linear(q, r, n, rng.randrange(1 << 30)))
+    return glued, rand

@@ -48,6 +48,8 @@ from matzero.treedecomp import (
     reduce,
 )
 
+from support import criterion_07_instances
+
 
 @pytest.fixture(autouse=True)
 def _fixed_seeds(monkeypatch):
@@ -167,27 +169,10 @@ def test_criterion_06_positivity_without_long_lines():
 
 def test_criterion_07_exact_identities():
     budget = Budget(300.0)
-    shapes = [
-        (2, 2, 2, 1),
-        (2, 3, 2, 2),
-        (2, 3, 2, 1),
-        (3, 2, 2, 1),
-        (4, 2, 2, 1),
-        (5, 2, 2, 1),
-    ]
-    recs = []
-    for seed in range(3):
-        for dels in range(3):
-            for q, br, blocks, ov in shapes:
-                recs.append(gen_glued(q, br, blocks, ov, seed=seed, delete_count=dels))
-    glued_count = len(recs)
+    glued, rand = criterion_07_instances()
+    recs = glued + rand
+    glued_count = len(glued)
     assert glued_count >= 50
-    rng = random.Random("identities")
-    for i in range(50):
-        q = (2, 3, 4, 5)[i % 4]
-        r = rng.randint(2, 3)
-        n = rng.randint(6, 9)
-        recs.append(gen_random_linear(q, r, n, rng.randrange(1 << 30)))
 
     checks = verify_identities(recs)
     assert all_verdicts_true(checks)

@@ -6,8 +6,9 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
 
-from matzero import charpoly, harness
+from matzero import charpoly, harness, matroid
 from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_delete_contract, cp_mobius
 from matzero.cli import main as cli_main
 from matzero.errors import (
@@ -42,8 +43,17 @@ from matzero.harness import (
     verify_size_and_cocircuit_bounds,
 )
 from matzero.instances import fano, k4_graphic
-from matzero.matroid import GraphicMatroid, LinearMatroid, Matroid, MinorMatroid, UniformMatroid
+from matzero.matroid import (
+    GraphicMatroid,
+    LinearMatroid,
+    Matroid,
+    MinorMatroid,
+    UniformMatroid,
+    mask_bits,
+)
 from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
+
+from support import criterion_07_instances, minor, minor_chains
 
 
 # -- engine choice and seeds ---------------------------------------------------
@@ -320,6 +330,126 @@ def test_verify_identities_on_mixed_battery():
     payload = json.loads(checks[0].to_json())
     assert payload["check"] == "delete-contract"
     assert payload["passed"] is True
+
+
+def _checked_elements(m) -> int:
+    """The elements at which the delete-contract check runs: neither a
+    loop nor a coloop."""
+    return m.full_mask & ~(m.loops_mask() | m.coloops_mask())
+
+
+def _derived_minors_match_the_minor_oracle(m) -> int:
+    """At every element e of m that is neither a loop nor a coloop, the
+    rows that _delete_contract_rows derives from m's standard form are
+    a standard form of m minus e and of m contract e: a unit row for
+    each of their rank's digits and no other digit live, the chi of
+    cp_delete_contract and cp_mobius on the MinorMatroid, and for
+    n <= 10 the MinorMatroid's rank on every subset.  Returns the number
+    of elements checked."""
+    field = m._points()[0]
+    basis, coordinates = m._standard_form()
+    rank = bin(basis).count("1")
+    digit = (1 << field.width) - 1
+    checked = 0
+    for e in mask_bits(_checked_elements(m)):
+        deleted, contracted = matroid._delete_contract_rows(field, basis, coordinates, e)
+        for rows, r, oracle in (
+            (deleted, rank, minor(m, delete=[e])),
+            (contracted, rank - 1, minor(m, contract=[e])),
+        ):
+            units = {row for row in rows if row and not row & row - 1}
+            live = sum(unit * digit for unit in units)
+            assert len(units) == r and all(not row & ~live for row in rows)
+            chi = charpoly._chi_from_rows(field.project, rows, r)
+            assert chi == cp_delete_contract(oracle) == cp_mobius(oracle), (m, e)
+            if m.n <= 10:
+                subsets = range(1 << oracle.n)
+                assert [len(field.echelon(rows[i] for i in mask_bits(a))) for a in subsets] == [
+                    oracle.rank_mask(a) for a in subsets
+                ], (m, e)
+        checked += 1
+    return checked
+
+
+@given(minor_chains())
+@settings(max_examples=150, deadline=None)
+def test_derived_minors_match_the_minor_oracle(chain):
+    """Over GF(2, 3, 4, 5, 7, 9), on roots with zero columns and
+    repeated points and on minors of minors."""
+    for m in chain:
+        _derived_minors_match_the_minor_oracle(m)
+
+
+def test_derived_minors_match_the_minor_oracle_on_the_identity_battery():
+    glued, rand = criterion_07_instances()
+    recs = glued + rand
+    checked = sum(_derived_minors_match_the_minor_oracle(rec.matroid) for rec in recs)
+    assert checked == sum(bin(_checked_elements(rec.matroid)).count("1") for rec in recs) > 500
+
+
+def _poly_text(p: IntPoly) -> str:
+    return "[" + ",".join(p.to_json()) + "]"
+
+
+def test_delete_contract_check_reports_a_wrong_polynomial(monkeypatch):
+    """With the recursion wrong only at rank r - 1, which only the
+    contractions reach, the check fails at the first element it checks
+    and names it and both polynomials; the other checks still pass."""
+    rec = criterion_07_instances()[1][0]
+    m = rec.matroid
+    r = m.full_rank
+    e = next(mask_bits(_checked_elements(m)))
+    chi = cp_mobius(m)
+    rhs = cp_mobius(m.delete([e])) - cp_mobius(m.contract([e])) - ONE
+    real = charpoly._chi_from_rows
+
+    def wrong(project, rows, rank):
+        chi = real(project, rows, rank)
+        return chi + ONE if rank == r - 1 else chi
+
+    monkeypatch.setattr(harness, "_chi_from_rows", wrong)
+    checks = verify_identities([rec])
+    assert [c.check for c in checks if not c.passed] == ["delete-contract"]
+    assert checks[0].detail == (
+        f"element {e}: chi={_poly_text(chi)} but del-con gives {_poly_text(rhs)}"
+    )
+
+
+def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkeypatch):
+    """On a criterion-07 instance the delete-contract check runs
+    _standard_form once on the instance and builds no minor of it; the
+    only other elimination passes are at most one over the rows of each
+    basis element it checks (a deletion that needs a new basis)."""
+    rec = criterion_07_instances()[1][0]
+    m = rec.matroid
+    basis = m._standard_form()[0]
+    checked_basis = bin(basis & _checked_elements(m)).count("1")
+    assert checked_basis
+    forms, passes, minor_roots = [], [], []
+    real_form, real_rows = Matroid._standard_form, matroid._standard_rows
+    real_init = MinorMatroid.__init__
+
+    def form(self):
+        forms.append(self)
+        return real_form(self)
+
+    def rows(*args):
+        passes.append(args)
+        return real_rows(*args)
+
+    def init(self, parent, *args, **kwargs):
+        minor_roots.append(parent.root)
+        real_init(self, parent, *args, **kwargs)
+
+    monkeypatch.setattr(Matroid, "_standard_form", form)
+    monkeypatch.setattr(matroid, "_standard_rows", rows)
+    monkeypatch.setattr(MinorMatroid, "__init__", init)
+    checks = verify_identities([rec])
+    assert checks[0].check == "delete-contract" and checks[0].passed
+    assert sum(1 for f in forms if f is m) == 1
+    assert not any(root is m for root in minor_roots)
+    # every _standard_form call makes one rows pass of its own
+    assert len(forms) <= len(passes) <= len(forms) + checked_basis
 
 
 # -- counting bounds ----------------------------------------------------------------

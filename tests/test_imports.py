@@ -156,3 +156,51 @@ def test_detector_finds_dead_private_names():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+BARE_EXCEPTIONS = {"ValueError", "KeyError", "IndexError", "RuntimeError", "NotImplementedError"}
+
+
+def bare_raises(source: str) -> list[str]:
+    """The builtin exceptions in ``BARE_EXCEPTIONS`` that a ``raise``
+    statement of ``source`` raises by name, called or not, as
+    "line:name"; a re-raise, a raised variable and a typed error are not
+    flagged."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in BARE_EXCEPTIONS:
+            out.append((node.lineno, exc.id))
+    return [f"{line}:{name}" for line, name in sorted(out)]
+
+
+def test_detector_finds_bare_builtin_raises():
+    source = (
+        "from .errors import ArgumentError\n"
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    if x == 0:\n"
+        "        raise ArgumentError('zero')\n"
+        "    try:\n"
+        "        return {}[x]\n"
+        "    except KeyError as exc:\n"
+        "        raise ArgumentError(str(exc)) from None\n"
+        "    except IndexError:\n"
+        "        raise\n"
+        "def g():\n"
+        "    raise NotImplementedError\n"
+        "def h(err):\n"
+        "    raise err\n"
+        "def i():\n"
+        "    raise RuntimeError(f'{1}') from None\n"
+    )
+    assert bare_raises(source) == ["4:ValueError", "14:NotImplementedError", "18:RuntimeError"]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_bare_builtin_raises(path):
+    """Bad input raises a typed MatZeroError, never a bare builtin one."""
+    assert bare_raises(path.read_text(encoding="utf-8")) == []

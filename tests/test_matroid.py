@@ -39,7 +39,7 @@ from matzero.matroid import (
     ranks_agree,
     require_simple,
 )
-from support import minor, pivot, rooted
+from support import minor, minor_chains, pivot, rooted
 
 
 def axiom_battery():
@@ -249,24 +249,6 @@ def test_contract_by_elimination_matches_minor():
         assert all(via_points.rank_mask(a) == _offset_rank(via_points, a)
                    for a in range(1 << via_points.n))
         assert via_points.labels == via_matrix.labels
-
-
-@st.composite
-def minor_chains(draw):
-    """A random GF(q) matrix and a chain of up to three minors, each a
-    minor of the one before, with random disjoint deleted and
-    contracted sets."""
-    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
-    height = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 9))
-    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * height), min_size=n, max_size=n))
-    chain = [LinearMatroid(gf(q), cols, nrows=height)]
-    for _ in range(draw(st.integers(1, 3))):
-        last = chain[-1]
-        fate = draw(st.lists(st.integers(0, 2), min_size=last.n, max_size=last.n))
-        chain.append(minor(last, delete=[e for e, f in enumerate(fate) if f == 1],
-                           contract=[e for e, f in enumerate(fate) if f == 2]))
-    return chain
 
 
 @given(minor_chains())
