@@ -32,7 +32,7 @@ from .errors import (
     RootCertificateError,
     TooLargeError,
 )
-from .matroid import MAX_GROUND, Matroid, mask_bits
+from .matroid import MAX_GROUND, Matroid, _min_cocircuit, _standard_rows, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 # distinct polynomials whose root analysis is kept, and answers kept per
@@ -322,44 +322,63 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
               + sum_{1 <= i < j <= m} chi_{M minus X_{i,j} / x_i, x_j}
 
     where X_{i,j} = {x_1, ..., x_{j-1}} minus {x_i}.  The input must be
-    simple; intermediate minors are normalized (loops kill a term,
-    parallel copies are deleted) before recursing.  Each term is a minor
-    of m, and like :func:`cp_delete_contract` it reads its loops and
-    parallel copies off its points (:meth:`Matroid._points`): a zero row
-    is a loop and equal rows are parallel.
+    simple: a zero point (:meth:`Matroid._points`) or a repeated one
+    raises :class:`NotSimpleError`.  Like :func:`_chi_from_rows`, the
+    expansion runs on coordinate rows, starting from m's standard form
+    (:meth:`Matroid._standard_form`), and builds no minor, asks no rank
+    and walks no lattice.  At each minor the cocircuit comes from a scan
+    of linear functionals (:func:`matroid._min_cocircuit`).  The rows of
+    M minus C* are the other rows, of rank one less, put in a standard
+    form again by one elimination pass (:func:`matroid._standard_rows`).
+    The term (i, j) keeps the rows outside x_1, ..., x_j, contracted
+    along x_j and x_i: one :meth:`GF.project` call per j projects those
+    rows and x_1, ..., x_(j-1) along x_j's row, and one per term projects
+    the rows along x_i's projected row.
+    Contracted terms are normalized: a zero row kills the term and only
+    the first of equal rows is kept.  A minor with as many points as its
+    rank has chi (lam - 1)**n, and a simple rank-2 minor with n points
+    (lam - 1)(lam - n + 1).
 
     No minor is kept for reuse, because no two terms share one: the
     first term deletes the x_i that every other term contracts, and of
     two terms (i, j) != (i', j') one deletes an element that the other
     contracts.
     """
-    if not m.is_simple():
+    field, _, points = m._points()
+    if 0 in points or len(set(points)) < m.n:
         raise NotSimpleError("the cocircuit expansion needs a simple matroid")
+    project = field.project
 
-    def norm(minor: Matroid) -> IntPoly:
-        reps: dict = {}
-        for e, row in enumerate(minor._points()[2]):
-            reps.setdefault(row, e)
-        if 0 in reps:
-            return ZERO
-        if len(reps) < minor.n:
-            minor = minor.restrict(sum(1 << e for e in reps.values()))
-        return expand(minor)
-
-    def expand(minor: Matroid) -> IntPoly:
-        if minor.full_rank == minor.n:
-            return lam_minus_one_power(minor.n)
-        cstar = minor.find_small_cocircuit()
-        xs = list(mask_bits(cstar))
-        total = x_minus(len(xs)) * norm(minor.delete(cstar))
+    def expand(rows: list, rank: int, height: int) -> IntPoly:
+        # rows: the distinct nonzero rows of a simple minor of rank
+        # ``rank``, in element order, spanning their live digits, all of
+        # them below digit ``height``
+        n = len(rows)
+        if n == rank:
+            return lam_minus_one_power(n)
+        if rank == 2:
+            return IntPoly((n - 1, -n, 1))
+        cstar = _min_cocircuit(field, rows)
+        elements = list(mask_bits(cstar))
+        xs = [rows[e] for e in elements]
+        kept = [row for e, row in enumerate(rows) if not cstar >> e & 1]
+        total = x_minus(len(xs)) * expand(_standard_rows(field, height, kept)[1], rank - 1, rank - 1)
+        gone = 1 << elements[0]
         for j in range(1, len(xs)):
-            for i in range(j):
-                drop = sum(1 << xs[t] for t in range(j) if t != i)
-                pair = (1 << xs[i]) | (1 << xs[j])
-                total = total + norm(minor.minor(delete=drop, contract=pair))
+            # the elements outside x_1, ..., x_j, in order, and x_1, ..., x_(j-1)
+            gone |= 1 << elements[j]
+            kept = [row for e, row in enumerate(rows) if not gone >> e & 1]
+            contracted = project(kept + xs[:j], xs[j])
+            kept, xis = contracted[:len(kept)], contracted[len(kept):]
+            for xi in xis:
+                rest = project(kept, xi)
+                if 0 not in rest:
+                    total = total + expand(list(dict.fromkeys(rest)), rank - 2, height)
         return total
 
-    return expand(m)
+    basis, rows = m._standard_form()
+    rank = bin(basis).count("1")
+    return expand(rows, rank, rank)
 
 
 def cp_pg_closed_form(r: int, q: int) -> IntPoly:

@@ -37,7 +37,8 @@ there (:meth:`GF.normalize`), so equal rows span equal lines and a row
 can be a dict key.  :meth:`GF.reduce`, :meth:`GF.normalize`,
 :meth:`GF.project` (a list of rows along one echelon row, one call per
 list) and :meth:`GF.echelon` are the only elimination routines in the
-package.
+package; :meth:`GF.span_points` lists the combinations of a few rows,
+one ``v - c·w`` step each.
 
 Tables are built eagerly, so every scalar operation afterwards is a
 pair of list lookups.  Instances are safe to share between threads:
@@ -467,6 +468,32 @@ class GF:
                 row = v if row & below else normalize(v)
             out.append(row)
         return out
+
+    def span_points(self, rows):
+        """Yield sum c_i·rows[i] for every coefficient vector c whose
+        first nonzero entry is 1: with independent rows, the points of
+        PG(d-1, q), d = len(rows), as packed combinations, each one
+        once.  (Rows that are not echelon rows give combinations that
+        are not either.)  The combinations led by rows[i] are rows[i]
+        plus each of the q**(d-1-i) combinations of the rows after it,
+        visited in p-ary Gray code order over the base-p coefficients
+        of those rows' coefficients: step t adds x**j·rows[k] for the
+        base-p digit (k, j) where t has its lowest nonzero digit, so
+        every combination after rows[i] is reached from the one before
+        by one ``v - c·w`` step."""
+        p, d, neg, submul = self.p, self.d, self.neg, self._submul
+        for i, v in enumerate(rows):
+            yield v
+            # v + x**j·w is v - c·w with c = -x**j, and x**j is element p**j
+            steps = [(neg[p ** j], w) for w in rows[i + 1:] for j in range(d)]
+            for t in range(1, p ** len(steps)):
+                digit = 0
+                while not t % p:  # the lowest nonzero base-p digit of t
+                    t //= p
+                    digit += 1
+                c, w = steps[digit]
+                v = submul(v, c, w)
+                yield v
 
     def echelon(self, vectors) -> list[int]:
         """Gaussian elimination over this field, one packed vector at a

@@ -295,8 +295,14 @@ class Matroid:
         return sorted(self.full_mask & ~h for h in self.hyperplanes())
 
     def find_small_cocircuit(self) -> int:
-        """A cocircuit of minimum size; ties broken by smallest mask."""
-        return min(self.cocircuits(), key=lambda c: bin(c).count("1"))
+        """A cocircuit of minimum size, ties broken by smallest mask:
+        :func:`_min_cocircuit` of the standard form
+        (:meth:`_standard_form`), with no lattice walk.
+        :meth:`cocircuits` walks the lattice and lists them all."""
+        basis, coordinates = self._standard_form()
+        if not basis:
+            raise RankZeroError("a rank-0 matroid has no cocircuits")
+        return _min_cocircuit(self._points()[0], coordinates)
 
     # -- long-line minors ----------------------------------------------------------
 
@@ -526,15 +532,80 @@ def _delete_contract_rows(field: GF, bmask: int, coordinates: list[int], e: int)
     Contracting e projects every other row along e's (:meth:`GF.project`),
     which kills e's pivot digit and leaves every other unit row as it is
     (Oxley, *Matroid Theory*, ch. 6).  Deleting e outside B drops its
-    row and keeps B as the first basis.  Deleting e in B leaves its
-    digit with no unit row, so one elimination pass over the other rows
-    (:func:`_standard_rows`, of r digits) puts them in a standard form
-    again."""
+    row and keeps B as the first basis.  Deleting e in B, the unit row
+    u_k, exchanges it for the first row f nonzero at digit k, which
+    exists since e is no coloop: B - e + f is a basis, f takes digit k,
+    and each row c nonzero there becomes its coordinates in that basis,
+    c - (c_k / f_k)(f - u_k), normalized; no other row changes.  One
+    :meth:`GF.reduce` step does it when every such row carries a copy of
+    its digit k in a new lowest digit: the step against
+    ((f - u_k) / f_k | 1) clears the copy."""
     rest = coordinates[:e] + coordinates[e + 1:]
-    contracted = field.project(rest, coordinates[e])
+    unit = coordinates[e]
+    contracted = field.project(rest, unit)
     if bmask >> e & 1:
-        rest = _standard_rows(field, bin(bmask).count("1"), rest)[1]
+        width, reduce, normalize = field.width, field.reduce, field.normalize
+        shift = unit.bit_length() - 1  # bit 0 of digit k
+        at_k = unit * ((1 << width) - 1)
+        f = next(row for row in rest if row & at_k)
+        # ((f - u_k) | f_k) scaled to 1 in its lowest digit
+        exchange = [normalize(reduce([unit << width | 1], f << width | 1) | (f & at_k) >> shift)]
+        rest = [
+            normalize(reduce(exchange, row << width | (row & at_k) >> shift) >> width)
+            if row & at_k else row
+            for row in rest
+        ]
     return rest, contracted
+
+
+def _min_cocircuit(field: GF, rows) -> int:
+    """The numerically smallest cocircuit of minimum size of the matroid
+    of ``rows``, one packed row per element that together span the
+    coordinates of their d >= 1 live digits (those where some row is
+    nonzero), as a standard form (:func:`_standard_rows`) does.
+
+    A linear functional f on those coordinates has the kernel
+    K_f = {e : f(v_e) = 0}.  Every K_f is a flat of rank at most r - 1,
+    the elements whose rows lie in the subspace ker f of dimension
+    d - 1 = r - 1.  Every hyperplane H spans such a subspace, which is
+    ker f for some f, and then K_f = cl(H) = H.  Every flat of rank at
+    most r - 1 lies in a hyperplane, so the largest K_f are exactly the
+    largest hyperplanes, and their complements the smallest cocircuits
+    (Oxley, *Matroid Theory*, ch. 6).
+
+    Transposed, the rows are d packed vectors, one per live digit, with
+    element e's coordinate in digit e, and the values f(v_e) of all
+    elements are one packed combination of them.  One functional per
+    line of functionals suffices, so the scan visits the
+    (q**d - 1)/(q - 1) combinations of :meth:`GF.span_points`, one
+    ``v - c·w`` step each, and counts each one's nonzero digits; more
+    than ``MAX_FLATS`` of them raise :class:`TooLargeError` before the
+    scan starts."""
+    width = field.width
+    digit = (1 << width) - 1
+    live = 0
+    for row in rows:
+        live |= row
+    columns = []
+    while live:
+        at = (live & -live).bit_length() - 1
+        at -= at % width
+        live &= ~(digit << at)
+        columns.append(sum((row >> at & digit) << e * width for e, row in enumerate(rows)))
+    if (field.q ** len(columns) - 1) // (field.q - 1) > MAX_FLATS:
+        raise TooLargeError(
+            f"the cocircuit scan over {len(columns)} coordinates exceeds the cap of {MAX_FLATS}"
+        )
+    size = len(rows) * width
+    ones = ((1 << size) - 1) // digit  # bit 0 of every digit
+    low, top = ones * (digit >> 1), ones << width - 1
+    # the top bit of each digit of x | ((x & low) + low) is set exactly
+    # where x is nonzero; that mask orders as the cocircuit does
+    best = min(
+        (nonzero.bit_count() << size | nonzero)
+        for nonzero in (((x & low) + low | x) & top for x in field.span_points(columns))
+    )
+    return mask_of(e for e in range(len(rows)) if best >> e * width + width - 1 & 1)
 
 
 def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:

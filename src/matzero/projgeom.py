@@ -239,7 +239,9 @@ def _neck(base: LinearMatroid, image: set[int], us, ws) -> tuple[tuple[int, ...]
     stack (u | u) for every u of one side and (w | 0) for every w of the
     other, the low half eliminated first; the rows left with a zero low
     half span the intersection in their high halves.  Its points are the
-    points of PG(d-1, q) read as coefficients of those d rows.
+    combinations of those d rows with a leading coefficient of 1
+    (:meth:`GF.span_points`), normalized; more than ``MAX_POINTS`` of
+    them raise :class:`TooLargeError` before any is listed.
     """
     field = base.field
     shift = base.nrows * field.width
@@ -249,12 +251,12 @@ def _neck(base: LinearMatroid, image: set[int], us, ws) -> tuple[tuple[int, ...]
     common = [row >> shift for row in field.echelon(stacked) if not row & low]
     if not common:
         return (), ()
-    # reducing (c | 0) against the rows (e_i | z_i) leaves (0 | -sum c_i z_i),
-    # the point with coefficients c up to sign
-    top = len(common) * field.width
-    rows = [1 << i * field.width | z << top for i, z in enumerate(common)]
-    reduce, normalize, pack = field.reduce, field.normalize, field.pack
-    neck = sorted(normalize(reduce(rows, pack(c)) >> top) for c in pg_build(len(common), field))
+    count = pg_point_count(len(common), field.q)
+    if count > MAX_POINTS:
+        raise TooLargeError(
+            f"PG({len(common) - 1}, {field.q}) has {count} points, over the cap {MAX_POINTS}"
+        )
+    neck = sorted(map(field.normalize, field.span_points(common)))
     return tuple(neck), tuple(p for p in neck if p not in image)
 
 

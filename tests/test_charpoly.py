@@ -57,7 +57,7 @@ from matzero.matroid import (
     mask_bits,
     mask_of,
 )
-from support import minor, pivot, rooted
+from support import criterion_07_instances, minor, pivot, rooted
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -656,6 +656,12 @@ def _cocircuit_expansion_keeping_parallels(m: Matroid) -> tuple[IntPoly, int]:
     return norm(*ctx.start_key), expanded
 
 
+def _simplification(m):
+    """The simplification of a loopless matroid as a minor of it, built
+    with ``support.minor`` so the rank oracle can read it."""
+    return minor(m, delete=m.full_mask & ~mask_of(c[0] for c in m.parallel_classes()))
+
+
 def test_cocircuit_expansion_deletes_parallel_copies_only_to_save_work(monkeypatch):
     """The cocircuit expansion holds for every loopless matroid, simple
     or not: deletion-contraction along x_1, ..., x_{m-1} gives
@@ -663,36 +669,95 @@ def test_cocircuit_expansion_deletes_parallel_copies_only_to_save_work(monkeypat
     and the same along x_{i+1}, ..., x_m in each M minus X_i / x_i,
     where H = E minus C* still spans, gives chi_{M minus C*} minus the
     pair terms; neither step asks for simplicity (a parallel pair x_i,
-    x_j makes its pair term zero).  So no input makes ``norm``'s
+    x_j makes its pair term zero).  So no input makes the engine's
     deletion of parallel copies change chi; it only spares work.  The
     test pins both: the expansion that keeps parallel copies gives the
     same chi on matroids with parallel classes, and expands minors
-    with parallel copies on some simple inputs, where the engine hands
-    only simple minors to its expansion and expands fewer minors."""
-    expansions = []
-    real = Matroid.find_small_cocircuit
+    with parallel copies on some simple inputs, where every minor the
+    engine hands to its cocircuit scan (``_min_cocircuit``) has distinct
+    nonzero rows, and it scans fewer minors."""
+    views, nodes = [], []
+    real_find, real_scan = Matroid.find_small_cocircuit, charpoly._min_cocircuit
 
-    def spy(self):
-        expansions.append(self)
-        return real(self)
+    def find(self):
+        views.append(self)
+        return real_find(self)
 
-    saved = 0
+    def scan(field, rows):
+        nodes.append(list(rows))
+        return real_scan(field, rows)
+
+    saved = scanned = 0
     for m in list(_vector_engine_battery()) + [fano(), non_fano()]:
         if m.loops_mask() or m.n < 2 or m.full_rank == m.n:
             continue
-        simple = minor(m, delete=m.full_mask & ~mask_of(c[0] for c in m.parallel_classes()))
+        simple = _simplification(m)
         assert _cocircuit_expansion_keeping_parallels(m)[0] == _delete_contract_by_rank(m), m
-        monkeypatch.setattr(Matroid, "find_small_cocircuit", spy)
-        expansions.clear()
+        monkeypatch.setattr(Matroid, "find_small_cocircuit", find)
+        views.clear()
         chi, expanded = _cocircuit_expansion_keeping_parallels(simple)
-        kept_parallels = not all(view.is_simple() for view in expansions)
-        expansions.clear()
+        monkeypatch.undo()
+        kept_parallels = not all(view.is_simple() for view in views)
+        monkeypatch.setattr(charpoly, "_min_cocircuit", scan)
+        nodes.clear()
         assert cp_cocircuit_expansion(simple) == chi, m
         monkeypatch.undo()
-        assert all(view.is_simple() for view in expansions), m
-        assert len(expansions) <= expanded, m
-        saved += kept_parallels and len(expansions) < expanded
-    assert saved >= 2
+        assert all(0 not in rows and len(set(rows)) == len(rows) for rows in nodes), m
+        assert len(nodes) <= expanded, m
+        saved += kept_parallels and len(nodes) < expanded
+        scanned += len(nodes)
+    assert saved >= 2 and scanned >= 5
+
+
+def test_cocircuit_expansion_matches_the_other_engines_on_the_identity_battery():
+    """On the simplification of every criterion-07 instance, and on every
+    rank-2 minor (a leaf of the expansion), the expansion equals
+    deletion-contraction and the Mobius expansion; a rank-2 minor that
+    is not simple is refused."""
+    glued, rand = criterion_07_instances()
+    for rec in glued + rand:
+        simple = _simplification(rec.matroid)
+        assert cp_cocircuit_expansion(simple) == cp_delete_contract(simple) == cp_mobius(simple)
+    leaves = 0
+    for m, points in _rank_at_most_two_battery():
+        if m.full_rank != 2:
+            continue
+        if not m.is_simple():
+            with pytest.raises(NotSimpleError):
+                cp_cocircuit_expansion(m)
+            continue
+        chi = cp_cocircuit_expansion(m)
+        assert chi == cp_delete_contract(m) == cp_mobius(m) == x_minus(1) * x_minus(points - 1)
+        leaves += 1
+    assert leaves > 50
+
+
+def test_cocircuit_expansion_builds_no_minor_and_walks_no_lattice(monkeypatch):
+    """On the simplifications of the criterion-07 instances the
+    expansion runs on coordinate rows: it builds no MinorMatroid, walks
+    no lattice of flats and asks no rank."""
+    glued, rand = criterion_07_instances()
+    simples = [_simplification(rec.matroid) for rec in glued + rand]
+    for simple in simples:
+        simple._points()
+    built, walked = [], []
+    real_init, real_walk = MinorMatroid.__init__, Matroid._flat_lattice
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def walk(self):
+        walked.append(self)
+        return real_walk(self)
+
+    monkeypatch.setattr(MinorMatroid, "__init__", init)
+    monkeypatch.setattr(Matroid, "_flat_lattice", walk)
+    caches = [dict(simple._rank_cache) for simple in simples]
+    for simple in simples:
+        cp_cocircuit_expansion(simple)
+    assert built == [] and walked == []
+    assert [simple._rank_cache for simple in simples] == caches
 
 
 def test_loops_give_zero():

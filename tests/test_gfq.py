@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -190,6 +191,48 @@ def test_project_matches_reduce_then_normalize(q):
             assert got == 0
         seen.add(case)
     assert seen >= {"below", "same", "parallel", "above", "zero at k"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_span_points_lists_each_point_once_one_step_each(q, monkeypatch):
+    """span_points of d independent rows gives sum c_i rows[i] for every
+    coefficient vector c led by 1, each one once, in (q**d - 1)/(q - 1)
+    combinations, every one after each rows[i] by one v - c·w step: on
+    unit rows those are the points of PG(d-1, q) as pack lists them,
+    and on random independent rows of height 5 the coefficients read
+    back by elimination."""
+    F = gf(q)
+    steps = []
+    real = F._submul
+
+    def submul(v, c, w):
+        steps.append(c)
+        return real(v, c, w)
+
+    monkeypatch.setattr(F, "_submul", submul)
+    rng = random.Random(3000 + q)
+    for d in range(1, 4 if q < 7 else 3):
+        units = [F.pack(tuple(int(i == j) for i in range(d))) for j in range(d)]
+        steps.clear()
+        points = list(F.span_points(units))
+        count = (q ** d - 1) // (q - 1)
+        assert len(points) == count and len(steps) == count - d
+        assert sorted(points) == sorted(F.pack(c) for c in product(range(q), repeat=d)
+                                        if any(c) and c[next(i for i, x in enumerate(c) if x)] == 1)
+        rows = []
+        while len(rows) < d:
+            row = F.pack([rng.randrange(q) for _ in range(5)])
+            if len(F.echelon(rows + [row])) > len(rows):
+                rows.append(row)
+        # the rows (rows[i] | e_i) reduce (v | 0) to (0 | minus v's coefficients)
+        marked = F.echelon(row | 1 << i * F.width << 5 * F.width for i, row in enumerate(rows))
+        seen = set()
+        for v in F.span_points(rows):
+            coeffs = F.unpack(F.reduce(marked, v) >> 5 * F.width, d)
+            lead = next(x for x in coeffs if x)
+            assert F.neg[lead] == 1
+            seen.add(coeffs)
+        assert len(seen) == count
 
 
 def test_order_32_needs_explicit_modulus():

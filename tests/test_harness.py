@@ -416,10 +416,12 @@ def test_delete_contract_check_reports_a_wrong_polynomial(monkeypatch):
 
 
 def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkeypatch):
-    """On a criterion-07 instance the delete-contract check runs
-    _standard_form once on the instance and builds no minor of it; the
-    only other elimination passes are at most one over the rows of each
-    basis element it checks (a deletion that needs a new basis)."""
+    """On a criterion-07 instance the delete-contract check
+    (_check_delete_contract, counted alone, not the other checks of
+    verify_identities) runs _standard_form once on the instance and
+    builds no minor of it; it makes no other elimination pass, not even
+    for a basis element it checks, whose deletion exchanges it for the
+    first row nonzero at its digit."""
     rec = criterion_07_instances()[1][0]
     m = rec.matroid
     basis = m._standard_form()[0]
@@ -444,12 +446,13 @@ def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkey
     monkeypatch.setattr(Matroid, "_standard_form", form)
     monkeypatch.setattr(matroid, "_standard_rows", rows)
     monkeypatch.setattr(MinorMatroid, "__init__", init)
-    checks = verify_identities([rec])
-    assert checks[0].check == "delete-contract" and checks[0].passed
+    chi, detail = harness._check_delete_contract(m)
+    assert detail == "" and chi == cp_mobius(m)
     assert sum(1 for f in forms if f is m) == 1
     assert not any(root is m for root in minor_roots)
     # every _standard_form call makes one rows pass of its own
     assert len(forms) <= len(passes) <= len(forms) + checked_basis
+    assert len(passes) == len(forms)
 
 
 # -- counting bounds ----------------------------------------------------------------

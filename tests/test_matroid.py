@@ -1227,3 +1227,74 @@ def test_matroid_parser_raises_only_package_errors(text):
     except MatZeroError:
         return
     assert m.full_rank <= m.n
+
+
+def _assert_smallest_cocircuit(m) -> bool:
+    """find_small_cocircuit, a scan of linear functionals, against the
+    lattice walk: the mask min(cocircuits(), key=size) picks, ties going
+    to the smallest mask, or TooLargeError when the (q**r - 1)/(q - 1)
+    functionals over the root's field GF(q) exceed MAX_FLATS.  Returns
+    whether m had tied minimum cocircuits."""
+    r, q = m.full_rank, m._points()[0].q
+    if r == 0:
+        with pytest.raises(RankZeroError):
+            m.find_small_cocircuit()
+        return False
+    if (q ** r - 1) // (q - 1) > matroid.MAX_FLATS:
+        with pytest.raises(TooLargeError):
+            m.find_small_cocircuit()
+        return False
+    walked = m.cocircuits()
+    size = min(bin(c).count("1") for c in walked)
+    assert m.find_small_cocircuit() == min(walked, key=lambda c: bin(c).count("1")), m
+    return sum(bin(c).count("1") == size for c in walked) > 1
+
+
+@given(minor_chains())
+@settings(max_examples=150, deadline=None)
+def test_smallest_cocircuit_matches_the_lattice_walk_on_minor_chains(chain):
+    """Over GF(2, 3, 4, 5, 7, 9), with loops and parallel copies, on
+    roots and minors of minors."""
+    for m in chain:
+        _assert_smallest_cocircuit(m)
+
+
+@given(graphic_matroids())
+@settings(max_examples=100, deadline=None)
+def test_smallest_cocircuit_matches_the_lattice_walk_on_graphs(m):
+    _assert_smallest_cocircuit(m)
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@settings(max_examples=60, deadline=None)
+def test_smallest_cocircuit_matches_the_lattice_walk_on_uniform_matroids(shape):
+    _assert_smallest_cocircuit(UniformMatroid(*shape))
+
+
+def test_smallest_cocircuit_breaks_ties_as_the_lattice_walk():
+    assert sum(map(_assert_smallest_cocircuit, flat_oracle_battery())) >= 20
+
+
+@pytest.mark.parametrize("q, rank", [(2, 20), (2, 21), (3, 13), (3, 14)])
+def test_cocircuit_scan_cap_starts_no_scan(monkeypatch, q, rank):
+    """Past MAX_FLATS functionals the scan is refused before it starts:
+    (q**r - 1)/(q - 1) is 2,097,151 at GF(2) rank 21 and 2,391,484 at
+    GF(3) rank 14, while rank 20 (1,048,575) and rank 13 (797,161)
+    start it.  Over GF(2) a rank-r matroid has at least 2**r flats, so
+    the lattice walk refuses every input the scan refuses."""
+
+    class Started(Exception):
+        pass
+
+    def span_points(self, rows):
+        raise Started
+
+    monkeypatch.setattr(GF, "span_points", span_points)
+    m = LinearMatroid(gf(q), [tuple(int(i == j) for i in range(rank)) for j in range(rank)])
+    functionals = (q ** rank - 1) // (q - 1)
+    if functionals > matroid.MAX_FLATS:
+        with pytest.raises(TooLargeError):
+            m.find_small_cocircuit()
+    else:
+        with pytest.raises(Started):
+            m.find_small_cocircuit()

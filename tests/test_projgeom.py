@@ -422,6 +422,30 @@ def test_path_necks_past_the_ambient_geometry():
     assert len(neck) == 2047 and len(external) == 2047 - 11
 
 
+def test_neck_over_the_point_cap_lists_no_point(monkeypatch):
+    """Rank 12 over GF(3): one side is the twelve unit vectors, the
+    other twelve sums e_i + e_j, i - j odd, that span a subspace of
+    dimension nine, so the neck is
+    PG(8, 3), 9841 points, over MAX_POINTS; it is refused before any
+    combination is listed."""
+
+    def span_points(self, rows):
+        raise AssertionError("a combination was listed")
+
+    F = gf(3)
+    units = [tuple(int(i == j) for i in range(12)) for j in range(12)]
+    sums = [tuple(int(i in (j, j + 1)) for i in range(12)) for j in range(9)]
+    sums += [tuple(int(i in (j, j + 3)) for i in range(12)) for j in range(3)]
+    base = embed(LinearMatroid(F, units + sums))
+    dec = TreeDecomposition(base, Tree(2, [(0, 1)]), [0] * 12 + [1] * 12)
+    monkeypatch.setattr(type(F), "span_points", span_points)
+    assert pg_point_count(9, 3) == 9841 > projgeom.MAX_POINTS
+    with pytest.raises(TooLargeError, match=r"^PG\(8, 3\) has 9841 points"):
+        neck_of_edge(base, dec, (0, 1))
+    with pytest.raises(TooLargeError):
+        path_necks(base, dec)
+
+
 def test_path_necks_of_a_single_bag():
     base = embed(fano())
     assert path_necks(base, TreeDecomposition(base, Tree(1, ()), [0] * 7)) == []
