@@ -217,7 +217,7 @@ def cp_boolean_expansion(m: Matroid) -> IntPoly:
     r = m.full_rank
     coeffs = [0] * (r + 1)
     for a in range(1 << m.n):
-        sign = -1 if bin(a).count("1") & 1 else 1
+        sign = -1 if a.bit_count() & 1 else 1
         coeffs[r - m.rank_mask(a)] += sign
     return IntPoly(coeffs)
 
@@ -237,7 +237,7 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     elements as equal rows.
     """
     basis, coordinates = m._standard_form()
-    return _chi_from_rows(m._points()[0].project, coordinates, bin(basis).count("1"))
+    return _chi_from_rows(m._points()[0].project, coordinates, basis.bit_count())
 
 
 def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
@@ -377,7 +377,7 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
         return total
 
     basis, rows = m._standard_form()
-    rank = bin(basis).count("1")
+    rank = basis.bit_count()
     return expand(rows, rank, rank)
 
 

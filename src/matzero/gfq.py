@@ -36,9 +36,11 @@ its lowest nonzero digit, and an echelon row is a vector scaled to 1
 there (:meth:`GF.normalize`), so equal rows span equal lines and a row
 can be a dict key.  :meth:`GF.reduce`, :meth:`GF.normalize`,
 :meth:`GF.project` (a list of rows along one echelon row, one call per
-list) and :meth:`GF.echelon` are the only elimination routines in the
-package; :meth:`GF.span_points` lists the combinations of a few rows,
-one ``v - c·w`` step each.
+list), :meth:`GF.echelon` and its continuation :meth:`GF.echelon_into`
+are the only elimination routines in the package, with the one pass
+that tracks coordinates (``matroid._standard_rows``);
+:meth:`GF.span_points` lists the combinations of a few rows, one
+``v - c·w`` step each.
 
 Tables are built eagerly, so every scalar operation afterwards is a
 pair of list lookups.  Instances are safe to share between threads:
@@ -225,7 +227,7 @@ class GF:
         if d == 1:
             if irreducible is not None:
                 raise ArgumentError("a modulus polynomial only applies to extension fields")
-            irreducible = (0, 1)  # formally x; unused for prime fields
+            irreducible = (0, 1)  # x: products of residues reduce to themselves
         else:
             if irreducible is None:
                 irreducible = DEFAULT_IRREDUCIBLE.get(q)
@@ -250,50 +252,22 @@ class GF:
         self._build_packing()
 
     def _build_tables(self):
+        """Addition, multiplication and negation on the base-p digits of
+        the elements, constant term first, products reduced modulo the
+        modulus polynomial; a prime field is the case d = 1, modulus x."""
         p, d, q = self.p, self.d, self.q
-        if d == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self.neg = [(-a) % p for a in range(p)]
-        else:
-            digits = []
-            for a in range(q):
-                m, ds = a, []
-                for _ in range(d):
-                    ds.append(m % p)
-                    m //= p
-                digits.append(ds)
+        digits = [[a // p ** i % p for i in range(d)] for a in range(q)]
 
-            def pack(cs):
-                idx = 0
-                for i, c in enumerate(cs):
-                    idx += c * (p ** i)
-                return idx
+        def pack(cs):
+            return sum(c * p ** i for i, c in enumerate(cs))
 
-            modulus = list(self.irreducible)
-            self.add = [
-                [pack([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = []
-            for a in range(q):
-                row = []
-                for b in range(q):
-                    prod = _poly_mul_zp(digits[a], digits[b], p)
-                    rem = _poly_mod_zp(prod, modulus, p)
-                    rem = rem + [0] * (d - len(rem))
-                    row.append(pack(rem))
-                mul.append(row)
-            self.mul = mul
-            self.neg = [pack([(-x) % p for x in digits[a]]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self.mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
+        modulus = list(self.irreducible)
+        self.add = [[pack([(x + y) % p for x, y in zip(a, b)]) for b in digits] for a in digits]
+        self.mul = [
+            [pack(_poly_mod_zp(_poly_mul_zp(a, b, p), modulus, p)) for b in digits] for a in digits
+        ]
+        self.neg = [pack([(-x) % p for x in a]) for a in digits]
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
 
     def _build_packing(self):
         """Digit layout of packed vectors (module docstring): the digit
@@ -503,8 +477,14 @@ class GF:
         independent of those before it, reduced against the earlier rows,
         in input order.  The length is the rank of the input.
         """
+        return self.echelon_into([], vectors)
+
+    def echelon_into(self, basis: list[int], vectors) -> list[int]:
+        """:meth:`echelon` continued: append to ``basis``, a list of rows
+        from :meth:`echelon`, the echelon row of each vector independent
+        of the rows before it, and return ``basis``, which is then the
+        echelon of the old rows followed by ``vectors``."""
         reduce, normalize = self.reduce, self.normalize
-        basis: list[int] = []
         for v in vectors:
             v = normalize(reduce(basis, v))
             if v:

@@ -303,6 +303,12 @@ def _check_width(k: int) -> None:
         raise ArgumentError(f"the width bound needs k >= 1, got k={k}")
 
 
+def _check_bound_arguments(q: int, k: int) -> None:
+    if q < 2:
+        raise ArgumentError(f"the bounds need q >= 2, got q={q}")
+    _check_width(k)
+
+
 def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[InstanceRecord]:
     _check_width(k)
     seed = effective_seed(seed)
@@ -472,14 +478,19 @@ def _verify_bound(
 
 def verify_main_theorem(instances, q: int, k: int) -> list[BoundReport]:
     """Check chi > 0 strictly beyond q**(k-1) (or chi identically zero)
-    for every instance; the witness decomposition must have width <= k."""
+    for every instance; the witness decomposition must have width <= k.
+    q < 2 or k < 1 raises :class:`ArgumentError` before any instance is
+    read."""
+    _check_bound_arguments(q, k)
     return _verify_bound(instances, "main", q, k, Fraction(q ** (k - 1)))
 
 
 def verify_no_lines_theorem(instances, q: int, k: int) -> list[BoundReport]:
     """Positivity beyond (q**k - 1)/(q - 1) for instances with no
-    (q+2)-point line minor.  Here q may be any integer >= 2; an instance
-    that does contain such a line is a hard error."""
+    (q+2)-point line minor.  Here q may be any integer >= 2, and q < 2
+    or k < 1 raises :class:`ArgumentError` before any instance is read;
+    an instance that does contain such a line is a hard error."""
+    _check_bound_arguments(q, k)
     return _verify_bound(instances, "no-lines", q, k, Fraction(q ** k - 1, q - 1), q + 2)
 
 
@@ -500,7 +511,7 @@ def _check_delete_contract(m: Matroid) -> tuple[IntPoly, str]:
     field = m._points()[0]
     project = field.project
     basis, coordinates = m._standard_form()
-    rank = bin(basis).count("1")
+    rank = basis.bit_count()
     chi = _chi_from_rows(project, coordinates, rank)
     for e in mask_bits(m.full_mask & ~(m.loops_mask() | _coloops(field, basis, coordinates))):
         deleted, contracted = _delete_contract_rows(field, basis, coordinates, e)
@@ -562,18 +573,13 @@ def verify_identities(instances) -> list[IdentityCheck]:
             ok = cp_cocircuit_expansion(ls) == chi
             out.append(IdentityCheck(rec.id, "cocircuit-expansion", ok))
 
-            dec = heuristic_decomposition(ls, "path")
-            if dec.tree.num_vertices >= 2:
+            if ls.n >= 2:
                 base = embed(ls)
-                dec = TreeDecomposition(base, dec.tree, dec.assignment)
+                necks = path_necks(base, heuristic_decomposition(base, "path"))
                 # the fattest external neck that still fits makes the
                 # most demanding check; the leaf edge always fits
-                chosen = None
-                for _, external in path_necks(base, dec):
-                    if ls.n + len(external) <= 20 and (
-                        chosen is None or len(external) > len(chosen)
-                    ):
-                        chosen = external
+                fits = [external for _, external in necks if ls.n + len(external) <= 20]
+                chosen = max(fits, key=len, default=None)
                 if chosen is not None:
                     ext = extend(base, chosen)
                     total = ZERO
@@ -594,12 +600,16 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
       minor exists;
     * some cocircuit of size at most q**(k-1) when a width-k witness
       exists over GF(q).
+
+    Both are read on the simplification, the loops deleted first; a loop
+    changes no rank, so the witness width still holds there.
     """
+    _check_bound_arguments(q, k)
     out = []
     for rec in instances:
         m = rec.matroid
         if not m.is_simple():
-            m, _ = m.simplify()
+            m, _ = m.delete(m.loops_mask()).simplify()
         r = m.full_rank
         if r == 0:
             continue
@@ -621,7 +631,7 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
         if rec.decomposition is not None and rec.q == q:
             w = rec.decomposition.width()
             if w <= k:
-                size = bin(m.find_small_cocircuit()).count("1")
+                size = m.find_small_cocircuit().bit_count()
                 bound = Fraction(q ** (k - 1))
                 out.append(
                     BoundReport(
@@ -726,7 +736,12 @@ def load_instances(directory) -> list[InstanceRecord]:
         meta = {}
         jpath = d / f"{stem}.json"
         if jpath.exists():
-            meta = json.loads(jpath.read_text(encoding="utf-8"))
+            try:
+                meta = json.loads(jpath.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{exc.msg} in {jpath}", exc.lineno) from None
+            if not isinstance(meta, dict):
+                raise ParseError(f"the instance metadata in {jpath} is not a JSON object")
         q = meta.get("q")
         if q is None and isinstance(m, LinearMatroid):
             q = m.field.q
@@ -746,6 +761,7 @@ def load_instances(directory) -> list[InstanceRecord]:
 def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
     """Either a directory of instance files or a seed spec
     ``kind:count:seed`` with kind one of mixed, random, glued."""
+    _check_width(k)
     if os.path.isdir(spec):
         return load_instances(spec)
     parts = spec.split(":")
@@ -760,7 +776,6 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
         raise ParseError(f"{spec!r}: the count and the seed must be integers") from None
     if count < 0:
         raise ParseError(f"{spec!r}: the count must be nonnegative")
-    _check_width(k)
     seed = effective_seed(seed)
     if kind == "mixed":
         return main_theorem_suite(q, k, count, seed)

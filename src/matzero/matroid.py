@@ -608,6 +608,20 @@ def _min_cocircuit(field: GF, rows) -> int:
     return mask_of(e for e in range(len(rows)) if best >> e * width + width - 1 & 1)
 
 
+def _contracted(field: GF, rows, kept, cmask: int) -> list[int]:
+    """The points of ``kept`` once the elements of ``cmask`` are
+    contracted: their ``rows`` projected along each echelon row of the
+    rows of ``cmask`` in turn (:meth:`GF.project`, which reduces and
+    normalizes), or a slice of them when nothing is contracted.  A
+    reduced row is zero at every pivot of the contracted span, which
+    makes it the one representative of its coset there."""
+    points = [rows[e] for e in kept]
+    if cmask:
+        for prow in field.echelon(rows[e] for e in mask_bits(cmask)):
+            points = field.project(points, prow)
+    return points
+
+
 def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     """The flats covering the flat F = ``fmask`` of m, as a dict from
     each cover to what the lattice walk hands down with it, read from
@@ -622,14 +636,13 @@ def _quotient_covers(m: Matroid, fmask: int, carried) -> dict:
     than p projected along p (:meth:`GF.project`), one step per cover of
     E, with classes merged where points meet.  (Oxley, *Matroid Theory*:
     contracting a represented element projects every other column away
-    from its vector.)  With None the points are reduced from scratch."""
+    from its vector.)  With None the points are those of
+    :func:`_contracted`."""
     field, _, rows = m._points()
     points: dict[int, int] = {}
     if carried is None:
-        reduce, normalize = field.reduce, field.normalize
-        basis = field.echelon(rows[e] for e in mask_bits(fmask))
-        for e in mask_bits(m.full_mask & ~fmask):
-            point = normalize(reduce(basis, rows[e]))
+        outside = list(mask_bits(m.full_mask & ~fmask))
+        for e, point in zip(outside, _contracted(field, rows, outside, fmask)):
             points[point] = points.get(point, 0) | (1 << e)
     else:
         parent, p = carried
@@ -643,15 +656,10 @@ class MinorMatroid(Matroid):
     """M/C\\D for a parent matroid M, itself a root or a minor: the
     parent's elements ``kept``, in that order, with C the parent's
     elements in ``contracted_mask``.  Its points (:meth:`Matroid._points`)
-    are built at once from the parent's: the parent's rows of ``kept``,
-    projected along each echelon row of the parent's rows of C in turn
-    (:meth:`GF.project`, which reduces and normalizes), or a slice of
-    them when nothing is contracted.  A reduced row is zero at every
-    pivot of the contracted span, which makes it the one representative
-    of its coset there, so these are the rows that reducing the root's
-    columns modulo the span of every contraction down the chain would
-    give.  Building a minor asks no rank, and it keeps no reference to
-    its parent, only to the root."""
+    are built at once from the parent's (:func:`_contracted`), so they
+    are the rows that reducing the root's columns modulo the span of
+    every contraction down the chain would give.  Building a minor asks
+    no rank, and it keeps no reference to its parent, only to the root."""
 
     def __init__(self, parent: Matroid, kept: Sequence[int], contracted_mask: int, labels=None):
         # tuples are built from lists, not generators: with thousands of
@@ -662,14 +670,7 @@ class MinorMatroid(Matroid):
         self._init_common(len(kept), labels)
         self._root = parent.root
         field, height, rows = parent._points()
-        if contracted_mask:
-            points = [rows[e] for e in kept]
-            for prow in field.echelon(rows[e] for e in mask_bits(contracted_mask)):
-                points = field.project(points, prow)
-            rows = tuple(points)
-        else:
-            rows = tuple([rows[e] for e in kept])
-        self._point_rows = field, height, rows
+        self._point_rows = field, height, tuple(_contracted(field, rows, kept, contracted_mask))
 
     @property
     def root(self) -> Matroid:

@@ -67,27 +67,19 @@ def pg_build(r: int, q) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _row_reduce(m: LinearMatroid) -> list[int]:
-    """The packed columns of m in coordinates of their own span: the
-    echelon basis of the rows, dropping dependent ones, so the height
-    equals the rank."""
-    field, n = m.field, m.n
-    basis = field.echelon(field.pack([col[i] for col in m.columns]) for i in range(m.nrows))
-    rows = [field.unpack(row, n) for row in basis]
-    return [field.pack([row[j] for row in rows]) for j in range(n)]
-
-
 def embed(m: Matroid) -> LinearMatroid:
     """A simple matrix-backed matroid as a set of points of PG(r-1, q),
     r = r(M): the base matroid, of height r and with every column scaled
     to 1 at its first nonzero entry, so that its packed columns are its
-    points' echelon rows.  Element order and labels are kept."""
+    points' echelon rows.  Element order and labels are kept.  A matrix
+    taller than its rank is read in the coordinates of its standard form
+    (:meth:`Matroid._standard_form`), which are already echelon rows."""
     if not isinstance(m, LinearMatroid):
         raise NotLinearError("embedding requires an explicit matrix over GF(q)")
     require_simple(m)
     field, r = m.field, m.full_rank
-    vectors = m.packed if m.nrows == r else _row_reduce(m)
-    columns = [field.unpack(field.normalize(v), r) for v in vectors]
+    vectors = m._points()[2] if m.nrows == r else m._standard_form()[1]
+    columns = [field.unpack(v, r) for v in vectors]
     return LinearMatroid(field, columns, m.labels, nrows=r)
 
 
@@ -206,19 +198,13 @@ def path_necks(
     while len(order) < tree.num_vertices:
         order.append(next(y for y in tree.adj[order[-1]] if y not in order[-2:]))
     field, packed, bags = base.field, base.packed, dec.bags()
-    reduce, normalize = field.reduce, field.normalize
 
     def spans(vertices) -> tuple[list[int], list[int]]:
         # the echelon rows of the bags in turn, and how many of them
         # the bags up to each vertex give
         basis: list[int] = []
-        counts = []
-        for v in vertices:
-            for e in mask_bits(bags[v]):
-                row = normalize(reduce(basis, packed[e]))
-                if row:
-                    basis.append(row)
-            counts.append(len(basis))
+        counts = [len(field.echelon_into(basis, [packed[e] for e in mask_bits(bags[v])]))
+                  for v in vertices]
         return basis, counts
 
     forward, ahead = spans(order)

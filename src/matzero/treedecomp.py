@@ -520,17 +520,11 @@ def exact_treewidth_small(m: Matroid) -> TreewidthResult:
 
 def _prefix_ranks(m: Matroid, order) -> list[int]:
     """r(e_1..e_i) for every prefix of ``order``, by one incremental
-    elimination over the points of m (:meth:`Matroid._points`)."""
+    elimination over the points of m (:meth:`Matroid._points`), one
+    :meth:`GF.echelon_into` step per element."""
     field, _, rows = m._points()
-    reduce, normalize = field.reduce, field.normalize
     basis: list[int] = []
-    out = []
-    for e in order:
-        row = normalize(reduce(basis, rows[e]))
-        if row:
-            basis.append(row)
-        out.append(len(basis))
-    return out
+    return [len(field.echelon_into(basis, (rows[e],))) for e in order]
 
 
 def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:

@@ -236,6 +236,40 @@ def test_verify_rejects_a_width_below_one(capsys, kind):
     assert captured.err == "matzero: the width bound needs k >= 1, got k=0\n"
 
 
+@pytest.mark.parametrize("suite", ["main", "nolines", "bounds"])
+@pytest.mark.parametrize("q, k, message", [
+    ("1", "2", "the bounds need q >= 2, got q=1"),
+    ("0", "2", "the bounds need q >= 2, got q=0"),
+    ("2", "0", "the width bound needs k >= 1, got k=0"),
+])
+def test_verify_rejects_bad_q_or_k_on_directory_instances(capsys, tmp_path, suite, q, k, message):
+    save_instances(tmp_path, main_theorem_suite(2, 2, 2, seed=0))
+    rc = main(["verify", suite, "--q", q, "--k", k, "--instances", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"matzero: {message}\n"
+
+
+def test_verify_bounds_deletes_loops_first(capsys, tmp_path):
+    """A zero column is a loop: the counting bounds read the
+    simplification without it, and the witness width still holds."""
+    from matzero.harness import InstanceRecord
+    from matzero.treedecomp import single_vertex_decomposition
+
+    m = LinearMatroid(gf(2), [(1, 0), (0, 0), (0, 1), (1, 1), (1, 1)])
+    rec = InstanceRecord(id="loopy", q=2, matroid=m, decomposition=single_vertex_decomposition(m))
+    save_instances(tmp_path, [rec])
+    assert load_matroid(tmp_path / "loopy.matrix").loops_mask() == 0b10  # column 1 is zero
+    rc, out = run(capsys, "verify", "bounds", "--q", "2", "--k", "2", "--instances", str(tmp_path))
+    assert rc == 0
+    reports = [json.loads(ln) for ln in out.strip().split("\n")]
+    assert [(r["theorem"], r["n"], r["verdict"]) for r in reports] == [
+        ("size", 3, True), ("cocircuit", 3, True),
+    ]
+    assert reports[1]["cocircuit_size"] == 2
+
+
 @pytest.mark.parametrize("shape", ["path", "cycle", "complete"])
 def test_generate_graphic_rejects_a_negative_vertex_count(capsys, tmp_path, shape):
     rc = main(["generate", "graphic", "--shape", shape, "--vertices", "-1",
@@ -517,10 +551,21 @@ def test_mz_seed_applies_once_to_generate_count(capsys, tmp_path, monkeypatch):
 def test_errors_print_one_line(capsys, tmp_path):
     bad = tmp_path / "bad.matrix"
     bad.write_text("2 2 3\n1 0 1\n0 1\n")
+    metadata = {}
+    for name, text in (("malformed", "{\n  bad"), ("array", "[1, 2]")):
+        save_instances(tmp_path / name, main_theorem_suite(2, 2, 1, seed=0))
+        (path,) = (tmp_path / name).glob("*.json")
+        path.write_text(text)
+        metadata[name] = str(tmp_path / name), str(path)
     cases = (
         (["verify", "main", "--q", "2", "--instances", "mixed:abc:0"], "'mixed:abc:0'"),
         (["verify", "main", "--q", "2", "--instances", "mixed:-3:0"], "'mixed:-3:0'"),
         (["charpoly", str(bad)], "line 3"),
+        (["verify", "main", "--q", "2", "--instances", metadata["malformed"][0]], "line 2: "),
+        (["verify", "main", "--q", "2", "--instances", metadata["malformed"][0]],
+         metadata["malformed"][1]),
+        (["verify", "main", "--q", "2", "--instances", metadata["array"][0]],
+         metadata["array"][1]),
     )
     for argv, fragment in cases:
         rc = main(argv)

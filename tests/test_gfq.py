@@ -1,11 +1,14 @@
 """Finite field tables: axioms, known values, and error handling."""
 
+import hashlib
 import random
 import sys
 import threading
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matzero.errors import (
     ArgumentError,
@@ -123,6 +126,45 @@ def test_echelon_and_reduce():
     assert F.reduce(basis, pack((2, 2, 1))) == 0
     assert F.unpack(F.reduce(basis, pack((1, 1, 1))), 3) == (0, 0, 2)
     assert F.echelon([]) == []
+
+
+@given(st.sampled_from([2, 3, 4, 5, 9]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_into_continues_echelon(q, data):
+    """Echelon rows appended one chunk at a time are those of the whole
+    input at once, and after each vector their count is the rank of
+    the prefix."""
+    F = gf(q)
+    height = data.draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, q - 1)] * height).map(F.pack)
+    chunks = data.draw(st.lists(st.lists(vector, max_size=4), max_size=4))
+    basis: list[int] = []
+    for chunk in chunks:
+        assert F.echelon_into(basis, chunk) is basis
+    vectors = [v for chunk in chunks for v in chunk]
+    assert basis == F.echelon(vectors)
+    prefix: list[int] = []
+    ranks = [len(F.echelon_into(prefix, [v])) for v in vectors]
+    assert ranks == [len(F.echelon(vectors[:i + 1])) for i in range(len(vectors))]
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if is_prime(p)])
+def test_prime_field_tables_are_residue_arithmetic(p):
+    F = GF(p)
+    residues = range(p)
+    assert F.add == [[(a + b) % p for b in residues] for a in residues]
+    assert F.mul == [[a * b % p for b in residues] for a in residues]
+    assert F.neg == [-a % p for a in residues]
+    assert F.inv == [0] + [pow(a, p - 2, p) for a in range(1, p)]
+
+
+def test_extension_tables_are_pinned():
+    """The tables of the shipped extension fields, unchanged since they
+    were first built digit by digit."""
+    tables = [(F.add, F.mul, F.neg, F.inv) for F in map(gf, (4, 8, 9, 16, 25, 27))]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "e7c362086f6e52d4cf033195bf39f02f845282ecad0a8e01bdf4a1ab71a93f0e"
+    )
 
 
 def _echelon_row(F, rng, width, pivot):

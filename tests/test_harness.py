@@ -491,6 +491,19 @@ def test_size_bound_skips_rank_zero_and_mismatched_q():
     assert [r.theorem for r in reports] == ["size"]
 
 
+@pytest.mark.parametrize(
+    "verify", [verify_main_theorem, verify_no_lines_theorem, verify_size_and_cocircuit_bounds]
+)
+@pytest.mark.parametrize("q, k", [(1, 2), (0, 2), (-3, 2), (2, 0), (3, -1)])
+def test_bound_suites_reject_bad_q_or_k_before_any_instance(verify, q, k):
+    def untouched():
+        raise AssertionError("an instance was read")
+        yield
+
+    with pytest.raises(ArgumentError, match="q >= 2" if q < 2 else "k >= 1"):
+        verify(untouched(), q, k)
+
+
 def test_size_bound_counts_simplification():
     m = LinearMatroid(gf(2), [(1, 0), (1, 0), (0, 1)])
     rec = InstanceRecord(id="par", q=2, matroid=m, decomposition=None)

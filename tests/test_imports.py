@@ -204,3 +204,47 @@ def test_detector_finds_bare_builtin_raises():
 def test_no_bare_builtin_raises(path):
     """Bad input raises a typed MatZeroError, never a bare builtin one."""
     assert bare_raises(path.read_text(encoding="utf-8")) == []
+
+
+#: the functions outside gfq.py that may reduce against a basis by hand:
+#: the one pass that tracks coordinates, the pivot exchange that derives
+#: M\e from it, and the greedy order that keeps every column reduced
+REDUCE_CALLERS = {"_standard_rows", "_delete_contract_rows", "_greedy_order"}
+
+
+def field_reduce_reads(source: str) -> list[str]:
+    """The top-level functions and classes of ``source`` outside
+    ``REDUCE_CALLERS`` that read a ``.reduce`` attribute, calling it or
+    binding it for a later call, as "line:name"."""
+    out = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) in REDUCE_CALLERS:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "reduce":
+                out.append(f"{sub.lineno}:{getattr(node, 'name', '<module>')}")
+    return out
+
+
+def test_detector_finds_hand_rolled_elimination():
+    source = (
+        "def _standard_rows(field, rows):\n"
+        "    return field.reduce([], rows[0])\n"
+        "def spans(field, rows):\n"
+        "    reduce, normalize = field.reduce, field.normalize\n"
+        "    return [normalize(reduce([], v)) for v in rows]\n"
+        "class Minor:\n"
+        "    def __init__(self, field, v):\n"
+        "        self.v = field.reduce([], v)\n"
+        "def ranks(field, rows):\n"
+        "    return field.echelon_into([], rows)\n"
+    )
+    assert field_reduce_reads(source) == ["4:spans", "8:Minor"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gfq.py"], ids=lambda p: p.name)
+def test_no_hand_rolled_elimination(path):
+    """Outside gfq.py, only ``REDUCE_CALLERS`` reduce by hand; anything
+    else eliminates through ``GF.echelon``, ``echelon_into``, ``project``
+    or the standard form."""
+    assert field_reduce_reads(path.read_text(encoding="utf-8")) == []

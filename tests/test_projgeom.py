@@ -155,6 +155,30 @@ def test_embed_row_reduces_tall_matrices():
     assert ranks_agree(base, m)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_embed_reads_tall_matrices_in_standard_form(q):
+    """A random simple matrix with rows added that combine its others
+    embeds at height r, its columns distinct echelon rows, with the
+    input's rank function."""
+    F, rng = gf(q), random.Random(q)
+    done = 0
+    while done < 10:
+        r, n = rng.randint(1, 3), rng.randint(1, 6)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+        for _ in range(rng.randint(1, 2)):
+            a, b, c = rng.choice(rows), rng.choice(rows), rng.randrange(q)
+            rows.insert(rng.randint(0, len(rows)), [F.add[x][F.mul[c][y]] for x, y in zip(a, b)])
+        m = LinearMatroid(F, list(zip(*rows)))
+        if not m.is_simple():
+            continue
+        base = embed(m)
+        assert m.nrows > m.full_rank == base.nrows
+        assert len(set(base.packed)) == m.n
+        assert all(F.normalize(v) == v for v in base.packed)
+        assert ranks_agree(base, m)
+        done += 1
+
+
 def test_embed_rejects_bad_inputs():
     with pytest.raises(NotLinearError):
         embed(UniformMatroid(2, 3))
