@@ -25,10 +25,12 @@ from .charpoly import (
     cp_cocircuit_expansion,
     cp_delete_contract,
     largest_real_root,
+    poly_exact_div,
     sturm_positive_beyond,
 )
 from .errors import (
     ArgumentError,
+    InexactDivisionError,
     LineMinorPresentError,
     ParseError,
     TooLargeError,
@@ -42,24 +44,17 @@ from .matroid import (
     Matroid,
     _coloops,
     _delete_contract_rows,
+    _standard_rows,
     load_matroid,
     mask_bits,
     mask_of,
     save_matroid,
 )
-from .projgeom import (
-    brylawski_charpoly,
-    embed,
-    extend,
-    path_necks,
-    pg_build,
-    telescoping_expansion,
-)
+from .projgeom import _telescoped_chi, pg_build, pg_point_count
 from .treedecomp import (
     Tree,
     TreeDecomposition,
     best_heuristic,
-    heuristic_decomposition,
     load_decomposition,
     save_decomposition,
 )
@@ -521,18 +516,89 @@ def _check_delete_contract(m: Matroid) -> tuple[IntPoly, str]:
     return chi, ""
 
 
+def _element_lists(value, n: int) -> bool:
+    """Whether ``value`` is a list of lists of element ids 0..n-1."""
+    return isinstance(value, list) and all(
+        isinstance(ids, list) and all(type(e) is int and 0 <= e < n for e in ids)
+        for ids in value
+    )
+
+
+def _split_chi(m: Matroid, cons: dict) -> tuple[IntPoly | None, str]:
+    """chi of a glued instance through Brylawski's factorization
+    chi(L) chi(P) / chi(C) (*Modular constructions for combinatorial
+    geometries*, 1975), L the last block of ``cons``, P the union of the
+    earlier ones and C the last overlap, all read off m's points
+    (:meth:`Matroid._points`) with no minor built.
+
+    Pieces cut from one matrix need no lattice walk and no check that
+    they agree on C, only linear algebra: C lies in both pieces,
+    r(L) + r(P) - r(L u P) = r(C), so the spans of L and P meet in
+    span(C) alone, and C has all (q**d - 1)/(q - 1) points of span(C),
+    d = r(C), and no loop.  Then every point of span(L) ^ span(P) is a
+    point of C, so span(C) is a modular flat and the factorization
+    holds.  Each chi is one standard form (:func:`matroid._standard_rows`)
+    and the recursion (:func:`charpoly._chi_from_rows`).
+
+    Returns (chi, ""), or (None, detail) when the construction names no
+    blocks and overlaps among m's elements, when the pieces fail that
+    precondition, or when the division leaves a remainder, which only
+    a wrong chi can make."""
+    blocks, overlaps = cons.get("block_elements"), cons.get("overlap_elements")
+    if not (_element_lists(blocks, m.n) and _element_lists(overlaps, m.n)
+            and len(blocks) >= 2 and overlaps):
+        return None, (
+            f"split failed: the construction names no blocks and overlaps "
+            f"among the elements 0..{m.n - 1}"
+        )
+    field, height, points = m._points()
+    last, common = mask_of(blocks[-1]), mask_of(overlaps[-1])
+    prefix = mask_of(e for elems in blocks[:-1] for e in elems)
+    if common & ~(last & prefix):
+        return None, "split failed: the overlap is not in both pieces"
+    forms = [
+        _standard_rows(field, height, [points[e] for e in mask_bits(piece)])
+        for piece in (last, prefix, common)
+    ]
+    rl, rp, rc = (bmask.bit_count() for bmask, _ in forms)
+    if rl + rp - m.rank_mask(last | prefix) != rc:
+        return None, "split failed: the spans of the pieces meet outside the span of the overlap"
+    shown = {points[e] for e in mask_bits(common)}
+    full = pg_point_count(rc, field.q)
+    if 0 in shown or len(shown) != full:
+        return None, f"split failed: the overlap is not the {full} points of its span"
+    chi_l, chi_p, chi_c = (
+        _chi_from_rows(field.project, rows, bmask.bit_count()) for bmask, rows in forms
+    )
+    try:
+        return poly_exact_div(chi_l * chi_p, chi_c), ""
+    except InexactDivisionError as exc:
+        return None, f"split failed: {exc}"
+
+
 def verify_identities(instances) -> list[IdentityCheck]:
     """Exact identity checks on every instance:
 
     * deletion-contraction at every element that is neither a loop nor
       a coloop, both minors derived from one standard form of the
       instance with no minor built (:func:`_check_delete_contract`);
-    * the glued-block factorization through the common flat, when the
-      construction metadata identifies the blocks;
-    * the telescoping extension expansion on the simplification;
+    * the glued-block factorization through the last overlap, when the
+      construction metadata identifies the blocks, from the pieces'
+      points with a linear-algebra precondition in place of a lattice
+      walk (:func:`_split_chi`); a construction that names no blocks
+      among the elements, or a split that fails the precondition, is a
+      failed check with a ``split failed:`` detail;
+    * the telescoping extension expansion on the simplification of a
+      loopless matrix, along the first neck of the element-order path
+      with the most external points that keeps the extension within 20
+      elements: only that neck is listed, and each term is one
+      projection of the base's standard-form rows
+      (:func:`projgeom._telescoped_chi`);
     * the cocircuit expansion against deletion-contraction.
 
-    Any mismatch is reported with the offending polynomials.
+    No minor, embedding or extension matroid is built for the first
+    three, and every chi is computed by the recursion, none read from a
+    table.  Any mismatch is reported with the offending polynomials.
     """
     out = []
     for rec in instances:
@@ -542,27 +608,12 @@ def verify_identities(instances) -> list[IdentityCheck]:
 
         cons = rec.construction
         if cons.get("kind") == "glued" and cons.get("blocks", 1) >= 2:
-            blocks = cons["block_elements"]
-            overlaps = cons["overlap_elements"]
-            last = mask_of(blocks[-1])
-            prefix = 0
-            for elems in blocks[:-1]:
-                prefix |= mask_of(elems)
-            common = mask_of(overlaps[-1])
-            try:
-                via_split = brylawski_charpoly(
-                    m.restrict(last), m.restrict(prefix), m.restrict(common)
-                )
-                ok = via_split == chi
-                detail = "" if ok else (
-                    f"factored {_poly_str(via_split)} vs direct {_poly_str(chi)}"
-                )
-            except Exception as exc:  # report, never crash the suite
-                ok = False
-                detail = f"split failed: {exc}"
-            out.append(IdentityCheck(rec.id, "glued-factorization", ok, detail))
+            via_split, detail = _split_chi(m, cons)
+            if via_split is not None and via_split != chi:
+                detail = f"factored {_poly_str(via_split)} vs direct {_poly_str(chi)}"
+            out.append(IdentityCheck(rec.id, "glued-factorization", not detail, detail))
 
-        points = m._points()[2]
+        field, height, points = m._points()
         if isinstance(m, LinearMatroid) and 0 not in points:
             # the simplification keeps the first element of each distinct point
             first: dict[int, int] = {}
@@ -574,17 +625,10 @@ def verify_identities(instances) -> list[IdentityCheck]:
             out.append(IdentityCheck(rec.id, "cocircuit-expansion", ok))
 
             if ls.n >= 2:
-                base = embed(ls)
-                necks = path_necks(base, heuristic_decomposition(base, "path"))
                 # the fattest external neck that still fits makes the
                 # most demanding check; the leaf edge always fits
-                fits = [external for _, external in necks if ls.n + len(external) <= 20]
-                chosen = max(fits, key=len, default=None)
-                if chosen is not None:
-                    ext = extend(base, chosen)
-                    total = ZERO
-                    for term, _role in telescoping_expansion(ext):
-                        total = total + charpoly_auto(term)
+                total = _telescoped_chi(field, height, list(first), 20 - ls.n)
+                if total is not None:
                     ok = total == chi
                     detail = "" if ok else (
                         f"telescoped {_poly_str(total)} vs direct {_poly_str(chi)}"
@@ -723,6 +767,30 @@ def save_instances(directory, instances) -> None:
         (d / f"{rec.id}.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
+def _metadata_problem(meta: dict, n: int) -> str:
+    """What makes instance metadata unusable for a matroid on n
+    elements, or "": an ``id`` that is not a string, a ``q`` that is not
+    an integer >= 2, a ``construction`` that is not an object, or a glued
+    construction whose ``blocks`` is not an integer or whose
+    ``block_elements`` or ``overlap_elements`` is not a list of lists of
+    element ids 0..n-1.  Absent fields take their defaults."""
+    if not isinstance(meta.get("id", ""), str):
+        return "the instance id is not a string"
+    q = meta.get("q")
+    if q is not None and (type(q) is not int or q < 2):
+        return f"q is {q!r}, not an integer >= 2"
+    cons = meta.get("construction", {})
+    if not isinstance(cons, dict):
+        return "the construction is not a JSON object"
+    if cons.get("kind") == "glued":
+        if type(cons.get("blocks", 1)) is not int:
+            return "the glued block count is not an integer"
+        for key in ("block_elements", "overlap_elements"):
+            if not _element_lists(cons.get(key), n):
+                return f"{key} is not a list of lists of element ids 0..{n - 1}"
+    return ""
+
+
 def load_instances(directory) -> list[InstanceRecord]:
     d = Path(directory)
     out = []
@@ -742,6 +810,9 @@ def load_instances(directory) -> list[InstanceRecord]:
                 raise ParseError(f"{exc.msg} in {jpath}", exc.lineno) from None
             if not isinstance(meta, dict):
                 raise ParseError(f"the instance metadata in {jpath} is not a JSON object")
+            problem = _metadata_problem(meta, m.n)
+            if problem:
+                raise ParseError(f"{jpath}: {problem}")
         q = meta.get("q")
         if q is None and isinstance(m, LinearMatroid):
             q = m.field.q

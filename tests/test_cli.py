@@ -552,7 +552,12 @@ def test_errors_print_one_line(capsys, tmp_path):
     bad = tmp_path / "bad.matrix"
     bad.write_text("2 2 3\n1 0 1\n0 1\n")
     metadata = {}
-    for name, text in (("malformed", "{\n  bad"), ("array", "[1, 2]")):
+    for name, text in (
+        ("malformed", "{\n  bad"),
+        ("array", "[1, 2]"),
+        ("construction", '{"construction": [1]}'),
+        ("q", '{"q": "two"}'),
+    ):
         save_instances(tmp_path / name, main_theorem_suite(2, 2, 1, seed=0))
         (path,) = (tmp_path / name).glob("*.json")
         path.write_text(text)
@@ -566,6 +571,10 @@ def test_errors_print_one_line(capsys, tmp_path):
          metadata["malformed"][1]),
         (["verify", "main", "--q", "2", "--instances", metadata["array"][0]],
          metadata["array"][1]),
+        (["verify", "identities", "--q", "2", "--instances", metadata["construction"][0]],
+         f"{metadata['construction'][1]}: the construction is not a JSON object"),
+        (["verify", "bounds", "--q", "2", "--instances", metadata["q"][0]],
+         f"{metadata['q'][1]}: q is 'two', not an integer >= 2"),
     )
     for argv, fragment in cases:
         rc = main(argv)

@@ -1,6 +1,7 @@
 """Instance generation, the verification batteries, report
 serialization, the chromatic cross-check, and instance files."""
 
+import copy
 import json
 import sys
 import threading
@@ -8,7 +9,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 
-from matzero import charpoly, harness, matroid
+from matzero import charpoly, harness, matroid, projgeom
 from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_delete_contract, cp_mobius
 from matzero.cli import main as cli_main
 from matzero.errors import (
@@ -50,7 +51,9 @@ from matzero.matroid import (
     MinorMatroid,
     UniformMatroid,
     mask_bits,
+    mask_of,
 )
+from matzero.projgeom import brylawski_charpoly
 from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
 
 from support import criterion_07_instances, minor, minor_chains
@@ -455,6 +458,124 @@ def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkey
     assert len(passes) == len(forms)
 
 
+def _glued_pieces(m, cons):
+    """The last block, the union of the earlier blocks and the last
+    overlap of a glued construction, as masks."""
+    blocks = cons["block_elements"]
+    return (
+        mask_of(blocks[-1]),
+        mask_of(e for elems in blocks[:-1] for e in elems),
+        mask_of(cons["overlap_elements"][-1]),
+    )
+
+
+def test_split_chi_matches_brylawski_on_the_identity_battery():
+    """The row-level factorization equals brylawski_charpoly, with its
+    lattice walk and 2**t agreement check, on the restrictions of every
+    criterion-07 glued instance, and both equal chi of the instance."""
+    glued, _ = criterion_07_instances()
+    for rec in glued:
+        m = rec.matroid
+        last, prefix, common = _glued_pieces(m, rec.construction)
+        via_split, detail = harness._split_chi(m, rec.construction)
+        assert detail == ""
+        oracle = brylawski_charpoly(m.restrict(last), m.restrict(prefix), m.restrict(common))
+        assert via_split == oracle == cp_mobius(m)
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (lambda ov, private: ov[:-1], "split failed: the overlap is not the 3 points of its span"),
+        (lambda ov, private: ov[:1],
+         "split failed: the spans of the pieces meet outside the span of the overlap"),
+        (lambda ov, private: ov + [private], "split failed: the overlap is not in both pieces"),
+    ],
+    ids=["one-point-removed", "one-point-left", "private-point-added"],
+)
+def test_glued_check_reports_a_failed_split(mutate, detail):
+    """Two GF(2) blocks of rank 3 sharing a line: with the overlap's
+    points cut down or a point of the last block alone added to it, the
+    split fails its precondition, and the check fails with the reason
+    as its detail, not an exception; the other checks still pass."""
+    rec = gen_glued(2, 3, 2, 2, seed=0)
+    rec.construction = copy.deepcopy(rec.construction)
+    blocks, overlaps = rec.construction["block_elements"], rec.construction["overlap_elements"]
+    private = next(e for e in blocks[-1] if e not in blocks[0])
+    overlaps[-1] = mutate(overlaps[-1], private)
+    checks = verify_identities([rec])
+    assert [(c.check, c.detail) for c in checks if not c.passed] == [("glued-factorization", detail)]
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [
+        {"kind": "glued", "blocks": 2},
+        {"kind": "glued", "blocks": 2, "block_elements": [[0, 1, 2], [2, 3, 99]],
+         "overlap_elements": [[2]]},
+        {"kind": "glued", "blocks": 2, "block_elements": [[0, 1, 2], [2, 3, 4]],
+         "overlap_elements": [[-1]]},
+        {"kind": "glued", "blocks": 2, "block_elements": [[0, 1, 2, 3, 4]],
+         "overlap_elements": []},
+    ],
+    ids=["missing", "block-out-of-range", "overlap-out-of-range", "one-block"],
+)
+def test_glued_check_of_a_hand_built_record_without_usable_blocks(construction):
+    """A record built in code, which no loader checked, whose blocks or
+    overlaps are missing or name no elements of the matroid fails the
+    glued check with a detail instead of raising."""
+    rec = gen_glued(2, 2, 2, 1, seed=0)
+    rec.construction = construction
+    checks = verify_identities([rec])
+    (glued,) = [c for c in checks if c.check == "glued-factorization"]
+    assert not glued.passed
+    assert glued.detail == (
+        "split failed: the construction names no blocks and overlaps among the elements 0..4"
+    )
+    assert all(c.passed for c in checks if c is not glued)
+
+
+def test_glued_check_reports_an_inexact_division(monkeypatch):
+    """With a wrong recursion chi(L) chi(P) is not divisible by chi(C):
+    the glued check fails with the division's error as its detail
+    instead of raising."""
+    real = charpoly._chi_from_rows
+    monkeypatch.setattr(harness, "_chi_from_rows", lambda *args: real(*args) + ONE)
+    checks = verify_identities([gen_glued(2, 3, 2, 2, seed=0)])
+    (glued,) = [c for c in checks if c.check == "glued-factorization"]
+    assert not glued.passed
+    assert glued.detail.startswith("split failed: ") and "remainder" in glued.detail
+
+def test_identity_battery_walks_no_lattice_and_lists_one_neck(monkeypatch):
+    """On criterion 07, verify_identities builds no minor, embedding or
+    extension, calls neither brylawski_charpoly nor the lattice walk,
+    and lists at most one neck per instance; its checks all pass."""
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Matroid, "_flat_lattice")
+    counted(MinorMatroid, "__init__")
+    counted(projgeom, "_neck")
+    for name in ("embed", "extend", "brylawski_charpoly"):
+        counted(projgeom, name)
+        if hasattr(harness, name):  # a name the harness imported itself
+            counted(harness, name)
+    glued, rand = criterion_07_instances()
+    checks = verify_identities(glued + rand)
+    assert all_verdicts_true(checks)
+    for name in ("_flat_lattice", "__init__", "embed", "extend", "brylawski_charpoly"):
+        assert calls.get(name, 0) == 0, name
+    assert calls.get("_neck", 0) <= len(glued) + len(rand)
+
+
 # -- counting bounds ----------------------------------------------------------------
 
 
@@ -561,6 +682,55 @@ def test_save_load_reproduces_reports(tmp_path):
     second = reports_to_jsonl(verify_main_theorem(loaded, 2, 2))
     assert second == first  # byte for byte
 
+
+
+def _set(key, value, glued=False):
+    def change(meta):
+        (meta["construction"] if glued else meta)[key] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_set("id", 3), "the instance id is not a string"),
+        (_set("q", "two"), "q is 'two', not an integer >= 2"),
+        (_set("q", 1), "q is 1, not an integer >= 2"),
+        (_set("q", True), "q is True, not an integer >= 2"),
+        (_set("construction", [1]), "the construction is not a JSON object"),
+        (_set("blocks", "2", glued=True), "the glued block count is not an integer"),
+        (_set("block_elements", [[0, 1, 2], [2, 3, 5]], glued=True),
+         "block_elements is not a list of lists of element ids 0..4"),
+        (_set("block_elements", None, glued=True),
+         "block_elements is not a list of lists of element ids 0..4"),
+        (_set("overlap_elements", [2], glued=True),
+         "overlap_elements is not a list of lists of element ids 0..4"),
+        (_set("overlap_elements", [[True]], glued=True),
+         "overlap_elements is not a list of lists of element ids 0..4"),
+    ],
+)
+def test_load_instances_rejects_malformed_metadata(tmp_path, change, message):
+    """Metadata fields of the wrong type, or glued element lists that
+    name no element of the matroid, raise ParseError naming the file."""
+    save_instances(tmp_path, [gen_glued(2, 2, 2, 1, seed=0)])
+    (path,) = tmp_path.glob("*.json")
+    meta = json.loads(path.read_text())
+    change(meta)
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ParseError) as info:
+        load_instances(tmp_path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_instances_keeps_absent_metadata_fields(tmp_path):
+    """Absent fields take their defaults: the file stem, the matrix's
+    field, no construction."""
+    rec = gen_random_linear(3, 2, 5, 1)
+    save_instances(tmp_path, [rec])
+    (path,) = tmp_path.glob("*.json")
+    path.write_text("{}")
+    (loaded,) = load_instances(tmp_path)
+    assert (loaded.id, loaded.q, loaded.construction) == (rec.id, 3, {})
 
 def test_resolve_instances_forms(tmp_path):
     recs = main_theorem_suite(2, 2, 3, seed=9)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matzero import projgeom
-from matzero.charpoly import IntPoly, cp_delete_contract
+from matzero.charpoly import IntPoly, _chi_from_rows, cp_delete_contract
 from matzero.errors import (
     ArgumentError,
     MatZeroError,
@@ -38,6 +38,8 @@ from matzero.projgeom import (
     telescoping_expansion,
 )
 from matzero.treedecomp import Tree, TreeDecomposition, heuristic_decomposition
+
+from support import criterion_07_instances, minor_chains
 
 GLUED_TWO_PLANES_CP = (32, -64, 42, -11, 1)  # (x-1)(x-2)(x-4)^2
 
@@ -714,3 +716,105 @@ def test_telescoping_order_invariance():
         for t, _ in terms:
             total = total + cp_delete_contract(t)
         assert total == base_cp
+
+
+# -- necks and telescoping terms read off standard-form rows --------------------------
+
+
+def _distinct_points(m):
+    """(field, height, points): the distinct nonzero points of m in order
+    of first occurrence, the simplification verify_identities reads."""
+    field, height, points = m._points()
+    return field, height, [p for p in dict.fromkeys(points) if p]
+
+
+def _row_necks_agree(field, height, points) -> int:
+    """_path_neck_sizes gives every edge of the element-order path the
+    external size that path_necks finds on embed's base, and its
+    coordinates with the returned masks are a standard form whose basis
+    masks span the prefixes and suffixes.  Returns the edges checked."""
+    if len(points) < 2:
+        return 0
+    bmask, coordinates, lmask, sizes = projgeom._path_neck_sizes(field, height, points)
+    rank = bmask.bit_count()
+    ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
+    base = embed(ls)
+    necks = path_necks(base, heuristic_decomposition(base, "path"))
+    assert sizes == [len(external) for _, external in necks]
+    assert rank == lmask.bit_count() == ls.full_rank
+    assert (bmask, coordinates) == ls._standard_form()
+    return len(sizes)
+
+
+def _terms_match_the_oracle(field, height, points) -> bool:
+    """_telescoping_terms lists the neck that path_necks lists for the
+    first fattest edge that fits, on the base of the standard-form rows,
+    in extend's order, and each term's chi is that of the matching term
+    of telescoping_expansion by cp_delete_contract; their sum,
+    _telescoped_chi, is chi of the base.  Returns whether a term list
+    was made."""
+    n = len(points)
+    terms = projgeom._telescoping_terms(field, height, points, 20 - n)
+    bmask, coordinates, _, _ = projgeom._path_neck_sizes(field, height, points)
+    rank = bmask.bit_count()
+    base = LinearMatroid(field, [field.unpack(c, rank) for c in coordinates], nrows=rank)
+    necks = path_necks(base, heuristic_decomposition(base, "path"))
+    fits = [external for _, external in necks if n + len(external) <= 20]
+    if not fits:
+        assert terms is None
+        return False
+    chosen = max(fits, key=len)
+    assert terms[0][0] == coordinates + list(chosen)
+    oracle = telescoping_expansion(extend(base, chosen))
+    polys = [cp_delete_contract(term) for term, _ in oracle]
+    assert [_chi_from_rows(field.project, rows, r) for rows, r in terms] == polys
+    total = IntPoly([])
+    for p in polys:
+        total = total + p
+    assert projgeom._telescoped_chi(field, height, points, 20 - n) == total
+    assert total == cp_delete_contract(base)
+    return True
+
+
+def test_row_necks_agree_with_path_necks_on_the_identity_battery():
+    glued, rand = criterion_07_instances()
+    edges = sum(_row_necks_agree(*_distinct_points(rec.matroid)) for rec in glued + rand)
+    assert edges >= 500
+
+
+def test_telescoping_terms_match_the_expansion_on_the_identity_battery():
+    glued, rand = criterion_07_instances()
+    made = sum(_terms_match_the_oracle(*_distinct_points(rec.matroid))
+               for rec in glued + rand if len(_distinct_points(rec.matroid)[2]) >= 2)
+    assert made == len(glued) + len(rand)
+
+
+@st.composite
+def gf45_points(draw):
+    """The distinct nonzero points of a random matrix over GF(4) or
+    GF(5) of height 1 to 4."""
+    field = gf(draw(st.sampled_from((4, 5))))
+    height = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, field.q - 1)] * height), max_size=10))
+    return _distinct_points(LinearMatroid(field, cols, nrows=height))
+
+
+@given(minor_chains())
+@settings(max_examples=100, deadline=None)
+def test_row_necks_and_terms_on_minor_chains(chain):
+    """On roots and minors of minors over GF(2, 3, 4, 5, 7, 9), read at
+    the root's height."""
+    for m in chain:
+        field, height, points = _distinct_points(m)
+        _row_necks_agree(field, height, points)
+        if len(points) >= 2:
+            _terms_match_the_oracle(field, height, points)
+
+
+@given(gf45_points())
+@settings(max_examples=150, deadline=None)
+def test_row_necks_and_terms_on_random_matrices(drawn):
+    field, height, points = drawn
+    _row_necks_agree(field, height, points)
+    if len(points) >= 2:
+        _terms_match_the_oracle(field, height, points)
