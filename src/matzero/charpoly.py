@@ -323,30 +323,37 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
 
     where X_{i,j} = {x_1, ..., x_{j-1}} minus {x_i}.  The input must be
     simple: a zero point (:meth:`Matroid._points`) or a repeated one
-    raises :class:`NotSimpleError`.  Like :func:`_chi_from_rows`, the
-    expansion runs on coordinate rows, starting from m's standard form
-    (:meth:`Matroid._standard_form`), and builds no minor, asks no rank
-    and walks no lattice.  At each minor the cocircuit comes from a scan
-    of linear functionals (:func:`matroid._min_cocircuit`).  The rows of
-    M minus C* are the other rows, of rank one less, put in a standard
-    form again by one elimination pass (:func:`matroid._standard_rows`).
-    The term (i, j) keeps the rows outside x_1, ..., x_j, contracted
-    along x_j and x_i: one :meth:`GF.project` call per j projects those
-    rows and x_1, ..., x_(j-1) along x_j's row, and one per term projects
-    the rows along x_i's projected row.
-    Contracted terms are normalized: a zero row kills the term and only
-    the first of equal rows is kept.  A minor with as many points as its
-    rank has chi (lam - 1)**n, and a simple rank-2 minor with n points
-    (lam - 1)(lam - n + 1).
+    raises :class:`NotSimpleError`.  :func:`_cocircuit_chi` expands the
+    rows of m's standard form (:meth:`Matroid._standard_form`)."""
+    field, _, points = m._points()
+    if 0 in points or len(set(points)) < m.n:
+        raise NotSimpleError("the cocircuit expansion needs a simple matroid")
+    basis, rows = m._standard_form()
+    return _cocircuit_chi(field, rows, basis.bit_count())
+
+
+def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
+    """chi of the simple matroid of the standard-form ``rows`` of rank
+    ``rank`` (:meth:`Matroid._standard_form`; the distinct rows of a
+    loopless one are its simplification's) by the expansion of
+    :func:`cp_cocircuit_expansion`, on rows like :func:`_chi_from_rows`.
+    Each minor's cocircuit comes from a scan of linear functionals
+    (:func:`matroid._min_cocircuit`).  The rows of M minus C* are the
+    other rows, of rank one less, put in a standard form again by one
+    elimination pass (:func:`matroid._standard_rows`).  The term (i, j)
+    keeps the rows outside x_1, ..., x_j, contracted along x_j and x_i:
+    one :meth:`GF.project` call per j projects those rows and
+    x_1, ..., x_(j-1) along x_j's row, and one per term projects the
+    rows along x_i's projected row.  Contracted terms are normalized: a
+    zero row kills the term and only the first of equal rows is kept.
+    A minor with as many points as its rank has chi (lam - 1)**n, and a
+    simple rank-2 minor with n points (lam - 1)(lam - n + 1).
 
     No minor is kept for reuse, because no two terms share one: the
     first term deletes the x_i that every other term contracts, and of
     two terms (i, j) != (i', j') one deletes an element that the other
     contracts.
     """
-    field, _, points = m._points()
-    if 0 in points or len(set(points)) < m.n:
-        raise NotSimpleError("the cocircuit expansion needs a simple matroid")
     project = field.project
 
     def expand(rows: list, rank: int, height: int) -> IntPoly:
@@ -376,8 +383,6 @@ def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
                     total = total + expand(list(dict.fromkeys(rest)), rank - 2, height)
         return total
 
-    basis, rows = m._standard_form()
-    rank = basis.bit_count()
     return expand(rows, rank, rank)
 
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .charpoly import (
     ZERO,
+    _cocircuit_chi,
     cp_boolean_expansion,
-    cp_cocircuit_expansion,
     cp_delete_contract,
     cp_mobius,
     cp_uniform_closed_form,
@@ -65,8 +65,8 @@ def _engine_charpoly(m, engine: str):
     if engine == "cocircuit":
         if m.loops_mask():
             return ZERO
-        simple, _ = m.simplify()
-        return cp_cocircuit_expansion(simple)
+        basis, coordinates = m._standard_form()
+        return _cocircuit_chi(m._points()[0], list(dict.fromkeys(coordinates)), basis.bit_count())
     raise ArgumentError(f"unknown engine {engine!r}")
 
 

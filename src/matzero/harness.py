@@ -21,8 +21,8 @@ from .charpoly import (
     IntPoly,
     ZERO,
     _chi_from_rows,
+    _cocircuit_chi,
     _remember,
-    cp_cocircuit_expansion,
     cp_delete_contract,
     largest_real_root,
     poly_exact_div,
@@ -44,6 +44,7 @@ from .matroid import (
     Matroid,
     _coloops,
     _delete_contract_rows,
+    _min_cocircuit,
     _standard_rows,
     load_matroid,
     mask_bits,
@@ -493,22 +494,21 @@ def _poly_str(p: IntPoly) -> str:
     return "[" + ",".join(p.to_json()) + "]"
 
 
-def _check_delete_contract(m: Matroid) -> tuple[IntPoly, str]:
+def _check_delete_contract(field, basis: int, coordinates: list[int]) -> tuple[IntPoly, str]:
     """chi(m) and the identity chi(m) = chi(m minus e) - chi(m contract e)
-    at every element e that is neither a loop nor a coloop, all from one
-    standard form of m (:meth:`Matroid._standard_form`): the rows of both
-    minors are derived from it by one pivot step each
+    at every element e that is neither a loop nor a coloop, all from m's
+    standard form over ``field`` (:meth:`Matroid._standard_form`): the
+    rows of both minors are derived from it by one pivot step each
     (:func:`matroid._delete_contract_rows`) and no minor is built.  Each
     chi is computed by the deletion-contraction recursion
     (:func:`charpoly._chi_from_rows`), none read from a table.  Returns
     chi(m) and "" when every identity holds, or else a detail naming the
     first element that fails and both polynomials."""
-    field = m._points()[0]
     project = field.project
-    basis, coordinates = m._standard_form()
     rank = basis.bit_count()
     chi = _chi_from_rows(project, coordinates, rank)
-    for e in mask_bits(m.full_mask & ~(m.loops_mask() | _coloops(field, basis, coordinates))):
+    nonloops = mask_of(e for e, row in enumerate(coordinates) if row)
+    for e in mask_bits(nonloops & ~_coloops(field, basis, coordinates)):
         deleted, contracted = _delete_contract_rows(field, basis, coordinates, e)
         rhs = _chi_from_rows(project, deleted, rank) - _chi_from_rows(project, contracted, rank - 1)
         if chi != rhs:
@@ -577,57 +577,59 @@ def _split_chi(m: Matroid, cons: dict) -> tuple[IntPoly | None, str]:
 
 
 def verify_identities(instances) -> list[IdentityCheck]:
-    """Exact identity checks on every instance:
+    """Exact identity checks on every instance, from one standard form
+    of it (:meth:`Matroid._standard_form`):
 
     * deletion-contraction at every element that is neither a loop nor
-      a coloop, both minors derived from one standard form of the
-      instance with no minor built (:func:`_check_delete_contract`);
+      a coloop, both minors derived from the standard form
+      (:func:`_check_delete_contract`);
     * the glued-block factorization through the last overlap, when the
       construction metadata identifies the blocks, from the pieces'
       points with a linear-algebra precondition in place of a lattice
       walk (:func:`_split_chi`); a construction that names no blocks
       among the elements, or a split that fails the precondition, is a
       failed check with a ``split failed:`` detail;
-    * the telescoping extension expansion on the simplification of a
-      loopless matrix, along the first neck of the element-order path
-      with the most external points that keeps the extension within 20
-      elements: only that neck is listed, and each term is one
-      projection of the base's standard-form rows
-      (:func:`projgeom._telescoped_chi`);
-    * the cocircuit expansion against deletion-contraction.
+    * on the simplification of a loopless matrix, the distinct rows of
+      the standard form (its own standard form, since the first basis
+      repeats no point), the cocircuit expansion
+      (:func:`charpoly._cocircuit_chi`) and the telescoping extension
+      expansion along the first neck of the element-order path with the
+      most external points that keeps the extension within 20 elements,
+      only that neck listed (:func:`projgeom._telescoped_chi`).
 
-    No minor, embedding or extension matroid is built for the first
-    three, and every chi is computed by the recursion, none read from a
-    table.  Any mismatch is reported with the offending polynomials.
+    No minor, embedding, extension or simplification is built, and every
+    chi is computed by a recursion, none read from a table.  Any
+    mismatch is reported with the offending polynomials.  A construction
+    that :func:`_construction_problem` rejects raises
+    :class:`ArgumentError` naming the record.
     """
     out = []
     for rec in instances:
-        m = rec.matroid
-        chi, detail = _check_delete_contract(m)
+        m, cons = rec.matroid, rec.construction
+        problem = _construction_problem(cons)
+        if problem:
+            raise ArgumentError(f"{rec.id}: {problem}")
+        field = m._points()[0]
+        basis, coordinates = m._standard_form()
+        chi, detail = _check_delete_contract(field, basis, coordinates)
         out.append(IdentityCheck(rec.id, "delete-contract", not detail, detail))
 
-        cons = rec.construction
         if cons.get("kind") == "glued" and cons.get("blocks", 1) >= 2:
             via_split, detail = _split_chi(m, cons)
             if via_split is not None and via_split != chi:
                 detail = f"factored {_poly_str(via_split)} vs direct {_poly_str(chi)}"
             out.append(IdentityCheck(rec.id, "glued-factorization", not detail, detail))
 
-        field, height, points = m._points()
-        if isinstance(m, LinearMatroid) and 0 not in points:
-            # the simplification keeps the first element of each distinct point
-            first: dict[int, int] = {}
-            for e, point in enumerate(points):
-                first.setdefault(point, e)
-            ls = LinearMatroid(m.field, [m.columns[e] for e in first.values()])
+        if isinstance(m, LinearMatroid) and 0 not in coordinates:
             # a loopless matroid and its simplification share chi
-            ok = cp_cocircuit_expansion(ls) == chi
+            rows = list(dict.fromkeys(coordinates))
+            ok = _cocircuit_chi(field, rows, basis.bit_count()) == chi
             out.append(IdentityCheck(rec.id, "cocircuit-expansion", ok))
 
-            if ls.n >= 2:
+            if len(rows) >= 2:
                 # the fattest external neck that still fits makes the
                 # most demanding check; the leaf edge always fits
-                total = _telescoped_chi(field, height, list(first), 20 - ls.n)
+                total = _telescoped_chi(field, rows, 20 - len(rows))
                 if total is not None:
                     ok = total == chi
                     detail = "" if ok else (
@@ -645,16 +647,16 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
     * some cocircuit of size at most q**(k-1) when a width-k witness
       exists over GF(q).
 
-    Both are read on the simplification, the loops deleted first; a loop
-    changes no rank, so the witness width still holds there.
-    """
+    Both are read on the simplification, the distinct nonzero rows of the
+    instance's standard form with no matroid built; a loop changes no
+    rank, so the witness width still holds there."""
     _check_bound_arguments(q, k)
     out = []
     for rec in instances:
-        m = rec.matroid
-        if not m.is_simple():
-            m, _ = m.delete(m.loops_mask()).simplify()
-        r = m.full_rank
+        field = rec.matroid._points()[0]
+        basis, coordinates = rec.matroid._standard_form()
+        rows = [row for row in dict.fromkeys(coordinates) if row]
+        n, r = len(rows), basis.bit_count()
         if r == 0:
             continue
         if not rec.matroid.has_line_minor(q + 2):
@@ -665,17 +667,17 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
                     theorem="size",
                     q=q,
                     k=None,
-                    n=m.n,
+                    n=n,
                     rank=r,
                     witnessed_width=rec.witnessed_width,
                     bound=bound,
-                    verdict=m.n <= bound,
+                    verdict=n <= bound,
                 )
             )
         if rec.decomposition is not None and rec.q == q:
             w = rec.decomposition.width()
             if w <= k:
-                size = m.find_small_cocircuit().bit_count()
+                size = _min_cocircuit(field, rows).bit_count()
                 bound = Fraction(q ** (k - 1))
                 out.append(
                     BoundReport(
@@ -683,7 +685,7 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
                         theorem="cocircuit",
                         q=q,
                         k=k,
-                        n=m.n,
+                        n=n,
                         rank=r,
                         witnessed_width=w,
                         bound=bound,
@@ -767,24 +769,33 @@ def save_instances(directory, instances) -> None:
         (d / f"{rec.id}.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
+def _construction_problem(cons) -> str:
+    """What makes a construction unusable, or "": one that is not an
+    object, or a glued one whose ``blocks`` is not an integer."""
+    if not isinstance(cons, dict):
+        return "the construction is not a JSON object"
+    if cons.get("kind") == "glued" and type(cons.get("blocks", 1)) is not int:
+        return "the glued block count is not an integer"
+    return ""
+
+
 def _metadata_problem(meta: dict, n: int) -> str:
     """What makes instance metadata unusable for a matroid on n
     elements, or "": an ``id`` that is not a string, a ``q`` that is not
-    an integer >= 2, a ``construction`` that is not an object, or a glued
-    construction whose ``blocks`` is not an integer or whose
-    ``block_elements`` or ``overlap_elements`` is not a list of lists of
-    element ids 0..n-1.  Absent fields take their defaults."""
+    an integer >= 2, a ``construction`` that :func:`_construction_problem`
+    rejects, or a glued construction whose ``block_elements`` or
+    ``overlap_elements`` is not a list of lists of element ids 0..n-1.
+    Absent fields take their defaults."""
     if not isinstance(meta.get("id", ""), str):
         return "the instance id is not a string"
     q = meta.get("q")
     if q is not None and (type(q) is not int or q < 2):
         return f"q is {q!r}, not an integer >= 2"
     cons = meta.get("construction", {})
-    if not isinstance(cons, dict):
-        return "the construction is not a JSON object"
+    problem = _construction_problem(cons)
+    if problem:
+        return problem
     if cons.get("kind") == "glued":
-        if type(cons.get("blocks", 1)) is not int:
-            return "the glued block count is not an integer"
         for key in ("block_elements", "overlap_elements"):
             if not _element_lists(cons.get(key), n):
                 return f"{key} is not a list of lists of element ids 0..{n - 1}"

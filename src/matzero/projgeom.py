@@ -249,46 +249,44 @@ def _neck(field: GF, height: int, image, us, ws) -> tuple[tuple[int, ...], tuple
     return tuple(neck), tuple(p for p in neck if p not in image)
 
 
-def _path_neck_sizes(field: GF, height: int, points) -> tuple[int, list[int], int, list[int]]:
+def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int]]:
     """The external neck size of every edge of the path of singleton
-    bags in element order over distinct nonzero ``points``, echelon rows
-    of ``height`` digits: what :func:`path_necks` finds for the base of
-    their matroid and ``heuristic_decomposition(base, "path")``, with no
-    intersection taken.  Edge i displays the elements 0..i against
-    i+1..n-1.
+    bags in element order over the standard-form ``rows`` of a simple
+    matroid (:meth:`Matroid._standard_form`): what :func:`path_necks`
+    finds for the base of their matroid and
+    ``heuristic_decomposition(base, "path")``, with no intersection
+    taken.  Edge i displays the elements 0..i against i+1..n-1.
 
-    Two standard forms (:func:`matroid._standard_rows`) give every size,
-    one in element order and one in reverse.  Digit j of a coordinate
-    row belongs to the j-th element of its pass's first basis, and the
-    basis elements among 0..i span the prefix, so a point lies in the
-    prefix span of edge i exactly when the last basis element its
-    forward coordinates use is at most i, and that span's rank is the
-    number of basis elements up to i.  The suffix is read the same way
-    from the reverse pass.  The neck has (q**d - 1)/(q - 1) points for
-    the dimension d of the intersection of the two spans, and the
-    external ones are those that are no element lying in both.
+    The unit rows are the first basis in element order, and a standard
+    form of the rows in reverse (:func:`matroid._standard_rows`) gives
+    the last.  Digit j of a coordinate row belongs to the j-th element
+    of its pass's first basis, and the basis elements among 0..i span
+    the prefix, so a point lies in the prefix span of edge i exactly
+    when the last basis element its forward coordinates use is at most
+    i, and that span's rank is the number of basis elements up to i.
+    The suffix is read the same way from the reverse pass.  The neck
+    has (q**d - 1)/(q - 1) points for the dimension d of the
+    intersection of the two spans, and the external ones are those that
+    are no element lying in both.
 
-    Returns (B, coordinates, L, sizes): the mask B of the forward first
-    basis, the forward coordinates, which with their r unit rows are
-    an embedded base in standard form, the mask L of the elements of
-    the reverse pass's first basis, and the size for each edge.
+    Returns (L, sizes): the mask L of the reverse pass's first basis
+    and the size for each edge.
     """
-    n, width = len(points), field.width
-    bmask, coordinates = _standard_rows(field, height, points)
-    rmask, backward = _standard_rows(field, height, points[::-1])
-    first = list(mask_bits(bmask))
-    last = [n - 1 - b for b in mask_bits(rmask)]
+    n, width = len(rows), field.width
+    first = [e for e, row in enumerate(rows) if not row & row - 1]  # unit rows are one bit
     rank = len(first)
+    rmask, backward = _standard_rows(field, rank, rows[::-1])
+    last = [n - 1 - b for b in mask_bits(rmask)]
     # an element lies in both spans at the edges from the last basis
     # element its forward coordinates use up to, not including, the
     # first one its backward coordinates use
     enters = [0] * n
-    for row, back in zip(coordinates, reversed(backward)):
+    for row, back in zip(rows, reversed(backward)):
         lo, hi = first[(row.bit_length() - 1) // width], last[(back.bit_length() - 1) // width]
         if lo < hi:
             enters[lo] += 1
             enters[hi] -= 1
-    lmask = mask_of(last)
+    bmask, lmask = mask_of(first), mask_of(last)
     sizes = []
     both = ahead = 0
     behind = rank
@@ -297,21 +295,20 @@ def _path_neck_sizes(field: GF, height: int, points) -> tuple[int, list[int], in
         ahead += bmask >> i & 1
         behind -= lmask >> i & 1
         sizes.append(pg_point_count(ahead + behind - rank, field.q) - both)
-    return bmask, coordinates, lmask, sizes
+    return lmask, sizes
 
 
-def _telescoping_terms(field: GF, height: int, points, room: int) -> list[tuple[list, int]] | None:
-    """The rows of the telescoping expansion of the matroid of distinct
-    nonzero ``points`` (echelon rows of ``height`` digits) along its
-    fattest external path neck, as (rows, rank) pairs in the standard
-    form that :func:`charpoly._chi_from_rows` reads: the extension
-    first, then one contraction per added point, in the order of
+def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | None:
+    """The rows of the telescoping expansion of the simple matroid of the
+    standard-form ``rows`` along its fattest external path neck, as
+    (rows, rank) pairs in the standard form that
+    :func:`charpoly._chi_from_rows` reads: the extension first, then one
+    contraction per added point, in the order of
     :func:`telescoping_expansion`.
 
-    The base is the points' standard-form coordinates
-    (:func:`_path_neck_sizes`), as :func:`embed` reads a tall matrix.
-    The neck is that of the first edge of the element-order path with
-    the most external points, at most ``room`` of them, as
+    The base is the matroid of the rows, as :func:`embed` reads a tall
+    matrix.  The neck is that of the first edge of the element-order
+    path with the most external points, at most ``room`` of them, as
     :func:`path_necks` and :func:`extend` would list and add them; only
     that one neck is intersected (:func:`_neck`).  The extension keeps
     a unit row per digit, and projecting along an added point kills its
@@ -319,32 +316,32 @@ def _telescoping_terms(field: GF, height: int, points, room: int) -> list[tuple[
     :meth:`GF.project` call gives each contraction in standard form.
     Returns None when no edge has at most ``room`` external points.
     """
-    bmask, coordinates, lmask, sizes = _path_neck_sizes(field, height, points)
+    lmask, sizes = _path_neck_sizes(field, rows)
     fits = [i for i, size in enumerate(sizes) if size <= room]
     if not fits:
         return None
     i = max(fits, key=sizes.__getitem__)
-    rank = bmask.bit_count()
+    rank = lmask.bit_count()
     # the forward basis elements up to i span the prefix, the reverse
     # basis elements after i the suffix
-    ahead = [coordinates[e] for e in mask_bits(bmask & (2 << i) - 1)]
-    behind = [coordinates[e] for e in mask_bits(lmask >> i + 1 << i + 1)]
-    _, external = _neck(field, rank, set(coordinates), ahead, behind)
-    terms = [(coordinates + list(external), rank)]
+    ahead = [row for row in rows[:i + 1] if not row & row - 1]
+    behind = [rows[e] for e in mask_bits(lmask >> i + 1 << i + 1)]
+    _, external = _neck(field, rank, set(rows), ahead, behind)
+    terms = [(rows + list(external), rank)]
     for j, point in enumerate(external):
-        terms.append((field.project(coordinates + list(external[:j]), point), rank - 1))
+        terms.append((field.project(rows + list(external[:j]), point), rank - 1))
     return terms
 
 
-def _telescoped_chi(field: GF, height: int, points, room: int) -> IntPoly | None:
+def _telescoped_chi(field: GF, rows, room: int) -> IntPoly | None:
     """The sum of the chi of the :func:`_telescoping_terms`, each by the
     deletion-contraction recursion (:func:`charpoly._chi_from_rows`),
-    which gives back chi of the matroid of ``points``; None when no
-    path neck has at most ``room`` external points."""
-    terms = _telescoping_terms(field, height, points, room)
+    which gives back chi of the matroid of the standard-form ``rows``;
+    None when no path neck has at most ``room`` external points."""
+    terms = _telescoping_terms(field, rows, room)
     if terms is None:
         return None
-    return sum((_chi_from_rows(field.project, rows, rank) for rows, rank in terms), ZERO)
+    return sum((_chi_from_rows(field.project, term, rank) for term, rank in terms), ZERO)
 
 
 def induced_decomposition(ext: ExtensionMatroid, dec: TreeDecomposition, edge) -> TreeDecomposition:

@@ -9,6 +9,8 @@
 * :func:`minor_chains`: a hypothesis strategy for chains of minors.
 * :func:`criterion_07_instances`: the instances of acceptance
   criterion 07, the identity battery.
+* :func:`non_simple_matroids`: matroids with loops and parallel
+  elements, and loopless ones with parallel elements.
 """
 
 import random
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from matzero.gfq import gf
 from matzero.harness import gen_glued, gen_random_linear
-from matzero.matroid import LinearMatroid, as_mask, mask_bits, mask_of
+from matzero.matroid import GraphicMatroid, LinearMatroid, as_mask, mask_bits, mask_of
 
 CRITERION_07_SHAPES = (
     (2, 2, 2, 1),
@@ -98,3 +100,27 @@ def criterion_07_instances() -> tuple[list, list]:
         n = rng.randint(6, 9)
         rand.append(gen_random_linear(q, r, n, rng.randrange(1 << 30)))
     return glued, rand
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def non_simple_matroids() -> list[tuple[str, object]]:
+    """(name, matroid) pairs that are not simple: a graphic matroid with
+    a loop edge and parallel edges, and GF(3) and GF(4) matrices with
+    zero columns and repeated or rescaled ones, each also without its
+    loops, so that parallel elements alone are left."""
+    edges = K4_EDGES + [(1, 1), (0, 1), (2, 3), (0, 1)]
+    out = [
+        ("graph-loops", GraphicMatroid(4, edges)),
+        ("graph-loopless", GraphicMatroid(4, [(u, v) for u, v in edges if u != v])),
+    ]
+    for q, cols in (
+        (3, [(1, 0, 2), (0, 0, 0), (1, 1, 0), (2, 0, 1), (1, 0, 2), (0, 1, 1), (2, 2, 0),
+             (0, 0, 0), (1, 2, 2), (0, 1, 1), (0, 0, 1), (1, 1, 1)]),
+        (4, [(1, 2, 0), (0, 0, 0), (0, 1, 3), (1, 2, 0), (2, 3, 0), (1, 1, 1), (0, 0, 0),
+             (3, 0, 1), (0, 2, 1), (1, 1, 1)]),
+    ):
+        out.append((f"gf{q}-loops", LinearMatroid(gf(q), cols)))
+        out.append((f"gf{q}-loopless", LinearMatroid(gf(q), [c for c in cols if any(c)])))
+    return out

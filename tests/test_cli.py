@@ -12,6 +12,8 @@ from matzero.instances import fano
 from matzero.matroid import LinearMatroid, load_matroid, save_matroid
 from matzero.treedecomp import load_decomposition
 
+from support import non_simple_matroids
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -363,6 +365,23 @@ def test_charpoly_engines_agree_via_cli(capsys, tmp_path):
         assert rc == 0
         outputs.append(json.loads(out))
     assert all(o == ["4", "-5", "1"] for o in outputs)
+
+
+@pytest.mark.parametrize("name, m", non_simple_matroids(), ids=[n for n, _ in non_simple_matroids()])
+def test_charpoly_cocircuit_engine_on_loops_and_parallel_elements(capsys, tmp_path, name, m):
+    """A graphic matroid with a loop edge and parallel edges, and GF(3)
+    and GF(4) matrices with zero and repeated columns, each with and
+    without its loops: the cocircuit engine, which expands the
+    simplification, prints what deletion-contraction prints."""
+    path = tmp_path / f"{name}.matrix"
+    save_matroid(m, path)
+    outputs = []
+    for engine in ("delcon", "cocircuit"):
+        rc, out = run(capsys, "charpoly", str(path), "--engine", engine)
+        assert rc == 0
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1]
+    assert (outputs[0] == []) == name.endswith("-loops")
 
 
 def test_charpoly_pretty_goes_to_stderr(capsys, tmp_path):

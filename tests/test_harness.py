@@ -5,6 +5,7 @@ import copy
 import json
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +57,7 @@ from matzero.matroid import (
 from matzero.projgeom import brylawski_charpoly
 from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
 
-from support import criterion_07_instances, minor, minor_chains
+from support import criterion_07_instances, minor, minor_chains, non_simple_matroids
 
 
 # -- engine choice and seeds ---------------------------------------------------
@@ -421,7 +422,7 @@ def test_delete_contract_check_reports_a_wrong_polynomial(monkeypatch):
 def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkeypatch):
     """On a criterion-07 instance the delete-contract check
     (_check_delete_contract, counted alone, not the other checks of
-    verify_identities) runs _standard_form once on the instance and
+    verify_identities), handed the one _standard_form of the instance,
     builds no minor of it; it makes no other elimination pass, not even
     for a basis element it checks, whose deletion exchanges it for the
     first row nonzero at its digit."""
@@ -449,7 +450,7 @@ def test_delete_contract_check_runs_one_standard_form_and_builds_no_minor(monkey
     monkeypatch.setattr(Matroid, "_standard_form", form)
     monkeypatch.setattr(matroid, "_standard_rows", rows)
     monkeypatch.setattr(MinorMatroid, "__init__", init)
-    chi, detail = harness._check_delete_contract(m)
+    chi, detail = harness._check_delete_contract(m._points()[0], *m._standard_form())
     assert detail == "" and chi == cp_mobius(m)
     assert sum(1 for f in forms if f is m) == 1
     assert not any(root is m for root in minor_roots)
@@ -535,6 +536,25 @@ def test_glued_check_of_a_hand_built_record_without_usable_blocks(construction):
     assert all(c.passed for c in checks if c is not glued)
 
 
+@pytest.mark.parametrize(
+    "construction, message",
+    [
+        ([1], "the construction is not a JSON object"),
+        ({"kind": "glued", "blocks": "2"}, "the glued block count is not an integer"),
+    ],
+    ids=["not-a-dict", "blocks-not-an-int"],
+)
+def test_verify_identities_rejects_a_hand_built_construction(construction, message):
+    """A record built in code, which no loader checked, whose
+    construction is not a dict or whose glued block count is not an int
+    raises ArgumentError naming the record, in load_instances' words."""
+    rec = gen_glued(2, 2, 2, 1, seed=0)
+    rec.construction = construction
+    with pytest.raises(ArgumentError) as info:
+        verify_identities([rec])
+    assert str(info.value) == f"{rec.id}: {message}"
+
+
 def test_glued_check_reports_an_inexact_division(monkeypatch):
     """With a wrong recursion chi(L) chi(P) is not divisible by chi(C):
     the glued check fails with the division's error as its detail
@@ -574,6 +594,39 @@ def test_identity_battery_walks_no_lattice_and_lists_one_neck(monkeypatch):
     for name in ("_flat_lattice", "__init__", "embed", "extend", "brylawski_charpoly"):
         assert calls.get(name, 0) == 0, name
     assert calls.get("_neck", 0) <= len(glued) + len(rand)
+
+
+def test_identity_battery_reads_one_standard_form_per_instance(monkeypatch):
+    """On criterion 07, verify_identities calls _standard_form once per
+    instance, on the instance itself, and builds no LinearMatroid or
+    MinorMatroid: every check, the simplification's included, reads
+    that one standard form; its checks all pass."""
+    glued, rand = criterion_07_instances()
+    recs = glued + rand
+    forms, built = [], []
+    real_form = Matroid._standard_form
+
+    def form(self):
+        forms.append(self)
+        return real_form(self)
+
+    def counted_init(cls):
+        real_init = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    monkeypatch.setattr(Matroid, "_standard_form", form)
+    counted_init(LinearMatroid)
+    counted_init(MinorMatroid)
+    checks = verify_identities(recs)
+    assert all_verdicts_true(checks)
+    assert len(forms) == len(recs)
+    assert all(m is rec.matroid for m, rec in zip(forms, recs))
+    assert built == []
 
 
 # -- counting bounds ----------------------------------------------------------------
@@ -623,6 +676,68 @@ def test_bound_suites_reject_bad_q_or_k_before_any_instance(verify, q, k):
 
     with pytest.raises(ArgumentError, match="q >= 2" if q < 2 else "k >= 1"):
         verify(untouched(), q, k)
+
+
+def _bounds_by_simplify(instances, q: int, k: int) -> list[BoundReport]:
+    """verify_size_and_cocircuit_bounds on a simplification built as a
+    matroid: the loops deleted, then one element kept per parallel class
+    (Matroid.simplify), and its smallest cocircuit found by
+    find_small_cocircuit."""
+    out = []
+    for rec in instances:
+        m = rec.matroid
+        if not m.is_simple():
+            m, _ = m.delete(m.loops_mask()).simplify()
+        r = m.full_rank
+        if r == 0:
+            continue
+        if not rec.matroid.has_line_minor(q + 2):
+            bound = Fraction(q ** r - 1, q - 1)
+            out.append(BoundReport(rec.id, "size", q, None, m.n, r, rec.witnessed_width,
+                                   bound, m.n <= bound))
+        if rec.decomposition is not None and rec.q == q:
+            w = rec.decomposition.width()
+            if w <= k:
+                size = m.find_small_cocircuit().bit_count()
+                bound = Fraction(q ** (k - 1))
+                out.append(BoundReport(rec.id, "cocircuit", q, k, m.n, r, w, bound,
+                                       size <= bound, cocircuit_size=size))
+    return out
+
+
+def _bound_record(name, m):
+    return InstanceRecord(id=name, q=m._points()[0].q, matroid=m,
+                          decomposition=single_vertex_decomposition(m))
+
+
+def test_size_and_cocircuit_bounds_match_the_simplify_oracle_on_non_simple_matroids():
+    """With loops and parallel elements (a graphic matroid with a loop
+    edge and parallel edges, GF(3) and GF(4) matrices with zero and
+    repeated columns), the reports read off the distinct rows of the
+    standard form are those of the simplification built as a matroid,
+    byte for byte, at every width bound up to the witness's."""
+    for name, m in non_simple_matroids():
+        rec = _bound_record(name, m)
+        q = rec.q
+        for k in range(1, rec.witnessed_width + 1):
+            reports = verify_size_and_cocircuit_bounds([rec], q, k)
+            assert reports_to_jsonl(reports) == reports_to_jsonl(_bounds_by_simplify([rec], q, k))
+            assert [r.theorem for r in reports] == ["size"] + ["cocircuit"] * (
+                k == rec.witnessed_width)
+            assert reports[0].n == len(set(p for p in m._points()[2] if p)), name
+
+
+@given(minor_chains())
+@settings(max_examples=100, deadline=None)
+def test_size_and_cocircuit_bounds_match_the_simplify_oracle_on_minor_chains(chain):
+    """Over GF(2, 3, 4, 5, 7, 9), on roots with zero columns and
+    repeated points and on minors of minors, whose contractions make
+    loops and parallel elements."""
+    for m in chain:
+        rec = _bound_record("chain", m)
+        k = max(1, rec.witnessed_width)
+        assert reports_to_jsonl(verify_size_and_cocircuit_bounds([rec], rec.q, k)) == (
+            reports_to_jsonl(_bounds_by_simplify([rec], rec.q, k)))
 
 
 def test_size_bound_counts_simplification():

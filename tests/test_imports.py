@@ -248,3 +248,37 @@ def test_no_hand_rolled_elimination(path):
     else eliminates through ``GF.echelon``, ``echelon_into``, ``project``
     or the standard form."""
     assert field_reduce_reads(path.read_text(encoding="utf-8")) == []
+
+
+#: the calls that build a simplification as a matroid, or test for one
+SIMPLIFICATION_CALLS = {"simplify", "is_simple"}
+
+
+def simplification_calls(source: str) -> list[str]:
+    """The calls of a ``.simplify`` or ``.is_simple`` attribute in
+    ``source``, as "line:attribute"."""
+    return [
+        f"{node.lineno}:{node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SIMPLIFICATION_CALLS
+    ]
+
+
+def test_detector_finds_simplification_calls():
+    source = (
+        "def f(m):\n"
+        "    if not m.is_simple():\n"
+        "        m, _ = m.delete(m.loops_mask()).simplify()\n"
+        "    simplify = m.simplify\n"
+        "    return m.simplified, simplify()\n"
+    )
+    assert simplification_calls(source) == ["2:is_simple", "3:simplify"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matroid.py"], ids=lambda p: p.name)
+def test_no_second_simplification_route(path):
+    """Outside matroid.py, which defines them, nothing calls
+    ``.simplify()`` or ``.is_simple()``: a simplification is read off a
+    standard form as its distinct nonzero rows."""
+    assert simplification_calls(path.read_text(encoding="utf-8")) == []

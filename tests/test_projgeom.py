@@ -721,82 +721,105 @@ def test_telescoping_order_invariance():
 # -- necks and telescoping terms read off standard-form rows --------------------------
 
 
-def _distinct_points(m):
-    """(field, height, points): the distinct nonzero points of m in order
-    of first occurrence, the simplification verify_identities reads."""
+def _simplification(m):
+    """(field, height, points, rows) of m's simplification, as
+    verify_identities reads it: the distinct nonzero points of m in
+    order of first occurrence, and the distinct nonzero rows of m's one
+    standard form."""
     field, height, points = m._points()
-    return field, height, [p for p in dict.fromkeys(points) if p]
+    rows = [row for row in dict.fromkeys(m._standard_form()[1]) if row]
+    return field, height, [p for p in dict.fromkeys(points) if p], rows
 
 
-def _row_necks_agree(field, height, points) -> int:
-    """_path_neck_sizes gives every edge of the element-order path the
-    external size that path_necks finds on embed's base, and its
-    coordinates with the returned masks are a standard form whose basis
-    masks span the prefixes and suffixes.  Returns the edges checked."""
+def _row_necks_agree(field, height, points, rows) -> int:
+    """The rows are the standard form of the matroid of the points, and
+    _path_neck_sizes on them gives every edge of the element-order path
+    the external size that path_necks finds on embed's base of the
+    points, with the returned mask a basis.  Returns the edges
+    checked."""
+    ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
+    bmask, coordinates = ls._standard_form()
+    assert rows == coordinates
+    assert bmask == mask_of(e for e, row in enumerate(rows) if not row & row - 1)
     if len(points) < 2:
         return 0
-    bmask, coordinates, lmask, sizes = projgeom._path_neck_sizes(field, height, points)
-    rank = bmask.bit_count()
-    ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
+    lmask, sizes = projgeom._path_neck_sizes(field, rows)
     base = embed(ls)
     necks = path_necks(base, heuristic_decomposition(base, "path"))
     assert sizes == [len(external) for _, external in necks]
-    assert rank == lmask.bit_count() == ls.full_rank
-    assert (bmask, coordinates) == ls._standard_form()
+    assert lmask.bit_count() == ls.rank_mask(lmask) == ls.full_rank
     return len(sizes)
 
 
-def _terms_match_the_oracle(field, height, points) -> bool:
+def _terms_match_the_oracle(field, height, points, rows) -> bool:
     """_telescoping_terms lists the neck that path_necks lists for the
     first fattest edge that fits, on the base of the standard-form rows,
     in extend's order, and each term's chi is that of the matching term
     of telescoping_expansion by cp_delete_contract; their sum,
-    _telescoped_chi, is chi of the base.  Returns whether a term list
-    was made."""
+    _telescoped_chi, is chi of the base and of the points.  Returns
+    whether a term list was made."""
     n = len(points)
-    terms = projgeom._telescoping_terms(field, height, points, 20 - n)
-    bmask, coordinates, _, _ = projgeom._path_neck_sizes(field, height, points)
-    rank = bmask.bit_count()
-    base = LinearMatroid(field, [field.unpack(c, rank) for c in coordinates], nrows=rank)
+    terms = projgeom._telescoping_terms(field, rows, 20 - n)
+    rank = sum(1 for row in rows if not row & row - 1)
+    base = LinearMatroid(field, [field.unpack(c, rank) for c in rows], nrows=rank)
     necks = path_necks(base, heuristic_decomposition(base, "path"))
     fits = [external for _, external in necks if n + len(external) <= 20]
     if not fits:
         assert terms is None
         return False
     chosen = max(fits, key=len)
-    assert terms[0][0] == coordinates + list(chosen)
+    assert terms[0][0] == rows + list(chosen)
     oracle = telescoping_expansion(extend(base, chosen))
     polys = [cp_delete_contract(term) for term, _ in oracle]
-    assert [_chi_from_rows(field.project, rows, r) for rows, r in terms] == polys
+    assert [_chi_from_rows(field.project, term, r) for term, r in terms] == polys
     total = IntPoly([])
     for p in polys:
         total = total + p
-    assert projgeom._telescoped_chi(field, height, points, 20 - n) == total
-    assert total == cp_delete_contract(base)
+    assert projgeom._telescoped_chi(field, rows, 20 - n) == total
+    ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
+    assert total == cp_delete_contract(base) == cp_delete_contract(ls)
     return True
 
 
 def test_row_necks_agree_with_path_necks_on_the_identity_battery():
     glued, rand = criterion_07_instances()
-    edges = sum(_row_necks_agree(*_distinct_points(rec.matroid)) for rec in glued + rand)
+    edges = sum(_row_necks_agree(*_simplification(rec.matroid)) for rec in glued + rand)
     assert edges >= 500
 
 
 def test_telescoping_terms_match_the_expansion_on_the_identity_battery():
     glued, rand = criterion_07_instances()
-    made = sum(_terms_match_the_oracle(*_distinct_points(rec.matroid))
-               for rec in glued + rand if len(_distinct_points(rec.matroid)[2]) >= 2)
+    made = sum(_terms_match_the_oracle(*_simplification(rec.matroid))
+               for rec in glued + rand if len(_simplification(rec.matroid)[2]) >= 2)
     assert made == len(glued) + len(rand)
 
 
+def test_path_neck_sizes_make_one_elimination_pass(monkeypatch):
+    """The unit rows of the standard form give the first basis, so
+    _path_neck_sizes runs one standard form, of the rows in reverse."""
+    passes = []
+    real = projgeom._standard_rows
+
+    def counted(field, height, points):
+        passes.append(list(points))
+        return real(field, height, points)
+
+    monkeypatch.setattr(projgeom, "_standard_rows", counted)
+    for rec in criterion_07_instances()[1][:8]:
+        field, _, _, rows = _simplification(rec.matroid)
+        passes.clear()
+        projgeom._path_neck_sizes(field, rows)
+        assert passes == [rows[::-1]]
+
+
 @st.composite
-def gf45_points(draw):
-    """The distinct nonzero points of a random matrix over GF(4) or
-    GF(5) of height 1 to 4."""
+def gf45_matroids(draw):
+    """A random matrix over GF(4) or GF(5) of height 1 to 4, with zero
+    and repeated columns."""
     field = gf(draw(st.sampled_from((4, 5))))
     height = draw(st.integers(1, 4))
     cols = draw(st.lists(st.tuples(*[st.integers(0, field.q - 1)] * height), max_size=10))
-    return _distinct_points(LinearMatroid(field, cols, nrows=height))
+    return LinearMatroid(field, cols, nrows=height)
 
 
 @given(minor_chains())
@@ -805,16 +828,16 @@ def test_row_necks_and_terms_on_minor_chains(chain):
     """On roots and minors of minors over GF(2, 3, 4, 5, 7, 9), read at
     the root's height."""
     for m in chain:
-        field, height, points = _distinct_points(m)
-        _row_necks_agree(field, height, points)
-        if len(points) >= 2:
-            _terms_match_the_oracle(field, height, points)
+        drawn = _simplification(m)
+        _row_necks_agree(*drawn)
+        if len(drawn[2]) >= 2:
+            _terms_match_the_oracle(*drawn)
 
 
-@given(gf45_points())
+@given(gf45_matroids())
 @settings(max_examples=150, deadline=None)
-def test_row_necks_and_terms_on_random_matrices(drawn):
-    field, height, points = drawn
-    _row_necks_agree(field, height, points)
-    if len(points) >= 2:
-        _terms_match_the_oracle(field, height, points)
+def test_row_necks_and_terms_on_random_matrices(m):
+    drawn = _simplification(m)
+    _row_necks_agree(*drawn)
+    if len(drawn[2]) >= 2:
+        _terms_match_the_oracle(*drawn)
