@@ -133,7 +133,9 @@ def _cmd_generate(args) -> int:
     if args.kind in ("random", "glued"):
         if args.kind == "random":
             seed = effective_seed(args.seed)
-            recs = [_random_linear(args.q, args.rank, args.n, seed + i) for i in range(args.count)]
+            built: dict = {}
+            recs = [_random_linear(args.q, args.rank, args.n, seed + i, built)
+                    for i in range(args.count)]
         else:
             recs = [gen_glued(
                 args.q, args.block_rank, args.blocks, args.overlap, args.seed,

@@ -53,8 +53,8 @@ from .matroid import (
 )
 from .projgeom import _telescoped_chi, pg_build, pg_point_count
 from .treedecomp import (
-    Tree,
     TreeDecomposition,
+    _scored_path,
     best_heuristic,
     load_decomposition,
     save_decomposition,
@@ -64,8 +64,9 @@ ROOT_TOL = Fraction(1, 2 ** 30)
 # whole instances whose characteristic polynomial is kept for the
 # process by the bound suites; the oldest is dropped when full
 MAX_CHARPOLY_MEMO = 1024
-# glued shapes (q, block_rank, blocks, overlap_rank) whose points are
-# kept for the process; the oldest is dropped when full
+# glued shapes (q, block_rank, blocks, overlap_rank) whose points, block
+# memberships, overlaps, private points and first blocks are kept for
+# the process; the oldest is dropped when full
 MAX_GLUED_MEMO = 64
 
 
@@ -146,30 +147,39 @@ def gen_random_linear(q: int, r: int, n: int, seed) -> InstanceRecord:
     """Uniformly random r x n matrix over GF(q); zero columns are
     resampled so the result is loopless.  Comes with the best of the
     cheap decomposition heuristics as a width witness."""
-    return _random_linear(q, r, n, effective_seed(seed))
+    return _random_linear(q, r, n, effective_seed(seed), {})
 
 
-def _random_linear(q: int, r: int, n: int, seed) -> InstanceRecord:
+def _random_linear(q: int, r: int, n: int, seed, built: dict) -> InstanceRecord:
+    """The draw of :func:`gen_random_linear`.  ``built`` maps each draw
+    made earlier in the same call, keyed by (q, r, drawn codes), to its
+    matroid and witness, which a repeated draw shares."""
     if r < 1:
         raise ArgumentError(f"a random matrix needs rank r >= 1, got r={r}")
     if n < 0:
         raise ArgumentError(f"a random matrix needs n >= 0 columns, got n={n}")
     rng = random.Random(f"random:{q}:{r}:{n}:{seed}")
     fieldq = gf(q)
-    cols = []
-    for _ in range(n):
-        code = rng.randrange(1, q ** r)
-        col = []
-        for _ in range(r):
-            col.append(code % q)
-            code //= q
-        cols.append(col)
-    m = LinearMatroid(fieldq, cols)
+    top = q ** r
+    codes = tuple([rng.randrange(1, top) for _ in range(n)])
+    key = (q, r, codes)
+    hit = built.get(key)
+    if hit is None:
+        cols = []
+        for code in codes:
+            col = []
+            for _ in range(r):
+                col.append(code % q)
+                code //= q
+            cols.append(col)
+        m = LinearMatroid(fieldq, cols)
+        hit = built[key] = m, best_heuristic(m)
+    m, dec = hit
     return InstanceRecord(
         id=f"random-q{q}r{r}n{n}-s{seed}",
         q=q,
         matroid=m,
-        decomposition=best_heuristic(m),
+        decomposition=dec,
         construction={"kind": "random", "q": q, "r": r, "n": n},
         seed=seed,
     )
@@ -180,12 +190,15 @@ _GLUED_MEMO: dict[tuple[int, int, int, int], tuple] = {}
 
 
 def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
-    """Vectors of a path of full projective-geometry blocks, consecutive
-    blocks sharing an overlap coordinate window.  Returns (vectors,
-    block memberships, overlaps, total rank), the first three as tuples
-    of tuples: the result is a pure function of the four arguments,
-    kept for the process in a table of at most ``MAX_GLUED_MEMO``
-    shapes and shared by every draw of that shape."""
+    """What every draw of a glued shape shares: (vectors, block
+    memberships, overlaps, private points, first block), where the
+    vectors are those of a path of full projective-geometry blocks,
+    consecutive blocks sharing an overlap coordinate window, the
+    private points are those in no overlap, in index order, and the
+    first block of each point is the lowest block holding it.  All are
+    tuples, so no caller can change them: the result is a pure function
+    of the four arguments, kept for the process in a table of at most
+    ``MAX_GLUED_MEMO`` shapes."""
     key = (q, block_rank, blocks, overlap_rank)
     points = _GLUED_MEMO.get(key)
     if points is None:
@@ -193,7 +206,7 @@ def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
     return points
 
 
-def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
+def _check_glued_shape(block_rank: int, blocks: int, overlap_rank: int) -> None:
     if not 0 <= overlap_rank < block_rank:
         raise ArgumentError(
             f"a glued path needs 0 <= overlap_rank < block_rank, "
@@ -201,12 +214,36 @@ def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int)
         )
     if blocks < 1:
         raise ArgumentError(f"a glued path needs at least one block, got {blocks}")
+
+
+def _glued_size(q: int, block_rank: int, blocks: int, overlap_rank: int, delete_count: int) -> int:
+    """How many points :func:`gen_glued` keeps, counted without building
+    any.  Block b is the points of the coordinate window [b*s, b*s +
+    block_rank), s = block_rank - overlap_rank.  Windows are intervals
+    of one line, so the blocks holding a point are consecutive, and
+    inclusion-exclusion over consecutive pairs alone counts the union:
+    consecutive blocks share PG(overlap_rank - 1, q), and consecutive
+    overlaps PG(overlap_rank - s - 1, q) when overlap_rank > s.  The
+    draw deletes all but one of the private points at most.  The shape
+    must have passed :func:`_check_glued_shape`."""
+    def points(rank: int) -> int:
+        return pg_point_count(max(0, rank), q)
+
+    step = block_rank - overlap_rank
+    full = blocks * points(block_rank) - (blocks - 1) * points(overlap_rank)
+    shared = (blocks - 1) * points(overlap_rank) - max(0, blocks - 2) * points(overlap_rank - step)
+    return full - min(delete_count, max(0, full - shared - 1))
+
+
+def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
+    _check_glued_shape(block_rank, blocks, overlap_rank)
     step = block_rank - overlap_rank
     total_rank = block_rank + (blocks - 1) * step
     points = pg_build(block_rank, q)
     vectors: list[tuple[int, ...]] = []
     where: dict[tuple[int, ...], int] = {}
     block_elements: list[list[int]] = [[] for _ in range(blocks)]
+    first_block: list[int] = []
     for b in range(blocks):
         off = b * step
         for pt in points:
@@ -215,13 +252,19 @@ def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int)
             if idx is None:
                 idx = len(vectors)
                 vectors.append(vec)
+                first_block.append(b)
                 where[vec] = idx
             block_elements[b].append(idx)
     overlap_elements = tuple(
         tuple(sorted(set(block_elements[j]) & set(block_elements[j + 1])))
         for j in range(blocks - 1)
     )
-    return tuple(vectors), tuple(map(tuple, block_elements)), overlap_elements, total_rank
+    shared = set().union(*overlap_elements)
+    private = tuple(e for e in range(len(vectors)) if e not in shared)
+    return (
+        tuple(vectors), tuple(map(tuple, block_elements)), overlap_elements, private,
+        tuple(first_block),
+    )
 
 
 def gen_glued(
@@ -236,53 +279,60 @@ def gen_glued(
     a common coordinate subspace, then optionally delete some random
     non-shared points.  The natural one-bag-per-block path decomposition
     is attached; with no deletions its width is exactly block_rank."""
-    return _glued(q, block_rank, blocks, overlap_rank, effective_seed(seed), delete_count)
+    return _glued(q, block_rank, blocks, overlap_rank, effective_seed(seed), delete_count, {})
 
 
 def _glued(
-    q: int, block_rank: int, blocks: int, overlap_rank: int, seed, delete_count: int
+    q: int, block_rank: int, blocks: int, overlap_rank: int, seed, delete_count: int,
+    built: dict,
 ) -> InstanceRecord:
+    """The draw of :func:`gen_glued`.  The size cap is checked before any
+    point is built (:func:`_glued_size`).  ``built`` maps each draw made
+    earlier in the same call, keyed by (shape, kept points), to its
+    matroid, witness and relabelled blocks and overlaps, which a
+    repeated draw shares; its construction lists are its own."""
     if delete_count < 0:
         raise ArgumentError(f"the delete count must be nonnegative, got {delete_count}")
-    vectors, block_elements, overlap_elements, total_rank = _glued_points(
-        q, block_rank, blocks, overlap_rank
-    )
-    shared_ids = set()
-    for ov in overlap_elements:
-        shared_ids.update(ov)
-    keep = list(range(len(vectors)))
+    shape = (q, block_rank, blocks, overlap_rank)
+    _check_glued_shape(block_rank, blocks, overlap_rank)
+    fieldq = gf(q)
+    size = _glued_size(q, block_rank, blocks, overlap_rank, delete_count)
+    if size > MAX_GROUND:
+        raise TooLargeError(
+            f"glued construction would have {size} elements; the cap is {MAX_GROUND}"
+        )
+    vectors, block_elements, overlap_elements, private, first_block = _glued_points(*shape)
+    keep = range(len(vectors))
     if delete_count:
         rng = random.Random(f"glued:{q}:{block_rank}:{blocks}:{overlap_rank}:{seed}")
-        private = [e for e in keep if e not in shared_ids]
+        private = list(private)
         rng.shuffle(private)
         victims = set(private[: min(delete_count, max(0, len(private) - 1))])
         keep = [e for e in keep if e not in victims]
-    if len(keep) > MAX_GROUND:
-        raise TooLargeError(
-            f"glued construction would have {len(keep)} elements; the cap is {MAX_GROUND}"
+    key = (shape, tuple(keep))
+    hit = built.get(key)
+    if hit is None:
+        m = LinearMatroid(fieldq, [vectors[e] for e in keep])
+        bags: list[list[int]] = [[] for _ in range(blocks)]
+        relabel = {}
+        for i, e in enumerate(keep):
+            bags[first_block[e]].append(i)
+            relabel[e] = i
+        hit = built[key] = (
+            m,
+            _scored_path(m, bags),
+            [sorted(relabel[e] for e in elems if e in relabel) for elems in block_elements],
+            [sorted(relabel[e] for e in ov if e in relabel) for ov in overlap_elements],
         )
-    relabel = {old: i for i, old in enumerate(keep)}
-    fieldq = gf(q)
-    m = LinearMatroid(fieldq, [vectors[e] for e in keep])
-    first_block = {}
-    for b, elems in enumerate(block_elements):
-        for e in elems:
-            first_block.setdefault(e, b)
-    assignment = [first_block[old] for old in keep]
-    tree = Tree(blocks, [(i, i + 1) for i in range(blocks - 1)]) if blocks > 1 else Tree(1, ())
-    dec = TreeDecomposition(m, tree, assignment)
+    m, dec, kept_blocks, kept_overlaps = hit
     construction = {
         "kind": "glued",
         "q": q,
         "block_rank": block_rank,
         "blocks": blocks,
         "overlap_rank": overlap_rank,
-        "block_elements": [
-            sorted(relabel[e] for e in elems if e in relabel) for elems in block_elements
-        ],
-        "overlap_elements": [
-            sorted(relabel[e] for e in ov if e in relabel) for ov in overlap_elements
-        ],
+        "block_elements": [list(elems) for elems in kept_blocks],
+        "overlap_elements": [list(ov) for ov in kept_overlaps],
     }
     return InstanceRecord(
         id=f"glued-q{q}b{block_rank}x{blocks}o{overlap_rank}-s{seed}d{delete_count}",
@@ -306,33 +356,44 @@ def _check_bound_arguments(q: int, k: int) -> None:
 
 
 def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[InstanceRecord]:
+    """``count`` seeded instances over GF(q) of witnessed width at most
+    k, alternating random matrices of at most 10 columns and glued
+    chains of at most ``max_n`` points and at most 3 blocks.  A glued
+    draw wider than k is drawn again with no deletions, and a draw
+    still wider than k is dropped.  Draws often repeat, so the suite
+    keeps one table for the whole call: a draw equal to an earlier one
+    shares its matroid and witness and gets a record of its own.  A
+    witness's width and r(M) are read off elimination passes, so
+    generating a suite asks the rank oracle nothing."""
     _check_width(k)
     seed = effective_seed(seed)
+    gf(q)  # an order that names no field is refused before any draw
     rng = random.Random(f"suite:{tag}:{q}:{k}:{seed}")
     out = []
+    built: dict = {}
     glued_shapes = []
     for block_rank in range(1, k + 1):
         for overlap_rank in range(0, block_rank):
             for blocks in range(1, 4):
-                vecs, _, _, _ = _glued_points(q, block_rank, blocks, overlap_rank)
-                if len(vecs) <= max_n:
-                    glued_shapes.append((block_rank, blocks, overlap_rank, len(vecs)))
+                full_n = _glued_size(q, block_rank, blocks, overlap_rank, 0)
+                if full_n <= max_n:
+                    glued_shapes.append((block_rank, blocks, overlap_rank, full_n))
     i = 0
     while len(out) < count:
         sub = rng.randrange(1 << 30)
         if i % 2 == 0 or not glued_shapes:
             r = rng.randint(1, k)
             n = rng.randint(max(r, 2), min(10, max_n))
-            rec = _random_linear(q, r, n, sub)
+            rec = _random_linear(q, r, n, sub, built)
         else:
             block_rank, blocks, overlap_rank, full_n = glued_shapes[
                 rng.randrange(len(glued_shapes))
             ]
             room = max(0, full_n - max(2, full_n // 2))
             dels = rng.randint(0, room)
-            rec = _glued(q, block_rank, blocks, overlap_rank, sub, dels)
+            rec = _glued(q, block_rank, blocks, overlap_rank, sub, dels, built)
             if rec.witnessed_width > k:
-                rec = _glued(q, block_rank, blocks, overlap_rank, sub, 0)
+                rec = _glued(q, block_rank, blocks, overlap_rank, sub, 0, built)
         if rec.witnessed_width <= k:
             rec.id = f"{tag}-q{q}k{k}-{len(out):04d}"
             out.append(rec)
@@ -861,13 +922,14 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
     seed = effective_seed(seed)
     if kind == "mixed":
         return main_theorem_suite(q, k, count, seed)
+    built: dict = {}  # one table of draws for the whole call, as in _suite
     if kind == "random":
         rng = random.Random(f"cli-random:{q}:{k}:{seed}")
         out = []
         for i in range(count):
             r = rng.randint(1, k)
             n = rng.randint(max(r, 2), 10)
-            rec = _random_linear(q, r, n, rng.randrange(1 << 30))
+            rec = _random_linear(q, r, n, rng.randrange(1 << 30), built)
             rec.id = f"random-q{q}k{k}-{i:04d}"
             out.append(rec)
         return out
@@ -881,7 +943,7 @@ def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
             blocks = rng.randint(1, 3)
             tries += 1
             try:
-                rec = _glued(q, block_rank, blocks, overlap, rng.randrange(1 << 30), 0)
+                rec = _glued(q, block_rank, blocks, overlap, rng.randrange(1 << 30), 0, built)
             except TooLargeError:
                 if tries > 100 * count:
                     raise

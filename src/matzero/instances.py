@@ -7,7 +7,7 @@ from .errors import ArgumentError
 from .gfq import gf
 from .matroid import GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from .projgeom import pg_build
-from .treedecomp import Tree, TreeDecomposition
+from .treedecomp import Tree, TreeDecomposition, _path_tree
 
 
 def fano() -> LinearMatroid:
@@ -70,10 +70,7 @@ def wide_uniform_decomposition() -> tuple[UniformMatroid, TreeDecomposition]:
 def uniform_line_path(n: int) -> tuple[UniformMatroid, TreeDecomposition]:
     """U_{2,n} with singleton bags along a path."""
     m = UniformMatroid(2, n)
-    if n == 1:
-        return m, TreeDecomposition(m, Tree(1, ()), (0,))
-    tree = Tree(n, [(i, i + 1) for i in range(n - 1)])
-    return m, TreeDecomposition(m, tree, tuple(range(n)))
+    return m, TreeDecomposition(m, _path_tree(n), tuple(range(n)))
 
 
 def named(name: str) -> Matroid:

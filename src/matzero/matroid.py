@@ -380,7 +380,7 @@ class LinearMatroid(Matroid):
 
     def __init__(self, field: GF, columns: Sequence[Sequence[int]], labels=None, nrows=None):
         self.field = field
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple([tuple(map(int, c)) for c in columns])
         if cols:
             nrows = len(cols[0])
             if any(len(c) != nrows for c in cols):

@@ -17,21 +17,25 @@ up into subtree masks, which give both sides of every edge.
 
 ``exact_treewidth_small`` settles the minimum exactly for small ground
 sets; ``heuristic_decomposition`` builds quick path witnesses for
-anything larger.  On a path of singleton bags e_1..e_n the node width
-at e_i is r(e_1..e_i) + r(e_i..e_n) - r(M), so a path heuristic costs
-one elimination pass over the columns of the root's matrix each way:
-the greedy order is found by the forward pass that gives its prefix
-ranks, a backward pass gives the suffix ranks, and ``best_heuristic``
-asks the rank oracle for r(M) alone.
+anything larger.  On a path whose vertices hold the bags B_1..B_t in
+turn, the sets displayed at B_v are the bags before it and the bags
+after it, so its node width is r(B_1..B_v) + r(B_v..B_t) - r(M).  A
+path's width therefore costs one elimination pass over its points each
+way, in bag order and back, and asks the rank oracle nothing: r(M) is
+the last prefix rank.  ``best_heuristic`` scores its greedy path of
+singleton bags so, the greedy order being found by the forward pass
+that gives its prefix ranks, and a glued instance's path of blocks is
+scored the same way.  Both leave r(M) in the matroid's rank cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .errors import ArgumentError, NotInTreeError, ParseError, TooLargeError
-from .matroid import Matroid, content_lines, mask_bits, parse_ints
+from .matroid import MAX_GROUND, Matroid, content_lines, mask_bits, parse_ints
 
 EXACT_SEARCH_MAX = 10
 
@@ -115,7 +119,7 @@ class TreeDecomposition:
     """A tree plus an element-to-vertex assignment for a fixed matroid."""
 
     def __init__(self, matroid: Matroid, tree: Tree, assignment):
-        assignment = tuple(int(v) for v in assignment)
+        assignment = tuple(map(int, assignment))
         if len(assignment) != matroid.n:
             raise ArgumentError("assignment length must equal the ground set size")
         for v in assignment:
@@ -240,8 +244,19 @@ class TreeDecomposition:
         )
 
 
+@lru_cache(maxsize=MAX_GROUND)
+def _path_tree(length: int) -> Tree:
+    """The path 0 - 1 - ... - (length - 1).  A Tree is never changed
+    after it is built, so one is kept per length and shared by every
+    decomposition on a path of that length.  A matroid's path of
+    singletons has at most ``MAX_GROUND`` vertices, so every such length
+    is kept; longer paths, such as a glued chain of more blocks than
+    that, share the same bounded table."""
+    return Tree(length, [(i, i + 1) for i in range(length - 1)])
+
+
 def single_vertex_decomposition(m: Matroid) -> TreeDecomposition:
-    return TreeDecomposition(m, Tree(1, ()), (0,) * m.n)
+    return TreeDecomposition(m, _path_tree(1), (0,) * m.n)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +533,14 @@ def exact_treewidth_small(m: Matroid) -> TreewidthResult:
 # heuristics
 # ---------------------------------------------------------------------------
 
-def _prefix_ranks(m: Matroid, order) -> list[int]:
-    """r(e_1..e_i) for every prefix of ``order``, by one incremental
-    elimination over the points of m (:meth:`Matroid._points`), one
-    :meth:`GF.echelon_into` step per element."""
+def _prefix_ranks(m: Matroid, bags) -> list[int]:
+    """r(B_1..B_v) for every prefix of ``bags``, lists of elements, by
+    one incremental elimination over the points of m
+    (:meth:`Matroid._points`), one :meth:`GF.echelon_into` step per
+    bag."""
     field, _, rows = m._points()
     basis: list[int] = []
-    return [len(field.echelon_into(basis, (rows[e],))) for e in order]
+    return [len(field.echelon_into(basis, map(rows.__getitem__, bag))) for bag in bags]
 
 
 def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
@@ -557,23 +573,37 @@ def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
     return order, ranks
 
 
-def _path_width(m: Matroid, order, prefix_ranks) -> int:
-    """Width of the path of singleton bags along a nonempty ``order``,
-    given its prefix ranks: r(e_1..e_i) + r(e_i..e_n) - r(M) at e_i."""
-    suffix_ranks = _prefix_ranks(m, order[::-1])[::-1]
+def _path_width(m: Matroid, bags, prefix_ranks) -> int:
+    """Width of the path whose vertices hold the nonempty list ``bags``
+    in turn, given its prefix ranks (:func:`_prefix_ranks`): the node
+    width at B_v is r(B_1..B_v) + r(B_v..B_t) - r(M), and the suffix
+    ranks cost one pass backward.  A path of singleton bags is the
+    path heuristics' case."""
+    suffix_ranks = _prefix_ranks(m, bags[::-1])[::-1]
     return max(map(add, prefix_ranks, suffix_ranks)) - prefix_ranks[-1]
 
 
-def _path_decomposition(m: Matroid, order) -> TreeDecomposition:
-    n = m.n
-    if n == 0:
-        return single_vertex_decomposition(m)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    tree = Tree(n, edges) if n > 1 else Tree(1, ())
-    assignment = [0] * n
-    for pos, e in enumerate(order):
-        assignment[e] = pos
-    return TreeDecomposition(m, tree, assignment)
+def _path_decomposition(m: Matroid, bags, width: int | None = None) -> TreeDecomposition:
+    """The decomposition whose path vertices hold the nonempty list
+    ``bags`` in turn, on the shared path tree of that length; a given
+    ``width`` is kept as its width."""
+    assignment = [0] * m.n
+    for v, bag in enumerate(bags):
+        for e in bag:
+            assignment[e] = v
+    dec = TreeDecomposition(m, _path_tree(len(bags)), assignment)
+    dec._width = width
+    return dec
+
+
+def _scored_path(m: Matroid, bags) -> TreeDecomposition:
+    """:func:`_path_decomposition` of ``bags`` with its width kept,
+    scored by one elimination pass each way (:func:`_path_width`).
+    r(M), the last prefix rank, is left in m's rank cache, so no rank
+    is asked now or when a verifier reads it."""
+    prefix_ranks = _prefix_ranks(m, bags)
+    m._rank_cache[m.full_mask] = prefix_ranks[-1]
+    return _path_decomposition(m, bags, _path_width(m, bags, prefix_ranks))
 
 
 def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecomposition:
@@ -583,13 +613,12 @@ def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecompo
     ``"greedy"``  - singleton bags along a path in greedy rank order
     ``"single"``  - everything in one bag (width is exactly r(M))
     """
-    if strategy == "single":
+    if strategy not in ("single", "path", "greedy"):
+        raise ArgumentError(f"unknown strategy {strategy!r}")
+    if strategy == "single" or m.n == 0:
         return single_vertex_decomposition(m)
-    if strategy == "path":
-        return _path_decomposition(m, list(range(m.n)))
-    if strategy == "greedy":
-        return _path_decomposition(m, _greedy_order(m)[0])
-    raise ArgumentError(f"unknown strategy {strategy!r}")
+    order = range(m.n) if strategy == "path" else _greedy_order(m)[0]
+    return _path_decomposition(m, [(e,) for e in order])
 
 
 def best_heuristic(m: Matroid) -> TreeDecomposition:
@@ -603,19 +632,18 @@ def best_heuristic(m: Matroid) -> TreeDecomposition:
     the prefix first spans it: at an element left in place the prefix
     rank is unchanged and the suffix shrinks, and a moved element's
     node width is at most that of the node before it.  A one-element
-    path is the single bag.  Only r(M) is asked of the rank oracle,
-    which leaves it cached for the verification that reads it."""
-    width = m.full_rank
+    path is the single bag.  No rank is asked of the rank oracle: r(M)
+    is the greedy order's last prefix rank, and it is left in m's rank
+    cache for the verification that reads it."""
+    order, prefix_ranks = _greedy_order(m)
+    rank = prefix_ranks[-1] if order else 0
+    m._rank_cache[m.full_mask] = rank
     if m.n > 1:
-        order, prefix_ranks = _greedy_order(m)
-        path_width = _path_width(m, order, prefix_ranks)
-        if path_width < width:
-            dec = _path_decomposition(m, order)
-            dec._width = path_width
-            return dec
-    dec = single_vertex_decomposition(m)
-    dec._width = width
-    return dec
+        bags = [(e,) for e in order]
+        width = _path_width(m, bags, prefix_ranks)
+        if width < rank:
+            return _path_decomposition(m, bags, width)
+    return _path_decomposition(m, [order], rank)
 
 
 # ---------------------------------------------------------------------------

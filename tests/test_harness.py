@@ -5,6 +5,7 @@ import copy
 import json
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,10 +177,18 @@ def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
     assert a.matroid.columns != b.matroid.columns  # the seeds still choose
     points = harness._glued_points(2, 3, 2, 1)
     assert points is harness._glued_points(2, 3, 2, 1)
-    vectors, block_elements, overlap_elements, total_rank = points
-    assert total_rank == 5
-    assert all(type(part) is tuple for part in (vectors, block_elements, overlap_elements))
+    vectors, block_elements, overlap_elements, private, first_block = points
+    assert {len(vec) for vec in vectors} == {5}
+    assert all(
+        type(part) is tuple
+        for part in (vectors, block_elements, overlap_elements, private, first_block)
+    )
     assert all(type(inner) is tuple for inner in (*vectors, *block_elements, *overlap_elements))
+    assert private == tuple(e for e in range(len(vectors)) if e not in overlap_elements[0])
+    assert first_block == tuple(
+        min(b for b, elems in enumerate(block_elements) if e in elems)
+        for e in range(len(vectors))
+    )
     for shape in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)):
         harness._glued_points(*shape)
         assert len(harness._GLUED_MEMO) <= 3
@@ -187,6 +196,127 @@ def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
     with pytest.raises(ArgumentError):
         harness._glued_points(2, 2, 2, 2)
     assert len(harness._GLUED_MEMO) == 3
+
+
+def test_glued_size_counts_the_kept_points_without_building_them():
+    """The count the cap is checked against equals the number of points
+    a draw keeps, on every shape of up to 3 blocks and 60 points over
+    GF(2)-GF(5), with and without deletions (too many included)."""
+    checked = 0
+    for q in (2, 3, 4, 5):
+        for block_rank in range(1, 5):
+            for overlap_rank in range(block_rank):
+                for blocks in range(1, 7):
+                    vectors, _, _, private, _ = harness._glued_points(
+                        q, block_rank, blocks, overlap_rank
+                    )
+                    if len(vectors) > 60:
+                        continue
+                    for dels in (0, 1, 3, len(private) - 1, len(private), 100):
+                        kept = len(vectors) - min(dels, max(0, len(private) - 1))
+                        assert harness._glued_size(q, block_rank, blocks, overlap_rank, dels) \
+                            == kept, (q, block_rank, blocks, overlap_rank, dels)
+                        checked += 1
+    assert checked > 300
+
+
+def test_gen_glued_refuses_an_oversized_shape_before_building_it(monkeypatch):
+    """20,001 points of height 10,001: refused at once with the cap's
+    message, with no geometry built and no shape kept."""
+    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
+    builds = []
+    monkeypatch.setattr(harness, "pg_build", lambda *args: builds.append(args))
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match=r"^glued construction would have 20001 elements; "
+                                            r"the cap is 24$"):
+        gen_glued(2, 2, 10 ** 4, 1)
+    assert time.perf_counter() - start < 0.05
+    assert builds == [] and harness._GLUED_MEMO == {}
+
+
+def _draw_key(rec):
+    """What fixes a draw's matroid: the columns, and for a glued draw
+    its shape."""
+    cons = rec.construction
+    shape = tuple(cons.get(name) for name in ("block_rank", "blocks", "overlap_rank"))
+    return cons["kind"], shape, rec.matroid.columns
+
+
+def test_suite_builds_each_distinct_draw_once(monkeypatch):
+    """Within one suite, equal draws share one matroid and one witness
+    but keep records, ids and construction dicts of their own; there is
+    one LinearMatroid build per distinct draw, dropped draws included."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    builds = []
+    real_init = LinearMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    draws = []
+    for name in ("_random_linear", "_glued"):
+        def recording(*args, _real=getattr(harness, name)):
+            rec = _real(*args)
+            draws.append(rec)
+            return rec
+
+        monkeypatch.setattr(harness, name, recording)
+    monkeypatch.setattr(LinearMatroid, "__init__", counting_init)
+    recs = main_theorem_suite(3, 3, 300, seed=0)
+    assert len(builds) == len({_draw_key(rec) for rec in draws}) < len(draws)
+    assert len({rec.id for rec in recs}) == len({id(rec) for rec in recs}) == 300
+    first = {}
+    shared = 0
+    for rec in draws:
+        seen = first.setdefault(_draw_key(rec), rec)
+        assert rec.matroid is seen.matroid and rec.decomposition is seen.decomposition
+        if seen is not rec:
+            shared += 1
+            assert rec.construction == seen.construction
+            assert rec.construction is not seen.construction
+            assert all(a is not b for a, b in zip(rec.construction.get("block_elements", ()),
+                                                  seen.construction.get("block_elements", ())))
+    assert shared > 50
+
+
+def test_separate_calls_share_nothing(monkeypatch):
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    a, b = main_theorem_suite(2, 2, 40, seed=4), main_theorem_suite(2, 2, 40, seed=4)
+    assert [rec.matroid.columns for rec in a] == [rec.matroid.columns for rec in b]
+    assert not {id(rec.matroid) for rec in a} & {id(rec.matroid) for rec in b}
+    assert not {id(rec.decomposition) for rec in a} & {id(rec.decomposition) for rec in b}
+    for make in (lambda: gen_random_linear(3, 3, 8, 7),
+                 lambda: gen_glued(2, 3, 2, 1, seed=1, delete_count=2)):
+        x, y = make(), make()
+        assert x.matroid.columns == y.matroid.columns
+        assert x.matroid is not y.matroid and x.decomposition is not y.decomposition
+    specs = [resolve_instances(spec, 2, 2) for spec in ("glued:6:1", "glued:6:1")]
+    assert not {id(rec.matroid) for rec in specs[0]} & {id(rec.matroid) for rec in specs[1]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: main_theorem_suite(2, 3, 200, seed=0),
+    lambda: no_lines_suite(3, 2, 100, seed=7),
+    lambda: resolve_instances("random:50:3", 3, 3),
+    lambda: resolve_instances("glued:50:3", 2, 3),
+], ids=["main", "nolines", "cli-random", "cli-glued"])
+def test_generating_instances_asks_no_rank(monkeypatch, make):
+    """Every witness width and r(M) is read off elimination passes: the
+    rank oracle computes nothing while instances are generated, and
+    r(M) is left cached for the verifier."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    computed = []
+    real = Matroid._rank_mask
+    monkeypatch.setattr(Matroid, "_rank_mask", lambda self, mask: computed.append(mask) or
+                        real(self, mask))
+    recs = make()
+    widths = [rec.witnessed_width for rec in recs]
+    assert computed == []
+    for rec, width in zip(recs, widths):
+        m = rec.matroid
+        assert m._rank_cache[m.full_mask] == len(gf(rec.q).echelon(m._points()[2]))
+        assert width <= m._rank_cache[m.full_mask]
 
 
 # -- suites -----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from matzero.errors import ArgumentError, MatZeroError, NotInTreeError, ParseError, TooLargeError
 from matzero.gfq import gf
-from matzero.harness import main_theorem_suite
+from matzero.harness import gen_glued, main_theorem_suite
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
 from matzero.matroid import GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
 from matzero.treedecomp import (
@@ -552,8 +552,9 @@ def test_greedy_path_is_never_wider_than_the_ground_path():
 
 def test_best_heuristic_matches_the_three_candidate_minimum_on_random_matroids(monkeypatch):
     """Same tree, assignment and width as the minimum over the three
-    built and walked candidates, with only r(M) asked of the rank
-    oracle, and the kept width is what a fresh walk finds."""
+    built and walked candidates, with no rank asked of the rank oracle:
+    r(M) is left in the rank cache, equal to a fresh elimination of the
+    points, and the kept width is what a fresh walk finds."""
     rng = random.Random(4242)
     asked = []
     original = Matroid.rank_mask
@@ -567,10 +568,9 @@ def test_best_heuristic_matches_the_three_candidate_minimum_on_random_matroids(m
         m = _random_matroid(rng)
         asked.clear()
         dec = best_heuristic(m)
-        # r(M), and for a minor the root rank it is read from
-        assert [mask for owner, mask in asked if owner is m] == [m.full_mask]
-        assert len(asked) <= 2
-        asked.clear()
+        assert asked == []
+        field, _, rows = m._points()
+        assert m._rank_cache == {m.full_mask: len(field.echelon(rows))}
         width = dec.width()
         assert asked == []  # the scored width was kept
         assert (dec.tree.edges, dec.assignment, width) == _three_candidate_best(m)
@@ -596,6 +596,62 @@ def test_best_heuristic_matches_the_three_candidate_minimum_on_the_main_suite(
                 if rec.construction["kind"] == "random":
                     assert (dec.tree.edges, dec.assignment, dec.width()) == expected, rec.id
                 assert dec.width() == max(_walk_width_report(dec)[0]) <= k
+
+
+def _fresh_walk_width(dec):
+    """The width the rooted walk finds for the same tree and assignment
+    on a decomposition that keeps no width."""
+    return TreeDecomposition(dec.matroid, dec.tree, dec.assignment).width_report().width
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_block_path_width_matches_the_walk_on_the_main_suite(monkeypatch, seed):
+    """Every glued record of main_theorem_suite(q, k, 500, seed) for q, k
+    in {2, 3}, at seed 0 and a held-out seed: the width scored from the
+    two elimination passes is the walk's."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    glued = 0
+    for q in (2, 3):
+        for k in (2, 3):
+            for rec in main_theorem_suite(q, k, 500, seed=seed):
+                if rec.construction["kind"] == "glued":
+                    glued += 1
+                    assert rec.decomposition.width() == _fresh_walk_width(rec.decomposition)
+    assert glued > 500
+
+
+def test_block_path_width_matches_the_walk_on_edge_shapes():
+    """Empty bags (a block whose own points are all deleted, at the
+    ends and in the middle), a single block, and overlap 0."""
+    empty_inside = 0
+    cases = [gen_glued(2, 1, 4, 0, seed=s, delete_count=3) for s in range(4)]
+    cases += [gen_glued(q, 3, 1, 0, seed=s, delete_count=d)
+              for q in (2, 3) for s in range(3) for d in (0, 4)]
+    cases += [gen_glued(q, 2, blocks, 0, seed=s, delete_count=d)
+              for q in (2, 3) for blocks in (2, 3, 4) for s in range(12) for d in (0, 3, 5)]
+    cases += [gen_glued(2, 3, 3, 2, seed=s, delete_count=d) for s in range(12) for d in (2, 6)]
+    for rec in cases:
+        dec = rec.decomposition
+        bags = dec.bags()
+        empty_inside += any(bag == 0 for bag in bags[1:-1])
+        assert len(bags) == rec.construction["blocks"]
+        assert dec.width() == _fresh_walk_width(dec), rec.id
+    assert empty_inside > 5
+    single = gen_glued(3, 3, 1, 0, seed=1)
+    assert single.decomposition.tree.num_vertices == 1
+    assert single.decomposition.width() == 3
+
+
+def test_path_trees_are_shared_per_length():
+    """The ground-order path, the greedy path, a glued chain's block path
+    and uniform_line_path build their trees through one helper, which
+    keeps one tree per length."""
+    m, line = uniform_line_path(5)
+    assert heuristic_decomposition(m, "path").tree is line.tree
+    assert heuristic_decomposition(m, "greedy").tree is line.tree
+    assert gen_glued(2, 1, 5, 0, seed=0).decomposition.tree is line.tree
+    assert line.tree.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert single_vertex_decomposition(m).tree is gen_glued(2, 3, 1, 0).decomposition.tree
 
 
 # -- file format -------------------------------------------------------------------
