@@ -212,7 +212,7 @@ class GF:
     """
 
     __slots__ = (
-        "p", "d", "q", "irreducible", "add", "mul", "neg", "inv",
+        "p", "d", "q", "irreducible", "_hash", "add", "mul", "neg", "inv",
         "width", "_sub_width", "_top", "_digit", "_spread", "_code", "_terms", "_masks", "_submul",
     )
 
@@ -248,6 +248,8 @@ class GF:
         self.d = d
         self.q = q
         self.irreducible = tuple(irreducible)
+        # fields key the bound suites' tables, so the hash is made once
+        self._hash = hash((p, d, self.irreducible))
         self._build_tables()
         self._build_packing()
 
@@ -500,7 +502,7 @@ class GF:
         )
 
     def __hash__(self):
-        return hash((self.p, self.d, self.irreducible))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.q})"

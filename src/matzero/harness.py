@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .charpoly import (
+    MAX_ROOT_ANSWERS,
     IntPoly,
     ZERO,
     _chi_from_rows,
@@ -61,8 +62,8 @@ from .treedecomp import (
 )
 
 ROOT_TOL = Fraction(1, 2 ** 30)
-# whole instances whose characteristic polynomial is kept for the
-# process by the bound suites; the oldest is dropped when full
+# keys of whole bound-suite instances whose characteristic polynomial
+# and verdicts are kept for the process; the oldest is dropped when full
 MAX_CHARPOLY_MEMO = 1024
 # glued shapes (q, block_rank, blocks, overlap_rank) whose points, block
 # memberships, overlaps, private points and first blocks are kept for
@@ -84,27 +85,51 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     machine, Python 3.11) it took 24 ms against the cocircuit
     expansion's 89 ms over the 2000 of main-c05, 5.1 ms against 68 ms
     over the 16 of glued-nolines and 5.2 ms against 11.7 ms over the 104
-    of identities; the other engines are kept as test oracles."""
+    of identities; the other engines are kept as test oracles.  The bound
+    suites run its recursion (:func:`charpoly._chi_from_rows`) on the
+    standard form they key their memo with, once per memo entry
+    (:func:`_shared_entry`): 268 times for the 2000 instances of
+    main-c05 at seed 0."""
     return cp_delete_contract(m)
 
 
-# (field, frozenset of packed echelon rows) -> chi; insertion order is age
-_CHARPOLY_MEMO: dict[tuple, IntPoly] = {}
+# (field, frozenset of packed echelon rows) -> (chi, answers), each entry
+# filed under a point-set key and a standard-form key, which may be one
+# key; insertion order is age
+_CHARPOLY_MEMO: dict[tuple, tuple[IntPoly, dict]] = {}
 
 
-def _shared_charpoly(m: Matroid) -> IntPoly:
-    """:func:`charpoly_auto` computed once per distinct simple matroid.
+def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
+    """(chi, answers) of m, one entry per distinct simple matroid: chi
+    from the recursion of :func:`charpoly_auto`
+    (:func:`charpoly._chi_from_rows`) on m's standard form, and
+    ``answers`` mapping a bound, as its (numerator, denominator), to the
+    (verdict, bracket) that :func:`_verify_bound` found for chi there.
 
     A loopless matroid's chi is that of its simplification, which the
     set of its columns' projective points fixes: relabelling, rescaling
-    or repeating a column leaves it alone.  So a loopless matroid is
-    keyed by the field of its root's matrix and the set of its points
+    or repeating a column leaves it alone.  So the first key is the
+    field of the root's matrix and the set of m's points
     (:meth:`Matroid._points`: its normalized columns, reduced modulo the
     contracted span for a minor), packed into ints, so matrices that
-    differ only by zero rows at the bottom share a key; its chi is kept
-    in a table of at most ``MAX_CHARPOLY_MEMO`` whole instances.  The field compares p, d and
-    the modulus, so fields that encode elements differently never share
-    an entry.  A matroid with a loop is computed afresh every time.
+    differ only by zero rows at the bottom share it.  A point set not in
+    the table is looked up again by the field and the set of rows of
+    m's standard form (:meth:`Matroid._standard_form`) before the engine
+    runs, and the entry is then filed under both keys.  Those rows are
+    the points of a matrix [I_r | D] of the same simple matroid, so
+    both kinds of key name a simple matroid by a set of its points and
+    no key can stand for two polynomials.  They are each point's
+    coordinates in the first basis of points in element order, each
+    basis point scaled to 1 at its first nonzero entry, so matrices
+    with their columns in one order that differ by a change of basis
+    keeping every point's leading entry share one engine run: any
+    change of basis over GF(2), and adding multiples of rows to later
+    rows over any field.  The field compares p, d and the modulus, so
+    fields that encode elements differently never share an entry.  The
+    table holds at most ``MAX_CHARPOLY_MEMO`` keys, and each entry's
+    answers at most ``MAX_ROOT_ANSWERS`` bounds.  A matroid with a loop
+    gets chi from :func:`charpoly_auto` afresh and an answers dict of
+    its own, kept nowhere.
 
     Only the bound suites read this table.  :func:`verify_identities`
     runs the engine's recursion on the rows of each instance and of its
@@ -115,12 +140,20 @@ def _shared_charpoly(m: Matroid) -> IntPoly:
     """
     field, _, rows = m._points()
     if 0 in rows:
-        return charpoly_auto(m)
-    key = (field, frozenset(rows))
-    chi = _CHARPOLY_MEMO.get(key)
-    if chi is None:
-        chi = _remember(_CHARPOLY_MEMO, key, charpoly_auto(m), MAX_CHARPOLY_MEMO)
-    return chi
+        return charpoly_auto(m), {}
+    points = (field, frozenset(rows))
+    entry = _CHARPOLY_MEMO.get(points)
+    if entry is None:
+        basis, coordinates = m._standard_form()
+        form = (field, frozenset(coordinates))
+        entry = _CHARPOLY_MEMO.get(form)
+        if entry is None:
+            # charpoly_auto's recursion, on the standard form in hand
+            chi = _chi_from_rows(field.project, coordinates, basis.bit_count())
+            entry = _remember(_CHARPOLY_MEMO, form, (chi, {}), MAX_CHARPOLY_MEMO)
+        if form != points:
+            _remember(_CHARPOLY_MEMO, points, entry, MAX_CHARPOLY_MEMO)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +223,30 @@ _GLUED_MEMO: dict[tuple[int, int, int, int], tuple] = {}
 
 
 def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
-    """What every draw of a glued shape shares: (vectors, block
-    memberships, overlaps, private points, first block), where the
-    vectors are those of a path of full projective-geometry blocks,
-    consecutive blocks sharing an overlap coordinate window, the
-    private points are those in no overlap, in index order, and the
-    first block of each point is the lowest block holding it.  All are
-    tuples, so no caller can change them: the result is a pure function
-    of the four arguments, kept for the process in a table of at most
+    """What every draw of a glued shape shares: (points, block
+    memberships, overlaps, private points, first block) of a path of
+    full projective-geometry blocks, consecutive blocks sharing an
+    overlap coordinate window.  Each point is (offset, local): the
+    offset of the window of its first block, the lowest block holding
+    it, and its coordinates in that window, so an entry grows with the
+    points times ``block_rank`` and not with the height of the whole
+    path (:func:`_glued_column` expands a kept point).  The private
+    points are those in no overlap, in index order.  All are tuples, so
+    no caller can change them: the result is a pure function of the
+    four arguments, kept for the process in a table of at most
     ``MAX_GLUED_MEMO`` shapes."""
     key = (q, block_rank, blocks, overlap_rank)
     points = _GLUED_MEMO.get(key)
     if points is None:
         points = _remember(_GLUED_MEMO, key, _build_glued_points(*key), MAX_GLUED_MEMO)
     return points
+
+
+def _glued_column(point, block_rank: int, height: int) -> tuple[int, ...]:
+    """The column of ``height`` coordinates of a glued point (offset,
+    local) (:func:`_glued_points`)."""
+    offset, local = point
+    return (0,) * offset + local + (0,) * (height - offset - block_rank)
 
 
 def _check_glued_shape(block_rank: int, blocks: int, overlap_rank: int) -> None:
@@ -238,31 +281,33 @@ def _glued_size(q: int, block_rank: int, blocks: int, overlap_rank: int, delete_
 def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
     _check_glued_shape(block_rank, blocks, overlap_rank)
     step = block_rank - overlap_rank
-    total_rank = block_rank + (blocks - 1) * step
-    points = pg_build(block_rank, q)
-    vectors: list[tuple[int, ...]] = []
-    where: dict[tuple[int, ...], int] = {}
+    # a point of the path is fixed by the coordinate where its nonzero
+    # run starts and by that run, so blocks sharing it find one key
+    spans = []
+    for pt in pg_build(block_rank, q):
+        lead = pt.index(1)  # pg_build scales each point to 1 there
+        last = max(i for i, x in enumerate(pt) if x)
+        spans.append((pt, lead, pt[lead:last + 1]))
+    points: list[tuple[int, tuple[int, ...]]] = []
+    where: dict[tuple, int] = {}
     block_elements: list[list[int]] = [[] for _ in range(blocks)]
     first_block: list[int] = []
     for b in range(blocks):
         off = b * step
-        for pt in points:
-            vec = (0,) * off + pt + (0,) * (total_rank - off - block_rank)
-            idx = where.get(vec)
-            if idx is None:
-                idx = len(vectors)
-                vectors.append(vec)
+        for pt, lead, run in spans:
+            idx = where.setdefault((off + lead, run), len(points))
+            if idx == len(points):
+                points.append((off, pt))
                 first_block.append(b)
-                where[vec] = idx
             block_elements[b].append(idx)
     overlap_elements = tuple(
         tuple(sorted(set(block_elements[j]) & set(block_elements[j + 1])))
         for j in range(blocks - 1)
     )
     shared = set().union(*overlap_elements)
-    private = tuple(e for e in range(len(vectors)) if e not in shared)
+    private = tuple(e for e in range(len(points)) if e not in shared)
     return (
-        tuple(vectors), tuple(map(tuple, block_elements)), overlap_elements, private,
+        tuple(points), tuple(map(tuple, block_elements)), overlap_elements, private,
         tuple(first_block),
     )
 
@@ -301,8 +346,8 @@ def _glued(
         raise TooLargeError(
             f"glued construction would have {size} elements; the cap is {MAX_GROUND}"
         )
-    vectors, block_elements, overlap_elements, private, first_block = _glued_points(*shape)
-    keep = range(len(vectors))
+    points, block_elements, overlap_elements, private, first_block = _glued_points(*shape)
+    keep = range(len(points))
     if delete_count:
         rng = random.Random(f"glued:{q}:{block_rank}:{blocks}:{overlap_rank}:{seed}")
         private = list(private)
@@ -312,7 +357,8 @@ def _glued(
     key = (shape, tuple(keep))
     hit = built.get(key)
     if hit is None:
-        m = LinearMatroid(fieldq, [vectors[e] for e in keep])
+        height = block_rank + (blocks - 1) * (block_rank - overlap_rank)
+        m = LinearMatroid(fieldq, [_glued_column(points[e], block_rank, height) for e in keep])
         bags: list[list[int]] = [[] for _ in range(blocks)]
         relabel = {}
         for i, e in enumerate(keep):
@@ -501,7 +547,15 @@ def _verify_bound(
 ) -> list[BoundReport]:
     """The body of both bound suites: check the width witness, reject a
     ``line_length``-point line minor when one is given, then prove
-    positivity beyond ``bound`` with a Sturm chain."""
+    positivity beyond ``bound`` with a Sturm chain.
+
+    The verdict and the root bracket of an instance are kept in its memo
+    entry (:func:`_shared_entry`) under the bound: the first instance of
+    a simple matroid asks :func:`sturm_positive_beyond` and
+    :func:`largest_real_root`, whose Sturm count has passed the
+    Budan-Fourier check, and every later one reads the pair back with
+    no call into the root layer."""
+    key = (bound.numerator, bound.denominator)
     out = []
     for rec in instances:
         w = _check_witness(rec, k)
@@ -509,12 +563,18 @@ def _verify_bound(
             raise LineMinorPresentError(
                 f"{rec.id}: contains a {line_length}-point line minor"
             )
-        chi = _shared_charpoly(rec.matroid)
+        chi, answers = _shared_entry(rec.matroid)
         if chi.is_zero:
             verdict, root = True, None
         else:
-            verdict = sturm_positive_beyond(chi, bound)
-            root = largest_real_root(chi, ROOT_TOL)
+            answer = answers.get(key)
+            if answer is None:
+                answer = _remember(
+                    answers, key,
+                    (sturm_positive_beyond(chi, bound), largest_real_root(chi, ROOT_TOL)),
+                    MAX_ROOT_ANSWERS,
+                )
+            verdict, root = answer
         out.append(
             BoundReport(
                 instance_id=rec.id,

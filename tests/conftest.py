@@ -8,10 +8,14 @@ from matzero import charpoly, harness
 @pytest.fixture
 def fresh_root_memo():
     """An empty root-analysis memo, so a test that counts the work of
-    the root layer sees it done rather than read back from the memo."""
+    the root layer sees it done rather than read back from the memo.
+    The bound suites' charpoly memo is emptied too, since its entries
+    keep verdicts and brackets that would skip the root layer."""
     charpoly._ROOT_MEMO.clear()
+    harness._CHARPOLY_MEMO.clear()
     yield charpoly._ROOT_MEMO
     charpoly._ROOT_MEMO.clear()
+    harness._CHARPOLY_MEMO.clear()
 
 
 @pytest.fixture

@@ -3,9 +3,11 @@ serialization, the chromatic cross-check, and instance files."""
 
 import copy
 import json
+import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -175,20 +177,29 @@ def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
     b = gen_glued(2, 3, 2, 1, seed=2, delete_count=2)
     assert builds == [(3, 2)]
     assert a.matroid.columns != b.matroid.columns  # the seeds still choose
-    points = harness._glued_points(2, 3, 2, 1)
-    assert points is harness._glued_points(2, 3, 2, 1)
-    vectors, block_elements, overlap_elements, private, first_block = points
-    assert {len(vec) for vec in vectors} == {5}
+    entry = harness._glued_points(2, 3, 2, 1)
+    assert entry is harness._glued_points(2, 3, 2, 1)
+    points, block_elements, overlap_elements, private, first_block = entry
+    assert {len(local) for _, local in points} == {3}
+    assert all(offset == 2 * first_block[e] for e, (offset, _) in enumerate(points))
     assert all(
         type(part) is tuple
-        for part in (vectors, block_elements, overlap_elements, private, first_block)
+        for part in (points, block_elements, overlap_elements, private, first_block)
     )
-    assert all(type(inner) is tuple for inner in (*vectors, *block_elements, *overlap_elements))
-    assert private == tuple(e for e in range(len(vectors)) if e not in overlap_elements[0])
+    assert all(
+        type(inner) is tuple
+        for inner in (*points, *(local for _, local in points), *block_elements, *overlap_elements)
+    )
+    assert private == tuple(e for e in range(len(points)) if e not in overlap_elements[0])
     assert first_block == tuple(
         min(b for b, elems in enumerate(block_elements) if e in elems)
-        for e in range(len(vectors))
+        for e in range(len(points))
     )
+    columns = [harness._glued_column(point, 3, 5) for point in points]
+    assert len(set(columns)) == len(columns) and {len(col) for col in columns} == {5}
+    for b, elems in enumerate(block_elements):  # block b is PG(2, 2) in the window [2b, 2b + 3)
+        assert sorted(columns[e][2 * b:2 * b + 3] for e in elems) == sorted(real(3, 2))
+        assert all(not any(columns[e][:2 * b] + columns[e][2 * b + 3:]) for e in elems)
     for shape in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)):
         harness._glued_points(*shape)
         assert len(harness._GLUED_MEMO) <= 3
@@ -196,6 +207,24 @@ def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
     with pytest.raises(ArgumentError):
         harness._glued_points(2, 2, 2, 2)
     assert len(harness._GLUED_MEMO) == 3
+
+
+def test_glued_memo_grows_with_the_points_not_the_height(monkeypatch):
+    """A long shape cut down to one point keeps its points as offsets
+    and block-local coordinates, and expands only the kept point to the
+    path's full height."""
+    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
+    gen_glued(2, 1, 3, 0, seed=1)  # the field and the imports, outside the trace
+    tracemalloc.start()
+    try:
+        rec = gen_glued(2, 1, 1500, 0, seed=1, delete_count=1499)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.matroid.n == 1 and len(rec.matroid.columns[0]) == 1500
+    assert peak < 2 * 2 ** 20
+    points = harness._GLUED_MEMO[2, 1, 1500, 0][0]
+    assert points == tuple((b, (1,)) for b in range(1500))
 
 
 def test_glued_size_counts_the_kept_points_without_building_them():
@@ -1031,15 +1060,27 @@ def test_bad_sizes_raise_a_typed_error(call, message):
 
 
 def _counting_engine(monkeypatch):
-    """Count the deletion-contraction runs that start from the harness."""
+    """Count the deletion-contraction runs that start from the harness:
+    those on a matroid, and those on the rows of a standard form."""
     calls = []
 
     def counted(m):
         calls.append(m)
         return cp_delete_contract(m)
 
+    def counted_rows(project, rows, rank):
+        calls.append(rows)
+        return charpoly._chi_from_rows(project, rows, rank)
+
     monkeypatch.setattr(harness, "cp_delete_contract", counted)
+    monkeypatch.setattr(harness, "_chi_from_rows", counted_rows)
     return calls
+
+
+def _entries(memo) -> list:
+    """The distinct entries of the charpoly memo, each filed under one
+    or two keys, in the order they were first filed."""
+    return list({id(entry): entry for entry in memo.values()}.values())
 
 
 def _point_set(m):
@@ -1053,6 +1094,33 @@ def _point_set(m):
         lead = next(x for x in col if x)
         points.add(_trimmed([field.mul[field.inv[lead]][x] for x in col]))
     return frozenset(points)
+
+
+def _standard_form_set(m):
+    """The points of m's standard form, written here apart from the
+    harness's key: Gauss-Jordan elimination of m's matrix leaves the
+    first basis in element order as unit columns and every other column
+    as its coordinates in that basis; each column is then scaled and
+    trimmed as in :func:`_point_set`.  The harness first scales each
+    basis column to 1 at its first nonzero entry, so the two agree when
+    those columns already lead with 1, as every column over GF(2) does."""
+    field = m.field
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    rows = [list(row) for row in zip(*m.columns)]
+    top = 0
+    for j in range(m.n):
+        pivot = next((i for i in range(top, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        scale = inv[rows[top][j]]
+        rows[top] = [mul[scale][x] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[j]:
+                c = neg[row[j]]
+                rows[i] = [add[x][mul[c][y]] for x, y in zip(row, rows[top])]
+        top += 1
+    return _point_set(LinearMatroid(field, [col[:top] for col in zip(*rows[:top])]))
 
 
 def _trimmed(point):
@@ -1071,29 +1139,143 @@ def _trimmed(point):
     ],
 )
 def test_charpoly_memo_keeps_report_bytes(
-    monkeypatch, fresh_charpoly_memo, suite, verify, q, k, count, seed
+    monkeypatch, fresh_root_memo, suite, verify, q, k, count, seed
 ):
-    """A cold run, a warm run and a run that calls the engine on every
-    instance write the same bytes."""
+    """A cold run, a warm run and a run that calls the engine and the
+    root layer afresh on every instance write the same bytes."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = suite(q, k, count, seed=seed)
     cold = reports_to_jsonl(verify(recs, q, k))
-    assert fresh_charpoly_memo
+    assert harness._CHARPOLY_MEMO
     warm = reports_to_jsonl(verify(recs, q, k))
-    monkeypatch.setattr(harness, "_shared_charpoly", charpoly_auto)
+    monkeypatch.setattr(harness, "_shared_entry", lambda m: (charpoly_auto(m), {}))
+    fresh_root_memo.clear()
     direct = reports_to_jsonl(verify(recs, q, k))
     assert cold == warm == direct
 
 
-def test_charpoly_memo_runs_the_engine_once_per_point_set(monkeypatch, fresh_charpoly_memo):
+def test_charpoly_memo_runs_the_engine_once_per_standard_form(monkeypatch, fresh_charpoly_memo):
+    """The engine runs for an instance only when neither its point set
+    nor its standard form is in the table, so a suite runs it fewer
+    times than it has point sets, and every chi is right."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = main_theorem_suite(2, 3, 100, seed=1)
+    seen = set()
+    runs = []
+    for rec in recs:
+        points = _point_set(rec.matroid)
+        if points in seen:
+            continue
+        form = _standard_form_set(rec.matroid)
+        if form not in seen:
+            runs.append(rec)
+        seen |= {points, form}
     distinct = {_point_set(rec.matroid) for rec in recs}
-    assert 1 < len(distinct) < 100
+    assert 1 < len(runs) < len(distinct) < 100
     calls = _counting_engine(monkeypatch)
     assert all_verdicts_true(verify_main_theorem(recs, 2, 3))
-    assert len(calls) == len(distinct) == len(fresh_charpoly_memo)
-    assert len({_point_set(m) for m in calls}) == len(distinct)
+    assert calls == [rec.matroid._standard_form()[1] for rec in runs]
+    assert len(_entries(fresh_charpoly_memo)) == len(runs)
+    for rec in recs:
+        assert harness._shared_entry(rec.matroid)[0] == cp_mobius(rec.matroid)
+    assert len(calls) == len(runs)
+
+
+def test_warm_bound_suites_call_neither_the_engine_nor_the_root_layer(
+    monkeypatch, fresh_root_memo
+):
+    """A second pass over a suite reads every chi, verdict and bracket
+    from the memo and writes the same bytes."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    runs = [
+        (verify_main_theorem, main_theorem_suite(3, 2, 60, seed=5), 3, 2),
+        (verify_no_lines_theorem, no_lines_suite(2, 2, 40, seed=5), 2, 2),
+    ]
+    cold = [reports_to_jsonl(verify(recs, q, k)) for verify, recs, q, k in runs]
+    calls = {"engine": 0, "sturm_positive_beyond": 0, "largest_real_root": 0}
+
+    def refused(name):
+        def wrapper(*args):
+            calls[name] += 1
+            raise AssertionError(f"{name} called on a warm pass")
+        return wrapper
+
+    monkeypatch.setattr(harness, "cp_delete_contract", refused("engine"))
+    monkeypatch.setattr(harness, "_chi_from_rows", refused("engine"))
+    monkeypatch.setattr(harness, "sturm_positive_beyond", refused("sturm_positive_beyond"))
+    monkeypatch.setattr(harness, "largest_real_root", refused("largest_real_root"))
+    warm = [reports_to_jsonl(verify(recs, q, k)) for verify, recs, q, k in runs]
+    assert warm == cold
+    assert calls == {"engine": 0, "sturm_positive_beyond": 0, "largest_real_root": 0}
+
+
+@pytest.mark.parametrize(
+    "q, r, any_basis",
+    [(2, 3, True), (2, 4, True), (3, 3, False), (4, 2, False), (5, 3, False), (3, 3, True), (5, 3, True)],
+)
+def test_charpoly_memo_shares_an_engine_run_across_a_change_of_basis(
+    monkeypatch, fresh_charpoly_memo, q, r, any_basis
+):
+    """Matrices G·A for invertible G over GF(q) have other point sets,
+    and the chi read back for each equals the Mobius oracle's.  The
+    standard form writes every point in the first basis of points, each
+    scaled to 1 at its first nonzero entry, so it is the same for all of
+    them, and one engine run serves them all, when G keeps every
+    point's leading entry: any G over GF(2), and a G that adds multiples
+    of rows to later rows over any field.  Any other G may rescale the
+    basis points and so the standard form."""
+    F = gf(q)
+    rng = random.Random(f"change-of-basis:{q}:{r}:{any_basis}")
+    n = r + 4
+    while True:
+        cols = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(n)]
+        if all(any(col) for col in cols) and len(F.echelon(F.pack(c) for c in cols)) == r:
+            break
+    base = LinearMatroid(F, cols)
+    variants = [base]
+    while len(variants) < 6:
+        if any_basis:
+            g = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+        else:
+            g = [[rng.randrange(q) if j < i else int(i == j) for j in range(r)] for i in range(r)]
+        if len(F.echelon(F.pack(row) for row in g)) < r:
+            continue
+        image = []
+        for col in cols:
+            out = []
+            for row in g:
+                acc = 0
+                for a, x in zip(row, col):
+                    acc = F.add[acc][F.mul[a][x]]
+                out.append(acc)
+            image.append(tuple(out))
+        variants.append(LinearMatroid(F, image))
+    assert len({_point_set(m) for m in variants}) > 1
+    assert len({_standard_form_set(m) for m in variants}) == 1
+    calls = _counting_engine(monkeypatch)
+    expected = cp_mobius(base)
+    for m in variants:
+        assert harness._shared_entry(m)[0] == expected
+    if q == 2 or not any_basis:
+        assert len(calls) == 1
+        assert len(_entries(fresh_charpoly_memo)) == 1
+    assert len(_entries(fresh_charpoly_memo)) == len(calls)
+
+
+def test_charpoly_memo_keeps_an_answer_per_bound(monkeypatch, fresh_root_memo):
+    """One point set verified at the main bound and the no-lines bound
+    keeps both answers in its one entry, each the root layer's own."""
+    m = LinearMatroid(gf(2), [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])
+    rec = InstanceRecord("two-bounds", 2, m, single_vertex_decomposition(m))
+    main = verify_main_theorem([rec], 2, 3)[0]
+    nolines = verify_no_lines_theorem([rec], 2, 3)[0]
+    (chi, answers), = _entries(harness._CHARPOLY_MEMO)
+    assert answers == {
+        (4, 1): (charpoly.sturm_positive_beyond(chi, 4), charpoly.largest_real_root(chi, harness.ROOT_TOL)),
+        (7, 1): (charpoly.sturm_positive_beyond(chi, 7), charpoly.largest_real_root(chi, harness.ROOT_TOL)),
+    }
+    assert (main.bound, main.verdict, main.largest_root) == (4, *answers[4, 1])
+    assert (nolines.bound, nolines.verdict, nolines.largest_root) == (7, *answers[7, 1])
 
 
 def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
@@ -1112,9 +1294,9 @@ def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
     expected = charpoly_auto(LinearMatroid(F, cols))
     calls = _counting_engine(monkeypatch)
     for v in variants:
-        assert harness._shared_charpoly(LinearMatroid(F, v)) == expected
+        assert harness._shared_entry(LinearMatroid(F, v))[0] == expected
     assert len(calls) == 1
-    assert len(fresh_charpoly_memo) == 1
+    assert len(_entries(fresh_charpoly_memo)) == 1
 
 
 def test_charpoly_memo_never_aliases_fields(fresh_charpoly_memo):
@@ -1132,8 +1314,8 @@ def test_charpoly_memo_never_aliases_fields(fresh_charpoly_memo):
     for a, b in pairs:
         fresh_charpoly_memo.clear()
         for m in (a, b, a, b):
-            assert harness._shared_charpoly(m) == charpoly_auto(m)
-        assert len(fresh_charpoly_memo) == 2
+            assert harness._shared_entry(m)[0] == charpoly_auto(m)
+        assert len(_entries(fresh_charpoly_memo)) == 2
     # the last two pairs are different matroids, not just different keys
     assert charpoly_auto(pairs[1][0]) != charpoly_auto(pairs[1][1])
     assert charpoly_auto(pairs[2][0]) != charpoly_auto(pairs[2][1])
@@ -1142,9 +1324,9 @@ def test_charpoly_memo_never_aliases_fields(fresh_charpoly_memo):
 def test_charpoly_memo_bypasses_loops_and_keeps_graphic_and_uniform_roots(
     monkeypatch, fresh_charpoly_memo
 ):
-    """A matroid with a loop is computed every time; a loopless graphic
-    or uniform root, or a minor of one, is keyed by its matrix's points
-    and computed once."""
+    """A matroid with a loop is computed every time and kept nowhere,
+    verdicts included; a loopless graphic or uniform root, or a minor
+    of one, is keyed by its matrix's points and computed once."""
     looped = LinearMatroid(gf(2), [(1, 0), (0, 0), (1, 1)])
     loops = [
         looped,
@@ -1158,37 +1340,47 @@ def test_charpoly_memo_bypasses_loops_and_keeps_graphic_and_uniform_roots(
     assert expected[:3] == [ZERO] * 3
     calls = _counting_engine(monkeypatch)
     for _ in range(2):
-        assert [harness._shared_charpoly(m) for m in matroids] == expected
-    assert len(fresh_charpoly_memo) == len(kept)
+        assert [harness._shared_entry(m)[0] for m in matroids] == expected
+    assert len(_entries(fresh_charpoly_memo)) == len(kept)
     assert len(calls) == 2 * len(loops) + len(kept)
+    recs = [InstanceRecord(f"loop{i}", 2, m, single_vertex_decomposition(m)) for i, m in enumerate(loops)]
+    fresh_charpoly_memo.clear()
+    reports = verify_main_theorem(recs, 2, 2)
+    assert all(rep.identically_zero and rep.verdict and rep.largest_root is None for rep in reports)
+    assert not fresh_charpoly_memo
+    assert len(calls) == 3 * len(loops) + len(kept)
 
 
 def test_charpoly_memo_keeps_a_loopless_minor_of_a_matrix(fresh_charpoly_memo):
     m = fano()
     minor = m.contract([0])
     assert isinstance(minor, MinorMatroid)
-    chi = harness._shared_charpoly(minor)
+    chi = harness._shared_entry(minor)[0]
     # element 0 is (0, 0, 1): contracting it drops the last coordinate
     surgery = LinearMatroid(gf(2), [col[:2] for col in m.columns[1:]])
     assert chi == charpoly_auto(minor) == charpoly_auto(surgery)
-    assert len(fresh_charpoly_memo) == 1
+    assert len(_entries(fresh_charpoly_memo)) == 1
 
 
 def test_charpoly_memo_is_bounded(monkeypatch, fresh_charpoly_memo):
-    """The table holds at most the cap, dropping its oldest entry."""
+    """The table holds at most the cap of keys, dropping its oldest:
+    the newest matroid is read back with no engine run, the oldest is
+    computed again."""
     monkeypatch.setattr(harness, "MAX_CHARPOLY_MEMO", 3)
     F = gf(5)
     points = [(1, a, b) for a in range(5) for b in range(5)]
-    keys = []
-    for n in range(1, 11):
-        m = LinearMatroid(F, points[:n])
-        harness._shared_charpoly(m)
-        keys.append((F, _point_set(m)))
+    matroids = [LinearMatroid(F, points[:n]) for n in range(1, 11)]
+    for m in matroids:
+        harness._shared_entry(m)
         assert len(fresh_charpoly_memo) <= 3
-    assert len(set(keys)) == 10
-    assert [
-        (f, frozenset(_trimmed(f.unpack(p, 3)) for p in rows)) for f, rows in fresh_charpoly_memo
-    ] == keys[-3:]
+    assert len(fresh_charpoly_memo) == 3
+    newest, oldest = charpoly_auto(matroids[-1]), charpoly_auto(matroids[0])
+    calls = _counting_engine(monkeypatch)
+    assert harness._shared_entry(matroids[-1])[0] == newest
+    assert calls == []
+    assert harness._shared_entry(matroids[0])[0] == oldest
+    assert calls == [matroids[0]._standard_form()[1]]
+    assert len(fresh_charpoly_memo) == 3
 
 
 def test_charpoly_memo_shared_by_threads(monkeypatch, fresh_charpoly_memo):
@@ -1205,7 +1397,7 @@ def test_charpoly_memo_shared_by_threads(monkeypatch, fresh_charpoly_memo):
         try:
             for i in range(200):
                 j = (i + offset) % len(matroids)
-                assert harness._shared_charpoly(matroids[j]) == expected[j]
+                assert harness._shared_entry(matroids[j])[0] == expected[j]
         except Exception as exc:  # reported below; a thread cannot raise into the test
             errors.append(exc)
 
@@ -1232,9 +1424,9 @@ def test_identity_checks_never_touch_the_charpoly_memo(monkeypatch, fresh_charpo
     assert all_verdicts_true(verify_main_theorem(recs[:6], 2, 2))
     before = dict(fresh_charpoly_memo)
     for key in before:  # a read of the table would return this
-        fresh_charpoly_memo[key] = IntPoly([7])
+        fresh_charpoly_memo[key] = IntPoly([7]), {}
     assert all_verdicts_true(verify_identities(recs))
     assert cli_main(["generate", "uniform", "--rank", "2", "--n", "5", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert list(fresh_charpoly_memo) == list(before)
-    assert all(chi == IntPoly([7]) for chi in fresh_charpoly_memo.values())
+    assert all(entry == (IntPoly([7]), {}) for entry in fresh_charpoly_memo.values())

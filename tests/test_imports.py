@@ -282,3 +282,78 @@ def test_no_second_simplification_route(path):
     ``.simplify()`` or ``.is_simple()``: a simplification is read off a
     standard form as its distinct nonzero rows."""
     assert simplification_calls(path.read_text(encoding="utf-8")) == []
+
+
+#: module-level dicts that may be stored into directly: ``gf`` keeps one
+#: field per prime power up to ``MAX_ORDER``, so ``_FIELDS`` is bounded
+#: by that cap and never needs to drop an entry
+BOUNDED_BY_THEIR_KEYS = {"_FIELDS"}
+
+
+def module_dict_stores(source: str) -> list[str]:
+    """The stores into a dict bound at module level of ``source``, outside
+    ``BOUNDED_BY_THEIR_KEYS``, as "line:name": a subscript assignment,
+    plain or augmented, an in-place ``|=``, or a call of its
+    ``setdefault`` or ``update``.  A table handed to
+    ``charpoly._remember``, which checks the cap and drops the oldest
+    entry before it stores, is stored into by that function's own
+    parameter and is not flagged."""
+    tree = ast.parse(source)
+    tables = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value is not None else []
+        )
+        value = getattr(node, "value", None)
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "dict"
+        )
+        if is_dict:
+            tables |= {t.id for t in targets if isinstance(t, ast.Name)}
+    tables -= BOUNDED_BY_THEIR_KEYS
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            name = node.value
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            name = node.target
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("setdefault", "update")):
+            name = node.func.value
+        else:
+            continue
+        if isinstance(name, ast.Name) and name.id in tables:
+            out.append((node.lineno, name.id))
+    return [f"{line}:{name}" for line, name in sorted(set(out))]
+
+
+def test_detector_finds_unbounded_table_stores():
+    source = (
+        "from .charpoly import _remember\n"
+        "_MEMO: dict[int, int] = {}\n"
+        "_FIELDS = {}\n"
+        "_NAMES = dict()\n"
+        "_SQUARES = {i: i * i for i in range(4)}\n"
+        "LIMITS = (1, 2)\n"
+        "def f(k):\n"
+        "    _MEMO[k] = 1\n"
+        "    _NAMES.setdefault(k, 2)\n"
+        "    _SQUARES.update({k: 3})\n"
+        "    _FIELDS[k] = 4\n"
+        "    _remember(_MEMO, k, 5, 8)\n"
+        "    local = {}\n"
+        "    local[k] = _MEMO.get(k)\n"
+        "def g(k):\n"
+        "    _SQUARES[k] += 1\n"
+        "    _NAMES |= {k: 0}\n"
+    )
+    assert module_dict_stores(source) == ["8:_MEMO", "9:_NAMES", "10:_SQUARES", "16:_SQUARES", "17:_NAMES"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_process_wide_table_stays_bounded(path):
+    """Every process-wide table stores only through ``charpoly._remember``,
+    which keeps it within its cap, except ``_FIELDS``, which its keys
+    bound."""
+    assert module_dict_stores(path.read_text(encoding="utf-8")) == []

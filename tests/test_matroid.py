@@ -6,6 +6,7 @@ import copy
 import gc
 import random
 import weakref
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from matzero.matroid import (
     ranks_agree,
     require_simple,
 )
-from support import minor, minor_chains, pivot, rooted
+from support import minor, minor_chains, non_simple_matroids, pivot, rooted
 
 
 def axiom_battery():
@@ -1230,23 +1231,28 @@ def test_matroid_parser_raises_only_package_errors(text):
 
 
 def _assert_smallest_cocircuit(m) -> bool:
-    """find_small_cocircuit, a scan of linear functionals, against the
-    lattice walk: the mask min(cocircuits(), key=size) picks, ties going
-    to the smallest mask, or TooLargeError when the (q**r - 1)/(q - 1)
-    functionals over the root's field GF(q) exceed MAX_FLATS.  Returns
-    whether m had tied minimum cocircuits."""
+    """find_small_cocircuit, a scan of linear functionals or of spanned
+    hyperplanes, against the lattice walk: the mask
+    min(cocircuits(), key=size) picks, ties going to the smallest mask,
+    or TooLargeError when both the (q**r - 1)/(q - 1) functionals over
+    the root's field GF(q) and the C(n, r - 1) subsets exceed
+    MAX_FLATS.  Returns whether m had tied minimum cocircuits."""
     r, q = m.full_rank, m._points()[0].q
     if r == 0:
         with pytest.raises(RankZeroError):
             m.find_small_cocircuit()
         return False
-    if (q ** r - 1) // (q - 1) > matroid.MAX_FLATS:
+    if min((q ** r - 1) // (q - 1), comb(m.n, r - 1)) > matroid.MAX_FLATS:
         with pytest.raises(TooLargeError):
             m.find_small_cocircuit()
         return False
     walked = m.cocircuits()
     size = min(bin(c).count("1") for c in walked)
-    assert m.find_small_cocircuit() == min(walked, key=lambda c: bin(c).count("1")), m
+    smallest = min(walked, key=lambda c: bin(c).count("1"))
+    assert m.find_small_cocircuit() == smallest, m
+    # the hyperplane scan alone, whichever scan find_small_cocircuit picks
+    basis, coordinates = m._standard_form()
+    assert matroid._spanned_min_cocircuit(m._points()[0], coordinates, r) == smallest, m
     return sum(bin(c).count("1") == size for c in walked) > 1
 
 
@@ -1266,35 +1272,67 @@ def test_smallest_cocircuit_matches_the_lattice_walk_on_graphs(m):
 
 
 @given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example(shape=(7, 9))  # 299,593 functionals over GF(8) against 84 subsets
+@example(shape=(8, 9))  # 2,396,745 functionals, past MAX_FLATS, against 36 subsets
 @settings(max_examples=60, deadline=None)
 def test_smallest_cocircuit_matches_the_lattice_walk_on_uniform_matroids(shape):
     _assert_smallest_cocircuit(UniformMatroid(*shape))
+
+
+@pytest.mark.parametrize("name, m", non_simple_matroids(), ids=[n for n, _ in non_simple_matroids()])
+def test_smallest_cocircuit_matches_the_lattice_walk_on_non_simple_matroids(name, m):
+    """Loops lie in every hyperplane and parallel copies in the same
+    ones, for both scans."""
+    _assert_smallest_cocircuit(m)
 
 
 def test_smallest_cocircuit_breaks_ties_as_the_lattice_walk():
     assert sum(map(_assert_smallest_cocircuit, flat_oracle_battery())) >= 20
 
 
-@pytest.mark.parametrize("q, rank", [(2, 20), (2, 21), (3, 13), (3, 14)])
-def test_cocircuit_scan_cap_starts_no_scan(monkeypatch, q, rank):
-    """Past MAX_FLATS functionals the scan is refused before it starts:
-    (q**r - 1)/(q - 1) is 2,097,151 at GF(2) rank 21 and 2,391,484 at
-    GF(3) rank 14, while rank 20 (1,048,575) and rank 13 (797,161)
-    start it.  Over GF(2) a rank-r matroid has at least 2**r flats, so
-    the lattice walk refuses every input the scan refuses."""
+@pytest.mark.parametrize(
+    "q, rank, n",
+    [(2, 20, 24), (2, 21, 24), (3, 13, 24), (3, 14, 24), (3, 14, 23), (4, 12, 24), (5, 3, 24)],
+    ids=["2-20", "2-21", "3-13", "3-14", "3-14-23", "4-12", "5-3"],
+)
+def test_cocircuit_scan_cap_starts_no_scan(monkeypatch, q, rank, n):
+    """The cheaper scan starts, and when both are past MAX_FLATS neither
+    does.  On 24 elements GF(2) rank 20 and 21 have 1,048,575 and
+    2,097,151 functionals (q**r - 1)/(q - 1) but only 42,504 and 10,626
+    subsets C(24, r - 1), a projection of 24 rows each, so their
+    hyperplanes are scanned; GF(3) rank 13 has 797,161 functionals
+    against 2,496,144 subsets and GF(5) rank 3 has 31 against 276, so
+    their functionals are; GF(3) rank 14 (2,391,484 against 2,496,144)
+    and GF(4) rank 12 (5,592,405 against 2,496,144) are refused; GF(3)
+    rank 14 on 23 elements has 1,144,066 subsets, within the cap where
+    the functionals are not, so they are scanned."""
 
     class Started(Exception):
         pass
 
-    def span_points(self, rows):
-        raise Started
+    scans = []
 
-    monkeypatch.setattr(GF, "span_points", span_points)
-    m = LinearMatroid(gf(q), [tuple(int(i == j) for i in range(rank)) for j in range(rank)])
+    def started(name):
+        def scan(*args):
+            scans.append(name)
+            raise Started
+        return scan
+
+    monkeypatch.setattr(GF, "span_points", started("functionals"))
+    monkeypatch.setattr(matroid, "_spanned_min_cocircuit", started("hyperplanes"))
+    columns = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    columns += [tuple(int(i <= j) for i in range(rank)) for j in range(n - rank)]
+    m = LinearMatroid(gf(q), columns)
+    assert (m.n, m.full_rank) == (n, rank)
     functionals = (q ** rank - 1) // (q - 1)
-    if functionals > matroid.MAX_FLATS:
+    subsets = comb(n, rank - 1)
+    if min(functionals, subsets) > matroid.MAX_FLATS:
         with pytest.raises(TooLargeError):
             m.find_small_cocircuit()
+        assert scans == []
     else:
         with pytest.raises(Started):
             m.find_small_cocircuit()
+        walk = n * subsets < functionals or functionals > matroid.MAX_FLATS
+        assert scans == ["hyperplanes" if walk else "functionals"]
+
