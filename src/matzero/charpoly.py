@@ -32,7 +32,7 @@ from .errors import (
     RootCertificateError,
     TooLargeError,
 )
-from .matroid import MAX_GROUND, Matroid, _min_cocircuit, _standard_rows, mask_bits
+from .matroid import MAX_GROUND, Matroid, _min_cocircuit, mask_bits
 
 BOOLEAN_EXPANSION_MAX = 20
 # distinct polynomials whose root analysis is kept, and answers kept per
@@ -245,7 +245,10 @@ def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
     rows in element order of a matroid of rank ``rank``, with a unit row
     for each live digit, as :meth:`Matroid._standard_form` gives them
     (zero for a loop, equal rows for parallel elements, of which the
-    first is kept).  ``project`` is the field's :meth:`GF.project`.  No
+    first is kept).  ``project`` is the field's :meth:`GF.project`.  It
+    is the leaf of the split engine that :func:`harness.charpoly_auto`
+    and the bound suites run (:func:`projgeom._chi_by_splits`), and
+    :func:`cp_delete_contract` and the identity checks run it alone.  No
     minor is kept for reuse, because no minor comes up twice in one
     computation: every minor below the deletion of e lacks e, every
     minor below its contraction has e contracted, and along one path the
@@ -338,9 +341,12 @@ def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
     loopless one are its simplification's) by the expansion of
     :func:`cp_cocircuit_expansion`, on rows like :func:`_chi_from_rows`.
     Each minor's cocircuit comes from a scan of linear functionals
-    (:func:`matroid._min_cocircuit`).  The rows of M minus C* are the
-    other rows, of rank one less, put in a standard form again by one
-    elimination pass (:func:`matroid._standard_rows`).  The term (i, j)
+    (:func:`matroid._min_cocircuit`).  The other rows span the
+    hyperplane H = E minus C*, which x_1 does not lie in, so projecting
+    them along x_1's row (one :meth:`GF.project` call) maps span(H)
+    one to one onto the quotient by x_1: the images are the rows of
+    M minus C*, distinct and nonzero, spanning every live digit but
+    x_1's pivot, with no elimination pass.  The term (i, j)
     keeps the rows outside x_1, ..., x_j, contracted along x_j and x_i:
     one :meth:`GF.project` call per j projects those rows and
     x_1, ..., x_(j-1) along x_j's row, and one per term projects the
@@ -356,10 +362,9 @@ def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
     """
     project = field.project
 
-    def expand(rows: list, rank: int, height: int) -> IntPoly:
-        # rows: the distinct nonzero rows of a simple minor of rank
-        # ``rank``, in element order, spanning their live digits, all of
-        # them below digit ``height``
+    def expand(rows: list, rank: int) -> IntPoly:
+        # rows: the distinct nonzero echelon rows of a simple minor of
+        # rank ``rank``, in element order, spanning their live digits
         n = len(rows)
         if n == rank:
             return lam_minus_one_power(n)
@@ -369,7 +374,7 @@ def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
         elements = list(mask_bits(cstar))
         xs = [rows[e] for e in elements]
         kept = [row for e, row in enumerate(rows) if not cstar >> e & 1]
-        total = x_minus(len(xs)) * expand(_standard_rows(field, height, kept)[1], rank - 1, rank - 1)
+        total = x_minus(len(xs)) * expand(project(kept, xs[0]), rank - 1)
         gone = 1 << elements[0]
         for j in range(1, len(xs)):
             # the elements outside x_1, ..., x_j, in order, and x_1, ..., x_(j-1)
@@ -380,10 +385,10 @@ def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
             for xi in xis:
                 rest = project(kept, xi)
                 if 0 not in rest:
-                    total = total + expand(list(dict.fromkeys(rest)), rank - 2, height)
+                    total = total + expand(list(dict.fromkeys(rest)), rank - 2)
         return total
 
-    return expand(rows, rank, rank)
+    return expand(rows, rank)
 
 
 def cp_pg_closed_form(r: int, q: int) -> IntPoly:

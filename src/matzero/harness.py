@@ -24,7 +24,6 @@ from .charpoly import (
     _chi_from_rows,
     _cocircuit_chi,
     _remember,
-    cp_delete_contract,
     largest_real_root,
     poly_exact_div,
     sturm_positive_beyond,
@@ -52,7 +51,7 @@ from .matroid import (
     mask_of,
     save_matroid,
 )
-from .projgeom import _telescoped_chi, pg_build, pg_point_count
+from .projgeom import _chi_by_splits, _telescoped_chi, pg_build, pg_point_count
 from .treedecomp import (
     TreeDecomposition,
     _scored_path,
@@ -79,18 +78,24 @@ def effective_seed(seed):
 
 
 def charpoly_auto(m: Matroid) -> IntPoly:
-    """The production engine for bulk verification: deletion-contraction
-    (zero when m has a loop).  On the simplifications of the seed-0
-    benchmark instances (best of 5 passes on a 2-core Xeon virtual
-    machine, Python 3.11) it took 24 ms against the cocircuit
-    expansion's 89 ms over the 2000 of main-c05, 5.1 ms against 68 ms
-    over the 16 of glued-nolines and 5.2 ms against 11.7 ms over the 104
-    of identities; the other engines are kept as test oracles.  The bound
-    suites run its recursion (:func:`charpoly._chi_from_rows`) on the
-    standard form they key their memo with, once per memo entry
+    """The production engine for bulk verification: the split engine
+    (:func:`projgeom._chi_by_splits`) on m's standard form, which splits
+    chi along direct sums and filled necks of the element-order path and
+    leaves the pieces to deletion-contraction
+    (:func:`charpoly._chi_from_rows`); zero when m has a loop.  On the
+    simplifications of the seed-0 benchmark instances (best of 5 passes
+    on a 2-core Xeon virtual machine, Python 3.11) it took 13.9 ms
+    against deletion-contraction's 13.4 ms and the cocircuit expansion's
+    63 ms over the 2000 of main-c05, where the leaf test sends almost
+    every one straight to the recursion, 1.9 ms against 3.9 ms and 55 ms
+    over the 16 of glued-nolines, and 2.1 ms against 2.1 ms and 5.6 ms
+    over the 104 of identities; the other engines are kept as test
+    oracles.  The bound suites run the split engine on the standard form
+    they key their memo with, once per memo entry
     (:func:`_shared_entry`): 268 times for the 2000 instances of
     main-c05 at seed 0."""
-    return cp_delete_contract(m)
+    basis, coordinates = m._standard_form()
+    return _chi_by_splits(m._points()[0], coordinates, basis.bit_count())
 
 
 # (field, frozenset of packed echelon rows) -> (chi, answers), each entry
@@ -101,8 +106,8 @@ _CHARPOLY_MEMO: dict[tuple, tuple[IntPoly, dict]] = {}
 
 def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
     """(chi, answers) of m, one entry per distinct simple matroid: chi
-    from the recursion of :func:`charpoly_auto`
-    (:func:`charpoly._chi_from_rows`) on m's standard form, and
+    from the split engine of :func:`charpoly_auto`
+    (:func:`projgeom._chi_by_splits`) on m's standard form, and
     ``answers`` mapping a bound, as its (numerator, denominator), to the
     (verdict, bracket) that :func:`_verify_bound` found for chi there.
 
@@ -132,11 +137,11 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
     its own, kept nowhere.
 
     Only the bound suites read this table.  :func:`verify_identities`
-    runs the engine's recursion on the rows of each instance and of its
-    one-element minors, and the CLI's closed-form check calls the engine
-    directly: their job is to compute chi again and compare, and a
-    shared table would turn those checks into reads of an earlier
-    answer.
+    runs the deletion-contraction recursion, with no split, on the rows
+    of each instance and of its one-element minors, and the CLI's
+    closed-form check calls the engine directly: their job is to
+    compute chi again and compare, and a shared table would turn those
+    checks into reads of an earlier answer.
     """
     field, _, rows = m._points()
     if 0 in rows:
@@ -148,8 +153,8 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
         form = (field, frozenset(coordinates))
         entry = _CHARPOLY_MEMO.get(form)
         if entry is None:
-            # charpoly_auto's recursion, on the standard form in hand
-            chi = _chi_from_rows(field.project, coordinates, basis.bit_count())
+            # charpoly_auto's engine, on the standard form in hand
+            chi = _chi_by_splits(field, coordinates, basis.bit_count())
             entry = _remember(_CHARPOLY_MEMO, form, (chi, {}), MAX_CHARPOLY_MEMO)
         if form != points:
             _remember(_CHARPOLY_MEMO, points, entry, MAX_CHARPOLY_MEMO)

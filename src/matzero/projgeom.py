@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .charpoly import ZERO, IntPoly, _chi_from_rows, cp_delete_contract, poly_exact_div
+from .charpoly import (
+    ZERO,
+    IntPoly,
+    _chi_from_rows,
+    cp_delete_contract,
+    cp_pg_closed_form,
+    lam_minus_one_power,
+    poly_exact_div,
+)
 from .errors import (
     ArgumentError,
     NeckNotFilledError,
@@ -44,6 +52,10 @@ from .matroid import (
 from .treedecomp import TreeDecomposition
 
 MAX_POINTS = 4096
+# a matroid of lower rank, or given by fewer rows, goes to the
+# deletion-contraction recursion with no split tried (_chi_by_splits)
+SPLIT_MIN_RANK = 6
+SPLIT_MIN_POINTS = 10
 
 
 def pg_point_count(r: int, q: int) -> int:
@@ -249,7 +261,7 @@ def _neck(field: GF, height: int, image, us, ws) -> tuple[tuple[int, ...], tuple
     return tuple(neck), tuple(p for p in neck if p not in image)
 
 
-def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int]]:
+def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, int]]]:
     """The external neck size of every edge of the path of singleton
     bags in element order over the standard-form ``rows`` of a simple
     matroid (:meth:`Matroid._standard_form`): what :func:`path_necks`
@@ -269,8 +281,10 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int]]:
     intersection of the two spans, and the external ones are those that
     are no element lying in both.
 
-    Returns (L, sizes): the mask L of the reverse pass's first basis
-    and the size for each edge.
+    Returns (L, sizes, reach): the mask L of the reverse pass's first
+    basis, the size for each edge, and for each element the pair
+    (lo, hi) such that it lies in the prefix span of edge i exactly
+    when lo <= i and in the suffix span exactly when i < hi.
     """
     n, width = len(rows), field.width
     first = [e for e, row in enumerate(rows) if not row & row - 1]  # unit rows are one bit
@@ -281,8 +295,10 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int]]:
     # element its forward coordinates use up to, not including, the
     # first one its backward coordinates use
     enters = [0] * n
+    reach = []
     for row, back in zip(rows, reversed(backward)):
         lo, hi = first[(row.bit_length() - 1) // width], last[(back.bit_length() - 1) // width]
+        reach.append((lo, hi))
         if lo < hi:
             enters[lo] += 1
             enters[hi] -= 1
@@ -295,7 +311,94 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int]]:
         ahead += bmask >> i & 1
         behind -= lmask >> i & 1
         sizes.append(pg_point_count(ahead + behind - rank, field.q) - both)
-    return lmask, sizes
+    return lmask, sizes, reach
+
+
+def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
+    """chi of the matroid of the standard-form ``rows`` of rank ``rank``
+    over ``field`` (:meth:`Matroid._standard_form`), split along direct
+    sums and filled necks of the element-order path down to pieces the
+    deletion-contraction recursion (:func:`charpoly._chi_from_rows`)
+    computes.
+
+    A matroid of rank below ``SPLIT_MIN_RANK``, or given by fewer than
+    ``SPLIT_MIN_POINTS`` rows, goes to the recursion at once, before any
+    support, component or neck is computed: on such small pieces the
+    split costs more than it saves.  Otherwise, with a loop chi is zero,
+    and parallel rows are dropped.
+
+    Direct sums: the digits that one non-unit row is nonzero at belong
+    to one component, and the components are the classes of digits
+    joined that way (the fundamental graph of the first basis; Oxley,
+    *Matroid Theory*, ch. 4).  A digit that no non-unit row uses is a
+    coloop.  chi is (lam - 1)**coloops times the chi of each component,
+    each put in a standard form of its own (:func:`matroid._standard_rows`).
+
+    Filled necks: on a connected matroid, an edge i of the element-order
+    path (:func:`_path_neck_sizes`) whose neck has dimension d >= 1, no
+    external point and two sides of rank below r splits it.  Side A is
+    the prefix with the neck's elements in the suffix, side B the suffix
+    with those in the prefix; A and B meet in the neck C, the spans of A
+    and B meet in span(C) alone, and C has every point of span(C).  So
+    span(C) is a modular flat, as in :func:`harness._split_chi`, and
+    chi = chi(A) chi(B) / chi(C) (Brylawski, *Modular constructions for
+    combinatorial geometries*, 1975), with chi(C) that of PG(d - 1, q).
+    Of the edges that qualify the one with the fewest elements on its
+    larger side is taken.  A remainder in the division can only come
+    from a wrong chi, and raises :class:`InexactDivisionError`.  With
+    no edge that qualifies the recursion computes chi.
+    """
+    if rank < SPLIT_MIN_RANK or len(rows) < SPLIT_MIN_POINTS:
+        return _chi_from_rows(field.project, rows, rank)
+    if 0 in rows:
+        return ZERO
+    rows = list(dict.fromkeys(rows))
+    width = field.width
+    low = ((1 << rank * width) - 1) // ((1 << width) - 1)  # bit 0 of every digit
+    high = low << width - 1
+    # the top bit of each digit of ((v | high) - low) | v is set exactly
+    # where v is nonzero
+    supports = [((row | high) - low | row) & high for row in rows]
+    parts: list[int] = []
+    for support in supports:
+        if support & support - 1:  # a non-unit row
+            joined = support
+            for part in parts:
+                if part & support:
+                    joined |= part
+            parts = [part for part in parts if not part & support] + [joined]
+    coloops = rank - sum(part.bit_count() for part in parts)
+    if coloops or len(parts) > 1:
+        chi = lam_minus_one_power(coloops)
+        for part in parts:
+            piece = [row for row, support in zip(rows, supports) if support & part]
+            chi = chi * _chi_of_piece(field, rank, piece)
+        return chi
+    # connected, so the two spans of every edge meet in d >= 1 dimensions
+    lmask, sizes, reach = _path_neck_sizes(field, rows)
+    best = None
+    ahead, behind = 0, rank
+    for i, size in enumerate(sizes):
+        ahead += not rows[i] & rows[i] - 1
+        behind -= lmask >> i & 1
+        if not size and ahead < rank and behind < rank:
+            larger = max(sum(lo <= i for lo, _ in reach), sum(hi > i for _, hi in reach))
+            if best is None or larger < best[0]:
+                best = larger, i, ahead + behind - rank
+    if best is None:
+        return _chi_from_rows(field.project, rows, rank)
+    _, i, d = best
+    chi_a = _chi_of_piece(field, rank, [row for row, (lo, _) in zip(rows, reach) if lo <= i])
+    chi_b = _chi_of_piece(field, rank, [row for row, (_, hi) in zip(rows, reach) if hi > i])
+    return poly_exact_div(chi_a * chi_b, cp_pg_closed_form(d, field.q))
+
+
+def _chi_of_piece(field: GF, height: int, rows) -> IntPoly:
+    """:func:`_chi_by_splits` of the matroid of some of a standard
+    form's ``rows``, of ``height`` digits, put in a standard form of its
+    own first."""
+    bmask, rows = _standard_rows(field, height, rows)
+    return _chi_by_splits(field, rows, bmask.bit_count())
 
 
 def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | None:
@@ -316,7 +419,7 @@ def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | N
     :meth:`GF.project` call gives each contraction in standard form.
     Returns None when no edge has at most ``room`` external points.
     """
-    lmask, sizes = _path_neck_sizes(field, rows)
+    lmask, sizes, _ = _path_neck_sizes(field, rows)
     fits = [i for i, size in enumerate(sizes) if size <= room]
     if not fits:
         return None

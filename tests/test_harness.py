@@ -2,6 +2,7 @@
 serialization, the chromatic cross-check, and instance files."""
 
 import copy
+import importlib.util
 import json
 import random
 import sys
@@ -9,10 +10,12 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import matzero
 from matzero import charpoly, harness, matroid, projgeom
 from matzero.charpoly import ONE, ZERO, IntPoly, cp_boolean_expansion, cp_delete_contract, cp_mobius
 from matzero.cli import main as cli_main
@@ -1060,20 +1063,15 @@ def test_bad_sizes_raise_a_typed_error(call, message):
 
 
 def _counting_engine(monkeypatch):
-    """Count the deletion-contraction runs that start from the harness:
-    those on a matroid, and those on the rows of a standard form."""
+    """Count the runs of the production engine that start from the
+    harness, each on the rows of a standard form."""
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return cp_delete_contract(m)
-
-    def counted_rows(project, rows, rank):
+    def counted(field, rows, rank):
         calls.append(rows)
-        return charpoly._chi_from_rows(project, rows, rank)
+        return projgeom._chi_by_splits(field, rows, rank)
 
-    monkeypatch.setattr(harness, "cp_delete_contract", counted)
-    monkeypatch.setattr(harness, "_chi_from_rows", counted_rows)
+    monkeypatch.setattr(harness, "_chi_by_splits", counted)
     return calls
 
 
@@ -1154,6 +1152,77 @@ def test_charpoly_memo_keeps_report_bytes(
     assert cold == warm == direct
 
 
+def _benchmark_workloads():
+    """The benchmark's workload definitions (perfbench/workloads.py),
+    read from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_charpoly_memo):
+    """The leaf test comes first: charpoly_auto on every criterion-07
+    instance, and the engine on every key of the criterion-05 batch that
+    the leaf test accepts, put no piece in a standard form and sweep no
+    neck (projgeom's _standard_rows and _path_neck_sizes); every
+    glued-nolines chain of the benchmark at seed 0 of rank at least
+    SPLIT_MIN_RANK is split at least once."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    work = {"_standard_rows": 0, "_path_neck_sizes": 0, "_chi_of_piece": 0}
+    for name in work:
+        def counted(*args, name=name, real=getattr(projgeom, name)):
+            work[name] += 1
+            return real(*args)
+        monkeypatch.setattr(projgeom, name, counted)
+
+    def idle() -> bool:
+        done = not any(work.values())
+        work.update(dict.fromkeys(work, 0))
+        return done
+
+    glued, rand = criterion_07_instances()
+    for rec in glued + rand:
+        assert charpoly_auto(rec.matroid) == cp_delete_contract(rec.matroid)
+        assert idle(), rec.id
+
+    keys = []
+    engine = projgeom._chi_by_splits
+
+    def kept(field, rows, rank):
+        keys.append((field, rows, rank))
+        return engine(field, rows, rank)
+
+    monkeypatch.setattr(harness, "_chi_by_splits", kept)
+    for q in (2, 3):
+        for k in (2, 3):
+            assert all_verdicts_true(verify_main_theorem(main_theorem_suite(q, k, 500, seed=q * 10 + k), q, k))
+    idle()
+    leaves = 0
+    for field, rows, rank in keys:
+        chi = engine(field, rows, rank)
+        if rank < projgeom.SPLIT_MIN_RANK or len(rows) < projgeom.SPLIT_MIN_POINTS:
+            assert idle()
+            leaves += 1
+        else:
+            idle()
+        assert chi == charpoly._chi_from_rows(field.project, rows, rank)
+    assert 0.9 * len(keys) < leaves < len(keys)
+
+    chains = 0
+    for item in _benchmark_workloads().glued_nolines(matzero, 0, False):
+        m = item.rec.matroid
+        if m.full_rank >= projgeom.SPLIT_MIN_RANK:
+            chi = charpoly_auto(m)
+            assert work["_chi_of_piece"] >= 2, item.id
+            assert chi == cp_delete_contract(m)
+            chains += 1
+        idle()
+    assert chains == 16
+
+
 def test_charpoly_memo_runs_the_engine_once_per_standard_form(monkeypatch, fresh_charpoly_memo):
     """The engine runs for an instance only when neither its point set
     nor its standard form is in the table, so a suite runs it fewer
@@ -1200,7 +1269,7 @@ def test_warm_bound_suites_call_neither_the_engine_nor_the_root_layer(
             raise AssertionError(f"{name} called on a warm pass")
         return wrapper
 
-    monkeypatch.setattr(harness, "cp_delete_contract", refused("engine"))
+    monkeypatch.setattr(harness, "_chi_by_splits", refused("engine"))
     monkeypatch.setattr(harness, "_chi_from_rows", refused("engine"))
     monkeypatch.setattr(harness, "sturm_positive_beyond", refused("sturm_positive_beyond"))
     monkeypatch.setattr(harness, "largest_real_root", refused("largest_real_root"))

@@ -9,9 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matzero import projgeom
-from matzero.charpoly import IntPoly, _chi_from_rows, cp_delete_contract
+from matzero.charpoly import (
+    IntPoly,
+    _chi_from_rows,
+    cp_boolean_expansion,
+    cp_delete_contract,
+    cp_mobius,
+    cp_pg_closed_form,
+    lam_minus_one_power,
+    poly_exact_div,
+)
 from matzero.errors import (
     ArgumentError,
+    InexactDivisionError,
     MatZeroError,
     NeckNotFilledError,
     NotLinearError,
@@ -743,7 +753,7 @@ def _row_necks_agree(field, height, points, rows) -> int:
     assert bmask == mask_of(e for e, row in enumerate(rows) if not row & row - 1)
     if len(points) < 2:
         return 0
-    lmask, sizes = projgeom._path_neck_sizes(field, rows)
+    lmask, sizes, _ = projgeom._path_neck_sizes(field, rows)
     base = embed(ls)
     necks = path_necks(base, heuristic_decomposition(base, "path"))
     assert sizes == [len(external) for _, external in necks]
@@ -841,3 +851,168 @@ def test_row_necks_and_terms_on_random_matrices(m):
     _row_necks_agree(*drawn)
     if len(drawn[2]) >= 2:
         _terms_match_the_oracle(*drawn)
+
+
+# -- the split engine for chi ------------------------------------------------
+
+
+def _engine_chi(m) -> IntPoly:
+    """chi of m by the split engine, on m's standard form."""
+    basis, rows = m._standard_form()
+    return projgeom._chi_by_splits(m._points()[0], rows, basis.bit_count())
+
+
+def _recursion_chi(m) -> IntPoly:
+    """chi of m by the deletion-contraction recursion alone."""
+    basis, rows = m._standard_form()
+    return _chi_from_rows(m._points()[0].project, rows, basis.bit_count())
+
+
+def _counted_splits(mp) -> dict:
+    """Count, through the monkeypatch ``mp``, the pieces the engine
+    computes (a component or a side of a neck) and the dimension of
+    each neck it divides out."""
+    seen = {"pieces": 0, "necks": []}
+    real_piece, real_pg = projgeom._chi_of_piece, projgeom.cp_pg_closed_form
+
+    def piece(*args):
+        seen["pieces"] += 1
+        return real_piece(*args)
+
+    def pg(d, q):
+        seen["necks"].append(d)
+        return real_pg(d, q)
+
+    mp.setattr(projgeom, "_chi_of_piece", piece)
+    mp.setattr(projgeom, "cp_pg_closed_form", pg)
+    return seen
+
+
+def _spanning_points(q: int, rank: int, count: int, rng) -> list:
+    """count distinct points of PG(rank - 1, q) that span it."""
+    field = gf(q)
+    while True:
+        points = rng.sample(pg_build(rank, q), count)
+        if len(field.echelon(field.pack(p) for p in points)) == rank:
+            return points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [((3, 5), (3, 5), 1), ((3, 5), (2, 3), 2), ((4, 7), (2, 3), 0)],
+                         ids=str)
+def test_split_engine_factors_direct_sums(monkeypatch, q, shape):
+    """Components (rank, points) in coordinates of their own and
+    coloops, their columns shuffled so that no component is contiguous
+    in element order: chi is (lam - 1)**coloops times the components'
+    chi, the engine splits, and it agrees with the recursion, the
+    Mobius expansion and the subset expansion."""
+    (ra, na), (rb, nb), coloops = shape
+    rng = random.Random(f"direct-sum:{q}:{shape}")
+    rank = ra + rb + coloops
+    parts = [_spanning_points(q, ra, na, rng), _spanning_points(q, rb, nb, rng)]
+    cols = [p + (0,) * (rank - ra) for p in parts[0]]
+    cols += [(0,) * ra + p + (0,) * coloops for p in parts[1]]
+    cols += [tuple(int(i == j) for i in range(rank)) for j in range(ra + rb, rank)]
+    rng.shuffle(cols)
+    m = LinearMatroid(gf(q), cols)
+    assert m.n >= projgeom.SPLIT_MIN_POINTS and m.full_rank >= projgeom.SPLIT_MIN_RANK
+    expected = lam_minus_one_power(coloops) * cp_mobius(LinearMatroid(gf(q), parts[0])) * cp_mobius(
+        LinearMatroid(gf(q), parts[1])
+    )
+    seen = _counted_splits(monkeypatch)
+    assert _engine_chi(m) == expected
+    assert seen["pieces"] == 2 and seen["necks"] == []
+    assert _recursion_chi(m) == cp_mobius(m) == cp_boolean_expansion(m) == expected
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 11, 1), (2, 3, 3, 0), (2, 3, 3, 1), (2, 3, 5, 2), (3, 2, 7, 1), (3, 2, 5, 0),
+     (4, 2, 5, 1), (5, 2, 3, 0)],
+    ids=str,
+)
+def test_split_engine_matches_the_glued_closed_form(monkeypatch, shape):
+    """A full glued chain of up to 24 elements has chi = prod chi(PG
+    block) / prod chi(PG overlap); the engine splits it along a filled
+    neck, or into components when the blocks share nothing."""
+    q, block_rank, blocks, overlap = shape
+    m = gen_glued(q, block_rank, blocks, overlap).matroid
+    assert m.n <= 24 and m.full_rank >= projgeom.SPLIT_MIN_RANK
+    num = den = IntPoly([1])
+    for _ in range(blocks):
+        num = num * cp_pg_closed_form(block_rank, q)
+    for _ in range(blocks - 1):
+        den = den * cp_pg_closed_form(overlap, q)
+    seen = _counted_splits(monkeypatch)
+    assert _engine_chi(m) == poly_exact_div(num, den) == _recursion_chi(m)
+    assert seen["pieces"] >= 2
+    assert bool(seen["necks"]) == (overlap > 0)
+    assert all(d <= overlap for d in seen["necks"])
+
+
+def _qualifying_edges(sub: LinearMatroid) -> list[int]:
+    """The edges of the element-order path of the simple matroid ``sub``
+    at which the engine may split, from the object-level oracles: a
+    nonempty neck (path_necks) with no external point, and two sides
+    of rank below r(M)."""
+    base = embed(sub)
+    necks = path_necks(base, heuristic_decomposition(base, "path"))
+    r = base.full_rank
+    return [
+        i for i, (neck, external) in enumerate(necks)
+        if neck and not external
+        and base.rank_mask((1 << i + 1) - 1) < r > base.rank_mask(base.full_mask >> i + 1 << i + 1)
+    ]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 2), (2, 3, 5, 2)], ids=str)
+def test_split_engine_does_not_split_unfilled_necks(monkeypatch, shape):
+    """Glued chains of Fano planes along lines with one point deleted
+    from some overlaps: the engine splits at the top exactly when the
+    oracle finds a filled neck of the path, and chi agrees with the
+    recursion, and up to 18 elements with the Mobius expansion.  With a point gone from every
+    overlap, no edge qualifies and nothing is split."""
+    q, block_rank, blocks, overlap = shape
+    rec = gen_glued(q, block_rank, blocks, overlap)
+    m = rec.matroid
+    overlaps = rec.construction["overlap_elements"]
+    unsplit = 0
+    for chosen in range(1, 1 << len(overlaps)):
+        victims = {overlaps[j][(j + chosen) % len(overlaps[j])] for j in mask_bits(chosen)}
+        sub = LinearMatroid(m.field, [c for e, c in enumerate(m.columns) if e not in victims])
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _counted_splits(mp)
+            chi = _engine_chi(sub)
+        assert chi == _recursion_chi(sub)
+        if sub.n <= 18:
+            assert chi == cp_mobius(sub)
+        if _qualifying_edges(sub):
+            assert seen["necks"]
+        else:
+            assert seen == {"pieces": 0, "necks": []}
+            unsplit += 1
+    assert unsplit >= 1
+
+
+def test_split_engine_raises_on_a_wrong_leaf(monkeypatch):
+    """With the recursion made wrong, the division by the neck's chi
+    leaves a remainder, which raises instead of returning a polynomial."""
+    m = gen_glued(2, 3, 3, 1).matroid
+    real = projgeom._chi_from_rows
+    monkeypatch.setattr(projgeom, "_chi_from_rows", lambda *args: real(*args) + IntPoly([1]))
+    with pytest.raises(InexactDivisionError):
+        _engine_chi(m)
+
+
+@given(minor_chains())
+@settings(max_examples=150, deadline=None)
+def test_split_engine_on_minor_chains_with_every_piece_split(chain):
+    """With the leaf test set to accept only the empty matroid, every
+    piece of roots and minors of minors over GF(2, 3, 4, 5, 7, 9), loops
+    and parallel elements included, goes through the component and neck
+    splits, and chi is the recursion's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projgeom, "SPLIT_MIN_RANK", 0)
+        mp.setattr(projgeom, "SPLIT_MIN_POINTS", 0)
+        for m in chain:
+            assert _engine_chi(m) == _recursion_chi(m) == cp_delete_contract(m)
