@@ -40,6 +40,11 @@ BOOLEAN_EXPANSION_MAX = 20
 # oldest is dropped when full
 MAX_ROOT_MEMO = 1024
 MAX_ROOT_ANSWERS = 8
+# the deletion-contraction kernels of _chi_from_rows: over GF(2) point
+# sets as ints of 2**MAX_BITSET_DIGITS bits, over GF(q), q >= 3, rank 3
+# from the lines of PG(2, q) for q up to MAX_PLANE_ORDER
+MAX_BITSET_DIGITS = 12
+MAX_PLANE_ORDER = 9
 
 
 def _integral(c) -> int:
@@ -181,6 +186,16 @@ def _binomial_power(r: int) -> IntPoly:
 _LIN_POWERS = tuple(_binomial_power(r) for r in range(MAX_GROUND + 1))
 
 
+# bit x set for every x < 2**(2**MAX_BITSET_DIGITS) whose bit j is
+# clear, for each digit j; and the x that are neither 0 nor a power of
+# two, the non-unit rows
+_BIT_CLEAR = tuple(
+    ((1 << (1 << MAX_BITSET_DIGITS)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
+    for j in range(MAX_BITSET_DIGITS)
+)
+_NON_UNITS = (1 << (1 << MAX_BITSET_DIGITS)) - 2 - sum(1 << (1 << j) for j in range(MAX_BITSET_DIGITS))
+
+
 def lam_minus_one_power(r: int) -> IntPoly:
     """(lam - 1) ** r; precomputed for r <= MAX_GROUND, computed
     afresh and not kept above it."""
@@ -237,22 +252,59 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     elements as equal rows.
     """
     basis, coordinates = m._standard_form()
-    return _chi_from_rows(m._points()[0].project, coordinates, basis.bit_count())
+    return _chi_from_rows(m._points()[0], coordinates, basis.bit_count())
 
 
-def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
-    """chi of the matroid of ``rows`` by deletion-contraction: coordinate
-    rows in element order of a matroid of rank ``rank``, with a unit row
-    for each live digit, as :meth:`Matroid._standard_form` gives them
-    (zero for a loop, equal rows for parallel elements, of which the
-    first is kept).  ``project`` is the field's :meth:`GF.project`.  It
-    is the leaf of the split engine that :func:`harness.charpoly_auto`
-    and the bound suites run (:func:`projgeom._chi_by_splits`), and
-    :func:`cp_delete_contract` and the identity checks run it alone.  No
-    minor is kept for reuse, because no minor comes up twice in one
-    computation: every minor below the deletion of e lacks e, every
-    minor below its contraction has e contracted, and along one path the
-    remaining set only shrinks while the contracted one only grows.
+def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
+    """chi of the matroid of ``rows`` over ``field`` by
+    deletion-contraction: coordinate rows in element order of a matroid
+    of rank ``rank``, with a unit row for each live digit, as
+    :meth:`Matroid._standard_form` gives them (zero for a loop, equal
+    rows for parallel elements, of which the first is kept).  It is the
+    leaf of the split engine that :func:`harness.charpoly_auto` and the
+    bound suites run (:func:`projgeom._chi_by_splits`), and
+    :func:`cp_delete_contract` and the identity checks run it alone.
+
+    The kernel is chosen from the field and the size of the input alone:
+    over GF(2), a matroid of rank at least 3 whose rows are all below
+    2**``MAX_BITSET_DIGITS`` (its highest live digit below that cap)
+    runs the recursion on point sets held as one int
+    (:func:`_bitset_chi`); over GF(q), q >= 3, a
+    matroid of rank 3 is read off the lines of PG(2, q)
+    (:func:`_plane_chi`) when q is at most ``MAX_PLANE_ORDER``; every
+    other input runs the recursion on rows (:func:`_row_chi`).
+    """
+    if 0 in rows:
+        return ZERO
+    if field.q == 2:
+        if rank > 2 and max(rows).bit_length() <= MAX_BITSET_DIGITS:
+            return _bitset_chi(rows, rank)
+    elif rank == 3 and field.q <= MAX_PLANE_ORDER:
+        return _plane_chi(field, rows)
+    return _row_chi(field.project, rows, rank)
+
+
+def _chi_of_counts(powers: list, pairs: int, points: int, rank: int) -> IntPoly:
+    """The chi that the deletion-contraction recursion counted: the sum
+    of powers[s] (lam - 1)**s and of sign * (lam - 1)(lam - n + 1) over
+    its rank-2 leaves, whose signs sum to ``pairs`` and signed sizes to
+    ``points``, built as one polynomial."""
+    # sum of sign * (lam - 1)(lam - n + 1) = pairs lam^2 - points lam + points - pairs
+    coeffs = [points - pairs, -points, pairs] + [0] * (rank - 2)
+    for s, count in enumerate(powers):
+        if count:
+            for i, c in enumerate(lam_minus_one_power(s).coeffs):
+                coeffs[i] += count * c
+    return IntPoly(coeffs)
+
+
+def _row_chi(project, rows: list, rank: int) -> IntPoly:
+    """:func:`_chi_from_rows` by the recursion on lists of loopless
+    rows; ``project`` is the field's :meth:`GF.project`.  No minor is
+    kept for reuse, because no minor comes up twice in one computation:
+    every minor below the deletion of e lacks e, every minor below its
+    contraction has e contracted, and along one path the remaining set
+    only shrinks while the contracted one only grows.
 
     Contracting the pivot projects every other row along it, which kills
     the pivot's coordinate and leaves every other unit row as it is, so
@@ -276,10 +328,9 @@ def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
     leaf is then (lam - 1)**s or a simple rank-2 minor, so the recursion
     carries a sign and counts its leaves in integers: one count per rank
     s, and for the rank-2 leaves the sums of the signs and of sign * n.
-    The polynomial is built once, from those counts.
+    The polynomial is built once, from those counts
+    (:func:`_chi_of_counts`).
     """
-    if 0 in rows:
-        return ZERO
     rows = list(dict.fromkeys(rows))
     n = len(rows)
     if n == rank:
@@ -309,13 +360,101 @@ def _chi_from_rows(project, rows: list, rank: int) -> IntPoly:
                 rec(list(dict.fromkeys(contracted)), rank - 1, -sign)
 
     rec(rows, rank, 1)
-    # sum of sign * (lam - 1)(lam - n + 1) = pairs lam^2 - points lam + points - pairs
-    coeffs = [points - pairs, -points, pairs] + [0] * (rank - 2)
-    for s, count in enumerate(powers):
-        if count:
-            for i, c in enumerate(lam_minus_one_power(s).coeffs):
-                coeffs[i] += count * c
-    return IntPoly(coeffs)
+    return _chi_of_counts(powers, pairs, points, rank)
+
+
+def _bitset_chi(rows: list, rank: int) -> IntPoly:
+    """:func:`_chi_from_rows` over GF(2) for loopless rows of rank at
+    least 3 below 2**``MAX_BITSET_DIGITS``: the recursion of
+    :func:`_row_chi` on point sets held as one int each, bit x set when
+    the row x is a point, so parallel rows are one bit and a set is
+    simplified as it is made.
+
+    The unit rows are the bits at powers of two, and the non-unit points
+    are deleted in increasing order: the deletions may go in any order
+    that keeps the unit rows, since what is left is then always of full
+    rank.  Contracting a point p of M_i projects every other point
+    along p: a point x that is 1 at p's lowest digit k becomes x XOR p,
+    and the others stay.  So M_i / p is ``A0 | translate(A1, p)``, with
+    A1 the points of M_i minus p that have bit k and A0 the rest, and
+    translating A1 by XOR with p moves bit x to bit x XOR p: one shift
+    for bit k, which every point of A1 has, and one masked swap of
+    blocks of 2**j bits for every other bit j of p.  No point but p
+    itself goes to 0, and the size of a rank-2 leaf is one
+    ``int.bit_count``.  No :meth:`GF.project` call is made and no list
+    of rows is kept.
+    """
+    distinct = set(rows)
+    if len(distinct) == rank:
+        return lam_minus_one_power(rank)
+    points = sum(map((1).__lshift__, distinct))  # distinct bits: the sum is their union
+    powers = [0] * (rank + 1)
+    pairs = count = 0
+    clear = _BIT_CLEAR
+
+    def rec(points: int, rank: int, sign: int) -> None:
+        # points: the point set of a simple minor of rank at least 3
+        # holding a unit point for each of its rank live digits
+        nonlocal pairs, count
+        powers[rank] += sign
+        rest = points & _NON_UNITS
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            points ^= bit  # M_i minus p, which is M_(i+1)
+            p = bit.bit_length() - 1
+            low = p & -p
+            keep = clear[low.bit_length() - 1]
+            stay = points & keep
+            moved = (points ^ stay) >> low
+            p ^= low
+            while p:
+                b = p & -p
+                p ^= b
+                keep = clear[b.bit_length() - 1]
+                moved = moved >> b & keep | (moved & keep) << b
+            if rank == 3:
+                pairs -= sign
+                count -= sign * (stay | moved).bit_count()
+            else:
+                rec(stay | moved, rank - 1, -sign)
+
+    rec(points, rank, 1)
+    return _chi_of_counts(powers, pairs, count, rank)
+
+
+def _plane_chi(field, rows: list) -> IntPoly:
+    """:func:`_chi_from_rows` of loopless rows of rank 3 over GF(q),
+    q <= ``MAX_PLANE_ORDER``, from the lines alone (Rota, *On the
+    foundations of combinatorial theory I*, 1964): a simple matroid of
+    rank 3 on n points whose lines (flats of rank 2) hold k_l points has
+    Mobius values 1, -1 per point, k_l - 1 per line and, as they sum to
+    0 over its flats, L - n + 1 at the top with L = sum (k_l - 1), so
+
+        chi = lam**3 - n lam**2 + L lam - (L - n + 1).
+
+    Each point is read off PG(2, q)'s incidences (:meth:`GF.plane_lines`)
+    as the mask of the plane's lines through it, the three live digits
+    first moved to digits 0-2 when a dead digit lies below one of them.
+    Distinct points have distinct masks.  A line of the plane holding
+    k >= 1 of the points adds k - 1 to L, so L is n (q + 1) less the
+    number of lines that some point lies on."""
+    lines = field.plane_lines()
+    width = field.width
+    if max(rows) >> 3 * width:  # a dead digit below a live one
+        digit = (1 << width) - 1
+        a, b, c = sorted({row.bit_length() - 1 for row in rows if not row & row - 1})
+        rows = [
+            row >> a & digit | (row >> b & digit) << width | (row >> c & digit) << 2 * width
+            for row in rows
+        ]
+    masks = set(map(lines.__getitem__, rows))
+    n = len(masks)
+    touched = 0
+    for mask in masks:
+        touched |= mask
+    total = n * (field.q + 1) - touched.bit_count()
+    return IntPoly((n - 1 - total, total, -n, 1))
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:

@@ -44,7 +44,8 @@ that tracks coordinates (``matroid._standard_rows``);
 
 Tables are built eagerly, so every scalar operation afterwards is a
 pair of list lookups.  Instances are safe to share between threads:
-after construction only the mask table grows, one entry at a time.
+after construction only the mask table grows, one entry at a time, and
+the plane table (:meth:`GF.plane_lines`) is set once, whole.
 """
 
 from __future__ import annotations
@@ -214,6 +215,7 @@ class GF:
     __slots__ = (
         "p", "d", "q", "irreducible", "_hash", "add", "mul", "neg", "inv",
         "width", "_sub_width", "_top", "_digit", "_spread", "_code", "_terms", "_masks", "_submul",
+        "_plane",
     )
 
     def __init__(self, p: int, d: int = 1, irreducible=None):
@@ -303,6 +305,7 @@ class GF:
             tuple((j * sub, spread[self.mul[c][p ** j]]) for j in range(d)) for c in range(q)
         ]
         self._masks = _Masks(self)
+        self._plane = None
         if q == 2:
             self._submul = self._submul_binary
         elif p == 2:
@@ -492,6 +495,31 @@ class GF:
             if v:
                 basis.append(v)
         return basis
+
+    def plane_lines(self) -> dict[int, int]:
+        """The incidences of the projective plane PG(2, q): a dict from
+        each of its q**2 + q + 1 points, a packed echelon row of 3
+        digits, to the mask of the lines through it, bit j for line j.
+        Built on first use and kept on the field: each line is the
+        span of the first two points of it met in point order
+        (:meth:`span_points`), and a pair of points that already share
+        a line is skipped."""
+        table = self._plane
+        if table is None:
+            points = list(self.span_points([1 << i * self.width for i in range(3)]))
+            table = dict.fromkeys(points, 0)
+            full = self.q + 1  # lines through a point
+            lines = 0
+            for i, a in enumerate(points):
+                for b in points[i + 1:]:
+                    if table[a].bit_count() == full:
+                        break
+                    if not table[a] & table[b]:
+                        for v in self.span_points([a, b]):
+                            table[self.normalize(v)] |= 1 << lines
+                        lines += 1
+            self._plane = table
+        return table
 
     # -- misc ----------------------------------------------------------------
 

@@ -630,13 +630,12 @@ def _check_delete_contract(field, basis: int, coordinates: list[int]) -> tuple[I
     (:func:`charpoly._chi_from_rows`), none read from a table.  Returns
     chi(m) and "" when every identity holds, or else a detail naming the
     first element that fails and both polynomials."""
-    project = field.project
     rank = basis.bit_count()
-    chi = _chi_from_rows(project, coordinates, rank)
+    chi = _chi_from_rows(field, coordinates, rank)
     nonloops = mask_of(e for e, row in enumerate(coordinates) if row)
     for e in mask_bits(nonloops & ~_coloops(field, basis, coordinates)):
         deleted, contracted = _delete_contract_rows(field, basis, coordinates, e)
-        rhs = _chi_from_rows(project, deleted, rank) - _chi_from_rows(project, contracted, rank - 1)
+        rhs = _chi_from_rows(field, deleted, rank) - _chi_from_rows(field, contracted, rank - 1)
         if chi != rhs:
             return chi, f"element {e}: chi={_poly_str(chi)} but del-con gives {_poly_str(rhs)}"
     return chi, ""
@@ -694,7 +693,7 @@ def _split_chi(m: Matroid, cons: dict) -> tuple[IntPoly | None, str]:
     if 0 in shown or len(shown) != full:
         return None, f"split failed: the overlap is not the {full} points of its span"
     chi_l, chi_p, chi_c = (
-        _chi_from_rows(field.project, rows, bmask.bit_count()) for bmask, rows in forms
+        _chi_from_rows(field, rows, bmask.bit_count()) for bmask, rows in forms
     )
     try:
         return poly_exact_div(chi_l * chi_p, chi_c), ""

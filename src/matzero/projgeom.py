@@ -261,7 +261,7 @@ def _neck(field: GF, height: int, image, us, ws) -> tuple[tuple[int, ...], tuple
     return tuple(neck), tuple(p for p in neck if p not in image)
 
 
-def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, int]]]:
+def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, int]], list[int]]:
     """The external neck size of every edge of the path of singleton
     bags in element order over the standard-form ``rows`` of a simple
     matroid (:meth:`Matroid._standard_form`): what :func:`path_necks`
@@ -281,10 +281,11 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, i
     intersection of the two spans, and the external ones are those that
     are no element lying in both.
 
-    Returns (L, sizes, reach): the mask L of the reverse pass's first
-    basis, the size for each edge, and for each element the pair
-    (lo, hi) such that it lies in the prefix span of edge i exactly
-    when lo <= i and in the suffix span exactly when i < hi.
+    Returns (L, sizes, reach, backward): the mask L of the reverse
+    pass's first basis, the size for each edge, for each element the
+    pair (lo, hi) such that it lies in the prefix span of edge i exactly
+    when lo <= i and in the suffix span exactly when i < hi, and the
+    reverse pass's coordinate rows, in reverse element order.
     """
     n, width = len(rows), field.width
     first = [e for e, row in enumerate(rows) if not row & row - 1]  # unit rows are one bit
@@ -311,7 +312,7 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, i
         ahead += bmask >> i & 1
         behind -= lmask >> i & 1
         sizes.append(pg_point_count(ahead + behind - rank, field.q) - both)
-    return lmask, sizes, reach
+    return lmask, sizes, reach, backward
 
 
 def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
@@ -331,8 +332,12 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     to one component, and the components are the classes of digits
     joined that way (the fundamental graph of the first basis; Oxley,
     *Matroid Theory*, ch. 4).  A digit that no non-unit row uses is a
-    coloop.  chi is (lam - 1)**coloops times the chi of each component,
-    each put in a standard form of its own (:func:`matroid._standard_rows`).
+    coloop.  chi is (lam - 1)**coloops times the chi of each component.
+    A component's rows keep a unit row for each of its digits and are
+    zero at every other, which is the input the recursion reads, so a
+    component that the leaf test sends there keeps its digits as they
+    are; a larger one is put in a standard form of its own
+    (:func:`matroid._standard_rows`) first.
 
     Filled necks: on a connected matroid, an edge i of the element-order
     path (:func:`_path_neck_sizes`) whose neck has dimension d >= 1, no
@@ -344,12 +349,20 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     chi = chi(A) chi(B) / chi(C) (Brylawski, *Modular constructions for
     combinatorial geometries*, 1975), with chi(C) that of PG(d - 1, q).
     Of the edges that qualify the one with the fewest elements on its
-    larger side is taken.  A remainder in the division can only come
+    larger side is taken, the side sizes read off running counts of the
+    elements' reach.  A remainder in the division can only come
     from a wrong chi, and raises :class:`InexactDivisionError`.  With
     no edge that qualifies the recursion computes chi.
+
+    Both sides are already standard forms: side A, the elements whose
+    forward coordinates use only basis elements up to i, holds the unit
+    rows of the first digits and no other digit; side B, in reverse
+    element order, is the same in the coordinates of the reverse pass,
+    whose rows :func:`_path_neck_sizes` returns.  So no side runs an
+    elimination pass.
     """
     if rank < SPLIT_MIN_RANK or len(rows) < SPLIT_MIN_POINTS:
-        return _chi_from_rows(field.project, rows, rank)
+        return _chi_from_rows(field, rows, rank)
     if 0 in rows:
         return ZERO
     rows = list(dict.fromkeys(rows))
@@ -372,33 +385,37 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
         chi = lam_minus_one_power(coloops)
         for part in parts:
             piece = [row for row, support in zip(rows, supports) if support & part]
-            chi = chi * _chi_of_piece(field, rank, piece)
+            prank = part.bit_count()
+            if prank >= SPLIT_MIN_RANK and len(piece) >= SPLIT_MIN_POINTS:
+                piece = _standard_rows(field, rank, piece)[1]
+            chi = chi * _chi_by_splits(field, piece, prank)
         return chi
     # connected, so the two spans of every edge meet in d >= 1 dimensions
-    lmask, sizes, reach = _path_neck_sizes(field, rows)
+    lmask, sizes, reach, backward = _path_neck_sizes(field, rows)
+    n = len(rows)
+    starts, ends = [0] * n, [0] * n  # elements by the lo and the hi of their reach
+    for lo, hi in reach:
+        starts[lo] += 1
+        ends[hi] += 1
     best = None
     ahead, behind = 0, rank
+    in_a, in_b = 0, n  # elements with lo <= i, and with hi > i
     for i, size in enumerate(sizes):
         ahead += not rows[i] & rows[i] - 1
         behind -= lmask >> i & 1
+        in_a += starts[i]
+        in_b -= ends[i]
         if not size and ahead < rank and behind < rank:
-            larger = max(sum(lo <= i for lo, _ in reach), sum(hi > i for _, hi in reach))
+            larger = max(in_a, in_b)
             if best is None or larger < best[0]:
-                best = larger, i, ahead + behind - rank
+                best = larger, i, ahead, behind
     if best is None:
-        return _chi_from_rows(field.project, rows, rank)
-    _, i, d = best
-    chi_a = _chi_of_piece(field, rank, [row for row, (lo, _) in zip(rows, reach) if lo <= i])
-    chi_b = _chi_of_piece(field, rank, [row for row, (_, hi) in zip(rows, reach) if hi > i])
-    return poly_exact_div(chi_a * chi_b, cp_pg_closed_form(d, field.q))
-
-
-def _chi_of_piece(field: GF, height: int, rows) -> IntPoly:
-    """:func:`_chi_by_splits` of the matroid of some of a standard
-    form's ``rows``, of ``height`` digits, put in a standard form of its
-    own first."""
-    bmask, rows = _standard_rows(field, height, rows)
-    return _chi_by_splits(field, rows, bmask.bit_count())
+        return _chi_from_rows(field, rows, rank)
+    _, i, ahead, behind = best
+    side_a = [row for row, (lo, _) in zip(rows, reach) if lo <= i]
+    side_b = [back for back, (_, hi) in zip(backward, reversed(reach)) if hi > i]
+    chi = _chi_by_splits(field, side_a, ahead) * _chi_by_splits(field, side_b, behind)
+    return poly_exact_div(chi, cp_pg_closed_form(ahead + behind - rank, field.q))
 
 
 def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | None:
@@ -419,7 +436,7 @@ def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | N
     :meth:`GF.project` call gives each contraction in standard form.
     Returns None when no edge has at most ``room`` external points.
     """
-    lmask, sizes, _ = _path_neck_sizes(field, rows)
+    lmask, sizes, _, _ = _path_neck_sizes(field, rows)
     fits = [i for i, size in enumerate(sizes) if size <= room]
     if not fits:
         return None
@@ -444,7 +461,7 @@ def _telescoped_chi(field: GF, rows, room: int) -> IntPoly | None:
     terms = _telescoping_terms(field, rows, room)
     if terms is None:
         return None
-    return sum((_chi_from_rows(field.project, term, rank) for term, rank in terms), ZERO)
+    return sum((_chi_from_rows(field, term, rank) for term, rank in terms), ZERO)
 
 
 def induced_decomposition(ext: ExtensionMatroid, dec: TreeDecomposition, edge) -> TreeDecomposition:

@@ -55,9 +55,12 @@ from matzero.matroid import (
     Matroid,
     MinorMatroid,
     UniformMatroid,
+    _coloops,
+    _delete_contract_rows,
     mask_bits,
     mask_of,
 )
+from matzero.projgeom import pg_build
 from support import criterion_07_instances, minor, pivot, rooted
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
@@ -533,7 +536,9 @@ def test_deletion_contraction_runs_no_elimination_pass_per_minor(monkeypatch, sh
     reduced columns a second time made n + h + r), every ``GF.reduce``
     call comes from ``GF.project``: no minor runs an elimination pass.
     The per-minor pivot search this replaced made 1851 and 413
-    reductions outside ``GF.project`` on these two instances.  The
+    reductions outside ``GF.project`` on these two instances.  Over
+    GF(2) the minors are point sets held as ints (``_bitset_chi``), so
+    the start makes the only reductions and no projection is made.  The
     points themselves are built before counting starts."""
     q, block_rank, blocks, overlap, seed, deleted = shape
     m = gen_glued(q, block_rank, blocks, overlap, seed=seed, delete_count=deleted).matroid
@@ -558,7 +563,10 @@ def test_deletion_contraction_runs_no_elimination_pass_per_minor(monkeypatch, sh
     monkeypatch.setattr(GF, "project", project)
     p = cp_delete_contract(m)
     monkeypatch.undo()
-    assert state["projections"] > 0
+    if q == 2:
+        assert state["projections"] == 0 and len(calls) == m.n
+    else:
+        assert state["projections"] > 0
     assert sum(1 for _, seen in calls if not seen) == m.n
     assert all(inside for inside, seen in calls if seen)
     assert p == _delete_contract_by_rank(m)
@@ -1318,3 +1326,194 @@ def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
     assert not errors, errors[0]
     assert len(fresh_root_memo) <= 4
     assert all(len(c) <= 2 and len(b) <= 2 for _, c, b in fresh_root_memo.values())
+
+
+# -- the leaf kernels of the deletion-contraction recursion -------------------
+
+
+def _with_dead_digit(field, rows: list, at: int) -> list:
+    """The rows with a zero digit put in at position ``at``, which is
+    then dead: every row keeps its pivot value and stays normalized."""
+    shift = at * field.width
+    below = (1 << shift) - 1
+    return [row & below | row >> shift << shift + field.width for row in rows]
+
+
+def _projections(call):
+    """(result of call(), GF.project calls it made)."""
+    calls = []
+    real = GF.project
+
+    def project(self, rows, prow):
+        calls.append(1)
+        return real(self, rows, prow)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GF, "project", project)
+        out = call()
+    return out, len(calls)
+
+
+def test_plane_kernel_on_every_spanning_subset_of_pg23():
+    """Every subset of PG(2, 3) holding the three unit points (1,024
+    sets): the rank-3 kernel, on the standard form and with a dead
+    digit put below a live one, equals the Mobius expansion and makes
+    no projection."""
+    field = gf(3)
+    points = pg_build(3, 3)
+    units = [p for p in points if sum(p) == 1]
+    others = [p for p in points if sum(p) != 1]
+    assert len(units) == 3 and len(others) == 10
+    for chosen in range(1 << len(others)):
+        m = LinearMatroid(field, units + [others[i] for i in mask_bits(chosen)])
+        basis, rows = m._standard_form()
+        assert basis.bit_count() == 3
+        expected = cp_mobius(m)
+        for at in (None, 0, 2):
+            given_rows = rows if at is None else _with_dead_digit(field, rows, at)
+            chi, projections = _projections(lambda: charpoly._chi_from_rows(field, given_rows, 3))
+            assert chi == expected and projections == 0, (chosen, at)
+
+
+@st.composite
+def plane_point_sets(draw):
+    """Points of PG(2, q) for q in {4, 5, 7, 8, 9} and 11, above
+    ``MAX_PLANE_ORDER``, as columns: some rescaled, some repeated, at
+    times a zero column, in random order."""
+    q = draw(st.sampled_from((4, 5, 7, 8, 9, 11)))
+    points = pg_build(3, q)
+    field = gf(q)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(points) - 1), st.integers(1, q - 1)),
+                          min_size=1, max_size=14))
+    cols = [tuple(field.mul[c][x] for x in points[i]) for i, c in picks]
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), (0, 0, 0))
+    return LinearMatroid(field, cols, nrows=3)
+
+
+@given(plane_point_sets(), st.sampled_from((None, 0, 1, 2)))
+@settings(max_examples=200, deadline=None)
+def test_plane_kernel_on_point_sets_of_planes(m, at):
+    """chi of a point set of PG(2, q), from its standard form (loops,
+    repeats and all) with or without a dead digit, equals the Mobius
+    expansion; a rank-3 input makes no projection exactly when q is at
+    most ``MAX_PLANE_ORDER``."""
+    field = m.field
+    basis, rows = m._standard_form()
+    rank = basis.bit_count()
+    if at is not None and rank:
+        rows = _with_dead_digit(field, rows, min(at, rank - 1))
+    chi, projections = _projections(lambda: charpoly._chi_from_rows(field, rows, rank))
+    assert chi == cp_mobius(m)
+    if rank == 3 and field.q <= charpoly.MAX_PLANE_ORDER:
+        assert projections == 0
+    if rank == 3 and field.q > charpoly.MAX_PLANE_ORDER and 0 not in rows and len(set(rows)) > 4:
+        assert projections > 0
+
+
+def test_plane_table_is_kept_on_the_field():
+    """PG(2, q)'s incidences are built once per field: q**2 + q + 1
+    points, each on q + 1 lines, any two sharing exactly one line."""
+    for q in (3, 4, 5, 7, 8, 9):
+        field = gf(q)
+        table = field.plane_lines()
+        assert field.plane_lines() is table
+        assert sorted(table) == sorted(map(field.pack, pg_build(3, q)))
+        masks = list(table.values())
+        assert all(mask.bit_count() == q + 1 for mask in masks)
+        assert all((a & b).bit_count() == 1 for i, a in enumerate(masks) for b in masks[:i])
+
+
+def _binary_cases(seed: int):
+    """(oracle, [rows, ...], rank) over GF(2): a random simple matroid
+    of rank 4 to 13 on at most 14 points and the rows of its deletion
+    and contraction at a random element that is neither a loop nor a
+    coloop (:func:`matroid._delete_contract_rows`), whose contraction
+    has a dead digit and may have parallel rows; each given as those
+    rows, with repeated rows appended, and with a dead digit put in
+    below a live one, so the highest live digit runs up to 14.  The
+    oracle is a matroid with the same chi, built from the columns."""
+    rng = random.Random(f"bitset:{seed}")
+    field = gf(2)
+    height = rng.randint(4, 13)
+    codes = rng.sample(range(1, 1 << height), min(height + rng.randint(1, 3), 14))
+    m = LinearMatroid(field, [[c >> i & 1 for i in range(height)] for c in codes], nrows=height)
+    basis, rows = m._standard_form()
+    rank = basis.bit_count()
+    cases = [(m, rows, rank)]
+    free = mask_of(range(m.n)) & ~_coloops(field, basis, rows)
+    if free:
+        e = rng.choice(list(mask_bits(free)))
+        for sub, r in zip(_delete_contract_rows(field, basis, rows, e), (rank, rank - 1)):
+            cases.append((LinearMatroid(field, [field.unpack(row, rank) for row in sub], nrows=rank),
+                          sub, r))
+    return [
+        (oracle, [rows, rows + rng.sample(rows, 2), _with_dead_digit(field, rows, rng.randrange(r))], r)
+        for oracle, rows, r in cases
+    ]
+
+
+def test_bitset_kernel_on_random_binary_point_sets():
+    """Random GF(2) point sets of rank 3 to 13 given as a standard form,
+    a contraction with a dead digit, with repeated rows and with a dead
+    digit put in: chi equals the Mobius expansion (the subset expansion
+    above 11 elements), and a loop makes it zero.  The bitset kernel
+    runs with no projection whenever the highest live digit is within
+    ``MAX_BITSET_DIGITS``, and inputs on both sides of that cap are
+    checked."""
+    field = gf(2)
+    sides = {True: 0, False: 0}
+    for seed in range(40):
+        for oracle, variants, rank in _binary_cases(seed):
+            expected = (cp_mobius if oracle.n <= 11 else cp_boolean_expansion)(oracle)
+            for rows in variants:
+                chi, projections = _projections(lambda: charpoly._chi_from_rows(field, rows, rank))
+                assert chi == expected, (seed, rank)
+                assert charpoly._chi_from_rows(field, rows + [0], rank) == ZERO
+                under = max(rows).bit_length() <= charpoly.MAX_BITSET_DIGITS
+                if under:
+                    assert projections == 0
+                elif len(set(rows)) > rank >= 3:
+                    assert projections > 0
+                sides[under] += 1
+    assert sides[True] >= 50 and sides[False] >= 10, sides
+
+
+def test_leaf_kernels_make_no_projection_on_the_identity_battery(monkeypatch):
+    """Over criterion 07's battery, ``_chi_from_rows`` makes no
+    ``GF.project`` call on a GF(2) input within ``MAX_BITSET_DIGITS``,
+    nor on a rank-3 input over GF(3), GF(4) or GF(5); every identity
+    still holds.  The row recursion made such calls on both kinds of
+    input before these kernels."""
+    from matzero import harness, projgeom
+
+    seen = {"binary": 0, "plane": 0}
+    current = []
+    real_project = GF.project
+
+    def project(self, rows, prow):
+        if current:
+            current[-1][1] += 1
+        return real_project(self, rows, prow)
+
+    def leaf(real):
+        def chi(field, rows, rank):
+            current.append([(field.q, rows, rank), 0])
+            try:
+                return real(field, rows, rank)
+            finally:
+                (q, rows, rank), projections = current.pop()
+                binary = q == 2 and max(rows, default=0).bit_length() <= charpoly.MAX_BITSET_DIGITS
+                plane = rank == 3 and q in (3, 4, 5)
+                if binary or plane:
+                    assert projections == 0, (q, rank)
+                    seen["binary" if binary else "plane"] += 1
+        return chi
+
+    monkeypatch.setattr(GF, "project", project)
+    monkeypatch.setattr(harness, "_chi_from_rows", leaf(harness._chi_from_rows))
+    monkeypatch.setattr(projgeom, "_chi_from_rows", leaf(projgeom._chi_from_rows))
+    glued, rand = criterion_07_instances()
+    checks = harness.verify_identities(glued + rand)
+    assert checks and all(check.passed for check in checks)
+    assert seen["binary"] >= 100 and seen["plane"] >= 100, seen

@@ -526,7 +526,7 @@ def _derived_minors_match_the_minor_oracle(m) -> int:
             units = {row for row in rows if row and not row & row - 1}
             live = sum(unit * digit for unit in units)
             assert len(units) == r and all(not row & ~live for row in rows)
-            chi = charpoly._chi_from_rows(field.project, rows, r)
+            chi = charpoly._chi_from_rows(field, rows, r)
             assert chi == cp_delete_contract(oracle) == cp_mobius(oracle), (m, e)
             if m.n <= 10:
                 subsets = range(1 << oracle.n)
@@ -1169,9 +1169,10 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
     the leaf test accepts, put no piece in a standard form and sweep no
     neck (projgeom's _standard_rows and _path_neck_sizes); every
     glued-nolines chain of the benchmark at seed 0 of rank at least
-    SPLIT_MIN_RANK is split at least once."""
+    SPLIT_MIN_RANK is split at least once, so the recursion
+    (projgeom's _chi_from_rows) computes at least two leaves."""
     monkeypatch.delenv("MZ_SEED", raising=False)
-    work = {"_standard_rows": 0, "_path_neck_sizes": 0, "_chi_of_piece": 0}
+    work = {"_standard_rows": 0, "_path_neck_sizes": 0, "_chi_from_rows": 0}
     for name in work:
         def counted(*args, name=name, real=getattr(projgeom, name)):
             work[name] += 1
@@ -1179,7 +1180,7 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
         monkeypatch.setattr(projgeom, name, counted)
 
     def idle() -> bool:
-        done = not any(work.values())
+        done = not work["_standard_rows"] and not work["_path_neck_sizes"]
         work.update(dict.fromkeys(work, 0))
         return done
 
@@ -1208,7 +1209,7 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
             leaves += 1
         else:
             idle()
-        assert chi == charpoly._chi_from_rows(field.project, rows, rank)
+        assert chi == charpoly._chi_from_rows(field, rows, rank)
     assert 0.9 * len(keys) < leaves < len(keys)
 
     chains = 0
@@ -1216,7 +1217,7 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
         m = item.rec.matroid
         if m.full_rank >= projgeom.SPLIT_MIN_RANK:
             chi = charpoly_auto(m)
-            assert work["_chi_of_piece"] >= 2, item.id
+            assert work["_chi_from_rows"] >= 2, item.id
             assert chi == cp_delete_contract(m)
             chains += 1
         idle()

@@ -745,15 +745,20 @@ def _row_necks_agree(field, height, points, rows) -> int:
     """The rows are the standard form of the matroid of the points, and
     _path_neck_sizes on them gives every edge of the element-order path
     the external size that path_necks finds on embed's base of the
-    points, with the returned mask a basis.  Returns the edges
-    checked."""
+    points, with the returned mask a basis and the returned rows the
+    standard form of the rows in reverse, whose unit rows are that
+    basis.  Returns the edges checked."""
     ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
     bmask, coordinates = ls._standard_form()
     assert rows == coordinates
     assert bmask == mask_of(e for e, row in enumerate(rows) if not row & row - 1)
     if len(points) < 2:
         return 0
-    lmask, sizes, _ = projgeom._path_neck_sizes(field, rows)
+    lmask, sizes, _, backward = projgeom._path_neck_sizes(field, rows)
+    rank = bmask.bit_count()
+    reverse = LinearMatroid(field, [field.unpack(row, rank) for row in rows[::-1]], nrows=rank)
+    assert backward == reverse._standard_form()[1]
+    assert lmask == mask_of(len(rows) - 1 - j for j, row in enumerate(backward) if not row & row - 1)
     base = embed(ls)
     necks = path_necks(base, heuristic_decomposition(base, "path"))
     assert sizes == [len(external) for _, external in necks]
@@ -781,7 +786,7 @@ def _terms_match_the_oracle(field, height, points, rows) -> bool:
     assert terms[0][0] == rows + list(chosen)
     oracle = telescoping_expansion(extend(base, chosen))
     polys = [cp_delete_contract(term) for term, _ in oracle]
-    assert [_chi_from_rows(field.project, term, r) for term, r in terms] == polys
+    assert [_chi_from_rows(field, term, r) for term, r in terms] == polys
     total = IntPoly([])
     for p in polys:
         total = total + p
@@ -865,25 +870,26 @@ def _engine_chi(m) -> IntPoly:
 def _recursion_chi(m) -> IntPoly:
     """chi of m by the deletion-contraction recursion alone."""
     basis, rows = m._standard_form()
-    return _chi_from_rows(m._points()[0].project, rows, basis.bit_count())
+    return _chi_from_rows(m._points()[0], rows, basis.bit_count())
 
 
 def _counted_splits(mp) -> dict:
-    """Count, through the monkeypatch ``mp``, the pieces the engine
-    computes (a component or a side of a neck) and the dimension of
-    each neck it divides out."""
-    seen = {"pieces": 0, "necks": []}
-    real_piece, real_pg = projgeom._chi_of_piece, projgeom.cp_pg_closed_form
+    """Count, through the monkeypatch ``mp``, the leaves the engine
+    hands to the recursion (one for a matroid it does not split, one
+    per piece for one it splits) and the dimension of each neck it
+    divides out."""
+    seen = {"leaves": 0, "necks": []}
+    real_leaf, real_pg = projgeom._chi_from_rows, projgeom.cp_pg_closed_form
 
-    def piece(*args):
-        seen["pieces"] += 1
-        return real_piece(*args)
+    def leaf(*args):
+        seen["leaves"] += 1
+        return real_leaf(*args)
 
     def pg(d, q):
         seen["necks"].append(d)
         return real_pg(d, q)
 
-    mp.setattr(projgeom, "_chi_of_piece", piece)
+    mp.setattr(projgeom, "_chi_from_rows", leaf)
     mp.setattr(projgeom, "cp_pg_closed_form", pg)
     return seen
 
@@ -921,7 +927,7 @@ def test_split_engine_factors_direct_sums(monkeypatch, q, shape):
     )
     seen = _counted_splits(monkeypatch)
     assert _engine_chi(m) == expected
-    assert seen["pieces"] == 2 and seen["necks"] == []
+    assert seen["leaves"] == 2 and seen["necks"] == []
     assert _recursion_chi(m) == cp_mobius(m) == cp_boolean_expansion(m) == expected
 
 
@@ -945,7 +951,7 @@ def test_split_engine_matches_the_glued_closed_form(monkeypatch, shape):
         den = den * cp_pg_closed_form(overlap, q)
     seen = _counted_splits(monkeypatch)
     assert _engine_chi(m) == poly_exact_div(num, den) == _recursion_chi(m)
-    assert seen["pieces"] >= 2
+    assert seen["leaves"] >= 2
     assert bool(seen["necks"]) == (overlap > 0)
     assert all(d <= overlap for d in seen["necks"])
 
@@ -989,7 +995,7 @@ def test_split_engine_does_not_split_unfilled_necks(monkeypatch, shape):
         if _qualifying_edges(sub):
             assert seen["necks"]
         else:
-            assert seen == {"pieces": 0, "necks": []}
+            assert seen == {"leaves": 1, "necks": []}
             unsplit += 1
     assert unsplit >= 1
 
