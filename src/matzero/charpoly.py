@@ -30,11 +30,9 @@ from .errors import (
     NotSimpleError,
     RootArgumentError,
     RootCertificateError,
-    TooLargeError,
 )
 from .matroid import MAX_GROUND, Matroid, _min_cocircuit, mask_bits
 
-BOOLEAN_EXPANSION_MAX = 20
 # distinct polynomials whose root analysis is kept, and answers kept per
 # polynomial for each kind (counts by bound, brackets by tolerance); the
 # oldest is dropped when full
@@ -223,17 +221,14 @@ def cp_mobius(m: Matroid) -> IntPoly:
 
 def cp_boolean_expansion(m: Matroid) -> IntPoly:
     """Brute-force alternating sum over all subsets of the ground set:
-    sum over A of (-1)**|A| * lam**(r(E) - r(A)).  Exponential; capped
-    at 20 elements.  Serves as the reference oracle for the others."""
-    if m.n > BOOLEAN_EXPANSION_MAX:
-        raise TooLargeError(
-            f"subset expansion is capped at {BOOLEAN_EXPANSION_MAX} elements, got {m.n}"
-        )
+    sum over A of (-1)**|A| * lam**(r(E) - r(A)), read off
+    :meth:`Matroid.ranks_table` and capped with it.  Serves as the
+    reference oracle for the others."""
+    ranks = m.ranks_table()
     r = m.full_rank
     coeffs = [0] * (r + 1)
-    for a in range(1 << m.n):
-        sign = -1 if a.bit_count() & 1 else 1
-        coeffs[r - m.rank_mask(a)] += sign
+    for a, rank in enumerate(ranks):
+        coeffs[r - rank] += -1 if a.bit_count() & 1 else 1
     return IntPoly(coeffs)
 
 

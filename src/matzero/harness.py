@@ -83,17 +83,17 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     chi along direct sums and filled necks of the element-order path and
     leaves the pieces to deletion-contraction
     (:func:`charpoly._chi_from_rows`); zero when m has a loop.  On the
-    simplifications of the seed-0 benchmark instances (best of 5 passes
-    on a 2-core Xeon virtual machine, Python 3.11) it took 13.9 ms
-    against deletion-contraction's 13.4 ms and the cocircuit expansion's
-    63 ms over the 2000 of main-c05, where the leaf test sends almost
-    every one straight to the recursion, 1.9 ms against 3.9 ms and 55 ms
-    over the 16 of glued-nolines, and 2.1 ms against 2.1 ms and 5.6 ms
-    over the 104 of identities; the other engines are kept as test
-    oracles.  The bound suites run the split engine on the standard form
-    they key their memo with, once per memo entry
-    (:func:`_shared_entry`): 268 times for the 2000 instances of
-    main-c05 at seed 0."""
+    simplifications of the seed-0 benchmark instances (best of 5 passes,
+    three runs on a shared 2-core virtual machine, Python 3.11) it took
+    0.94 to 1.02 of deletion-contraction's time over the 2000 of
+    main-c05, where the leaf test sends almost every one straight to
+    the recursion, 0.47 to 0.52 over the 16 of glued-nolines and 1.00
+    to 1.04 over the 104 of identities, and the cocircuit expansion 4.2
+    to 4.3, 34 to 39 and 4.1 to 4.2 times the split engine's time; the
+    other engines are kept as test oracles.  The bound suites run the
+    split engine on the standard form they key their memo with, once
+    per memo entry (:func:`_shared_entry`): 268 times for the 2000
+    instances of main-c05 at seed 0."""
     basis, coordinates = m._standard_form()
     return _chi_by_splits(m._points()[0], coordinates, basis.bit_count())
 

@@ -42,7 +42,6 @@ MAX_FLATS = 2_000_000
 # exhaustive checks that ask the rank of every subset (README, "Size caps")
 MAX_RANKS_TABLE = 20
 MAX_RANKS_AGREE = 16
-MAX_BRYLAWSKI_SHARED = 16  # of the shared elements in brylawski_charpoly
 
 
 def as_mask(n: int, subset) -> int:

@@ -9,8 +9,8 @@ columns are its points, and the module uses linear algebra on those
 rows to do two things the bare matroid cannot:
 
 * locate the *neck* of a tree-decomposition edge, the points common to
-  the spans of the two displayed sides, or of every edge of a path in
-  one sweep, and fill its missing points in by extending the matroid;
+  the spans of the two displayed sides, and fill its missing points in
+  by extending the matroid;
 * once a neck is fully present, split the matroid across it and factor
   the characteristic polynomial through the common part, or expand the
   extension as a telescoping sum of contractions.
@@ -41,12 +41,13 @@ from .errors import (
 )
 from .gfq import GF, gf
 from .matroid import (
-    MAX_BRYLAWSKI_SHARED,
     LinearMatroid,
     Matroid,
+    MinorMatroid,
     _standard_rows,
     mask_bits,
     mask_of,
+    ranks_agree,
     require_simple,
 )
 from .treedecomp import TreeDecomposition
@@ -146,9 +147,10 @@ def _point_coordinates(field: GF, height: int, p) -> tuple[int, ...]:
 
 def extend(base: LinearMatroid, points) -> ExtensionMatroid:
     """Adjoin points of the base's geometry, given as packed echelon
-    rows of its height, as new elements of an embedded base.  Anything
-    else raises :class:`ArgumentError`; a point that is already an
-    element, or is given twice, raises :class:`PointCollisionError`."""
+    rows of its height, as new elements of an embedded base, labelled
+    "s1", "s2", ...  Anything else, or a base that already uses one of
+    those labels, raises :class:`ArgumentError`; a point that is already
+    an element, or is given twice, raises :class:`PointCollisionError`."""
     image = _points_of(base)
     points = tuple(points)
     field, height = base.field, base.nrows
@@ -159,6 +161,9 @@ def extend(base: LinearMatroid, points) -> ExtensionMatroid:
     if len(set(points)) != len(points):
         raise PointCollisionError("duplicate extension points")
     labels = tuple(base.labels) + tuple(f"s{i + 1}" for i in range(len(points)))
+    taken = [lab for lab in labels[base.n:] if lab in base.labels]
+    if taken:
+        raise ArgumentError(f"the base already uses the new points' labels {', '.join(taken)}")
     matroid = LinearMatroid(field, base.columns + tuple(columns), labels, nrows=height)
     return ExtensionMatroid(base, points, matroid)
 
@@ -191,45 +196,16 @@ def path_necks(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """:func:`neck_of_edge` for every edge of a decomposition whose tree
     is a path, in the order of ``dec.tree.edges``; any other tree raises
-    :class:`ArgumentError`.
-
-    Along the path v_0, ..., v_l the sides of the edge v_i v_(i+1) are
-    the bags of v_0..v_i and of v_(i+1)..v_l.  One elimination forward
-    and one backward over the bags give an echelon basis of every
-    prefix and every suffix span, at most r rows each, and the
-    intersection is taken of those two bases; an edge whose two spans
-    have ranks summing to r(M) has an empty neck and is not intersected.
-    The base is checked once for all edges."""
+    :class:`ArgumentError`.  The decomposition, the embedded base and
+    the tree are checked in that order before any edge is read, so a
+    tree of one vertex, which has no edge, still has its base checked."""
     if dec.matroid is not base:
         raise ArgumentError("the decomposition must decompose the embedded base matroid")
-    image = _points_of(base)
+    _points_of(base)
     tree = dec.tree
     if any(tree.degree(v) > 2 for v in range(tree.num_vertices)):
         raise ArgumentError("the neck sweep needs a decomposition whose tree is a path")
-    if tree.num_vertices == 1:
-        return []
-    order = [tree.leaves()[0]]
-    while len(order) < tree.num_vertices:
-        order.append(next(y for y in tree.adj[order[-1]] if y not in order[-2:]))
-    field, packed, bags = base.field, base.packed, dec.bags()
-
-    def spans(vertices) -> tuple[list[int], list[int]]:
-        # the echelon rows of the bags in turn, and how many of them
-        # the bags up to each vertex give
-        basis: list[int] = []
-        counts = [len(field.echelon_into(basis, [packed[e] for e in mask_bits(bags[v])]))
-                  for v in vertices]
-        return basis, counts
-
-    forward, ahead = spans(order)
-    backward, behind = spans(order[:0:-1])
-    necks = {}
-    for u, w, k, j in zip(order, order[1:], ahead, reversed(behind)):
-        necks[min(u, w), max(u, w)] = (
-            _neck(field, base.nrows, image, forward[:k], backward[:j])
-            if k + j > len(forward) else ((), ())
-        )
-    return [necks[edge] for edge in tree.edges]
+    return [neck_of_edge(base, dec, edge) for edge in tree.edges]
 
 
 def _neck(field: GF, height: int, image, us, ws) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -261,11 +237,13 @@ def _neck(field: GF, height: int, image, us, ws) -> tuple[tuple[int, ...], tuple
     return tuple(neck), tuple(p for p in neck if p not in image)
 
 
-def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, int]], list[int]]:
-    """The external neck size of every edge of the path of singleton
-    bags in element order over the standard-form ``rows`` of a simple
-    matroid (:meth:`Matroid._standard_form`): what :func:`path_necks`
-    finds for the base of their matroid and
+def _path_neck_sizes(
+    field: GF, rows
+) -> tuple[int, list[tuple[int, int, int, int, int]], list[tuple[int, int]], list[int]]:
+    """The neck table of the path of singleton bags in element order
+    over the standard-form ``rows`` of a simple matroid
+    (:meth:`Matroid._standard_form`): for every edge, the external neck
+    size that :func:`path_necks` finds for the base of their matroid and
     ``heuristic_decomposition(base, "path")``, with no intersection
     taken.  Edge i displays the elements 0..i against i+1..n-1.
 
@@ -276,43 +254,45 @@ def _path_neck_sizes(field: GF, rows) -> tuple[int, list[int], list[tuple[int, i
     the prefix, so a point lies in the prefix span of edge i exactly
     when the last basis element its forward coordinates use is at most
     i, and that span's rank is the number of basis elements up to i.
-    The suffix is read the same way from the reverse pass.  The neck
-    has (q**d - 1)/(q - 1) points for the dimension d of the
-    intersection of the two spans, and the external ones are those that
-    are no element lying in both.
+    The suffix is read the same way from the reverse pass.  Every
+    element lies in one span or both, so of the ``in_a`` elements in
+    the prefix span and the ``in_b`` in the suffix span, in_a + in_b - n
+    lie in both.  The neck has (q**d - 1)/(q - 1) points for the
+    dimension d of the intersection of the two spans, and the external
+    ones are those that are no element lying in both.
 
-    Returns (L, sizes, reach, backward): the mask L of the reverse
-    pass's first basis, the size for each edge, for each element the
-    pair (lo, hi) such that it lies in the prefix span of edge i exactly
-    when lo <= i and in the suffix span exactly when i < hi, and the
-    reverse pass's coordinate rows, in reverse element order.
+    Returns (L, edges, reach, backward): the mask L of the reverse
+    pass's first basis; for each edge the record (size, ahead, behind,
+    in_a, in_b) of its external neck size, the ranks of the prefix and
+    the suffix span and the elements in each; for each element the pair
+    (lo, hi) such that it lies in the prefix span of edge i exactly when
+    lo <= i and in the suffix span exactly when i < hi; and the reverse
+    pass's coordinate rows, in reverse element order.
     """
     n, width = len(rows), field.width
     first = [e for e, row in enumerate(rows) if not row & row - 1]  # unit rows are one bit
     rank = len(first)
     rmask, backward = _standard_rows(field, rank, rows[::-1])
     last = [n - 1 - b for b in mask_bits(rmask)]
-    # an element lies in both spans at the edges from the last basis
-    # element its forward coordinates use up to, not including, the
-    # first one its backward coordinates use
-    enters = [0] * n
+    starts, ends = [0] * n, [0] * n  # elements by the lo and the hi of their reach
     reach = []
     for row, back in zip(rows, reversed(backward)):
         lo, hi = first[(row.bit_length() - 1) // width], last[(back.bit_length() - 1) // width]
         reach.append((lo, hi))
-        if lo < hi:
-            enters[lo] += 1
-            enters[hi] -= 1
+        starts[lo] += 1
+        ends[hi] += 1
     bmask, lmask = mask_of(first), mask_of(last)
-    sizes = []
-    both = ahead = 0
-    behind = rank
+    edges = []
+    ahead = in_a = 0
+    behind, in_b = rank, n
     for i in range(n - 1):
-        both += enters[i]
         ahead += bmask >> i & 1
         behind -= lmask >> i & 1
-        sizes.append(pg_point_count(ahead + behind - rank, field.q) - both)
-    return lmask, sizes, reach, backward
+        in_a += starts[i]
+        in_b -= ends[i]
+        size = pg_point_count(ahead + behind - rank, field.q) - (in_a + in_b - n)
+        edges.append((size, ahead, behind, in_a, in_b))
+    return lmask, edges, reach, backward
 
 
 def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
@@ -349,8 +329,9 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     chi = chi(A) chi(B) / chi(C) (Brylawski, *Modular constructions for
     combinatorial geometries*, 1975), with chi(C) that of PG(d - 1, q).
     Of the edges that qualify the one with the fewest elements on its
-    larger side is taken, the side sizes read off running counts of the
-    elements' reach.  A remainder in the division can only come
+    larger side is taken, the lowest on a tie; the neck sizes, the
+    sides' ranks and their sizes are all read off the neck table of
+    :func:`_path_neck_sizes`.  A remainder in the division can only come
     from a wrong chi, and raises :class:`InexactDivisionError`.  With
     no edge that qualifies the recursion computes chi.
 
@@ -391,24 +372,13 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
             chi = chi * _chi_by_splits(field, piece, prank)
         return chi
     # connected, so the two spans of every edge meet in d >= 1 dimensions
-    lmask, sizes, reach, backward = _path_neck_sizes(field, rows)
-    n = len(rows)
-    starts, ends = [0] * n, [0] * n  # elements by the lo and the hi of their reach
-    for lo, hi in reach:
-        starts[lo] += 1
-        ends[hi] += 1
-    best = None
-    ahead, behind = 0, rank
-    in_a, in_b = 0, n  # elements with lo <= i, and with hi > i
-    for i, size in enumerate(sizes):
-        ahead += not rows[i] & rows[i] - 1
-        behind -= lmask >> i & 1
-        in_a += starts[i]
-        in_b -= ends[i]
-        if not size and ahead < rank and behind < rank:
-            larger = max(in_a, in_b)
-            if best is None or larger < best[0]:
-                best = larger, i, ahead, behind
+    _, edges, reach, backward = _path_neck_sizes(field, rows)
+    best = min(
+        ((max(in_a, in_b), i, ahead, behind)
+         for i, (size, ahead, behind, in_a, in_b) in enumerate(edges)
+         if not size and ahead < rank and behind < rank),
+        default=None,
+    )
     if best is None:
         return _chi_from_rows(field, rows, rank)
     _, i, ahead, behind = best
@@ -436,7 +406,8 @@ def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | N
     :meth:`GF.project` call gives each contraction in standard form.
     Returns None when no edge has at most ``room`` external points.
     """
-    lmask, sizes, _, _ = _path_neck_sizes(field, rows)
+    lmask, edges, _, _ = _path_neck_sizes(field, rows)
+    sizes = [size for size, *_ in edges]
     fits = [i for i, size in enumerate(sizes) if size <= room]
     if not fits:
         return None
@@ -527,11 +498,13 @@ def split_along_neck(
     neck_mask = mask_of(neck_ids)
     ew_mask = dec.bag(w)  # leaf bag, as base elements; ids agree in the extension
     big = ext.matroid
-    m1 = big.restrict(ew_mask | neck_mask)
+    keep = ew_mask | neck_mask
+    m1 = big.restrict(keep)
     m2 = big.delete(ew_mask & ~neck_mask)
     npart = big.restrict(neck_mask)
-    # the neck spans a modular flat of M1
-    local_neck = mask_of(i for i, lab in enumerate(m1.labels) if lab in set(npart.labels))
+    # the neck spans a modular flat of M1, where element e of the
+    # extension sits after the kept elements below it
+    local_neck = mask_of((keep & ((1 << e) - 1)).bit_count() for e in neck_ids)
     if not is_modular_flat(m1, m1.closure_mask(local_neck)):
         raise NotModularError("the neck does not span a modular flat of the leaf piece")
     return m1, m2, npart
@@ -554,23 +527,14 @@ def brylawski_charpoly(m1: Matroid, m2: Matroid, common: Matroid) -> IntPoly:
     shared = set(m1.labels) & set(m2.labels)
     if shared != set(common.labels):
         raise ArgumentError("the common matroid must carry exactly the shared labels")
-    pos1 = {lab: i for i, lab in enumerate(m1.labels)}
-    pos2 = {lab: i for i, lab in enumerate(m2.labels)}
-    order = sorted(common.labels, key=lambda lab: pos1[lab])
-    posc = {lab: i for i, lab in enumerate(common.labels)}
-    t = len(order)
-    if t > MAX_BRYLAWSKI_SHARED:
-        raise TooLargeError(
-            f"restriction agreement check is capped at {MAX_BRYLAWSKI_SHARED} shared elements"
-        )
-    for sub in range(1 << t):
-        chosen = [order[i] for i in mask_bits(sub)]
-        r1 = m1.rank_mask(mask_of(pos1[lab] for lab in chosen))
-        r2 = m2.rank_mask(mask_of(pos2[lab] for lab in chosen))
-        rc = common.rank_mask(mask_of(posc[lab] for lab in chosen))
-        if not r1 == r2 == rc:
-            raise ArgumentError("the pieces disagree on their common ground set")
-    flat1 = m1.closure_mask(mask_of(pos1[lab] for lab in order))
+    # each piece restricted to the shared labels in m1's order; restrict
+    # would keep each piece's own element order
+    order = [lab for lab in m1.labels if lab in shared]
+    r1, r2, rc = (MinorMatroid(m, [m.labels.index(lab) for lab in order], 0)
+                  for m in (m1, m2, common))
+    if not (ranks_agree(r1, r2) and ranks_agree(r1, rc)):
+        raise ArgumentError("the pieces disagree on their common ground set")
+    flat1 = m1.closure_mask(mask_of(i for i, lab in enumerate(m1.labels) if lab in shared))
     if not is_modular_flat(m1, flat1):
         raise NotModularError("the common flat is not modular in the first piece")
     num = cp_delete_contract(m1) * cp_delete_contract(m2)

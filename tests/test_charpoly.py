@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from matzero import charpoly
 from matzero.charpoly import (
-    BOOLEAN_EXPANSION_MAX,
     ONE,
     ZERO,
     IntPoly,
@@ -50,6 +49,7 @@ from matzero.instances import fano, k4_graphic, non_fano
 from matzero.harness import ROOT_TOL, charpoly_auto, gen_glued, main_theorem_suite
 from matzero.matroid import (
     MAX_GROUND,
+    MAX_RANKS_TABLE,
     GraphicMatroid,
     LinearMatroid,
     Matroid,
@@ -398,7 +398,7 @@ def test_vector_engine_matches_rank_oracles(monkeypatch):
     monkeypatch.setattr(GF, "project", project)
     fields = set()
     for m in list(_vector_engine_battery()) + list(_coordinate_battery()):
-        assert m.n <= BOOLEAN_EXPANSION_MAX
+        assert m.n <= MAX_RANKS_TABLE
         p = cp_delete_contract(m)
         assert p == _delete_contract_by_rank(m) == cp_boolean_expansion(m), m
         assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
@@ -824,9 +824,16 @@ def test_bad_polynomial_arguments_raise_a_typed_error(call):
     assert isinstance(info.value, ValueError)
 
 
-def test_boolean_expansion_size_cap():
-    with pytest.raises(TooLargeError):
-        cp_boolean_expansion(UniformMatroid(2, 21))
+def test_boolean_expansion_size_cap(monkeypatch):
+    """21 elements are refused by ranks_table's cap before any rank is
+    asked."""
+    m = UniformMatroid(2, 21)
+    calls = []
+    real = Matroid.rank_mask
+    monkeypatch.setattr(Matroid, "rank_mask", lambda self, mask: calls.append(mask) or real(self, mask))
+    with pytest.raises(TooLargeError, match=r"^full rank tables are limited to 20 elements$"):
+        cp_boolean_expansion(m)
+    assert calls == []
 
 
 def test_loopless_charpoly_shape():

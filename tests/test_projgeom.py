@@ -33,7 +33,7 @@ from matzero.errors import (
 from matzero.gfq import gf
 from matzero.harness import gen_glued, gen_random_linear
 from matzero.instances import fano
-from matzero.matroid import LinearMatroid, UniformMatroid, mask_bits, mask_of, ranks_agree
+from matzero.matroid import LinearMatroid, Matroid, UniformMatroid, mask_bits, mask_of, ranks_agree
 from matzero.projgeom import (
     brylawski_charpoly,
     embed,
@@ -544,6 +544,47 @@ def test_split_requires_filled_neck():
     assert brylawski_charpoly(m1, m2, npart) == cp_delete_contract(ext.matroid)
 
 
+def _glued_planes_less_a_line_point(labels):
+    """The glued planes with the point e2 of their common line removed:
+    ten points, whose edge neck is that line with e2 as its one
+    external point, on the decomposition of the two planes' points."""
+    plane = pg_build(3, 2)
+    cols = [p + (0,) for p in plane[1:]]
+    cols += [(0,) + p for p in plane if p[2] == 1]
+    base = embed(LinearMatroid(gf(2), cols, labels))
+    return base, TreeDecomposition(base, Tree(2, [(0, 1)]), [0] * 6 + [1] * 4)
+
+
+def test_extend_refuses_a_label_the_base_uses():
+    """A base labelled x0..x8, s1 cannot take s1 again; with the default
+    labels the same extension splits and factors."""
+    base, dec = _glued_planes_less_a_line_point([f"x{i}" for i in range(9)] + ["s1"])
+    _, external = neck_of_edge(base, dec, (0, 1))
+    assert len(external) == 1
+    with pytest.raises(ArgumentError, match=r"\bs1\b"):
+        extend(base, external)
+    base, dec = _glued_planes_less_a_line_point(None)
+    ext = extend(base, neck_of_edge(base, dec, (0, 1))[1])
+    m1, m2, common = split_along_neck(ext, dec, (0, 1))
+    assert (m1.n, m2.n, common.n) == (7, 7, 3)
+    assert brylawski_charpoly(m1, m2, common) == cp_delete_contract(ext.matroid)
+
+
+def test_split_finds_the_neck_by_element_not_by_label(monkeypatch):
+    """A leaf element that carries a neck element's label stays out of
+    the flat whose modularity split_along_neck tests: the flat is the
+    neck line of the leaf plane, three points."""
+    labels = [f"x{i}" for i in range(9)] + ["x0"]  # element 9 is in the leaf bag
+    base, dec = _glued_planes_less_a_line_point(labels)
+    ext = extend(base, neck_of_edge(base, dec, (0, 1))[1])
+    flats = []
+    real = projgeom.is_modular_flat
+    monkeypatch.setattr(projgeom, "is_modular_flat", lambda m, f: flats.append(f) or real(m, f))
+    m1, _, _ = split_along_neck(ext, dec, (0, 1))
+    assert [f.bit_count() for f in flats] == [3]
+    assert m1.rank_mask(flats[0]) == 2
+
+
 def test_split_requires_leaf_edge():
     plane = pg_build(3, 2)
     cols = [p + (0,) for p in plane]
@@ -593,6 +634,41 @@ def test_brylawski_rejects_rank_disagreement():
         brylawski_charpoly(m1, m2, common)
 
 
+def _reordered(m, order):
+    """The matroid of m's points, labels kept, in the element order
+    ``order``."""
+    field, height, rows = m._points()
+    cols = [field.unpack(rows[e], height) for e in order]
+    return LinearMatroid(field, cols, [m.labels[e] for e in order], nrows=height)
+
+
+def test_brylawski_identifies_the_pieces_by_label():
+    """The shared labels sit in a different element order in m1, m2 and
+    common; the factorization is chi of the glued planes."""
+    base, dec = glued_two_planes()
+    ext = extend(base, [])
+    m1, m2, common = split_along_neck(ext, dec, (0, 1))
+    m1 = _reordered(m1, range(m1.n - 1, -1, -1))
+    m2 = _reordered(m2, [*range(1, m2.n), 0])
+    common = _reordered(common, [1, 0, 2])
+    orders = {tuple(lab for lab in m.labels if lab in common.labels) for m in (m1, m2, common)}
+    assert len(orders) == 3
+    assert brylawski_charpoly(m1, m2, common) == cp_delete_contract(ext.matroid)
+
+
+def test_brylawski_over_the_agreement_cap_asks_no_rank(monkeypatch):
+    """17 shared labels are refused by ranks_agree's cap before any
+    rank is asked."""
+    units = [tuple(int(i == j) for i in range(17)) for j in range(17)]
+    m1, m2, common = (LinearMatroid(gf(2), units) for _ in range(3))
+    calls = []
+    real = Matroid.rank_mask
+    monkeypatch.setattr(Matroid, "rank_mask", lambda self, mask: calls.append(mask) or real(self, mask))
+    with pytest.raises(TooLargeError, match=r"^exhaustive rank comparison is limited to 16 elements$"):
+        brylawski_charpoly(m1, m2, common)
+    assert calls == []
+
+
 def _foreign_decomposition():
     # a decomposition of a matroid other than the embedded base
     return TreeDecomposition(embed(fano()), Tree(2, [(0, 1)]), (0,) * 4 + (1,) * 3)
@@ -615,6 +691,21 @@ def _star():
     return base, TreeDecomposition(base, Tree(4, [(0, 1), (0, 2), (0, 3)]), [0] * 7 + [1, 2, 3, 3])
 
 
+def _parallel_by_position():
+    # by position the shared parts agree, the first two parallel in
+    # both; by label a is parallel to b in m1 and to c in m2
+    m1 = LinearMatroid(gf(2), [(1, 0), (1, 0), (0, 1)], ("a", "b", "c"))
+    m2 = LinearMatroid(gf(2), [(1, 0), (1, 0), (0, 1)], ("c", "a", "b"))
+    assert ranks_agree(m1, m2)
+    return m1, m2, m1.restrict(m1.full_mask)
+
+
+def _unembedded_single_bag():
+    # a base with a column leading with 2, on a tree with no edge
+    base = LinearMatroid(gf(3), [(2, 0), (0, 1), (1, 1)])
+    return base, TreeDecomposition(base, Tree(1, ()), (0, 0, 0))
+
+
 _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
 
 
@@ -628,6 +719,8 @@ _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
          r"^the decomposition must decompose the embedded base matroid$"),
         (lambda: path_necks(*_star()),
          r"^the neck sweep needs a decomposition whose tree is a path$"),
+        (lambda: path_necks(*_unembedded_single_bag()),
+         r"^the base must be embedded: distinct nonzero columns leading with 1$"),
         (lambda: induced_decomposition(_glued_extension(), _foreign_decomposition(), (0, 1)),
          r"^the decomposition must decompose the embedded base matroid$"),
         (lambda: split_along_neck(_glued_extension(), _foreign_decomposition(), (0, 1)),
@@ -643,9 +736,11 @@ _AB = LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))
             LinearMatroid(gf(2), [(1, 1), (1, 1), (0, 1)], ("a", "b", "z")),
             LinearMatroid(gf(2), [(1, 0), (0, 1)], ("a", "b"))),
          r"^the pieces disagree on their common ground set$"),
+        (lambda: brylawski_charpoly(*_parallel_by_position()),
+         r"^the pieces disagree on their common ground set$"),
     ],
-    ids=["pg-rank", "neck-base", "sweep-base", "sweep-tree", "induced-base", "split-base", "split-leaf",
-         "labels", "shared-labels", "agreement"],
+    ids=["pg-rank", "neck-base", "sweep-base", "sweep-tree", "sweep-unembedded", "induced-base",
+         "split-base", "split-leaf", "labels", "shared-labels", "agreement", "agreement-by-label"],
 )
 def test_bad_arguments_raise_a_typed_error(call, message):
     """Each bad-input path raises ArgumentError, a MatZeroError that is
@@ -745,25 +840,30 @@ def _row_necks_agree(field, height, points, rows) -> int:
     """The rows are the standard form of the matroid of the points, and
     _path_neck_sizes on them gives every edge of the element-order path
     the external size that path_necks finds on embed's base of the
-    points, with the returned mask a basis and the returned rows the
-    standard form of the rows in reverse, whose unit rows are that
-    basis.  Returns the edges checked."""
+    points, the ranks of the prefix and the suffix and the elements in
+    their closures, with the returned mask a basis and the returned
+    rows the standard form of the rows in reverse, whose unit rows are
+    that basis.  Returns the edges checked."""
     ls = LinearMatroid(field, [field.unpack(p, height) for p in points], nrows=height)
     bmask, coordinates = ls._standard_form()
     assert rows == coordinates
     assert bmask == mask_of(e for e, row in enumerate(rows) if not row & row - 1)
     if len(points) < 2:
         return 0
-    lmask, sizes, _, backward = projgeom._path_neck_sizes(field, rows)
+    lmask, edges, _, backward = projgeom._path_neck_sizes(field, rows)
     rank = bmask.bit_count()
     reverse = LinearMatroid(field, [field.unpack(row, rank) for row in rows[::-1]], nrows=rank)
     assert backward == reverse._standard_form()[1]
     assert lmask == mask_of(len(rows) - 1 - j for j, row in enumerate(backward) if not row & row - 1)
     base = embed(ls)
     necks = path_necks(base, heuristic_decomposition(base, "path"))
-    assert sizes == [len(external) for _, external in necks]
+    assert [size for size, *_ in edges] == [len(external) for _, external in necks]
+    for i, (_, ahead, behind, in_a, in_b) in enumerate(edges):
+        prefix, suffix = (1 << i + 1) - 1, ls.full_mask >> i + 1 << i + 1
+        assert (ahead, behind) == (ls.rank_mask(prefix), ls.rank_mask(suffix))
+        assert (in_a, in_b) == tuple(ls.closure_mask(side).bit_count() for side in (prefix, suffix))
     assert lmask.bit_count() == ls.rank_mask(lmask) == ls.full_rank
-    return len(sizes)
+    return len(edges)
 
 
 def _terms_match_the_oracle(field, height, points, rows) -> bool:
