@@ -2,8 +2,8 @@
 
 Subsets of the ground set are machine-word bitmasks: bit ``i`` stands
 for element ``i``.  Public methods also accept iterables of element
-indices and convert them.  Matroids are immutable; every instance
-carries its own rank cache keyed by mask.
+indices and convert them.  Matroids are immutable and keep no rank
+but r(M); every other rank and every closure is read off their points.
 
 Three backends are provided: explicit matrices over a small finite
 field (:class:`LinearMatroid`), uniform matroids, and graphic matroids
@@ -101,7 +101,7 @@ class Matroid:
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
             raise ArgumentError("labels must match the ground set size")
-        self._rank_cache: dict[int, int] = {}
+        self._full_rank: int | None = None  # r(M), once known
         self._matrix: LinearMatroid | None = None
         self._point_rows: tuple | None = None
 
@@ -136,16 +136,17 @@ class Matroid:
     # -- rank and closure -----------------------------------------------------
 
     def rank_mask(self, mask: int) -> int:
-        cache = self._rank_cache
-        r = cache.get(mask)
-        if r is None:
-            r = self._rank_mask(mask)
-            cache[mask] = r
-        return r
-
-    def _rank_mask(self, mask: int) -> int:
+        """The rank of the points (:meth:`_points`) of ``mask``, by one
+        :meth:`GF.echelon` pass.  Only r(M) is kept, computed on its first
+        call or handed over by the path scorers of :mod:`treedecomp`."""
+        full = mask == self.full_mask
+        if full and self._full_rank is not None:
+            return self._full_rank
         field, _, rows = self._points()
-        return len(field.echelon(rows[e] for e in mask_bits(mask)))
+        rank = len(field.echelon(rows[e] for e in mask_bits(mask)))
+        if full:
+            self._full_rank = rank
+        return rank
 
     def rank(self, subset) -> int:
         return self.rank_mask(as_mask(self.n, subset))
@@ -162,13 +163,13 @@ class Matroid:
         return self.rank_mask(self.full_mask)
 
     def closure_mask(self, mask: int) -> int:
-        rk = self.rank_mask(mask)
-        closed = mask
-        rest = self.full_mask & ~mask
-        for e in mask_bits(rest):
-            if self.rank_mask(mask | (1 << e)) == rk:
-                closed |= 1 << e
-        return closed
+        """cl(``mask``): ``mask`` and the elements whose points
+        (:meth:`_points`) :func:`_contracted` projects to zero modulo the
+        span of the points of ``mask``.  No rank is asked."""
+        field, _, rows = self._points()
+        outside = list(mask_bits(self.full_mask & ~mask))
+        points = _contracted(field, rows, outside, mask)
+        return mask | mask_of(e for e, point in zip(outside, points) if not point)
 
     def closure(self, subset) -> tuple[int, ...]:
         return tuple(mask_bits(self.closure_mask(as_mask(self.n, subset))))

@@ -101,7 +101,8 @@ def embed(m: Matroid) -> LinearMatroid:
 class ExtensionMatroid:
     """An embedded base matroid together with extra geometry points.
 
-    The new elements keep their order and carry labels "s1", "s2", ...
+    The new elements keep their order and carry labels "s<j>", j running
+    on from the largest such j among the base's labels, or from "s1".
     Element indices 0..n-1 are the base; n..n+len(added)-1 the points,
     whose packed rows ``added`` lists.
     """
@@ -148,9 +149,9 @@ def _point_coordinates(field: GF, height: int, p) -> tuple[int, ...]:
 def extend(base: LinearMatroid, points) -> ExtensionMatroid:
     """Adjoin points of the base's geometry, given as packed echelon
     rows of its height, as new elements of an embedded base, labelled
-    "s1", "s2", ...  Anything else, or a base that already uses one of
-    those labels, raises :class:`ArgumentError`; a point that is already
-    an element, or is given twice, raises :class:`PointCollisionError`."""
+    as :class:`ExtensionMatroid` says.  Anything else raises
+    :class:`ArgumentError`; a point that is already an element, or is
+    given twice, raises :class:`PointCollisionError`."""
     image = _points_of(base)
     points = tuple(points)
     field, height = base.field, base.nrows
@@ -160,10 +161,9 @@ def extend(base: LinearMatroid, points) -> ExtensionMatroid:
             raise PointCollisionError(f"point {p} is already an element")
     if len(set(points)) != len(points):
         raise PointCollisionError("duplicate extension points")
-    labels = tuple(base.labels) + tuple(f"s{i + 1}" for i in range(len(points)))
-    taken = [lab for lab in labels[base.n:] if lab in base.labels]
-    if taken:
-        raise ArgumentError(f"the base already uses the new points' labels {', '.join(taken)}")
+    used = max((int(lab[1:]) for lab in base.labels
+                if isinstance(lab, str) and lab[:1] == "s" and lab[1:].isdecimal()), default=0)
+    labels = tuple(base.labels) + tuple(f"s{used + i}" for i in range(1, len(points) + 1))
     matroid = LinearMatroid(field, base.columns + tuple(columns), labels, nrows=height)
     return ExtensionMatroid(base, points, matroid)
 
@@ -453,9 +453,9 @@ def is_modular_flat(m: Matroid, flat_mask: int) -> bool:
     every flat X; verified against the full lattice of flats."""
     levels = m._flat_lattice()
     rf = m.rank_mask(flat_mask)
-    for level in levels:
+    for rx, level in enumerate(levels):
         for x in level:
-            if rf + m.rank_mask(x) != m.rank_mask(flat_mask | x) + m.rank_mask(flat_mask & x):
+            if rf + rx != m.rank_mask(flat_mask | x) + m.rank_mask(flat_mask & x):
                 return False
     return True
 
@@ -547,16 +547,16 @@ def telescoping_expansion(ext: ExtensionMatroid) -> list[tuple[Matroid, str]]:
         chi(M) = chi(M + s1..sn) + sum_i chi((M + s1..si) / si)
 
     Returns the terms as (matroid, role) pairs, the full extension first
-    and then one contraction per added point, in order.  Summing the
-    characteristic polynomials of the listed matroids gives back the
-    characteristic polynomial of the embedded base exactly, whatever
-    order the points were adjoined in.  M + s1..si is the extension
-    with the later points deleted, so every term is a minor of
-    ``ext.matroid``.
+    and then one contraction per added point, in order, as the role
+    "contract:" and the point's label.  Summing the characteristic
+    polynomials of the listed matroids gives back the characteristic
+    polynomial of the embedded base exactly, whatever order the points
+    were adjoined in.  M + s1..si is the extension with the later points
+    deleted, so every term is a minor of ``ext.matroid``.
     """
     big, n, k = ext.matroid, ext.base_count, len(ext.added)
     terms: list[tuple[Matroid, str]] = [(big, "extension")]
     for i in range(k):
         later = range(n + i + 1, n + k)
-        terms.append((big.minor(delete=later, contract=[n + i]), f"contract:s{i + 1}"))
+        terms.append((big.minor(delete=later, contract=[n + i]), f"contract:{big.labels[n + i]}"))
     return terms

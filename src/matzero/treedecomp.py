@@ -24,8 +24,9 @@ path's width therefore costs one elimination pass over its points each
 way, in bag order and back, and asks the rank oracle nothing: r(M) is
 the last prefix rank.  ``best_heuristic`` scores its greedy path of
 singleton bags so, the greedy order being found by the forward pass
-that gives its prefix ranks, and a glued instance's path of blocks is
-scored the same way.  Both leave r(M) in the matroid's rank cache.
+that gives its prefix ranks, and a glued instance's path of blocks and
+``heuristic_decomposition``'s paths are scored the same way.  Each
+hands r(M) to the matroid, which keeps it.
 """
 
 from __future__ import annotations
@@ -385,11 +386,10 @@ def _fragment_tables(ranks, full, w):
     return valid, g, gle
 
 
-def _min_vertex_witness(m, ranks, tw):
-    """Witness decomposition of width tw with the fewest tree vertices."""
+def _min_vertex_witness(m, ranks, tw, valid):
+    """Witness of width tw with the fewest tree vertices, from tw's ``valid`` table."""
     full = m.full_mask
     r = ranks[full]
-    valid, _g, _gle = _fragment_tables(ranks, full, tw)
     rdv = [r - ranks[full & ~s] for s in range(full + 1)]
 
     vcost: dict[int, int] = {}
@@ -507,9 +507,10 @@ def _min_vertex_witness(m, ranks, tw):
 def exact_treewidth_small(m: Matroid) -> TreewidthResult:
     """Exact tree-width for small ground sets, with a witness.
 
-    Widths are tried in increasing order; at the first feasible width
-    a second pass finds a witness decomposition with the fewest tree
-    vertices among all optimal-width decompositions.
+    Widths are tried in increasing order up to r(M), which is always
+    feasible; at the first feasible width a second pass over its table
+    finds a witness decomposition with the fewest tree vertices among
+    all optimal-width decompositions.
     """
     n = m.n
     if n > EXACT_SEARCH_MAX:
@@ -519,14 +520,11 @@ def exact_treewidth_small(m: Matroid) -> TreewidthResult:
     ranks = m.ranks_table()
     full = m.full_mask
     r = ranks[full]
-    tw = r
-    for w in range(0, r + 1):
-        _valid, _g, gle = _fragment_tables(ranks, full, w)
-        if gle[full] >= r - w:
-            tw = w
+    for tw in range(r + 1):
+        valid, _g, gle = _fragment_tables(ranks, full, tw)
+        if gle[full] >= r - tw:
             break
-    dec, vertices = _min_vertex_witness(m, ranks, tw)
-    return TreewidthResult(tw, dec, vertices)
+    return TreewidthResult(tw, *_min_vertex_witness(m, ranks, tw, valid))
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +581,10 @@ def _path_width(m: Matroid, bags, prefix_ranks) -> int:
     return max(map(add, prefix_ranks, suffix_ranks)) - prefix_ranks[-1]
 
 
-def _path_decomposition(m: Matroid, bags, width: int | None = None) -> TreeDecomposition:
+def _path_decomposition(m: Matroid, bags, width: int) -> TreeDecomposition:
     """The decomposition whose path vertices hold the nonempty list
-    ``bags`` in turn, on the shared path tree of that length; a given
-    ``width`` is kept as its width."""
+    ``bags`` in turn, on the shared path tree of that length, with
+    ``width`` kept as its width."""
     assignment = [0] * m.n
     for v, bag in enumerate(bags):
         for e in bag:
@@ -599,10 +597,10 @@ def _path_decomposition(m: Matroid, bags, width: int | None = None) -> TreeDecom
 def _scored_path(m: Matroid, bags) -> TreeDecomposition:
     """:func:`_path_decomposition` of ``bags`` with its width kept,
     scored by one elimination pass each way (:func:`_path_width`).
-    r(M), the last prefix rank, is left in m's rank cache, so no rank
-    is asked now or when a verifier reads it."""
+    r(M), the last prefix rank, is handed to m to keep, so no rank is
+    computed now or when a verifier reads it."""
     prefix_ranks = _prefix_ranks(m, bags)
-    m._rank_cache[m.full_mask] = prefix_ranks[-1]
+    m._full_rank = prefix_ranks[-1]
     return _path_decomposition(m, bags, _path_width(m, bags, prefix_ranks))
 
 
@@ -618,7 +616,7 @@ def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecompo
     if strategy == "single" or m.n == 0:
         return single_vertex_decomposition(m)
     order = range(m.n) if strategy == "path" else _greedy_order(m)[0]
-    return _path_decomposition(m, [(e,) for e in order])
+    return _scored_path(m, [(e,) for e in order])
 
 
 def best_heuristic(m: Matroid) -> TreeDecomposition:
@@ -633,11 +631,10 @@ def best_heuristic(m: Matroid) -> TreeDecomposition:
     rank is unchanged and the suffix shrinks, and a moved element's
     node width is at most that of the node before it.  A one-element
     path is the single bag.  No rank is asked of the rank oracle: r(M)
-    is the greedy order's last prefix rank, and it is left in m's rank
-    cache for the verification that reads it."""
+    is the greedy order's last prefix rank, and it is handed to m to
+    keep for the verification that reads it."""
     order, prefix_ranks = _greedy_order(m)
-    rank = prefix_ranks[-1] if order else 0
-    m._rank_cache[m.full_mask] = rank
+    m._full_rank = rank = prefix_ranks[-1] if order else 0
     if m.n > 1:
         bags = [(e,) for e in order]
         width = _path_width(m, bags, prefix_ranks)

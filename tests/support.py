@@ -7,20 +7,26 @@
   points and records nothing of the root, so a test takes these masks
   from the minors it builds itself.
 * :func:`minor_chains`: a hypothesis strategy for chains of minors.
+* :func:`rank_queries`: every rank the rank oracle is asked, recorded.
+* :func:`rank_closure`: the closure of a set by rank queries alone,
+  the reference for :meth:`Matroid.closure_mask`.
 * :func:`criterion_07_instances`: the instances of acceptance
   criterion 07, the identity battery.
+* :func:`glued_slots`: the glued shapes of the benchmark's workload.
 * :func:`non_simple_matroids`: matroids with loops and parallel
   elements, and loopless ones with parallel elements.
 """
 
+import ast
 import random
 import weakref
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from matzero.gfq import gf
 from matzero.harness import gen_glued, gen_random_linear
-from matzero.matroid import GraphicMatroid, LinearMatroid, as_mask, mask_bits, mask_of
+from matzero.matroid import GraphicMatroid, LinearMatroid, Matroid, as_mask, mask_bits, mask_of
 
 CRITERION_07_SHAPES = (
     (2, 2, 2, 1),
@@ -64,6 +70,29 @@ def minor(m, delete=(), contract=()):
     return out
 
 
+def rank_queries(monkeypatch) -> list:
+    """Wrap ``Matroid.rank_mask`` for the rest of the test so that every
+    call, answered as before, appends its (matroid, mask) pair to the
+    list returned, which the test may read and clear."""
+    asked = []
+    real = Matroid.rank_mask
+
+    def rank_mask(m, mask):
+        asked.append((m, mask))
+        return real(m, mask)
+
+    monkeypatch.setattr(Matroid, "rank_mask", rank_mask)
+    return asked
+
+
+def rank_closure(m, mask: int) -> int:
+    """Reference: cl(``mask``) as ``mask`` and the elements e outside it
+    with r(mask + e) = r(mask), one rank query each."""
+    rank = m.rank_mask(mask)
+    rest = m.full_mask & ~mask
+    return mask | mask_of(e for e in mask_bits(rest) if m.rank_mask(mask | 1 << e) == rank)
+
+
 @st.composite
 def minor_chains(draw):
     """A random GF(q) matrix and a chain of up to three minors, each a
@@ -100,6 +129,17 @@ def criterion_07_instances() -> tuple[list, list]:
         n = rng.randint(6, 9)
         rand.append(gen_random_linear(q, r, n, rng.randrange(1 << 30)))
     return glued, rand
+
+
+def glued_slots() -> tuple:
+    """The benchmark's glued shapes (q, block_rank, blocks, overlap_rank,
+    deleted points), ``GLUED_SLOTS`` read from the source of its
+    workload module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GLUED_SLOTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py has no GLUED_SLOTS")
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

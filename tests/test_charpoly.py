@@ -61,7 +61,7 @@ from matzero.matroid import (
     mask_of,
 )
 from matzero.projgeom import pg_build
-from support import criterion_07_instances, minor, pivot, rooted
+from support import criterion_07_instances, minor, pivot, rank_queries, rooted
 
 ENGINES = [cp_mobius, cp_boolean_expansion, cp_delete_contract]
 
@@ -421,14 +421,15 @@ def _graphic_and_uniform_battery():
     yield minor(UniformMatroid(4, 9), delete=[2, 3], contract=[0])
 
 
-def test_graphic_and_uniform_roots_take_the_matrix_path():
+def test_graphic_and_uniform_roots_take_the_matrix_path(monkeypatch):
     """Deletion-contraction reads a graphic or uniform root's matrix
-    and adds no entry to the root's rank cache, and still agrees with
-    the rank oracle and the subset and Mobius expansions."""
+    and asks no rank, and still agrees with the rank oracle and the
+    subset and Mobius expansions."""
+    asked = rank_queries(monkeypatch)
     for m in _graphic_and_uniform_battery():
-        before = dict(m.root._rank_cache)
+        asked.clear()
         p = cp_delete_contract(m)
-        assert m.root._rank_cache == before
+        assert asked == []
         assert p == _delete_contract_by_rank(m) == cp_boolean_expansion(m), m
         assert p == (cp_mobius(m) if m.is_loopless() else ZERO), m
 
@@ -449,10 +450,10 @@ def test_cocircuit_expansion_matches_the_rank_oracle_on_vector_minors():
     assert checked >= 50
 
 
-def test_matrix_deletion_contraction_queries_no_ranks():
-    """On a matrix, and on minors of one, deletion-contraction adds no
-    rank-cache entry: it reads the points, and building a minor asks
-    no rank."""
+def test_matrix_deletion_contraction_queries_no_ranks(monkeypatch):
+    """On a matrix, and on minors of one, deletion-contraction asks no
+    rank: it reads the points, and building a minor asks no rank."""
+    asked = rank_queries(monkeypatch)
     rng = random.Random(59)
     for q in (2, 3, 4, 5):
         for _ in range(4):
@@ -463,7 +464,7 @@ def test_matrix_deletion_contraction_queries_no_ranks():
             cp_delete_contract(m)
             cp_delete_contract(minor)
             cp_delete_contract(again)
-            assert m._rank_cache == minor._rank_cache == again._rank_cache == {}
+    assert asked == []
 
 
 def _line(q, k, parallel=0):
@@ -762,11 +763,10 @@ def test_cocircuit_expansion_builds_no_minor_and_walks_no_lattice(monkeypatch):
 
     monkeypatch.setattr(MinorMatroid, "__init__", init)
     monkeypatch.setattr(Matroid, "_flat_lattice", walk)
-    caches = [dict(simple._rank_cache) for simple in simples]
+    asked = rank_queries(monkeypatch)
     for simple in simples:
         cp_cocircuit_expansion(simple)
-    assert built == [] and walked == []
-    assert [simple._rank_cache for simple in simples] == caches
+    assert built == [] and walked == [] and asked == []
 
 
 def test_loops_give_zero():
@@ -828,12 +828,10 @@ def test_boolean_expansion_size_cap(monkeypatch):
     """21 elements are refused by ranks_table's cap before any rank is
     asked."""
     m = UniformMatroid(2, 21)
-    calls = []
-    real = Matroid.rank_mask
-    monkeypatch.setattr(Matroid, "rank_mask", lambda self, mask: calls.append(mask) or real(self, mask))
+    asked = rank_queries(monkeypatch)
     with pytest.raises(TooLargeError, match=r"^full rank tables are limited to 20 elements$"):
         cp_boolean_expansion(m)
-    assert calls == []
+    assert asked == []
 
 
 def test_loopless_charpoly_shape():

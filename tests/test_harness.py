@@ -63,7 +63,14 @@ from matzero.matroid import (
 from matzero.projgeom import brylawski_charpoly
 from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
 
-from support import criterion_07_instances, minor, minor_chains, non_simple_matroids
+from support import (
+    criterion_07_instances,
+    glued_slots,
+    minor,
+    minor_chains,
+    non_simple_matroids,
+    rank_queries,
+)
 
 
 # -- engine choice and seeds ---------------------------------------------------
@@ -335,20 +342,57 @@ def test_separate_calls_share_nothing(monkeypatch):
 ], ids=["main", "nolines", "cli-random", "cli-glued"])
 def test_generating_instances_asks_no_rank(monkeypatch, make):
     """Every witness width and r(M) is read off elimination passes: the
-    rank oracle computes nothing while instances are generated, and
-    r(M) is left cached for the verifier."""
+    rank oracle is asked nothing while instances are generated, and
+    r(M) is kept for the verifier."""
     monkeypatch.delenv("MZ_SEED", raising=False)
-    computed = []
-    real = Matroid._rank_mask
-    monkeypatch.setattr(Matroid, "_rank_mask", lambda self, mask: computed.append(mask) or
-                        real(self, mask))
+    asked = rank_queries(monkeypatch)
     recs = make()
     widths = [rec.witnessed_width for rec in recs]
-    assert computed == []
+    assert asked == []
     for rec, width in zip(recs, widths):
         m = rec.matroid
-        assert m._rank_cache[m.full_mask] == len(gf(rec.q).echelon(m._points()[2]))
-        assert width <= m._rank_cache[m.full_mask]
+        assert m._full_rank == len(gf(rec.q).echelon(m._points()[2]))
+        assert width <= m._full_rank
+
+
+def _bound_suites():
+    """(verify, instance, q, k) for both bound suites, at the
+    criterion-05 shapes and one no-lines shape."""
+    main = [(verify_main_theorem, rec, q, k) for q in (2, 3) for k in (2, 3)
+            for rec in main_theorem_suite(q, k, 50, seed=10 * q + k)]
+    return main + [(verify_no_lines_theorem, rec, 3, 2) for rec in no_lines_suite(3, 2, 50, seed=7)]
+
+
+def _glued_slot_instances():
+    """(verify, instance, q, k) for one instance per glued slot of the
+    benchmark (support.glued_slots), k being the block rank or the
+    witness width if that is larger."""
+    out = []
+    for q, block_rank, blocks, overlap, deleted in glued_slots():
+        rec = gen_glued(q, block_rank, blocks, overlap, seed=0, delete_count=deleted)
+        out.append((verify_no_lines_theorem, rec, q, max(block_rank, rec.witnessed_width)))
+    return out
+
+
+def _identity_battery():
+    """(verify, instance) for the criterion-07 battery."""
+    return [(verify_identities, rec) for part in criterion_07_instances() for rec in part]
+
+
+@pytest.mark.parametrize("make", [_bound_suites, _glued_slot_instances, _identity_battery],
+                         ids=["bound-suites", "glued-slots", "identities"])
+def test_verification_asks_only_each_kept_full_rank(monkeypatch, make):
+    """Generation asks the rank oracle nothing, and verification asks it
+    for r(M) of each instance's matroid alone, which generation kept."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    asked = rank_queries(monkeypatch)
+    items = make()
+    assert asked == []
+    kept = {rec.matroid for _, rec, *_ in items}
+    assert all(m._full_rank is not None for m in kept)
+    for verify, rec, *args in items:
+        verify([rec], *args)
+    assert asked and all(m in kept and mask == m.full_mask for m, mask in asked)
 
 
 # -- suites -----------------------------------------------------------------------
@@ -397,14 +441,13 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh
     """Every verdict and root bracket on one polynomial shares one
     squarefree part and one Sturm chain, across instances too, and the
     witness width and r(M) computed while the suite was generated are
-    not computed again: verification asks no rank."""
+    not computed again: verification asks no rank but each kept r(M)."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = main_theorem_suite(2, 3, 100, seed=1)
     charpolys = [charpoly_auto(rec.matroid) for rec in recs]
     distinct = {chi.coeffs for chi in charpolys if not chi.is_zero}
     assert 1 < len(distinct) < 100
-    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0, "_displays": 0,
-             "_rank_mask": 0}
+    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0, "_displays": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -419,12 +462,15 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh
     counted(charpoly, "sturm_chain")
     counted(TreeDecomposition, "node_width")
     counted(TreeDecomposition, "_displays")
-    counted(Matroid, "_rank_mask")
+    kept = {rec.matroid for rec in recs}
+    assert all(m._full_rank is not None for m in kept)
+    asked = rank_queries(monkeypatch)
     reports = verify_main_theorem(recs, 2, 3)
     assert all_verdicts_true(reports)
     assert calls["squarefree_part"] == len(distinct)
     assert calls["sturm_chain"] == len(distinct)
-    assert calls["node_width"] == calls["_displays"] == calls["_rank_mask"] == 0
+    assert calls["node_width"] == calls["_displays"] == 0
+    assert all(m in kept and mask == m.full_mask for m, mask in asked)
 
 
 def test_verify_main_theorem_requires_witness():

@@ -1,13 +1,10 @@
 """Rank oracles, minors, flats, Mobius values, cocircuits, line minors,
 and the matroid file format."""
 
-import ast
-import copy
 import gc
 import random
 import weakref
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +37,16 @@ from matzero.matroid import (
     ranks_agree,
     require_simple,
 )
-from support import minor, minor_chains, non_simple_matroids, pivot, rooted
+from support import (
+    glued_slots,
+    minor,
+    minor_chains,
+    non_simple_matroids,
+    pivot,
+    rank_closure,
+    rank_queries,
+    rooted,
+)
 
 
 def axiom_battery():
@@ -116,6 +122,40 @@ def test_closure():
     assert m.closure_mask(line) == line
     assert line & 0b11 == 0b11
     assert m.closure(range(7)) == tuple(range(7))
+
+
+def _closure_battery(rng):
+    """Seeded matrices over GF(2)-GF(5), each with a loop and a pair of
+    parallel elements, a minor of each with two contractions, and
+    graphic and uniform roots with minors of them."""
+    for q in (2, 3, 4, 5):
+        field = gf(q)
+        for _ in range(3):
+            height, n = rng.randint(2, 4), rng.randint(5, 8)
+            cols = [[rng.randrange(q) for _ in range(height)] for _ in range(n)]
+            cols[0] = [0] * height
+            cols[2][0] = 1
+            cols[1] = [field.mul[rng.randrange(1, q)][x] for x in cols[2]]
+            m = LinearMatroid(field, cols)
+            yield m
+            yield m.minor(delete=[n - 1], contract=[2, 3])
+    yield k4_graphic()
+    yield k4_graphic().minor(delete=[5], contract=[0])
+    yield GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 0), (3, 3), (3, 4)])
+    yield UniformMatroid(3, 7)
+    yield UniformMatroid(3, 7).minor(delete=[0], contract=[5])
+    yield UniformMatroid(2, 5)
+
+
+def test_closure_reads_the_points_and_matches_the_rank_closure(monkeypatch):
+    """closure_mask is the rank-oracle closure (support.rank_closure) of
+    every subset, and it asks no rank."""
+    asked = rank_queries(monkeypatch)
+    for m in _closure_battery(random.Random(61)):
+        ref = [rank_closure(m, a) for a in range(1 << m.n)]
+        asked.clear()
+        assert [m.closure_mask(a) for a in range(1 << m.n)] == ref, m
+        assert asked == []
 
 
 def test_loops_and_parallel_classes():
@@ -264,20 +304,13 @@ def test_minor_ranks_are_the_offset_on_the_root(chain):
 def test_building_a_minor_asks_no_rank(monkeypatch):
     """delete, contract and minor, of roots and of minors, read their
     parent's points and ask no rank."""
-    calls = []
-    real = matroid.Matroid.rank_mask
-
-    def counting(m, mask):
-        calls.append(mask)
-        return real(m, mask)
-
-    monkeypatch.setattr(matroid.Matroid, "rank_mask", counting)
+    asked = rank_queries(monkeypatch)
     for m in (fano(), non_fano(), k4_graphic(), UniformMatroid(3, 6)):
         views = [m.delete([0]), m.contract([1]), m.minor(delete=[0], contract=[1, 2])]
         views += [v.minor(delete=[0], contract=[1]) for v in views]
         views.append(views[3].contract([0]).delete([0]))
         assert all(isinstance(v, matroid.MinorMatroid) for v in views)
-    assert calls == []
+    assert asked == []
 
 
 def test_a_minor_builds_its_points_from_its_parents(monkeypatch):
@@ -435,15 +468,16 @@ def test_mobius_requires_loopless():
 
 def _closure_lattice(m):
     """Reference: the lattice of flats level by level, each flat above F
-    found as cl(F + e) for every element e outside F.  Returns the sorted
-    levels and the set of covers of every flat."""
-    bottom = m.closure_mask(0)
+    found as cl(F + e) for every element e outside F, by rank queries
+    (:func:`support.rank_closure`).  Returns the sorted levels and the
+    set of covers of every flat."""
+    bottom = rank_closure(m, 0)
     levels, up = [[bottom]], {}
     while True:
         nxt = set()
         for fmask in levels[-1]:
             up[fmask] = {
-                m.closure_mask(fmask | (1 << e)) for e in mask_bits(m.full_mask & ~fmask)
+                rank_closure(m, fmask | (1 << e)) for e in mask_bits(m.full_mask & ~fmask)
             }
             nxt |= up[fmask]
         if not nxt:
@@ -571,10 +605,11 @@ def _rank_covers(m, fmask, rank):
     return covers
 
 
-def test_linear_covers_agree_with_generic_and_query_no_ranks():
+def test_linear_covers_agree_with_generic_and_query_no_ranks(monkeypatch):
     """A matroid and a minor of one read their covers from the root's
     matrix (kept columns reduced modulo the contracted span) with no
     rank query, and agree with covers found by rank queries."""
+    asked = rank_queries(monkeypatch)
     rng = random.Random(37)
     roots = []
     for q in (2, 3, 4, 5):
@@ -586,22 +621,16 @@ def test_linear_covers_agree_with_generic_and_query_no_ranks():
         fate = [rng.randrange(3) for _ in range(m.n)]
         deleted = [e for e in range(m.n) if fate[e] == 1]
         contracted = [e for e in range(m.n) if fate[e] == 2]
-        # the references ask ranks of a twin, so m's cache stays cold
-        twin = copy.copy(m)
-        twin._rank_cache = {}
-        pairs = [
-            (m, twin),
-            (m.minor(deleted, contracted), twin.minor(deleted, contracted)),
-        ]
-        for mm, ref in pairs:
-            cached = len(m._rank_cache), len(mm._rank_cache)
-            assert mm.loops_mask() == ref.closure_mask(0)
-            levels, _ = _closure_lattice(ref)
-            for rank, level in enumerate(levels):
-                for fmask in level:
-                    fast = _quotient_covers(mm, fmask, None)
-                    assert sorted(fast) == sorted(_rank_covers(ref, fmask, rank))
-            assert (len(m._rank_cache), len(mm._rank_cache)) == cached
+        for mm in (m, m.minor(deleted, contracted)):
+            loops = rank_closure(mm, 0)
+            levels, _ = _closure_lattice(mm)
+            covers = [(fmask, sorted(_rank_covers(mm, fmask, rank)))
+                      for rank, level in enumerate(levels) for fmask in level]
+            asked.clear()
+            assert mm.loops_mask() == loops
+            for fmask, ref in covers:
+                assert sorted(_quotient_covers(mm, fmask, None)) == ref
+            assert asked == []
 
 
 def _independent_set_hyperplanes(m):
@@ -612,7 +641,7 @@ def _independent_set_hyperplanes(m):
 
     def grow(start, mask, size):
         if size == target:
-            seen.add(m.closure_mask(mask))
+            seen.add(rank_closure(m, mask))
             return
         for e in range(start, m.n):
             bit = 1 << e
@@ -691,21 +720,23 @@ def test_parallel_classes_match_pairwise_oracle():
         assert m.is_simple() == all(len(c) == 1 for c in ref), m
 
 
-def test_matrix_flats_query_no_ranks():
+def test_matrix_flats_query_no_ranks(monkeypatch):
     """A matrix-backed matroid reads its parallel classes, hyperplanes
     and cocircuits off quotient vectors: the only rank it asks for is
     the full rank."""
+    asked = rank_queries(monkeypatch)
     rng = random.Random(43)
     for q in (2, 3, 4, 5):
         for _ in range(5):
             cols = _random_linear_matroid(rng, q, rng.randint(2, 4), rng.randint(3, 9)).columns
             m = LinearMatroid(gf(q), [c for c in cols if any(c)] or [(1, 0)])
+            asked.clear()
             m.parallel_classes()
             m.is_simple()
-            assert m._rank_cache == {}
+            assert asked == []
             m.hyperplanes()
             m.find_small_cocircuit()
-            assert set(m._rank_cache) == {m.full_mask}
+            assert {mask for _, mask in asked} == {m.full_mask}
 
 
 def test_hyperplanes_and_cocircuits_u23():
@@ -754,7 +785,7 @@ def _line_minor_brute(m, length):
                 pair = (1 << e) | (1 << f)
                 if nm.rank_mask(pair) != 2:
                     continue
-                flat = nm.closure_mask(pair) & ~loops
+                flat = rank_closure(nm, pair) & ~loops
                 reps = []
                 for x in mask_bits(flat):
                     if not any(
@@ -821,16 +852,16 @@ def test_line_minor_against_brute_force():
     assert full_lines >= {4, 5}  # true answers from U_{2,q+1} minors
 
 
-def test_line_minor_scan_on_a_matrix_queries_no_ranks():
+def test_line_minor_scan_on_a_matrix_queries_no_ranks(monkeypatch):
     """On a matrix-backed matroid the scan reads every cover off the
-    matrix, so it leaves the rank cache (almost) as it found it."""
+    matrix, so the only rank it asks is r(M), at most once a scan."""
     m = gen_glued(2, 3, 3, 1, seed=0, delete_count=3).matroid
     assert m.n >= 14
-    before = len(m._rank_cache)
+    asked = rank_queries(monkeypatch)
     assert m.has_line_minor(3)
     assert not m.has_line_minor(4)  # binary matroids have no U_{2,4}
     assert not m._line_scan(4)
-    assert len(m._rank_cache) - before <= 2
+    assert len(asked) <= 2 and all(mm is m and mask == m.full_mask for mm, mask in asked)
 
 
 def _line_with_coloops(length, coloops, view):
@@ -917,34 +948,25 @@ def test_line_scan_covers_only_flats_below_rank_r_minus_1(monkeypatch):
     assert len(scan) < len(seen)
 
 
-def _glued_slots():
-    """The benchmark's glued shapes, ``GLUED_SLOTS`` read from the source
-    of its workload module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GLUED_SLOTS":
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/workloads.py has no GLUED_SLOTS")
-
-
 def _scan_work(monkeypatch, m, length):
     """has_line_minor(length) on m, with the number of _quotient_covers
-    calls it made and the number of rank-cache entries it added."""
+    calls it made and the number of ranks it asked."""
     calls = []
-    real = matroid._quotient_covers
+    real, real_rank = matroid._quotient_covers, matroid.Matroid.rank_mask
 
     def counting(mm, fmask, carried):
         calls.append(fmask)
         return real(mm, fmask, carried)
 
     monkeypatch.setattr(matroid, "_quotient_covers", counting)
-    before = len(m._rank_cache)
+    asked = rank_queries(monkeypatch)
     answer = m.has_line_minor(length)
     monkeypatch.setattr(matroid, "_quotient_covers", real)
-    return answer, len(calls), len(m._rank_cache) - before
+    monkeypatch.setattr(matroid.Matroid, "rank_mask", real_rank)
+    return answer, len(calls), len(asked)
 
 
-@pytest.mark.parametrize("slot", sorted(set(_glued_slots())), ids=str)
+@pytest.mark.parametrize("slot", sorted(set(glued_slots())), ids=str)
 def test_line_minor_past_the_field_does_no_work(slot, monkeypatch):
     """A GF(q) matrix has no (q + 2)-point line minor: has_line_minor
     says so with no cover read and no rank asked, the scan agrees, and

@@ -33,7 +33,7 @@ from matzero.errors import (
 from matzero.gfq import gf
 from matzero.harness import gen_glued, gen_random_linear
 from matzero.instances import fano
-from matzero.matroid import LinearMatroid, Matroid, UniformMatroid, mask_bits, mask_of, ranks_agree
+from matzero.matroid import LinearMatroid, UniformMatroid, mask_bits, mask_of, ranks_agree
 from matzero.projgeom import (
     brylawski_charpoly,
     embed,
@@ -49,7 +49,7 @@ from matzero.projgeom import (
 )
 from matzero.treedecomp import Tree, TreeDecomposition, heuristic_decomposition
 
-from support import criterion_07_instances, minor_chains
+from support import criterion_07_instances, minor_chains, rank_queries
 
 GLUED_TWO_PLANES_CP = (32, -64, 42, -11, 1)  # (x-1)(x-2)(x-4)^2
 
@@ -555,19 +555,34 @@ def _glued_planes_less_a_line_point(labels):
     return base, TreeDecomposition(base, Tree(2, [(0, 1)]), [0] * 6 + [1] * 4)
 
 
-def test_extend_refuses_a_label_the_base_uses():
-    """A base labelled x0..x8, s1 cannot take s1 again; with the default
-    labels the same extension splits and factors."""
-    base, dec = _glued_planes_less_a_line_point([f"x{i}" for i in range(9)] + ["s1"])
-    _, external = neck_of_edge(base, dec, (0, 1))
-    assert len(external) == 1
-    with pytest.raises(ArgumentError, match=r"\bs1\b"):
-        extend(base, external)
-    base, dec = _glued_planes_less_a_line_point(None)
-    ext = extend(base, neck_of_edge(base, dec, (0, 1))[1])
-    m1, m2, common = split_along_neck(ext, dec, (0, 1))
-    assert (m1.n, m2.n, common.n) == (7, 7, 3)
-    assert brylawski_charpoly(m1, m2, common) == cp_delete_contract(ext.matroid)
+def test_extend_numbers_past_the_base_s_labels():
+    """A base labelled x0..x8, s1 gets s2 for its one external neck
+    point, and the extension splits and factors; with the default
+    labels the same extension gets s1, and splits and factors too."""
+    for labels, new in (([f"x{i}" for i in range(9)] + ["s1"], "s2"), (None, "s1")):
+        base, dec = _glued_planes_less_a_line_point(labels)
+        ext = extend(base, neck_of_edge(base, dec, (0, 1))[1])
+        assert ext.matroid.labels[base.n:] == (new,)
+        m1, m2, common = split_along_neck(ext, dec, (0, 1))
+        assert (m1.n, m2.n, common.n) == (7, 7, 3)
+        assert brylawski_charpoly(m1, m2, common) == cp_delete_contract(ext.matroid)
+
+
+def test_an_extension_extends_again():
+    """Three points of the GF(5) line, extended by one missing point,
+    and that extension by another: the new labels run on, s1 and then
+    s2, and each telescoping expansion sums to chi of its own base."""
+    F = gf(5)
+    base = embed(LinearMatroid(F, [(1, 0), (0, 1), (1, 1)]))
+    first = extend(base, [F.pack((1, 2))])
+    second = extend(first.matroid, [F.pack((1, 3))])
+    assert first.matroid.labels == (0, 1, 2, "s1")
+    assert second.matroid.labels == (0, 1, 2, "s1", "s2")
+    for ext in (first, second):
+        terms = telescoping_expansion(ext)
+        assert [role for _, role in terms] == ["extension", f"contract:{ext.matroid.labels[-1]}"]
+        total = sum((cp_delete_contract(t) for t, _ in terms), IntPoly([]))
+        assert total == cp_delete_contract(ext.base)
 
 
 def test_split_finds_the_neck_by_element_not_by_label(monkeypatch):
@@ -661,12 +676,10 @@ def test_brylawski_over_the_agreement_cap_asks_no_rank(monkeypatch):
     rank is asked."""
     units = [tuple(int(i == j) for i in range(17)) for j in range(17)]
     m1, m2, common = (LinearMatroid(gf(2), units) for _ in range(3))
-    calls = []
-    real = Matroid.rank_mask
-    monkeypatch.setattr(Matroid, "rank_mask", lambda self, mask: calls.append(mask) or real(self, mask))
+    asked = rank_queries(monkeypatch)
     with pytest.raises(TooLargeError, match=r"^exhaustive rank comparison is limited to 16 elements$"):
         brylawski_charpoly(m1, m2, common)
-    assert calls == []
+    assert asked == []
 
 
 def _foreign_decomposition():

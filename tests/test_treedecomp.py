@@ -27,6 +27,7 @@ from matzero.treedecomp import (
     single_vertex_decomposition,
 )
 from matzero.treedecomp import _greedy_order
+from support import rank_queries
 
 # -- trees -------------------------------------------------------------------
 
@@ -506,19 +507,12 @@ def test_width_matches_the_walk_on_random_trees():
 
 
 def test_width_asks_one_rank_per_oriented_edge(monkeypatch):
-    asked = []
-    original = Matroid.rank_mask
-
-    def counted(self, mask):
-        asked.append(mask)
-        return original(self, mask)
-
-    monkeypatch.setattr(Matroid, "rank_mask", counted)
+    asked = rank_queries(monkeypatch)
     m, dec = wide_uniform_decomposition()
     dec = TreeDecomposition(m, dec.tree, dec.assignment)
     edges = len(dec.tree.edges)
     assert dec.width() == 10
-    assert len([mask for mask in asked if mask != m.full_mask]) == 2 * edges
+    assert len([mask for _, mask in asked if mask != m.full_mask]) == 2 * edges
     assert len(asked) <= 2 * edges + 2
     asked.clear()
     assert dec.width() == 10 and asked == []  # kept
@@ -553,24 +547,17 @@ def test_greedy_path_is_never_wider_than_the_ground_path():
 def test_best_heuristic_matches_the_three_candidate_minimum_on_random_matroids(monkeypatch):
     """Same tree, assignment and width as the minimum over the three
     built and walked candidates, with no rank asked of the rank oracle:
-    r(M) is left in the rank cache, equal to a fresh elimination of the
-    points, and the kept width is what a fresh walk finds."""
+    r(M) is kept, equal to a fresh elimination of the points, and the
+    kept width is what a fresh walk finds."""
     rng = random.Random(4242)
-    asked = []
-    original = Matroid.rank_mask
-
-    def counted(self, mask):
-        asked.append((self, mask))
-        return original(self, mask)
-
-    monkeypatch.setattr(Matroid, "rank_mask", counted)
+    asked = rank_queries(monkeypatch)
     for _ in range(300):
         m = _random_matroid(rng)
         asked.clear()
         dec = best_heuristic(m)
         assert asked == []
         field, _, rows = m._points()
-        assert m._rank_cache == {m.full_mask: len(field.echelon(rows))}
+        assert m._full_rank == len(field.echelon(rows))
         width = dec.width()
         assert asked == []  # the scored width was kept
         assert (dec.tree.edges, dec.assignment, width) == _three_candidate_best(m)
