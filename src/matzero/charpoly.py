@@ -662,9 +662,10 @@ _MEMO_LOCK = Lock()
 
 def _remember(table: dict, key, value, cap: int):
     """Store value under key, first dropping the oldest entry when the
-    table already holds cap entries; returns value.  Every bounded
-    process-wide table (this module's root memo, the harness's charpoly
-    memo) stores through it."""
+    table already holds cap entries; returns value.  The two
+    process-wide tables, this module's root memo and the harness's
+    charpoly memo, store through it, and so do the tables in their
+    entries: root counts, brackets and bound answers."""
     with _MEMO_LOCK:
         if len(table) >= cap:
             del table[next(iter(table))]

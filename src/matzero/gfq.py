@@ -50,6 +50,8 @@ the plane table (:meth:`GF.plane_lines`) is set once, whole.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import (
     ArgumentError,
     DivisionByZeroError,
@@ -121,60 +123,17 @@ def _poly_mul_zp(a, b, p):
 
 
 def _poly_mod_zp(num, den, p):
-    """Remainder of num modulo den over Z_p; den need not be monic."""
+    """Remainder of num modulo the monic den over Z_p."""
     num = list(num)
     _poly_trim(num)
     dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
     while len(num) - 1 >= dd and num:
         shift = len(num) - 1 - dd
-        factor = (num[-1] * lead_inv) % p
+        factor = num[-1]
         for i in range(dd + 1):
             num[shift + i] = (num[shift + i] - factor * den[i]) % p
         _poly_trim(num)
     return num
-
-
-def _monic_polys_zp(degree, p):
-    """All monic polynomials of the given degree over Z_p."""
-    if degree == 0:
-        yield [1]
-        return
-    span = p ** degree
-    for code in range(span):
-        coeffs = []
-        m = code
-        for _ in range(degree):
-            coeffs.append(m % p)
-            m //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def _is_irreducible_zp(poly, p) -> bool:
-    d = len(poly) - 1
-    if d < 1:
-        return False
-    # linear polynomials are always irreducible
-    if d == 1:
-        return True
-    # degree 2 and 3: irreducible iff no root
-    for x in range(p):
-        acc = 0
-        xp = 1
-        for c in poly:
-            acc = (acc + c * xp) % p
-            xp = (xp * x) % p
-        if acc == 0:
-            return False
-    if d <= 3:
-        return True
-    # general degree: trial division by all monic factors up to d // 2
-    for deg in range(2, d // 2 + 1):
-        for cand in _monic_polys_zp(deg, p):
-            if not _poly_mod_zp(poly, cand, p):
-                return False
-    return True
 
 
 class _Masks(dict):
@@ -237,14 +196,15 @@ class GF:
                     raise ArgumentError(
                         f"no default modulus is shipped for order {q}; pass one explicitly"
                     )
-            irreducible = tuple(int(c) % p for c in irreducible)
+            try:
+                irreducible = tuple(index(c) % p for c in irreducible)
+            except TypeError:
+                raise ArgumentError(
+                    f"modulus must be a sequence of integers, got {irreducible!r}"
+                ) from None
             if len(irreducible) != d + 1 or irreducible[-1] != 1:
                 raise ArgumentError(
                     "modulus must be monic of degree equal to the extension degree"
-                )
-            if not _is_irreducible_zp(list(irreducible), p):
-                raise ReduciblePolynomialError(
-                    f"modulus {irreducible} is reducible over GF({p})"
                 )
         self.p = p
         self.d = d
@@ -256,9 +216,14 @@ class GF:
         self._build_packing()
 
     def _build_tables(self):
-        """Addition, multiplication and negation on the base-p digits of
-        the elements, constant term first, products reduced modulo the
-        modulus polynomial; a prime field is the case d = 1, modulus x."""
+        """Addition, multiplication, negation and inversion on the
+        base-p digits of the elements, constant term first, products
+        reduced modulo the monic modulus polynomial; a prime field is the
+        case d = 1, modulus x.  The inverse table is the irreducibility
+        test: Z_p[x]/(f) is a field exactly when f is irreducible (Lidl
+        and Niederreiter, *Finite Fields*, ch. 1), and a factor of a
+        reducible f is a nonzero element with no inverse, so such a
+        modulus raises :class:`ReduciblePolynomialError`."""
         p, d, q = self.p, self.d, self.q
         digits = [[a // p ** i % p for i in range(d)] for a in range(q)]
 
@@ -271,7 +236,12 @@ class GF:
             [pack(_poly_mod_zp(_poly_mul_zp(a, b, p), modulus, p)) for b in digits] for a in digits
         ]
         self.neg = [pack([(-x) % p for x in a]) for a in digits]
-        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+        try:
+            self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+        except ValueError:
+            raise ReduciblePolynomialError(
+                f"modulus {self.irreducible} is reducible over GF({p})"
+            ) from None
 
     def _build_packing(self):
         """Digit layout of packed vectors (module docstring): the digit

@@ -64,10 +64,6 @@ ROOT_TOL = Fraction(1, 2 ** 30)
 # keys of whole bound-suite instances whose characteristic polynomial
 # and verdicts are kept for the process; the oldest is dropped when full
 MAX_CHARPOLY_MEMO = 1024
-# glued shapes (q, block_rank, blocks, overlap_rank) whose points, block
-# memberships, overlaps, private points and first blocks are kept for
-# the process; the oldest is dropped when full
-MAX_GLUED_MEMO = 64
 
 
 def effective_seed(seed):
@@ -223,33 +219,9 @@ def _random_linear(q: int, r: int, n: int, seed, built: dict) -> InstanceRecord:
     )
 
 
-# (q, block_rank, blocks, overlap_rank) -> _glued_points; insertion order is age
-_GLUED_MEMO: dict[tuple[int, int, int, int], tuple] = {}
-
-
-def _glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
-    """What every draw of a glued shape shares: (points, block
-    memberships, overlaps, private points, first block) of a path of
-    full projective-geometry blocks, consecutive blocks sharing an
-    overlap coordinate window.  Each point is (offset, local): the
-    offset of the window of its first block, the lowest block holding
-    it, and its coordinates in that window, so an entry grows with the
-    points times ``block_rank`` and not with the height of the whole
-    path (:func:`_glued_column` expands a kept point).  The private
-    points are those in no overlap, in index order.  All are tuples, so
-    no caller can change them: the result is a pure function of the
-    four arguments, kept for the process in a table of at most
-    ``MAX_GLUED_MEMO`` shapes."""
-    key = (q, block_rank, blocks, overlap_rank)
-    points = _GLUED_MEMO.get(key)
-    if points is None:
-        points = _remember(_GLUED_MEMO, key, _build_glued_points(*key), MAX_GLUED_MEMO)
-    return points
-
-
 def _glued_column(point, block_rank: int, height: int) -> tuple[int, ...]:
     """The column of ``height`` coordinates of a glued point (offset,
-    local) (:func:`_glued_points`)."""
+    local) (:func:`_build_glued_points`)."""
     offset, local = point
     return (0,) * offset + local + (0,) * (height - offset - block_rank)
 
@@ -284,7 +256,17 @@ def _glued_size(q: int, block_rank: int, blocks: int, overlap_rank: int, delete_
 
 
 def _build_glued_points(q: int, block_rank: int, blocks: int, overlap_rank: int):
-    _check_glued_shape(block_rank, blocks, overlap_rank)
+    """What every draw of a glued shape shares: (points, block
+    memberships, overlaps, private points, first block) of a path of
+    full projective-geometry blocks, consecutive blocks sharing an
+    overlap coordinate window.  Each point is (offset, local): the
+    offset of the window of its first block, the lowest block holding
+    it, and its coordinates in that window, so the result grows with
+    the points times ``block_rank`` and not with the height of the
+    whole path (:func:`_glued_column` expands a kept point).  The
+    private points are those in no overlap, in index order.  All are
+    tuples, so no draw that shares them can change them.  The shape
+    must have passed :func:`_check_glued_shape`."""
     step = block_rank - overlap_rank
     # a point of the path is fixed by the coordinate where its nonzero
     # run starts and by that run, so blocks sharing it find one key
@@ -337,10 +319,13 @@ def _glued(
     built: dict,
 ) -> InstanceRecord:
     """The draw of :func:`gen_glued`.  The size cap is checked before any
-    point is built (:func:`_glued_size`).  ``built`` maps each draw made
-    earlier in the same call, keyed by (shape, kept points), to its
-    matroid, witness and relabelled blocks and overlaps, which a
-    repeated draw shares; its construction lists are its own."""
+    point is built (:func:`_glued_size`).  ``built``, the table of the
+    calling suite or generator, maps each shape drawn earlier in the
+    call to its points (:func:`_build_glued_points`), and each draw,
+    keyed by (shape, kept points), to its matroid, witness and
+    relabelled blocks and overlaps, which a repeated draw shares; its
+    construction lists are its own.  A shape key has four entries, a
+    draw key two and a random draw's key three, so no two kinds meet."""
     if delete_count < 0:
         raise ArgumentError(f"the delete count must be nonnegative, got {delete_count}")
     shape = (q, block_rank, blocks, overlap_rank)
@@ -351,7 +336,10 @@ def _glued(
         raise TooLargeError(
             f"glued construction would have {size} elements; the cap is {MAX_GROUND}"
         )
-    points, block_elements, overlap_elements, private, first_block = _glued_points(*shape)
+    glued = built.get(shape)
+    if glued is None:
+        glued = built[shape] = _build_glued_points(*shape)
+    points, block_elements, overlap_elements, private, first_block = glued
     keep = range(len(points))
     if delete_count:
         rng = random.Random(f"glued:{q}:{block_rank}:{blocks}:{overlap_rank}:{seed}")
@@ -413,7 +401,8 @@ def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[Insta
     draw wider than k is drawn again with no deletions, and a draw
     still wider than k is dropped.  Draws often repeat, so the suite
     keeps one table for the whole call: a draw equal to an earlier one
-    shares its matroid and witness and gets a record of its own.  A
+    shares its matroid and witness and gets a record of its own, and
+    every glued draw of a shape reads one build of its points.  A
     witness's width and r(M) are read off elimination passes, so
     generating a suite asks the rank oracle nothing."""
     _check_width(k)

@@ -60,6 +60,10 @@ SPLIT_MIN_POINTS = 10
 
 
 def pg_point_count(r: int, q: int) -> int:
+    """The number of points of PG(r-1, q), 0 at r = 0; a negative rank
+    or an order below 2 raises :class:`ArgumentError`."""
+    if r < 0 or q < 2:
+        raise ArgumentError(f"a point count needs r >= 0 and q >= 2, got r={r}, q={q}")
     return (q ** r - 1) // (q - 1)
 
 

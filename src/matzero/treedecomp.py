@@ -22,11 +22,12 @@ turn, the sets displayed at B_v are the bags before it and the bags
 after it, so its node width is r(B_1..B_v) + r(B_v..B_t) - r(M).  A
 path's width therefore costs one elimination pass over its points each
 way, in bag order and back, and asks the rank oracle nothing: r(M) is
-the last prefix rank.  ``best_heuristic`` scores its greedy path of
-singleton bags so, the greedy order being found by the forward pass
-that gives its prefix ranks, and a glued instance's path of blocks and
-``heuristic_decomposition``'s paths are scored the same way.  Each
-hands r(M) to the matroid, which keeps it.
+the last prefix rank.  The greedy path of singleton bags is scored so
+in one place, for ``heuristic_decomposition`` and ``best_heuristic``
+alike, the greedy order being found by the forward pass that gives its
+prefix ranks; the ground-order path and a glued instance's path of
+blocks are scored the same way.  Each hands r(M) to the matroid, which
+keeps it.
 """
 
 from __future__ import annotations
@@ -544,13 +545,13 @@ def _prefix_ranks(m: Matroid, bags) -> list[int]:
 def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
     """Element order that grows rank as slowly as possible: the lowest
     remaining element in the closure of the prefix, or else the lowest
-    remaining element.  Returned with the prefix ranks.  Each remaining
-    column is kept reduced modulo the prefix's span, one elimination
-    step per new basis row, so an element lies in the closure exactly
-    when its column has come down to zero; no rank is queried.  The
-    columns start as the points of m (:meth:`Matroid._points`)."""
+    remaining element.  Returned with the prefix ranks.  The remaining
+    points of m (:meth:`Matroid._points`) are kept as echelon rows
+    modulo the prefix's span: a new basis row, itself such a row, is
+    projected out of all of them by one :meth:`GF.project` call, so an
+    element lies in the closure exactly when its row has come down to
+    zero; no rank is queried."""
     field, _, rows = m._points()
-    reduce, normalize = field.reduce, field.normalize
     left = dict(enumerate(rows))
     order: list[int] = []
     ranks: list[int] = []
@@ -562,9 +563,8 @@ def _greedy_order(m: Matroid) -> tuple[list[int], list[int]]:
             ranks.append(rank)
         if left:
             e = next(iter(left))
-            row = (normalize(left.pop(e)),)
-            for f, v in left.items():
-                left[f] = reduce(row, v)
+            row = left.pop(e)
+            left = dict(zip(left, field.project(left.values(), row)))
             rank += 1
             order.append(e)
             ranks.append(rank)
@@ -576,7 +576,9 @@ def _path_width(m: Matroid, bags, prefix_ranks) -> int:
     in turn, given its prefix ranks (:func:`_prefix_ranks`): the node
     width at B_v is r(B_1..B_v) + r(B_v..B_t) - r(M), and the suffix
     ranks cost one pass backward.  A path of singleton bags is the
-    path heuristics' case."""
+    path heuristics' case.  r(M), the last prefix rank, is handed to m
+    to keep, so no rank is computed now or when a verifier reads it."""
+    m._full_rank = prefix_ranks[-1]
     suffix_ranks = _prefix_ranks(m, bags[::-1])[::-1]
     return max(map(add, prefix_ranks, suffix_ranks)) - prefix_ranks[-1]
 
@@ -596,12 +598,17 @@ def _path_decomposition(m: Matroid, bags, width: int) -> TreeDecomposition:
 
 def _scored_path(m: Matroid, bags) -> TreeDecomposition:
     """:func:`_path_decomposition` of ``bags`` with its width kept,
-    scored by one elimination pass each way (:func:`_path_width`).
-    r(M), the last prefix rank, is handed to m to keep, so no rank is
-    computed now or when a verifier reads it."""
-    prefix_ranks = _prefix_ranks(m, bags)
-    m._full_rank = prefix_ranks[-1]
-    return _path_decomposition(m, bags, _path_width(m, bags, prefix_ranks))
+    scored by one elimination pass each way (:func:`_path_width`)."""
+    return _path_decomposition(m, bags, _path_width(m, bags, _prefix_ranks(m, bags)))
+
+
+def _greedy_path(m: Matroid) -> tuple[list[tuple[int]], int]:
+    """The singleton bags of the greedy path of m, n >= 1, and its
+    width, scored from the prefix ranks that found the greedy order
+    (:func:`_greedy_order`), so only the backward pass is added."""
+    order, prefix_ranks = _greedy_order(m)
+    bags = [(e,) for e in order]
+    return bags, _path_width(m, bags, prefix_ranks)
 
 
 def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecomposition:
@@ -615,8 +622,9 @@ def heuristic_decomposition(m: Matroid, strategy: str = "greedy") -> TreeDecompo
         raise ArgumentError(f"unknown strategy {strategy!r}")
     if strategy == "single" or m.n == 0:
         return single_vertex_decomposition(m)
-    order = range(m.n) if strategy == "path" else _greedy_order(m)[0]
-    return _scored_path(m, [(e,) for e in order])
+    if strategy == "path":
+        return _scored_path(m, [(e,) for e in range(m.n)])
+    return _path_decomposition(m, *_greedy_path(m))
 
 
 def best_heuristic(m: Matroid) -> TreeDecomposition:
@@ -630,17 +638,17 @@ def best_heuristic(m: Matroid) -> TreeDecomposition:
     the prefix first spans it: at an element left in place the prefix
     rank is unchanged and the suffix shrinks, and a moved element's
     node width is at most that of the node before it.  A one-element
-    path is the single bag.  No rank is asked of the rank oracle: r(M)
-    is the greedy order's last prefix rank, and it is handed to m to
-    keep for the verification that reads it."""
-    order, prefix_ranks = _greedy_order(m)
-    m._full_rank = rank = prefix_ranks[-1] if order else 0
-    if m.n > 1:
-        bags = [(e,) for e in order]
-        width = _path_width(m, bags, prefix_ranks)
-        if width < rank:
+    path is the single bag.  No rank is asked of the rank oracle:
+    scoring the greedy path (:func:`_greedy_path`) hands m r(M), its
+    last prefix rank, to keep for the single bag and for the
+    verification that reads it."""
+    if m.n:
+        bags, width = _greedy_path(m)
+        if width < m._full_rank:
             return _path_decomposition(m, bags, width)
-    return _path_decomposition(m, [order], rank)
+    else:
+        m._full_rank = 0
+    return _path_decomposition(m, [range(m.n)], m._full_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,9 @@ def test_construction_errors():
         (2, 5),  # no shipped modulus for order 32
         (2, 3, (1, 1)),  # wrong degree
         (3, 2, (1, 0, 2)),  # not monic
+        (2, 2, (1, 1.7, 1)),  # a coefficient that is not an integer
+        (2, 2, (1, 0, "x")),
+        (2, 2, 7),  # a modulus that is not a sequence
     ],
 )
 def test_construction_argument_errors_are_typed(args):
@@ -319,6 +322,51 @@ def test_construction_argument_errors_are_typed(args):
     still a ValueError."""
     with pytest.raises(ArgumentError):
         GF(*args)
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the given degree over Z_p, as its
+    coefficients, constant term first."""
+    return [low + (1,) for low in product(range(p), repeat=degree)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "p, d, irreducible",
+    [(2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 5, 6), (3, 2, 3), (3, 3, 8), (5, 2, 10)],
+)
+def test_a_modulus_builds_exactly_when_it_is_irreducible(p, d, irreducible):
+    """Every monic modulus of degree d >= 2 with p**d <= 32, 121 in all:
+    GF(p, d, f) builds exactly when f is no product of monic factors of
+    degrees k and d - k, 1 <= k <= d // 2, and then every nonzero
+    element has an inverse.  The irreducible ones number (1/d) times the
+    sum over e | d of mu(d/e) p**e (Gauss), given per (p, d)."""
+    reducible = {
+        _times(f, g, p)
+        for k in range(1, d // 2 + 1)
+        for f in _monic(p, k)
+        for g in _monic(p, d - k)
+    }
+    built = 0
+    for f in _monic(p, d):
+        if f in reducible:
+            with pytest.raises(
+                ReduciblePolynomialError, match=rf"^modulus \({', '.join(map(str, f))}\) "
+                                                rf"is reducible over GF\({p}\)$"
+            ):
+                GF(p, d, f)
+        else:
+            F = GF(p, d, f)
+            assert all(F.mul[a][F.inv[a]] == 1 for a in range(1, F.q))
+            built += 1
+    assert built == irreducible
 
 
 def test_order_is_capped_before_it_is_factored():

@@ -169,26 +169,45 @@ def test_gen_glued_single_block():
     assert rec.decomposition.width() == 2
 
 
+def _module_tables():
+    """The size of every dict, list and set bound at module level in
+    the package."""
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items()) if name.split(".")[0] == "matzero"
+        for attr, value in vars(module).items() if isinstance(value, (dict, list, set))
+    }
+
+
 def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
-    """Every draw of a shape shares one build of its points, held in
-    tuples so no caller can change the shared entry, and the table
-    keeps at most the cap, dropping its oldest shape."""
-    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
-    monkeypatch.setattr(harness, "MAX_GLUED_MEMO", 3)
+    """Every draw of a shape in one call shares one build of its points,
+    held in tuples so no draw can change the shared entry; a separate
+    call builds them again, and nothing of them stays at module level."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
     builds = []
-    real = harness.pg_build
+    real = harness._build_glued_points
 
-    def counting(rank, q):
-        builds.append((rank, q))
-        return real(rank, q)
+    def counting(*shape):
+        builds.append(shape)
+        return real(*shape)
 
-    monkeypatch.setattr(harness, "pg_build", counting)
+    monkeypatch.setattr(harness, "_build_glued_points", counting)
+    gf(2)  # the field is kept by gf, outside what is compared
+    tables = _module_tables()
+    recs = main_theorem_suite(2, 2, 40, seed=0)
+    drawn = [
+        tuple(rec.construction[name] for name in ("q", "block_rank", "blocks", "overlap_rank"))
+        for rec in recs if rec.construction["kind"] == "glued"
+    ]
+    assert len(builds) == len(set(builds)) < len(drawn)  # a shape drawn twice is built once
+    assert set(drawn) <= set(builds)
+    builds.clear()
     a = gen_glued(2, 3, 2, 1, seed=1, delete_count=2)
     b = gen_glued(2, 3, 2, 1, seed=2, delete_count=2)
-    assert builds == [(3, 2)]
+    assert builds == [(2, 3, 2, 1)] * 2
     assert a.matroid.columns != b.matroid.columns  # the seeds still choose
-    entry = harness._glued_points(2, 3, 2, 1)
-    assert entry is harness._glued_points(2, 3, 2, 1)
+    assert _module_tables() == tables
+    entry = real(2, 3, 2, 1)
     points, block_elements, overlap_elements, private, first_block = entry
     assert {len(local) for _, local in points} == {3}
     assert all(offset == 2 * first_block[e] for e, (offset, _) in enumerate(points))
@@ -208,32 +227,29 @@ def test_glued_points_built_once_per_shape_and_bounded(monkeypatch):
     columns = [harness._glued_column(point, 3, 5) for point in points]
     assert len(set(columns)) == len(columns) and {len(col) for col in columns} == {5}
     for b, elems in enumerate(block_elements):  # block b is PG(2, 2) in the window [2b, 2b + 3)
-        assert sorted(columns[e][2 * b:2 * b + 3] for e in elems) == sorted(real(3, 2))
+        assert sorted(columns[e][2 * b:2 * b + 3] for e in elems) == sorted(harness.pg_build(3, 2))
         assert all(not any(columns[e][:2 * b] + columns[e][2 * b + 3:]) for e in elems)
-    for shape in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)):
-        harness._glued_points(*shape)
-        assert len(harness._GLUED_MEMO) <= 3
-    assert list(harness._GLUED_MEMO) == [(3, 2, 2, 1), (2, 2, 3, 1), (2, 3, 2, 1)]
+    builds.clear()
     with pytest.raises(ArgumentError):
-        harness._glued_points(2, 2, 2, 2)
-    assert len(harness._GLUED_MEMO) == 3
+        gen_glued(2, 2, 2, 2)
+    assert builds == []
 
 
-def test_glued_memo_grows_with_the_points_not_the_height(monkeypatch):
-    """A long shape cut down to one point keeps its points as offsets
-    and block-local coordinates, and expands only the kept point to the
-    path's full height."""
-    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
+def test_glued_memo_grows_with_the_points_not_the_height():
+    """A long shape cut down to one point keeps its points in the draw
+    table as offsets and block-local coordinates, and expands only the
+    kept point to the path's full height."""
     gen_glued(2, 1, 3, 0, seed=1)  # the field and the imports, outside the trace
+    built = {}
     tracemalloc.start()
     try:
-        rec = gen_glued(2, 1, 1500, 0, seed=1, delete_count=1499)
+        rec = harness._glued(2, 1, 1500, 0, 1, 1499, built)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rec.matroid.n == 1 and len(rec.matroid.columns[0]) == 1500
     assert peak < 2 * 2 ** 20
-    points = harness._GLUED_MEMO[2, 1, 1500, 0][0]
+    points = built[2, 1, 1500, 0][0]
     assert points == tuple((b, (1,)) for b in range(1500))
 
 
@@ -246,7 +262,7 @@ def test_glued_size_counts_the_kept_points_without_building_them():
         for block_rank in range(1, 5):
             for overlap_rank in range(block_rank):
                 for blocks in range(1, 7):
-                    vectors, _, _, private, _ = harness._glued_points(
+                    vectors, _, _, private, _ = harness._build_glued_points(
                         q, block_rank, blocks, overlap_rank
                     )
                     if len(vectors) > 60:
@@ -261,16 +277,18 @@ def test_glued_size_counts_the_kept_points_without_building_them():
 
 def test_gen_glued_refuses_an_oversized_shape_before_building_it(monkeypatch):
     """20,001 points of height 10,001: refused at once with the cap's
-    message, with no geometry built and no shape kept."""
-    monkeypatch.setattr(harness, "_GLUED_MEMO", {})
+    message, with no geometry built and no shape kept in the draw table."""
     builds = []
     monkeypatch.setattr(harness, "pg_build", lambda *args: builds.append(args))
-    start = time.perf_counter()
-    with pytest.raises(TooLargeError, match=r"^glued construction would have 20001 elements; "
-                                            r"the cap is 24$"):
-        gen_glued(2, 2, 10 ** 4, 1)
-    assert time.perf_counter() - start < 0.05
-    assert builds == [] and harness._GLUED_MEMO == {}
+    built = {}
+    for refuse in (lambda: gen_glued(2, 2, 10 ** 4, 1),
+                   lambda: harness._glued(2, 2, 10 ** 4, 1, 0, 0, built)):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=r"^glued construction would have 20001 "
+                                                r"elements; the cap is 24$"):
+            refuse()
+        assert time.perf_counter() - start < 0.05
+    assert builds == [] and built == {}
 
 
 def _draw_key(rec):

@@ -207,9 +207,9 @@ def test_no_bare_builtin_raises(path):
 
 
 #: the functions outside gfq.py that may reduce against a basis by hand:
-#: the one pass that tracks coordinates, the pivot exchange that derives
-#: M\e from it, and the greedy order that keeps every column reduced
-REDUCE_CALLERS = {"_standard_rows", "_delete_contract_rows", "_greedy_order"}
+#: the one pass that tracks coordinates and the pivot exchange that
+#: derives M\e from it
+REDUCE_CALLERS = {"_standard_rows", "_delete_contract_rows"}
 
 
 def field_reduce_reads(source: str) -> list[str]:

@@ -86,6 +86,13 @@ def test_pg_point_count():
     assert pg_point_count(0, 3) == 0
 
 
+@pytest.mark.parametrize("r, q", [(-1, 2), (-3, 5), (2, 1), (0, 1), (2, 0), (3, -2)])
+def test_pg_point_count_refuses_a_negative_rank_or_an_order_below_two(r, q):
+    with pytest.raises(ArgumentError, match=rf"^a point count needs r >= 0 and q >= 2, "
+                                            rf"got r={r}, q={q}$"):
+        pg_point_count(r, q)
+
+
 def test_model_points_normalized_and_ordered():
     assert pg_build(2, 3) == ((0, 1), (1, 0), (1, 1), (1, 2))
     for r, q in ((1, 5), (3, 2), (3, 3), (2, 4), (4, 2), (2, 7)):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matzero.errors import ArgumentError, MatZeroError, NotInTreeError, ParseError, TooLargeError
-from matzero.gfq import gf
+from matzero import treedecomp
+from matzero.gfq import GF, gf
 from matzero.harness import gen_glued, main_theorem_suite
 from matzero.instances import fano, k4_graphic, uniform_line_path, wide_uniform_decomposition
 from matzero.matroid import GraphicMatroid, LinearMatroid, Matroid, UniformMatroid
@@ -525,6 +526,60 @@ def test_greedy_order_matches_the_rank_queries():
         order, ranks = _greedy_order(m)
         assert order == _rank_greedy_order(m)
         assert ranks == [m.rank(order[: i + 1]) for i in range(m.n)]
+
+
+def test_greedy_order_projects_once_per_basis_row_and_never_reduces(monkeypatch):
+    """Each new basis row is projected out of the remaining points by
+    one GF.project call, and GF.reduce is never called; the points are
+    built before counting starts."""
+    calls = []
+    real_project, real_reduce = GF.project, GF.reduce
+
+    def project(self, rows, prow):
+        calls.append("project")
+        return real_project(self, rows, prow)
+
+    def reduce(self, basis, v):
+        calls.append("reduce")
+        return real_reduce(self, basis, v)
+
+    rng = random.Random(78)
+    matroids = [_random_matroid(rng) for _ in range(200)]
+    for m in matroids:
+        m._points()
+    monkeypatch.setattr(GF, "project", project)
+    monkeypatch.setattr(GF, "reduce", reduce)
+    for m in matroids:
+        calls.clear()
+        ranks = _greedy_order(m)[1]
+        assert calls == ["project"] * (ranks[-1] if ranks else 0)
+
+
+def test_a_greedy_witness_runs_one_backward_pass_and_no_second_forward_one(monkeypatch):
+    """heuristic_decomposition(m, "greedy") and best_heuristic score the
+    greedy path from the prefix ranks that found the greedy order, so
+    each calls _prefix_ranks once, on the reversed path."""
+    passes = []
+    real = treedecomp._prefix_ranks
+
+    def counting(m, bags):
+        passes.append(list(bags))
+        return real(m, bags)
+
+    monkeypatch.setattr(treedecomp, "_prefix_ranks", counting)
+    rng = random.Random(79)
+    seen = 0
+    for _ in range(200):
+        m = _random_matroid(rng)
+        if not m.n:
+            continue
+        backward = [(e,) for e in reversed(_greedy_order(m)[0])]
+        for witness in (lambda: heuristic_decomposition(m, "greedy"), lambda: best_heuristic(m)):
+            passes.clear()
+            witness()
+            assert passes == [backward]
+        seen += 1
+    assert seen > 150
 
 
 def test_greedy_path_is_never_wider_than_the_ground_path():
