@@ -20,7 +20,9 @@ that every caller in the process reads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
+from operator import or_
 from threading import Lock
 
 from .errors import (
@@ -31,18 +33,17 @@ from .errors import (
     RootArgumentError,
     RootCertificateError,
 )
-from .matroid import MAX_GROUND, Matroid, _min_cocircuit, mask_bits
+from .gfq import _pg_chi_coefficients, factor_prime_power
+from .matroid import MAX_GROUND, Matroid, _min_cocircuit, _standard_rows, mask_bits
 
 # distinct polynomials whose root analysis is kept, and answers kept per
 # polynomial for each kind (counts by bound, brackets by tolerance); the
 # oldest is dropped when full
 MAX_ROOT_MEMO = 1024
 MAX_ROOT_ANSWERS = 8
-# the deletion-contraction kernels of _chi_from_rows: over GF(2) point
-# sets as ints of 2**MAX_BITSET_DIGITS bits, over GF(q), q >= 3, rank 3
-# from the lines of PG(2, q) for q up to MAX_PLANE_ORDER
+# deletion-contraction over GF(2) on point sets held as ints of
+# 2**MAX_BITSET_DIGITS bits (_chi_from_rows)
 MAX_BITSET_DIGITS = 12
-MAX_PLANE_ORDER = 9
 
 
 def _integral(c) -> int:
@@ -237,46 +238,105 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
 
     chi_M = chi_{M minus e} - chi_{M contract e}  whenever e is neither
     a loop nor a coloop; a loop kills the polynomial.  The recursion
-    (:func:`_chi_from_rows`) reads each minor in the coordinates of a
-    standard representation [I_r | D] (Oxley, *Matroid Theory*) and asks
-    no rank query.  One elimination pass over m's points gives them
+    (:func:`_delete_contract_chi`) reads each minor in the coordinates
+    of a standard representation [I_r | D] (Oxley, *Matroid Theory*) and
+    asks no rank query.  One elimination pass over m's points gives them
     (:meth:`Matroid._standard_form`): the i-th point independent of the
     points before it is basis column i, and every element carries its
     coordinates in that basis scaled to 1 at the first nonzero one (zero
     for a loop), so the basis shows up as unit rows and parallel
-    elements as equal rows.
+    elements as equal rows.  It reads no subspace table, so it checks
+    the finite-field count of :func:`_chi_from_rows`.
     """
     basis, coordinates = m._standard_form()
-    return _chi_from_rows(m._points()[0], coordinates, basis.bit_count())
+    return _delete_contract_chi(m._points()[0], coordinates, basis.bit_count())
 
 
 def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
-    """chi of the matroid of ``rows`` over ``field`` by
-    deletion-contraction: coordinate rows in element order of a matroid
-    of rank ``rank``, with a unit row for each live digit, as
-    :meth:`Matroid._standard_form` gives them (zero for a loop, equal
-    rows for parallel elements, of which the first is kept).  It is the
+    """chi of the matroid of ``rows`` over ``field``: packed echelon
+    rows in element order (zero for a loop, equal rows for parallel
+    elements) of a matroid of rank ``rank`` whose rows are nonzero at
+    exactly ``rank`` digits, in any coordinates of their span.  It is the
     leaf of the split engine that :func:`harness.charpoly_auto` and the
-    bound suites run (:func:`projgeom._chi_by_splits`), and
-    :func:`cp_delete_contract` and the identity checks run it alone.
+    bound suites run (:func:`projgeom._chi_by_splits`), and the identity
+    checks run it alone.
 
     The kernel is chosen from the field and the size of the input alone:
-    over GF(2), a matroid of rank at least 3 whose rows are all below
-    2**``MAX_BITSET_DIGITS`` (its highest live digit below that cap)
-    runs the recursion on point sets held as one int
-    (:func:`_bitset_chi`); over GF(q), q >= 3, a
-    matroid of rank 3 is read off the lines of PG(2, q)
-    (:func:`_plane_chi`) when q is at most ``MAX_PLANE_ORDER``; every
-    other input runs the recursion on rows (:func:`_row_chi`).
+    below rank 3, and at any rank whose subspace table the field keeps
+    (:meth:`GF.subspaces`, up to ``gfq.MAX_TABLE_POINTS`` points), chi
+    is the finite-field count of :func:`_subspace_chi`.  Every other
+    input runs deletion-contraction (:func:`_delete_contract_chi`),
+    which reads a unit row for each live digit: rows that lack one are
+    first put in a standard form (:func:`matroid._standard_rows`).
     """
     if 0 in rows:
         return ZERO
-    if field.q == 2:
-        if rank > 2 and max(rows).bit_length() <= MAX_BITSET_DIGITS:
-            return _bitset_chi(rows, rank)
-    elif rank == 3 and field.q <= MAX_PLANE_ORDER:
-        return _plane_chi(field, rows)
+    table = field.subspaces(rank) if rank > 2 else None
+    if table is not None or rank < 3:
+        return _subspace_chi(table, field.width, rows, rank)
+    if len({row for row in rows if not row & row - 1}) < rank:  # unit rows are one bit
+        height = -(-max(rows).bit_length() // field.width)
+        rows = _standard_rows(field, height, rows)[1]
+    return _delete_contract_chi(field, rows, rank)
+
+
+def _delete_contract_chi(field, rows: list, rank: int) -> IntPoly:
+    """chi of the matroid of the standard-form ``rows`` of rank ``rank``
+    by deletion-contraction: a unit row for each live digit, zero for a
+    loop, equal rows for parallel elements, of which the first is kept.
+    Over GF(2), at rank 3 or more with every row below
+    2**``MAX_BITSET_DIGITS``, the recursion runs on point sets held as
+    one int (:func:`_bitset_chi`), and otherwise on rows
+    (:func:`_row_chi`)."""
+    if 0 in rows:
+        return ZERO
+    if field.q == 2 and rank > 2 and max(rows).bit_length() <= MAX_BITSET_DIGITS:
+        return _bitset_chi(rows, rank)
     return _row_chi(field.project, rows, rank)
+
+
+def _subspace_chi(table, width: int, rows: list, rank: int) -> IntPoly:
+    """:func:`_chi_from_rows` of loopless rows of packed digits of
+    ``width`` bits by the finite-field count
+    (Crapo and Rota, *On the Foundations of Combinatorial Theory:
+    Combinatorial Geometries*, 1970; Athanasiadis, *Adv. Math.* 1996):
+    for a simple matroid whose point set P spans PG(r - 1, q),
+
+        chi(lam) = sum over d < r of (N_d - T_d(P)) P_(r - d)(lam),
+
+    P_k = (lam - 1)(lam - q)...(lam - q**(k-1)), N_d the number of
+    subspaces of dimension d of GF(q)**r and T_d(P) those that hold a
+    point of P; N_0 - T_0 = 1.  It counts the linear maps to GF(q)**k
+    that vanish at no point of P by their kernels.  Below rank 3 that is
+    (lam - 1)**r, or (lam - 1)(lam - n + 1) for n points at rank 2.
+
+    The rows are read as points in any coordinates: the digits where
+    some row is nonzero are the live ones, and a dead digit below a live
+    one is first cut out.  Then each point is one lookup in the field's
+    ``table`` (:meth:`GF.subspaces`; None below rank 3), the OR of the
+    masks holds every subspace some point lies on, and one popcount per
+    dimension gives T_d; parallel rows are one point.  No recursion,
+    projection or standard form is made."""
+    if rank < 3:
+        if rank < 2:
+            return lam_minus_one_power(rank)
+        n = len(set(rows))
+        return IntPoly((n - 1, -n, 1))
+    masks, base, blocks = table
+    if max(rows) >> rank * width:  # a dead digit below a live one
+        live = reduce(or_, rows)
+        digit = (1 << width) - 1
+        for k in reversed(range((live.bit_length() - 1) // width)):
+            if not live >> k * width & digit:
+                below = (1 << k * width) - 1
+                rows = [row & below | row >> width & ~below for row in rows]
+    touched = reduce(or_, map(masks.__getitem__, rows))
+    coeffs = list(base)
+    for shift, span, row in blocks:
+        count = (touched >> shift & span).bit_count()
+        for i, c in enumerate(row):
+            coeffs[i] -= count * c
+    return IntPoly(coeffs)
 
 
 def _chi_of_counts(powers: list, pairs: int, points: int, rank: int) -> IntPoly:
@@ -418,40 +478,6 @@ def _bitset_chi(rows: list, rank: int) -> IntPoly:
     return _chi_of_counts(powers, pairs, count, rank)
 
 
-def _plane_chi(field, rows: list) -> IntPoly:
-    """:func:`_chi_from_rows` of loopless rows of rank 3 over GF(q),
-    q <= ``MAX_PLANE_ORDER``, from the lines alone (Rota, *On the
-    foundations of combinatorial theory I*, 1964): a simple matroid of
-    rank 3 on n points whose lines (flats of rank 2) hold k_l points has
-    Mobius values 1, -1 per point, k_l - 1 per line and, as they sum to
-    0 over its flats, L - n + 1 at the top with L = sum (k_l - 1), so
-
-        chi = lam**3 - n lam**2 + L lam - (L - n + 1).
-
-    Each point is read off PG(2, q)'s incidences (:meth:`GF.plane_lines`)
-    as the mask of the plane's lines through it, the three live digits
-    first moved to digits 0-2 when a dead digit lies below one of them.
-    Distinct points have distinct masks.  A line of the plane holding
-    k >= 1 of the points adds k - 1 to L, so L is n (q + 1) less the
-    number of lines that some point lies on."""
-    lines = field.plane_lines()
-    width = field.width
-    if max(rows) >> 3 * width:  # a dead digit below a live one
-        digit = (1 << width) - 1
-        a, b, c = sorted({row.bit_length() - 1 for row in rows if not row & row - 1})
-        rows = [
-            row >> a & digit | (row >> b & digit) << width | (row >> c & digit) << 2 * width
-            for row in rows
-        ]
-    masks = set(map(lines.__getitem__, rows))
-    n = len(masks)
-    touched = 0
-    for mask in masks:
-        touched |= mask
-    total = n * (field.q + 1) - touched.bit_count()
-    return IntPoly((n - 1 - total, total, -n, 1))
-
-
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
     """Expansion along a minimum-size cocircuit C* = {x_1 < ... < x_m}:
 
@@ -527,17 +553,20 @@ def _cocircuit_chi(field, rows: list, rank: int) -> IntPoly:
 
 def cp_pg_closed_form(r: int, q: int) -> IntPoly:
     """Characteristic polynomial of the rank-r projective geometry over
-    GF(q): the product (lam - 1)(lam - q)...(lam - q**(r-1))."""
+    GF(q): the product (lam - 1)(lam - q)...(lam - q**(r-1)).  A
+    negative rank, an order below 2 or one that is not a prime power
+    raises :class:`ArgumentError`."""
     if r < 0:
         raise ArgumentError(f"rank must be nonnegative, got {r}")
     if q < 2:
         raise ArgumentError(f"the field order must be at least 2, got {q}")
-    out = ONE
-    power = 1
-    for _ in range(r):
-        out = out * x_minus(power)
-        power *= q
-    return out
+    factor_prime_power(q)
+    return _pg_closed_form(r, q)
+
+
+def _pg_closed_form(r: int, q: int) -> IntPoly:
+    """:func:`cp_pg_closed_form` for the order q of a field, unchecked."""
+    return IntPoly(_pg_chi_coefficients(r, q))
 
 
 def cp_uniform_closed_form(r: int, n: int) -> IntPoly:

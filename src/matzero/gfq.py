@@ -44,13 +44,14 @@ that tracks coordinates (``matroid._standard_rows``);
 
 Tables are built eagerly, so every scalar operation afterwards is a
 pair of list lookups.  Instances are safe to share between threads:
-after construction only the mask table grows, one entry at a time, and
-the plane table (:meth:`GF.plane_lines`) is set once, whole.
+after construction only the mask table and the subspace tables
+(:meth:`GF.subspaces`) grow, one whole entry at a time.
 """
 
 from __future__ import annotations
 
-from operator import index
+from itertools import repeat
+from operator import and_, index, lshift, rshift
 
 from .errors import (
     ArgumentError,
@@ -61,6 +62,9 @@ from .errors import (
 )
 
 MAX_ORDER = 32
+# the points of PG(r - 1, q) up to which GF.subspaces keeps a table:
+# binary ranks 3 to 5 and the planes over GF(3), GF(4) and GF(5)
+MAX_TABLE_POINTS = 31
 
 #: Modulus polynomials shipped for the non-prime orders that need no
 #: user input.  Coefficients are listed constant term first and the
@@ -136,6 +140,15 @@ def _poly_mod_zp(num, den, p):
     return num
 
 
+def _pg_chi_coefficients(k: int, q: int) -> list[int]:
+    """The coefficients of (lam - 1)(lam - q)...(lam - q**(k-1)), the
+    characteristic polynomial of PG(k - 1, q), constant term first."""
+    row = [1]
+    for i in range(k):
+        row = [a - q ** i * b for a, b in zip([0] + row, row + [0])]
+    return row
+
+
 class _Masks(dict):
     """Bit length -> (low, guard, steps) for packed vectors of that
     length, built on first use; the masks cover ceil(length / width)
@@ -156,8 +169,8 @@ class _Masks(dict):
         field = self.field
         p, width, sub = field.p, field.width, field._sub_width
         digits = -(-length // width) * field.d  # sub-digits covered
-        every = sum(1 << (i * sub) for i in range(digits))
-        low = sum(((1 << sub) - 1) << (i * width) for i in range(digits // field.d))
+        every = ((1 << digits * sub) - 1) // ((1 << sub) - 1)  # bit 0 of each sub-digit
+        low = ((1 << digits * sub) - 1) // ((1 << width) - 1) * ((1 << sub) - 1)
         steps = tuple((every * (p << t), p << t) for t in range(field._top, -1, -1))
         masks = self[length] = (low, every << (sub - 1), steps)
         return masks
@@ -174,7 +187,7 @@ class GF:
     __slots__ = (
         "p", "d", "q", "irreducible", "_hash", "add", "mul", "neg", "inv",
         "width", "_sub_width", "_top", "_digit", "_spread", "_code", "_terms", "_masks", "_submul",
-        "_plane",
+        "_subspaces",
     )
 
     def __init__(self, p: int, d: int = 1, irreducible=None):
@@ -275,7 +288,7 @@ class GF:
             tuple((j * sub, spread[self.mul[c][p ** j]]) for j in range(d)) for c in range(q)
         ]
         self._masks = _Masks(self)
-        self._plane = None
+        self._subspaces = {}
         if q == 2:
             self._submul = self._submul_binary
         elif p == 2:
@@ -466,30 +479,131 @@ class GF:
                 basis.append(v)
         return basis
 
-    def plane_lines(self) -> dict[int, int]:
-        """The incidences of the projective plane PG(2, q): a dict from
-        each of its q**2 + q + 1 points, a packed echelon row of 3
-        digits, to the mask of the lines through it, bit j for line j.
-        Built on first use and kept on the field: each line is the
-        span of the first two points of it met in point order
-        (:meth:`span_points`), and a pair of points that already share
-        a line is skipped."""
-        table = self._plane
-        if table is None:
-            points = list(self.span_points([1 << i * self.width for i in range(3)]))
-            table = dict.fromkeys(points, 0)
-            full = self.q + 1  # lines through a point
-            lines = 0
-            for i, a in enumerate(points):
-                for b in points[i + 1:]:
-                    if table[a].bit_count() == full:
-                        break
-                    if not table[a] & table[b]:
-                        for v in self.span_points([a, b]):
-                            table[self.normalize(v)] |= 1 << lines
-                        lines += 1
-            self._plane = table
+    def subspaces(self, rank: int):
+        """What the finite-field count of chi (:func:`charpoly._subspace_chi`)
+        reads off PG(rank - 1, q), rank >= 3: ``(masks, base, blocks)``,
+        or None when PG(rank - 1, q) has more than ``MAX_TABLE_POINTS``
+        points.  Built on first use and kept on the field, once per rank,
+        the refusal too.
+
+        ``masks`` maps each point, a packed echelon row of ``rank``
+        digits, to one int holding, dimension by dimension, a bit for
+        each subspace of that dimension through the point.  Each of
+        ``blocks`` is (shift, span, row) for one dimension d from 1 to
+        rank - 1: its bits are ``mask >> shift & span``, and row lists
+        the coefficients of P_(rank - d)(lam), where
+        P_k = (lam - 1)(lam - q)...(lam - q**(k-1)).  ``base`` is P_rank
+        plus the sum over d of N_d P_(rank - d), N_d the number of
+        subspaces of dimension d of GF(q)**rank.
+        """
+        try:
+            return self._subspaces[rank]
+        except KeyError:
+            pass
+        if rank < 3:
+            raise ArgumentError(f"subspace tables start at rank 3, got {rank}")
+        q = self.q
+        table = None
+        if (q ** rank - 1) // (q - 1) <= MAX_TABLE_POINTS:
+            # within the cap a field of order q >= 3 has rank 3 alone
+            masks, layout = self._binary_incidences(rank) if q == 2 else self._plane_incidences()
+            counts = [1]  # the Gaussian binomials [rank, d]_q, d = 0, 1, ...
+            for d in range(rank - 1):
+                counts.append(counts[-1] * (q ** (rank - d) - 1) // (q ** (d + 1) - 1))
+            base = _pg_chi_coefficients(rank, q)
+            blocks = []
+            for d, shift, length in layout:
+                row = _pg_chi_coefficients(rank - d, q)
+                base = [a + counts[d] * b for a, b in zip(base, row + [0] * d)]
+                blocks.append((shift, (1 << length) - 1, tuple(row)))
+            table = masks, tuple(base), tuple(blocks)
+        self._subspaces[rank] = table
         return table
+
+    def _plane_incidences(self):
+        """(masks, layout) of PG(2, q): masks maps each point to an int
+        with its own bit and the bits of the lines through it, and layout
+        lists (d, shift, length), the bits ``mask >> shift`` of length
+        ``length`` for dimension d.
+
+        The points are listed by :meth:`span_points` over the unit rows,
+        point i in bit i, and the values f·p of every functional f at
+        every point p are one walk of :meth:`span_points` over the
+        coordinate columns, in the same order.  So the line of the i-th
+        functional holds point k exactly when that of the k-th holds
+        point i: the lines through a point are the point set of its own
+        line, with no transposition."""
+        width = self.width
+        digit = (1 << width) - 1
+        points = list(self.span_points([1, 1 << width, 1 << 2 * width]))
+        n = len(points)
+        at = range(0, n * width, width)
+        columns = [
+            sum(map(lshift, map(and_, map(rshift, points, repeat(j * width)), repeat(digit)), at))
+            for j in range(3)
+        ]
+        # the top bit of each digit of ((v & low) + low) | v is set exactly
+        # where v is nonzero; the zero digits, one character per digit,
+        # are the line's points
+        ones = ((1 << n * width) - 1) // digit
+        low, top = ones * (digit >> 1), ones << width - 1
+        spec = f"0{n * width}b"
+        lines = [
+            int(format(top ^ (((v & low) + low | v) & top), spec)[::width], 2)
+            for v in self.span_points(columns)
+        ]
+        masks = {p: line << n | 1 << i for i, (p, line) in enumerate(zip(points, lines))}
+        return masks, ((1, 0, n), (2, n, n))
+
+    def _binary_incidences(self, rank: int):
+        """:meth:`_plane_incidences` over GF(2), rank 3 to 5, in bit
+        operations: a point is its own packed row x < 2**rank = w and
+        takes bit x, and the functionals are numbered the same way.
+
+        The hyperplanes through x are the functionals f with f·x = 0, an
+        even number of common bits, so their mask is that of x's lowest
+        bit cleared XOR the mask B_j of the functionals with bit j.  A
+        line of functionals {f, g, f ^ g} is named by its least two, bit
+        f*w + g with f < g < f ^ g; the subspace of codimension 2 it cuts
+        out holds x exactly when f and g are hyperplanes through x, so
+        its bits are those of H_x * spread(H_x), spread moving bit g to
+        g*w (the product cannot carry), kept where a pair names a line.
+        A line of points is named the same way, and holds x when x is f,
+        g or f ^ g: the row of x, the column of x, and the diagonal
+        f*w + (f ^ x), which one swap of blocks per bit of x moves from
+        the main diagonal.  Points, hyperplanes, codimension 2 and lines
+        are every dimension up to rank 5.
+        """
+        w = 1 << rank
+        full = (1 << w) - 1
+        every = ((1 << w * w) - 1) // full  # bit f*w for every f
+        # B_j, the x < w with bit j, and spread(B_j), bit x at x*w
+        bits = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for j in range(rank)]
+        spread = [((1 << w * w) - 1) // ((1 << (w << j + 1)) - 1)
+                  * (((1 << (w << j)) - 1) // full << (w << j)) for j in range(rank)]
+        # the pairs that name a line: g above f and clear at f's top bit
+        named = sum((full >> f + 1 << f + 1 & ~bits[f.bit_length() - 1]) << f * w for f in range(1, w))
+        even, spread_even = [full], [every]
+        for x in range(1, w):
+            j = (x & -x).bit_length() - 1
+            even.append(even[x & x - 1] ^ bits[j])
+            spread_even.append(spread_even[x & x - 1] ^ spread[j])
+        masks = [1 << x | (even[x] & ~1) << w for x in range(w)]
+        layout = [(1, 0, w), (rank - 1, w, w)]
+        if rank > 3:
+            masks = [mask | (even[x] * spread_even[x] & named) << 2 * w for x, mask in enumerate(masks)]
+            layout.append((rank - 2, 2 * w, w * w))
+        if rank > 4:
+            keep = [every * (full ^ b) for b in bits]  # positions f*w + g with bit j of g clear
+            diagonal = [((1 << w * (w + 1)) - 1) // ((1 << w + 1) - 1)]  # bit f*w + f
+            for x in range(1, w):
+                j = (x & -x).bit_length() - 1
+                d = diagonal[x & x - 1]
+                diagonal.append((d >> (1 << j) & keep[j]) | (d & keep[j]) << (1 << j))
+                line = (named >> x * w & full) << x * w | named & (every << x | diagonal[x])
+                masks[x] |= line << 2 * w + w * w
+            layout.append((2, 2 * w + w * w, w * w))
+        return dict(zip(range(1, w), masks[1:])), tuple(layout)
 
     # -- misc ----------------------------------------------------------------
 
@@ -519,15 +633,20 @@ _FIELDS: dict[int, GF] = {}
 def gf(q: int) -> GF:
     """GF(q) from the order alone, using shipped default moduli.  One
     field is built per order and shared by every later call, since a
-    field is immutable; a failed build is not kept.  The order is
-    checked against ``MAX_ORDER`` before it is factored, because
+    field is immutable; a failed build is not kept.  An order that is
+    not an integer raises :class:`ArgumentError` naming it.  The order
+    is checked against ``MAX_ORDER`` before it is factored, because
     factoring trial-divides up to q."""
     # only an int order is looked up: a float equal to a kept order
-    # must still fail in factor_prime_power
+    # must still be refused
     field = _FIELDS.get(q) if type(q) is int else None
     if field is None:
-        if q > MAX_ORDER:
-            raise OrderTooLargeError(f"order {q} exceeds the supported maximum {MAX_ORDER}")
-        p, d = factor_prime_power(q)
-        field = _FIELDS.setdefault(q, GF(p, d))
+        try:
+            order = index(q)
+        except TypeError:
+            raise ArgumentError(f"field order must be an integer, got {q!r}") from None
+        if order > MAX_ORDER:
+            raise OrderTooLargeError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
+        p, d = factor_prime_power(order)
+        field = _FIELDS.setdefault(order, GF(p, d))
     return field

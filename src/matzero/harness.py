@@ -77,10 +77,12 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     """The production engine for bulk verification: the split engine
     (:func:`projgeom._chi_by_splits`) on m's standard form, which splits
     chi along direct sums and filled necks of the element-order path and
-    leaves the pieces to deletion-contraction
-    (:func:`charpoly._chi_from_rows`); zero when m has a loop.  On the
-    simplifications of the seed-0 benchmark instances (best of 5 passes,
-    three runs on a shared 2-core virtual machine, Python 3.11) it took
+    leaves the pieces to the leaf :func:`charpoly._chi_from_rows` (the
+    finite-field count within its table cap, deletion-contraction above
+    it); zero when m has a loop.  Measured before the leaf read subspace
+    tables, on the simplifications of the seed-0 benchmark instances
+    (best of 5 passes, three runs on a shared 2-core virtual machine,
+    Python 3.11) it took
     0.94 to 1.02 of deletion-contraction's time over the 2000 of
     main-c05, where the leaf test sends almost every one straight to
     the recursion, 0.47 to 0.52 over the 16 of glued-nolines and 1.00
@@ -613,17 +615,18 @@ def _check_delete_contract(field, basis: int, coordinates: list[int]) -> tuple[I
     """chi(m) and the identity chi(m) = chi(m minus e) - chi(m contract e)
     at every element e that is neither a loop nor a coloop, all from m's
     standard form over ``field`` (:meth:`Matroid._standard_form`): the
-    rows of both minors are derived from it by one pivot step each
-    (:func:`matroid._delete_contract_rows`) and no minor is built.  Each
-    chi is computed by the deletion-contraction recursion
-    (:func:`charpoly._chi_from_rows`), none read from a table.  Returns
-    chi(m) and "" when every identity holds, or else a detail naming the
-    first element that fails and both polynomials."""
+    rows of m minus e are the others, and those of m contract e their
+    projection along e's row (:func:`matroid._delete_contract_rows`),
+    so no minor is built and no elimination pass made.  Each chi is
+    computed afresh by :func:`charpoly._chi_from_rows`, none read from
+    a memo of answers.  Returns chi(m) and "" when every identity holds,
+    or else a detail naming the first element that fails and both
+    polynomials."""
     rank = basis.bit_count()
     chi = _chi_from_rows(field, coordinates, rank)
     nonloops = mask_of(e for e, row in enumerate(coordinates) if row)
     for e in mask_bits(nonloops & ~_coloops(field, basis, coordinates)):
-        deleted, contracted = _delete_contract_rows(field, basis, coordinates, e)
+        deleted, contracted = _delete_contract_rows(field, coordinates, e)
         rhs = _chi_from_rows(field, deleted, rank) - _chi_from_rows(field, contracted, rank - 1)
         if chi != rhs:
             return chi, f"element {e}: chi={_poly_str(chi)} but del-con gives {_poly_str(rhs)}"
@@ -652,7 +655,7 @@ def _split_chi(m: Matroid, cons: dict) -> tuple[IntPoly | None, str]:
     d = r(C), and no loop.  Then every point of span(L) ^ span(P) is a
     point of C, so span(C) is a modular flat and the factorization
     holds.  Each chi is one standard form (:func:`matroid._standard_rows`)
-    and the recursion (:func:`charpoly._chi_from_rows`).
+    and the leaf (:func:`charpoly._chi_from_rows`).
 
     Returns (chi, ""), or (None, detail) when the construction names no
     blocks and overlaps among m's elements, when the pieces fail that
@@ -712,7 +715,7 @@ def verify_identities(instances) -> list[IdentityCheck]:
       only that neck listed (:func:`projgeom._telescoped_chi`).
 
     No minor, embedding, extension or simplification is built, and every
-    chi is computed by a recursion, none read from a table.  Any
+    chi is computed afresh, none read from a memo of answers.  Any
     mismatch is reported with the offending polynomials.  A construction
     that :func:`_construction_problem` rejects raises
     :class:`ArgumentError` naming the record.

@@ -523,40 +523,22 @@ def _coloops(field: GF, bmask: int, coordinates: list[int]) -> int:
     return mask_of(e for e in mask_bits(bmask) if not coordinates[e] * digit & used)
 
 
-def _delete_contract_rows(field: GF, bmask: int, coordinates: list[int], e: int):
-    """The standard forms of M\\e and M/e, each a list of coordinate rows
-    in element order with a unit row for each live digit, derived from
-    M's standard form (bmask, coordinates) (:func:`_standard_rows`) with
-    no minor built; e is neither a loop nor a coloop, so M\\e keeps M's
-    rank r and M/e has rank r - 1.
+def _delete_contract_rows(field: GF, coordinates: list[int], e: int):
+    """The rows of M\\e and M/e, each a list of echelon rows in element
+    order, derived from the rows ``coordinates`` of M (a standard form,
+    :func:`_standard_rows`) with no minor built and no elimination pass;
+    e is neither a loop nor a coloop, so M\\e keeps M's rank r and M/e
+    has rank r - 1.
 
-    Contracting e projects every other row along e's (:meth:`GF.project`),
-    which kills e's pivot digit and leaves every other unit row as it is
-    (Oxley, *Matroid Theory*, ch. 6).  Deleting e outside B drops its
-    row and keeps B as the first basis.  Deleting e in B, the unit row
-    u_k, exchanges it for the first row f nonzero at digit k, which
-    exists since e is no coloop: B - e + f is a basis, f takes digit k,
-    and each row c nonzero there becomes its coordinates in that basis,
-    c - (c_k / f_k)(f - u_k), normalized; no other row changes.  One
-    :meth:`GF.reduce` step does it when every such row carries a copy of
-    its digit k in a new lowest digit: the step against
-    ((f - u_k) / f_k | 1) clears the copy."""
+    M\\e is the rows without e's, in M's coordinates: e is no coloop, so
+    the others still span them, even when e's row is the only unit row
+    at its digit.  Contracting e projects every other row along e's
+    (:meth:`GF.project`; Oxley, *Matroid Theory*, ch. 6), which kills
+    e's pivot digit and no other.  Either list is nonzero at exactly
+    its rank's digits, which is what :func:`charpoly._chi_from_rows`
+    reads."""
     rest = coordinates[:e] + coordinates[e + 1:]
-    unit = coordinates[e]
-    contracted = field.project(rest, unit)
-    if bmask >> e & 1:
-        width, reduce, normalize = field.width, field.reduce, field.normalize
-        shift = unit.bit_length() - 1  # bit 0 of digit k
-        at_k = unit * ((1 << width) - 1)
-        f = next(row for row in rest if row & at_k)
-        # ((f - u_k) | f_k) scaled to 1 in its lowest digit
-        exchange = [normalize(reduce([unit << width | 1], f << width | 1) | (f & at_k) >> shift)]
-        rest = [
-            normalize(reduce(exchange, row << width | (row & at_k) >> shift) >> width)
-            if row & at_k else row
-            for row in rest
-        ]
-    return rest, contracted
+    return rest, field.project(rest, coordinates[e])
 
 
 def _min_cocircuit(field: GF, rows) -> int:

@@ -25,8 +25,8 @@ from .charpoly import (
     ZERO,
     IntPoly,
     _chi_from_rows,
+    _pg_closed_form,
     cp_delete_contract,
-    cp_pg_closed_form,
     lam_minus_one_power,
     poly_exact_div,
 )
@@ -39,7 +39,7 @@ from .errors import (
     PointCollisionError,
     TooLargeError,
 )
-from .gfq import GF, gf
+from .gfq import GF, factor_prime_power, gf
 from .matroid import (
     LinearMatroid,
     Matroid,
@@ -54,16 +54,18 @@ from .treedecomp import TreeDecomposition
 
 MAX_POINTS = 4096
 # a matroid of lower rank, or given by fewer rows, goes to the
-# deletion-contraction recursion with no split tried (_chi_by_splits)
+# leaf (charpoly._chi_from_rows) with no split tried (_chi_by_splits)
 SPLIT_MIN_RANK = 6
 SPLIT_MIN_POINTS = 10
 
 
 def pg_point_count(r: int, q: int) -> int:
-    """The number of points of PG(r-1, q), 0 at r = 0; a negative rank
-    or an order below 2 raises :class:`ArgumentError`."""
+    """The number of points of PG(r-1, q), 0 at r = 0; a negative rank,
+    an order below 2 or one that is not a prime power raises
+    :class:`ArgumentError`, the last as :func:`pg_build` does."""
     if r < 0 or q < 2:
         raise ArgumentError(f"a point count needs r >= 0 and q >= 2, got r={r}, q={q}")
+    factor_prime_power(q)
     return (q ** r - 1) // (q - 1)
 
 
@@ -273,7 +275,7 @@ def _path_neck_sizes(
     lo <= i and in the suffix span exactly when i < hi; and the reverse
     pass's coordinate rows, in reverse element order.
     """
-    n, width = len(rows), field.width
+    n, width, q = len(rows), field.width, field.q
     first = [e for e, row in enumerate(rows) if not row & row - 1]  # unit rows are one bit
     rank = len(first)
     rmask, backward = _standard_rows(field, rank, rows[::-1])
@@ -294,7 +296,7 @@ def _path_neck_sizes(
         behind -= lmask >> i & 1
         in_a += starts[i]
         in_b -= ends[i]
-        size = pg_point_count(ahead + behind - rank, field.q) - (in_a + in_b - n)
+        size = (q ** (ahead + behind - rank) - 1) // (q - 1) - (in_a + in_b - n)
         edges.append((size, ahead, behind, in_a, in_b))
     return lmask, edges, reach, backward
 
@@ -303,11 +305,10 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     """chi of the matroid of the standard-form ``rows`` of rank ``rank``
     over ``field`` (:meth:`Matroid._standard_form`), split along direct
     sums and filled necks of the element-order path down to pieces the
-    deletion-contraction recursion (:func:`charpoly._chi_from_rows`)
-    computes.
+    leaf (:func:`charpoly._chi_from_rows`) computes.
 
     A matroid of rank below ``SPLIT_MIN_RANK``, or given by fewer than
-    ``SPLIT_MIN_POINTS`` rows, goes to the recursion at once, before any
+    ``SPLIT_MIN_POINTS`` rows, goes to the leaf at once, before any
     support, component or neck is computed: on such small pieces the
     split costs more than it saves.  Otherwise, with a loop chi is zero,
     and parallel rows are dropped.
@@ -318,7 +319,7 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     *Matroid Theory*, ch. 4).  A digit that no non-unit row uses is a
     coloop.  chi is (lam - 1)**coloops times the chi of each component.
     A component's rows keep a unit row for each of its digits and are
-    zero at every other, which is the input the recursion reads, so a
+    zero at every other, which is an input the leaf reads, so a
     component that the leaf test sends there keeps its digits as they
     are; a larger one is put in a standard form of its own
     (:func:`matroid._standard_rows`) first.
@@ -337,7 +338,7 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     sides' ranks and their sizes are all read off the neck table of
     :func:`_path_neck_sizes`.  A remainder in the division can only come
     from a wrong chi, and raises :class:`InexactDivisionError`.  With
-    no edge that qualifies the recursion computes chi.
+    no edge that qualifies the leaf computes chi.
 
     Both sides are already standard forms: side A, the elements whose
     forward coordinates use only basis elements up to i, holds the unit
@@ -389,7 +390,7 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     side_a = [row for row, (lo, _) in zip(rows, reach) if lo <= i]
     side_b = [back for back, (_, hi) in zip(backward, reversed(reach)) if hi > i]
     chi = _chi_by_splits(field, side_a, ahead) * _chi_by_splits(field, side_b, behind)
-    return poly_exact_div(chi, cp_pg_closed_form(ahead + behind - rank, field.q))
+    return poly_exact_div(chi, _pg_closed_form(ahead + behind - rank, field.q))
 
 
 def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | None:
@@ -430,7 +431,7 @@ def _telescoping_terms(field: GF, rows, room: int) -> list[tuple[list, int]] | N
 
 def _telescoped_chi(field: GF, rows, room: int) -> IntPoly | None:
     """The sum of the chi of the :func:`_telescoping_terms`, each by the
-    deletion-contraction recursion (:func:`charpoly._chi_from_rows`),
+    leaf (:func:`charpoly._chi_from_rows`),
     which gives back chi of the matroid of the standard-form ``rows``;
     None when no path neck has at most ``room`` external points."""
     terms = _telescoping_terms(field, rows, room)

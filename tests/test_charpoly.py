@@ -44,6 +44,7 @@ from matzero.errors import (
     RootCertificateError,
     TooLargeError,
 )
+from matzero import gfq
 from matzero.gfq import GF, gf
 from matzero.instances import fano, k4_graphic, non_fano
 from matzero.harness import ROOT_TOL, charpoly_auto, gen_glued, main_theorem_suite
@@ -1382,9 +1383,10 @@ def test_plane_kernel_on_every_spanning_subset_of_pg23():
 
 @st.composite
 def plane_point_sets(draw):
-    """Points of PG(2, q) for q in {4, 5, 7, 8, 9} and 11, above
-    ``MAX_PLANE_ORDER``, as columns: some rescaled, some repeated, at
-    times a zero column, in random order."""
+    """Points of PG(2, q) for q in {4, 5}, whose subspace tables are
+    within ``gfq.MAX_TABLE_POINTS``, and {7, 8, 9, 11}, above it, as
+    columns: some rescaled, some repeated, at times a zero column, in
+    random order."""
     q = draw(st.sampled_from((4, 5, 7, 8, 9, 11)))
     points = pg_build(3, q)
     field = gf(q)
@@ -1401,8 +1403,8 @@ def plane_point_sets(draw):
 def test_plane_kernel_on_point_sets_of_planes(m, at):
     """chi of a point set of PG(2, q), from its standard form (loops,
     repeats and all) with or without a dead digit, equals the Mobius
-    expansion; a rank-3 input makes no projection exactly when q is at
-    most ``MAX_PLANE_ORDER``."""
+    expansion; a rank-3 input makes no projection exactly when the
+    field keeps a table of PG(2, q) (:meth:`GF.subspaces`)."""
     field = m.field
     basis, rows = m._standard_form()
     rank = basis.bit_count()
@@ -1410,31 +1412,172 @@ def test_plane_kernel_on_point_sets_of_planes(m, at):
         rows = _with_dead_digit(field, rows, min(at, rank - 1))
     chi, projections = _projections(lambda: charpoly._chi_from_rows(field, rows, rank))
     assert chi == cp_mobius(m)
-    if rank == 3 and field.q <= charpoly.MAX_PLANE_ORDER:
+    inside = field.subspaces(3) is not None
+    assert inside == (field.q <= 5)
+    if rank == 3 and inside:
         assert projections == 0
-    if rank == 3 and field.q > charpoly.MAX_PLANE_ORDER and 0 not in rows and len(set(rows)) > 4:
+    if rank == 3 and not inside and 0 not in rows and len(set(rows)) > 4:
         assert projections > 0
 
 
 def test_plane_table_is_kept_on_the_field():
     """PG(2, q)'s incidences are built once per field: q**2 + q + 1
     points, each on q + 1 lines, any two sharing exactly one line."""
-    for q in (3, 4, 5, 7, 8, 9):
+    for q in (3, 4, 5):
         field = gf(q)
-        table = field.plane_lines()
-        assert field.plane_lines() is table
-        assert sorted(table) == sorted(map(field.pack, pg_build(3, q)))
-        masks = list(table.values())
-        assert all(mask.bit_count() == q + 1 for mask in masks)
-        assert all((a & b).bit_count() == 1 for i, a in enumerate(masks) for b in masks[:i])
+        table = field.subspaces(3)
+        assert field.subspaces(3) is table
+        masks, _, blocks = table
+        assert sorted(masks) == sorted(map(field.pack, pg_build(3, q)))
+        [(shift, span)] = [(shift, span) for shift, span, row in blocks if len(row) == 2]  # d = 2
+        lines = [mask >> shift & span for mask in masks.values()]
+        assert all(line.bit_count() == q + 1 for line in lines)
+        assert all((a & b).bit_count() == 1 for i, a in enumerate(lines) for b in lines[:i])
+
+
+def _gaussian(r: int, d: int, q: int) -> int:
+    """The number of subspaces of dimension d of GF(q)**r."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (r - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _tables_within_the_cap():
+    """(field, rank) for every field order up to 32 with a shipped
+    modulus and every rank from 3 whose subspace table the field keeps,
+    checked against the cap on the points."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31):
+        field = gf(q)
+        for rank in range(3, 8):
+            inside = _gaussian(rank, 1, q) <= gfq.MAX_TABLE_POINTS
+            assert (field.subspaces(rank) is not None) == inside, (q, rank)
+            if inside:
+                out.append((field, rank))
+    return out
+
+
+def test_subspace_tables_count_every_subspace():
+    """Within ``gfq.MAX_TABLE_POINTS`` every table lists the points of
+    PG(r - 1, q), its blocks together hold [r, d]_q subspaces of each
+    dimension d from 1 to r - 1 (Gaussian binomials), and each point
+    lies on [r - 1, d - 1]_q of them; the cap admits binary ranks 3 to
+    5 and the planes over GF(3), GF(4) and GF(5)."""
+    tables = _tables_within_the_cap()
+    assert sorted((field.q, rank) for field, rank in tables) == sorted(
+        [(2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (5, 3)]
+    )
+    for field, rank in tables:
+        q = field.q
+        masks, _, blocks = field.subspaces(rank)
+        points = list(masks)
+        assert sorted(points) == sorted(map(field.pack, pg_build(rank, q)))
+        assert len(blocks) == rank - 1
+        touched = 0
+        for point in points:
+            touched |= masks[point]
+        sizes = set()
+        for shift, span, row in blocks:
+            d = rank + 1 - len(row)  # the row is P_(rank - d), of degree rank - d
+            sizes.add(d)
+            assert (touched >> shift & span).bit_count() == _gaussian(rank, d, q), (q, rank, d)
+            assert {(masks[point] >> shift & span).bit_count() for point in points} == {
+                _gaussian(rank - 1, d - 1, q)
+            }, (q, rank, d)
+        assert sizes == set(range(1, rank))
+
+
+def test_subspace_tables_are_built_once_per_field_and_rank(monkeypatch):
+    """A field builds each rank's table once, on first use, and keeps
+    the refusal above the cap too: a second call returns the same
+    object and builds nothing."""
+    built = []
+    real = GF._binary_incidences
+
+    def counted(self, rank):
+        built.append((self, rank))
+        return real(self, rank)
+
+    monkeypatch.setattr(GF, "_binary_incidences", counted)
+    field = GF(2)  # not the shared gf(2), so nothing is built yet
+    tables = [field.subspaces(rank) for rank in (3, 4, 5, 6, 3, 4, 5, 6)]
+    assert all(a is b for a, b in zip(tables[:4], tables[4:]))
+    assert tables[3] is None and None not in tables[:3]
+    assert built == [(field, 3), (field, 4), (field, 5)]
+    with pytest.raises(ArgumentError):
+        field.subspaces(2)
+
+
+def _subspace_cases(field, rank: int, rng):
+    """(oracle, [rows, ...]) for a random point set of PG(rank - 1, q)
+    holding the unit points: the rows of its standard form, those of a
+    matrix with repeated and rescaled columns and of one with a zero
+    column, the rows with a dead digit put in, and, for a basis element
+    that is no coloop, the other rows in the same coordinates, as
+    :func:`matroid._delete_contract_rows` deletes it, which leaves no
+    unit row at its digit.  The oracle is a matroid with the same chi,
+    zero for the loop."""
+    q = field.q
+    points = pg_build(rank, q)
+    units = [p for p in points if sum(p) == 1]
+    others = [p for p in points if sum(p) != 1]
+    cols = units + rng.sample(others, rng.randint(1, min(len(others), 9)))
+    rng.shuffle(cols)
+    m = LinearMatroid(field, cols, nrows=rank)
+    basis, rows = m._standard_form()
+    scales = [(col, rng.randint(1, q - 1)) for col in rng.sample(cols, 2)]
+    copies = [tuple(field.mul[c][x] for x in col) for col, c in scales]
+    variants = [
+        rows,
+        LinearMatroid(field, cols + copies, nrows=rank)._standard_form()[1],
+        LinearMatroid(field, cols + [(0,) * rank], nrows=rank)._standard_form()[1],
+        _with_dead_digit(field, rows, rng.randrange(rank)),
+    ]
+    cases = [(m, variants)]
+    free = basis & ~_coloops(field, basis, rows)
+    if free:
+        e = rng.choice(list(mask_bits(free)))
+        deleted, _ = _delete_contract_rows(field, rows, e)
+        assert len({row for row in deleted if not row & row - 1}) == rank - 1
+        cases.append((m.delete([e]), [deleted, _with_dead_digit(field, deleted, rng.randrange(rank))]))
+    return cases
+
+
+def test_subspace_kernel_matches_the_oracles_within_the_cap(monkeypatch):
+    """For every (q, rank) within the cap, on random point sets in the
+    input shapes of :func:`_subspace_cases`, ``_chi_from_rows`` equals
+    ``cp_mobius`` and ``cp_delete_contract`` (deletion-contraction, which
+    reads no subspace table) of the oracle, zero with a loop, and makes
+    no ``GF.project`` or ``GF.reduce`` call."""
+    calls = []
+    for name in ("project", "reduce"):
+        real = getattr(GF, name)
+        monkeypatch.setattr(GF, name, lambda self, *args, real=real: calls.append(1) or real(self, *args))
+    rng = random.Random("subspace-kernel")
+    checked = 0
+    for field, rank in _tables_within_the_cap():
+        for _ in range(20):
+            for oracle, variants in _subspace_cases(field, rank, rng):
+                expected = cp_mobius(oracle)
+                assert cp_delete_contract(oracle) == expected
+                for rows in variants:
+                    del calls[:]
+                    chi = charpoly._chi_from_rows(field, rows, oracle.full_rank)
+                    assert chi == (ZERO if 0 in rows else expected), (field, rank, rows)
+                    assert not calls, (field, rank)
+                    checked += 1
+    assert checked > 500
 
 
 def _binary_cases(seed: int):
     """(oracle, [rows, ...], rank) over GF(2): a random simple matroid
     of rank 4 to 13 on at most 14 points and the rows of its deletion
     and contraction at a random element that is neither a loop nor a
-    coloop (:func:`matroid._delete_contract_rows`), whose contraction
-    has a dead digit and may have parallel rows; each given as those
+    coloop (:func:`matroid._delete_contract_rows`), whose deletion may
+    lack a unit row and whose contraction has a dead digit and may have
+    parallel rows; each given as those
     rows, with repeated rows appended, and with a dead digit put in
     below a live one, so the highest live digit runs up to 14.  The
     oracle is a matroid with the same chi, built from the columns."""
@@ -1449,7 +1592,7 @@ def _binary_cases(seed: int):
     free = mask_of(range(m.n)) & ~_coloops(field, basis, rows)
     if free:
         e = rng.choice(list(mask_bits(free)))
-        for sub, r in zip(_delete_contract_rows(field, basis, rows, e), (rank, rank - 1)):
+        for sub, r in zip(_delete_contract_rows(field, rows, e), (rank, rank - 1)):
             cases.append((LinearMatroid(field, [field.unpack(row, rank) for row in sub], nrows=rank),
                           sub, r))
     return [
@@ -1460,12 +1603,14 @@ def _binary_cases(seed: int):
 
 def test_bitset_kernel_on_random_binary_point_sets():
     """Random GF(2) point sets of rank 3 to 13 given as a standard form,
-    a contraction with a dead digit, with repeated rows and with a dead
+    a deletion with no unit row at the deleted element's digit, a
+    contraction with a dead digit, with repeated rows and with a dead
     digit put in: chi equals the Mobius expansion (the subset expansion
-    above 11 elements), and a loop makes it zero.  The bitset kernel
-    runs with no projection whenever the highest live digit is within
-    ``MAX_BITSET_DIGITS``, and inputs on both sides of that cap are
-    checked."""
+    above 11 elements), and a loop makes it zero.  Ranks 3 to 5 read the
+    subspace tables; above them the bitset recursion runs, after a
+    standard form where a unit row is missing, with no projection
+    whenever the highest live digit is within ``MAX_BITSET_DIGITS``, and
+    inputs on both sides of that cap are checked."""
     field = gf(2)
     sides = {True: 0, False: 0}
     for seed in range(40):
@@ -1476,49 +1621,59 @@ def test_bitset_kernel_on_random_binary_point_sets():
                 assert chi == expected, (seed, rank)
                 assert charpoly._chi_from_rows(field, rows + [0], rank) == ZERO
                 under = max(rows).bit_length() <= charpoly.MAX_BITSET_DIGITS
+                standard = len({row for row in rows if not row & row - 1}) == rank
                 if under:
                     assert projections == 0
-                elif len(set(rows)) > rank >= 3:
+                elif standard and len(set(rows)) > rank >= 3:
                     assert projections > 0
                 sides[under] += 1
     assert sides[True] >= 50 and sides[False] >= 10, sides
 
 
 def test_leaf_kernels_make_no_projection_on_the_identity_battery(monkeypatch):
-    """Over criterion 07's battery, ``_chi_from_rows`` makes no
-    ``GF.project`` call on a GF(2) input within ``MAX_BITSET_DIGITS``,
-    nor on a rank-3 input over GF(3), GF(4) or GF(5); every identity
-    still holds.  The row recursion made such calls on both kinds of
-    input before these kernels."""
+    """Over criterion 07's battery, every leaf that ``_chi_from_rows``
+    computes goes to the finite-field count (``_subspace_chi``), which
+    makes no ``GF.project`` or ``GF.reduce`` call; every identity still
+    holds.  The row recursion made projections on both GF(2) and rank-3
+    inputs before the leaf kernels."""
     from matzero import harness, projgeom
 
-    seen = {"binary": 0, "plane": 0}
-    current = []
-    real_project = GF.project
+    leaves, inside = [], []
+    calls = {"project": 0, "reduce": 0}
+    for name in calls:
+        real = getattr(GF, name)
 
-    def project(self, rows, prow):
-        if current:
-            current[-1][1] += 1
-        return real_project(self, rows, prow)
+        def counted(self, *args, real=real, name=name):
+            if inside:
+                calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(GF, name, counted)
+    real_kernel = charpoly._subspace_chi
+
+    def kernel(table, width, rows, rank):
+        inside.append(1)
+        try:
+            return real_kernel(table, width, rows, rank)
+        finally:
+            inside.pop()
+            leaves[-1][1] += 1
 
     def leaf(real):
         def chi(field, rows, rank):
-            current.append([(field.q, rows, rank), 0])
-            try:
-                return real(field, rows, rank)
-            finally:
-                (q, rows, rank), projections = current.pop()
-                binary = q == 2 and max(rows, default=0).bit_length() <= charpoly.MAX_BITSET_DIGITS
-                plane = rank == 3 and q in (3, 4, 5)
-                if binary or plane:
-                    assert projections == 0, (q, rank)
-                    seen["binary" if binary else "plane"] += 1
+            leaves.append([(field.q, rank, 0 in rows), 0])
+            return real(field, rows, rank)
         return chi
 
-    monkeypatch.setattr(GF, "project", project)
+    monkeypatch.setattr(charpoly, "_subspace_chi", kernel)
     monkeypatch.setattr(harness, "_chi_from_rows", leaf(harness._chi_from_rows))
     monkeypatch.setattr(projgeom, "_chi_from_rows", leaf(projgeom._chi_from_rows))
     glued, rand = criterion_07_instances()
     checks = harness.verify_identities(glued + rand)
     assert checks and all(check.passed for check in checks)
-    assert seen["binary"] >= 100 and seen["plane"] >= 100, seen
+    assert calls == {"project": 0, "reduce": 0}
+    # every leaf without a loop went to the kernel, once
+    assert all(count == (not loop) for (_, _, loop), count in leaves)
+    kinds = {(q, rank) for (q, rank, loop), _ in leaves if not loop}
+    assert {(2, 3), (2, 4), (2, 5), (3, 3), (4, 3), (5, 3)} <= kinds, kinds
+    assert len(leaves) > 1500

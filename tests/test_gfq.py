@@ -315,13 +315,22 @@ def test_construction_errors():
         (2, 2, (1, 1.7, 1)),  # a coefficient that is not an integer
         (2, 2, (1, 0, "x")),
         (2, 2, 7),  # a modulus that is not a sequence
+        (gf, 2.0),  # gf: an order that is not an integer
+        (gf, "4"),
+        (gf, None),
+        (gf, True),
+        (gf, 1),
     ],
 )
 def test_construction_argument_errors_are_typed(args):
-    """Bad arguments to GF raise ArgumentError, a MatZeroError that is
-    still a ValueError."""
-    with pytest.raises(ArgumentError):
-        GF(*args)
+    """Bad arguments to GF, and bad orders to gf, raise ArgumentError, a
+    MatZeroError that is still a ValueError; an order that is not an
+    integer is named in the message."""
+    build, *rest = args if callable(args[0]) else (GF, *args)
+    with pytest.raises(ArgumentError) as info:
+        build(*rest)
+    if build is gf and type(rest[0]) not in (int, bool):
+        assert repr(rest[0]) in str(info.value)
 
 
 def _monic(p, degree):
@@ -421,13 +430,14 @@ def test_gf_shares_one_field_per_order(monkeypatch):
         (32, ValueError),  # no shipped modulus
         (37, OrderTooLargeError),
         (2**61 - 1, OrderTooLargeError),
-        (2.0, TypeError),
-        (4.0, TypeError),
+        (2.0, ArgumentError),
+        (4.0, ArgumentError),
     ],
 )
 def test_gf_keeps_no_failure(monkeypatch, q, error):
     """A failing order raises on every call and is never kept; a float
-    is not an order even when an equal int is already kept."""
+    is not an order even when an equal int is already kept, and raises
+    the typed error."""
     monkeypatch.setattr(gfq, "_FIELDS", {})
     gf(2), gf(4)
     for _ in range(2):

@@ -206,10 +206,9 @@ def test_no_bare_builtin_raises(path):
     assert bare_raises(path.read_text(encoding="utf-8")) == []
 
 
-#: the functions outside gfq.py that may reduce against a basis by hand:
-#: the one pass that tracks coordinates and the pivot exchange that
-#: derives M\e from it
-REDUCE_CALLERS = {"_standard_rows", "_delete_contract_rows"}
+#: the one function outside gfq.py that may reduce against a basis by
+#: hand: the pass that tracks coordinates
+REDUCE_CALLERS = {"_standard_rows"}
 
 
 def field_reduce_reads(source: str) -> list[str]:

@@ -93,6 +93,15 @@ def test_pg_point_count_refuses_a_negative_rank_or_an_order_below_two(r, q):
         pg_point_count(r, q)
 
 
+@pytest.mark.parametrize("build", [pg_point_count, cp_pg_closed_form, pg_build])
+@pytest.mark.parametrize("q", [6, 10, 12])
+def test_an_order_that_is_not_a_prime_power_is_refused(build, q):
+    """The point count and the closed form refuse a field order that is
+    no prime power as pg_build does, with the same typed error."""
+    with pytest.raises(ArgumentError, match=rf"^{q} is not a prime power$"):
+        build(2, q)
+
+
 def test_model_points_normalized_and_ordered():
     assert pg_build(2, 3) == ((0, 1), (1, 0), (1, 1), (1, 2))
     for r, q in ((1, 5), (3, 2), (3, 3), (2, 4), (4, 2), (2, 7)):
@@ -988,7 +997,7 @@ def _engine_chi(m) -> IntPoly:
 
 
 def _recursion_chi(m) -> IntPoly:
-    """chi of m by the deletion-contraction recursion alone."""
+    """chi of m by the split engine's leaf alone, with no split."""
     basis, rows = m._standard_form()
     return _chi_from_rows(m._points()[0], rows, basis.bit_count())
 
@@ -999,7 +1008,7 @@ def _counted_splits(mp) -> dict:
     per piece for one it splits) and the dimension of each neck it
     divides out."""
     seen = {"leaves": 0, "necks": []}
-    real_leaf, real_pg = projgeom._chi_from_rows, projgeom.cp_pg_closed_form
+    real_leaf, real_pg = projgeom._chi_from_rows, projgeom._pg_closed_form
 
     def leaf(*args):
         seen["leaves"] += 1
@@ -1010,7 +1019,7 @@ def _counted_splits(mp) -> dict:
         return real_pg(d, q)
 
     mp.setattr(projgeom, "_chi_from_rows", leaf)
-    mp.setattr(projgeom, "cp_pg_closed_form", pg)
+    mp.setattr(projgeom, "_pg_closed_form", pg)
     return seen
 
 
