@@ -4,10 +4,13 @@ The characteristic polynomial of a matroid M with ground set E is
 
     chi_M(lam) = sum over flats F of mu(cl(empty), F) * lam**(r(E) - r(F))
 
-when M is loopless, and the zero polynomial otherwise.  Four independent
-engines compute it here: the Mobius expansion above, the brute-force
-subset expansion, deletion-contraction, and a cocircuit expansion.  They
-must agree coefficient for coefficient, which the test suite exploits.
+when M is loopless, and the zero polynomial otherwise.  In production
+the split engine (:func:`projgeom._chi_by_splits`) hands its pieces to
+:func:`_chi_from_rows`: the finite-field count within the subspace
+tables' cap, the row recursion (:func:`_row_chi`) above it.  The Mobius
+expansion above, the subset expansion, deletion-contraction and a
+cocircuit expansion are kept as oracles; all must agree coefficient for
+coefficient, which the test suite exploits.
 
 All arithmetic is exact: coefficients are Python integers, bounds and
 root brackets are ``fractions.Fraction`` values, and sign questions are
@@ -27,13 +30,14 @@ from threading import Lock
 
 from .errors import (
     ArgumentError,
+    DivisionByZeroError,
     InexactDivisionError,
     NonIntegralError,
     NotSimpleError,
     RootArgumentError,
     RootCertificateError,
 )
-from .gfq import _pg_chi_coefficients, factor_prime_power
+from .gfq import _integer, _pg_chi_coefficients, factor_prime_power
 from .matroid import MAX_GROUND, Matroid, _min_cocircuit, _standard_rows, mask_bits
 
 # distinct polynomials whose root analysis is kept, and answers kept per
@@ -41,9 +45,6 @@ from .matroid import MAX_GROUND, Matroid, _min_cocircuit, _standard_rows, mask_b
 # oldest is dropped when full
 MAX_ROOT_MEMO = 1024
 MAX_ROOT_ANSWERS = 8
-# deletion-contraction over GF(2) on point sets held as ints of
-# 2**MAX_BITSET_DIGITS bits (_chi_from_rows)
-MAX_BITSET_DIGITS = 12
 
 
 def _integral(c) -> int:
@@ -185,24 +186,13 @@ def _binomial_power(r: int) -> IntPoly:
 _LIN_POWERS = tuple(_binomial_power(r) for r in range(MAX_GROUND + 1))
 
 
-# bit x set for every x < 2**(2**MAX_BITSET_DIGITS) whose bit j is
-# clear, for each digit j; and the x that are neither 0 nor a power of
-# two, the non-unit rows
-_BIT_CLEAR = tuple(
-    ((1 << (1 << MAX_BITSET_DIGITS)) - 1) // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1)
-    for j in range(MAX_BITSET_DIGITS)
-)
-_NON_UNITS = (1 << (1 << MAX_BITSET_DIGITS)) - 2 - sum(1 << (1 << j) for j in range(MAX_BITSET_DIGITS))
-
-
 def lam_minus_one_power(r: int) -> IntPoly:
     """(lam - 1) ** r; precomputed for r <= MAX_GROUND, computed
     afresh and not kept above it."""
+    r = _integer(r, "the exponent")
     if r < 0:
         raise ArgumentError(f"the exponent must be nonnegative, got {r}")
-    if r < len(_LIN_POWERS):
-        return _LIN_POWERS[r]
-    return _binomial_power(r)
+    return _LIN_POWERS[r] if r < len(_LIN_POWERS) else _binomial_power(r)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +228,9 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
 
     chi_M = chi_{M minus e} - chi_{M contract e}  whenever e is neither
     a loop nor a coloop; a loop kills the polynomial.  The recursion
-    (:func:`_delete_contract_chi`) reads each minor in the coordinates
-    of a standard representation [I_r | D] (Oxley, *Matroid Theory*) and
-    asks no rank query.  One elimination pass over m's points gives them
+    (:func:`_row_chi`) reads each minor in the coordinates of a standard
+    representation [I_r | D] (Oxley, *Matroid Theory*) and asks no rank
+    query.  One elimination pass over m's points gives them
     (:meth:`Matroid._standard_form`): the i-th point independent of the
     points before it is basis column i, and every element carries its
     coordinates in that basis scaled to 1 at the first nonzero one (zero
@@ -249,7 +239,9 @@ def cp_delete_contract(m: Matroid) -> IntPoly:
     the finite-field count of :func:`_chi_from_rows`.
     """
     basis, coordinates = m._standard_form()
-    return _delete_contract_chi(m._points()[0], coordinates, basis.bit_count())
+    if 0 in coordinates:
+        return ZERO
+    return _row_chi(m._points()[0].project, coordinates, basis.bit_count())
 
 
 def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
@@ -261,13 +253,13 @@ def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
     bound suites run (:func:`projgeom._chi_by_splits`), and the identity
     checks run it alone.
 
-    The kernel is chosen from the field and the size of the input alone:
-    below rank 3, and at any rank whose subspace table the field keeps
+    The kernel is chosen from the field and the rank alone: below rank
+    3, and at any rank whose subspace table the field keeps
     (:meth:`GF.subspaces`, up to ``gfq.MAX_TABLE_POINTS`` points), chi
     is the finite-field count of :func:`_subspace_chi`.  Every other
-    input runs deletion-contraction (:func:`_delete_contract_chi`),
-    which reads a unit row for each live digit: rows that lack one are
-    first put in a standard form (:func:`matroid._standard_rows`).
+    input runs deletion-contraction (:func:`_row_chi`), which reads a
+    unit row for each live digit: rows that lack one are first put in a
+    standard form (:func:`matroid._standard_rows`).
     """
     if 0 in rows:
         return ZERO
@@ -277,21 +269,6 @@ def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
     if len({row for row in rows if not row & row - 1}) < rank:  # unit rows are one bit
         height = -(-max(rows).bit_length() // field.width)
         rows = _standard_rows(field, height, rows)[1]
-    return _delete_contract_chi(field, rows, rank)
-
-
-def _delete_contract_chi(field, rows: list, rank: int) -> IntPoly:
-    """chi of the matroid of the standard-form ``rows`` of rank ``rank``
-    by deletion-contraction: a unit row for each live digit, zero for a
-    loop, equal rows for parallel elements, of which the first is kept.
-    Over GF(2), at rank 3 or more with every row below
-    2**``MAX_BITSET_DIGITS``, the recursion runs on point sets held as
-    one int (:func:`_bitset_chi`), and otherwise on rows
-    (:func:`_row_chi`)."""
-    if 0 in rows:
-        return ZERO
-    if field.q == 2 and rank > 2 and max(rows).bit_length() <= MAX_BITSET_DIGITS:
-        return _bitset_chi(rows, rank)
     return _row_chi(field.project, rows, rank)
 
 
@@ -339,25 +316,13 @@ def _subspace_chi(table, width: int, rows: list, rank: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _chi_of_counts(powers: list, pairs: int, points: int, rank: int) -> IntPoly:
-    """The chi that the deletion-contraction recursion counted: the sum
-    of powers[s] (lam - 1)**s and of sign * (lam - 1)(lam - n + 1) over
-    its rank-2 leaves, whose signs sum to ``pairs`` and signed sizes to
-    ``points``, built as one polynomial."""
-    # sum of sign * (lam - 1)(lam - n + 1) = pairs lam^2 - points lam + points - pairs
-    coeffs = [points - pairs, -points, pairs] + [0] * (rank - 2)
-    for s, count in enumerate(powers):
-        if count:
-            for i, c in enumerate(lam_minus_one_power(s).coeffs):
-                coeffs[i] += count * c
-    return IntPoly(coeffs)
-
-
 def _row_chi(project, rows: list, rank: int) -> IntPoly:
-    """:func:`_chi_from_rows` by the recursion on lists of loopless
-    rows; ``project`` is the field's :meth:`GF.project`.  No minor is
-    kept for reuse, because no minor comes up twice in one computation:
-    every minor below the deletion of e lacks e, every minor below its
+    """chi of the loopless standard-form ``rows`` of rank ``rank`` by
+    deletion-contraction, reading no table: the leaf of
+    :func:`_chi_from_rows` above the table cap and the whole of
+    :func:`cp_delete_contract`; ``project`` is :meth:`GF.project`.
+    No minor is kept for reuse, because no minor comes up twice: every
+    minor below the deletion of e lacks e, every minor below its
     contraction has e contracted, and along one path the remaining set
     only shrinks while the contracted one only grows.
 
@@ -383,8 +348,7 @@ def _row_chi(project, rows: list, rank: int) -> IntPoly:
     leaf is then (lam - 1)**s or a simple rank-2 minor, so the recursion
     carries a sign and counts its leaves in integers: one count per rank
     s, and for the rank-2 leaves the sums of the signs and of sign * n.
-    The polynomial is built once, from those counts
-    (:func:`_chi_of_counts`).
+    The polynomial is built once, from those counts.
     """
     rows = list(dict.fromkeys(rows))
     n = len(rows)
@@ -415,67 +379,13 @@ def _row_chi(project, rows: list, rank: int) -> IntPoly:
                 rec(list(dict.fromkeys(contracted)), rank - 1, -sign)
 
     rec(rows, rank, 1)
-    return _chi_of_counts(powers, pairs, points, rank)
-
-
-def _bitset_chi(rows: list, rank: int) -> IntPoly:
-    """:func:`_chi_from_rows` over GF(2) for loopless rows of rank at
-    least 3 below 2**``MAX_BITSET_DIGITS``: the recursion of
-    :func:`_row_chi` on point sets held as one int each, bit x set when
-    the row x is a point, so parallel rows are one bit and a set is
-    simplified as it is made.
-
-    The unit rows are the bits at powers of two, and the non-unit points
-    are deleted in increasing order: the deletions may go in any order
-    that keeps the unit rows, since what is left is then always of full
-    rank.  Contracting a point p of M_i projects every other point
-    along p: a point x that is 1 at p's lowest digit k becomes x XOR p,
-    and the others stay.  So M_i / p is ``A0 | translate(A1, p)``, with
-    A1 the points of M_i minus p that have bit k and A0 the rest, and
-    translating A1 by XOR with p moves bit x to bit x XOR p: one shift
-    for bit k, which every point of A1 has, and one masked swap of
-    blocks of 2**j bits for every other bit j of p.  No point but p
-    itself goes to 0, and the size of a rank-2 leaf is one
-    ``int.bit_count``.  No :meth:`GF.project` call is made and no list
-    of rows is kept.
-    """
-    distinct = set(rows)
-    if len(distinct) == rank:
-        return lam_minus_one_power(rank)
-    points = sum(map((1).__lshift__, distinct))  # distinct bits: the sum is their union
-    powers = [0] * (rank + 1)
-    pairs = count = 0
-    clear = _BIT_CLEAR
-
-    def rec(points: int, rank: int, sign: int) -> None:
-        # points: the point set of a simple minor of rank at least 3
-        # holding a unit point for each of its rank live digits
-        nonlocal pairs, count
-        powers[rank] += sign
-        rest = points & _NON_UNITS
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            points ^= bit  # M_i minus p, which is M_(i+1)
-            p = bit.bit_length() - 1
-            low = p & -p
-            keep = clear[low.bit_length() - 1]
-            stay = points & keep
-            moved = (points ^ stay) >> low
-            p ^= low
-            while p:
-                b = p & -p
-                p ^= b
-                keep = clear[b.bit_length() - 1]
-                moved = moved >> b & keep | (moved & keep) << b
-            if rank == 3:
-                pairs -= sign
-                count -= sign * (stay | moved).bit_count()
-            else:
-                rec(stay | moved, rank - 1, -sign)
-
-    rec(points, rank, 1)
-    return _chi_of_counts(powers, pairs, count, rank)
+    # sum of sign * (lam - 1)(lam - n + 1) = pairs lam^2 - points lam + points - pairs
+    coeffs = [points - pairs, -points, pairs] + [0] * (rank - 2)
+    for s, count in enumerate(powers):
+        if count:
+            for i, c in enumerate(lam_minus_one_power(s).coeffs):
+                coeffs[i] += count * c
+    return IntPoly(coeffs)
 
 
 def cp_cocircuit_expansion(m: Matroid) -> IntPoly:
@@ -555,7 +465,8 @@ def cp_pg_closed_form(r: int, q: int) -> IntPoly:
     """Characteristic polynomial of the rank-r projective geometry over
     GF(q): the product (lam - 1)(lam - q)...(lam - q**(r-1)).  A
     negative rank, an order below 2 or one that is not a prime power
-    raises :class:`ArgumentError`."""
+    raises :class:`ArgumentError`, as a non-integer rank or order does."""
+    r, q = _integer(r, "rank"), _integer(q, "field order")
     if r < 0:
         raise ArgumentError(f"rank must be nonnegative, got {r}")
     if q < 2:
@@ -571,7 +482,9 @@ def _pg_closed_form(r: int, q: int) -> IntPoly:
 
 def cp_uniform_closed_form(r: int, n: int) -> IntPoly:
     """Characteristic polynomial of U_{r,n}:
-    sum_{k=0}^{r-1} (-1)**k (n choose k) (lam**(r-k) - 1)."""
+    sum_{k=0}^{r-1} (-1)**k (n choose k) (lam**(r-k) - 1).  Arguments
+    other than integers 0 <= r <= n raise :class:`ArgumentError`."""
+    r, n = _integer(r, "rank"), _integer(n, "element count")
     if not 0 <= r <= n:
         raise ArgumentError(f"a uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     if r == 0:
@@ -619,9 +532,9 @@ def _pseudo_divmod(num, den) -> tuple[int, list[int], list[int]]:
 
 def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     """Quotient num / den when the division is exact over the integers;
-    raises InexactDivisionError otherwise."""
+    raises InexactDivisionError otherwise (DivisionByZeroError at 0)."""
     if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise DivisionByZeroError("polynomial division by zero")
     if num.is_zero:
         return ZERO
     if num.degree < den.degree:

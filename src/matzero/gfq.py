@@ -91,6 +91,15 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _integer(value, name: str) -> int:
+    """``value`` through ``operator.index``: a float or a string raises
+    :class:`ArgumentError` naming it, never truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q == p**d, or raise :class:`ArgumentError`
     (a ``ValueError``)."""
@@ -641,10 +650,7 @@ def gf(q: int) -> GF:
     # must still be refused
     field = _FIELDS.get(q) if type(q) is int else None
     if field is None:
-        try:
-            order = index(q)
-        except TypeError:
-            raise ArgumentError(f"field order must be an integer, got {q!r}") from None
+        order = _integer(q, "field order")
         if order > MAX_ORDER:
             raise OrderTooLargeError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
         p, d = factor_prime_power(order)

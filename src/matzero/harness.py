@@ -78,20 +78,12 @@ def charpoly_auto(m: Matroid) -> IntPoly:
     (:func:`projgeom._chi_by_splits`) on m's standard form, which splits
     chi along direct sums and filled necks of the element-order path and
     leaves the pieces to the leaf :func:`charpoly._chi_from_rows` (the
-    finite-field count within its table cap, deletion-contraction above
-    it); zero when m has a loop.  Measured before the leaf read subspace
-    tables, on the simplifications of the seed-0 benchmark instances
-    (best of 5 passes, three runs on a shared 2-core virtual machine,
-    Python 3.11) it took
-    0.94 to 1.02 of deletion-contraction's time over the 2000 of
-    main-c05, where the leaf test sends almost every one straight to
-    the recursion, 0.47 to 0.52 over the 16 of glued-nolines and 1.00
-    to 1.04 over the 104 of identities, and the cocircuit expansion 4.2
-    to 4.3, 34 to 39 and 4.1 to 4.2 times the split engine's time; the
-    other engines are kept as test oracles.  The bound suites run the
-    split engine on the standard form they key their memo with, once
-    per memo entry (:func:`_shared_entry`): 268 times for the 2000
-    instances of main-c05 at seed 0."""
+    finite-field count within its table cap, the deletion-contraction
+    recursion :func:`charpoly._row_chi` above it); zero when m has a
+    loop.  The other engines are kept as test oracles.  The bound
+    suites run the split engine on the standard form they key their
+    memo with, once per memo entry (:func:`_shared_entry`): 268 times
+    for the 2000 instances of main-c05 at seed 0."""
     basis, coordinates = m._standard_form()
     return _chi_by_splits(m._points()[0], coordinates, basis.bit_count())
 
@@ -820,7 +812,9 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
 def chromatic_polynomial(num_vertices: int, edges) -> IntPoly:
     """Chromatic polynomial of a multigraph by deletion-contraction,
     written directly on graphs so it is independent of the matroid
-    engines.  Subgraphs are memoized for the length of one call."""
+    engines.  Subgraphs are memoized for the length of one call.  The
+    graph is checked as :class:`GraphicMatroid` checks it."""
+    num_vertices, edges = GraphicMatroid._checked_graph(num_vertices, edges)
     memo: dict[tuple, IntPoly] = {}
 
     def rec(num_vertices: int, edges) -> IntPoly:

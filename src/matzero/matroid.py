@@ -35,7 +35,7 @@ from .errors import (
     RankZeroError,
     TooLargeError,
 )
-from .gfq import GF, factor_prime_power, gf
+from .gfq import GF, _integer, factor_prime_power, gf
 
 MAX_GROUND = 24
 MAX_FLATS = 2_000_000
@@ -455,16 +455,21 @@ class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph given as an edge list."""
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]], labels=None):
+        self.num_vertices, self.edges = self._checked_graph(num_vertices, edges)
+        self._init_common(len(self.edges), labels)
+
+    @staticmethod
+    def _checked_graph(num_vertices: int, edges) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(vertex count, edges) as ints, uncapped; a count that is not a
+        nonnegative integer or an endpoint outside raises :class:`ArgumentError`."""
+        num_vertices = _integer(num_vertices, "a vertex count")
         if num_vertices < 0:
             raise ArgumentError(f"a graph needs a nonnegative vertex count, got {num_vertices}")
-        self.num_vertices = num_vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in self.edges:
+        edges = tuple((int(u), int(v)) for u, v in edges)
+        for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ArgumentError(
-                    f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}"
-                )
-        self._init_common(len(self.edges), labels)
+                raise ArgumentError(f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}")
+        return num_vertices, edges
 
     def _build_matrix(self) -> LinearMatroid:
         """The GF(2) incidence matrix, one row per vertex that some edge

@@ -39,7 +39,7 @@ from .errors import (
     PointCollisionError,
     TooLargeError,
 )
-from .gfq import GF, factor_prime_power, gf
+from .gfq import GF, _integer, factor_prime_power, gf
 from .matroid import (
     LinearMatroid,
     Matroid,
@@ -62,7 +62,9 @@ SPLIT_MIN_POINTS = 10
 def pg_point_count(r: int, q: int) -> int:
     """The number of points of PG(r-1, q), 0 at r = 0; a negative rank,
     an order below 2 or one that is not a prime power raises
-    :class:`ArgumentError`, the last as :func:`pg_build` does."""
+    :class:`ArgumentError`, the last as :func:`pg_build` does, and so
+    does a non-integer rank or order."""
+    r, q = _integer(r, "rank"), _integer(q, "field order")
     if r < 0 or q < 2:
         raise ArgumentError(f"a point count needs r >= 0 and q >= 2, got r={r}, q={q}")
     factor_prime_power(q)

@@ -981,6 +981,16 @@ def test_chromatic_polynomial_values():
     assert chromatic_polynomial(3, []).coeffs == (0, 0, 0, 1)
     assert chromatic_polynomial(5, [(i, i + 1) for i in range(4)]).coeffs \
         == (0, 1, -4, 6, -4, 1)
+    # a graph is checked as GraphicMatroid checks it, with no cap on its edges
+    with pytest.raises(ArgumentError, match=r"^edge \(0, 3\) has an endpoint outside 0\.\.1$"):
+        chromatic_polynomial(2, [(0, 3)])
+    with pytest.raises(ArgumentError, match=r"^a graph needs a nonnegative vertex count, got -1$"):
+        chromatic_polynomial(-1, [])
+    with pytest.raises(ArgumentError, match=r"^a vertex count must be an integer, got 2\.5$"):
+        chromatic_polynomial(2.5, [(0, 2)])
+    path = [(i, i + 1) for i in range(matroid.MAX_GROUND + 1)]
+    assert chromatic_polynomial(len(path) + 1, path) \
+        == IntPoly((0, 1)) * charpoly.lam_minus_one_power(len(path))
 
 
 def test_cross_check_graphic():

@@ -86,10 +86,18 @@ def test_pg_point_count():
     assert pg_point_count(0, 3) == 0
 
 
-@pytest.mark.parametrize("r, q", [(-1, 2), (-3, 5), (2, 1), (0, 1), (2, 0), (3, -2)])
+@pytest.mark.parametrize("r, q", [(-1, 2), (-3, 5), (2, 1), (0, 1), (2, 0), (3, -2),
+                                  (2.5, 2), (2, 2.0), ("3", 2)])
 def test_pg_point_count_refuses_a_negative_rank_or_an_order_below_two(r, q):
-    with pytest.raises(ArgumentError, match=rf"^a point count needs r >= 0 and q >= 2, "
-                                            rf"got r={r}, q={q}$"):
+    """A rank or an order that is not an integer is refused by name
+    before it is compared, never counted as a float."""
+    if type(r) is not int:
+        message = rf"^rank must be an integer, got {r!r}$"
+    elif type(q) is not int:
+        message = rf"^field order must be an integer, got {q!r}$"
+    else:
+        message = rf"^a point count needs r >= 0 and q >= 2, got r={r}, q={q}$"
+    with pytest.raises(ArgumentError, match=message):
         pg_point_count(r, q)
 
 
