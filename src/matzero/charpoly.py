@@ -7,10 +7,11 @@ The characteristic polynomial of a matroid M with ground set E is
 when M is loopless, and the zero polynomial otherwise.  In production
 the split engine (:func:`projgeom._chi_by_splits`) hands its pieces to
 :func:`_chi_from_rows`: the finite-field count within the subspace
-tables' cap, the row recursion (:func:`_row_chi`) above it.  The Mobius
-expansion above, the subset expansion, deletion-contraction and a
-cocircuit expansion are kept as oracles; all must agree coefficient for
-coefficient, which the test suite exploits.
+tables' cap, the row recursion (:func:`_row_chi`) on a piece above it
+that has no filled neck to split along.  The Mobius expansion above,
+the subset expansion, deletion-contraction and a cocircuit expansion
+are kept as oracles; all must agree coefficient for coefficient, which
+the test suite exploits.
 
 All arithmetic is exact: coefficients are Python integers, bounds and
 root brackets are ``fractions.Fraction`` values, and sign questions are
@@ -259,7 +260,8 @@ def _chi_from_rows(field, rows: list, rank: int) -> IntPoly:
     is the finite-field count of :func:`_subspace_chi`.  Every other
     input runs deletion-contraction (:func:`_row_chi`), which reads a
     unit row for each live digit: rows that lack one are first put in a
-    standard form (:func:`matroid._standard_rows`).
+    standard form (:func:`matroid._standard_rows`).  The split engine
+    sends it only connected inputs above the cap with no filled neck.
     """
     if 0 in rows:
         return ZERO

@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
     WidthWitnessExceededError,
 )
-from .gfq import gf
+from .gfq import _integer, gf
 from .matroid import (
     MAX_GROUND,
     GraphicMatroid,
@@ -174,7 +174,9 @@ class InstanceRecord:
 def gen_random_linear(q: int, r: int, n: int, seed) -> InstanceRecord:
     """Uniformly random r x n matrix over GF(q); zero columns are
     resampled so the result is loopless.  Comes with the best of the
-    cheap decomposition heuristics as a width witness."""
+    cheap decomposition heuristics as a width witness.  A rank or column
+    count that is not an integer raises :class:`ArgumentError`."""
+    r, n = _integer(r, "rank"), _integer(n, "column count")
     return _random_linear(q, r, n, effective_seed(seed), {})
 
 
@@ -239,9 +241,9 @@ def _glued_size(q: int, block_rank: int, blocks: int, overlap_rank: int, delete_
     consecutive blocks share PG(overlap_rank - 1, q), and consecutive
     overlaps PG(overlap_rank - s - 1, q) when overlap_rank > s.  The
     draw deletes all but one of the private points at most.  The shape
-    must have passed :func:`_check_glued_shape`."""
+    must have passed :func:`_check_glued_shape` and q :func:`gf`."""
     def points(rank: int) -> int:
-        return pg_point_count(max(0, rank), q)
+        return (q ** max(0, rank) - 1) // (q - 1)
 
     step = block_rank - overlap_rank
     full = blocks * points(block_rank) - (blocks - 1) * points(overlap_rank)
@@ -304,7 +306,12 @@ def gen_glued(
     """Glue full projective-geometry blocks along a path, overlapping in
     a common coordinate subspace, then optionally delete some random
     non-shared points.  The natural one-bag-per-block path decomposition
-    is attached; with no deletions its width is exactly block_rank."""
+    is attached; with no deletions its width is exactly block_rank.  A
+    shape or delete count that is not an integer raises
+    :class:`ArgumentError`."""
+    block_rank, blocks = _integer(block_rank, "block rank"), _integer(blocks, "block count")
+    overlap_rank = _integer(overlap_rank, "overlap rank")
+    delete_count = _integer(delete_count, "delete count")
     return _glued(q, block_rank, blocks, overlap_rank, effective_seed(seed), delete_count, {})
 
 
@@ -377,15 +384,24 @@ def _glued(
     )
 
 
-def _check_width(k: int) -> None:
+def _check_width(k: int) -> int:
+    """k as an int; one that is not an integer, or below 1, raises
+    :class:`ArgumentError`."""
+    if type(k) is not int:
+        k = _integer(k, "the width bound k")
     if k < 1:
         raise ArgumentError(f"the width bound needs k >= 1, got k={k}")
+    return k
 
 
-def _check_bound_arguments(q: int, k: int) -> None:
+def _check_bound_arguments(q: int, k: int) -> tuple[int, int]:
+    """(q, k) as ints; a q that is not an integer, or below 2, raises
+    :class:`ArgumentError`, and k is read by :func:`_check_width`."""
+    if type(q) is not int:
+        q = _integer(q, "the field order q")
     if q < 2:
         raise ArgumentError(f"the bounds need q >= 2, got q={q}")
-    _check_width(k)
+    return q, _check_width(k)
 
 
 def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[InstanceRecord]:
@@ -398,8 +414,9 @@ def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[Insta
     shares its matroid and witness and gets a record of its own, and
     every glued draw of a shape reads one build of its points.  A
     witness's width and r(M) are read off elimination passes, so
-    generating a suite asks the rank oracle nothing."""
-    _check_width(k)
+    generating a suite asks the rank oracle nothing.  A count that is
+    not an integer raises :class:`ArgumentError`."""
+    k, count = _check_width(k), _integer(count, "instance count")
     seed = effective_seed(seed)
     gf(q)  # an order that names no field is refused before any draw
     rng = random.Random(f"suite:{tag}:{q}:{k}:{seed}")
@@ -584,18 +601,19 @@ def _verify_bound(
 def verify_main_theorem(instances, q: int, k: int) -> list[BoundReport]:
     """Check chi > 0 strictly beyond q**(k-1) (or chi identically zero)
     for every instance; the witness decomposition must have width <= k.
-    q < 2 or k < 1 raises :class:`ArgumentError` before any instance is
-    read."""
-    _check_bound_arguments(q, k)
+    A q or k that is not an integer, q < 2 or k < 1 raises
+    :class:`ArgumentError` before any instance is read."""
+    q, k = _check_bound_arguments(q, k)
     return _verify_bound(instances, "main", q, k, Fraction(q ** (k - 1)))
 
 
 def verify_no_lines_theorem(instances, q: int, k: int) -> list[BoundReport]:
     """Positivity beyond (q**k - 1)/(q - 1) for instances with no
-    (q+2)-point line minor.  Here q may be any integer >= 2, and q < 2
-    or k < 1 raises :class:`ArgumentError` before any instance is read;
-    an instance that does contain such a line is a hard error."""
-    _check_bound_arguments(q, k)
+    (q+2)-point line minor.  Here q may be any integer >= 2 and k any
+    integer >= 1; any other raises :class:`ArgumentError` before any
+    instance is read, and an instance that does contain such a line is
+    a hard error."""
+    q, k = _check_bound_arguments(q, k)
     return _verify_bound(instances, "no-lines", q, k, Fraction(q ** k - 1, q - 1), q + 2)
 
 
@@ -759,7 +777,7 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
     Both are read on the simplification, the distinct nonzero rows of the
     instance's standard form with no matroid built; a loop changes no
     rank, so the witness width still holds there."""
-    _check_bound_arguments(q, k)
+    q, k = _check_bound_arguments(q, k)
     out = []
     for rec in instances:
         field = rec.matroid._points()[0]
@@ -954,7 +972,7 @@ def load_instances(directory) -> list[InstanceRecord]:
 def resolve_instances(spec: str, q: int, k: int) -> list[InstanceRecord]:
     """Either a directory of instance files or a seed spec
     ``kind:count:seed`` with kind one of mixed, random, glued."""
-    _check_width(k)
+    k = _check_width(k)
     if os.path.isdir(spec):
         return load_instances(spec)
     parts = spec.split(":")

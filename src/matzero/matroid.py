@@ -423,6 +423,7 @@ class UniformMatroid(Matroid):
     """U_{r,n}: every subset of at most r elements is independent."""
 
     def __init__(self, r: int, n: int, labels=None):
+        r, n = _integer(r, "rank"), _integer(n, "element count")
         if r < 0 or r > n:
             raise ArgumentError(f"a uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
         self.r = r

@@ -53,10 +53,6 @@ from .matroid import (
 from .treedecomp import TreeDecomposition
 
 MAX_POINTS = 4096
-# a matroid of lower rank, or given by fewer rows, goes to the
-# leaf (charpoly._chi_from_rows) with no split tried (_chi_by_splits)
-SPLIT_MIN_RANK = 6
-SPLIT_MIN_POINTS = 10
 
 
 def pg_point_count(r: int, q: int) -> int:
@@ -309,11 +305,13 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     sums and filled necks of the element-order path down to pieces the
     leaf (:func:`charpoly._chi_from_rows`) computes.
 
-    A matroid of rank below ``SPLIT_MIN_RANK``, or given by fewer than
-    ``SPLIT_MIN_POINTS`` rows, goes to the leaf at once, before any
-    support, component or neck is computed: on such small pieces the
-    split costs more than it saves.  Otherwise, with a loop chi is zero,
-    and parallel rows are dropped.
+    A matroid that the leaf reads off a table, of rank below 3 or of a
+    rank whose subspace table the field keeps (:meth:`GF.subspaces`,
+    PG(rank - 1, q) within ``gfq.MAX_TABLE_POINTS``), goes there at once,
+    before any support, component or neck is computed.  Any other is
+    split, so deletion-contraction runs only on a piece above the table
+    cap with no filled neck.  With a loop chi is zero, and parallel rows
+    are dropped.
 
     Direct sums: the digits that one non-unit row is nonzero at belong
     to one component, and the components are the classes of digits
@@ -321,10 +319,10 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     *Matroid Theory*, ch. 4).  A digit that no non-unit row uses is a
     coloop.  chi is (lam - 1)**coloops times the chi of each component.
     A component's rows keep a unit row for each of its digits and are
-    zero at every other, which is an input the leaf reads, so a
-    component that the leaf test sends there keeps its digits as they
-    are; a larger one is put in a standard form of its own
-    (:func:`matroid._standard_rows`) first.
+    zero at every other, which the table reads in any coordinates, so a
+    component of a table rank keeps its digits as they are; a larger one
+    is put in a standard form of its own (:func:`matroid._standard_rows`)
+    first.
 
     Filled necks: on a connected matroid, an edge i of the element-order
     path (:func:`_path_neck_sizes`) whose neck has dimension d >= 1, no
@@ -349,7 +347,7 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
     whose rows :func:`_path_neck_sizes` returns.  So no side runs an
     elimination pass.
     """
-    if rank < SPLIT_MIN_RANK or len(rows) < SPLIT_MIN_POINTS:
+    if rank < 3 or field.subspaces(rank) is not None:
         return _chi_from_rows(field, rows, rank)
     if 0 in rows:
         return ZERO
@@ -374,7 +372,7 @@ def _chi_by_splits(field: GF, rows, rank: int) -> IntPoly:
         for part in parts:
             piece = [row for row, support in zip(rows, supports) if support & part]
             prank = part.bit_count()
-            if prank >= SPLIT_MIN_RANK and len(piece) >= SPLIT_MIN_POINTS:
+            if prank > 2 and field.subspaces(prank) is None:
                 piece = _standard_rows(field, rank, piece)[1]
             chi = chi * _chi_by_splits(field, piece, prank)
         return chi

@@ -5,6 +5,7 @@ import copy
 import importlib.util
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -889,13 +890,24 @@ def test_size_bound_skips_rank_zero_and_mismatched_q():
 @pytest.mark.parametrize(
     "verify", [verify_main_theorem, verify_no_lines_theorem, verify_size_and_cocircuit_bounds]
 )
-@pytest.mark.parametrize("q, k", [(1, 2), (0, 2), (-3, 2), (2, 0), (3, -1)])
+@pytest.mark.parametrize(
+    "q, k", [(1, 2), (0, 2), (-3, 2), (2, 0), (3, -1), (2, 2.5), (2.5, 2), (2, 2.0), (2, 1.5), ("3", 2)]
+)
 def test_bound_suites_reject_bad_q_or_k_before_any_instance(verify, q, k):
+    """q < 2, k < 1 and a q or k that is not an integer are refused by
+    name before any instance is read, never rounded or compared as a
+    float."""
     def untouched():
         raise AssertionError("an instance was read")
         yield
 
-    with pytest.raises(ArgumentError, match="q >= 2" if q < 2 else "k >= 1"):
+    if type(q) is not int:
+        message = f"^the field order q must be an integer, got {re.escape(repr(q))}$"
+    elif type(k) is not int:
+        message = f"^the width bound k must be an integer, got {re.escape(repr(k))}$"
+    else:
+        message = "q >= 2" if q < 2 else "k >= 1"
+    with pytest.raises(ArgumentError, match=message):
         verify(untouched(), q, k)
 
 
@@ -1118,12 +1130,26 @@ def test_resolve_instances_errors():
         (lambda: main_theorem_suite(2, 0, 5), r"^the width bound needs k >= 1, got k=0$"),
         (lambda: gen_random_linear(2, 0, 3, 0), r"^a random matrix needs rank r >= 1, got r=0$"),
         (lambda: gen_random_linear(2, 2, -1, 0), r"^a random matrix needs n >= 0 columns, got n=-1$"),
+        (lambda: gen_random_linear(2, 2.5, 5, 0), r"^rank must be an integer, got 2\.5$"),
+        (lambda: gen_random_linear(2, 2, 5.5, 0), r"^column count must be an integer, got 5\.5$"),
+        (lambda: gen_glued(2, 2, 2.5, 1), r"^block count must be an integer, got 2\.5$"),
+        (lambda: gen_glued(2, 2.5, 2, 1), r"^block rank must be an integer, got 2\.5$"),
+        (lambda: gen_glued(2, 3, 2, 1.0), r"^overlap rank must be an integer, got 1\.0$"),
+        (lambda: gen_glued(2, 2, 2, 1, delete_count=1.5), r"^delete count must be an integer, got 1\.5$"),
+        (lambda: main_theorem_suite(2, 2, 1.5), r"^instance count must be an integer, got 1\.5$"),
+        (lambda: no_lines_suite(2, 2, 2.5), r"^instance count must be an integer, got 2\.5$"),
+        (lambda: main_theorem_suite(2, 2.0, 5), r"^the width bound k must be an integer, got 2\.0$"),
+        (lambda: resolve_instances("random:5:0", 2, 2.5), r"^the width bound k must be an integer, got 2\.5$"),
     ],
-    ids=["mixed-k0", "random-k0", "glued-k0", "suite-k0", "random-r0", "random-n-negative"],
+    ids=["mixed-k0", "random-k0", "glued-k0", "suite-k0", "random-r0", "random-n-negative",
+         "random-r-float", "random-n-float", "glued-blocks-float", "glued-rank-float",
+         "glued-overlap-float", "glued-deletions-float", "main-suite-count-float",
+         "nolines-suite-count-float", "suite-k-float", "resolve-k-float"],
 )
 def test_bad_sizes_raise_a_typed_error(call, message):
-    """A size that admits no instance raises ArgumentError naming the
-    argument, not a ValueError from randrange or a matrix of n < 0."""
+    """A size that admits no instance, or one that is not an integer,
+    raises ArgumentError naming the argument, not a ValueError from
+    randrange, a matrix of n < 0 or a count rounded up."""
     with pytest.raises(ArgumentError, match=message):
         call()
 
@@ -1233,13 +1259,14 @@ def _benchmark_workloads():
 
 
 def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_charpoly_memo):
-    """The leaf test comes first: charpoly_auto on every criterion-07
-    instance, and the engine on every key of the criterion-05 batch that
-    the leaf test accepts, put no piece in a standard form and sweep no
-    neck (projgeom's _standard_rows and _path_neck_sizes); every
-    glued-nolines chain of the benchmark at seed 0 of rank at least
-    SPLIT_MIN_RANK is split at least once, so the recursion
-    (projgeom's _chi_from_rows) computes at least two leaves."""
+    """The leaf test comes first, and it is the subspace table's: the
+    engine on every key of the criterion-05 batch of rank below 3 or
+    with a subspace table (GF.subspaces) puts no piece in a standard
+    form and sweeps no neck (projgeom's _standard_rows and
+    _path_neck_sizes), nor does charpoly_auto on any criterion-07
+    instance; every glued-nolines chain of the benchmark at seed 0 is
+    above the table cap and is split at least once, so the leaf
+    (projgeom's _chi_from_rows) computes at least two pieces."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     work = {"_standard_rows": 0, "_path_neck_sizes": 0, "_chi_from_rows": 0}
     for name in work:
@@ -1273,24 +1300,59 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
     leaves = 0
     for field, rows, rank in keys:
         chi = engine(field, rows, rank)
-        if rank < projgeom.SPLIT_MIN_RANK or len(rows) < projgeom.SPLIT_MIN_POINTS:
+        if rank < 3 or field.subspaces(rank) is not None:
             assert idle()
             leaves += 1
         else:
             idle()
         assert chi == charpoly._chi_from_rows(field, rows, rank)
-    assert 0.9 * len(keys) < leaves < len(keys)
+    assert 0.5 * len(keys) < leaves < len(keys)
 
     chains = 0
     for item in _benchmark_workloads().glued_nolines(matzero, 0, False):
         m = item.rec.matroid
-        if m.full_rank >= projgeom.SPLIT_MIN_RANK:
+        if m.full_rank > 2 and m.field.subspaces(m.full_rank) is None:
             chi = charpoly_auto(m)
             assert work["_chi_from_rows"] >= 2, item.id
             assert chi == cp_delete_contract(m)
             chains += 1
         idle()
     assert chains == 16
+
+
+def test_production_chi_runs_deletion_contraction_only_without_a_filled_neck(monkeypatch):
+    """charpoly_auto runs deletion-contraction (charpoly._row_chi) on no
+    instance of the criterion-05 batch and no glued-nolines chain of the
+    benchmark at seed 0: every piece above the subspace-table cap there
+    splits into components or along a filled neck.  On a chain of Fano
+    planes glued along lines with a point deleted from every overlap,
+    of rank at least 6 (no table) and with no filled neck, it runs on
+    the whole matroid, and chi is the Mobius expansion's."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    ranks = []
+    real = charpoly._row_chi
+
+    def counted(project, rows, rank):
+        ranks.append(rank)
+        return real(project, rows, rank)
+
+    monkeypatch.setattr(charpoly, "_row_chi", counted)
+    for q in (2, 3):
+        for k in (2, 3):
+            for rec in main_theorem_suite(q, k, 500, seed=q * 10 + k):
+                charpoly_auto(rec.matroid)
+    for item in _benchmark_workloads().glued_nolines(matzero, 0, False):
+        charpoly_auto(item.rec.matroid)
+    assert ranks == []
+
+    rec = gen_glued(2, 3, 4, 2)
+    overlaps = rec.construction["overlap_elements"]
+    victims = {ov[j % len(ov)] for j, ov in enumerate(overlaps)}
+    m = LinearMatroid(rec.matroid.field, [c for e, c in enumerate(rec.matroid.columns) if e not in victims])
+    assert m.full_rank >= 6 and m.field.subspaces(m.full_rank) is None
+    chi = charpoly_auto(m)
+    assert ranks[0] == m.full_rank
+    assert chi == cp_mobius(m)
 
 
 def test_charpoly_memo_runs_the_engine_once_per_standard_form(monkeypatch, fresh_charpoly_memo):

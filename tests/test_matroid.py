@@ -101,8 +101,10 @@ def test_mask_helpers():
          r"^deleted and contracted sets must be disjoint$"),
         (lambda: LinearMatroid(gf(2), [(1, 0), (1,)]),
          r"^all columns must have the same height$"),
+        (lambda: UniformMatroid(1.5, 3), r"^rank must be an integer, got 1\.5$"),
+        (lambda: UniformMatroid(2, 3.0), r"^element count must be an integer, got 3\.0$"),
     ],
-    ids=["mask", "element", "labels", "minor", "heights"],
+    ids=["mask", "element", "labels", "minor", "heights", "uniform-rank-float", "uniform-size-float"],
 )
 def test_bad_arguments_raise_a_typed_error(call, message):
     """Each bad-input path raises ArgumentError, a MatZeroError that is

@@ -30,7 +30,7 @@ from matzero.errors import (
     PointCollisionError,
     TooLargeError,
 )
-from matzero.gfq import gf
+from matzero.gfq import GF, gf
 from matzero.harness import gen_glued, gen_random_linear
 from matzero.instances import fano
 from matzero.matroid import LinearMatroid, UniformMatroid, mask_bits, mask_of, ranks_agree
@@ -1058,7 +1058,7 @@ def test_split_engine_factors_direct_sums(monkeypatch, q, shape):
     cols += [tuple(int(i == j) for i in range(rank)) for j in range(ra + rb, rank)]
     rng.shuffle(cols)
     m = LinearMatroid(gf(q), cols)
-    assert m.n >= projgeom.SPLIT_MIN_POINTS and m.full_rank >= projgeom.SPLIT_MIN_RANK
+    assert gf(q).subspaces(m.full_rank) is None  # above the table cap, so the engine splits
     expected = lam_minus_one_power(coloops) * cp_mobius(LinearMatroid(gf(q), parts[0])) * cp_mobius(
         LinearMatroid(gf(q), parts[1])
     )
@@ -1080,7 +1080,7 @@ def test_split_engine_matches_the_glued_closed_form(monkeypatch, shape):
     neck, or into components when the blocks share nothing."""
     q, block_rank, blocks, overlap = shape
     m = gen_glued(q, block_rank, blocks, overlap).matroid
-    assert m.n <= 24 and m.full_rank >= projgeom.SPLIT_MIN_RANK
+    assert m.n <= 24 and m.field.subspaces(m.full_rank) is None
     num = den = IntPoly([1])
     for _ in range(blocks):
         num = num * cp_pg_closed_form(block_rank, q)
@@ -1150,12 +1150,12 @@ def test_split_engine_raises_on_a_wrong_leaf(monkeypatch):
 @given(minor_chains())
 @settings(max_examples=150, deadline=None)
 def test_split_engine_on_minor_chains_with_every_piece_split(chain):
-    """With the leaf test set to accept only the empty matroid, every
-    piece of roots and minors of minors over GF(2, 3, 4, 5, 7, 9), loops
-    and parallel elements included, goes through the component and neck
-    splits, and chi is the recursion's."""
+    """With every subspace table refused, every piece of rank 3 or more
+    of roots and minors of minors over GF(2, 3, 4, 5, 7, 9), loops and
+    parallel elements included, goes through the component and neck
+    splits (pieces of rank 1 and 2 are always leaves), and chi is the
+    recursion's."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projgeom, "SPLIT_MIN_RANK", 0)
-        mp.setattr(projgeom, "SPLIT_MIN_POINTS", 0)
+        mp.setattr(GF, "subspaces", lambda self, rank: None)
         for m in chain:
             assert _engine_chi(m) == _recursion_chi(m) == cp_delete_contract(m)
