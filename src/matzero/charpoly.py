@@ -14,11 +14,14 @@ are kept as oracles; all must agree coefficient for coefficient, which
 the test suite exploits.
 
 All arithmetic is exact: coefficients are Python integers, bounds and
-root brackets are ``fractions.Fraction`` values, and sign questions are
-settled by Sturm chains in integer arithmetic, not floating point.  The
-root analysis is shared per distinct polynomial: its Sturm chain, root
-counts and brackets are kept in one bounded table (``MAX_ROOT_MEMO``)
-that every caller in the process reads.
+root brackets are ``fractions.Fraction`` values, and no answer rests on
+floating point.  The root layer first reads a polynomial's integer
+roots exactly, by synthetic division; a Sturm chain in integer
+arithmetic, and a bisection, are built only for the cofactor those
+roots leave, and for a largest root that is not an integer.  The root
+analysis is shared per distinct polynomial: its integer roots, Sturm
+chain, root counts and brackets are kept in one bounded table
+(``MAX_ROOT_MEMO``) that every caller in the process reads.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class IntPoly:
     ``coeffs[i]`` is the coefficient of ``lam**i`` (constant term first).
     Trailing zeros are stripped, so the zero polynomial has no
     coefficients at all and degree -1.  A coefficient or scalar factor
-    that is not an integer raises :class:`NonIntegralError`.
+    that is not an integer raises :class:`NonIntegralError`; an integral
+    scalar is added, subtracted or multiplied as a constant polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -98,7 +102,7 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _constant(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -106,11 +110,16 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
 
+    def __rsub__(self, other):
+        return _constant(other) - self
+
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _constant(other).coeffs
         if len(a) >= len(b):
             out = list(a)
             for i, c in enumerate(b):
@@ -153,7 +162,23 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, data) -> "IntPoly":
-        return cls(int(s) for s in data)
+        """The inverse of :meth:`to_json`: a list of decimal strings (or
+        integers), constant term first.  Anything else, a string that is
+        not a decimal integer, a fraction or a bool among them, raises
+        :class:`NonIntegralError`; an integral entry goes through the
+        constructor's check."""
+        if not isinstance(data, (list, tuple)):
+            raise NonIntegralError(f"{data!r} is not a list of coefficients")
+        coeffs = []
+        for s in data:
+            try:
+                c = int(s) if type(s) is str else s
+            except ValueError:
+                c = None
+            if c is None or type(c) is bool:
+                raise NonIntegralError(f"{s!r} is not a coefficient")
+            coeffs.append(c)
+        return cls(coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -172,6 +197,11 @@ class IntPoly:
 
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
+
+
+def _constant(other) -> IntPoly:
+    """A polynomial as itself, an integral scalar as a constant."""
+    return other if isinstance(other, IntPoly) else IntPoly((_integral(other),))
 
 
 def x_minus(c: int) -> IntPoly:
@@ -563,30 +593,130 @@ def _primitive(coeffs) -> tuple[int, ...]:
     return tuple(c // g for c in coeffs)
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p divided by gcd(p, p'), scaled primitive with positive lead.
-    Same real roots as p, all simple."""
-    if p.is_zero:
-        raise ArgumentError("the zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return ONE
-    # Euclid on primitive remainders: g ends as a gcd of p and p'
-    g, y = p.coeffs, p.derivative().coeffs
+def _deflate(cs: list, c: int) -> list | None:
+    """The coefficients of p / (lam - c), constant term first, for p
+    with coefficients cs (constant term first), or None when lam - c
+    does not divide p.  Synthetic division: Horner's rule from the lead
+    down gives the quotient's coefficients and, last, the remainder
+    p(c)."""
+    out = []
+    b = 0
+    for a in reversed(cs):
+        b = a + c * b
+        out.append(b)
+    if out.pop():
+        return None
+    out.reverse()
+    return out
+
+
+def _positive_integer_roots(cs: list) -> tuple[list[int], list]:
+    """The positive integer roots, ascending, of the polynomial with
+    coefficients cs (constant term first and nonzero), and its cofactor
+    once each is divided out as often as it divides.
+
+    A root c divides the constant term, and by Cauchy's bound it is
+    below 1 + M / |lead|, M the largest coefficient of sign opposite to
+    the lead's; with no such coefficient there is no positive root
+    (Descartes).  The walk tries each c up to that bound, which shrinks
+    with each root found, and stops when the cofactor is constant.  It
+    goes no further than len(cs)**2 times the bit length of the largest
+    coefficient, about the work of a Sturm chain and a bisection on the
+    polynomial: a larger root is left in the cofactor, whose Sturm count
+    still counts it exactly, so a walk over a huge bound costs no more
+    than that."""
+    roots = []
+    c = 1
+    budget = len(cs) ** 2 * max(map(abs, cs)).bit_length()
+    while len(cs) > 1:
+        lead = cs[-1]
+        against = -min(cs) if lead > 0 else max(cs)
+        if against <= 0:
+            break
+        limit = min(abs(cs[0]), -(-against // abs(lead)), budget)
+        while c <= limit:
+            if not cs[0] % c:
+                quot = _deflate(cs, c)
+                if quot is not None:
+                    break
+            c += 1
+        else:
+            break
+        roots.append(c)
+        while quot is not None:
+            cs, quot = quot, _deflate(quot, c) if len(quot) > 1 and not quot[0] % c else None
+        c += 1
+    return roots, cs
+
+
+def _integer_split(p: IntPoly) -> tuple[tuple[int, ...], IntPoly]:
+    """(roots, rest) for nonzero p: its distinct integer roots,
+    ascending, and the squarefree part of the cofactor that is left once
+    each is divided out exactly as often as it divides, primitive with
+    positive lead (ONE when that cofactor is constant).  The squarefree
+    part of p is rest times the product of (lam - c) over the roots.
+
+    Zero roots are the low zero coefficients.  The negative roots are
+    the positive roots of p(-lam), tried only when its coefficients
+    change sign, which those of a loopless chi never do.  Only the rest
+    needs a gcd with its derivative (Euclid on primitive remainders), and
+    on a chi that splits over Z, as that of a supersolvable geometry does
+    (Stanley, 1971), there is none."""
+    cs = list(p.coeffs)
+    low = 0
+    while not cs[low]:
+        low += 1
+    roots = [0] if low else []
+    del cs[:low]
+    found, flipped = _positive_integer_roots([-c if i & 1 else c for i, c in enumerate(cs)])
+    if found:
+        roots[:0] = [-c for c in reversed(found)]
+        cs = [-c if i & 1 else c for i, c in enumerate(flipped)]
+    found, cs = _positive_integer_roots(cs)
+    roots += found
+    if len(cs) == 1:
+        return tuple(roots), ONE
+    # Euclid on primitive remainders: g ends as a gcd of the cofactor and its derivative
+    rest = IntPoly(cs)
+    g, y = cs, rest.derivative().coeffs
     while y:
         g, y = y, _primitive(_pseudo_divmod(g, y)[2])
     if len(g) > 1:
-        # by Gauss's lemma p is divisible by the primitive part of g
-        p = poly_exact_div(p, IntPoly(_primitive(g)))
-    sf = _primitive(p.coeffs)
+        # by Gauss's lemma the cofactor is divisible by the primitive part of g
+        rest = poly_exact_div(rest, IntPoly(_primitive(g)))
+    sf = _primitive(rest.coeffs)
     if sf[-1] < 0:
         sf = tuple(-c for c in sf)
-    return IntPoly(sf)
+    return tuple(roots), IntPoly(sf)
+
+
+def _times_roots(rest: IntPoly, roots) -> IntPoly:
+    """rest times the product of (lam - c) over the roots, one synthetic
+    multiplication each."""
+    cs = list(rest.coeffs)
+    for c in roots:
+        cs = [below - c * b for below, b in zip([0] + cs, cs + [0])]
+    return IntPoly(cs)
+
+
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """p divided by gcd(p, p'), scaled primitive with positive lead.
+    Same real roots as p, all simple.  Built from the integer-root split
+    of the root layer (:func:`_integer_split`): the product of
+    (lam - c) over p's integer roots c, times the squarefree part of the
+    cofactor they leave."""
+    if p.is_zero:
+        raise ArgumentError("the zero polynomial has no squarefree part")
+    roots, rest = _integer_split(p)
+    return _times_roots(rest, roots)
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     """Sturm chain of a squarefree polynomial, with content stripped at
     every step to keep the integers small.  Scaling factors are always
-    positive, so sign variation counts are unaffected."""
+    positive, so sign variation counts are unaffected.  The zero
+    polynomial raises :class:`RootArgumentError`."""
+    _nonzero(p, "has no Sturm chain")
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         rem = _pseudo_divmod(chain[-2].coeffs, chain[-1].coeffs)[2]
@@ -596,11 +726,12 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     return [c for c in chain if not c.is_zero]
 
 
-# coefficient tuple -> (Sturm chain of the squarefree part, root counts
-# by bound, brackets by tolerance); insertion order is age.  Lookups are
-# single dict reads; _remember's check-then-drop holds the lock, so
-# threads that share a table never drop one entry twice.
-_ROOT_MEMO: dict[tuple[int, ...], tuple[list[IntPoly], dict, dict]] = {}
+# coefficient tuple -> (distinct integer roots, squarefree part, Sturm
+# chain of the cofactor's squarefree part (empty when it is constant),
+# root counts by bound, brackets by tolerance); insertion order is age.
+# Lookups are single dict reads; _remember's check-then-drop holds the
+# lock, so threads that share a table never drop one entry twice.
+_ROOT_MEMO: dict[tuple[int, ...], tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]] = {}
 _MEMO_LOCK = Lock()
 
 
@@ -638,18 +769,22 @@ def _nonzero(p: IntPoly, why: str) -> None:
         raise RootArgumentError(f"p is the zero polynomial, which {why}")
 
 
-def _sturm_of(p: IntPoly) -> tuple[list[IntPoly], dict, dict]:
-    """The root analysis of nonzero p: the Sturm chain of its squarefree
-    part (the chain's first entry), and the dicts of its root counts by
-    bound and its brackets by tolerance.  The analysis is shared per
-    distinct polynomial: it is built on the first use of p's
-    coefficients and kept in a table of at most ``MAX_ROOT_MEMO``
-    entries, so every verdict and bracket on an equal polynomial reads
-    the same chain."""
+def _root_analysis(p: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]:
+    """The root analysis of nonzero p: its distinct integer roots, read
+    exactly by synthetic division (:func:`_integer_split`), its
+    squarefree part sf, the Sturm chain of the squarefree part of the
+    cofactor the integer roots leave (empty when that is constant), and
+    the dicts of its root counts by bound and its brackets by tolerance.
+    The analysis is shared per distinct polynomial: it is built on the
+    first use of p's coefficients and kept in a table of at most
+    ``MAX_ROOT_MEMO`` entries, so every verdict and bracket on an equal
+    polynomial reads the same roots and chain."""
     entry = _ROOT_MEMO.get(p.coeffs)
     if entry is None:
+        roots, rest = _integer_split(p)
+        chain = sturm_chain(rest) if rest.degree > 0 else []
         entry = _remember(_ROOT_MEMO, p.coeffs,
-                          (sturm_chain(squarefree_part(p)), {}, {}), MAX_ROOT_MEMO)
+                          (roots, _times_roots(rest, roots), chain, {}, {}), MAX_ROOT_MEMO)
     return entry
 
 
@@ -701,7 +836,8 @@ def _taylor_shift(p: IntPoly, num: int, den: int) -> list[int]:
 
 def count_roots_above(p: IntPoly, bound) -> int:
     """Number of distinct real roots of p in the open interval
-    (bound, +infinity).
+    (bound, +infinity): the integer roots of p above it, plus the Sturm
+    count of the cofactor they leave (:func:`_root_analysis`).
 
     A count not yet in p's memo entry is certified a second way before
     it is kept: the roots of the squarefree part sf above b = num/den
@@ -713,14 +849,16 @@ def count_roots_above(p: IntPoly, bound) -> int:
     :class:`RootArgumentError`."""
     _nonzero(p, "has every point as a root")
     num, den = key = _exact(bound, "bound")
-    chain, counts, _ = _sturm_of(p)
+    roots, sf, chain, counts, _ = _root_analysis(p)
     count = counts.get(key)
     if count is None:
-        count = _variations_at(chain, num, den) - _variations_at_pos_inf(chain)
-        v = _variations(_taylor_shift(chain[0], num, den))
+        count = sum(c * den > num for c in roots)
+        if chain:
+            count += _variations_at(chain, num, den) - _variations_at_pos_inf(chain)
+        v = _variations(_taylor_shift(sf, num, den))
         if count > v or (v - count) % 2:
             raise RootCertificateError(
-                f"Sturm counts {count} roots of {p!r} above {Fraction(num, den)}, "
+                f"the root layer counts {count} roots of {p!r} above {Fraction(num, den)}, "
                 f"but the shifted polynomial has {v} sign variations"
             )
         _remember(counts, key, count, MAX_ROOT_ANSWERS)
@@ -775,36 +913,49 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     the final bracket (an integer root, in particular), the bracket
     collapses to the degenerate pair (root, root).  Returns None when p
     has no real root.  The result is kept in p's memo entry
-    (:func:`_sturm_of`) under the exact tolerance.  A zero p, or a tol
-    that is not a positive finite rational, raises
+    (:func:`_root_analysis`) under the exact tolerance.  A zero p, or a
+    tol that is not a positive finite rational, raises
     :class:`RootArgumentError`.
 
+    An integer largest root is read off the root analysis: it is p's
+    largest integer root c when the cofactor those roots leave has no
+    root above c (one Sturm count on the cofactor's chain, none when the
+    cofactor is constant).  If tol is also below the bracket's width at
+    the first level of the bisection below where it is narrower than 1
+    (any tol below 1 is), the answer is (c, c) at once: that bracket and
+    every later one hold c as their only integer, so the final check
+    would return (c, c) from the simplest rational in the last bracket.
+    Every other answer is the bisection's, on the Sturm chain of the
+    whole squarefree part sf, built for it.
+
     The bracket starts at the Cauchy bound and is halved on dyadic
-    midpoints, in three phases of one loop:
+    midpoints, in two phases of one loop:
 
     - Isolate: while more than one distinct root lies above lo, each
       midpoint costs a Sturm count of the whole chain, and lo keeps its
       count.
-    - Refine: once the largest root rho is the only root of the
-      squarefree part sf above lo, sf (positive lead, simple roots) is
-      negative exactly on (lo, rho), so the sign of sf alone at the
-      midpoint makes the same choice as the chain count.
-    - Stop at the integer: at the first level where the bracket is
-      narrower than 1 it holds at most one integer c.  If c is a root
-      with no root above it, c is the largest root, every later bracket
-      holds it as its only integer, and so the final check would return
-      (c, c) from the simplest rational in the last bracket; it is
-      returned at once.  Other roots run to tol as before.
+    - Refine: once the largest root rho is the only root of sf above
+      lo, sf (positive lead, simple roots) is negative exactly on
+      (lo, rho), so the sign of sf alone at the midpoint makes the same
+      choice as the chain count.
     """
     _nonzero(p, "has no largest root")
     tol_num, tol_den = key = _exact(tol, "tol")
     if tol_num <= 0:
         raise RootArgumentError(f"tol must be positive, got {tol!r}")
-    chain, _, brackets = _sturm_of(p)
+    roots, sf, chain, _, brackets = _root_analysis(p)
     try:
         return brackets[key]
     except KeyError:  # None is a kept answer: p has no real root
-        return _remember(brackets, key, _bracket(chain, tol_num, tol_den), MAX_ROOT_ANSWERS)
+        pass
+    if roots:
+        c = roots[-1]
+        width = 2 * cauchy_root_bound(sf)  # the bracket's width, times 2**k at level k
+        if (width * tol_den > tol_num << (width.bit_length() - 1)  # it reaches width < 1
+                and (not chain or _variations_at(chain, c, 1) == _variations_at_pos_inf(chain))):
+            root = Fraction(c)
+            return _remember(brackets, key, (root, root), MAX_ROOT_ANSWERS)
+    return _remember(brackets, key, _bracket(sturm_chain(sf), tol_num, tol_den), MAX_ROOT_ANSWERS)
 
 
 def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction, Fraction] | None:
@@ -819,7 +970,6 @@ def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction
     # invariant: the largest root lies in (lo / 2**k, hi / 2**k], and
     # v_lo - v_hi distinct roots lie above lo / 2**k
     lo, hi, k = -bound, bound, 0
-    unit = (2 * bound).bit_length()  # first k with a bracket narrower than 1
     while (hi - lo) * tol_den > tol_num << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
@@ -833,11 +983,6 @@ def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction
             lo = mid
         else:
             hi = mid
-        if k == unit:
-            c = hi >> k
-            if (c << k > lo and _homogeneous(sf, c, 1) == 0
-                    and (v_lo == v_hi + 1 or _variations_at(chain, c, 1) == v_hi)):
-                return Fraction(c), Fraction(c)
     lo, hi = Fraction(lo, 1 << k), Fraction(hi, 1 << k)
     # a root in (lo, hi] with no root above it is the largest root
     for x in (hi, _simplest_in(lo, hi)):

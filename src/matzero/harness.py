@@ -552,14 +552,15 @@ def _verify_bound(
 ) -> list[BoundReport]:
     """The body of both bound suites: check the width witness, reject a
     ``line_length``-point line minor when one is given, then prove
-    positivity beyond ``bound`` with a Sturm chain.
+    positivity beyond ``bound`` by counting the roots above it.
 
     The verdict and the root bracket of an instance are kept in its memo
     entry (:func:`_shared_entry`) under the bound: the first instance of
     a simple matroid asks :func:`sturm_positive_beyond` and
-    :func:`largest_real_root`, whose Sturm count has passed the
-    Budan-Fourier check, and every later one reads the pair back with
-    no call into the root layer."""
+    :func:`largest_real_root`, whose root count (the integer roots above
+    the bound plus the Sturm count of the cofactor they leave) has passed
+    the Budan-Fourier check on the whole squarefree part, and every
+    later one reads the pair back with no call into the root layer."""
     key = (bound.numerator, bound.denominator)
     out = []
     for rec in instances:

@@ -7,7 +7,9 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import ceil, comb
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from matzero.charpoly import (
     largest_real_root,
     poly_exact_div,
     squarefree_part,
+    sturm_chain,
     sturm_positive_beyond,
     x_minus,
     _simplest_in,
@@ -132,8 +135,28 @@ def test_json_round_trip():
     assert IntPoly.from_json(p.to_json()) == p
     assert ZERO.to_json() == []
     assert IntPoly.from_json([]) == ZERO
+    assert IntPoly.from_json([-8, "14", 2.0]) == IntPoly([-8, 14, 2])
     with pytest.raises(ValueError):
         IntPoly.from_json(["1.5"])
+    for bad in ([1.5], [True], ["x"], [None], [Fraction(1, 2)], None, "12", 3):
+        with pytest.raises(NonIntegralError):
+            IntPoly.from_json(bad)
+
+
+@pytest.mark.parametrize("scalar", [1, -3, 0, 2.0, Fraction(4, 2), True])
+def test_integral_scalars_add_and_subtract_as_constants(scalar):
+    """p + s, s + p, p - s and s - p take an integral s as the constant
+    polynomial s, as p * s does; anything else raises NonIntegralError."""
+    p = IntPoly([5, -2, 1])
+    s = IntPoly([int(scalar)])
+    assert p + scalar == scalar + p == p + s
+    assert p - scalar == p - s
+    assert scalar - p == s - p
+    assert sum([p, p]) == 2 * p
+    for bad in (1.5, Fraction(1, 3), "1", None):
+        for op in (lambda: p + bad, lambda: bad + p, lambda: p - bad, lambda: bad - p):
+            with pytest.raises(NonIntegralError):
+                op()
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
@@ -1132,13 +1155,141 @@ def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch, fresh_root_m
     assert warm == cold
 
 
+# -- integer roots first, against the root layer by Sturm alone ---------------
+
+
+def _ref_sturm_layer(p):
+    """(sf, chain) as the root layer built them before it read integer
+    roots: the squarefree part by a gcd of p and p' alone, and its whole
+    Sturm chain.  Counts off that chain and charpoly._bracket on it give
+    that layer's answers."""
+    g, y = p.coeffs, p.derivative().coeffs
+    while y:
+        g, y = y, charpoly._primitive(charpoly._pseudo_divmod(g, y)[2])
+    sf = poly_exact_div(p, IntPoly(charpoly._primitive(g))) if len(g) > 1 else p
+    sf = IntPoly(charpoly._primitive(sf.coeffs))
+    if sf.leading < 0:
+        sf = -sf
+    return sf, sturm_chain(sf)
+
+
+# factors with integer roots (zero and negative ones among them),
+# rational roots with a non-monic factor, and pairs of irrational and of
+# complex roots
+root_factors = st.one_of(
+    st.integers(-6, 9).map(x_minus),
+    st.tuples(st.integers(-9, 9), st.integers(2, 5)).map(lambda t: IntPoly([-t[0], t[1]])),
+    st.sampled_from([
+        IntPoly([-2, 0, 1]),
+        IntPoly([-1, -1, 1]),
+        IntPoly([-7, 0, 3]),
+        IntPoly([-8, 0, 1]),
+        IntPoly([1, 0, 1]),
+        IntPoly([1, 1, 1]),
+        IntPoly([5, -2, 1]),
+    ]),
+)
+root_polys = st.builds(
+    lambda lead, factors: reduce(mul, factors, IntPoly([lead])),
+    st.sampled_from([1, -1, 2, -3, 6]),
+    st.lists(root_factors, max_size=7),
+)
+
+
+@given(
+    root_polys,
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=12), min_size=1, max_size=3),
+    st.lists(st.builds(Fraction, st.integers(1, 90), st.integers(1, 40)), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_roots_first_matches_the_sturm_layer(p, bounds, tols):
+    """Counts at rational bounds, brackets at tolerances below 1 and of
+    1 and more (where the bisection's wide brackets must keep their
+    bytes) and the squarefree part equal the layer's by Sturm alone.
+    The integer roots read by synthetic division are exactly p's, and
+    the cofactor they leave has none."""
+    charpoly._ROOT_MEMO.clear()
+    sf, chain = _ref_sturm_layer(p)
+    assert squarefree_part(p) == sf
+    roots, rest = charpoly._integer_split(p)
+    bound = cauchy_root_bound(p)
+    assert roots == tuple(c for c in range(-bound, bound + 1) if p.evaluate(c) == 0)
+    assert not any(rest.evaluate(c) == 0 for c in range(-bound, bound + 1))
+    v_inf = charpoly._variations_at_pos_inf(chain)
+    for b in bounds:
+        count = charpoly._variations_at(chain, b.numerator, b.denominator) - v_inf
+        assert count_roots_above(p, b) == count
+    for tol in tols + [ROOT_TOL, Fraction(1), Fraction(3, 2), Fraction(40)]:
+        assert largest_real_root(p, tol) == charpoly._bracket(chain, tol.numerator, tol.denominator)
+
+
+@pytest.mark.parametrize("p, found", [
+    (x_minus(10 ** 15) * x_minus(1), (1,)),
+    (IntPoly([-10 ** 30, 0, 1]), ()),
+    (x_minus(-10 ** 9) * x_minus(3) * IntPoly([1, 0, 1]), (3,)),
+    (cp_pg_closed_form(24, 2), tuple(2 ** i for i in range(18))),
+], ids=["1e15", "1e30-square", "-1e9", "pg-24-2"])
+def test_integer_roots_past_the_walk_are_left_to_sturm(p, found):
+    """The candidate walk stops at about the work of the Sturm chain it
+    saves, so a root of 10**15 costs no walk of 10**15 steps: a root past
+    the walk stays in the cofactor, and every answer is still the layer's
+    by Sturm alone."""
+    roots, rest = charpoly._integer_split(p)
+    assert roots == found
+    sf, chain = _ref_sturm_layer(p)
+    assert reduce(mul, map(x_minus, roots), rest) == squarefree_part(p) == sf
+    for b in (0, 5, 10 ** 9):
+        count = charpoly._variations_at(chain, b, 1) - charpoly._variations_at_pos_inf(chain)
+        assert count_roots_above(p, b) == count
+    for tol in (ROOT_TOL, Fraction(1), Fraction(10 ** 6)):
+        assert largest_real_root(p, tol) == charpoly._bracket(chain, tol.numerator, tol.denominator)
+
+
+def test_sturm_chain_rejects_the_zero_polynomial():
+    with pytest.raises(RootArgumentError, match="zero polynomial") as info:
+        sturm_chain(ZERO)
+    assert isinstance(info.value, ValueError)
+
+
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), unique=True, max_size=5),
+    st.sampled_from([None, 2, 3, 5, -1]),
+    st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=8), min_size=1, max_size=4),
+)
+def test_sturm_chain_counts_the_roots(roots, square, bounds):
+    """The chain of a squarefree polynomial (distinct rational roots,
+    times lam^2 - square, which adds the irrational roots +-sqrt(square),
+    or for -1 the complex ones +-i) ends in a nonzero constant, and its
+    sign variations at b, less those at +infinity, count the roots above
+    b, as they do at -infinity."""
+    p = IntPoly([1]) if square is None else IntPoly([-square, 0, 1])
+    for r in roots:
+        p = p * IntPoly([-r.numerator, r.denominator])
+    chain = sturm_chain(p)
+    assert chain[0] == p and chain[-1].degree == 0 and not chain[-1].is_zero
+    v_inf = _ref_variations(c.leading for c in chain)
+    surds = [] if square in (None, -1) else [-1, 1]
+
+    def above(b):
+        # sqrt(square) > b when b < 0 or b**2 < square, and -sqrt(square) > b when b < 0 and b**2 > square
+        return sum(r > b for r in roots) + sum(
+            (b < 0 and b * b > square) if s < 0 else (b < 0 or b * b < square) for s in surds
+        )
+
+    for b in bounds:
+        assert _ref_variations(c.evaluate(b) for c in chain) - v_inf == above(b)
+    v_neg_inf = _ref_variations(c.leading * (-1) ** c.degree for c in chain)
+    assert v_neg_inf - v_inf == len(roots) + len(surds)
+
+
 def test_root_memo_keys(fresh_root_memo):
     """A bound or tolerance is keyed by its exact value, a polynomial by
     its coefficients: p, -p and 2p have the same roots but their own
     entries."""
     p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4
     assert [count_roots_above(p, b) for b in (2, Fraction(2), 2.0)] == [1, 1, 1]
-    _, counts, brackets = fresh_root_memo[p.coeffs]
+    roots, sf, chain, counts, brackets = fresh_root_memo[p.coeffs]
+    assert roots == (1, 2, 4) and sf == p and chain == []
     assert len(counts) == 1
     assert largest_real_root(p, 1) == largest_real_root(p, ROOT_TOL) == (4, 4)
     assert largest_real_root(p, Fraction(1)) == (4, 4)
@@ -1171,7 +1322,7 @@ def test_root_memo_is_bounded(fresh_root_memo):
         assert count_roots_above(p, b) == sum(r > b for r in (1, 2, 4, 8))
         lo, hi = largest_real_root(p, Fraction(100, b + 4))
         assert lo == hi == 8 or lo < 8 <= hi
-    _, counts, brackets = fresh_root_memo[p.coeffs]
+    *_, counts, brackets = fresh_root_memo[p.coeffs]
     assert len(counts) == len(brackets) == charpoly.MAX_ROOT_ANSWERS
 
 
@@ -1235,23 +1386,41 @@ def test_taylor_shift_is_the_homogeneous_shift(p, num, den, y):
 
 @pytest.mark.parametrize("bound, offset", [(0, 1), (0, -1), (3, 1), (3, -1), (3, 2), (5, 1)])
 def test_count_roots_above_rejects_a_wrong_sturm_count(monkeypatch, fresh_root_memo, bound, offset):
-    """A Sturm count off by an odd number, or above the sign variations
-    of the shifted polynomial, fails the Budan-Fourier certificate and
-    is not kept."""
-    p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4: counts 3, 1, 0 above 0, 3, 5
+    """A root count off by an odd number, or above the sign variations
+    of the shifted squarefree part, fails the Budan-Fourier certificate
+    and is not kept, whichever of its two sources is poisoned: the
+    integer roots read by synthetic division or the Sturm count of the
+    cofactor they leave."""
+    p = cp_pg_closed_form(3, 2) * IntPoly([-2, 0, 1])  # roots 1, 2, 4 and +-sqrt(2)
+    expected = {0: 4, 3: 1, 5: 0}[bound]
+    roots, *rest = charpoly._root_analysis(p)
+    assert roots == (1, 2, 4)
+    # offset roots added above every bound, or -offset of the top ones taken away
+    poisoned = roots + (9, 10)[:offset] if offset > 0 else roots[:offset]
     count = charpoly._variations_at
-    monkeypatch.setattr(charpoly, "_variations_at", lambda *a: count(*a) + offset)
-    with pytest.raises(RootCertificateError):
-        count_roots_above(p, bound)
-    assert not fresh_root_memo[p.coeffs][1]
-    monkeypatch.undo()
-    assert count_roots_above(p, bound) == {0: 3, 3: 1, 5: 0}[bound]
+    for poison in (
+        lambda: fresh_root_memo.update({p.coeffs: (poisoned, *rest)}),
+        lambda: monkeypatch.setattr(charpoly, "_variations_at", lambda *a: count(*a) + offset),
+    ):
+        fresh_root_memo.clear()
+        poison()
+        with pytest.raises(RootCertificateError):
+            count_roots_above(p, bound)
+        assert not fresh_root_memo[p.coeffs][3]
+        monkeypatch.undo()
+    fresh_root_memo.clear()
+    assert count_roots_above(p, bound) == expected
 
 
 @pytest.mark.parametrize("r, q", [(3, 2), (4, 3)])
 def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, fresh_root_memo, r, q):
     """Full Sturm counts stop once the largest root is alone in the
-    bracket; a count at every bisection step would exceed the limit."""
+    bracket; a count at every bisection step would exceed the limit.
+    (lam^2 - 2 q^(2r - 2))(lam - 1) has the irrational largest root
+    sqrt(2) q^(r - 1), so after one count on the cofactor's chain at its
+    integer root 1 it runs the bisection.  chi of PG(r - 1, q) splits
+    over Z, so its largest root is read off by synthetic division: no
+    Sturm chain is built or counted."""
     calls = []
     count = charpoly._variations_at
 
@@ -1259,10 +1428,20 @@ def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, fresh_r
         calls.append(num)
         return count(chain, num, den)
 
-    p = cp_pg_closed_form(r, q)
-    bound = cauchy_root_bound(squarefree_part(p))
+    built = []
+    chain = charpoly.sturm_chain
     monkeypatch.setattr(charpoly, "_variations_at", counted)
-    assert largest_real_root(p, ROOT_TOL) == (q ** (r - 1), q ** (r - 1))
+    monkeypatch.setattr(charpoly, "sturm_chain", lambda p: built.append(p) or chain(p))
+    top = q ** (r - 1)
+    assert largest_real_root(cp_pg_closed_form(r, q), ROOT_TOL) == (top, top)
+    assert calls == built == []
+
+    square = 2 * top * top
+    p = IntPoly([-square, 0, 1]) * x_minus(1)
+    bound = cauchy_root_bound(squarefree_part(p))
+    lo, hi = largest_real_root(p, ROOT_TOL)
+    assert lo * lo < square <= hi * hi and hi - lo <= ROOT_TOL
+    assert calls[0] == 1 and len(built) == 2  # the cofactor's chain, then the whole one
     assert 0 < len(calls) <= (2 * bound).bit_length() + 2
 
 
@@ -1335,7 +1514,7 @@ def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
     assert len(fresh_root_memo) <= 4
-    assert all(len(c) <= 2 and len(b) <= 2 for _, c, b in fresh_root_memo.values())
+    assert all(len(c) <= 2 and len(b) <= 2 for *_, c, b in fresh_root_memo.values())
 
 
 # -- the leaf kernels of the deletion-contraction recursion -------------------

@@ -456,17 +456,30 @@ def test_verify_main_theorem_battery():
             assert int(lo[0]) >= 0 or int(hi[0]) >= 0
 
 
+def _splits_over_z(chi) -> bool:
+    """Whether every root of chi is an integer: as many integer roots,
+    found by evaluation up to the Cauchy bound, as its squarefree part
+    has roots."""
+    bound = charpoly.cauchy_root_bound(chi)
+    found = sum(chi.evaluate(c) == 0 for c in range(-bound, bound + 1))
+    return found == charpoly.squarefree_part(chi).degree
+
+
 def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh_root_memo):
-    """Every verdict and root bracket on one polynomial shares one
-    squarefree part and one Sturm chain, across instances too, and the
-    witness width and r(M) computed while the suite was generated are
-    not computed again: verification asks no rank but each kept r(M)."""
+    """Every verdict and root bracket on one polynomial shares one root
+    analysis (integer roots, squarefree part and the Sturm chain of the
+    cofactor), across instances too: one integer-root split per distinct
+    polynomial, and one chain per distinct polynomial that does not split
+    over Z.  The witness width and r(M) computed while the suite was
+    generated are not computed again: verification asks no rank but each
+    kept r(M)."""
     monkeypatch.delenv("MZ_SEED", raising=False)
     recs = main_theorem_suite(2, 3, 100, seed=1)
     charpolys = [charpoly_auto(rec.matroid) for rec in recs]
     distinct = {chi.coeffs for chi in charpolys if not chi.is_zero}
     assert 1 < len(distinct) < 100
-    calls = {"squarefree_part": 0, "sturm_chain": 0, "node_width": 0, "_displays": 0}
+    unsplit = sum(not _splits_over_z(IntPoly(c)) for c in distinct)
+    calls = {"_integer_split": 0, "sturm_chain": 0, "node_width": 0, "_displays": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -477,7 +490,7 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(charpoly, "squarefree_part")
+    counted(charpoly, "_integer_split")
     counted(charpoly, "sturm_chain")
     counted(TreeDecomposition, "node_width")
     counted(TreeDecomposition, "_displays")
@@ -486,8 +499,8 @@ def test_verify_main_theorem_builds_each_chain_and_width_once(monkeypatch, fresh
     asked = rank_queries(monkeypatch)
     reports = verify_main_theorem(recs, 2, 3)
     assert all_verdicts_true(reports)
-    assert calls["squarefree_part"] == len(distinct)
-    assert calls["sturm_chain"] == len(distinct)
+    assert calls["_integer_split"] == len(distinct)
+    assert calls["sturm_chain"] == unsplit < len(distinct)
     assert calls["node_width"] == calls["_displays"] == 0
     assert all(m in kept and mask == m.full_mask for m, mask in asked)
 
@@ -1318,6 +1331,39 @@ def test_split_engine_tests_the_leaf_before_any_split_work(monkeypatch, fresh_ch
             chains += 1
         idle()
     assert chains == 16
+
+
+def test_root_layer_builds_a_sturm_chain_only_for_a_chi_that_does_not_split(
+        monkeypatch, fresh_root_memo):
+    """The integer roots of chi are read by synthetic division, and a
+    Sturm chain is built only for a cofactor they leave.  One verify pass
+    of the benchmark's glued-nolines chains at seed 0, whose chi all split
+    over Z (Stanley, 1971), builds no chain and no bisection; the
+    criterion-05 batch builds one chain per distinct chi that does not
+    split, 8 of its 69, and no bisection, since every largest root there
+    is an integer."""
+    monkeypatch.delenv("MZ_SEED", raising=False)
+    built = {"sturm_chain": 0, "_bracket": 0}
+    for name in built:
+        def counted(*args, name=name, real=getattr(charpoly, name)):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(charpoly, name, counted)
+
+    workloads = _benchmark_workloads()
+    for item in workloads.glued_nolines(matzero, 0, False):
+        assert all_verdicts_true(item.verify(matzero)), item.id
+    assert len(fresh_root_memo) == 13
+    assert built == {"sturm_chain": 0, "_bracket": 0}
+
+    fresh_root_memo.clear()
+    harness._CHARPOLY_MEMO.clear()
+    for item in workloads.main_c05(matzero, 0, False):
+        assert all_verdicts_true(item.verify(matzero)), item.id
+    distinct = [IntPoly(c) for c in fresh_root_memo]
+    assert len(distinct) == 69
+    assert built == {"sturm_chain": sum(not _splits_over_z(chi) for chi in distinct), "_bracket": 0}
+    assert built["sturm_chain"] == 8
 
 
 def test_production_chi_runs_deletion_contraction_only_without_a_filled_neck(monkeypatch):
