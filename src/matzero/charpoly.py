@@ -52,10 +52,10 @@ MAX_ROOT_ANSWERS = 8
 
 
 def _integral(c) -> int:
-    """``c`` as an ``int``; a value that is not an integer is an error,
-    never truncated."""
+    """``c`` as an ``int``; a value that is not an integer, a bool
+    among them, is an error, never truncated."""
     try:
-        i = int(c)
+        i = None if type(c) is bool else int(c)
     except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != c:
@@ -175,7 +175,7 @@ class IntPoly:
                 c = int(s) if type(s) is str else s
             except ValueError:
                 c = None
-            if c is None or type(c) is bool:
+            if c is None:
                 raise NonIntegralError(f"{s!r} is not a coefficient")
             coeffs.append(c)
         return cls(coeffs)
@@ -728,10 +728,14 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 
 # coefficient tuple -> (distinct integer roots, squarefree part, Sturm
 # chain of the cofactor's squarefree part (empty when it is constant),
-# root counts by bound, brackets by tolerance); insertion order is age.
-# Lookups are single dict reads; _remember's check-then-drop holds the
-# lock, so threads that share a table never drop one entry twice.
-_ROOT_MEMO: dict[tuple[int, ...], tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]] = {}
+# Sturm chain of the whole squarefree part (empty until a bracket first
+# needs the bisection), root counts by bound, brackets by tolerance);
+# insertion order is age.  Lookups are single dict reads; _remember's
+# check-then-drop holds the lock, so threads that share a table never
+# drop one entry twice.
+_ROOT_MEMO: dict[
+    tuple[int, ...], tuple[tuple[int, ...], IntPoly, list[IntPoly], list[IntPoly], dict, dict]
+] = {}
 _MEMO_LOCK = Lock()
 
 
@@ -769,22 +773,26 @@ def _nonzero(p: IntPoly, why: str) -> None:
         raise RootArgumentError(f"p is the zero polynomial, which {why}")
 
 
-def _root_analysis(p: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]:
+def _root_analysis(
+    p: IntPoly,
+) -> tuple[tuple[int, ...], IntPoly, list[IntPoly], list[IntPoly], dict, dict]:
     """The root analysis of nonzero p: its distinct integer roots, read
     exactly by synthetic division (:func:`_integer_split`), its
     squarefree part sf, the Sturm chain of the squarefree part of the
-    cofactor the integer roots leave (empty when that is constant), and
-    the dicts of its root counts by bound and its brackets by tolerance.
-    The analysis is shared per distinct polynomial: it is built on the
-    first use of p's coefficients and kept in a table of at most
-    ``MAX_ROOT_MEMO`` entries, so every verdict and bracket on an equal
-    polynomial reads the same roots and chain."""
+    cofactor the integer roots leave (empty when that is constant), the
+    Sturm chain of sf (empty until :func:`largest_real_root` first needs
+    the bisection, which fills it), and the dicts of its root counts by
+    bound and its brackets by tolerance.  The analysis is shared per
+    distinct polynomial: it is built on the first use of p's
+    coefficients and kept in a table of at most ``MAX_ROOT_MEMO``
+    entries, so every verdict and bracket on an equal polynomial reads
+    the same roots and chains."""
     entry = _ROOT_MEMO.get(p.coeffs)
     if entry is None:
         roots, rest = _integer_split(p)
         chain = sturm_chain(rest) if rest.degree > 0 else []
         entry = _remember(_ROOT_MEMO, p.coeffs,
-                          (roots, _times_roots(rest, roots), chain, {}, {}), MAX_ROOT_MEMO)
+                          (roots, _times_roots(rest, roots), chain, [], {}, {}), MAX_ROOT_MEMO)
     return entry
 
 
@@ -849,7 +857,7 @@ def count_roots_above(p: IntPoly, bound) -> int:
     :class:`RootArgumentError`."""
     _nonzero(p, "has every point as a root")
     num, den = key = _exact(bound, "bound")
-    roots, sf, chain, counts, _ = _root_analysis(p)
+    roots, sf, chain, _, counts, _ = _root_analysis(p)
     count = counts.get(key)
     if count is None:
         count = sum(c * den > num for c in roots)
@@ -926,7 +934,8 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     every later one hold c as their only integer, so the final check
     would return (c, c) from the simplest rational in the last bracket.
     Every other answer is the bisection's, on the Sturm chain of the
-    whole squarefree part sf, built for it.
+    whole squarefree part sf, built the first time a tolerance needs it
+    and kept in p's memo entry for every later one.
 
     The bracket starts at the Cauchy bound and is halved on dyadic
     midpoints, in two phases of one loop:
@@ -943,7 +952,7 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     tol_num, tol_den = key = _exact(tol, "tol")
     if tol_num <= 0:
         raise RootArgumentError(f"tol must be positive, got {tol!r}")
-    roots, sf, chain, _, brackets = _root_analysis(p)
+    roots, sf, chain, whole, _, brackets = _root_analysis(p)
     try:
         return brackets[key]
     except KeyError:  # None is a kept answer: p has no real root
@@ -955,7 +964,9 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
                 and (not chain or _variations_at(chain, c, 1) == _variations_at_pos_inf(chain))):
             root = Fraction(c)
             return _remember(brackets, key, (root, root), MAX_ROOT_ANSWERS)
-    return _remember(brackets, key, _bracket(sturm_chain(sf), tol_num, tol_den), MAX_ROOT_ANSWERS)
+    if not whole:
+        whole[:] = sturm_chain(sf)  # one slice store: a racing thread writes an equal chain
+    return _remember(brackets, key, _bracket(whole, tol_num, tol_den), MAX_ROOT_ANSWERS)
 
 
 def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction, Fraction] | None:

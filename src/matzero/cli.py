@@ -30,6 +30,7 @@ from .charpoly import (
 )
 from .errors import ArgumentError, MatZeroError
 from .harness import (
+    _check_count,
     _random_linear,
     all_verdicts_true,
     charpoly_auto,
@@ -135,7 +136,7 @@ def _cmd_generate(args) -> int:
             seed = effective_seed(args.seed)
             built: dict = {}
             recs = [_random_linear(args.q, args.rank, args.n, seed + i, built)
-                    for i in range(args.count)]
+                    for i in range(_check_count(args.count))]
         else:
             recs = [gen_glued(
                 args.q, args.block_rank, args.blocks, args.overlap, args.seed,

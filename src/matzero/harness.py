@@ -98,8 +98,9 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
     """(chi, answers) of m, one entry per distinct simple matroid: chi
     from the split engine of :func:`charpoly_auto`
     (:func:`projgeom._chi_by_splits`) on m's standard form, and
-    ``answers`` mapping a bound, as its (numerator, denominator), to the
-    (verdict, bracket) that :func:`_verify_bound` found for chi there.
+    ``answers`` mapping an integer bound b, keyed (b, 1), to the
+    (bound, verdict, bracket) that :func:`_verify_bound` found for chi
+    there, the bound as the ``Fraction`` its reports carry.
 
     A loopless matroid's chi is that of its simplification, which the
     set of its columns' projective points fixes: relabelling, rescaling
@@ -126,6 +127,11 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
     gets chi from :func:`charpoly_auto` afresh and an answers dict of
     its own, kept nowhere.
 
+    The point key is probed first, so an instance whose simple matroid
+    is in the table costs one dict read.  The rows are scanned for a
+    loop (a zero row) only on a miss: a key holding row 0 is never
+    filed, so a matroid with a loop always misses and reaches the scan.
+
     Only the bound suites read this table.  :func:`verify_identities`
     runs the deletion-contraction recursion, with no split, on the rows
     of each instance and of its one-element minors, and the CLI's
@@ -134,20 +140,21 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
     checks into reads of an earlier answer.
     """
     field, _, rows = m._points()
-    if 0 in rows:
-        return charpoly_auto(m), {}
     points = (field, frozenset(rows))
     entry = _CHARPOLY_MEMO.get(points)
+    if entry is not None:
+        return entry
+    if 0 in rows:  # never filed, so a loop is looked for only on a miss
+        return charpoly_auto(m), {}
+    basis, coordinates = m._standard_form()
+    form = (field, frozenset(coordinates))
+    entry = _CHARPOLY_MEMO.get(form)
     if entry is None:
-        basis, coordinates = m._standard_form()
-        form = (field, frozenset(coordinates))
-        entry = _CHARPOLY_MEMO.get(form)
-        if entry is None:
-            # charpoly_auto's engine, on the standard form in hand
-            chi = _chi_by_splits(field, coordinates, basis.bit_count())
-            entry = _remember(_CHARPOLY_MEMO, form, (chi, {}), MAX_CHARPOLY_MEMO)
-        if form != points:
-            _remember(_CHARPOLY_MEMO, points, entry, MAX_CHARPOLY_MEMO)
+        # charpoly_auto's engine, on the standard form in hand
+        chi = _chi_by_splits(field, coordinates, basis.bit_count())
+        entry = _remember(_CHARPOLY_MEMO, form, (chi, {}), MAX_CHARPOLY_MEMO)
+    if form != points:
+        _remember(_CHARPOLY_MEMO, points, entry, MAX_CHARPOLY_MEMO)
     return entry
 
 
@@ -155,7 +162,7 @@ def _shared_entry(m: Matroid) -> tuple[IntPoly, dict]:
 # instances
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class InstanceRecord:
     id: str
     q: int | None
@@ -404,6 +411,15 @@ def _check_bound_arguments(q: int, k: int) -> tuple[int, int]:
     return q, _check_width(k)
 
 
+def _check_count(count) -> int:
+    """An instance count as an int; one that is not an integer, or is
+    negative, raises :class:`ArgumentError` naming it.  Zero is a count."""
+    count = _integer(count, "instance count")
+    if count < 0:
+        raise ArgumentError(f"the instance count must be nonnegative, got {count}")
+    return count
+
+
 def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[InstanceRecord]:
     """``count`` seeded instances over GF(q) of witnessed width at most
     k, alternating random matrices of at most 10 columns and glued
@@ -415,8 +431,8 @@ def _suite(q: int, k: int, count: int, seed, tag: str, max_n: int) -> list[Insta
     every glued draw of a shape reads one build of its points.  A
     witness's width and r(M) are read off elimination passes, so
     generating a suite asks the rank oracle nothing.  A count that is
-    not an integer raises :class:`ArgumentError`."""
-    k, count = _check_width(k), _integer(count, "instance count")
+    not an integer, or is negative, raises :class:`ArgumentError`."""
+    k, count = _check_width(k), _check_count(count)
     seed = effective_seed(seed)
     gf(q)  # an order that names no field is refused before any draw
     rng = random.Random(f"suite:{tag}:{q}:{k}:{seed}")
@@ -472,7 +488,7 @@ def _frac_pair(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
     instance_id: str
     theorem: str
@@ -507,7 +523,7 @@ class BoundReport:
         return json.dumps(payload, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityCheck:
     instance_id: str
     check: str
@@ -548,54 +564,47 @@ def _check_witness(rec: InstanceRecord, k: int) -> int:
 
 
 def _verify_bound(
-    instances, theorem: str, q: int, k: int, bound: Fraction, line_length: int | None = None
+    instances, theorem: str, q: int, k: int, bound: int, line_length: int | None = None
 ) -> list[BoundReport]:
     """The body of both bound suites: check the width witness, reject a
     ``line_length``-point line minor when one is given, then prove
-    positivity beyond ``bound`` by counting the roots above it.
+    positivity beyond the integer ``bound`` by counting the roots above
+    it.
 
-    The verdict and the root bracket of an instance are kept in its memo
-    entry (:func:`_shared_entry`) under the bound: the first instance of
-    a simple matroid asks :func:`sturm_positive_beyond` and
-    :func:`largest_real_root`, whose root count (the integer roots above
-    the bound plus the Sturm count of the cofactor they leave) has passed
-    the Budan-Fourier check on the whole squarefree part, and every
-    later one reads the pair back with no call into the root layer."""
-    key = (bound.numerator, bound.denominator)
+    The answer for an instance is kept in its memo entry
+    (:func:`_shared_entry`) under (bound, 1): the bound as the
+    ``Fraction`` its reports carry, the verdict and the root bracket.
+    The first instance of a simple matroid asks
+    :func:`sturm_positive_beyond` and :func:`largest_real_root`, whose
+    root count (the integer roots above the bound plus the Sturm count
+    of the cofactor they leave) has passed the Budan-Fourier check on
+    the whole squarefree part, and every later one reads the answer
+    back with no call into the root layer and no ``Fraction`` built."""
+    key = (bound, 1)
     out = []
     for rec in instances:
         w = _check_witness(rec, k)
-        if line_length is not None and rec.matroid.has_line_minor(line_length):
+        m = rec.matroid
+        if line_length is not None and m.has_line_minor(line_length):
             raise LineMinorPresentError(
                 f"{rec.id}: contains a {line_length}-point line minor"
             )
-        chi, answers = _shared_entry(rec.matroid)
-        if chi.is_zero:
-            verdict, root = True, None
+        chi, answers = _shared_entry(m)
+        zero = not chi.coeffs
+        if zero:
+            exact, verdict, root = Fraction(bound), True, None
         else:
             answer = answers.get(key)
             if answer is None:
+                exact = Fraction(bound)
                 answer = _remember(
                     answers, key,
-                    (sturm_positive_beyond(chi, bound), largest_real_root(chi, ROOT_TOL)),
+                    (exact, sturm_positive_beyond(chi, exact), largest_real_root(chi, ROOT_TOL)),
                     MAX_ROOT_ANSWERS,
                 )
-            verdict, root = answer
-        out.append(
-            BoundReport(
-                instance_id=rec.id,
-                theorem=theorem,
-                q=q,
-                k=k,
-                n=rec.matroid.n,
-                rank=rec.matroid.full_rank,
-                witnessed_width=w,
-                bound=bound,
-                verdict=verdict,
-                largest_root=root,
-                identically_zero=chi.is_zero,
-            )
-        )
+            exact, verdict, root = answer
+        out.append(BoundReport(rec.id, theorem, q, k, m.n, m.full_rank, w, exact,
+                               verdict, root, None, zero))
     return out
 
 
@@ -605,17 +614,17 @@ def verify_main_theorem(instances, q: int, k: int) -> list[BoundReport]:
     A q or k that is not an integer, q < 2 or k < 1 raises
     :class:`ArgumentError` before any instance is read."""
     q, k = _check_bound_arguments(q, k)
-    return _verify_bound(instances, "main", q, k, Fraction(q ** (k - 1)))
+    return _verify_bound(instances, "main", q, k, q ** (k - 1))
 
 
 def verify_no_lines_theorem(instances, q: int, k: int) -> list[BoundReport]:
-    """Positivity beyond (q**k - 1)/(q - 1) for instances with no
-    (q+2)-point line minor.  Here q may be any integer >= 2 and k any
-    integer >= 1; any other raises :class:`ArgumentError` before any
-    instance is read, and an instance that does contain such a line is
-    a hard error."""
+    """Positivity beyond (q**k - 1)/(q - 1), an integer, for instances
+    with no (q+2)-point line minor.  Here q may be any integer >= 2 and
+    k any integer >= 1; any other raises :class:`ArgumentError` before
+    any instance is read, and an instance that does contain such a line
+    is a hard error."""
     q, k = _check_bound_arguments(q, k)
-    return _verify_bound(instances, "no-lines", q, k, Fraction(q ** k - 1, q - 1), q + 2)
+    return _verify_bound(instances, "no-lines", q, k, (q ** k - 1) // (q - 1), q + 2)
 
 
 def _poly_str(p: IntPoly) -> str:

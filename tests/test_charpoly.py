@@ -102,12 +102,21 @@ def test_intpoly_arithmetic():
 
 
 def test_intpoly_rejects_non_integers():
-    """Integral values of other numeric types are accepted; anything else is a
-    typed error, never a silent truncation."""
-    assert IntPoly([True, 2.0, Fraction(6, 3)]).coeffs == (1, 2, 2)
+    """Integral values of other numeric types are accepted; anything else,
+    a bool among them, is a typed error, never a silent truncation."""
+    assert IntPoly([2.0, Fraction(6, 3)]).coeffs == (2, 2)
     p = IntPoly([1, 1])
     assert (p * Fraction(4, 2)).coeffs == (2, 2)
     bad = [
+        lambda: IntPoly([True]),
+        lambda: IntPoly([True, 2.0]),
+        lambda: IntPoly([1, False]),
+        lambda: p * True,
+        lambda: True * p,
+        lambda: p + True,
+        lambda: True + p,
+        lambda: p - False,
+        lambda: False - p,
         lambda: IntPoly([1.5, Fraction(7, 2)]),
         lambda: IntPoly([Fraction(1, 3)]),
         lambda: IntPoly([float("nan")]),
@@ -143,17 +152,18 @@ def test_json_round_trip():
             IntPoly.from_json(bad)
 
 
-@pytest.mark.parametrize("scalar", [1, -3, 0, 2.0, Fraction(4, 2), True])
+@pytest.mark.parametrize("scalar", [1, -3, 0, 2.0, Fraction(4, 2)])
 def test_integral_scalars_add_and_subtract_as_constants(scalar):
     """p + s, s + p, p - s and s - p take an integral s as the constant
-    polynomial s, as p * s does; anything else raises NonIntegralError."""
+    polynomial s, as p * s does; anything else, a bool among them,
+    raises NonIntegralError."""
     p = IntPoly([5, -2, 1])
     s = IntPoly([int(scalar)])
     assert p + scalar == scalar + p == p + s
     assert p - scalar == p - s
     assert scalar - p == s - p
     assert sum([p, p]) == 2 * p
-    for bad in (1.5, Fraction(1, 3), "1", None):
+    for bad in (1.5, Fraction(1, 3), "1", None, True, False):
         for op in (lambda: p + bad, lambda: bad + p, lambda: p - bad, lambda: bad - p):
             with pytest.raises(NonIntegralError):
                 op()
@@ -1288,8 +1298,8 @@ def test_root_memo_keys(fresh_root_memo):
     entries."""
     p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4
     assert [count_roots_above(p, b) for b in (2, Fraction(2), 2.0)] == [1, 1, 1]
-    roots, sf, chain, counts, brackets = fresh_root_memo[p.coeffs]
-    assert roots == (1, 2, 4) and sf == p and chain == []
+    roots, sf, chain, whole, counts, brackets = fresh_root_memo[p.coeffs]
+    assert roots == (1, 2, 4) and sf == p and chain == whole == []
     assert len(counts) == 1
     assert largest_real_root(p, 1) == largest_real_root(p, ROOT_TOL) == (4, 4)
     assert largest_real_root(p, Fraction(1)) == (4, 4)
@@ -1406,7 +1416,7 @@ def test_count_roots_above_rejects_a_wrong_sturm_count(monkeypatch, fresh_root_m
         poison()
         with pytest.raises(RootCertificateError):
             count_roots_above(p, bound)
-        assert not fresh_root_memo[p.coeffs][3]
+        assert not fresh_root_memo[p.coeffs][4]
         monkeypatch.undo()
     fresh_root_memo.clear()
     assert count_roots_above(p, bound) == expected
@@ -1443,6 +1453,28 @@ def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, fresh_r
     assert lo * lo < square <= hi * hi and hi - lo <= ROOT_TOL
     assert calls[0] == 1 and len(built) == 2  # the cofactor's chain, then the whole one
     assert 0 < len(calls) <= (2 * bound).bit_length() + 2
+
+
+def test_largest_real_root_builds_the_whole_chain_once(monkeypatch, fresh_root_memo):
+    """Five tolerances on a polynomial whose largest root sqrt(18) is
+    irrational build the Sturm chain of its squarefree part once, keep
+    it in the memo entry, and bracket as a chain built afresh for each
+    tolerance does."""
+    p = IntPoly([-18, 0, 1]) * x_minus(1) * x_minus(2) * x_minus(2)
+    sf = squarefree_part(p)
+    tols = (ROOT_TOL, Fraction(1, 1000), Fraction(1, 3), 1, 5)
+    expected = [charpoly._bracket(sturm_chain(sf), *charpoly._exact(t, "tol")) for t in tols]
+    built = []
+    chain = charpoly.sturm_chain
+    monkeypatch.setattr(charpoly, "sturm_chain", lambda q: built.append(q) or chain(q))
+    assert [largest_real_root(p, t) for t in tols] == expected
+    assert built.count(sf) == 1 and len(built) == 2  # the cofactor's chain, then sf's
+    assert fresh_root_memo[p.coeffs][3] == chain(sf)
+    lo, hi = expected[0]
+    assert lo * lo < 18 <= hi * hi
+    fresh_root_memo[p.coeffs][5].clear()  # brackets asked again use the kept chain
+    assert [largest_real_root(p, t) for t in tols] == expected
+    assert len(built) == 2
 
 
 @given(
@@ -1486,10 +1518,20 @@ def test_poly_exact_div_rejects_non_divisors(a, b, rest, k):
 
 def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
     """Threads that fill and evict a tiny shared memo at a short switch
-    interval all get right answers, and the cap holds."""
+    interval all get right answers, and the cap holds, also where the
+    bisection shares the Sturm chain an entry keeps for it."""
     monkeypatch.setattr(charpoly, "MAX_ROOT_MEMO", 4)
     monkeypatch.setattr(charpoly, "MAX_ROOT_ANSWERS", 2)
     errors = []
+
+    def surd(root):  # largest root sqrt(root + 9), irrational for these roots
+        return x_minus(root) * IntPoly([-(root + 9), 0, 1])
+
+    tols = [Fraction(1, 1 + j) for j in range(3)]
+    brackets = {
+        (root, j): charpoly._bracket(sturm_chain(squarefree_part(surd(root))), 1, 1 + j)
+        for root in (1, 2, 3) for j in range(3)
+    }
 
     def work(offset):
         try:
@@ -1497,7 +1539,9 @@ def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
                 root = (i + offset) % 23
                 p = x_minus(root) * IntPoly([1, 0, 1])
                 assert count_roots_above(p, i % 5) == (root > i % 5)
-                assert largest_real_root(p, Fraction(1, 1 + i % 3)) == (root, root)
+                assert largest_real_root(p, tols[i % 3]) == (root, root)
+                root = (i + offset) % 3 + 1
+                assert largest_real_root(surd(root), tols[i % 3]) == brackets[root, i % 3]
         except Exception as exc:  # reported below; a thread cannot raise into the test
             errors.append(exc)
 

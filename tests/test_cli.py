@@ -229,6 +229,22 @@ def test_generate_random_rejects_bad_sizes(capsys, tmp_path, rank, n, message):
     assert not list(tmp_path.iterdir())
 
 
+def test_generate_random_rejects_a_negative_count(capsys, tmp_path):
+    """A negative --count is refused by name with exit status 2 before
+    the --out directory is made; a count of 0 writes an empty one."""
+    outdir = tmp_path / "out"
+    argv = ["generate", "random", "--q", "2", "--rank", "2", "--n", "3", "--out", str(outdir)]
+    rc = main([*argv, "--count", "-2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "matzero: the instance count must be nonnegative, got -2\n"
+    assert not outdir.exists()
+    assert main([*argv, "--count", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert outdir.is_dir() and not list(outdir.iterdir())
+
+
 @pytest.mark.parametrize("kind", ["mixed", "random", "glued"])
 def test_verify_rejects_a_width_below_one(capsys, kind):
     rc = main(["verify", "main", "--q", "2", "--k", "0", "--instances", f"{kind}:5:0"])
@@ -317,9 +333,10 @@ def test_generate_glued_rejects_bad_arguments(capsys, tmp_path, options, message
         ["uniform", "--rank", "-1", "--n", "3"],
         ["graphic", "--shape", "path", "--vertices", "-2"],
         ["glued", "--q", "6", "--block-rank", "2"],
+        ["random", "--q", "2", "--rank", "2", "--n", "3", "--count", "-2"],
     ],
     ids=["random-rank-0", "uniform-rank-above-n", "uniform-rank-negative",
-         "graphic-negative", "glued-q-6"],
+         "graphic-negative", "glued-q-6", "random-count-negative"],
 )
 def test_generate_rejects_arguments_before_making_the_out_directory(capsys, tmp_path, argv):
     """Rejected arguments end in one message line and exit status 2,

@@ -551,6 +551,95 @@ def test_all_verdicts_true_flags_failures():
     assert not all_verdicts_true([IdentityCheck("d", "x", False)])
 
 
+# repr and to_json of reports on the Fano plane, a looped matroid and a
+# made-up fractional bracket, as they read before the classes were slotted
+_FIXED_REPORTS = [
+    (
+        "BoundReport(instance_id='fano', theorem='main', q=2, k=3, n=7, rank=3, "
+        "witnessed_width=3, bound=Fraction(4, 1), verdict=True, largest_root=(Fraction(4, 1), "
+        "Fraction(4, 1)), cocircuit_size=None, identically_zero=False)",
+        '{"instance":"fano","theorem":"main","q":2,"k":3,"n":7,"rank":3,"witnessed_width":3,'
+        '"bound":["4","1"],"verdict":true,"largest_root":[["4","1"],["4","1"]],'
+        '"cocircuit_size":null,"identically_zero":false}',
+    ),
+    (
+        "BoundReport(instance_id='loopy', theorem='main', q=2, k=3, n=3, rank=2, "
+        "witnessed_width=2, bound=Fraction(4, 1), verdict=True, largest_root=None, "
+        "cocircuit_size=None, identically_zero=True)",
+        '{"instance":"loopy","theorem":"main","q":2,"k":3,"n":3,"rank":2,"witnessed_width":2,'
+        '"bound":["4","1"],"verdict":true,"largest_root":null,"cocircuit_size":null,'
+        '"identically_zero":true}',
+    ),
+    (
+        "BoundReport(instance_id='fano', theorem='size', q=2, k=None, n=7, rank=3, "
+        "witnessed_width=3, bound=Fraction(7, 1), verdict=True, largest_root=None, "
+        "cocircuit_size=None, identically_zero=False)",
+        '{"instance":"fano","theorem":"size","q":2,"k":null,"n":7,"rank":3,"witnessed_width":3,'
+        '"bound":["7","1"],"verdict":true,"largest_root":null,"cocircuit_size":null,'
+        '"identically_zero":false}',
+    ),
+    (
+        "BoundReport(instance_id='fano', theorem='cocircuit', q=2, k=3, n=7, rank=3, "
+        "witnessed_width=3, bound=Fraction(4, 1), verdict=True, largest_root=None, "
+        "cocircuit_size=4, identically_zero=False)",
+        '{"instance":"fano","theorem":"cocircuit","q":2,"k":3,"n":7,"rank":3,"witnessed_width":3,'
+        '"bound":["4","1"],"verdict":true,"largest_root":null,"cocircuit_size":4,'
+        '"identically_zero":false}',
+    ),
+    (
+        "BoundReport(instance_id='frac', theorem='no-lines', q=3, k=2, n=5, rank=3, "
+        "witnessed_width=2, bound=Fraction(4, 1), verdict=True, largest_root=(Fraction(1, 3), "
+        "Fraction(1, 2)), cocircuit_size=None, identically_zero=False)",
+        '{"instance":"frac","theorem":"no-lines","q":3,"k":2,"n":5,"rank":3,"witnessed_width":2,'
+        '"bound":["4","1"],"verdict":true,"largest_root":[["1","3"],["1","2"]],'
+        '"cocircuit_size":null,"identically_zero":false}',
+    ),
+    (
+        "IdentityCheck(instance_id='c', check='delete-contract', passed=True, detail='')",
+        '{"instance":"c","check":"delete-contract","passed":true,"detail":""}',
+    ),
+    (
+        "IdentityCheck(instance_id='d', check='x', passed=False, detail='why')",
+        '{"instance":"d","check":"x","passed":false,"detail":"why"}',
+    ),
+]
+
+
+def test_reports_and_records_are_slotted_with_the_same_fields_and_bytes():
+    """BoundReport, IdentityCheck and InstanceRecord keep no instance
+    __dict__ and take no attribute beyond their fields; positional and
+    keyword arguments build equal objects; repr, equality and to_json
+    read as they did before the classes were slotted."""
+    m = fano()
+    rec = InstanceRecord("fano", 2, m, single_vertex_decomposition(m))
+    looped = LinearMatroid(gf(2), [(1, 0), (0, 0), (1, 1)])
+    loopy = InstanceRecord("loopy", 2, looped, single_vertex_decomposition(looped))
+    reports = [
+        *verify_main_theorem([rec, loopy], 2, 3),
+        *verify_size_and_cocircuit_bounds([rec], 2, 3),
+        BoundReport("frac", "no-lines", 3, 2, 5, 3, 2, Fraction(4), True,
+                    (Fraction(1, 3), Fraction(1, 2))),
+        IdentityCheck("c", "delete-contract", True),
+        IdentityCheck("d", "x", False, "why"),
+    ]
+    assert [(repr(r), r.to_json()) for r in reports] == _FIXED_REPORTS
+    assert reports_to_jsonl(reports) == "".join(js + "\n" for _, js in _FIXED_REPORTS)
+    assert reports[0] == BoundReport(
+        instance_id="fano", theorem="main", q=2, k=3, n=7, rank=3, witnessed_width=3,
+        bound=Fraction(4), verdict=True, largest_root=(Fraction(4), Fraction(4)),
+    )
+    assert reports[0] != reports[3] and reports[-1] != reports[-2]
+    assert IdentityCheck("c", "delete-contract", True, "") == IdentityCheck(
+        instance_id="c", check="delete-contract", passed=True)
+    assert rec == InstanceRecord(id="fano", q=2, matroid=m, decomposition=rec.decomposition,
+                                 construction={}, seed=None)
+    assert rec != InstanceRecord("fano", 2, m, rec.decomposition, {}, 1)
+    for obj in (rec, *reports):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.note = "ad hoc"
+
+
 # -- identities -------------------------------------------------------------------
 
 
@@ -1151,20 +1240,28 @@ def test_resolve_instances_errors():
         (lambda: gen_glued(2, 2, 2, 1, delete_count=1.5), r"^delete count must be an integer, got 1\.5$"),
         (lambda: main_theorem_suite(2, 2, 1.5), r"^instance count must be an integer, got 1\.5$"),
         (lambda: no_lines_suite(2, 2, 2.5), r"^instance count must be an integer, got 2\.5$"),
+        (lambda: main_theorem_suite(2, 2, -1), r"^the instance count must be nonnegative, got -1$"),
+        (lambda: no_lines_suite(2, 2, -1), r"^the instance count must be nonnegative, got -1$"),
         (lambda: main_theorem_suite(2, 2.0, 5), r"^the width bound k must be an integer, got 2\.0$"),
         (lambda: resolve_instances("random:5:0", 2, 2.5), r"^the width bound k must be an integer, got 2\.5$"),
     ],
     ids=["mixed-k0", "random-k0", "glued-k0", "suite-k0", "random-r0", "random-n-negative",
          "random-r-float", "random-n-float", "glued-blocks-float", "glued-rank-float",
          "glued-overlap-float", "glued-deletions-float", "main-suite-count-float",
-         "nolines-suite-count-float", "suite-k-float", "resolve-k-float"],
+         "nolines-suite-count-float", "main-suite-count-negative",
+         "nolines-suite-count-negative", "suite-k-float", "resolve-k-float"],
 )
 def test_bad_sizes_raise_a_typed_error(call, message):
     """A size that admits no instance, or one that is not an integer,
     raises ArgumentError naming the argument, not a ValueError from
-    randrange, a matrix of n < 0 or a count rounded up."""
+    randrange, a matrix of n < 0, a count rounded up or a negative
+    count read as an empty suite."""
     with pytest.raises(ArgumentError, match=message):
         call()
+
+
+def test_a_suite_of_zero_instances_is_empty():
+    assert main_theorem_suite(2, 2, 0) == no_lines_suite(3, 3, 0) == []
 
 
 # -- the whole-instance charpoly memo of the bound suites ----------------------
@@ -1511,18 +1608,23 @@ def test_charpoly_memo_shares_an_engine_run_across_a_change_of_basis(
 
 def test_charpoly_memo_keeps_an_answer_per_bound(monkeypatch, fresh_root_memo):
     """One point set verified at the main bound and the no-lines bound
-    keeps both answers in its one entry, each the root layer's own."""
+    keeps both answers in its one entry, each the bound as a Fraction
+    and the root layer's own verdict and bracket; a report reads its
+    answer back, the bound's Fraction included."""
     m = LinearMatroid(gf(2), [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])
     rec = InstanceRecord("two-bounds", 2, m, single_vertex_decomposition(m))
     main = verify_main_theorem([rec], 2, 3)[0]
     nolines = verify_no_lines_theorem([rec], 2, 3)[0]
     (chi, answers), = _entries(harness._CHARPOLY_MEMO)
     assert answers == {
-        (4, 1): (charpoly.sturm_positive_beyond(chi, 4), charpoly.largest_real_root(chi, harness.ROOT_TOL)),
-        (7, 1): (charpoly.sturm_positive_beyond(chi, 7), charpoly.largest_real_root(chi, harness.ROOT_TOL)),
+        (b, 1): (Fraction(b), charpoly.sturm_positive_beyond(chi, b),
+                 charpoly.largest_real_root(chi, harness.ROOT_TOL))
+        for b in (4, 7)
     }
-    assert (main.bound, main.verdict, main.largest_root) == (4, *answers[4, 1])
-    assert (nolines.bound, nolines.verdict, nolines.largest_root) == (7, *answers[7, 1])
+    assert all(type(bound) is Fraction for bound, _, _ in answers.values())
+    for report, b in ((main, 4), (nolines, 7)):
+        assert (report.bound, report.verdict, report.largest_root) == answers[b, 1]
+        assert report.bound is answers[b, 1][0]
 
 
 def test_charpoly_memo_keys_the_point_set(monkeypatch, fresh_charpoly_memo):
@@ -1596,6 +1698,58 @@ def test_charpoly_memo_bypasses_loops_and_keeps_graphic_and_uniform_roots(
     assert all(rep.identically_zero and rep.verdict and rep.largest_root is None for rep in reports)
     assert not fresh_charpoly_memo
     assert len(calls) == 3 * len(loops) + len(kept)
+
+
+def test_a_repeated_instance_is_answered_by_one_memo_probe(monkeypatch, fresh_root_memo):
+    """A second verify of a record, and a verify of a record whose
+    columns are those points permuted, rescaled and repeated, read chi
+    and the answer from the memo: no standard form, no engine run and
+    no call into the root layer, under either bound."""
+    F = gf(3)
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (0, 1, 1)]
+    twin_cols = [(0, 2, 2), (2, 1, 2), (0, 1, 0), (1, 1, 0), (1, 0, 0), (2, 0, 0)]
+    first, twin = (LinearMatroid(F, c) for c in (cols, twin_cols))
+    rec = InstanceRecord("first", 3, first, single_vertex_decomposition(first))
+    verify = (verify_main_theorem, verify_no_lines_theorem)
+    expected = [v([rec], 3, 3)[0] for v in verify]
+    calls = []
+    for module, name in (
+        (matroid, "_standard_rows"),
+        (harness, "_chi_by_splits"),
+        (harness, "charpoly_auto"),
+        (harness, "sturm_positive_beyond"),
+        (harness, "largest_real_root"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=getattr(module, name):
+                            calls.append(_n) or _f(*a))
+    for m in (first, twin, first):
+        again = InstanceRecord("again", 3, m, single_vertex_decomposition(m))
+        for v, old in zip(verify, expected):
+            (report,) = v([again], 3, 3)
+            assert (report.bound, report.verdict, report.largest_root, report.rank) == (
+                old.bound, old.verdict, old.largest_root, old.rank)
+            assert report.bound is old.bound
+    assert calls == []
+
+
+def test_a_matroid_with_a_loop_is_answered_afresh_on_every_call(monkeypatch, fresh_charpoly_memo):
+    """The memo is probed first, but no key holds a zero row, so a
+    matroid with a loop misses every time, goes to charpoly_auto and is
+    filed nowhere, even beside the entry of its loopless simplification."""
+    F = gf(2)
+    plain = LinearMatroid(F, [(1, 0), (1, 1)])
+    looped = LinearMatroid(F, [(1, 0), (0, 0), (1, 1)])
+    verify_main_theorem([InstanceRecord("plain", 2, plain, single_vertex_decomposition(plain))], 2, 2)
+    filed = dict(fresh_charpoly_memo)
+    calls = []
+    auto = harness.charpoly_auto
+    monkeypatch.setattr(harness, "charpoly_auto", lambda m: calls.append(m) or auto(m))
+    rec = InstanceRecord("loopy", 2, looped, single_vertex_decomposition(looped))
+    for verify in (verify_main_theorem, verify_no_lines_theorem, verify_main_theorem):
+        (report,) = verify([rec], 2, 2)
+        assert report.identically_zero and report.verdict and report.largest_root is None
+    assert calls == [looped] * 3
+    assert fresh_charpoly_memo == filed
 
 
 def test_charpoly_memo_keeps_a_loopless_minor_of_a_matrix(fresh_charpoly_memo):
