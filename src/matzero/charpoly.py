@@ -16,12 +16,14 @@ the test suite exploits.
 All arithmetic is exact: coefficients are Python integers, bounds and
 root brackets are ``fractions.Fraction`` values, and no answer rests on
 floating point.  The root layer first reads a polynomial's integer
-roots exactly, by synthetic division; a Sturm chain in integer
-arithmetic, and a bisection, are built only for the cofactor those
-roots leave, and for a largest root that is not an integer.  The root
-analysis is shared per distinct polynomial: its integer roots, Sturm
-chain, root counts and brackets are kept in one bounded table
-(``MAX_ROOT_MEMO``) that every caller in the process reads.
+roots exactly, by synthetic division, and builds one Sturm chain in
+integer arithmetic, for the cofactor those roots leave: every root
+count, and every step of the bisection that brackets a largest root
+that is not an integer, is the integer roots above a point plus that
+chain's count there.  The root analysis is shared per distinct
+polynomial: its integer roots, Sturm chain, root counts and brackets
+are kept in one bounded table (``MAX_ROOT_MEMO``) that every caller in
+the process reads.
 """
 
 from __future__ import annotations
@@ -728,14 +730,10 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 
 # coefficient tuple -> (distinct integer roots, squarefree part, Sturm
 # chain of the cofactor's squarefree part (empty when it is constant),
-# Sturm chain of the whole squarefree part (empty until a bracket first
-# needs the bisection), root counts by bound, brackets by tolerance);
-# insertion order is age.  Lookups are single dict reads; _remember's
-# check-then-drop holds the lock, so threads that share a table never
-# drop one entry twice.
-_ROOT_MEMO: dict[
-    tuple[int, ...], tuple[tuple[int, ...], IntPoly, list[IntPoly], list[IntPoly], dict, dict]
-] = {}
+# root counts by bound, brackets by tolerance); insertion order is age.
+# Lookups are single dict reads; _remember's check-then-drop holds the
+# lock, so threads that share a table never drop one entry twice.
+_ROOT_MEMO: dict[tuple[int, ...], tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]] = {}
 _MEMO_LOCK = Lock()
 
 
@@ -773,26 +771,24 @@ def _nonzero(p: IntPoly, why: str) -> None:
         raise RootArgumentError(f"p is the zero polynomial, which {why}")
 
 
-def _root_analysis(
-    p: IntPoly,
-) -> tuple[tuple[int, ...], IntPoly, list[IntPoly], list[IntPoly], dict, dict]:
+def _root_analysis(p: IntPoly) -> tuple[tuple[int, ...], IntPoly, list[IntPoly], dict, dict]:
     """The root analysis of nonzero p: its distinct integer roots, read
     exactly by synthetic division (:func:`_integer_split`), its
     squarefree part sf, the Sturm chain of the squarefree part of the
-    cofactor the integer roots leave (empty when that is constant), the
-    Sturm chain of sf (empty until :func:`largest_real_root` first needs
-    the bisection, which fills it), and the dicts of its root counts by
-    bound and its brackets by tolerance.  The analysis is shared per
-    distinct polynomial: it is built on the first use of p's
-    coefficients and kept in a table of at most ``MAX_ROOT_MEMO``
-    entries, so every verdict and bracket on an equal polynomial reads
-    the same roots and chains."""
+    cofactor the integer roots leave (empty when that is constant), and
+    the dicts of its root counts by bound and its brackets by
+    tolerance.  The roots and the chain answer every question asked of
+    p (:func:`_above`).  The analysis is shared per distinct
+    polynomial: it is built on the first use of p's coefficients and
+    kept in a table of at most ``MAX_ROOT_MEMO`` entries, so every
+    verdict and bracket on an equal polynomial reads the same roots and
+    chain."""
     entry = _ROOT_MEMO.get(p.coeffs)
     if entry is None:
         roots, rest = _integer_split(p)
         chain = sturm_chain(rest) if rest.degree > 0 else []
         entry = _remember(_ROOT_MEMO, p.coeffs,
-                          (roots, _times_roots(rest, roots), chain, [], {}, {}), MAX_ROOT_MEMO)
+                          (roots, _times_roots(rest, roots), chain, {}, {}), MAX_ROOT_MEMO)
     return entry
 
 
@@ -827,6 +823,17 @@ def _variations_at_pos_inf(chain) -> int:
     return _variations(c.leading for c in chain)
 
 
+def _above(roots, chain, num: int, den: int) -> int:
+    """The distinct real roots above num/den (den > 0) of a squarefree
+    part whose integer roots are ``roots`` and whose cofactor has the
+    Sturm chain ``chain``: the roots above it, plus the chain's count
+    there."""
+    count = sum(c * den > num for c in roots)
+    if chain:
+        count += _variations_at(chain, num, den) - _variations_at_pos_inf(chain)
+    return count
+
+
 def _taylor_shift(p: IntPoly, num: int, den: int) -> list[int]:
     """Coefficients of den**deg(p) * p((num + y)/den) in y, constant
     term first: :func:`_homogeneous` with y left symbolic."""
@@ -845,7 +852,7 @@ def _taylor_shift(p: IntPoly, num: int, den: int) -> list[int]:
 def count_roots_above(p: IntPoly, bound) -> int:
     """Number of distinct real roots of p in the open interval
     (bound, +infinity): the integer roots of p above it, plus the Sturm
-    count of the cofactor they leave (:func:`_root_analysis`).
+    count of the cofactor they leave (:func:`_above`).
 
     A count not yet in p's memo entry is certified a second way before
     it is kept: the roots of the squarefree part sf above b = num/den
@@ -857,12 +864,10 @@ def count_roots_above(p: IntPoly, bound) -> int:
     :class:`RootArgumentError`."""
     _nonzero(p, "has every point as a root")
     num, den = key = _exact(bound, "bound")
-    roots, sf, chain, _, counts, _ = _root_analysis(p)
+    roots, sf, chain, counts, _ = _root_analysis(p)
     count = counts.get(key)
     if count is None:
-        count = sum(c * den > num for c in roots)
-        if chain:
-            count += _variations_at(chain, num, den) - _variations_at_pos_inf(chain)
+        count = _above(roots, chain, num, den)
         v = _variations(_taylor_shift(sf, num, den))
         if count > v or (v - count) % 2:
             raise RootCertificateError(
@@ -928,65 +933,56 @@ def largest_real_root(p: IntPoly, tol) -> tuple[Fraction, Fraction] | None:
     An integer largest root is read off the root analysis: it is p's
     largest integer root c when the cofactor those roots leave has no
     root above c (one Sturm count on the cofactor's chain, none when the
-    cofactor is constant).  If tol is also below the bracket's width at
-    the first level of the bisection below where it is narrower than 1
-    (any tol below 1 is), the answer is (c, c) at once: that bracket and
-    every later one hold c as their only integer, so the final check
-    would return (c, c) from the simplest rational in the last bracket.
-    Every other answer is the bisection's, on the Sturm chain of the
-    whole squarefree part sf, built the first time a tolerance needs it
-    and kept in p's memo entry for every later one.
-
-    The bracket starts at the Cauchy bound and is halved on dyadic
-    midpoints, in two phases of one loop:
+    cofactor is constant).  When tol < 1 as well, the answer is (c, c)
+    at once: the bisection's last bracket is then narrower than 1 and
+    holds c as its only integer, so its final check would return (c, c)
+    from the simplest rational in it.  Every other answer is the
+    bisection's (:func:`_bracket`), which starts at the Cauchy bound and
+    halves the bracket on dyadic midpoints, in two phases of one loop:
 
     - Isolate: while more than one distinct root lies above lo, each
-      midpoint costs a Sturm count of the whole chain, and lo keeps its
+      midpoint costs a root count (:func:`_above`), and lo keeps its
       count.
     - Refine: once the largest root rho is the only root of sf above
       lo, sf (positive lead, simple roots) is negative exactly on
       (lo, rho), so the sign of sf alone at the midpoint makes the same
-      choice as the chain count.
+      choice as the count.
     """
     _nonzero(p, "has no largest root")
     tol_num, tol_den = key = _exact(tol, "tol")
     if tol_num <= 0:
         raise RootArgumentError(f"tol must be positive, got {tol!r}")
-    roots, sf, chain, whole, _, brackets = _root_analysis(p)
+    roots, sf, chain, _, brackets = _root_analysis(p)
     try:
         return brackets[key]
     except KeyError:  # None is a kept answer: p has no real root
         pass
-    if roots:
-        c = roots[-1]
-        width = 2 * cauchy_root_bound(sf)  # the bracket's width, times 2**k at level k
-        if (width * tol_den > tol_num << (width.bit_length() - 1)  # it reaches width < 1
-                and (not chain or _variations_at(chain, c, 1) == _variations_at_pos_inf(chain))):
-            root = Fraction(c)
-            return _remember(brackets, key, (root, root), MAX_ROOT_ANSWERS)
-    if not whole:
-        whole[:] = sturm_chain(sf)  # one slice store: a racing thread writes an equal chain
-    return _remember(brackets, key, _bracket(whole, tol_num, tol_den), MAX_ROOT_ANSWERS)
+    if roots and tol_num < tol_den and not _above((), chain, roots[-1], 1):
+        root = Fraction(roots[-1])
+        return _remember(brackets, key, (root, root), MAX_ROOT_ANSWERS)
+    return _remember(brackets, key, _bracket(roots, sf, chain, tol_num, tol_den), MAX_ROOT_ANSWERS)
 
 
-def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction, Fraction] | None:
-    """:func:`largest_real_root` from the Sturm chain of the squarefree
-    part to within tol_num / tol_den, with no memo."""
-    sf = chain[0]
-    v_hi = _variations_at_pos_inf(chain)
+def _bracket(roots, sf: IntPoly, chain: list[IntPoly], tol_num: int, tol_den: int
+             ) -> tuple[Fraction, Fraction] | None:
+    """:func:`largest_real_root` of the squarefree part sf, whose
+    integer roots are ``roots`` and whose cofactor has the Sturm chain
+    ``chain``, to within tol_num / tol_den, with no memo.  With no roots
+    and the Sturm chain of sf itself, it is the bisection on sf's chain
+    alone."""
     bound = cauchy_root_bound(sf)
-    v_lo = _variations_at(chain, -bound, 1)
-    if v_lo == v_hi:
+    v_lo = _above(roots, chain, -bound, 1)
+    if not v_lo:
         return None
     # invariant: the largest root lies in (lo / 2**k, hi / 2**k], and
-    # v_lo - v_hi distinct roots lie above lo / 2**k
+    # v_lo distinct roots lie above lo / 2**k
     lo, hi, k = -bound, bound, 0
     while (hi - lo) * tol_den > tol_num << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        if v_lo > v_hi + 1:
-            v_mid = _variations_at(chain, mid, 1 << k)
-            if v_mid > v_hi:
+        if v_lo > 1:
+            v_mid = _above(roots, chain, mid, 1 << k)
+            if v_mid:
                 lo, v_lo = mid, v_mid
             else:
                 hi = mid
@@ -998,6 +994,6 @@ def _bracket(chain: list[IntPoly], tol_num: int, tol_den: int) -> tuple[Fraction
     # a root in (lo, hi] with no root above it is the largest root
     for x in (hi, _simplest_in(lo, hi)):
         num, den = x.numerator, x.denominator
-        if x > lo and _homogeneous(sf, num, den) == 0 and _variations_at(chain, num, den) == v_hi:
+        if x > lo and _homogeneous(sf, num, den) == 0 and not _above(roots, chain, num, den):
             return x, x
     return lo, hi

@@ -100,6 +100,17 @@ def _integer(value, name: str) -> int:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints through ``operator.index``; the
+    first that is not an integer raises :class:`ArgumentError` naming
+    it, never truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple([_integer(v, name) for v in values])
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, d) with q == p**d, or raise :class:`ArgumentError`
     (a ``ValueError``)."""
@@ -200,6 +211,7 @@ class GF:
     )
 
     def __init__(self, p: int, d: int = 1, irreducible=None):
+        p, d = _integer(p, "characteristic"), _integer(d, "extension degree")
         if not is_prime(p):
             raise NotPrimeError(f"characteristic {p} is not prime")
         if d < 1:

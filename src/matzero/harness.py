@@ -554,10 +554,23 @@ def all_verdicts_true(reports) -> bool:
 # verification
 # ---------------------------------------------------------------------------
 
+def _check_other_matroid(rec: InstanceRecord) -> None:
+    """Refuse a width witness built on a matroid other than rec's
+    unless that one has the same field and points
+    (:meth:`Matroid._points`, height aside), by raising
+    :class:`WidthWitnessExceededError` naming the record."""
+    mine, theirs = rec.matroid._points(), rec.decomposition.matroid._points()
+    if mine[0] != theirs[0] or mine[2] != theirs[2]:
+        raise WidthWitnessExceededError(f"{rec.id}: the width witness decomposes another matroid")
+
+
 def _check_witness(rec: InstanceRecord, k: int) -> int:
-    if rec.decomposition is None:
+    dec = rec.decomposition
+    if dec is None:
         raise WidthWitnessExceededError(f"{rec.id}: no width witness attached")
-    w = rec.decomposition.width()
+    if dec.matroid is not rec.matroid:
+        _check_other_matroid(rec)
+    w = dec.width()
     if w > k:
         raise WidthWitnessExceededError(f"{rec.id}: witness width {w} exceeds k={k}")
     return w
@@ -786,10 +799,15 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
 
     Both are read on the simplification, the distinct nonzero rows of the
     instance's standard form with no matroid built; a loop changes no
-    rank, so the witness width still holds there."""
+    rank, so the witness width still holds there.  A witness of another
+    matroid raises :class:`WidthWitnessExceededError`
+    (:func:`_check_other_matroid`)."""
     q, k = _check_bound_arguments(q, k)
     out = []
     for rec in instances:
+        dec = rec.decomposition
+        if dec is not None and dec.matroid is not rec.matroid:
+            _check_other_matroid(rec)
         field = rec.matroid._points()[0]
         basis, coordinates = rec.matroid._standard_form()
         rows = [row for row in dict.fromkeys(coordinates) if row]
@@ -811,8 +829,8 @@ def verify_size_and_cocircuit_bounds(instances, q: int, k: int) -> list[BoundRep
                     verdict=n <= bound,
                 )
             )
-        if rec.decomposition is not None and rec.q == q:
-            w = rec.decomposition.width()
+        if dec is not None and rec.q == q:
+            w = dec.width()
             if w <= k:
                 size = _min_cocircuit(field, rows).bit_count()
                 bound = Fraction(q ** (k - 1))

@@ -35,7 +35,7 @@ from .errors import (
     RankZeroError,
     TooLargeError,
 )
-from .gfq import GF, _integer, factor_prime_power, gf
+from .gfq import GF, _integer, _integers, factor_prime_power, gf
 
 MAX_GROUND = 24
 MAX_FLATS = 2_000_000
@@ -45,13 +45,14 @@ MAX_RANKS_AGREE = 16
 
 
 def as_mask(n: int, subset) -> int:
-    """Normalize a subset argument (bitmask or iterable of indices)."""
+    """Normalize a subset argument (bitmask or iterable of indices); an
+    element that is not an integer raises :class:`ArgumentError`."""
     if isinstance(subset, int):
         if subset < 0 or subset >= (1 << n):
             raise ArgumentError(f"mask {subset} out of range for a {n}-element ground set")
         return subset
     mask = 0
-    for e in subset:
+    for e in _integers(subset, "an element"):
         if not 0 <= e < n:
             raise ArgumentError(f"element {e} out of range for a {n}-element ground set")
         mask |= 1 << e
@@ -319,7 +320,10 @@ class Matroid:
         field of its root's matrix, so when ``length`` exceeds q + 1 for
         that field the answer is False exactly, not by heuristic, and
         nothing is scanned.  Every other length is answered by
-        :meth:`_line_scan`."""
+        :meth:`_line_scan`.  A ``length`` that is not an integer raises
+        :class:`ArgumentError`."""
+        if type(length) is not int:
+            length = _integer(length, "line length")
         if length < 2:
             raise ArgumentError(f"line length must be at least 2, got {length}")
         if length > self._points()[0].q + 1:
@@ -381,7 +385,7 @@ class LinearMatroid(Matroid):
 
     def __init__(self, field: GF, columns: Sequence[Sequence[int]], labels=None, nrows=None):
         self.field = field
-        cols = tuple([tuple(map(int, c)) for c in columns])
+        cols = tuple([_integers(c, "a matrix entry") for c in columns])
         if cols:
             nrows = len(cols[0])
             if any(len(c) != nrows for c in cols):
@@ -395,12 +399,12 @@ class LinearMatroid(Matroid):
 
     @classmethod
     def from_rows(cls, field: GF, rows: Sequence[Sequence[int]], labels=None):
-        rows = [list(r) for r in rows]
+        rows = [tuple(r) for r in rows]
         if not rows:
             return cls(field, [], labels, nrows=0)
-        ncols = len(rows[0])
-        cols = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-        return cls(field, cols, labels)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ArgumentError("all rows must have the same length")
+        return cls(field, list(zip(*rows)), labels)
 
     def rows(self) -> list[list[int]]:
         return [[self.columns[j][i] for j in range(self.n)] for i in range(self.nrows)]
@@ -462,11 +466,12 @@ class GraphicMatroid(Matroid):
     @staticmethod
     def _checked_graph(num_vertices: int, edges) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(vertex count, edges) as ints, uncapped; a count that is not a
-        nonnegative integer or an endpoint outside raises :class:`ArgumentError`."""
+        nonnegative integer, or an endpoint that is not an integer or lies
+        outside, raises :class:`ArgumentError`."""
         num_vertices = _integer(num_vertices, "a vertex count")
         if num_vertices < 0:
             raise ArgumentError(f"a graph needs a nonnegative vertex count, got {num_vertices}")
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple([_integers(edge, "an edge endpoint") for edge in edges])
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ArgumentError(f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}")

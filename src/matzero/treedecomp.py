@@ -37,6 +37,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import ArgumentError, NotInTreeError, ParseError, TooLargeError
+from .gfq import _integer, _integers
 from .matroid import MAX_GROUND, Matroid, content_lines, mask_bits, parse_ints
 
 EXACT_SEARCH_MAX = 10
@@ -46,7 +47,8 @@ class Tree:
     """An unrooted tree on vertices 0..num_vertices-1."""
 
     def __init__(self, num_vertices: int, edges):
-        edges = tuple((min(u, v), max(u, v)) for u, v in edges)
+        num_vertices = _integer(num_vertices, "a tree's vertex count")
+        edges = tuple((min(u, v), max(u, v)) for u, v in (_integers(e, "a tree vertex") for e in edges))
         if num_vertices < 1:
             raise ArgumentError("a tree needs at least one vertex")
         if len(edges) != num_vertices - 1:
@@ -121,7 +123,7 @@ class TreeDecomposition:
     """A tree plus an element-to-vertex assignment for a fixed matroid."""
 
     def __init__(self, matroid: Matroid, tree: Tree, assignment):
-        assignment = tuple(map(int, assignment))
+        assignment = _integers(assignment, "an assigned vertex")
         if len(assignment) != matroid.n:
             raise ArgumentError("assignment length must equal the ground set size")
         for v in assignment:

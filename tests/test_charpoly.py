@@ -1171,8 +1171,8 @@ def test_largest_real_root_matches_oracle_on_charpolys(monkeypatch, fresh_root_m
 def _ref_sturm_layer(p):
     """(sf, chain) as the root layer built them before it read integer
     roots: the squarefree part by a gcd of p and p' alone, and its whole
-    Sturm chain.  Counts off that chain and charpoly._bracket on it give
-    that layer's answers."""
+    Sturm chain.  Counts off that chain and charpoly._bracket on sf with
+    that chain and no integer roots give that layer's answers."""
     g, y = p.coeffs, p.derivative().coeffs
     while y:
         g, y = y, charpoly._primitive(charpoly._pseudo_divmod(g, y)[2])
@@ -1230,7 +1230,7 @@ def test_integer_roots_first_matches_the_sturm_layer(p, bounds, tols):
         count = charpoly._variations_at(chain, b.numerator, b.denominator) - v_inf
         assert count_roots_above(p, b) == count
     for tol in tols + [ROOT_TOL, Fraction(1), Fraction(3, 2), Fraction(40)]:
-        assert largest_real_root(p, tol) == charpoly._bracket(chain, tol.numerator, tol.denominator)
+        assert largest_real_root(p, tol) == charpoly._bracket((), sf, chain, tol.numerator, tol.denominator)
 
 
 @pytest.mark.parametrize("p, found", [
@@ -1252,7 +1252,7 @@ def test_integer_roots_past_the_walk_are_left_to_sturm(p, found):
         count = charpoly._variations_at(chain, b, 1) - charpoly._variations_at_pos_inf(chain)
         assert count_roots_above(p, b) == count
     for tol in (ROOT_TOL, Fraction(1), Fraction(10 ** 6)):
-        assert largest_real_root(p, tol) == charpoly._bracket(chain, tol.numerator, tol.denominator)
+        assert largest_real_root(p, tol) == charpoly._bracket((), sf, chain, tol.numerator, tol.denominator)
 
 
 def test_sturm_chain_rejects_the_zero_polynomial():
@@ -1298,8 +1298,8 @@ def test_root_memo_keys(fresh_root_memo):
     entries."""
     p = cp_pg_closed_form(3, 2)  # roots 1, 2, 4
     assert [count_roots_above(p, b) for b in (2, Fraction(2), 2.0)] == [1, 1, 1]
-    roots, sf, chain, whole, counts, brackets = fresh_root_memo[p.coeffs]
-    assert roots == (1, 2, 4) and sf == p and chain == whole == []
+    roots, sf, chain, counts, brackets = fresh_root_memo[p.coeffs]
+    assert roots == (1, 2, 4) and sf == p and chain == []
     assert len(counts) == 1
     assert largest_real_root(p, 1) == largest_real_root(p, ROOT_TOL) == (4, 4)
     assert largest_real_root(p, Fraction(1)) == (4, 4)
@@ -1416,7 +1416,7 @@ def test_count_roots_above_rejects_a_wrong_sturm_count(monkeypatch, fresh_root_m
         poison()
         with pytest.raises(RootCertificateError):
             count_roots_above(p, bound)
-        assert not fresh_root_memo[p.coeffs][4]
+        assert not fresh_root_memo[p.coeffs][3]
         monkeypatch.undo()
     fresh_root_memo.clear()
     assert count_roots_above(p, bound) == expected
@@ -1451,30 +1451,56 @@ def test_largest_real_root_counts_the_chain_only_to_isolate(monkeypatch, fresh_r
     bound = cauchy_root_bound(squarefree_part(p))
     lo, hi = largest_real_root(p, ROOT_TOL)
     assert lo * lo < square <= hi * hi and hi - lo <= ROOT_TOL
-    assert calls[0] == 1 and len(built) == 2  # the cofactor's chain, then the whole one
+    assert calls[0] == 1 and built == [IntPoly([-square, 0, 1])]  # the cofactor's chain alone
     assert 0 < len(calls) <= (2 * bound).bit_length() + 2
 
 
-def test_largest_real_root_builds_the_whole_chain_once(monkeypatch, fresh_root_memo):
+def test_largest_real_root_builds_one_chain(monkeypatch, fresh_root_memo):
     """Five tolerances on a polynomial whose largest root sqrt(18) is
-    irrational build the Sturm chain of its squarefree part once, keep
-    it in the memo entry, and bracket as a chain built afresh for each
-    tolerance does."""
+    irrational build one Sturm chain, the cofactor's lam^2 - 18, and
+    bracket as the bisection on a chain of the whole squarefree part
+    built afresh for each tolerance does; asked again, they build
+    nothing more."""
     p = IntPoly([-18, 0, 1]) * x_minus(1) * x_minus(2) * x_minus(2)
     sf = squarefree_part(p)
     tols = (ROOT_TOL, Fraction(1, 1000), Fraction(1, 3), 1, 5)
-    expected = [charpoly._bracket(sturm_chain(sf), *charpoly._exact(t, "tol")) for t in tols]
+    expected = [charpoly._bracket((), sf, sturm_chain(sf), *charpoly._exact(t, "tol")) for t in tols]
     built = []
     chain = charpoly.sturm_chain
     monkeypatch.setattr(charpoly, "sturm_chain", lambda q: built.append(q) or chain(q))
     assert [largest_real_root(p, t) for t in tols] == expected
-    assert built.count(sf) == 1 and len(built) == 2  # the cofactor's chain, then sf's
-    assert fresh_root_memo[p.coeffs][3] == chain(sf)
+    assert built == [IntPoly([-18, 0, 1])]
     lo, hi = expected[0]
     assert lo * lo < 18 <= hi * hi
-    fresh_root_memo[p.coeffs][5].clear()  # brackets asked again use the kept chain
+    fresh_root_memo[p.coeffs][4].clear()  # brackets asked again use the kept chain
     assert [largest_real_root(p, t) for t in tols] == expected
-    assert len(built) == 2
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("p", [
+    IntPoly([-18, 0, 1]) * x_minus(1) * x_minus(2) * x_minus(2),
+    IntPoly([-2, 0, 1]) * IntPoly([1, 1, 1]) * x_minus(-3),
+    IntPoly([-7, 0, 3]) * IntPoly([-1, -1, 1]) * IntPoly([-1, 2]) * x_minus(0),
+    cp_pg_closed_form(3, 2) * IntPoly([1, 0, 1]),
+    x_minus(5) * IntPoly([-8, 0, 1]),
+], ids=["surd-18", "surd-2-complex", "two-surds-half-zero", "pg-3-2-complex", "int-above-surd"])
+def test_no_chain_of_the_squarefree_part_is_built(monkeypatch, fresh_root_memo, p):
+    """Counts at several bounds and brackets at tolerances below 1 and
+    of 1 and more build at most one Sturm chain, on the cofactor the
+    integer roots leave, and never one on the squarefree part itself."""
+    sf = squarefree_part(p)
+    roots, rest = charpoly._integer_split(p)
+    assert roots  # so sf is not the cofactor
+    built = []
+    chain = charpoly.sturm_chain
+    monkeypatch.setattr(charpoly, "sturm_chain", lambda q: built.append(q) or chain(q))
+    for b in (-5, 0, Fraction(1, 3), 2, Fraction(7, 2), 9):
+        count_roots_above(p, b)
+        sturm_positive_beyond(p, b)
+    for tol in (ROOT_TOL, Fraction(1, 3), 1, Fraction(3, 2), 40):
+        largest_real_root(p, tol)
+    assert sf not in built
+    assert built == ([rest] if rest.degree > 0 else [])
 
 
 @given(
@@ -1519,7 +1545,7 @@ def test_poly_exact_div_rejects_non_divisors(a, b, rest, k):
 def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
     """Threads that fill and evict a tiny shared memo at a short switch
     interval all get right answers, and the cap holds, also where the
-    bisection shares the Sturm chain an entry keeps for it."""
+    bisection counts on the cofactor's Sturm chain an entry keeps."""
     monkeypatch.setattr(charpoly, "MAX_ROOT_MEMO", 4)
     monkeypatch.setattr(charpoly, "MAX_ROOT_ANSWERS", 2)
     errors = []
@@ -1529,8 +1555,8 @@ def test_root_memo_shared_by_threads(monkeypatch, fresh_root_memo):
 
     tols = [Fraction(1, 1 + j) for j in range(3)]
     brackets = {
-        (root, j): charpoly._bracket(sturm_chain(squarefree_part(surd(root))), 1, 1 + j)
-        for root in (1, 2, 3) for j in range(3)
+        (root, j): charpoly._bracket((), sf, sturm_chain(sf), 1, 1 + j)
+        for root in (1, 2, 3) for sf in [squarefree_part(surd(root))] for j in range(3)
     }
 
     def work(offset):

@@ -320,17 +320,21 @@ def test_construction_errors():
         (gf, None),
         (gf, True),
         (gf, 1),
+        (ff_build, 2, 2.0),  # ff_build: a characteristic or degree that is not an integer
+        (ff_build, 2.0, 1),
     ],
 )
 def test_construction_argument_errors_are_typed(args):
     """Bad arguments to GF, and bad orders to gf, raise ArgumentError, a
-    MatZeroError that is still a ValueError; an order that is not an
-    integer is named in the message."""
+    MatZeroError that is still a ValueError; an order, characteristic or
+    degree that is not an integer is named in the message."""
     build, *rest = args if callable(args[0]) else (GF, *args)
     with pytest.raises(ArgumentError) as info:
         build(*rest)
     if build is gf and type(rest[0]) not in (int, bool):
         assert repr(rest[0]) in str(info.value)
+    if build is ff_build:
+        assert "2.0" in str(info.value)
 
 
 def _monic(p, degree):

@@ -51,7 +51,7 @@ from matzero.harness import (
     verify_no_lines_theorem,
     verify_size_and_cocircuit_bounds,
 )
-from matzero.instances import fano, k4_graphic
+from matzero.instances import fano, k4_graphic, pg_matroid
 from matzero.matroid import (
     GraphicMatroid,
     LinearMatroid,
@@ -62,7 +62,7 @@ from matzero.matroid import (
     mask_of,
 )
 from matzero.projgeom import brylawski_charpoly
-from matzero.treedecomp import TreeDecomposition, single_vertex_decomposition
+from matzero.treedecomp import TreeDecomposition, best_heuristic, single_vertex_decomposition
 
 from support import (
     criterion_07_instances,
@@ -514,6 +514,23 @@ def test_verify_main_theorem_requires_witness():
     )
     with pytest.raises(WidthWitnessExceededError):
         verify_main_theorem([rec], 2, 2)  # witness width 3 > k
+
+
+def test_a_witness_of_another_matroid_is_refused():
+    """A width witness is read only for its record's matroid, or one with
+    the same field and points: the width-1 witness of seven parallel
+    elements says nothing of PG(2, 2), so no suite reports a width or a
+    verdict from it."""
+    parallel = LinearMatroid(gf(2), [(1, 0, 0)] * 7)
+    rec = InstanceRecord("x", 2, pg_matroid(3, 2), best_heuristic(parallel))
+    for verify in (verify_main_theorem, verify_no_lines_theorem, verify_size_and_cocircuit_bounds):
+        with pytest.raises(WidthWitnessExceededError, match=r"^x: the width witness decomposes another matroid$"):
+            verify([rec], 2, 1)
+    # an equal matroid built again, with rescaled columns, is the same one
+    twin = LinearMatroid(gf(3), [(2, 0), (0, 1), (1, 1)])
+    rec = InstanceRecord("twin", 3, LinearMatroid(gf(3), [(1, 0), (0, 2), (2, 2)]),
+                         single_vertex_decomposition(twin))
+    assert verify_main_theorem([rec], 3, 2)[0].witnessed_width == 2
 
 
 def test_verify_no_lines_theorem_battery():
@@ -1102,6 +1119,10 @@ def test_chromatic_polynomial_values():
         chromatic_polynomial(-1, [])
     with pytest.raises(ArgumentError, match=r"^a vertex count must be an integer, got 2\.5$"):
         chromatic_polynomial(2.5, [(0, 2)])
+    with pytest.raises(ArgumentError, match=r"^an edge endpoint must be an integer, got 'a'$"):
+        chromatic_polynomial(3, [("a", 1), (1, 2)])
+    with pytest.raises(ArgumentError, match=r"^an edge endpoint must be an integer, got 0\.9$"):
+        chromatic_polynomial(3, [(0.9, 1), (1, 2)])
     path = [(i, i + 1) for i in range(matroid.MAX_GROUND + 1)]
     assert chromatic_polynomial(len(path) + 1, path) \
         == IntPoly((0, 1)) * charpoly.lam_minus_one_power(len(path))

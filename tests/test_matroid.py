@@ -103,8 +103,22 @@ def test_mask_helpers():
          r"^all columns must have the same height$"),
         (lambda: UniformMatroid(1.5, 3), r"^rank must be an integer, got 1\.5$"),
         (lambda: UniformMatroid(2, 3.0), r"^element count must be an integer, got 3\.0$"),
+        (lambda: LinearMatroid(gf(3), [(1.7, 0), (0, 1)]),
+         r"^a matrix entry must be an integer, got 1\.7$"),
+        (lambda: LinearMatroid.from_rows(gf(2), [[1], [1, 0]]), r"^all rows must have the same length$"),
+        (lambda: LinearMatroid.from_rows(gf(2), [[1, 0], [1]]), r"^all rows must have the same length$"),
+        (lambda: GraphicMatroid(3, [(0.9, 1), (1, 2)]), r"^an edge endpoint must be an integer, got 0\.9$"),
+        (lambda: GraphicMatroid(3, [("a", 1)]), r"^an edge endpoint must be an integer, got 'a'$"),
+        (lambda: fano().has_line_minor(2.5), r"^line length must be an integer, got 2\.5$"),
+        (lambda: UniformMatroid(2, 4).has_line_minor(2.5), r"^line length must be an integer, got 2\.5$"),
+        (lambda: fano().has_line_minor("3"), r"^line length must be an integer, got '3'$"),
+        (lambda: fano().rank([0.5]), r"^an element must be an integer, got 0\.5$"),
+        (lambda: fano().delete([1.0]), r"^an element must be an integer, got 1\.0$"),
     ],
-    ids=["mask", "element", "labels", "minor", "heights", "uniform-rank-float", "uniform-size-float"],
+    ids=["mask", "element", "labels", "minor", "heights", "uniform-rank-float", "uniform-size-float",
+         "entry-float", "rows-longer", "rows-shorter", "endpoint-float", "endpoint-str",
+         "line-length-float", "uniform-line-length-float", "line-length-str", "rank-element-float",
+         "delete-element-float"],
 )
 def test_bad_arguments_raise_a_typed_error(call, message):
     """Each bad-input path raises ArgumentError, a MatZeroError that is

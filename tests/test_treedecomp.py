@@ -56,8 +56,15 @@ def test_tree_validation():
         (lambda: TreeDecomposition(fano(), Tree(1, ()), [0] * 6),
          r"^assignment length must equal the ground set size$"),
         (lambda: heuristic_decomposition(fano(), "spiral"), r"^unknown strategy 'spiral'$"),
+        (lambda: TreeDecomposition(fano(), Tree(2, [(0, 1)]), [0.7] * 7),
+         r"^an assigned vertex must be an integer, got 0\.7$"),
+        (lambda: TreeDecomposition(fano(), Tree(1, ()), ["x"] * 7),
+         r"^an assigned vertex must be an integer, got 'x'$"),
+        (lambda: Tree(2.0, [(0, 1)]), r"^a tree's vertex count must be an integer, got 2\.0$"),
+        (lambda: Tree(2, [("0", 1)]), r"^a tree vertex must be an integer, got '0'$"),
     ],
-    ids=["vertices", "edge-count", "edge", "connected", "assignment", "strategy"],
+    ids=["vertices", "edge-count", "edge", "connected", "assignment", "strategy",
+         "assignment-float", "assignment-str", "tree-vertices-float", "tree-vertex-str"],
 )
 def test_bad_arguments_raise_a_typed_error(call, message):
     """Each bad-input path raises ArgumentError, a MatZeroError that is
